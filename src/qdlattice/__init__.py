@@ -35,7 +35,7 @@ from .operators import (
     star_g,
     star_proj,
 )
-from .groundstate import flat_connections, ground_space, ground_state, expectation
+from .groundstate import flat_connections, ground_space, ground_state, expectation, omega_expectation
 from .states import SparseState, inner
 from .sectors import (
     SectorLabel,
@@ -80,6 +80,7 @@ __all__ = [
     "ground_space",
     "ground_state",
     "expectation",
+    "omega_expectation",
     "SparseState",
     "inner",
     "SectorLabel",

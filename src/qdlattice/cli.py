@@ -1,7 +1,9 @@
 """Command-line front end: pick an experiment, run it, emit a JSON report.
 
-Exit code 0 when every check passes. The JSON file is byte-reproducible for
-a fixed configuration and seed; wall time goes to stderr only.
+Exit code 0 when every check passes, 1 when a check fails, and 2 with a
+one-line message on stderr when the configuration is rejected or the
+experiment cannot run. The JSON file is byte-reproducible for a fixed
+configuration and seed; wall time goes to stderr only.
 """
 
 from __future__ import annotations
@@ -56,18 +58,22 @@ def config_from_args(argv=None) -> RunConfig:
             file_fields = json.load(fh)
         unknown = set(file_fields) - set(fields)
         if unknown:
-            raise SystemExit(f"unknown config fields: {sorted(unknown)}")
+            raise ValueError(f"unknown config fields: {sorted(unknown)}")
         for k, v in file_fields.items():
             if fields[k] in (None,) or k not in ("experiment",) and fields[k] == build_parser().get_default(k):
                 fields[k] = v
     if not fields["experiment"]:
-        raise SystemExit("an experiment is required (flag --experiment or config file)")
+        raise ValueError("an experiment is required (flag --experiment or config file)")
     fields["lattice"] = fields["lattice"] or ""
     return RunConfig(**fields)
 
 
 def main(argv=None) -> int:
-    config = config_from_args(argv)
+    try:
+        config = config_from_args(argv)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     t0 = time.time()
     try:
         report = run_experiment(config)

@@ -5,7 +5,30 @@ every complete face is trivial. On a plane patch every flat connection is a
 vertex-potential gradient, so the flat set has exactly |G|^(V-1) elements
 and the uniform superposition over it is the natural ground state. On a
 torus each flat connection is a gradient plus a harmonic piece labelled by
-the two holonomies, giving the |G|^2 ground-space sectors.
+the two holonomies, giving the |G|^2 ground-space sectors; the torus Ω used
+by the experiments is ``ground_space(...)[0]``, the zero-holonomy sector,
+which is again the uniform superposition over the gradients.
+
+Ω is therefore uniform over a group F (the gradients) and every ground-state
+expectation is computed from that group, not from an amplitude vector. An
+``AffineMap`` M acts as |c> -> delta(c) phase(c) |c + s>, so
+
+    <Ω|M|Ω> = [s in F] * mean over vertex potentials φ of delta(dφ) phase(dφ).
+
+s lies in F when every face flux of s is trivial and, on the torus, both
+``torus_holonomies`` of s are trivial. M's delta and character expressions
+are sums of edge values; on a gradient each one telescopes to an integer
+combination of vertex potentials, so the mean runs over the potentials of
+the vertices those combinations touch, with one of them fixed by the gauge
+freedom. ``omega_expectation`` computes this (``OpSum`` by linearity) and
+refuses, before enumerating, an enumeration of more than a capped number of
+rows.
+
+``ground_state``, ``ground_space`` and ``expectation`` still materialize
+states. They serve the checks that need an actual vector: ‖x − y‖ distances
+(deformation invariance, transporters, torus ground vectors), the cone
+subspaces of the Haag-duality checks, the support and brute-force checks of
+the groundstate experiment, and the tests' oracle for ``omega_expectation``.
 """
 
 from __future__ import annotations
@@ -18,6 +41,8 @@ from .operators import AffineMap, as_opsum
 from .states import SparseState, inner
 
 FLAT_BRUTE_CAP = 1 << 22
+# vertex-potential rows one omega_expectation term may enumerate
+OMEGA_ROWS_CAP = 1 << 20
 
 
 class GroundStateError(ValueError):
@@ -81,10 +106,16 @@ def face_flux(lat: Lattice, group: AbelianGroup, configs: np.ndarray, f: int) ->
     return acc
 
 def is_flat(lat: Lattice, group: AbelianGroup, configs: np.ndarray) -> np.ndarray:
-    ok = np.ones(configs.shape[0], dtype=bool)
-    for f in lat.faces():
-        ok &= face_flux(lat, group, configs, f) == 0
-    return ok
+    """Whether every face flux is trivial, per configuration row. All faces
+    are walked at once, in uint8 like the configurations themselves."""
+    t = group.tables()
+    add, neg = t["add"].astype(np.uint8), t["neg"].astype(np.uint8)
+    walks = np.array(lat.face_walks, dtype=np.int64).reshape(-1, 4, 2)
+    flux = np.zeros((configs.shape[0], len(walks)), dtype=np.uint8)
+    for j in range(4):
+        col = configs[:, walks[:, j, 0]]
+        flux = add[flux, np.where(walks[:, j, 1] > 0, col, neg[col])]
+    return ~np.any(flux, axis=1)
 
 
 def all_configs(lat: Lattice, group: AbelianGroup) -> np.ndarray:
@@ -178,7 +209,121 @@ def count_flat_on_faces(lat: Lattice, group: AbelianGroup, faces: list[int]) -> 
 
 
 def expectation(psi: SparseState, op) -> complex:
+    """<psi|op|psi> / <psi|psi> on a materialized state."""
     nrm = inner(psi, psi)
     if nrm == 0:
         raise GroundStateError("expectation in the zero vector")
     return inner(psi, as_opsum(op).apply(psi)) / nrm
+
+
+def shift_row(lat: Lattice, m: AffineMap) -> np.ndarray:
+    """m's shift pattern as a one-row configuration."""
+    row = np.zeros((1, lat.n_edges), dtype=np.uint8)
+    for e, gi in m.shifts:
+        row[0, e] = gi
+    return row
+
+
+def in_flat_group(lat: Lattice, group: AbelianGroup, row: np.ndarray) -> bool:
+    """Whether a one-row configuration lies in the group Ω is uniform over:
+    flat, and on the torus also of trivial holonomy."""
+    if not is_flat(lat, group, row)[0]:
+        return False
+    if lat.is_torus:
+        hx, hy = torus_holonomies(lat, group, row)
+        return hx[0] == 0 and hy[0] == 0
+    return True
+
+
+def _vertex_form(lat: Lattice, group: AbelianGroup, coeffs) -> tuple[tuple[int, int], ...]:
+    """An edge expression sum(sign * value(e)) evaluated on a gradient dφ, as
+    sorted (vertex, multiplicity mod |G|) pairs with the zeros dropped."""
+    acc: dict[int, int] = {}
+    for e, sign in coeffs:
+        tail, head = lat.edge_endpoints(e)
+        acc[head] = acc.get(head, 0) + sign
+        acc[tail] = acc.get(tail, 0) - sign
+    return tuple(sorted((v, c % group.order) for v, c in acc.items() if c % group.order))
+
+
+def _gradient_factors(lat: Lattice, group: AbelianGroup, m: AffineMap):
+    """m's deltas and character phases as functions of the vertex
+    potentials: (constant phase numerator, {form: delta target},
+    {form: character}), or None when a constant delta fails."""
+    L = group.phase_denominator
+    char_num = group.tables()["char_num"]
+    e_idx = group.index_of(group.identity())
+    pnum = int(m.phase * L) % L
+    deltas: dict[tuple, int] = {}
+    for coeffs, target in m.deltas:
+        form = _vertex_form(lat, group, coeffs)
+        if not form:
+            if target != e_idx:
+                return None
+        elif deltas.setdefault(form, target) != target:
+            return None
+    chars: dict[tuple, tuple] = {}
+    for chi, coeffs, offset in m.chars:
+        # chi(offset + expr) = chi(offset) chi(expr)
+        pnum = (pnum + int(char_num[group.index_of(chi), offset])) % L
+        form = _vertex_form(lat, group, coeffs)
+        if form:
+            chars[form] = group.char_mul(chars.get(form, group.identity()), chi)
+    chars = {f: chi for f, chi in chars.items() if chi != group.identity()}
+    return pnum, deltas, chars
+
+
+def _potential_mean(group: AbelianGroup, factors, vertices: list[int]) -> complex:
+    """Mean of delta * phase over all potentials of the touched vertices.
+    Every form's multiplicities sum to zero, so a common shift of the
+    potentials changes nothing and the first vertex is held at the identity."""
+    pnum, deltas, chars = factors
+    t = group.tables()
+    add, mult, char_num, roots = t["add"], t["mult"], t["char_num"], t["roots"]
+    L = group.phase_denominator
+    n = group.order
+    rows = n ** max(len(vertices) - 1, 0)
+    idx = np.arange(rows, dtype=np.int64)
+    e_idx = group.index_of(group.identity())
+    pots = {v: ((idx // n**k) % n).astype(np.uint16) for k, v in enumerate(vertices[1:])}
+    if vertices:
+        pots[vertices[0]] = np.full(rows, e_idx, dtype=np.uint16)
+
+    def value(form) -> np.ndarray:
+        acc = np.full(rows, e_idx, dtype=np.int64)
+        for v, c in form:
+            acc = add[acc, mult[c, pots[v]]]
+        return acc
+
+    alive = np.ones(rows, dtype=bool)
+    for form, target in deltas.items():
+        alive &= value(form) == target
+    phase = np.full(rows, pnum, dtype=np.int64)
+    for form, chi in chars.items():
+        phase = (phase + char_num[group.index_of(chi), value(form)]) % L
+    return complex(np.sum(roots[phase[alive]])) / rows
+
+
+def omega_expectation(lat: Lattice, group: AbelianGroup, op) -> complex:
+    """<Ω|op|Ω> for an AffineMap or OpSum, computed from the flat-connection
+    group (see the module docstring); Ω is the plane ground state or the
+    zero-holonomy torus ground vector. Raises GroundStateError, before any
+    enumeration, when a term would need more than OMEGA_ROWS_CAP potential
+    rows."""
+    terms = []
+    for coeff, m in as_opsum(op).terms:
+        if not in_flat_group(lat, group, shift_row(lat, m)):
+            continue
+        factors = _gradient_factors(lat, group, m)
+        if factors is None:
+            continue
+        _, deltas, chars = factors
+        vertices = sorted({v for form in (*deltas, *chars) for v, _ in form})
+        k = max(len(vertices) - 1, 0)
+        if group.order**k > OMEGA_ROWS_CAP:
+            raise GroundStateError(
+                f"ground-state expectation needs {group.order}^{k} = {group.order**k}"
+                f" vertex-potential rows, above the cap of {OMEGA_ROWS_CAP}"
+            )
+        terms.append((coeff, factors, vertices))
+    return complex(sum(c * _potential_mean(group, f, vs) for c, f, vs in terms))

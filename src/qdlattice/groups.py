@@ -111,7 +111,8 @@ class AbelianGroup:
     # -- dense tables for the vectorized state/operator layer ----------------
 
     def tables(self) -> dict[str, np.ndarray]:
-        """Cayley/negation tables over packed indices, plus per-character
+        """Cayley/negation tables over packed indices, integer multiples
+        (``mult[c, g]`` is g added to itself c times), plus per-character
         phase-numerator tables (units of 1/phase_denominator turns)."""
         if self._tables:
             return self._tables
@@ -123,13 +124,16 @@ class AbelianGroup:
             neg[i] = self.index_of(self.inv(g))
             for j, h in enumerate(elems):
                 add[i, j] = self.index_of(self.mul(g, h))
+        mult = np.zeros((n, n), dtype=np.int64)
+        for c in range(1, n):
+            mult[c] = add[mult[c - 1], np.arange(n)]
         L = self.phase_denominator
         char_num = np.empty((n, n), dtype=np.int64)
         for i, chi in enumerate(elems):
             for j, g in enumerate(elems):
                 char_num[i, j] = int(self.char_phase(chi, g) * L) % L
         roots = np.exp(2j * np.pi * np.arange(L) / L)
-        self._tables.update(add=add, neg=neg, char_num=char_num, roots=roots)
+        self._tables.update(add=add, neg=neg, mult=mult, char_num=char_num, roots=roots)
         return self._tables
 
 

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 __all__ = [
@@ -250,6 +251,11 @@ class Lattice:
             (self.edge_id("h", x, y + 1), -1),
             (self.edge_id("v", x, y), -1),
         ]
+
+    @cached_property
+    def face_walks(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """``plaq_edges`` of every face, in face order (computed once)."""
+        return tuple(tuple(self.plaq_edges(f)) for f in self.faces())
 
     def plaq_edges_from(self, s: "Site") -> list[tuple[int, int]]:
         """Same walk, rotated to start at the site's vertex."""

@@ -9,6 +9,7 @@ identical files.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field
 from typing import Any, Optional
@@ -27,8 +28,17 @@ class RunConfig:
     out: Optional[str] = None
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tolerance must be positive")
+        # the constraints report_schema.json states for the config block
+        if isinstance(self.tol, bool) or not isinstance(self.tol, (int, float)):
+            raise ValueError(f"tolerance must be a number, got {self.tol!r}")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tolerance must be positive and finite, got {self.tol!r}")
+        for name in ("seed", "cap"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.cap < 1:
+            raise ValueError(f"cap must be at least 1, got {self.cap}")
 
 
 @dataclass

@@ -6,6 +6,10 @@ ribbon operators applied to a stabilized ground state; all sector data can
 be extracted either operationally (detectors on states) or as exact operator
 phases (for braiding), since products of the unitary ribbon operators reduce
 to a global phase times the identity whenever the theory says they should.
+Detector readings on charged states F Ω are ground-state expectations
+<Ω|F† X F|Ω> / <Ω|F† F|Ω>, computed from the flat-connection group by
+``omega_expectation`` (fusion, loop-projector tables); ``charge_moments``
+reads the same moments off a materialized state.
 """
 
 from __future__ import annotations
@@ -35,9 +39,10 @@ from .operators import (
     canonical,
     loop_charge_projector,
     ribbon_F_irrep,
+    star_g,
 )
 from .states import SparseState, inner
-from .groundstate import expectation
+from .groundstate import GroundStateError, face_flux, omega_expectation, shift_row
 
 
 class SectorLabel(NamedTuple):
@@ -81,9 +86,6 @@ def charge_moments(
     """<psi| A^k B^d |psi> / <psi|psi> for every pair (k, d), in one
     vectorized pass: the plaquette flux is read once and the star shift once
     per group element."""
-    from .groundstate import face_flux
-    from .operators import star_g
-
     norm = inner(psi, psi)
     flux = face_flux(lat, group, psi.configs, s.face)
     keys = psi.keys()
@@ -105,11 +107,31 @@ def charge_moments(
     return mu
 
 
-def detect_charge(
-    lat: Lattice, group: AbelianGroup, s: Site, psi: SparseState
+def omega_charge_moments(
+    lat: Lattice, group: AbelianGroup, s: Site, F: AffineMap
+) -> dict[tuple[Element, Element], complex]:
+    """``charge_moments`` of the state F Ω, without the state:
+    mu(k, d) = <Ω|F† A^k P_d F|Ω> / <Ω|F† F|Ω>, P_d the projector onto face
+    flux d at s. F Ω lies on configurations c + shift(F) with c flat, and every
+    face of the patch is complete, so the flux at s is that of F's shift on
+    all of F Ω: P_d acts as 1 for that d and as 0 for the others."""
+    norm = omega_expectation(lat, group, F.adjoint().compose(F))
+    if norm == 0:
+        raise GroundStateError("the ribbon operator annihilates the ground state")
+    d_f = int(face_flux(lat, group, shift_row(lat, F), s.face)[0])
+    mu: dict[tuple[Element, Element], complex] = {}
+    for k in group.elements():
+        Ak_F = star_g(lat, group, s, k).compose(F)
+        val = omega_expectation(lat, group, F.adjoint().compose(Ak_F)) / norm
+        for d_idx in range(group.order):
+            mu[(k, group.element_at(d_idx))] = val if d_idx == d_f else 0j
+    return mu
+
+
+def _label_from_moments(
+    group: AbelianGroup, mu: dict[tuple[Element, Element], complex]
 ) -> Optional[SectorLabel]:
-    """The unique label whose charge projector fixes psi at s, if any."""
-    mu = charge_moments(lat, group, s, psi)
+    """The unique label whose charge projector has expectation 1, if any."""
     for xi in group.characters():
         for d in group.elements():
             val = sum(
@@ -118,6 +140,13 @@ def detect_charge(
             if abs(val - 1.0) < 1e-9:
                 return SectorLabel(xi, d)
     return None
+
+
+def detect_charge(
+    lat: Lattice, group: AbelianGroup, s: Site, psi: SparseState
+) -> Optional[SectorLabel]:
+    """The unique label whose charge projector fixes psi at s, if any."""
+    return _label_from_moments(group, charge_moments(lat, group, s, psi))
 
 
 # -- distinguishability ----------------------------------------------------------------
@@ -129,12 +158,38 @@ class DistinguishResult:
     gap: float
 
 
+def loop_projector_table(
+    lat: Lattice,
+    group: AbelianGroup,
+    labels: list[SectorLabel],
+    target: Site,
+    far: Site,
+    radius: int = 1,
+) -> dict[SectorLabel, dict[SectorLabel, complex]]:
+    """table[label][k] = <Ω|F† K_k F|Ω> / <Ω|F† F|Ω>: the loop charge
+    projector K_k around `target` in the charged state F Ω, F the irrep ribbon
+    operator of `label` from `target` to `far` (the identity for the vacuum)."""
+    loop = closed_loop_around(target, radius, lat)
+    rho = ribbon_between(target, far, lat)
+    projectors = {
+        k: loop_charge_projector(lat, group, loop, k.chi, k.c) for k in sector_labels(group)
+    }
+    table = {}
+    for label in labels:
+        F = as_opsum(ribbon_F_irrep(lat, group, rho, label.chi, label.c))
+        norm = omega_expectation(lat, group, F.adjoint() @ F)
+        table[label] = {
+            k: omega_expectation(lat, group, F.adjoint() @ K @ F) / norm
+            for k, K in projectors.items()
+        }
+    return table
+
+
 def sector_distinguish(
     lat: Lattice,
     group: AbelianGroup,
     label1: SectorLabel,
     label2: SectorLabel,
-    omega: SparseState,
     target: Site,
     far: Site,
     radius: int = 1,
@@ -142,24 +197,14 @@ def sector_distinguish(
     """Search the loop charge projectors for one whose expectation separates
     the two charged states with gap 1, the finite analogue of telling two
     superselection sectors apart by a distant measurement."""
-    loop = closed_loop_around(target, radius, lat)
-    rho = ribbon_between(target, far, lat)
-
-    def state(label: SectorLabel) -> SparseState:
-        if label.chi == group.identity() and label.c == group.identity():
-            return omega.normalized()
-        return charged_state(lat, group, label, rho, omega)
-
-    psi1, psi2 = state(label1), state(label2)
+    table = loop_projector_table(lat, group, [label1, label2], target, far, radius)
     best: Optional[SectorLabel] = None
     best_gap = 0.0
-    for sig in group.characters():
-        for c in group.elements():
-            K = loop_charge_projector(lat, group, loop, sig, c)
-            gap = abs(expectation(psi1, K) - expectation(psi2, K))
-            if gap > best_gap:
-                best_gap = gap
-                best = SectorLabel(sig, c)
+    for k in sector_labels(group):
+        gap = abs(table[label1][k] - table[label2][k])
+        if gap > best_gap:
+            best_gap = gap
+            best = k
     return DistinguishResult(best if best_gap > 0.5 else None, float(best_gap))
 
 
@@ -217,24 +262,20 @@ def transporter(
 def fusion_table(
     lat: Lattice,
     group: AbelianGroup,
-    omega: SparseState,
     rho: Ribbon,
-) -> dict[tuple[SectorLabel, SectorLabel], SectorLabel]:
+) -> dict[tuple[SectorLabel, SectorLabel], Optional[SectorLabel]]:
     """Operational fusion table: apply two ribbon operators along the same
-    ribbon and measure the composite charge at the start site."""
-    s0 = rho.start
-    out = {}
+    ribbon to the ground state and measure the composite charge at the start
+    site (None where no label is definite)."""
     labels = sector_labels(group)
-    for a in labels:
-        fa = as_opsum(ribbon_F_irrep(lat, group, rho, a.chi, a.c))
-        for b in labels:
-            fb = as_opsum(ribbon_F_irrep(lat, group, rho, b.chi, b.c))
-            psi = fa.apply(fb.apply(omega))
-            measured = detect_charge(lat, group, s0, psi)
-            if measured is None:
-                raise OperatorError(f"no definite composite charge for {a} x {b}")
-            out[(a, b)] = measured
-    return out
+    ops = {l: ribbon_F_irrep(lat, group, rho, l.chi, l.c) for l in labels}
+    return {
+        (a, b): _label_from_moments(
+            group, omega_charge_moments(lat, group, rho.start, ops[a].compose(ops[b]))
+        )
+        for a in labels
+        for b in labels
+    }
 
 
 # -- braiding ----------------------------------------------------------------------------------

@@ -102,9 +102,11 @@ def test_config_file(tmp_path):
     assert run_cli(["--config", str(cfg)]) == 0
 
 
-def test_malformed_specs_error():
+def test_malformed_specs_error(capsys):
     assert run_cli(["--experiment", "groundstate", "--group", "z1"]) == 2
+    assert capsys.readouterr().err.startswith("error: groundstate: ")
     assert run_cli(["--experiment", "groundstate", "--lattice", "0x0:plane"]) == 2
+    assert capsys.readouterr().err.startswith("error: groundstate: ")
 
 
 def test_report_validation_catches_problems():
@@ -148,3 +150,17 @@ def test_thread_cap_preserves_determinism(tmp_path, monkeypatch):
     monkeypatch.setenv("QDL_THREADS", "3")
     assert run_cli(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "flag,value,message",
+    [("--tol", "-1", "tolerance must be positive"), ("--cap", "0", "cap must be at least 1")],
+)
+def test_rejected_config_exits_2_with_one_line(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "r.json"
+    code = run_cli(["--experiment", "braid", flag, value, "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1
+    assert not out.exists()

@@ -1,9 +1,11 @@
 import itertools
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qdlattice.groups import group_make
+from qdlattice.groups import group_make, parse_group
 from qdlattice.groundstate import (
     GroundStateError,
     all_configs,
@@ -16,11 +18,30 @@ from qdlattice.groundstate import (
     flat_connections,
     ground_space,
     ground_state,
+    in_flat_group,
     is_flat,
+    omega_expectation,
+    shift_row,
     torus_holonomies,
 )
-from qdlattice.lattice import Site, lattice_make
-from qdlattice.operators import OpSum, as_opsum, plaq_h, star_g
+from qdlattice.lattice import (
+    LatticeError,
+    Site,
+    closed_loop_around,
+    lattice_make,
+    ribbon_between,
+    straight_ribbon,
+)
+from qdlattice.operators import (
+    AffineMap,
+    OpSum,
+    as_opsum,
+    beta_ribbon,
+    plaq_h,
+    ribbon_F,
+    ribbon_F_irrep,
+    star_g,
+)
 from qdlattice.states import distance, inner
 
 Z2 = group_make([2])
@@ -154,3 +175,199 @@ def test_flat_count_formula_plane():
     for dims in [(2, 2), (2, 3), (3, 3)]:
         lat = lattice_make(*dims, "plane")
         assert flat_connection_count(lat, Z2) == 2 ** (lat.n_edges - lat.n_faces)
+
+
+# -- omega_expectation against the materialized oracle -----------------------------------
+
+GROUP_SPECS = ["z2", "z3", "z4", "z2xz2"]
+LATTICES = [(2, 2, "plane"), (3, 3, "plane"), (2, 2, "torus"), (3, 3, "torus")]
+
+
+@lru_cache(maxsize=None)
+def _oracle(spec, width, height, boundary):
+    """Lattice, group and the materialized Omega (zero-holonomy sector on the
+    torus); the largest, z4 or z2xz2 on 3x3, has 65536 rows."""
+    lat = lattice_make(width, height, boundary)
+    grp = parse_group(spec)
+    return lat, grp, ground_space(lat, grp)[0]
+
+
+def _gauge_shift(lat, grp, v, gi):
+    """The gradient of the potential g at vertex v alone: a flat shift of
+    trivial holonomy, the action of a (possibly incomplete) star."""
+    mult = grp.tables()["mult"]
+    shifts = []
+    for e in lat.edges():
+        tail, head = lat.edge_endpoints(e)
+        c = ((head == v) - (tail == v)) % grp.order
+        if c and mult[c, gi]:
+            shifts.append((e, int(mult[c, gi])))
+    return AffineMap(grp, lat.n_edges, tuple(shifts))
+
+
+def _wrap_ribbon(lat, y):
+    """Non-contractible ribbon once around the torus along row y."""
+    return straight_ribbon(lat, 0, y, "E", lat.width)
+
+
+def _flat_piece(draw, lat, grp):
+    """A map whose shift lies in Omega's group: gauge shifts, stars, closed
+    ribbons, plaquette fluxes and single-edge deltas and characters."""
+    elems, chars = grp.elements(), grp.characters()
+    g = draw(st.sampled_from(elems))
+    kind = draw(st.sampled_from(["gauge", "star", "loop", "plaquette", "delta", "char"]))
+    if kind == "star":
+        full = [v for v in range(lat.n_vertices) if lat.has_full_star(v)]
+        if full:
+            v = draw(st.sampled_from(full))
+            s = Site(v, next(f for f in lat.faces_at_vertex_cw(v) if f is not None))
+            return star_g(lat, grp, s, g)
+        kind = "gauge"
+    if kind == "gauge":
+        v = draw(st.integers(0, lat.n_vertices - 1))
+        return _gauge_shift(lat, grp, v, grp.index_of(g))
+    if kind == "loop":
+        try:
+            loop = closed_loop_around(Site(lat.vertex_id(1, 1), lat.face_id(1, 1)), 1, lat)
+        except LatticeError:
+            kind = "plaquette"
+        else:
+            return ribbon_F(lat, grp, loop, g, draw(st.sampled_from(elems)))
+    if kind == "plaquette":
+        f = draw(st.integers(0, lat.n_faces - 1))
+        base = beta_ribbon(lat, Site(lat.face_corners_ccw(f)[0], f))
+        if draw(st.booleans()):
+            return ribbon_F(lat, grp, base, grp.identity(), g)
+        return ribbon_F_irrep(lat, grp, base, draw(st.sampled_from(chars)), grp.identity())
+    # a few edges only, so that deltas and characters meet on the same edge
+    e = draw(st.integers(0, min(3, lat.n_edges - 1)))
+    if kind == "delta":
+        return AffineMap(grp, lat.n_edges, deltas=((((e, 1),), grp.index_of(g)),))
+    chi = draw(st.sampled_from(chars))
+    return AffineMap(grp, lat.n_edges, chars=((chi, ((e, draw(st.sampled_from([1, -1]))),), grp.index_of(g)),))
+
+
+def _any_piece(draw, lat, grp):
+    """Flat pieces plus maps whose shift leaves Omega's group: open ribbons,
+    single-edge shifts and, on the torus, non-contractible ribbons."""
+    elems, chars = grp.elements(), grp.characters()
+    kind = draw(st.sampled_from(["flat", "flat", "ribbon", "edge shift", "wrap"]))
+    if kind == "wrap" and lat.is_torus:
+        wrap = _wrap_ribbon(lat, draw(st.integers(0, lat.height - 1)))
+        return ribbon_F(lat, grp, wrap, draw(st.sampled_from(elems)), draw(st.sampled_from(elems)))
+    if kind == "ribbon":
+        sites = list(lat.sites())
+        s0, s1 = draw(st.sampled_from(sites)), draw(st.sampled_from(sites))
+        try:
+            rho = ribbon_between(s0, s1, lat)
+        except LatticeError:
+            rho = None
+        if rho is not None and not rho.is_trivial:
+            if draw(st.booleans()):
+                return ribbon_F(lat, grp, rho, draw(st.sampled_from(elems)), draw(st.sampled_from(elems)))
+            return ribbon_F_irrep(lat, grp, rho, draw(st.sampled_from(chars)), draw(st.sampled_from(elems)))
+    if kind == "edge shift":
+        e = draw(st.integers(0, lat.n_edges - 1))
+        gi = draw(st.integers(1, grp.order - 1))
+        return AffineMap(grp, lat.n_edges, shifts=((e, gi),))
+    return _flat_piece(draw, lat, grp)
+
+
+@st.composite
+def _opsums(draw, flat_only):
+    spec = draw(st.sampled_from(GROUP_SPECS))
+    lat, grp, omega = _oracle(spec, *draw(st.sampled_from(LATTICES)))
+    piece = _flat_piece if flat_only else _any_piece
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        m = AffineMap.identity(grp, lat.n_edges)
+        for _ in range(draw(st.integers(1, 4))):
+            m = piece(draw, lat, grp).compose(m)
+        # the oracle's SparseState prunes amplitudes below 1e-12, so
+        # coefficients stay well above that
+        terms.append((draw(st.complex_numbers(min_magnitude=0.1, max_magnitude=1)), m))
+    return lat, grp, omega, OpSum.weighted(terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_opsums(flat_only=False))
+def test_omega_expectation_matches_oracle(case):
+    lat, grp, omega, op = case
+    assert abs(omega_expectation(lat, grp, op) - expectation(omega, op)) < 1e-12
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_opsums(flat_only=True))
+def test_omega_expectation_matches_oracle_on_flat_shifts(case):
+    """Composites of flat pieces keep their shift in Omega's group, so every
+    term takes the enumerated branch."""
+    lat, grp, omega, op = case
+    for _, m in op.terms:
+        assert in_flat_group(lat, grp, shift_row(lat, m))
+    assert abs(omega_expectation(lat, grp, op) - expectation(omega, op)) < 1e-12
+
+
+@pytest.mark.parametrize("spec", GROUP_SPECS)
+def test_omega_expectation_nonzero_values(spec):
+    lat, grp, omega = _oracle(spec, 3, 3, "torus")
+    g = grp.elements()[1]
+    e = lat.edge_id("h", 1, 1)
+    s = Site(lat.vertex_id(1, 1), lat.face_id(1, 1))
+    delta = AffineMap(grp, lat.n_edges, deltas=((((e, 1),), grp.index_of(g)),))
+    chi = grp.characters()[1]
+    both = AffineMap(grp, lat.n_edges, deltas=delta.deltas, chars=((chi, ((e, 1),), 0),))
+    cases = [
+        (star_g(lat, grp, s, g), 1.0),
+        (delta, 1.0 / grp.order),
+        (both, grp.char_eval(chi, g) / grp.order),
+        (star_g(lat, grp, s, g).compose(both), grp.char_eval(chi, g) / grp.order),
+    ]
+    for op, want in cases:
+        assert abs(omega_expectation(lat, grp, op) - want) < 1e-12
+        assert abs(expectation(omega, op) - want) < 1e-12
+
+
+@pytest.mark.parametrize("spec", GROUP_SPECS)
+@pytest.mark.parametrize("width", [2, 3])
+def test_non_contractible_ribbon_has_zero_expectation(spec, width):
+    """A ribbon once around the torus shifts by a flat pattern that changes a
+    holonomy: it leaves the zero-holonomy sector, so the answer is 0."""
+    lat, grp, omega = _oracle(spec, width, width, "torus")
+    g = grp.elements()[1]
+    wrap = _wrap_ribbon(lat, 0)
+    assert wrap.is_closed
+    m = ribbon_F(lat, grp, wrap, g, grp.identity())
+    row = shift_row(lat, m)
+    assert is_flat(lat, grp, row)[0]
+    assert not in_flat_group(lat, grp, row)
+    assert omega_expectation(lat, grp, m) == 0
+    assert abs(expectation(omega, m)) < 1e-15
+
+
+def test_omega_expectation_refuses_large_enumerations():
+    """A character on every horizontal edge of a 7x7 patch touches all 49
+    vertices: 2^48 rows are refused before anything is allocated."""
+    lat = lattice_make(7, 7, "plane")
+    one = (1,)
+    h_edges = [e for e in lat.edges() if lat.edge_kind_xy(e)[0] == "h"]
+    m = AffineMap(Z2, lat.n_edges, chars=tuple((one, ((e, 1),), 0) for e in h_edges))
+    with pytest.raises(GroundStateError, match=r"2\^48 = 281474976710656 .* above the cap of 1048576"):
+        omega_expectation(lat, Z2, m)
+    edge = AffineMap(Z2, lat.n_edges, chars=((one, ((h_edges[0], 1),), 0),))
+    assert abs(omega_expectation(lat, Z2, edge)) < 1e-15
+
+
+@pytest.mark.parametrize("spec", ["z3", "z4"])
+def test_split_negative_control_correlates(spec):
+    """The split check's negative control pairs each drawn A with A† on the
+    same edges, so it finds a correlated pair at every seed. With two
+    independent draws it found none at seed 4243 for z3 and z4."""
+    from qdlattice.experiments import run_split
+    from qdlattice.reports import RunConfig
+
+    cfg = RunConfig("split-check", group=spec, lattice="4x4:plane", seed=4243)
+    rep = run_split(cfg, parse_group(spec), lattice_make(4, 4, "plane"))
+    control = rep.checks[1]
+    assert control.name == "adjacent supports do correlate (negative control)"
+    assert control.status == "pass" and control.max_error > 1e-6
+    assert rep.all_passed

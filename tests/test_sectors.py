@@ -2,20 +2,23 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qdlattice.groups import group_make
 from qdlattice.groundstate import expectation, ground_space, ground_state
 from qdlattice.lattice import LatticeError, Site, lattice_make, ribbon_between
-from qdlattice.operators import OpSum, hamiltonian
+from qdlattice.operators import OpSum, as_opsum, hamiltonian, ribbon_F, ribbon_F_irrep
 from qdlattice.sectors import (
     SectorLabel,
     braiding_phase,
+    charge_moments,
     charged_state,
     conjugate_label,
     crossing_pair,
     detect_charge,
     fuse_labels,
     fusion_table,
+    omega_charge_moments,
     s_matrix,
     s_matrix_entry,
     sector_distinguish,
@@ -86,17 +89,16 @@ def test_charged_state_needs_open_ribbon():
 
 def test_sector_distinguish_examples():
     lat = lattice_make(3, 3, "torus")
-    omega = ground_space(lat, Z2)[0]
     target = _site(lat, 1, 1)
     far = Site(lat.vertex_id(0, 0), lat.face_id(2, 2))
     vac = SectorLabel(Z2.identity(), Z2.identity())
     electric = SectorLabel((1,), (0,))
     magnetic = SectorLabel((0,), (1,))
-    res = sector_distinguish(lat, Z2, vac, electric, omega, target, far)
+    res = sector_distinguish(lat, Z2, vac, electric, target, far)
     assert res.separator is not None and abs(res.gap - 1) < 1e-9
-    res = sector_distinguish(lat, Z2, vac, magnetic, omega, target, far)
+    res = sector_distinguish(lat, Z2, vac, magnetic, target, far)
     assert res.separator is not None and abs(res.gap - 1) < 1e-9
-    res = sector_distinguish(lat, Z2, electric, electric, omega, target, far)
+    res = sector_distinguish(lat, Z2, electric, electric, target, far)
     assert res.separator is None
 
 
@@ -189,9 +191,8 @@ def test_double_exchange_self_statistics():
 
 def test_fusion_table_small():
     lat = lattice_make(3, 3, "torus")
-    omega = ground_space(lat, Z2)[0]
     rho = ribbon_between(_site(lat, 1, 1), _site(lat, 2, 2), lat)
-    table = fusion_table(lat, Z2, omega, rho)
+    table = fusion_table(lat, Z2, rho)
     for (a, b), out in table.items():
         assert out == fuse_labels(Z2, a, b)
     # the four Z2 labels form the toric-code fusion group Z2 x Z2
@@ -203,3 +204,33 @@ def test_fusion_table_small():
         assert fuse_labels(Z2, l, l) == labels[0]
         orders.add(2)
     assert orders == {2}
+
+
+@pytest.mark.parametrize("grp", [Z2, Z3])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_omega_charge_moments_match_state_moments(grp, data):
+    """Charge moments of F Omega from the flat-connection group against the
+    same moments read off the materialized state, with F a product of two
+    ribbon operators in either basis (group-basis ones carry flux deltas, so
+    F Omega is not normalized)."""
+    lat = lattice_make(3, 3, "torus")
+    omega = ground_space(lat, grp)[0]
+    rho = ribbon_between(_site(lat, 1, 1), _site(lat, 2, 2), lat)
+    elems = grp.elements()
+
+    def piece():
+        if data.draw(st.booleans(), label="irrep basis"):
+            a = data.draw(st.sampled_from(sector_labels(grp)))
+            return ribbon_F_irrep(lat, grp, rho, a.chi, a.c)
+        return ribbon_F(lat, grp, rho, data.draw(st.sampled_from(elems)), data.draw(st.sampled_from(elems)))
+
+    F = piece().compose(piece())
+    psi = as_opsum(F).apply(omega)
+    if psi.is_zero():
+        return
+    s = data.draw(st.sampled_from([rho.start, rho.end]), label="site")
+    want = charge_moments(lat, grp, s, psi)
+    got = omega_charge_moments(lat, grp, s, F)
+    assert set(got) == set(want)
+    assert max(abs(got[key] - want[key]) for key in want) < 1e-12
