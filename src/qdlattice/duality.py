@@ -3,41 +3,82 @@
 The subspace H_Lambda is what the region's ribbon operators generate from
 the ground state. Because the irreducible-representation ribbon operators
 factor into single-triangle operators, that span equals the region's full
-edge-operator span applied to the ground state, which factorizes: anything
-on the region's edges, tensored with the span of the flat-connection
-restrictions outside. The factorized form yields an orthonormal basis
-directly and is used as the working representation; the iterative
-ribbon-operator closure is kept as an independent construction and the two
-are checked against each other at small sizes.
+edge-operator span applied to the ground state, which factorizes:
+
+    H_Lambda = C^(|G|^k) tensor W,
+
+anything on the k dual-carrying region edges, tensored with W, the span of
+the ground state's exterior restrictions. The iterative ribbon-operator
+closure is kept as an independent construction, and the two are checked
+against each other at small sizes.
+
+``ConeSubspace`` works in these tensor coordinates and never lists the
+|G|^k * dim W product vectors. A vector of H_Lambda is a block X[a, j], the
+state sum X[a, j] |a> tensor w_j, where
+
+* a is the region index: the configuration of the k region edges as one
+  mixed-radix integer, first edge most significant, which is the row order
+  of ``support_matrix``;
+* w_j is an orthonormal basis of W, stored as one conjugated sparse map
+  from integer exterior keys (the configuration of every other edge).
+
+The ground state's own block C gives Omega = sum C[a, j] |a> tensor w_j. A
+state's coordinates come from bucketing its rows by region index and
+exterior key, then one sparse product. A region operator M acts on the
+block as its ``support_matrix`` S_M, so M Omega has coordinates S_M C
+without applying M to Omega. The compressed exterior operator
+E_jk = 1 tensor |w_j><w_k| maps Omega to the block whose column j is C[:, k].
 
 On a plane patch the rim edges admit no dual triangles, so a cone region
 that keeps its rim edges would carry an artificially diagonal operator
 algebra there. Truncated cones therefore drop rim edges (see cone_make's
 trim flag); this is the honest finite stand-in for a cone drawn on the
-infinite lattice, where every edge is bulk.
+infinite lattice, where every edge is bulk. For a cone that keeps them, the
+rim values are pinned: each w_j carries them in its exterior key, and
+region operators, which only read rim edges through phases, act on the
+block through S_M taken at the rim values of w_j.
 
-On top of the subspace sit the exterior-charge orthogonality checks and the
-real-linear density check mirroring the commutant argument: self-adjoint
-region ribbon operators applied to the ground state, plus i times
-self-adjoint exterior operators compressed to H_Lambda, must span H_Lambda
-over the reals; dropping the compressed family must leave a strict deficit.
+On top of the subspace sit the exterior-charge orthogonality check, the
+boundary membership check and the real-linear density check mirroring the
+commutant argument: self-adjoint region ribbon operators applied to the
+ground state, plus i times self-adjoint exterior operators compressed to
+H_Lambda, must span H_Lambda over the reals; dropping the compressed family
+must leave a strict deficit. The density check builds both families as
+coordinate blocks; only its 40 sampled exterior ribbon operators are
+applied to Omega.
+
+What still materializes: Omega itself, and the exterior ribbon states of
+the orthogonality and membership checks. On patches without a deep
+detector the orthogonality check runs on a 4x4 enlargement, whose Omega has
+|G|^15 rows (32768 for z2); its ribbons are applied there as states because
+their coordinates are needed against H_Lambda, and an exterior ribbon is
+not a region operator with a support matrix.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from .groups import AbelianGroup
-from .lattice import Lattice, Region, Ribbon, Site, Triangle, positive_moves
-from .operators import AffineMap, OpSum, as_opsum, ribbon_F_irrep
-from .states import SparseState, gram_matrix, inner
+from .lattice import Lattice, LatticeError, Region, Ribbon, Site, Triangle, positive_moves
+from .operators import AffineMap, OpSum, as_opsum, ribbon_F_irrep, support_matrix
+from .reports import Check
+from .states import SparseState, gram_matrix, orthonormal_coeffs
 
 SUBSPACE_TOL = 1e-9
+# entries of the density check's real coefficient matrix (family x 2 dim)
+DENSITY_ENTRIES_CAP = 1 << 24
+
+
+class DualityError(ValueError):
+    """A cone-subspace computation would exceed its size cap."""
 
 
 # -- ribbon enumeration ------------------------------------------------------------
@@ -66,194 +107,179 @@ def ribbons_in_region(lat: Lattice, region: Region, max_len: int) -> list[Ribbon
     return out
 
 
-def _label_ops(lat: Lattice, group: AbelianGroup, ribbons: Iterable[Ribbon]) -> list[OpSum]:
-    ops = []
+def _nontrivial_labels(group: AbelianGroup) -> list[tuple]:
     e = group.identity()
-    for r in ribbons:
-        for chi in group.characters():
-            for c in group.elements():
-                if (chi, c) == (e, e):
-                    continue
-                ops.append(as_opsum(ribbon_F_irrep(lat, group, r, chi, c)))
-    return ops
+    return [
+        (chi, c) for chi in group.characters() for c in group.elements() if (chi, c) != (e, e)
+    ]
 
 
-# -- orthonormal subspaces with fast coefficient extraction --------------------------
+def _label_ops(lat: Lattice, group: AbelianGroup, ribbons: Iterable[Ribbon]) -> list[OpSum]:
+    labels = _nontrivial_labels(group)
+    return [
+        as_opsum(ribbon_F_irrep(lat, group, r, chi, c)) for r in ribbons for chi, c in labels
+    ]
 
 
-class SubspaceBasis:
-    """Orthonormal family of sparse states indexed over their joint support."""
-
-    def __init__(self, vectors: Sequence[SparseState]):
-        self.vectors = list(vectors)
-        if self.vectors:
-            self.keys = np.unique(np.concatenate([v.keys() for v in self.vectors]))
-            indptr, indices, data = [0], [], []
-            for v in self.vectors:
-                cols = np.searchsorted(self.keys, v.keys())
-                indices.append(cols)
-                data.append(v.amps)
-                indptr.append(indptr[-1] + len(cols))
-            self.mat = sp.csr_matrix(
-                (np.concatenate(data), np.concatenate(indices), np.array(indptr)),
-                shape=(len(self.vectors), len(self.keys)),
-            )
-        else:
-            self.keys = np.zeros(0, dtype=np.void)
-            self.mat = sp.csr_matrix((0, 0))
-
-    @property
-    def dim(self) -> int:
-        return len(self.vectors)
-
-    def coeffs(self, psi: SparseState) -> np.ndarray:
-        """<basis_i | psi> for every basis vector."""
-        if self.dim == 0 or psi.is_zero():
-            return np.zeros(self.dim, dtype=np.complex128)
-        pos = np.searchsorted(self.keys, psi.keys())
-        pos_clipped = np.clip(pos, 0, len(self.keys) - 1)
-        hit = self.keys[pos_clipped] == psi.keys()
-        vec = np.zeros(len(self.keys), dtype=np.complex128)
-        vec[pos_clipped[hit]] = psi.amps[hit]
-        return np.asarray(self.mat.conj() @ vec).ravel()
-
-    def project(self, psi: SparseState) -> SparseState:
-        c = self.coeffs(psi)
-        out = SparseState.zero(psi.n_edges, psi.radix)
-        for ci, v in zip(c, self.vectors):
-            if abs(ci) > 1e-14:
-                out = out.add(v.scaled(ci))
-        return out
-
-    def projection_norm(self, psi: SparseState) -> float:
-        return float(np.linalg.norm(self.coeffs(psi)))
-
-    def residual_norm(self, psi: SparseState) -> float:
-        c2 = float(np.sum(np.abs(self.coeffs(psi)) ** 2))
-        return float(np.sqrt(max(0.0, psi.norm() ** 2 - c2)))
+# -- the cone subspace in factorized coordinates -------------------------------------
 
 
-# -- the cone subspace ------------------------------------------------------------------
-
-
-@dataclass
-class RegionFactorization:
-    """Support decomposition of the ground state relative to a region: terms
-    grouped by region-edge values, exterior restriction vectors
-    orthonormalized per group of pinned (rim) values."""
-
-    lat: Lattice
-    group: AbelianGroup
-    full_edges: list[int]
-    diag_edges: list[int]
-    # per diag-assignment: orthonormal exterior vectors (region edges zeroed)
-    w_basis: dict[tuple, list[SparseState]] = field(default_factory=dict)
-    # per diag-assignment: coefficients of each region-config bucket vector
-    w_coeffs: dict[tuple, dict[tuple, np.ndarray]] = field(default_factory=dict)
-
-
-def factorize_region(
-    region: Region, lat: Lattice, group: AbelianGroup, omega: SparseState
-) -> RegionFactorization:
-    full_edges, diag_edges = [], []
-    for e in sorted(region.edges):
-        try:
-            lat.dual_faces(e)
-            full_edges.append(e)
-        except Exception:
-            diag_edges.append(e)
-    configs, amps = omega.configs, omega.amps
-    buckets: dict[tuple, dict[tuple, list[int]]] = {}
-    for i in range(len(amps)):
-        bd = tuple(configs[i, diag_edges]) if diag_edges else ()
-        bf = tuple(configs[i, full_edges]) if full_edges else ()
-        buckets.setdefault(bd, {}).setdefault(bf, []).append(i)
-    out = RegionFactorization(lat, group, full_edges, diag_edges)
-    for bd in sorted(buckets):
-        raw: dict[tuple, SparseState] = {}
-        for bf in sorted(buckets[bd]):
-            rows = configs[buckets[bd][bf]].copy()
-            rows[:, full_edges] = 0
-            raw[bf] = SparseState.from_terms(
-                rows, amps[buckets[bd][bf]], lat.n_edges, group.order
-            )
-        # modified Gram-Schmidt with coefficient tracking
-        basis: list[SparseState] = []
-        coeffs: dict[tuple, list[complex]] = {bf: [] for bf in raw}
-        for bf, v in raw.items():
-            w = v
-            col = []
-            for b in basis:
-                ci = inner(b, w)
-                col.append(ci)
-                w = w.sub(b.scaled(ci))
-            for k, b in enumerate(basis):
-                ci = inner(b, w)
-                col[k] += ci
-                w = w.sub(b.scaled(ci))
-            if w.norm() >= SUBSPACE_TOL:
-                nrm = w.norm()
-                basis.append(w.scaled(1.0 / nrm))
-                col.append(nrm)
-            for bf2 in coeffs:
-                while len(coeffs[bf2]) < len(basis):
-                    coeffs[bf2].append(0.0)
-            for k, ci in enumerate(col):
-                coeffs[bf][k] = ci
-        out.w_basis[bd] = basis
-        out.w_coeffs[bd] = {bf: np.array(c, dtype=np.complex128) for bf, c in coeffs.items()}
+def _codes(configs: np.ndarray, edges: Sequence[int], radix: int) -> np.ndarray:
+    """Mixed-radix integer of each row's values on `edges`, the first edge
+    most significant (``support_matrix``'s index order)."""
+    out = np.zeros(len(configs), dtype=np.int64)
+    for e in edges:
+        out = out * radix + configs[:, e]
     return out
-
-
-def _region_fills(edges: list[int], radix: int):
-    n = radix ** len(edges)
-    for idx in range(n):
-        fill, rem = [], idx
-        for _ in edges:
-            fill.append(rem % radix)
-            rem //= radix
-        yield tuple(fill)
 
 
 @dataclass
 class ConeSubspace:
+    """H_Lambda = C^(|G|^k) tensor W in tensor coordinates: a block X of
+    shape (|G|^k, dim W) stands for sum X[a, j] |a> tensor w_j."""
+
     region: Region
-    basis: SubspaceBasis
-    factorization: RegionFactorization
+    lat: Lattice
+    group: AbelianGroup
+    fill_edges: list[int]  # region edges with a dual triangle: free
+    ext_edges: list[int]  # every other edge: the exterior key
+    ext_keys: np.ndarray  # sorted exterior keys on which some w_j lives
+    w_conj: sp.csr_matrix  # (len(ext_keys), dim W): conj(w_j) at each key
+    omega_coeffs: np.ndarray  # C: Omega = sum C[a, j] |a> tensor w_j
+    region_rows: np.ndarray  # support_matrix index of (a, rim values of w_j)
 
     @property
     def dim(self) -> int:
-        return self.basis.dim
+        return self.omega_coeffs.size
 
-    def project(self, psi: SparseState) -> SparseState:
-        return self.basis.project(psi)
+    @property
+    def region_edges(self) -> list[int]:
+        return sorted(self.region.edges)
+
+    def _buckets(self, psi: SparseState) -> tuple[sp.csr_matrix, float]:
+        """psi's amplitudes as a (region index, exterior key) matrix over the
+        keys of W, and the squared norm of psi's rows off those keys."""
+        radix = self.group.order
+        keys = _codes(psi.configs, self.ext_edges, radix)
+        pos = np.minimum(np.searchsorted(self.ext_keys, keys), len(self.ext_keys) - 1)
+        hit = self.ext_keys[pos] == keys
+        fills = _codes(psi.configs[hit], self.fill_edges, radix)
+        shape = (self.omega_coeffs.shape[0], len(self.ext_keys))
+        p = sp.csr_matrix((psi.amps[hit], (fills, pos[hit])), shape=shape)
+        return p, float(np.sum(np.abs(psi.amps[~hit]) ** 2))
+
+    def coeffs(self, psi: SparseState) -> np.ndarray:
+        """<a tensor w_j | psi> as a (|G|^k, dim W) block."""
+        return (self._buckets(psi)[0] @ self.w_conj).toarray()
 
     def projection_norm(self, psi: SparseState) -> float:
-        return self.basis.projection_norm(psi)
+        return float(np.linalg.norm(self.coeffs(psi)))
 
     def residual(self, psi: SparseState) -> float:
-        return self.basis.residual_norm(psi)
+        """Distance from psi to H_Lambda, summed from psi's rows minus their
+        projection rather than as a difference of squared norms."""
+        p, off = self._buckets(psi)
+        x = (p @ self.w_conj).toarray()
+        on = p.toarray() - (self.w_conj.conj() @ x.T).T
+        return float(np.sqrt(off + np.sum(np.abs(on) ** 2)))
+
+    @cached_property
+    def _region_block(self) -> np.ndarray:
+        """C spread over support_matrix's index of the whole region: row
+        region_rows[a, j] of column j holds C[a, j]."""
+        rows, cols = self.region_rows, np.arange(self.omega_coeffs.shape[1])
+        n_region = self.group.order ** len(self.region.edges)
+        c = np.zeros((n_region, len(cols)), dtype=np.complex128)
+        c[rows, cols] = self.omega_coeffs
+        return c
+
+    def region_images(self, op) -> tuple[np.ndarray, np.ndarray]:
+        """Coordinates of op Omega and op^dagger Omega for an operator on the
+        region's edges: S_op C and S_op^dagger C, each read at the rim values
+        of w_j. ``support_matrix`` refuses an operator that leaves the region."""
+        opsum = as_opsum(op)
+        pinned = set(self.region.edges) - set(self.fill_edges)
+        assert not any(e in pinned for _, m in opsum.terms for e, _ in m.shifts), (
+            "rim edges carry no dual triangle, so no region operator shifts them"
+        )
+        s = support_matrix(opsum, self.region_edges, self.lat.n_edges)
+        c = self._region_block
+        at = (self.region_rows, np.arange(c.shape[1]))
+        return (s @ c)[at], (s.T @ c.conj()).conj()[at]
+
+    def rim_groups(self) -> list[np.ndarray]:
+        """Columns j of the block sharing the same pinned rim values: the
+        blocks on which a compressed exterior operator acts."""
+        rims = self.region_rows[0]  # a = 0 fills nothing, leaving the rim offsets
+        return [np.flatnonzero(rims == r) for r in np.unique(rims)]
 
 
 def cone_subspace(
     region: Region, lat: Lattice, group: AbelianGroup, omega: SparseState
 ) -> ConeSubspace:
-    """Orthonormal basis of the span of region ribbon operators applied to
-    the ground state, in the factorized normal form: a free region
-    configuration on the dual-carrying edges times an orthonormalized
-    exterior restriction (rim edges of the region, if any, stay pinned)."""
-    fact = factorize_region(region, lat, group, omega)
-    vectors: list[SparseState] = []
-    for bd in sorted(fact.w_basis):
-        for w in fact.w_basis[bd]:
-            for fill in _region_fills(fact.full_edges, group.order):
-                rows = w.configs.copy()
-                for col, val in zip(fact.full_edges, fill):
-                    rows[:, col] = val
-                for col, val in zip(fact.diag_edges, bd):
-                    rows[:, col] = val
-                vectors.append(SparseState(rows, w.amps, lat.n_edges, group.order))
-    return ConeSubspace(region, SubspaceBasis(vectors), fact)
+    """H_Lambda in factorized coordinates: Omega's rows are bucketed by
+    their rim values and region configuration, and each rim group's exterior
+    restrictions are orthonormalized, with Omega's coefficients tracked."""
+    radix = group.order
+    region_edges = sorted(region.edges)
+    fill_edges = []
+    for e in region_edges:
+        try:
+            lat.dual_faces(e)
+            fill_edges.append(e)
+        except LatticeError:
+            pass
+    ext_edges = sorted(set(lat.edges()) - set(fill_edges))
+    if radix ** len(ext_edges) > np.iinfo(np.int64).max:
+        raise DualityError(
+            f"exterior keys of {len(ext_edges)} edges over |G| = {radix} overflow int64"
+        )
+    # support_matrix index of each fill a (rim edges at 0), and of each
+    # row's rim values (fill edges at 0)
+    weight = {e: radix ** (len(region_edges) - 1 - i) for i, e in enumerate(region_edges)}
+    k = len(fill_edges)
+    digits = np.arange(radix**k)[:, None] // radix ** np.arange(k - 1, -1, -1) % radix
+    fill_rows = digits @ np.array([weight[e] for e in fill_edges], dtype=np.int64)
+    fills = _codes(omega.configs, fill_edges, radix)
+    rims = _codes(omega.configs, region_edges, radix) - fill_rows[fills]
+    exterior = omega.configs.copy()
+    exterior[:, fill_edges] = 0
+    order = np.lexsort((fills, rims))
+    cuts = np.flatnonzero(np.diff(rims[order]) | np.diff(fills[order])) + 1
+    buckets = np.split(order, cuts)
+
+    blocks, w_states, w_rims = [], [], []
+    for rim in np.unique(rims):
+        group_buckets = [b for b in buckets if rims[b[0]] == rim]
+        vectors = [
+            SparseState.from_terms(exterior[b], omega.amps[b], lat.n_edges, radix)
+            for b in group_buckets
+        ]
+        basis, coeffs = orthonormal_coeffs(vectors, SUBSPACE_TOL)
+        block = np.zeros((radix**k, len(basis)), dtype=np.complex128)
+        block[[fills[b[0]] for b in group_buckets]] = coeffs
+        blocks.append(block)
+        w_states += basis
+        w_rims += [rim] * len(basis)
+
+    keys = [_codes(w.configs, ext_edges, radix) for w in w_states]
+    ext_keys, key_col = np.unique(np.concatenate(keys), return_inverse=True)
+    w_col = np.repeat(np.arange(len(w_states)), [len(kk) for kk in keys])
+    amps = np.concatenate([w.amps for w in w_states])
+    w_conj = sp.csr_matrix(
+        (amps.conj(), (key_col, w_col)), shape=(len(ext_keys), len(w_states))
+    )
+    return ConeSubspace(
+        region,
+        lat,
+        group,
+        fill_edges,
+        ext_edges,
+        ext_keys,
+        w_conj,
+        np.hstack(blocks),
+        fill_rows[:, None] + np.array(w_rims, dtype=np.int64)[None, :],
+    )
 
 
 def _pivoted_independent(vectors: list[SparseState], tol: float) -> list[int]:
@@ -312,14 +338,6 @@ def ribbon_closure_rank(
 # -- exterior checks -----------------------------------------------------------------
 
 
-@dataclass
-class CheckRecord:
-    name: str
-    passed: bool
-    max_error: float
-    details: str = ""
-
-
 def detecting_exterior_sites(lat: Lattice, region: Region) -> list[Site]:
     """Sites carrying a complete star or plaquette inside the interior of
     the complement: the places where a deep excitation is detectable, which
@@ -347,7 +365,7 @@ def sample_exterior_ribbons(
     endpoints touch the region boundary and are joinable by a ribbon inside
     the region, which is the cone-connectedness hypothesis under which
     boundary-connecting exterior states belong to the cone subspace."""
-    from .lattice import LatticeError, ribbon_between
+    from .lattice import ribbon_between
 
     comp = Region(lat, region.complement_edges())
     detecting = set(detecting_exterior_sites(lat, region))
@@ -419,21 +437,12 @@ def external_charge_orthogonality_check(
     subspace: ConeSubspace,
     rng: random.Random,
     samples: int = 100,
-) -> list[CheckRecord]:
-    """Externally charged vectors must be orthogonal to H_Lambda; exterior
-    ribbons connecting two boundary sites must land inside it."""
-    records = []
-    nontrivial = [
-        (chi, c)
-        for chi in group.characters()
-        for c in group.elements()
-        if (chi, c) != (group.identity(), group.identity())
-    ]
-
-    deep = sample_exterior_ribbons(lat, region, rng, samples, want_deep_endpoint=True)
+) -> Check:
+    """Externally charged vectors must be orthogonal to H_Lambda."""
+    nontrivial = _nontrivial_labels(group)
     worst = 0.0
     n_used = 0
-    for r in deep:
+    for r in sample_exterior_ribbons(lat, region, rng, samples, want_deep_endpoint=True):
         labels = [
             (chi, c)
             for chi, c in nontrivial
@@ -445,76 +454,91 @@ def external_charge_orthogonality_check(
         psi = as_opsum(ribbon_F_irrep(lat, group, r, chi, c)).apply(omega)
         worst = max(worst, subspace.projection_norm(psi))
         n_used += 1
-    records.append(
-        CheckRecord(
-            "externally charged vectors orthogonal to the cone subspace",
-            n_used > 0 and worst <= 1e-9,
-            worst,
-            f"{n_used} ribbons with a detectable deep-exterior charge",
-        )
+    return Check.judged(
+        "externally charged vectors orthogonal to the cone subspace",
+        "externally charged vectors are orthogonal to the cone subspace",
+        n_used > 0 and worst <= 1e-9,
+        worst,
+        f"{n_used} ribbons with a detectable deep-exterior charge",
     )
 
+
+def boundary_membership_check(
+    region: Region,
+    lat: Lattice,
+    group: AbelianGroup,
+    omega: SparseState,
+    subspace: ConeSubspace,
+    rng: random.Random,
+    samples: int = 100,
+) -> Check:
+    """Exterior ribbons connecting two boundary sites must land inside
+    H_Lambda."""
+    nontrivial = _nontrivial_labels(group)
     boundary = sample_exterior_ribbons(lat, region, rng, samples, want_deep_endpoint=False)
-    worst_b = 0.0
+    worst = 0.0
     for r in boundary:
         chi, c = rng.choice(nontrivial)
         psi = as_opsum(ribbon_F_irrep(lat, group, r, chi, c)).apply(omega)
-        worst_b = max(worst_b, subspace.residual(psi))
-    records.append(
-        CheckRecord(
-            "boundary-connecting exterior ribbons stay in the cone subspace",
-            bool(boundary) and worst_b <= 1e-9,
-            worst_b,
-            f"{len(boundary)} boundary-to-boundary ribbons",
-        )
+        worst = max(worst, subspace.residual(psi))
+    return Check.judged(
+        "boundary-connecting exterior ribbons stay in the cone subspace",
+        "charge-free exterior vectors lie in the cone subspace",
+        bool(boundary) and worst <= 1e-9,
+        worst,
+        f"{len(boundary)} boundary-to-boundary ribbons",
     )
-    return records
 
 
 # -- the real-linear density check ---------------------------------------------------
 
 
-def _compressed_hermitian_images(
-    subspace: ConeSubspace, omega: SparseState
-) -> list[SparseState]:
+def _compressed_hermitian_images(subspace: ConeSubspace) -> list[np.ndarray]:
     """i Y Omega for a real basis of self-adjoint compressed exterior
-    operators. An exterior operator preserves the region factors, so its
-    compression is a matrix on each group's exterior span; every Hermitian
-    matrix there is the compression of some exterior operator."""
-    fact = subspace.factorization
-    out: list[SparseState] = []
-    lat, group = fact.lat, fact.group
-    for bd, basis in fact.w_basis.items():
-        coeffs = fact.w_coeffs[bd]
-        r = len(basis)
-
-        def omega_with_w_replaced(j_to: int, j_from: int) -> SparseState:
-            # (I tensor |w_jto><w_jfrom|) Omega restricted to this bd group
-            total = SparseState.zero(lat.n_edges, group.order)
-            for bf, col in coeffs.items():
-                if abs(col[j_from]) < 1e-14:
-                    continue
-                rows = basis[j_to].configs.copy()
-                for cidx, val in zip(fact.full_edges, bf):
-                    rows[:, cidx] = val
-                for cidx, val in zip(fact.diag_edges, bd):
-                    rows[:, cidx] = val
-                total = total.add(
-                    SparseState(rows, basis[j_to].amps, lat.n_edges, group.order).scaled(
-                        col[j_from]
-                    )
-                )
-            return total
-
-        for j in range(r):
-            out.append(omega_with_w_replaced(j, j).scaled(1j))  # i E_jj Omega
-        for j in range(r):
-            for k in range(j + 1, r):
-                jk = omega_with_w_replaced(j, k)
-                kj = omega_with_w_replaced(k, j)
-                out.append(jk.add(kj).scaled(1j))  # i (E_jk + E_kj) Omega
-                out.append(jk.sub(kj).scaled(-1.0))  # i (i E_jk - i E_kj) Omega
+    operators, as coordinate blocks. An exterior operator preserves the
+    region factors, so its compression is a matrix on each rim group's
+    exterior span, and every Hermitian matrix there is the compression of
+    some exterior operator. E_jk Omega has column j equal to C[:, k]."""
+    c = subspace.omega_coeffs
+    out = []
+    for cols in subspace.rim_groups():
+        for j in cols:
+            x = np.zeros_like(c)
+            x[:, j] = 1j * c[:, j]  # i E_jj Omega
+            out.append(x)
+        for j, k in itertools.combinations(cols, 2):
+            x = np.zeros_like(c)
+            x[:, j], x[:, k] = 1j * c[:, k], 1j * c[:, j]  # i (E_jk + E_kj) Omega
+            out.append(x)
+            x = np.zeros_like(c)
+            x[:, j], x[:, k] = -c[:, k], c[:, j]  # i (i E_jk - i E_kj) Omega
+            out.append(x)
     return out
+
+
+def _density_operators(
+    lat: Lattice,
+    group: AbelianGroup,
+    region: Region,
+    subspace: ConeSubspace,
+    rng: random.Random,
+    ribbon_cap: int,
+    product_samples: int,
+) -> tuple[list[OpSum], list[OpSum]]:
+    """The seeded operator families of the density check: region operators
+    (ribbons, edge monomials, products of two ribbons) and a handful of
+    exterior ribbon operators for flavour."""
+    region_ops = _label_ops(lat, group, ribbons_in_region(lat, region, ribbon_cap))
+    pool = list(region_ops) + _edge_monomials(lat, group, subspace, rng, product_samples)
+    for _ in range(product_samples // 3):
+        m = region_ops[rng.randrange(len(region_ops))].compose(
+            region_ops[rng.randrange(len(region_ops))]
+        )
+        pool.append(m)
+    comp = Region(lat, region.complement_edges())
+    ext = _label_ops(lat, group, ribbons_in_region(lat, comp, 4))
+    rng.shuffle(ext)
+    return pool, ext[:40]
 
 
 def self_adjoint_density_check(
@@ -526,47 +550,49 @@ def self_adjoint_density_check(
     rng: Optional[random.Random] = None,
     ribbon_cap: int = 5,
     product_samples: int = 300,
-) -> list[CheckRecord]:
+) -> list[Check]:
     """Real-linear span of {X Omega : X self-adjoint region ribbon operator
     combination} and {i Y Omega : Y self-adjoint compressed exterior
-    operator} must reach 2 dim(H_Lambda); the first family alone must not."""
+    operator} must reach 2 dim(H_Lambda); the first family alone must not.
+    Both families are coordinate blocks: the region family is S_M C, the
+    compressed family is written from C."""
     rng = rng or random.Random(0)
-    region_ops = _label_ops(lat, group, ribbons_in_region(lat, region, ribbon_cap))
-    a_family: list[SparseState] = []
-    pool = list(region_ops) + _edge_monomials(lat, group, subspace, rng, product_samples)
-    for _ in range(product_samples // 3):
-        m = region_ops[rng.randrange(len(region_ops))].compose(
-            region_ops[rng.randrange(len(region_ops))]
+    pool, flavour = _density_operators(
+        lat, group, region, subspace, rng, ribbon_cap, product_samples
+    )
+    n_b = sum(len(cols) ** 2 for cols in subspace.rim_groups()) + 2 * len(flavour)
+    n_rows = 2 * len(pool) + n_b
+    if n_rows * 2 * subspace.dim > DENSITY_ENTRIES_CAP:
+        raise DualityError(
+            f"density check needs a {n_rows} x {2 * subspace.dim} coefficient matrix,"
+            f" above the cap of {DENSITY_ENTRIES_CAP} entries"
         )
-        pool.append(m)
+    a_family = []
     for m in pool:
-        v, vs = m.apply(omega), m.adjoint().apply(omega)
-        a_family.append(v.add(vs))
-        a_family.append(v.sub(vs).scaled(1j))
+        v, vs = subspace.region_images(m)
+        a_family += [v + vs, 1j * (v - vs)]
 
-    b_family = _compressed_hermitian_images(subspace, omega)
-    # a seeded handful of compressed exterior ribbon operators for flavour
-    comp = Region(lat, region.complement_edges())
-    ext = _label_ops(lat, group, ribbons_in_region(lat, comp, 4))
-    rng.shuffle(ext)
-    for m in ext[:40]:
-        v = subspace.project(m.apply(omega))
-        vs = subspace.project(m.adjoint().apply(omega))
-        b_family.append(v.add(vs).scaled(1j))
-        b_family.append(v.sub(vs).scaled(-1.0))
+    b_family = _compressed_hermitian_images(subspace)
+    for m in flavour:
+        v = subspace.coeffs(m.apply(omega))
+        vs = subspace.coeffs(m.adjoint().apply(omega))
+        b_family += [1j * (v + vs), -(v - vs)]
 
     target = 2 * subspace.dim
-    full_rank = _real_rank_in_subspace(subspace, a_family + b_family)
-    a_rank = _real_rank_in_subspace(subspace, a_family)
+    full_rank = _real_rank(a_family + b_family)
+    a_rank = _real_rank(a_family)
+    law = "self-adjoint parts plus i times compressed exterior parts span"
     return [
-        CheckRecord(
+        Check.judged(
             "self-adjoint family spans the cone subspace over the reals",
+            law,
             full_rank == target,
             float(target - full_rank),
             f"rank {full_rank} of target {target}",
         ),
-        CheckRecord(
+        Check.judged(
             "dropping the compressed exterior family leaves a deficit",
+            law,
             a_rank < target,
             float(a_rank),
             f"rank {a_rank} < {target}",
@@ -584,14 +610,12 @@ def _edge_monomials(
     """Products of single-triangle ribbon operators, one shift and one
     character phase per region edge: a deterministic monomial spanning set
     of the region's ribbon algebra (matrix units up to phases)."""
-    edges = subspace.factorization.full_edges
+    edges = subspace.fill_edges
     elems = group.elements()
     chars = group.characters()
     combos = []
     total = (group.order ** len(edges)) ** 2
     if total <= cap:
-        import itertools
-
         for shift_vals in itertools.product(elems, repeat=len(edges)):
             for char_vals in itertools.product(chars, repeat=len(edges)):
                 combos.append((shift_vals, char_vals))
@@ -621,19 +645,15 @@ def _edge_monomials(
     return out
 
 
-def _real_rank_in_subspace(
-    subspace: ConeSubspace, vectors: Sequence[SparseState], tol: float = 1e-7
-) -> int:
-    """Real rank of a family of vectors known to lie in the subspace,
-    computed on their basis coefficients."""
-    rows = []
-    for v in vectors:
-        c = subspace.basis.coeffs(v)
-        n = np.linalg.norm(c)
-        if n > 1e-12:
-            rows.append(np.concatenate([c.real, c.imag]) / n)
-    if not rows:
+def _real_rank(blocks: Sequence[np.ndarray], tol: float = 1e-7) -> int:
+    """Real rank of a family of H_Lambda vectors given by their coordinate
+    blocks: the rank of the normalized rows (Re x, Im x)."""
+    if not blocks:
         return 0
-    m = np.array(rows)
-    s = np.linalg.svd(m, compute_uv=False)
+    m = np.array([b.ravel() for b in blocks])
+    norms = np.linalg.norm(m, axis=1)
+    m = m[norms > 1e-12] / norms[norms > 1e-12, None]
+    if not len(m):
+        return 0
+    s = np.linalg.svd(np.hstack([m.real, m.imag]), compute_uv=False)
     return int(np.sum(s > tol))

@@ -41,6 +41,8 @@ from .operators import AffineMap, as_opsum
 from .states import SparseState, inner
 
 FLAT_BRUTE_CAP = 1 << 22
+# rows flat_connections may enumerate: |G|^(V-1), times |G|^2 on the torus
+FLAT_ROWS_CAP = 1 << 22
 # vertex-potential rows one omega_expectation term may enumerate
 OMEGA_ROWS_CAP = 1 << 20
 
@@ -78,7 +80,14 @@ def _torus_cocycle(lat: Lattice, group: AbelianGroup, hx: int, hy: int) -> np.nd
 
 
 def flat_connections(lat: Lattice, group: AbelianGroup) -> np.ndarray:
-    """All flat configurations, one uint8 row per connection."""
+    """All flat configurations, one uint8 row per connection. Refused, before
+    anything is allocated, above FLAT_ROWS_CAP rows."""
+    power = lat.n_vertices - 1 + (2 if lat.is_torus else 0)
+    if group.order**power > FLAT_ROWS_CAP:
+        raise GroundStateError(
+            f"flat-connection enumeration of {group.order}^{power} = {group.order**power}"
+            f" rows on {lat.width}x{lat.height} is above the cap of {FLAT_ROWS_CAP}"
+        )
     grads = _gradient_configs(lat, group)
     if not lat.is_torus:
         return grads

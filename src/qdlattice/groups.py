@@ -21,6 +21,9 @@ import numpy as np
 Element = tuple[int, ...]
 Char = tuple[int, ...]
 
+# configurations store one packed group index per edge in a uint8
+MAX_ORDER = 255
+
 
 class GroupError(ValueError):
     """Invalid group presentation or element/character shape mismatch."""
@@ -132,7 +135,7 @@ class AbelianGroup:
         for i, chi in enumerate(elems):
             for j, g in enumerate(elems):
                 char_num[i, j] = int(self.char_phase(chi, g) * L) % L
-        roots = np.exp(2j * np.pi * np.arange(L) / L)
+        roots = np.array([phase_to_complex(Fraction(k, L)) for k in range(L)])
         self._tables.update(add=add, neg=neg, mult=mult, char_num=char_num, roots=roots)
         return self._tables
 
@@ -165,6 +168,11 @@ def parse_group(spec: str) -> AbelianGroup:
     if not _GROUP_SPEC.match(s):
         raise GroupError(f"malformed group spec {spec!r}: expected z<n>(xz<m>)*")
     orders = tuple(int(part[1:]) for part in s.split("x"))
+    if math.prod(orders) > MAX_ORDER:
+        raise GroupError(
+            f"group {spec!r} has order {math.prod(orders)}; edge configurations"
+            f" are uint8, so the order must be at most {MAX_ORDER}"
+        )
     return group_make(orders)
 
 

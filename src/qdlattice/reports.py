@@ -49,6 +49,14 @@ class Check:
     max_error: float
     details: str = ""
 
+    @staticmethod
+    def judged(name: str, law: str, passed: bool, max_error: float, details: str = "") -> "Check":
+        return Check(name, law, "pass" if passed else "fail", float(max_error), details)
+
+    @property
+    def passed(self) -> bool:
+        return self.status == "pass"
+
 
 @dataclass
 class Report:
@@ -59,9 +67,7 @@ class Report:
     schema_version: int = SCHEMA_VERSION
 
     def add(self, name: str, law: str, passed: bool, max_error: float, details: str = ""):
-        self.checks.append(
-            Check(name, law, "pass" if passed else "fail", float(max_error), details)
-        )
+        self.checks.append(Check.judged(name, law, passed, max_error, details))
 
     @property
     def all_passed(self) -> bool:

@@ -158,19 +158,38 @@ def distance(psi: SparseState, phi: SparseState) -> float:
     return psi.sub(phi).norm()
 
 
+def orthonormal_coeffs(
+    vectors: Iterable[SparseState], tol: float = SPAN_TOL
+) -> tuple[list[SparseState], np.ndarray]:
+    """Modified Gram-Schmidt with coefficient tracking: an orthonormal basis
+    b, dropping vectors whose residual norm is < tol, and the matrix R with
+    vectors[i] = sum_k R[i, k] b[k] up to those dropped residuals."""
+    basis: list[SparseState] = []
+    cols: list[list[complex]] = []
+    for v in vectors:
+        w, col = v, [0j] * len(basis)
+        # the second sweep keeps the basis orthonormal to working precision;
+        # an exactly zero overlap (disjoint supports) leaves w unchanged
+        for _ in range(2):
+            for k, b in enumerate(basis):
+                c = inner(b, w)
+                if c:
+                    col[k] += c
+                    w = w.sub(b.scaled(c))
+        nrm = w.norm()
+        if nrm >= tol:
+            basis.append(w.scaled(1.0 / nrm))
+            col.append(nrm)
+        cols.append(col)
+    coeffs = np.zeros((len(cols), len(basis)), dtype=np.complex128)
+    for i, col in enumerate(cols):
+        coeffs[i, : len(col)] = col
+    return basis, coeffs
+
+
 def orthonormalize(vectors: Iterable[SparseState], tol: float = SPAN_TOL) -> list[SparseState]:
     """Modified Gram-Schmidt; drops vectors whose residual norm is < tol."""
-    basis: list[SparseState] = []
-    for v in vectors:
-        w = v
-        for b in basis:
-            w = w.sub(b.scaled(inner(b, w)))
-        # a second sweep keeps the basis orthonormal to working precision
-        for b in basis:
-            w = w.sub(b.scaled(inner(b, w)))
-        if w.norm() >= tol:
-            basis.append(w.normalized())
-    return basis
+    return orthonormal_coeffs(vectors, tol)[0]
 
 
 def complex_span_dim(vectors: Sequence[SparseState], tol: float = SPAN_TOL) -> int:

@@ -164,3 +164,24 @@ def test_rejected_config_exits_2_with_one_line(tmp_path, capsys, flag, value, me
     assert err.startswith("error: ") and message in err
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--experiment", "groundstate", "--lattice", "12x12:plane"],
+        ["--experiment", "deform", "--lattice", "12x12:plane"],
+        ["--experiment", "haag-check", "--lattice", "12x12:plane"],
+        ["--experiment", "smatrix", "--group", "z257"],
+    ],
+)
+def test_oversized_inputs_exit_2_with_one_line(capsys, args):
+    from qdlattice.groups import GroupError, parse_group
+
+    # z257 must be refused while parsing, before any table is allocated
+    with pytest.raises(GroupError):
+        parse_group("z257")
+    assert run_cli(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {args[1]}: ") and err.count("\n") == 1
+    assert "above the cap" in err or "at most 255" in err

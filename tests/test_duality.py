@@ -1,8 +1,14 @@
+import itertools
 import random
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from qdlattice import duality
 from qdlattice.duality import (
+    DualityError,
+    boundary_membership_check,
     cone_subspace,
     detecting_exterior_sites,
     external_charge_orthogonality_check,
@@ -20,9 +26,225 @@ from qdlattice.lattice import (
     ribbon_between,
 )
 from qdlattice.operators import as_opsum, ribbon_F_irrep
-from qdlattice.states import inner
+from qdlattice.states import SparseState, inner, orthonormalize
 
 Z2 = group_make([2])
+
+
+class MaterializedSubspace:
+    """Oracle for ConeSubspace: every product vector |a> tensor w_j as a
+    sparse state, and coordinates by key lookup over their joint support.
+    Omega's rows are grouped by their rim and region values as rows (no
+    integer codes); each rim group's exterior restrictions (region values
+    zeroed) are orthonormalized. Vectors are listed in ConeSubspace's block
+    order: region values a in lexicographic order (first edge most
+    significant), then w_j by rim values and Gram-Schmidt order. With
+    `sample`, only that many seeded product vectors are materialized."""
+
+    def __init__(self, region, lat, group, omega, sample=None):
+        full = [e for e in sorted(region.edges) if _has_dual_triangle(lat, e)]
+        rim = [e for e in sorted(region.edges) if e not in full]
+        labels, which = np.unique(omega.configs[:, rim + full], axis=0, return_inverse=True)
+        exterior = omega.configs.copy()
+        exterior[:, full] = 0
+        ws = []
+        for bd in sorted({tuple(lab[: len(rim)]) for lab in labels}):
+            raw = [
+                SparseState.from_terms(
+                    exterior[which == i], omega.amps[which == i], lat.n_edges, group.order
+                )
+                for i, lab in enumerate(labels)
+                if tuple(lab[: len(rim)]) == bd
+            ]
+            ws += orthonormalize(raw)
+        fills = list(itertools.product(range(group.order), repeat=len(full)))
+        self.index = [(a, j) for a in range(len(fills)) for j in range(len(ws))]
+        if sample is not None:
+            self.index = random.Random(0).sample(self.index, sample)
+        self.vectors = []
+        for a, j in self.index:
+            rows = ws[j].configs.copy()
+            rows[:, full] = fills[a]
+            self.vectors.append(
+                SparseState.from_terms(rows, ws[j].amps, lat.n_edges, group.order)
+            )
+        self.keys = np.unique(np.concatenate([v.keys() for v in self.vectors]))
+        cols = [np.searchsorted(self.keys, v.keys()) for v in self.vectors]
+        self.mat_conj = sp.csr_matrix(
+            (
+                np.concatenate([v.amps for v in self.vectors]),
+                np.concatenate(cols),
+                np.cumsum([0] + [len(c) for c in cols]),
+            ),
+            shape=(len(self.vectors), len(self.keys)),
+        ).conj()
+
+    def coeffs(self, psi):
+        """<v|psi> for every materialized vector v."""
+        pos = np.minimum(np.searchsorted(self.keys, psi.keys()), len(self.keys) - 1)
+        hit = self.keys[pos] == psi.keys()
+        vec = np.zeros(len(self.keys), dtype=np.complex128)
+        vec[pos[hit]] = psi.amps[hit]
+        return self.mat_conj @ vec
+
+    def residual(self, psi):
+        return psi.sub(_combine(self.vectors, self.coeffs(psi))).norm()
+
+
+def _combine(vectors, coeffs):
+    rows = np.concatenate([v.configs for v in vectors])
+    amps = np.concatenate([c * v.amps for c, v in zip(coeffs, vectors)])
+    return SparseState.from_terms(rows, amps, vectors[0].n_edges, vectors[0].radix)
+
+
+def _real_rank(rows, tol=1e-7):
+    m = np.array([r for r in rows if np.linalg.norm(r) > 1e-12])
+    m = m / np.linalg.norm(m, axis=1)[:, None]
+    return int(np.sum(np.linalg.svd(np.hstack([m.real, m.imag]), compute_uv=False) > tol))
+
+
+# (group order, width, height, trim_rim); cones at apex (1, 1) opening N and E
+CASES = [
+    (2, 3, 3, True),
+    (3, 3, 3, True),
+    (2, 3, 4, True),
+    (3, 3, 4, True),
+    (2, 3, 3, False),
+    (2, 3, 4, False),
+]
+# materializing every product vector of z3 on 3x4 (dim 6561) takes about
+# 1 GB, so that case compares a seeded sample of coordinates
+SAMPLED = {(3, 3, 4, True): 200}
+# the state-built density families of the oracle stay small on these
+DENSITY_CASES = [c for c in CASES if c not in SAMPLED and c != (2, 3, 4, False)]
+
+
+def _case_id(case):
+    return f"z{case[0]}-{case[1]}x{case[2]}-{'trim' if case[3] else 'rim'}"
+
+
+@pytest.fixture(scope="module", params=CASES, ids=_case_id)
+def cone_case(request):
+    order, w, h, trim = request.param
+    group = group_make([order])
+    lat = lattice_make(w, h, "plane")
+    omega = ground_state(lat, group)
+    cone = cone_make((1, 1), ["N", "E"], lat, trim_rim=trim)
+    sub = cone_subspace(cone, lat, group, omega)
+    oracle = MaterializedSubspace(cone, lat, group, omega, SAMPLED.get(request.param))
+    return request.param, lat, group, omega, cone, sub, oracle
+
+
+def _probe_states(lat, group, omega, cone):
+    """Omega, region operator images (in H_Lambda), exterior ribbon images
+    (charged or not), a random state on Omega's support and one on random
+    configurations (both mostly outside H_Lambda)."""
+    rng = random.Random(1)
+    region_ops = duality._label_ops(lat, group, ribbons_in_region(lat, cone, 3))
+    comp = Region(lat, cone.complement_edges())
+    ext_ops = duality._label_ops(lat, group, ribbons_in_region(lat, comp, 4))
+    out = [omega]
+    out += [rng.choice(region_ops).apply(omega) for _ in range(3)]
+    out += [rng.choice(ext_ops).apply(omega) for _ in range(4)]
+    gen = np.random.default_rng(2)
+    for rows in (omega.configs, gen.integers(0, group.order, size=(50, lat.n_edges))):
+        amps = np.array([1, 1j]) @ gen.standard_normal((2, len(rows)))
+        out.append(SparseState.from_terms(rows, amps, lat.n_edges, group.order))
+    return out
+
+
+def test_coordinates_match_materialized_oracle(cone_case):
+    param, lat, group, omega, cone, sub, oracle = cone_case
+    assert sub.dim == len(oracle.index) or param in SAMPLED
+    for psi in _probe_states(lat, group, omega, cone):
+        block = sub.coeffs(psi)
+        assert block.shape[0] * block.shape[1] == sub.dim
+        entries = [block[a, j] for a, j in oracle.index]
+        np.testing.assert_allclose(entries, oracle.coeffs(psi), atol=1e-12)
+        if param in SAMPLED:
+            continue
+        assert abs(sub.projection_norm(psi) - np.linalg.norm(oracle.coeffs(psi))) < 1e-12
+        assert abs(sub.residual(psi) - oracle.residual(psi)) < 1e-12
+
+
+def test_region_images_match_applied_operators(cone_case):
+    """S_M C and S_M^dagger C against the coordinates of M Omega and
+    M^dagger Omega, for random region ribbons, edge monomials and products."""
+    param, lat, group, omega, cone, sub, oracle = cone_case
+    pool, _ = duality._density_operators(lat, group, cone, sub, random.Random(3), 3, 60)
+    for m in random.Random(4).sample(pool, 6):
+        v, vs = sub.region_images(m)
+        np.testing.assert_allclose(v, sub.coeffs(m.apply(omega)), atol=1e-12)
+        np.testing.assert_allclose(vs, sub.coeffs(m.adjoint().apply(omega)), atol=1e-12)
+
+
+@pytest.mark.parametrize("cone_case", DENSITY_CASES, ids=_case_id, indirect=True)
+def test_density_ranks_match_materialized_oracle(cone_case):
+    """Both ranks of the density check against the families built as
+    states: region operators applied to Omega, compressed exterior
+    operators E_jk Omega assembled from the product vectors, and exterior
+    ribbon images projected onto the subspace."""
+    param, lat, group, omega, cone, sub, oracle = cone_case
+    seed, ribbon_cap, samples = 5, 3, 100
+    spans, control = self_adjoint_density_check(
+        cone, lat, group, omega, sub, random.Random(seed), ribbon_cap, samples
+    )
+    pool, flavour = duality._density_operators(
+        lat, group, cone, sub, random.Random(seed), ribbon_cap, samples
+    )
+    a_family = []
+    for m in pool:
+        v, vs = oracle.coeffs(m.apply(omega)), oracle.coeffs(m.adjoint().apply(omega))
+        a_family += [v + vs, 1j * (v - vs)]
+    # E_jk Omega = sum_a C[a, k] |a> tensor w_j, within a rim group
+    n_fill = len({a for a, _ in oracle.index})
+    r = len(oracle.index) // n_fill
+    c = oracle.coeffs(omega).reshape(n_fill, r)
+    rim = sorted(set(cone.edges) - set(sub.fill_edges))
+    rim_of = [tuple(oracle.vectors[j].configs[0, rim]) for j in range(r)]
+
+    def e_omega(j, k):
+        return _combine([oracle.vectors[a * r + j] for a in range(n_fill)], c[:, k])
+
+    b_family = []
+    for j in range(r):
+        b_family.append(oracle.coeffs(e_omega(j, j).scaled(1j)))
+    for j, k in itertools.combinations(range(r), 2):
+        if rim_of[j] != rim_of[k]:
+            continue
+        jk, kj = e_omega(j, k), e_omega(k, j)
+        b_family.append(oracle.coeffs(jk.add(kj).scaled(1j)))
+        b_family.append(oracle.coeffs(jk.sub(kj).scaled(-1.0)))
+    for m in flavour:
+        v, vs = oracle.coeffs(m.apply(omega)), oracle.coeffs(m.adjoint().apply(omega))
+        b_family += [1j * (v + vs), -(v - vs)]
+    full_rank = _real_rank(a_family + b_family)
+    a_rank = _real_rank(a_family)
+    assert spans.details == f"rank {full_rank} of target {2 * sub.dim}"
+    assert control.max_error == a_rank
+    assert control.passed
+    if not param[3]:
+        # a cone that keeps its rim edges has a one-sided algebra there, so
+        # the family falls short of the target on both paths
+        assert not spans.passed
+
+
+def test_density_check_refuses_oversized_matrices(monkeypatch):
+    lat = lattice_make(3, 3, "plane")
+    omega = ground_state(lat, Z2)
+    cone = cone_make((1, 1), ["N", "E"], lat)
+    sub = cone_subspace(cone, lat, Z2, omega)
+    monkeypatch.setattr(duality, "DENSITY_ENTRIES_CAP", 1000)
+    with pytest.raises(DualityError, match=r"x 32 coefficient matrix, above the cap of 1000"):
+        self_adjoint_density_check(cone, lat, Z2, omega, sub)
+
+
+def _has_dual_triangle(lat, e):
+    try:
+        lat.dual_faces(e)
+        return True
+    except Exception:
+        return False
 
 
 @pytest.fixture(scope="module")
@@ -50,13 +272,14 @@ def test_closure_matches_factorized_dimension(small_cone):
 
 def test_subspace_invariant_under_region_operators(small_cone):
     lat, omega, cone, sub = small_cone
+    basis = MaterializedSubspace(cone, lat, Z2, omega).vectors
     rng = random.Random(0)
     ribbons = ribbons_in_region(lat, cone, 4)
     for _ in range(25):
         r = rng.choice(ribbons)
         chi = rng.choice(Z2.characters())
         c = rng.choice(Z2.elements())
-        v = sub.basis.vectors[rng.randrange(sub.dim)]
+        v = basis[rng.randrange(sub.dim)]
         image = as_opsum(ribbon_F_irrep(lat, Z2, r, chi, c)).apply(v)
         assert sub.residual(image) < 1e-9
 
@@ -67,9 +290,11 @@ def test_external_orthogonality_and_membership():
     cone = cone_make((2, 2), ["N", "E"], lat)
     sub = cone_subspace(cone, lat, Z2, omega)
     assert detecting_exterior_sites(lat, cone)
-    recs = external_charge_orthogonality_check(
-        cone, lat, Z2, omega, sub, random.Random(5), samples=60
-    )
+    rng = random.Random(5)
+    recs = [
+        external_charge_orthogonality_check(cone, lat, Z2, omega, sub, rng, samples=60),
+        boundary_membership_check(cone, lat, Z2, omega, sub, rng, samples=60),
+    ]
     assert all(r.passed for r in recs), [(r.name, r.max_error) for r in recs]
     assert all(r.max_error <= 1e-9 for r in recs)
 
@@ -150,3 +375,20 @@ def test_cone_region_has_boundary():
     assert cone.edges
     assert cone.boundary_edges()
     assert cone.interior_complement_edges()
+
+
+def test_haag_report_states_the_skipped_closure_check():
+    """The default cone has 4 edges, above the closure cross-check's limit of
+    3: the construction check says so, and every other check appears once."""
+    from qdlattice.experiments import run_haag
+    from qdlattice.reports import RunConfig
+
+    cfg = RunConfig("haag-check", group="z2", lattice="3x4:plane", seed=4300)
+    rep = run_haag(cfg, Z2, lattice_make(3, 4, "plane"))
+    assert rep.checks[0].details == (
+        "cone of 4 edges, subspace dimension 256; ribbon closure cross-check"
+        " skipped: it runs on cones of at most 3 edges"
+    )
+    names = [c.name for c in rep.checks]
+    assert len(names) == len(set(names)) == 5
+    assert rep.all_passed

@@ -357,6 +357,22 @@ def test_omega_expectation_refuses_large_enumerations():
     assert abs(omega_expectation(lat, Z2, edge)) < 1e-15
 
 
+def test_omega_expectation_of_lone_z2_character_is_exactly_zero():
+    lat = lattice_make(3, 3, "plane")
+    for e in lat.edges():
+        m = AffineMap(Z2, lat.n_edges, chars=(((1,), ((e, 1),), 0),))
+        assert omega_expectation(lat, Z2, m) == 0
+
+
+def test_flat_connections_refuse_before_allocating():
+    with pytest.raises(GroundStateError, match=r"of 2\^143 = \d+ rows on 12x12 .* cap of 4194304"):
+        flat_connections(lattice_make(12, 12, "plane"), Z2)
+    # on the torus the |G|^2 holonomy sectors count: 4^11 gradients fit the
+    # cap, 4^13 flat connections do not
+    with pytest.raises(GroundStateError, match=r"of 4\^13 = 67108864 rows on 3x4"):
+        flat_connections(lattice_make(3, 4, "torus"), group_make([4]))
+
+
 @pytest.mark.parametrize("spec", ["z3", "z4"])
 def test_split_negative_control_correlates(spec):
     """The split check's negative control pairs each drawn A with A† on the

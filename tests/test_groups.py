@@ -102,3 +102,16 @@ def test_parse_group():
         parse_group("z1")
     with pytest.raises(GroupError):
         parse_group("zx2")
+
+
+def test_roots_exact_at_quarter_turns():
+    assert group_make([2]).tables()["roots"].tolist() == [1, -1]
+    assert group_make([4]).tables()["roots"].tolist() == [1, 1j, -1, -1j]
+    assert group_make([2]).tables()["roots"].imag.tolist() == [0.0, 0.0]
+
+
+def test_parse_group_rejects_orders_beyond_uint8():
+    assert parse_group("z255").order == 255
+    for spec in ("z257", "z16xz16"):
+        with pytest.raises(GroupError, match="must be at most 255"):
+            parse_group(spec)
