@@ -19,7 +19,7 @@ shift pattern.
 from __future__ import annotations
 
 import random
-from typing import Iterator
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -78,7 +78,12 @@ def is_deformation_pair(lat: Lattice, group: AbelianGroup, r1: Ribbon, r2: Ribbo
     return True
 
 
-def _paths_between(lat, s0, s1, max_len, node_cap=20000):
+PATH_NODE_CAP = 20000
+
+
+def _paths_between(lat, s0, s1, max_len, node_cap=PATH_NODE_CAP):
+    """(ribbons from s0 to s1 of at most max_len triangles using no edge
+    twice, whether the search stopped at node_cap moves with a partial list)."""
     out = []
     stack = [(s0, (), frozenset())]
     visited = 0
@@ -91,13 +96,13 @@ def _paths_between(lat, s0, s1, max_len, node_cap=20000):
                 continue
             visited += 1
             if visited > node_cap:
-                return out
+                return out, True
             new = path + (tri,)
             if tri.s1 == s1:
                 out.append(Ribbon.from_triangles(new))
             else:
                 stack.append((tri.s1, new, used | {tri.edge}))
-    return out
+    return out, False
 
 
 def sample_ribbon_pairs(
@@ -107,9 +112,11 @@ def sample_ribbon_pairs(
     count: int,
     deformations: bool = True,
     slack: int = 8,
+    searches: Optional[list[bool]] = None,
 ) -> Iterator[tuple[Ribbon, Ribbon]]:
     """Seeded stream of same-endpoint ribbon pairs: proper deformations when
-    `deformations`, crossing pairs otherwise."""
+    `deformations`, crossing pairs otherwise. Each path search appends to
+    `searches`, when given, whether it hit the node cap."""
     sites = list(lat.sites())
     produced = 0
     attempts = 0
@@ -120,7 +127,9 @@ def sample_ribbon_pairs(
             base = ribbon_between(s0, s1, lat)
         except LatticeError:
             continue
-        paths = _paths_between(lat, s0, s1, len(base) + slack)
+        paths, capped = _paths_between(lat, s0, s1, len(base) + slack)
+        if searches is not None:
+            searches.append(capped)
         rng.shuffle(paths)
         for cand in paths:
             if cand.triangles == base.triangles:

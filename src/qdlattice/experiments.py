@@ -8,13 +8,12 @@ from __future__ import annotations
 
 import itertools
 import random
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .deform import sample_ribbon_pairs
+from .deform import PATH_NODE_CAP, sample_ribbon_pairs
 from .duality import (
     boundary_membership_check,
     cone_subspace,
@@ -63,7 +62,7 @@ from .operators import (
     star_proj,
     to_matrix,
 )
-from .reports import Report, RunConfig, worker_count
+from .reports import Report, RunConfig
 from .sectors import (
     SectorLabel,
     braiding_phase,
@@ -512,7 +511,8 @@ def run_deform(config: RunConfig, group: AbelianGroup, lat: Lattice, pairs: int 
     ]
     errs = []
     count = 0
-    for r1, r2 in sample_ribbon_pairs(lat, group, rng, pairs, deformations=True):
+    searches: list[bool] = []
+    for r1, r2 in sample_ribbon_pairs(lat, group, rng, pairs, deformations=True, searches=searches):
         h, g = rng.choice(labels)
         f1 = as_opsum(ribbon_F(lat, group, r1, h, g)).apply(omega)
         f2 = as_opsum(ribbon_F(lat, group, r2, h, g)).apply(omega)
@@ -523,7 +523,8 @@ def run_deform(config: RunConfig, group: AbelianGroup, lat: Lattice, pairs: int 
         "F_rho Omega = F_rho' Omega for same-endpoint deformations",
         count == pairs and _max_err(errs) <= 1e-10,
         _max_err(errs),
-        f"{count} seeded ribbon pairs",
+        f"{count} seeded ribbon pairs; {sum(searches)} of {len(searches)} path searches"
+        f" hit the {PATH_NODE_CAP}-node cap",
     )
 
     # negative control: crossing pairs are detectably different
@@ -624,17 +625,8 @@ def run_smatrix(config: RunConfig, group: AbelianGroup, lat: Lattice) -> Report:
     geom = smatrix_geometry(lat)
     labels = sector_labels(group)
 
-    def entry(pair):
-        a, b = pair
-        return s_matrix_entry(lat, group, a, b, geom)
-
     pairs = [(a, b) for a in labels for b in labels]
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            sims = list(pool.map(entry, pairs))
-    else:
-        sims = [entry(p) for p in pairs]
+    sims = [s_matrix_entry(lat, group, a, b, geom) for a, b in pairs]
 
     errs = [abs(sim - s_matrix_formula(group, a, b)) for sim, (a, b) in zip(sims, pairs)]
     rep.add(

@@ -12,8 +12,9 @@ composition and adjoints, so they get one exact normal form, ``AffineMap``:
 Sums with scalar coefficients (projectors, Hamiltonians) are ``OpSum``.
 Operators may be applied to sparse states directly, or materialized as
 scipy sparse matrices over the full configuration space or over the
-subspace of any edge support set, which is how operator identities are
-checked exactly.
+subspace of any edge support set. Operator identities are checked exactly
+by ``ops_equal``, on the configurations of the edges that deltas and
+characters read rather than on matrices over the whole support.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .lattice import (
 )
 
 MATRIX_DIM_CAP = 1 << 20
+CONFIG_BYTES_CAP = 1 << 26  # uint8 configuration rows x edges, checked before allocating
 
 Coeffs = tuple[tuple[int, int], ...]  # ((edge, sign), ...), sign in {+1, -1}
 
@@ -66,7 +68,12 @@ class AffineMap:
     # -- structure ------------------------------------------------------------
 
     def support(self) -> frozenset[int]:
-        out = {e for e, _ in self.shifts}
+        return self.diagonal_edges() | {e for e, _ in self.shifts}
+
+    def diagonal_edges(self) -> frozenset[int]:
+        """Edges read by the delta and character expressions: the only edges
+        the coefficient phase(m) * delta(m) depends on."""
+        out: set[int] = set()
         for coeffs, _ in self.deltas:
             out.update(e for e, _ in coeffs)
         for _, coeffs, _ in self.chars:
@@ -153,6 +160,16 @@ class AffineMap:
 
     def eval(self, configs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(alive mask, phase numerators mod L, shifted configs) for given rows."""
+        alive, pnum = self.diagonal(configs)
+        add = self.group.tables()["add"]
+        out = configs.copy()
+        for e, gi in self.shifts:
+            out[:, e] = add[out[:, e].astype(np.int64), gi].astype(configs.dtype)
+        return alive, pnum, out
+
+    def diagonal(self, configs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(alive mask, phase numerators mod L) for given rows: the map's
+        coefficient on each row, without the shift."""
         t = self.group.tables()
         add, neg, char_num = t["add"], t["neg"], t["char_num"]
         n = configs.shape[0]
@@ -172,10 +189,7 @@ class AffineMap:
                 col = configs[:, e].astype(np.int64)
                 acc = add[acc, col if sign > 0 else neg[col]]
             pnum = (pnum + char_num[self.group.index_of(chi), acc]) % L
-        out = configs.copy()
-        for e, gi in self.shifts:
-            out[:, e] = add[out[:, e].astype(np.int64), gi].astype(configs.dtype)
-        return alive, pnum, out
+        return alive, pnum
 
 
 @dataclass(frozen=True)
@@ -216,20 +230,11 @@ class OpSum:
     def adjoint(self) -> "OpSum":
         return OpSum(tuple((np.conj(a), m.adjoint()) for a, m in self.terms))
 
-    def simplify(self) -> "OpSum":
-        acc: dict[AffineMap, complex] = {}
-        for a, m in self.terms:
-            acc[m] = acc.get(m, 0.0 + 0.0j) + a
-        return OpSum(tuple((a, m) for m, a in acc.items() if abs(a) > 0.0))
-
     def support(self) -> frozenset[int]:
         out: set[int] = set()
         for _, m in self.terms:
             out |= m.support()
         return frozenset(out)
-
-    def commutator(self, other: "OpSum") -> "OpSum":
-        return self.compose(other) - other.compose(self)
 
     # -- action -----------------------------------------------------------------
 
@@ -323,8 +328,13 @@ def _enumerate_configs(edges: Sequence[int], n_edges: int, radix: int) -> np.nda
     """All configurations supported on `edges`, zero elsewhere."""
     k = len(edges)
     n = radix**k
-    if n > MATRIX_DIM_CAP:
-        raise OperatorError(f"support enumeration of {n} rows exceeds cap {MATRIX_DIM_CAP}")
+    nbytes = n * n_edges
+    if n > MATRIX_DIM_CAP or nbytes > CONFIG_BYTES_CAP:
+        raise OperatorError(
+            f"support enumeration of {radix}^{k} = {n} rows x {n_edges} edges"
+            f" ({nbytes} bytes) is above the cap of {MATRIX_DIM_CAP} rows"
+            f" and {CONFIG_BYTES_CAP} bytes"
+        )
     configs = np.zeros((n, n_edges), dtype=np.uint8)
     idx = np.arange(n)
     for pos, e in enumerate(edges):
@@ -372,17 +382,35 @@ def to_matrix(op, lat: Lattice) -> sp.csr_matrix:
     return support_matrix(op, list(lat.edges()), lat.n_edges)
 
 
-def ops_equal(a, b, n_edges: int, extra_support: Iterable[int] = ()) -> float:
-    """Max entrywise deviation between two operators, checked exactly on the
-    joint support subspace (an operator identity holds iff this is ~0)."""
-    sa, sb = as_opsum(a), as_opsum(b)
-    support = set(sa.support()) | set(sb.support()) | set(extra_support)
-    if not support:
-        support = {0}
-    ma = support_matrix(sa, sorted(support), n_edges)
-    mb = support_matrix(sb, sorted(support), n_edges)
-    diff = (ma - mb).tocoo()
-    return float(np.max(np.abs(diff.data))) if diff.nnz else 0.0
+def ops_equal(a, b, n_edges: int) -> float:
+    """Max entrywise deviation between two operators on their joint support
+    subspace (an operator identity holds iff this is ~0).
+
+    A map sends |m> to c phase(m) delta(m) |m + s>, so in column m terms
+    with different shifts s land on different rows, and the entry at
+    (m + s, m) of a - b is the sum over the terms with shift s. That sum
+    reads m only on the diagonal edges (those of delta and character
+    expressions); shifted edges move the row but change no entry. The max
+    |bucket sum| over the diagonal edges' configurations alone is therefore
+    the max entry of support_matrix(a) - support_matrix(b), from |G|^d rows
+    instead of |G|^k."""
+    terms = [(0, c, m) for c, m in as_opsum(a).terms] + [(1, c, m) for c, m in as_opsum(b).terms]
+    if not terms:
+        return 0.0
+    group = terms[0][2].group
+    e_id = group.index_of(group.identity())
+    diagonal = set().union(*(m.diagonal_edges() for _, _, m in terms))
+    configs = _enumerate_configs(sorted(diagonal), n_edges, group.order)
+    roots = group.tables()["roots"]
+    # per shift, a's and b's sums kept apart: their difference rounds as the
+    # difference of the two summed matrices does
+    buckets: dict[tuple, list] = {}
+    for side, coeff, m in terms:
+        alive, pnum = m.diagonal(configs)
+        shift = tuple(sorted((e, gi) for e, gi in m.shifts if gi != e_id))
+        sums = buckets.setdefault(shift, [0.0, 0.0])
+        sums[side] = sums[side] + np.where(alive, roots[pnum] * coeff, 0.0)
+    return max(float(np.max(np.abs(np.subtract(*sums)))) for sums in buckets.values())
 
 
 # -- triangle operators ---------------------------------------------------------------

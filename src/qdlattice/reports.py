@@ -118,39 +118,3 @@ def schema() -> dict:
     path = os.path.join(os.path.dirname(__file__), "report_schema.json")
     with open(path) as fh:
         return json.load(fh)
-
-
-def validate_report(data: dict) -> list[str]:
-    """Schema conformance problems (empty list when valid)."""
-    problems = []
-    for key in ("schema_version", "experiment", "config", "checks", "tables", "passed"):
-        if key not in data:
-            problems.append(f"missing key {key!r}")
-    if problems:
-        return problems
-    if not isinstance(data["experiment"], str):
-        problems.append("experiment must be a string")
-    if not isinstance(data["config"], dict):
-        problems.append("config must be an object")
-    if not isinstance(data["checks"], list):
-        problems.append("checks must be a list")
-    else:
-        for i, c in enumerate(data["checks"]):
-            for key in ("name", "law", "status", "max_error"):
-                if key not in c:
-                    problems.append(f"check {i} missing {key!r}")
-            if c.get("status") not in ("pass", "fail"):
-                problems.append(f"check {i} has bad status {c.get('status')!r}")
-            if not c.get("law"):
-                problems.append(f"check {i} must cite a law or 'plumbing'")
-    if not isinstance(data["tables"], dict):
-        problems.append("tables must be an object")
-    return problems
-
-
-def worker_count() -> int:
-    """Worker cap from the QDL_THREADS environment variable (default 1)."""
-    try:
-        return max(1, int(os.environ.get("QDL_THREADS", "1")))
-    except ValueError:
-        return 1

@@ -1,13 +1,19 @@
 import json
 
+import jsonschema
 import pytest
 
 from qdlattice.cli import main
-from qdlattice.reports import Report, report_json, validate_report, worker_count
+from qdlattice.reports import Report, RunConfig, report_json, schema
 
 
 def run_cli(args):
     return main(args)
+
+
+def schema_errors(data):
+    """Violations of the published report schema (empty when valid)."""
+    return list(jsonschema.Draft202012Validator(schema()).iter_errors(data))
 
 
 def test_groundstate_run_and_schema(tmp_path):
@@ -26,7 +32,7 @@ def test_groundstate_run_and_schema(tmp_path):
     )
     assert code == 0
     data = json.loads(out.read_text())
-    assert validate_report(data) == []
+    assert schema_errors(data) == []
     assert data["passed"] is True
     assert all(c["law"] for c in data["checks"])
 
@@ -110,46 +116,29 @@ def test_malformed_specs_error(capsys):
 
 
 def test_report_validation_catches_problems():
-    rep = Report("demo", {})
+    rep = Report("demo", RunConfig("demo").__dict__.copy())
     rep.add("ok", "plumbing", True, 0.0)
+    valid = json.loads(report_json(rep))
+    assert schema_errors(valid) == []
     data = json.loads(report_json(rep))
-    assert validate_report(data) == []
     data["checks"][0].pop("law")
-    assert validate_report(data)
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("QDL_THREADS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("QDL_THREADS", "4")
-    assert worker_count() == 4
-    monkeypatch.setenv("QDL_THREADS", "bogus")
-    assert worker_count() == 1
+    assert schema_errors(data)
+    data = json.loads(report_json(rep))
+    data["checks"][0]["max_error"] = -1.0
+    assert schema_errors(data)
+    data = json.loads(report_json(rep))
+    data["wall_time"] = 1.0
+    assert schema_errors(data)
 
 
 def test_published_schema_validates_reports(tmp_path):
-    jsonschema = pytest.importorskip("jsonschema")
-    from qdlattice.reports import schema
-
     out = tmp_path / "r.json"
     for exp, grp in [("groundstate", "z2"), ("smatrix", "z2"), ("deform", "z2")]:
         args = ["--experiment", exp, "--group", grp, "--out", str(out)]
         if exp in ("groundstate", "deform"):
             args += ["--lattice", "3x3:plane"]
         assert run_cli(args) == 0
-        data = json.loads(out.read_text())
-        jsonschema.validate(data, schema())
-        assert validate_report(data) == []
-
-
-def test_thread_cap_preserves_determinism(tmp_path, monkeypatch):
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    args = ["--experiment", "smatrix", "--group", "z2", "--seed", "3"]
-    monkeypatch.delenv("QDL_THREADS", raising=False)
-    assert run_cli(args + ["--out", str(a)]) == 0
-    monkeypatch.setenv("QDL_THREADS", "3")
-    assert run_cli(args + ["--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
+        assert schema_errors(json.loads(out.read_text())) == []
 
 
 @pytest.mark.parametrize(

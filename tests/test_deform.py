@@ -2,11 +2,13 @@ import random
 
 import pytest
 
-from qdlattice.deform import is_deformation_pair, sample_ribbon_pairs
+from qdlattice.deform import PATH_NODE_CAP, _paths_between, is_deformation_pair, sample_ribbon_pairs
 from qdlattice.groups import group_make
+from qdlattice.experiments import run_deform
 from qdlattice.groundstate import ground_state
 from qdlattice.lattice import Site, lattice_make, ribbon_between, ribbon_invert
 from qdlattice.operators import as_opsum, ribbon_F, ribbon_F_irrep, same_action, star_g
+from qdlattice.reports import RunConfig
 from qdlattice.states import distance, inner
 
 Z2 = group_make([2])
@@ -94,3 +96,23 @@ def test_inversion_expectation_identity():
             (as_opsum(ribbon_F(lat, Z2, rbar, (1,), (0,))) @ A @ as_opsum(ribbon_F(lat, Z2, rbar, (0,), (1,)))).apply(omega),
         )
         assert abs(lhs - rhs) < 1e-12
+
+
+def test_path_search_reports_the_node_cap():
+    lat = lattice_make(3, 4, "plane")
+    s0 = Site(lat.vertex_id(0, 0), lat.face_id(0, 0))
+    s1 = Site(lat.vertex_id(2, 2), lat.face_id(1, 1))
+    max_len = len(ribbon_between(s0, s1, lat)) + 8
+    full, capped = _paths_between(lat, s0, s1, max_len)
+    assert not capped and len(full) > 1
+    partial, capped = _paths_between(lat, s0, s1, max_len, node_cap=20)
+    assert capped
+    assert {p.triangles for p in partial} <= {p.triangles for p in full}
+
+
+def test_deform_report_counts_capped_searches():
+    lat = lattice_make(3, 3, "plane")
+    rep = run_deform(RunConfig("deform", seed=3), Z2, lat, pairs=20)
+    details = rep.checks[0].details
+    assert details.startswith("20 seeded ribbon pairs; 0 of ")
+    assert details.endswith(f" path searches hit the {PATH_NODE_CAP}-node cap")

@@ -1,13 +1,18 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import assume, given, settings, strategies as st
 
 from qdlattice.groups import group_make
 from qdlattice.groundstate import all_configs, face_flux
-from qdlattice.lattice import Ribbon, Site, lattice_make, make_triangle, ribbon_between
+from qdlattice.lattice import LatticeError, Ribbon, Site, lattice_make, make_triangle, ribbon_between
 from qdlattice.operators import (
+    CONFIG_BYTES_CAP,
+    MATRIX_DIM_CAP,
     AffineMap,
     OperatorError,
     OpSum,
@@ -268,3 +273,156 @@ def test_vacuum_detectors_fix_ground_states():
     # a nontrivial detector annihilates the vacuum
     D_e = charge_projector(lat, Z3, s, (1,), Z3.identity())
     assert D_e.apply(omega).norm() < 1e-12
+
+
+def test_enumeration_refuses_wide_rows_before_allocating():
+    # 2^20 rows is within the row cap, but 2^20 rows x 288 edges of uint8
+    # is 302 MB
+    lat = lattice_make(12, 12, "torus")
+    s = Site(lat.vertex_id(5, 5), lat.face_id(5, 5))
+    op = star_g(lat, Z2, s, (1,))
+    support = sorted(set(op.support()) | set(range(20 - len(op.support()))))
+    assert len(support) == 20 and Z2.order ** len(support) <= MATRIX_DIM_CAP
+    tracemalloc.start()
+    try:
+        with pytest.raises(OperatorError, match=r"2\^20 = 1048576 rows x 288 edges \(301989888 bytes\)") as err:
+            support_matrix(op, support, lat.n_edges)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f"{CONFIG_BYTES_CAP} bytes" in str(err.value)
+    assert peak < 1 << 20
+
+
+# -- ops_equal against the support_matrix oracle ---------------------------------------
+
+DIFF_GROUPS = {spec: group_make(dims) for spec, dims in [("z2", [2]), ("z3", [3]), ("z4", [4]), ("z2xz2", [2, 2])]}
+DIFF_LATTICES = [(w, kind) for w in (2, 3) for kind in ("torus", "plane")]
+ORACLE_ROWS = 1 << 16
+
+
+def _oracle_deviation(a, b, ne):
+    """max |support_matrix(a) - support_matrix(b)| on the joint support."""
+    a, b = as_opsum(a), as_opsum(b)
+    support = sorted(a.support() | b.support()) or [0]
+    n = a.terms[0][1].group.order ** len(support)
+
+    def matrix(op):
+        return support_matrix(op, support, ne) if op.terms else sp.csr_matrix((n, n))
+
+    diff = matrix(a) - matrix(b)
+    return float(abs(diff).max()) if diff.nnz else 0.0
+
+
+def _local_sites(lat):
+    """Sites at the corners of one face, so drawn operators stay small."""
+    corners = set(lat.face_corners_ccw(lat.face_id(1, 1) if lat.n_faces > 1 else 0))
+    return [s for s in lat.sites() if s.vertex in corners]
+
+
+def _piece(draw, lat, grp):
+    elems, chars = grp.elements(), grp.characters()
+    sites = _local_sites(lat)
+    g, h = draw(st.sampled_from(elems)), draw(st.sampled_from(elems))
+    kind = draw(st.sampled_from(["ribbon", "irrep", "star", "plaquette"]))
+    m = None
+    if kind in ("ribbon", "irrep"):
+        try:
+            rho = ribbon_between(draw(st.sampled_from(sites)), draw(st.sampled_from(sites)), lat)
+        except LatticeError:
+            rho = None
+        if rho is not None and not rho.is_trivial:
+            if kind == "ribbon":
+                m = ribbon_F(lat, grp, rho, g, h)
+            else:
+                m = ribbon_F_irrep(lat, grp, rho, draw(st.sampled_from(chars)), g)
+        else:
+            kind = "plaquette"
+    if kind == "star":
+        full = [s for s in sites if lat.has_full_star(s.vertex)]
+        m = star_g(lat, grp, draw(st.sampled_from(full)), g) if full else None
+        kind = "plaquette" if m is None else kind
+    if kind == "plaquette":
+        m = plaq_h(lat, grp, draw(st.sampled_from(sites)), h)
+    return m.adjoint() if draw(st.booleans()) else m
+
+
+def _term(draw, lat, grp):
+    m = _piece(draw, lat, grp)
+    for _ in range(draw(st.integers(0, 1))):
+        m = _piece(draw, lat, grp).compose(m)
+    return m
+
+
+def _coeff(draw):
+    return draw(st.complex_numbers(min_magnitude=0.1, max_magnitude=1))
+
+
+def _with_identity_entry(m, edge):
+    """The same operator with an explicit shift by the identity on `edge`."""
+    e_id = m.group.index_of(m.group.identity())
+    shifts = tuple(sorted(m.shifts + ((edge, e_id),)))
+    return AffineMap(m.group, m.n_edges, shifts, m.deltas, m.chars, m.phase)
+
+
+@st.composite
+def _op_pairs(draw):
+    grp = DIFF_GROUPS[draw(st.sampled_from(sorted(DIFF_GROUPS)))]
+    w, boundary = draw(st.sampled_from(DIFF_LATTICES))
+    lat = lattice_make(w, w, boundary)
+    a = [(_coeff(draw), _term(draw, lat, grp)) for _ in range(draw(st.integers(1, 3)))]
+    kind = draw(st.sampled_from(["independent", "rewritten", "perturbed"]))
+    if kind == "independent":
+        b = [(_coeff(draw), _term(draw, lat, grp)) for _ in range(draw(st.integers(0, 3)))]
+    else:
+        # the same operator written differently: terms permuted, an
+        # equal-shift pair with cancelling coefficients (one side carrying an
+        # identity shift entry), and a zero-scaled term
+        b = list(draw(st.permutations(a)))
+        c, m = _coeff(draw), _term(draw, lat, grp)
+        edge = draw(st.sampled_from(sorted(m.support() or {0})))
+        b += [(c, m), (-c, _with_identity_entry(m, edge)), (0.0, _term(draw, lat, grp))]
+        if kind == "perturbed":
+            b.append((_coeff(draw), _term(draw, lat, grp)))
+    return lat, grp, OpSum.weighted(a), OpSum.weighted(b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_op_pairs())
+def test_ops_equal_matches_support_matrix_oracle(case):
+    lat, grp, a, b = case
+    assume(grp.order ** len(a.support() | b.support()) <= ORACLE_ROWS)
+    assert abs(ops_equal(a, b, lat.n_edges) - _oracle_deviation(a, b, lat.n_edges)) < 1e-12
+
+
+def test_ops_equal_ignores_identity_shift_entries_and_zero_terms():
+    lat = lattice_make(3, 3, "torus")
+    grp = group_make([4])
+    s = Site(lat.vertex_id(1, 1), lat.face_id(1, 1))
+    m = star_g(lat, grp, s, (1,)).compose(plaq_h(lat, grp, s, (2,)))
+    # an identity entry on an edge m does not touch, and one on a shifted edge
+    outside = min(set(range(lat.n_edges)) - m.support())
+    marked = _with_identity_entry(_with_identity_entry(m, outside), m.shifts[0][0])
+    zero = OpSum.weighted([(0.0, star_g(lat, grp, s, (3,)))])
+    assert ops_equal(OpSum.of(marked) + zero, m, lat.n_edges) == 0
+    assert _oracle_deviation(OpSum.of(marked) + zero, m, lat.n_edges) == 0
+
+
+def test_ops_equal_enumerates_only_diagonal_edges():
+    # stars at three far-apart vertices shift 12 edges and read none, and the
+    # plaquette reads 4: the joint support of 16 edges would need 4^16 rows,
+    # above MATRIX_DIM_CAP, while the identity reads only 4^4 configurations
+    lat = lattice_make(7, 7, "torus")
+    grp = group_make([4])
+    sites = [Site(lat.vertex_id(x, y), lat.face_id(x, y)) for x, y in ((1, 1), (3, 4), (5, 2))]
+    stars = [star_g(lat, grp, s, g) for s, g in zip(sites, [(1,), (2,), (3,)])]
+    plaq = plaq_h(lat, grp, Site(lat.vertex_id(4, 6), lat.face_id(4, 6)), (1,))
+    lhs = stars[0].compose(stars[1]).compose(plaq).compose(stars[2])
+    rhs = plaq.compose(stars[2]).compose(stars[1]).compose(stars[0])
+    support = lhs.support() | rhs.support()
+    assert len(support - lhs.diagonal_edges()) > 10
+    with pytest.raises(OperatorError):
+        support_matrix(lhs, sorted(support), lat.n_edges)
+    assert ops_equal(lhs, rhs, lat.n_edges) == 0
+    wrong = plaq.compose(stars[2]).compose(stars[1])
+    assert ops_equal(lhs, wrong, lat.n_edges) == 1.0
