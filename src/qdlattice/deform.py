@@ -23,6 +23,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
+from .groundstate import _torus_cocycle, face_fluxes
 from .groups import AbelianGroup, Element
 from .lattice import Lattice, LatticeError, Ribbon, positive_moves, ribbon_between
 from .operators import ribbon_F
@@ -53,15 +54,13 @@ def is_deformation_pair(lat: Lattice, group: AbelianGroup, r1: Ribbon, r2: Ribbo
     so their operators agree on every stabilized state."""
     if r1.start != r2.start or r1.end != r2.end:
         return False
-    from .groundstate import face_flux
-
     gens = [g for g in group.elements() if g != group.identity()]
     for h in gens:
         s1 = shift_pattern(lat, group, r1, h)
         s2 = shift_pattern(lat, group, r2, h)
-        for f in lat.faces():
-            if face_flux(lat, group, s1, f)[0] != face_flux(lat, group, s2, f)[0]:
-                return False
+        fluxes = face_fluxes(lat, group, np.concatenate([s1, s2]))
+        if not np.array_equal(fluxes[0], fluxes[1]):
+            return False
         # crossing obstruction: each flux expression must ignore the other's shifts
         if flux_reading(lat, group, r2, s1) != group.identity():
             return False
@@ -69,8 +68,6 @@ def is_deformation_pair(lat: Lattice, group: AbelianGroup, r1: Ribbon, r2: Ribbo
             return False
     if lat.is_torus:
         # equal winding: the flux expressions must agree on the handle cocycles
-        from .groundstate import _torus_cocycle
-
         for hx, hy in ((1, 0), (0, 1)):
             row = _torus_cocycle(lat, group, hx, hy).astype(np.uint8)[None, :]
             if flux_reading(lat, group, r1, row) != flux_reading(lat, group, r2, row):

@@ -486,7 +486,7 @@ def boundary_membership_check(
         "charge-free exterior vectors lie in the cone subspace",
         bool(boundary) and worst <= 1e-9,
         worst,
-        f"{len(boundary)} boundary-to-boundary ribbons",
+        f"{len(boundary)} boundary-to-boundary ribbons of {samples} requested",
     )
 
 

@@ -23,7 +23,7 @@ from .duality import (
 )
 from .groundstate import (
     all_configs,
-    face_flux,
+    face_fluxes,
     count_flat_on_faces,
     connection_projector,
     edges_of_faces,
@@ -474,13 +474,13 @@ def run_groundstate(config: RunConfig, group: AbelianGroup, lat: Lattice) -> Rep
     faces = [0] if lat.n_faces == 1 else [0, 1]
     edges = edges_of_faces(lat, faces)
     n_flat = count_flat_on_faces(lat, group, faces)
+    assignments = list(itertools.product(group.elements(), repeat=len(edges)))
+    rows = np.zeros((len(assignments), lat.n_edges), dtype=np.uint8)
+    rows[:, edges] = [[group.index_of(val) for val in a] for a in assignments]
+    flats = ~np.any(face_fluxes(lat, group, rows)[:, faces], axis=1)
     errs_flat, errs_nonflat = [], []
-    for assignment in itertools.product(group.elements(), repeat=len(edges)):
+    for assignment, flat in zip(assignments, flats):
         sub = dict(zip(edges, assignment))
-        row = np.zeros((1, lat.n_edges), dtype=np.uint8)
-        for e, val in sub.items():
-            row[0, e] = group.index_of(val)
-        flat = all(int(face_flux(lat, group, row, f)[0]) == 0 for f in faces)
         val = omega_expectation(lat, group, connection_projector(lat, group, sub)).real
         if flat:
             errs_flat.append(abs(val - 1.0 / n_flat))
@@ -523,14 +523,15 @@ def run_deform(config: RunConfig, group: AbelianGroup, lat: Lattice, pairs: int 
         "F_rho Omega = F_rho' Omega for same-endpoint deformations",
         count == pairs and _max_err(errs) <= 1e-10,
         _max_err(errs),
-        f"{count} seeded ribbon pairs; {sum(searches)} of {len(searches)} path searches"
-        f" hit the {PATH_NODE_CAP}-node cap",
+        f"{count} seeded ribbon pairs of {pairs} requested; {sum(searches)} of"
+        f" {len(searches)} path searches hit the {PATH_NODE_CAP}-node cap",
     )
 
     # negative control: crossing pairs are detectably different
+    control_pairs = 20
     bad = 0
     tried = 0
-    for r1, r2 in sample_ribbon_pairs(lat, group, rng, 20, deformations=False):
+    for r1, r2 in sample_ribbon_pairs(lat, group, rng, control_pairs, deformations=False):
         tried += 1
         h, g = rng.choice([l for l in labels if l[0] != group.identity() and l[1] != group.identity()] or labels)
         f1 = as_opsum(ribbon_F(lat, group, r1, h, g)).apply(omega)
@@ -542,7 +543,7 @@ def run_deform(config: RunConfig, group: AbelianGroup, lat: Lattice, pairs: int 
         "plumbing",
         tried > 0 and bad == tried,
         float(tried - bad),
-        f"{bad} of {tried} crossing pairs detectably differ",
+        f"{bad} of {tried} crossing pairs detectably differ; {tried} of {control_pairs} requested",
     )
 
     # inversion: the reversed ribbon with inverted labels acts identically

@@ -114,9 +114,10 @@ def face_flux(lat: Lattice, group: AbelianGroup, configs: np.ndarray, f: int) ->
         acc = add[acc, col if sign > 0 else neg[col]]
     return acc
 
-def is_flat(lat: Lattice, group: AbelianGroup, configs: np.ndarray) -> np.ndarray:
-    """Whether every face flux is trivial, per configuration row. All faces
-    are walked at once, in uint8 like the configurations themselves."""
+def face_fluxes(lat: Lattice, group: AbelianGroup, configs: np.ndarray) -> np.ndarray:
+    """Oriented flux index of every face (columns, in face order) for each
+    configuration row. All faces are walked at once, in uint8 like the
+    configurations themselves."""
     t = group.tables()
     add, neg = t["add"].astype(np.uint8), t["neg"].astype(np.uint8)
     walks = np.array(lat.face_walks, dtype=np.int64).reshape(-1, 4, 2)
@@ -124,7 +125,12 @@ def is_flat(lat: Lattice, group: AbelianGroup, configs: np.ndarray) -> np.ndarra
     for j in range(4):
         col = configs[:, walks[:, j, 0]]
         flux = add[flux, np.where(walks[:, j, 1] > 0, col, neg[col])]
-    return ~np.any(flux, axis=1)
+    return flux
+
+
+def is_flat(lat: Lattice, group: AbelianGroup, configs: np.ndarray) -> np.ndarray:
+    """Whether every face flux is trivial, per configuration row."""
+    return ~np.any(face_fluxes(lat, group, configs), axis=1)
 
 
 def all_configs(lat: Lattice, group: AbelianGroup) -> np.ndarray:
@@ -211,10 +217,7 @@ def count_flat_on_faces(lat: Lattice, group: AbelianGroup, faces: list[int]) -> 
     configs = np.zeros((n, lat.n_edges), dtype=np.uint8)
     for k, e in enumerate(edges):
         configs[:, e] = (idx // group.order**k) % group.order
-    ok = np.ones(n, dtype=bool)
-    for f in faces:
-        ok &= face_flux(lat, group, configs, f) == 0
-    return int(np.sum(ok))
+    return int(np.sum(~np.any(face_fluxes(lat, group, configs)[:, faces], axis=1)))
 
 
 def expectation(psi: SparseState, op) -> complex:
@@ -236,7 +239,7 @@ def shift_row(lat: Lattice, m: AffineMap) -> np.ndarray:
 def in_flat_group(lat: Lattice, group: AbelianGroup, row: np.ndarray) -> bool:
     """Whether a one-row configuration lies in the group Ω is uniform over:
     flat, and on the torus also of trivial holonomy."""
-    if not is_flat(lat, group, row)[0]:
+    if face_fluxes(lat, group, row).any():
         return False
     if lat.is_torus:
         hx, hy = torus_holonomies(lat, group, row)

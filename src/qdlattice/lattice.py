@@ -39,6 +39,22 @@ standard form. The star generator then shifts edges pointing out of the
 vertex by the inverse group element and edges pointing in by the element
 itself; the test-suite pins all of this down against the operator algebra
 rather than trusting the prose above.
+
+Site moves
+----------
+
+Every site has at most two positively oriented triangles leaving it (a
+direct step to the next corner counterclockwise around its face, a dual step
+to the next face clockwise around its vertex) and at most two reversed ones
+(the formal inverses of the positive triangles arriving at it). The lattice
+is frozen, so ``Lattice.move_table`` works these out from coordinates once,
+on first use, and maps each site to its (positive, reversed) triangle tuples.
+``positive_moves``, ``reversed_moves`` and ``site_moves`` read the table and
+filter by the allowed edges only when a set is given; every ribbon search
+(``ribbon_between``, deform's path sampler, the duality module's region
+enumeration) goes through them. ``make_triangle`` picks the one move of its
+first site that reaches its second. A site that is not on the lattice
+raises ``LatticeError``.
 """
 
 from __future__ import annotations
@@ -194,24 +210,6 @@ class Lattice:
             self.vertex_id(x, y + 1),
         ]
 
-    def edge_between(self, v0: int, v1: int) -> Optional[int]:
-        """Edge joining two vertices, if adjacent (torus-aware)."""
-        x0, y0 = self.vertex_xy(v0)
-        for kind, dx, dy in (("h", 1, 0), ("v", 0, 1)):
-            try:
-                e = self.edge_id(kind, x0, y0)
-            except LatticeError:
-                e = None
-            if e is not None and self.edge_endpoints(e) == (v0, v1):
-                return e
-            try:
-                e = self.edge_id(kind, x0 - dx, y0 - dy)
-            except LatticeError:
-                e = None
-            if e is not None and self.edge_endpoints(e) == (v1, v0):
-                return e
-        return None
-
     # -- stars and plaquettes --------------------------------------------------
 
     def star_edges(self, v: int) -> list[int]:
@@ -291,6 +289,12 @@ class Lattice:
                 if f is not None:
                     yield Site(v, f)
 
+    @cached_property
+    def move_table(self) -> dict[Site, tuple[tuple["Triangle", ...], tuple["Triangle", ...]]]:
+        """(positive, reversed) triangles leaving every site, in the order
+        ``positive_moves`` and ``reversed_moves`` give them (computed once)."""
+        return {s: (_build_moves(self, s, +1), _build_moves(self, s, -1)) for s in self.sites()}
+
     # -- dual-edge orientation ----------------------------------------------------
 
     def dual_faces(self, e: int) -> tuple[int, int]:
@@ -320,7 +324,7 @@ class Triangle:
         return Triangle(self.kind, self.s1, self.s0, self.edge)
 
 
-def face_edge_between(lat: Lattice, f: int, v0: int, v1: int) -> Optional[int]:
+def _face_edge_between(lat: Lattice, f: int, v0: int, v1: int) -> Optional[int]:
     """The boundary edge of f joining two of its corners. On small tori a
     vertex pair can be joined by several edges; only the one on the face's
     own boundary makes a direct triangle."""
@@ -331,18 +335,13 @@ def face_edge_between(lat: Lattice, f: int, v0: int, v1: int) -> Optional[int]:
 
 
 def make_triangle(lat: Lattice, s0: Site, s1: Site) -> Triangle:
-    """The unique triangle from s0 to s1, when the sites are one step apart."""
-    if s0 == s1:
-        raise LatticeError("degenerate triangle")
-    if s0.face == s1.face:
-        e = face_edge_between(lat, s0.face, s0.vertex, s1.vertex)
-        if e is None:
-            raise LatticeError("direct triangle needs face corners joined by a boundary edge")
-        return Triangle("direct", s0, s1, e)
-    if s0.vertex == s1.vertex:
-        e = _edge_between_faces(lat, s0.vertex, s0.face, s1.face)
-        return Triangle("dual", s0, s1, e)
-    raise LatticeError("sites share neither vertex nor face")
+    """The unique triangle from s0 to s1, when the sites are one step apart:
+    one of s0's positive or reversed moves."""
+    positive, reverse = _table_moves(lat, s0)
+    for tri in positive + reverse:
+        if tri.s1 == s1:
+            return tri
+    raise LatticeError(f"no triangle from {s0} to {s1}: the sites are not one step apart")
 
 
 def _edge_between_faces(lat: Lattice, v: int, f0: int, f1: int) -> int:
@@ -364,8 +363,10 @@ def triangle_is_positive(lat: Lattice, tri: Triangle) -> bool:
         # traverses each boundary edge with the sign reported by plaq_edges.
         sign = dict(lat.plaq_edges(tri.s0.face))[tri.edge]
         return (sign == +1) == along
+    # Travel along the dual edge keeps the primal edge's head on its right.
     d_tail, d_head = lat.dual_faces(tri.edge)
-    return (tri.s0.face, tri.s1.face) == (d_tail, d_head)
+    along = (tri.s0.face, tri.s1.face) == (d_tail, d_head)
+    return along == (tri.s0.vertex == lat.edge_endpoints(tri.edge)[1])
 
 
 def direct_flux_sign(lat: Lattice, tri: Triangle) -> int:
@@ -456,49 +457,46 @@ def ribbon_invert(r: Ribbon) -> Ribbon:
 # -- site moves and pathfinding -------------------------------------------------
 
 
+def _build_moves(lat: Lattice, s: Site, step: int) -> tuple[Triangle, ...]:
+    """Builder of ``Lattice.move_table``: the direct, then the dual triangle
+    from s to the next corner and face (step +1, positively oriented) or to
+    the previous ones (step -1, formal inverses of positive triangles)."""
+    corners = lat.face_corners_ccw(s.face)
+    other = corners[(corners.index(s.vertex) + step) % 4]
+    e = _face_edge_between(lat, s.face, s.vertex, other)
+    out = [Triangle("direct", s, Site(other, s.face), e)]
+    ring = lat.faces_at_vertex_cw(s.vertex)
+    f_other = ring[(ring.index(s.face) + step) % 4]
+    if f_other is not None:  # no face beyond a plane patch's rim
+        e = _edge_between_faces(lat, s.vertex, s.face, f_other)
+        out.append(Triangle("dual", s, Site(s.vertex, f_other), e))
+    return tuple(out)
+
+
+def _table_moves(lat: Lattice, s: Site) -> tuple[tuple[Triangle, ...], tuple[Triangle, ...]]:
+    try:
+        return lat.move_table[s]
+    except KeyError:
+        raise LatticeError(f"{s} is not a site of the {format_lattice(lat)} lattice") from None
+
+
+def _restrict(moves: tuple[Triangle, ...], allowed: Optional[frozenset[int]]) -> list[Triangle]:
+    if allowed is None:
+        return list(moves)
+    return [t for t in moves if t.edge in allowed]
+
+
 def positive_moves(lat: Lattice, s: Site, allowed: Optional[frozenset[int]]) -> list[Triangle]:
     """The (at most two) positively oriented triangles leaving s, direct
     first; restricted to `allowed` edges when given. Deterministic order.
     Both moves cross the site's single outgoing edge, one on each side."""
-    out = []
-    corners = lat.face_corners_ccw(s.face)
-    nxt = corners[(corners.index(s.vertex) + 1) % 4]
-    e = face_edge_between(lat, s.face, s.vertex, nxt)
-    if e is not None and (allowed is None or e in allowed):
-        out.append(Triangle("direct", s, Site(nxt, s.face), e))
-    ring = lat.faces_at_vertex_cw(s.vertex)
-    if s.face in ring:
-        f_next = ring[(ring.index(s.face) + 1) % 4]
-        if f_next is not None:
-            try:
-                e = _edge_between_faces(lat, s.vertex, s.face, f_next)
-            except LatticeError:
-                e = None
-            if e is not None and (allowed is None or e in allowed):
-                out.append(Triangle("dual", s, Site(s.vertex, f_next), e))
-    return out
+    return _restrict(_table_moves(lat, s)[0], allowed)
 
 
 def reversed_moves(lat: Lattice, s: Site, allowed: Optional[frozenset[int]]) -> list[Triangle]:
     """Formal inverses of the positively oriented triangles arriving at s;
     they leave s across its incoming edge."""
-    out = []
-    corners = lat.face_corners_ccw(s.face)
-    prv = corners[(corners.index(s.vertex) - 1) % 4]
-    e = face_edge_between(lat, s.face, s.vertex, prv)
-    if e is not None and (allowed is None or e in allowed):
-        out.append(Triangle("direct", s, Site(prv, s.face), e))
-    ring = lat.faces_at_vertex_cw(s.vertex)
-    if s.face in ring:
-        f_prev = ring[(ring.index(s.face) - 1) % 4]
-        if f_prev is not None:
-            try:
-                e = _edge_between_faces(lat, s.vertex, s.face, f_prev)
-            except LatticeError:
-                e = None
-            if e is not None and (allowed is None or e in allowed):
-                out.append(Triangle("dual", s, Site(s.vertex, f_prev), e))
-    return out
+    return _restrict(_table_moves(lat, s)[1], allowed)
 
 
 def site_moves(
@@ -521,7 +519,10 @@ def ribbon_between(
     """Shortest ribbon from s0 to s1 staying on the region's edges; ties
     broken by the fixed move order. Positively oriented triangles only,
     unless `allow_reversed` admits formal inverses as well. Raises when no
-    edge-disjoint path exists."""
+    edge-disjoint path exists, or when either endpoint is not a site of
+    the lattice."""
+    for s in (s0, s1):
+        _table_moves(lat, s)  # raises for a site that is not on the lattice
     allowed: Optional[frozenset[int]]
     if region is not None:
         allowed = frozenset(region.edges) - frozenset(avoid_edges)
@@ -646,13 +647,6 @@ class Region:
             return False
         halo = self._site_halo(s)
         return any(e in self.edges for e in halo) and any(e not in self.edges for e in halo)
-
-    def site_in_interior_complement(self, s: Site) -> bool:
-        """Star contained in the interior of the complement; the plaquette
-        then stays clear of the region automatically."""
-        inner = self.interior_complement_edges()
-        star = self.lattice.star_edges_partial(s.vertex)
-        return bool(star) and all(e in inner for e in star)
 
     def contains_ribbon(self, r: Ribbon) -> bool:
         return r.edges() <= self.edges

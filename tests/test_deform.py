@@ -114,5 +114,5 @@ def test_deform_report_counts_capped_searches():
     lat = lattice_make(3, 3, "plane")
     rep = run_deform(RunConfig("deform", seed=3), Z2, lat, pairs=20)
     details = rep.checks[0].details
-    assert details.startswith("20 seeded ribbon pairs; 0 of ")
+    assert details.startswith("20 seeded ribbon pairs of 20 requested; 0 of ")
     assert details.endswith(f" path searches hit the {PATH_NODE_CAP}-node cap")

@@ -14,6 +14,7 @@ from qdlattice.groundstate import (
     edges_of_faces,
     expectation,
     face_flux,
+    face_fluxes,
     flat_connection_count,
     flat_connections,
     ground_space,
@@ -387,3 +388,17 @@ def test_split_negative_control_correlates(spec):
     assert control.name == "adjacent supports do correlate (negative control)"
     assert control.status == "pass" and control.max_error > 1e-6
     assert rep.all_passed
+
+
+@pytest.mark.parametrize("spec", GROUP_SPECS)
+@pytest.mark.parametrize("dims,boundary", [((2, 2), "torus"), ((3, 3), "torus"), ((3, 4), "plane")])
+def test_face_fluxes_match_per_face_oracle(spec, dims, boundary):
+    """Every column of the all-faces walk equals the per-face walk, on
+    random configuration rows."""
+    lat, grp = lattice_make(*dims, boundary), parse_group(spec)
+    rows = np.random.default_rng(7).integers(0, grp.order, (300, lat.n_edges), dtype=np.uint8)
+    fluxes = face_fluxes(lat, grp, rows)
+    assert fluxes.shape == (len(rows), lat.n_faces)
+    for f in lat.faces():
+        assert np.array_equal(fluxes[:, f], face_flux(lat, grp, rows, f))
+    assert np.array_equal(is_flat(lat, grp, rows), ~np.any(fluxes, axis=1))

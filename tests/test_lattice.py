@@ -7,6 +7,7 @@ from qdlattice.lattice import (
     Region,
     Ribbon,
     Site,
+    Triangle,
     closed_loop_around,
     cone_make,
     lattice_make,
@@ -15,6 +16,7 @@ from qdlattice.lattice import (
     parse_lattice,
     format_lattice,
     positive_moves,
+    reversed_moves,
     ribbon_between,
     ribbon_concat,
     ribbon_invert,
@@ -350,3 +352,87 @@ def test_cone_conditions_exhaustive():
     assert south and west
     assert all(s in largest for s in south)
     assert all(s in largest for s in west)
+
+
+MOVE_LATTICES = [(w, h, b) for w, h in ((2, 2), (3, 3), (3, 4)) for b in ("plane", "torus")]
+
+
+def _coordinate_triangle(lat, s0, s1):
+    """The triangle from s0 to s1 worked out from coordinates, or None when
+    the sites are not one step apart: a direct step along the boundary edge
+    of their shared face that joins their vertices, or a dual step across
+    the one edge at their shared vertex that their faces have in common."""
+    if s0 == s1:
+        return None
+    if s0.face == s1.face:
+        ends = {s0.vertex, s1.vertex}
+        edges = [e for e, _ in lat.plaq_edges(s0.face) if set(lat.edge_endpoints(e)) == ends]
+        kind = "direct"
+    elif s0.vertex == s1.vertex:
+        common = {e for e, _ in lat.plaq_edges(s0.face)} & {e for e, _ in lat.plaq_edges(s1.face)}
+        edges = [e for e in common if s0.vertex in lat.edge_endpoints(e)]
+        kind = "dual"
+    else:
+        return None
+    return Triangle(kind, s0, s1, edges[0]) if len(edges) == 1 else None
+
+
+def _oracle_moves(lat, s):
+    """(positive, reversed) moves at s from coordinates: the one-step
+    triangles that triangle_is_positive accepts, leaving s or, reversed,
+    arriving at s. Direct before dual, as positive_moves orders them."""
+    out, back = [], []
+    for t in lat.sites():
+        tri = _coordinate_triangle(lat, s, t)
+        if tri is not None and triangle_is_positive(lat, tri):
+            out.append(tri)
+        tri = _coordinate_triangle(lat, t, s)
+        if tri is not None and triangle_is_positive(lat, tri):
+            back.append(tri.reversed())
+    return sorted(out, key=lambda t: t.kind), sorted(back, key=lambda t: t.kind)
+
+
+@pytest.mark.parametrize("w,h,boundary", MOVE_LATTICES)
+def test_move_table_matches_oracle(w, h, boundary):
+    """Table-backed moves equal the oracle's on every site, unrestricted and
+    restricted to random edge subsets, and make_triangle equals the
+    coordinate triangle for every pair of sites. On the 2x2 torus two edges
+    join some vertex pairs, so only the face's own boundary edge may be used."""
+    lat = lattice_make(w, h, boundary)
+    rng = random.Random(w * 10 + h + (boundary == "torus"))
+    assert set(lat.move_table) == set(lat.sites())
+    for s in lat.sites():
+        pos, rev = _oracle_moves(lat, s)
+        assert positive_moves(lat, s, None) == pos
+        assert reversed_moves(lat, s, None) == rev
+        assert site_moves(lat, s, None, True) == pos + rev
+        for _ in range(4):
+            allowed = frozenset(e for e in lat.edges() if rng.random() < 0.5)
+            assert positive_moves(lat, s, allowed) == [t for t in pos if t.edge in allowed]
+            assert reversed_moves(lat, s, allowed) == [t for t in rev if t.edge in allowed]
+        for t in lat.sites():
+            want = _coordinate_triangle(lat, s, t)
+            if want is None:
+                with pytest.raises(LatticeError):
+                    make_triangle(lat, s, t)
+            else:
+                assert make_triangle(lat, s, t) == want
+
+
+def test_moves_off_lattice_site_raise():
+    lat = lattice_make(3, 3, "torus")
+    bad = Site(0, 4)  # face 4 = (1,1) has no corner at vertex 0
+    good = Site(0, 0)
+    msg = r"Site\(vertex=0, face=4\) is not a site of the 3x3:torus lattice"
+    for call in (
+        lambda: positive_moves(lat, bad, None),
+        lambda: reversed_moves(lat, bad, frozenset(lat.edges())),
+        lambda: ribbon_between(bad, good, lat),
+        lambda: ribbon_between(good, bad, lat),
+        lambda: ribbon_between(bad, bad, lat),
+        lambda: make_triangle(lat, bad, good),
+    ):
+        with pytest.raises(LatticeError, match=msg):
+            call()
+    with pytest.raises(LatticeError, match="not a site"):
+        positive_moves(lattice_make(3, 3, "plane"), Site(100, 0), None)
