@@ -45,14 +45,12 @@ ground state, plus i times self-adjoint exterior operators compressed to
 H_Lambda, must span H_Lambda over the reals; dropping the compressed family
 must leave a strict deficit. The density check builds both families as
 coordinate blocks; only its 40 sampled exterior ribbon operators are
-applied to Omega.
+applied to Omega. The orthogonality check needs no Omega at all: H_Lambda is
+spanned by the M Omega for the region's edge monomials M, so it reads
+<M Omega|F Omega> = omega(M^dagger F) from the flat-connection group.
 
-What still materializes: Omega itself, and the exterior ribbon states of
-the orthogonality and membership checks. On patches without a deep
-detector the orthogonality check runs on a 4x4 enlargement, whose Omega has
-|G|^15 rows (32768 for z2); its ribbons are applied there as states because
-their coordinates are needed against H_Lambda, and an exterior ribbon is
-not a region operator with a support matrix.
+What still materializes: Omega itself, and the exterior ribbon states of the
+membership check and of the density check's flavour family.
 """
 
 from __future__ import annotations
@@ -66,6 +64,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
+from .groundstate import OMEGA_ROWS_CAP, face_fluxes, omega_expectation, shift_row
 from .groups import AbelianGroup
 from .lattice import Lattice, LatticeError, Region, Ribbon, Site, Triangle, positive_moves
 from .operators import AffineMap, OpSum, as_opsum, ribbon_F_irrep, support_matrix
@@ -73,7 +72,7 @@ from .reports import Check
 from .states import SparseState, gram_matrix, orthonormal_coeffs
 
 SUBSPACE_TOL = 1e-9
-# entries of the density check's real coefficient matrix (family x 2 dim)
+# entries of a dense block: density matrix (family x 2 dim), residual (|G|^k x keys)
 DENSITY_ENTRIES_CAP = 1 << 24
 
 
@@ -133,6 +132,21 @@ def _codes(configs: np.ndarray, edges: Sequence[int], radix: int) -> np.ndarray:
     return out
 
 
+def _key_matrix(states: Sequence[SparseState], edges: Sequence[int], radix: int):
+    """(sorted joint keys on `edges`, the states' amplitudes as the columns of a
+    sparse matrix over those keys)."""
+    keys = [_codes(psi.configs, edges, radix) for psi in states]
+    uniq, rows = np.unique(np.concatenate(keys), return_inverse=True)
+    cols = np.repeat(np.arange(len(states)), [len(kk) for kk in keys])
+    amps = np.concatenate([psi.amps for psi in states])
+    return uniq, sp.csr_matrix((amps, (rows, cols)), shape=(len(uniq), len(states)))
+
+
+def _fill_edges(lat: Lattice, region: Region) -> list[int]:
+    """The region edges with a dual triangle, in order: those region operators shift."""
+    return [e for e in sorted(region.edges) if not lat.is_rim(e)]
+
+
 @dataclass
 class ConeSubspace:
     """H_Lambda = C^(|G|^k) tensor W in tensor coordinates: a block X of
@@ -152,10 +166,6 @@ class ConeSubspace:
     def dim(self) -> int:
         return self.omega_coeffs.size
 
-    @property
-    def region_edges(self) -> list[int]:
-        return sorted(self.region.edges)
-
     def _buckets(self, psi: SparseState) -> tuple[sp.csr_matrix, float]:
         """psi's amplitudes as a (region index, exterior key) matrix over the
         keys of W, and the squared norm of psi's rows off those keys."""
@@ -171,9 +181,6 @@ class ConeSubspace:
     def coeffs(self, psi: SparseState) -> np.ndarray:
         """<a tensor w_j | psi> as a (|G|^k, dim W) block."""
         return (self._buckets(psi)[0] @ self.w_conj).toarray()
-
-    def projection_norm(self, psi: SparseState) -> float:
-        return float(np.linalg.norm(self.coeffs(psi)))
 
     def residual(self, psi: SparseState) -> float:
         """Distance from psi to H_Lambda, summed from psi's rows minus their
@@ -202,7 +209,7 @@ class ConeSubspace:
         assert not any(e in pinned for _, m in opsum.terms for e, _ in m.shifts), (
             "rim edges carry no dual triangle, so no region operator shifts them"
         )
-        s = support_matrix(opsum, self.region_edges, self.lat.n_edges)
+        s = support_matrix(opsum, sorted(self.region.edges), self.lat.n_edges)
         c = self._region_block
         at = (self.region_rows, np.arange(c.shape[1]))
         return (s @ c)[at], (s.T @ c.conj()).conj()[at]
@@ -218,17 +225,13 @@ def cone_subspace(
     region: Region, lat: Lattice, group: AbelianGroup, omega: SparseState
 ) -> ConeSubspace:
     """H_Lambda in factorized coordinates: Omega's rows are bucketed by
-    their rim values and region configuration, and each rim group's exterior
+    their rim values and region configuration, and the buckets' exterior
     restrictions are orthonormalized, with Omega's coefficients tracked."""
+    from scipy.sparse.csgraph import connected_components  # only the Haag checks need it
+
     radix = group.order
     region_edges = sorted(region.edges)
-    fill_edges = []
-    for e in region_edges:
-        try:
-            lat.dual_faces(e)
-            fill_edges.append(e)
-        except LatticeError:
-            pass
+    fill_edges = _fill_edges(lat, region)
     ext_edges = sorted(set(lat.edges()) - set(fill_edges))
     if radix ** len(ext_edges) > np.iinfo(np.int64).max:
         raise DualityError(
@@ -248,37 +251,31 @@ def cone_subspace(
     cuts = np.flatnonzero(np.diff(rims[order]) | np.diff(fills[order])) + 1
     buckets = np.split(order, cuts)
 
-    blocks, w_states, w_rims = [], [], []
-    for rim in np.unique(rims):
-        group_buckets = [b for b in buckets if rims[b[0]] == rim]
-        vectors = [
-            SparseState.from_terms(exterior[b], omega.amps[b], lat.n_edges, radix)
-            for b in group_buckets
-        ]
-        basis, coeffs = orthonormal_coeffs(vectors, SUBSPACE_TOL)
-        block = np.zeros((radix**k, len(basis)), dtype=np.complex128)
-        block[[fills[b[0]] for b in group_buckets]] = coeffs
-        blocks.append(block)
-        w_states += basis
-        w_rims += [rim] * len(basis)
-
-    keys = [_codes(w.configs, ext_edges, radix) for w in w_states]
-    ext_keys, key_col = np.unique(np.concatenate(keys), return_inverse=True)
-    w_col = np.repeat(np.arange(len(w_states)), [len(kk) for kk in keys])
-    amps = np.concatenate([w.amps for w in w_states])
-    w_conj = sp.csr_matrix(
-        (amps.conj(), (key_col, w_col)), shape=(len(ext_keys), len(w_states))
-    )
+    # Restrictions that share no exterior key are exactly orthogonal, and
+    # modified Gram-Schmidt skips exact zero overlaps: orthonormalizing each
+    # connected component of shared keys on its own, with the columns put
+    # back in the order of the vectors that produced them, reproduces
+    # Gram-Schmidt over each whole rim group bit for bit.
+    vectors = [
+        SparseState.from_terms(exterior[b], omega.amps[b], lat.n_edges, radix) for b in buckets
+    ]
+    incidence = abs(_key_matrix(vectors, ext_edges, radix)[1])
+    n_comp, component = connected_components(incidence.T @ incidence, directed=False)
+    heads = [b[0] for b in buckets]
+    columns = []  # (producing vector, basis vector, member vectors, coefficients)
+    for c in range(n_comp):
+        members = np.flatnonzero(component == c)
+        basis, coeffs = orthonormal_coeffs([vectors[i] for i in members], SUBSPACE_TOL)
+        for j, w in enumerate(basis):
+            columns.append((members[np.argmax(coeffs[:, j] != 0)], w, members, coeffs[:, j]))
+    columns.sort(key=lambda col: col[0])
+    omega_coeffs = np.zeros((radix**k, len(columns)), dtype=np.complex128)
+    for j, (_, _, members, coeff) in enumerate(columns):
+        omega_coeffs[fills[heads][members], j] = coeff
+    region_rows = fill_rows[:, None] + rims[heads][[col[0] for col in columns]][None, :]
+    ext_keys, w = _key_matrix([col[1] for col in columns], ext_edges, radix)
     return ConeSubspace(
-        region,
-        lat,
-        group,
-        fill_edges,
-        ext_edges,
-        ext_keys,
-        w_conj,
-        np.hstack(blocks),
-        fill_rows[:, None] + np.array(w_rims, dtype=np.int64)[None, :],
+        region, lat, group, fill_edges, ext_edges, ext_keys, w.conj(), omega_coeffs, region_rows
     )
 
 
@@ -338,17 +335,18 @@ def ribbon_closure_rank(
 # -- exterior checks -----------------------------------------------------------------
 
 
-def detecting_exterior_sites(lat: Lattice, region: Region) -> list[Site]:
-    """Sites carrying a complete star or plaquette inside the interior of
-    the complement: the places where a deep excitation is detectable, which
-    is the hypothesis of the orthogonality statement."""
+def detecting_exterior_sites(lat: Lattice, region: Region) -> dict[Site, tuple[bool, bool]]:
+    """(star detector, plaquette detector) of each site carrying a complete
+    star or plaquette inside the interior of the complement: the places
+    where a deep excitation is detectable, which is the hypothesis of the
+    orthogonality statement."""
     interior = region.interior_complement_edges()
-    out = []
+    out = {}
     for s in lat.sites():
         star_ok = lat.has_full_star(s.vertex) and set(lat.star_edges(s.vertex)) <= interior
         plaq_ok = {e for e, _ in lat.plaq_edges(s.face)} <= interior
         if star_ok or plaq_ok:
-            out.append(s)
+            out[s] = (star_ok, plaq_ok)
     return out
 
 
@@ -368,16 +366,14 @@ def sample_exterior_ribbons(
     from .lattice import ribbon_between
 
     comp = Region(lat, region.complement_edges())
-    detecting = set(detecting_exterior_sites(lat, region))
+    detecting = detecting_exterior_sites(lat, region)
     candidates = [r for r in ribbons_in_region(lat, comp, max_len) if len(r) >= 2]
     picked = []
     for r in candidates:
         deep = r.start in detecting or r.end in detecting
-        if want_deep_endpoint:
-            if deep:
+        if want_deep_endpoint or deep:
+            if want_deep_endpoint and deep:
                 picked.append(r)
-            continue
-        if deep:
             continue
         if not (region.site_on_boundary(r.start) and region.site_on_boundary(r.end)):
             continue
@@ -390,69 +386,76 @@ def sample_exterior_ribbons(
     return picked[:count]
 
 
-def _detector_kinds(lat: Lattice, region: Region, s: Site) -> tuple[bool, bool]:
-    """(star detector available, plaquette detector available) for a site in
-    the deep exterior."""
-    interior = region.interior_complement_edges()
-    star_ok = lat.has_full_star(s.vertex) and set(lat.star_edges(s.vertex)) <= interior
-    plaq_ok = {e for e, _ in lat.plaq_edges(s.face)} <= interior
-    return star_ok, plaq_ok
-
-
-def _deep_charge_detected(
-    lat: Lattice,
-    region: Region,
-    group: AbelianGroup,
-    ribbon: Ribbon,
-    chi,
-    c,
-) -> bool:
+def _deep_charge_detected(group: AbelianGroup, detectors: dict, ribbon: Ribbon, chi, c) -> bool:
     """Whether the charge pair (chi, c) at the start and its conjugate at
     the end trips some deep-exterior star or plaquette detector: the net
     character per vertex and the net flux label per face must be nontrivial
     somewhere a detector exists. Opposite endpoint charges at a shared
     vertex or face cancel."""
-    net_char: dict[int, tuple] = {}
-    net_flux: dict[int, tuple] = {}
-    for s, ch, fl in (
-        (ribbon.start, chi, c),
-        (ribbon.end, group.char_conj(chi), group.inv(c)),
-    ):
-        net_char[s.vertex] = group.char_mul(net_char.get(s.vertex, group.identity()), ch)
-        net_flux[s.face] = group.mul(net_flux.get(s.face, group.identity()), fl)
-    for s in (ribbon.start, ribbon.end):
-        star_ok, plaq_ok = _detector_kinds(lat, region, s)
-        if star_ok and net_char.get(s.vertex, group.identity()) != group.identity():
-            return True
-        if plaq_ok and net_flux.get(s.face, group.identity()) != group.identity():
+    e = group.identity()
+    ends = ((ribbon.start, chi, c), (ribbon.end, group.char_conj(chi), group.inv(c)))
+    for s, _, _ in ends:
+        star_ok, plaq_ok = detectors.get(s, (False, False))
+        net_char, net_flux = e, e
+        for t, ch, fl in ends:
+            net_char = group.char_mul(net_char, ch) if t.vertex == s.vertex else net_char
+            net_flux = group.mul(net_flux, fl) if t.face == s.face else net_flux
+        if (star_ok and net_char != e) or (plaq_ok and net_flux != e):
             return True
     return False
+
+
+def _max_cone_overlap(lat: Lattice, group: AbelianGroup, region: Region, f: AffineMap) -> float:
+    """max |<M Omega|F Omega>| = max |omega(M^dagger F)| over the region's
+    edge monomials M (a shift on the fill edges times a character on every
+    region edge). The M Omega span H_Lambda, so F Omega is orthogonal to it
+    exactly when this is 0, and each term is at most the norm of F Omega's
+    projection. A term vanishes unless M^dagger F's shift s_F - s_M is flat,
+    so all |G|^k shifts are filtered with one face-flux pass first."""
+    t, n = group.tables(), group.order
+    fill, edges = _fill_edges(lat, region), sorted(region.edges)
+    digits = np.arange(n ** len(fill))[:, None] // n ** np.arange(len(fill) - 1, -1, -1) % n
+    rows = np.repeat(shift_row(lat, f), len(digits), axis=0)
+    rows[:, fill] = t["add"][rows[:, fill], t["neg"][digits]]
+    worst = 0.0
+    for d in digits[~face_fluxes(lat, group, rows).any(axis=1)]:
+        shifts = list(zip(fill, map(group.element_at, d.tolist())))
+        for chis in itertools.product(group.characters(), repeat=len(edges)):
+            m = _monomial(lat, group, shifts, zip(edges, chis))
+            worst = max(worst, abs(omega_expectation(lat, group, m.adjoint().compose(f))))
+    return worst
 
 
 def external_charge_orthogonality_check(
     region: Region,
     lat: Lattice,
     group: AbelianGroup,
-    omega: SparseState,
-    subspace: ConeSubspace,
     rng: random.Random,
     samples: int = 100,
 ) -> Check:
-    """Externally charged vectors must be orthogonal to H_Lambda."""
+    """Externally charged vectors must be orthogonal to H_Lambda, checked
+    through ground-state expectations without building Omega. Refused,
+    before anything is enumerated, when the region has more than
+    OMEGA_ROWS_CAP edge monomials."""
+    power = len(_fill_edges(lat, region)) + len(region.edges)
+    if group.order**power > OMEGA_ROWS_CAP:
+        raise DualityError(
+            f"orthogonality sweep over {group.order}^{power} = {group.order**power} region"
+            f" monomials is above the cap of {OMEGA_ROWS_CAP}"
+        )
     nontrivial = _nontrivial_labels(group)
+    detectors = detecting_exterior_sites(lat, region)
     worst = 0.0
     n_used = 0
     for r in sample_exterior_ribbons(lat, region, rng, samples, want_deep_endpoint=True):
         labels = [
-            (chi, c)
-            for chi, c in nontrivial
-            if _deep_charge_detected(lat, region, group, r, chi, c)
+            (chi, c) for chi, c in nontrivial if _deep_charge_detected(group, detectors, r, chi, c)
         ]
         if not labels:
             continue
         chi, c = rng.choice(labels)
-        psi = as_opsum(ribbon_F_irrep(lat, group, r, chi, c)).apply(omega)
-        worst = max(worst, subspace.projection_norm(psi))
+        f = ribbon_F_irrep(lat, group, r, chi, c)
+        worst = max(worst, _max_cone_overlap(lat, group, region, f))
         n_used += 1
     return Check.judged(
         "externally charged vectors orthogonal to the cone subspace",
@@ -473,7 +476,14 @@ def boundary_membership_check(
     samples: int = 100,
 ) -> Check:
     """Exterior ribbons connecting two boundary sites must land inside
-    H_Lambda."""
+    H_Lambda. Refused, before any ribbon is applied, when a residual's dense
+    (region index, exterior key) block would exceed DENSITY_ENTRIES_CAP."""
+    entries = subspace.omega_coeffs.shape[0] * len(subspace.ext_keys)
+    if entries > DENSITY_ENTRIES_CAP:
+        raise DualityError(
+            f"boundary residuals need {subspace.omega_coeffs.shape[0]} x"
+            f" {len(subspace.ext_keys)} blocks, above the cap of {DENSITY_ENTRIES_CAP} entries"
+        )
     nontrivial = _nontrivial_labels(group)
     boundary = sample_exterior_ribbons(lat, region, rng, samples, want_deep_endpoint=False)
     worst = 0.0
@@ -611,38 +621,34 @@ def _edge_monomials(
     character phase per region edge: a deterministic monomial spanning set
     of the region's ribbon algebra (matrix units up to phases)."""
     edges = subspace.fill_edges
-    elems = group.elements()
-    chars = group.characters()
-    combos = []
-    total = (group.order ** len(edges)) ** 2
-    if total <= cap:
-        for shift_vals in itertools.product(elems, repeat=len(edges)):
-            for char_vals in itertools.product(chars, repeat=len(edges)):
-                combos.append((shift_vals, char_vals))
+    elems, chars = group.elements(), group.characters()
+    if (group.order ** len(edges)) ** 2 <= cap:
+        combos = itertools.product(
+            itertools.product(elems, repeat=len(edges)), itertools.product(chars, repeat=len(edges))
+        )
     else:
-        for _ in range(cap):
-            combos.append(
-                (
-                    tuple(rng.choice(elems) for _ in edges),
-                    tuple(rng.choice(chars) for _ in edges),
-                )
-            )
+        combos = [
+            (tuple(rng.choice(elems) for _ in edges), tuple(rng.choice(chars) for _ in edges))
+            for _ in range(cap)
+        ]
     out = []
     for shift_vals, char_vals in combos:
-        shifts = tuple(
-            (e, group.index_of(v))
-            for e, v in zip(edges, shift_vals)
-            if v != group.identity()
-        )
-        ch = tuple(
-            (chi, ((e, 1),), group.index_of(group.identity()))
-            for e, chi in zip(edges, char_vals)
-            if chi != group.identity()
-        )
-        if not shifts and not ch:
-            continue
-        out.append(OpSum.of(AffineMap(group, lat.n_edges, shifts=shifts, chars=ch)))
+        m = _monomial(lat, group, zip(edges, shift_vals), zip(edges, char_vals))
+        if m.shifts or m.chars:
+            out.append(OpSum.of(m))
     return out
+
+
+def _monomial(lat: Lattice, group: AbelianGroup, shifts, chars) -> AffineMap:
+    """Shift by each (edge, element) pair, times each (edge, character)
+    pair's character of the edge value; identity factors are dropped."""
+    e = group.identity()
+    return AffineMap(
+        group,
+        lat.n_edges,
+        shifts=tuple((edge, group.index_of(g)) for edge, g in shifts if g != e),
+        chars=tuple((chi, ((edge, 1),), group.index_of(e)) for edge, chi in chars if chi != e),
+    )
 
 
 def _real_rank(blocks: Sequence[np.ndarray], tol: float = 1e-7) -> int:

@@ -308,6 +308,14 @@ class Lattice:
         except LatticeError:
             raise LatticeError(f"edge {e} lies on the patch rim") from None
 
+    def is_rim(self, e: int) -> bool:
+        """Whether e lies on a plane patch's rim: one face, no dual triangle."""
+        try:
+            self.dual_faces(e)
+            return False
+        except LatticeError:
+            return True
+
 
 @dataclass(frozen=True)
 class Triangle:
@@ -693,12 +701,8 @@ def cone_make(
         pts = [lat.vertex_xy(v) for v in lat.edge_endpoints(e)]
         if not all(inside(x, y) for x, y in pts):
             continue
-        if trim_rim:
-            try:
-                lat.dual_faces(e)
-            except LatticeError:
-                continue
-        edges.append(e)
+        if not (trim_rim and lat.is_rim(e)):
+            edges.append(e)
     return Region(lat, frozenset(edges))
 
 

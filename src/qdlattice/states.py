@@ -221,11 +221,6 @@ def real_linear_rank(vectors: Sequence[SparseState], tol: float = SPAN_TOL) -> i
     return int(np.sum(eigs > tol))
 
 
-def apply(op, psi: SparseState) -> SparseState:
-    """Linear extension of an operator's basis action to a sparse state."""
-    return op.apply(psi)
-
-
 def dump_state_jsonl(psi: SparseState, path: str) -> None:
     """Debug dump: one JSON object {key, re, im} per stored amplitude."""
     import json

@@ -174,3 +174,12 @@ def test_oversized_inputs_exit_2_with_one_line(capsys, args):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {args[1]}: ") and err.count("\n") == 1
     assert "above the cap" in err or "at most 255" in err
+
+
+def test_haag_check_z3_is_refused_at_the_density_cap(capsys):
+    """The orthogonality check runs for z3 without the enlargement's ground
+    state; what is refused is the density check's coefficient matrix."""
+    assert run_cli(["--experiment", "haag-check", "--group", "z3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: haag-check: density check needs a 8081 x 13122 ")
+    assert err.count("\n") == 1

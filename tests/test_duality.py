@@ -26,7 +26,7 @@ from qdlattice.lattice import (
     ribbon_between,
 )
 from qdlattice.operators import as_opsum, ribbon_F_irrep
-from qdlattice.states import SparseState, inner, orthonormalize
+from qdlattice.states import SparseState, inner, orthonormal_coeffs, orthonormalize
 
 Z2 = group_make([2])
 
@@ -42,7 +42,7 @@ class MaterializedSubspace:
     `sample`, only that many seeded product vectors are materialized."""
 
     def __init__(self, region, lat, group, omega, sample=None):
-        full = [e for e in sorted(region.edges) if _has_dual_triangle(lat, e)]
+        full = [e for e in sorted(region.edges) if not lat.is_rim(e)]
         rim = [e for e in sorted(region.edges) if e not in full]
         labels, which = np.unique(omega.configs[:, rim + full], axis=0, return_inverse=True)
         exterior = omega.configs.copy()
@@ -163,7 +163,8 @@ def test_coordinates_match_materialized_oracle(cone_case):
         np.testing.assert_allclose(entries, oracle.coeffs(psi), atol=1e-12)
         if param in SAMPLED:
             continue
-        assert abs(sub.projection_norm(psi) - np.linalg.norm(oracle.coeffs(psi))) < 1e-12
+        norm = np.linalg.norm(sub.coeffs(psi))
+        assert abs(norm - np.linalg.norm(oracle.coeffs(psi))) < 1e-12
         assert abs(sub.residual(psi) - oracle.residual(psi)) < 1e-12
 
 
@@ -239,14 +240,6 @@ def test_density_check_refuses_oversized_matrices(monkeypatch):
         self_adjoint_density_check(cone, lat, Z2, omega, sub)
 
 
-def _has_dual_triangle(lat, e):
-    try:
-        lat.dual_faces(e)
-        return True
-    except Exception:
-        return False
-
-
 @pytest.fixture(scope="module")
 def small_cone():
     lat = lattice_make(3, 3, "plane")
@@ -284,19 +277,154 @@ def test_subspace_invariant_under_region_operators(small_cone):
         assert sub.residual(image) < 1e-9
 
 
-def test_external_orthogonality_and_membership():
+@pytest.fixture(scope="module")
+def plane_4x4_cone():
     lat = lattice_make(4, 4, "plane")
     omega = ground_state(lat, Z2)
     cone = cone_make((2, 2), ["N", "E"], lat)
-    sub = cone_subspace(cone, lat, Z2, omega)
+    return lat, omega, cone, cone_subspace(cone, lat, Z2, omega)
+
+
+def test_external_orthogonality_and_membership(plane_4x4_cone):
+    lat, omega, cone, sub = plane_4x4_cone
     assert detecting_exterior_sites(lat, cone)
     rng = random.Random(5)
     recs = [
-        external_charge_orthogonality_check(cone, lat, Z2, omega, sub, rng, samples=60),
+        external_charge_orthogonality_check(cone, lat, Z2, rng, samples=60),
         boundary_membership_check(cone, lat, Z2, omega, sub, rng, samples=60),
     ]
     assert all(r.passed for r in recs), [(r.name, r.max_error) for r in recs]
     assert all(r.max_error <= 1e-9 for r in recs)
+
+
+def _sweep_against_projection(lat, group, omega, cone, sub):
+    """The monomial sweep and the materialized projection norm of F Omega for
+    every exterior ribbon of up to 4 triangles and every nontrivial label,
+    deep charge or not (each distinct operator once): they agree on
+    orthogonality, and the sweep never exceeds the norm. Returns the number
+    of non-orthogonal cases."""
+    comp = Region(lat, cone.complement_edges())
+    maps = dict.fromkeys(
+        ribbon_F_irrep(lat, group, r, chi, c)
+        for r in ribbons_in_region(lat, comp, 4)
+        for chi, c in duality._nontrivial_labels(group)
+    )
+    hits = 0
+    for f in maps:
+        sweep = duality._max_cone_overlap(lat, group, cone, f)
+        norm = np.linalg.norm(sub.coeffs(as_opsum(f).apply(omega)))
+        assert (sweep > 1e-9) == (norm > 1e-9), (f, sweep, norm)
+        assert sweep <= norm + 1e-12
+        hits += norm > 1e-9
+    return hits
+
+
+def test_monomial_sweep_matches_projection_z2(plane_4x4_cone):
+    lat, omega, cone, sub = plane_4x4_cone
+    assert _sweep_against_projection(lat, Z2, omega, cone, sub) > 0
+
+
+def test_monomial_sweep_matches_projection_z3():
+    group = group_make([3])
+    lat = lattice_make(3, 3, "plane")
+    omega = ground_state(lat, group)
+    cone = cone_make((1, 1), ["N", "E"], lat)
+    sub = cone_subspace(cone, lat, group, omega)
+    assert _sweep_against_projection(lat, group, omega, cone, sub) > 0
+
+
+@pytest.mark.parametrize("spec", ["z3", "z4", "z2xz2"])
+def test_orthogonality_check_passes_on_4x4_enlargement(spec):
+    from qdlattice.groups import parse_group
+
+    lat = lattice_make(4, 4, "plane")
+    cone = cone_make((2, 2), ["N", "E"], lat)
+    rec = external_charge_orthogonality_check(
+        cone, lat, parse_group(spec), random.Random(0), samples=100
+    )
+    assert rec.passed and rec.max_error <= 1e-9
+    assert int(rec.details.split()[0]) > 0
+
+
+def test_orthogonality_check_refuses_oversized_sweep(monkeypatch):
+    lat = lattice_make(5, 5, "plane")
+    cone = cone_make((1, 1), ["N", "E"], lat)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("ribbons sampled before the size estimate")
+
+    monkeypatch.setattr(duality, "sample_exterior_ribbons", unreachable)
+    with pytest.raises(DualityError, match=r"region monomials is above the cap"):
+        external_charge_orthogonality_check(cone, lat, group_make([4]), random.Random(0))
+
+
+def test_boundary_check_refuses_oversized_residuals(monkeypatch, small_cone):
+    lat, omega, cone, sub = small_cone
+    monkeypatch.setattr(duality, "DENSITY_ENTRIES_CAP", 100)
+    with pytest.raises(DualityError, match=r"blocks, above the cap of 100 entries"):
+        boundary_membership_check(cone, lat, Z2, omega, sub, random.Random(0))
+
+
+def _all_pairs_subspace(region, lat, group, omega):
+    """cone_subspace's (w_conj, omega_coeffs, region_rows) with Gram-Schmidt
+    over every exterior restriction of each rim group, all pairs."""
+    radix = group.order
+    region_edges = sorted(region.edges)
+    fill = [e for e in region_edges if not lat.is_rim(e)]
+    ext = sorted(set(lat.edges()) - set(fill))
+    k = len(fill)
+    weight = {e: radix ** (len(region_edges) - 1 - i) for i, e in enumerate(region_edges)}
+    digits = np.arange(radix**k)[:, None] // radix ** np.arange(k - 1, -1, -1) % radix
+    fill_rows = digits @ np.array([weight[e] for e in fill], dtype=np.int64)
+    fills = duality._codes(omega.configs, fill, radix)
+    rims = duality._codes(omega.configs, region_edges, radix) - fill_rows[fills]
+    exterior = omega.configs.copy()
+    exterior[:, fill] = 0
+    blocks, w_states, w_rims = [], [], []
+    for rim in np.unique(rims):
+        members = [(a, (rims == rim) & (fills == a)) for a in range(radix**k)]
+        members = [(a, rows) for a, rows in members if rows.any()]
+        vectors = [
+            SparseState.from_terms(exterior[rows], omega.amps[rows], lat.n_edges, radix)
+            for _, rows in members
+        ]
+        basis, coeffs = orthonormal_coeffs(vectors, duality.SUBSPACE_TOL)
+        block = np.zeros((radix**k, len(basis)), dtype=np.complex128)
+        block[[a for a, _ in members]] = coeffs
+        blocks.append(block)
+        w_states += basis
+        w_rims += [rim] * len(basis)
+    _, w = duality._key_matrix(w_states, ext, radix)
+    return w.conj(), np.hstack(blocks), fill_rows[:, None] + np.array(w_rims)[None, :]
+
+
+@pytest.mark.parametrize(
+    "order,height,kind",
+    [(2, 4, "trim"), (3, 4, "trim"), (2, 4, "rim"), (2, 3, "patch"), (2, 3, "star")],
+)
+def test_component_gram_schmidt_is_bitwise_all_pairs(order, height, kind):
+    """Orthonormalizing only within groups of restrictions that share
+    exterior keys gives the all-pairs result bit for bit. A cone's groups
+    are single restrictions. The whole 3x3 patch and the star of its centre
+    hold a complete star, whose gradient makes restrictions share keys; on
+    the star, random amplitudes on Omega's rows make each group yield two
+    basis vectors, whose columns interleave with the other groups'."""
+    group = group_make([order])
+    lat = lattice_make(3, height, "plane")
+    omega = ground_state(lat, group)
+    if kind == "patch":
+        cone = Region(lat, frozenset(lat.edges()))
+    elif kind == "star":
+        cone = Region(lat, frozenset(lat.star_edges(lat.vertex_id(1, 1))))
+        amps = np.array([1, 1j]) @ np.random.default_rng(7).standard_normal((2, omega.n_terms))
+        omega = SparseState(omega.configs, amps, lat.n_edges, group.order)
+    else:
+        cone = cone_make((1, 1), ["N", "E"], lat, trim_rim=kind == "trim")
+    sub = cone_subspace(cone, lat, group, omega)
+    w_conj, coeffs, rows = _all_pairs_subspace(cone, lat, group, omega)
+    assert sub.w_conj.toarray().tobytes() == w_conj.toarray().tobytes()
+    assert sub.omega_coeffs.tobytes() == coeffs.tobytes()
+    assert np.array_equal(sub.region_rows, rows)
 
 
 def test_density_rank_and_negative_control():
@@ -355,18 +483,10 @@ def test_full_patch_subspace_dimension():
     full = Region(lat, frozenset(lat.edges()))
     sub = cone_subspace(full, lat, Z2, omega)
     flats = flat_connections(lat, Z2)
-    rim = [e for e in lat.edges() if _is_rim(lat, e)]
-    bulk = [e for e in lat.edges() if not _is_rim(lat, e)]
+    rim = [e for e in lat.edges() if lat.is_rim(e)]
+    bulk = [e for e in lat.edges() if not lat.is_rim(e)]
     rim_patterns = {tuple(row[rim]) for row in flats}
     assert sub.dim == (2 ** len(bulk)) * len(rim_patterns)
-
-
-def _is_rim(lat, e):
-    try:
-        lat.dual_faces(e)
-        return False
-    except Exception:
-        return True
 
 
 def test_cone_region_has_boundary():
