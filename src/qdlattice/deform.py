@@ -13,7 +13,8 @@ The check below is syntactic. It compares the face fluxes created by the
 two shift patterns (the excitation pattern must match at the endpoint
 faces), the winding around the torus handles when applicable, and the
 crossing obstruction read by each ribbon's flux expression on the other's
-shift pattern.
+shift pattern. ``omega_distance`` measures the outcome, ‖F₁Ω − F₂Ω‖, from
+ground-state expectations without building Ω.
 """
 
 from __future__ import annotations
@@ -23,10 +24,10 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .groundstate import _torus_cocycle, face_fluxes
+from .groundstate import _torus_cocycle, face_fluxes, omega_expectation
 from .groups import AbelianGroup, Element
 from .lattice import Lattice, LatticeError, Ribbon, positive_moves, ribbon_between
-from .operators import ribbon_F
+from .operators import AffineMap, OpSum, ribbon_F
 
 
 def shift_pattern(lat: Lattice, group: AbelianGroup, ribbon: Ribbon, h: Element) -> np.ndarray:
@@ -41,12 +42,14 @@ def shift_pattern(lat: Lattice, group: AbelianGroup, ribbon: Ribbon, h: Element)
 def flux_reading(lat: Lattice, group: AbelianGroup, ribbon: Ribbon, row: np.ndarray) -> Element:
     """Value of the ribbon's direct-flux expression on a configuration row."""
     m = ribbon_F(lat, group, ribbon, group.identity(), group.identity())
-    acc = group.identity()
+    add, neg, _ = group.index_tables()
+    values = row[0].tolist()
+    acc = 0
     for coeffs, _ in m.deltas:
         for e, sign in coeffs:
-            val = group.element_at(int(row[0, e]))
-            acc = group.mul(acc, val if sign > 0 else group.inv(val))
-    return acc
+            v = values[e]
+            acc = add[acc][v if sign > 0 else neg[v]]
+    return group.element_at(acc)
 
 
 def is_deformation_pair(lat: Lattice, group: AbelianGroup, r1: Ribbon, r2: Ribbon) -> bool:
@@ -73,6 +76,18 @@ def is_deformation_pair(lat: Lattice, group: AbelianGroup, r1: Ribbon, r2: Ribbo
             if flux_reading(lat, group, r1, row) != flux_reading(lat, group, r2, row):
                 return False
     return True
+
+
+def omega_distance(lat: Lattice, group: AbelianGroup, f1: AffineMap, f2: AffineMap) -> float:
+    """‖F₁Ω − F₂Ω‖ without Ω: ω(F₁†F₁) + ω(F₂†F₂) − ω(F₁†F₂) − ω(F₂†F₁), in
+    one ``omega_expectation`` call. For ribbon operators each term is a count
+    of vertex potentials over their number, so two maps with the same image
+    of Ω give exactly 0."""
+    a1, a2 = f1.adjoint(), f2.adjoint()
+    gram = OpSum.weighted(
+        [(1, a1.compose(f1)), (1, a2.compose(f2)), (-1, a1.compose(f2)), (-1, a2.compose(f1))]
+    )
+    return float(np.sqrt(max(omega_expectation(lat, group, gram).real, 0.0)))
 
 
 PATH_NODE_CAP = 20000

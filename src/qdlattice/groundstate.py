@@ -24,11 +24,14 @@ freedom. ``omega_expectation`` computes this (``OpSum`` by linearity) and
 refuses, before enumerating, an enumeration of more than a capped number of
 rows.
 
+The deform experiment's distances need no vector either: for single maps,
+‖F₁Ω − F₂Ω‖² = ω(F₁†F₁) + ω(F₂†F₂) − 2 Re ω(F₁†F₂) (``deform.omega_distance``).
+
 ``ground_state``, ``ground_space`` and ``expectation`` still materialize
 states. They serve the checks that need an actual vector: ‖x − y‖ distances
-(deformation invariance, transporters, torus ground vectors), the cone
-subspaces of the Haag-duality checks, the support and brute-force checks of
-the groundstate experiment, and the tests' oracle for ``omega_expectation``.
+(transporters, torus ground vectors), the cone subspaces of the Haag-duality
+checks, the support and brute-force checks of the groundstate experiment,
+and the tests' oracles for ``omega_expectation`` and ``omega_distance``.
 """
 
 from __future__ import annotations
@@ -251,8 +254,9 @@ def _vertex_form(lat: Lattice, group: AbelianGroup, coeffs) -> tuple[tuple[int, 
     """An edge expression sum(sign * value(e)) evaluated on a gradient dφ, as
     sorted (vertex, multiplicity mod |G|) pairs with the zeros dropped."""
     acc: dict[int, int] = {}
+    ends = lat.endpoint_table
     for e, sign in coeffs:
-        tail, head = lat.edge_endpoints(e)
+        tail, head = ends[e]
         acc[head] = acc.get(head, 0) + sign
         acc[tail] = acc.get(tail, 0) - sign
     return tuple(sorted((v, c % group.order) for v, c in acc.items() if c % group.order))
@@ -324,7 +328,7 @@ def omega_expectation(lat: Lattice, group: AbelianGroup, op) -> complex:
     rows."""
     terms = []
     for coeff, m in as_opsum(op).terms:
-        if not in_flat_group(lat, group, shift_row(lat, m)):
+        if m.shifts and not in_flat_group(lat, group, shift_row(lat, m)):
             continue
         factors = _gradient_factors(lat, group, m)
         if factors is None:

@@ -139,6 +139,19 @@ class AbelianGroup:
         self._tables.update(add=add, neg=neg, mult=mult, char_num=char_num, roots=roots)
         return self._tables
 
+    def index_tables(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """``tables()``'s add, neg and char_num as nested Python tuples, for
+        scalar arithmetic on packed indices (``add[i][j]``, ``neg[i]``,
+        ``char_num[chi][g]``). The identity is index 0."""
+        t = self.tables()
+        if "index" not in t:
+            t["index"] = (
+                tuple(map(tuple, t["add"].tolist())),
+                tuple(t["neg"].tolist()),
+                tuple(map(tuple, t["char_num"].tolist())),
+            )
+        return t["index"]
+
 
 def phase_to_complex(turns: Fraction) -> complex:
     """exp(2*pi*i*turns) with exact values at the quarter turns."""

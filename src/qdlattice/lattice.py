@@ -173,6 +173,11 @@ class Lattice:
     def edges(self) -> range:
         return range(self.n_edges)
 
+    @cached_property
+    def endpoint_table(self) -> tuple[tuple[int, int], ...]:
+        """``edge_endpoints`` of every edge, in edge order (computed once)."""
+        return tuple(self.edge_endpoints(e) for e in self.edges())
+
     # -- faces ---------------------------------------------------------------
 
     @property
@@ -308,13 +313,20 @@ class Lattice:
         except LatticeError:
             raise LatticeError(f"edge {e} lies on the patch rim") from None
 
+    @cached_property
+    def dual_face_table(self) -> tuple[Optional[tuple[int, int]], ...]:
+        """``dual_faces`` of every edge, None on the rim (computed once)."""
+        out: list[Optional[tuple[int, int]]] = []
+        for e in self.edges():
+            try:
+                out.append(self.dual_faces(e))
+            except LatticeError:
+                out.append(None)
+        return tuple(out)
+
     def is_rim(self, e: int) -> bool:
         """Whether e lies on a plane patch's rim: one face, no dual triangle."""
-        try:
-            self.dual_faces(e)
-            return False
-        except LatticeError:
-            return True
+        return self.dual_face_table[e] is None
 
 
 @dataclass(frozen=True)
@@ -382,8 +394,7 @@ def direct_flux_sign(lat: Lattice, tri: Triangle) -> int:
     the travel runs against the edge orientation."""
     if tri.kind != "direct":
         raise LatticeError("flux sign is defined for direct triangles")
-    tail, head = lat.edge_endpoints(tri.edge)
-    return -1 if (tri.s0.vertex, tri.s1.vertex) == (tail, head) else +1
+    return -1 if (tri.s0.vertex, tri.s1.vertex) == lat.endpoint_table[tri.edge] else +1
 
 
 def dual_shift_sign(lat: Lattice, tri: Triangle) -> int:
@@ -391,8 +402,10 @@ def dual_shift_sign(lat: Lattice, tri: Triangle) -> int:
     travel runs along the dual-edge orientation."""
     if tri.kind != "dual":
         raise LatticeError("shift sign is defined for dual triangles")
-    d_tail, d_head = lat.dual_faces(tri.edge)
-    return +1 if (tri.s0.face, tri.s1.face) == (d_tail, d_head) else -1
+    faces = lat.dual_face_table[tri.edge]
+    if faces is None:
+        raise LatticeError(f"edge {tri.edge} lies on the patch rim")
+    return +1 if (tri.s0.face, tri.s1.face) == faces else -1
 
 
 @dataclass(frozen=True)

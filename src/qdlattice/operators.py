@@ -80,19 +80,14 @@ class AffineMap:
             out.update(e for e, _ in coeffs)
         return frozenset(out)
 
-    def _shift_of(self, edge: int) -> int:
-        for e, g in self.shifts:
-            if e == edge:
-                return g
-        return self.group.index_of(self.group.identity())
-
-    def _fold_shift(self, coeffs: Coeffs) -> Element:
-        """Group element sum of sign*shift(edge) over the expression."""
-        g = self.group
-        acc = g.identity()
+    def _fold_shift(self, coeffs: Coeffs) -> int:
+        """Packed index of the sum of sign*shift(edge) over the expression."""
+        add, neg, _ = self.group.index_tables()
+        shifts = dict(self.shifts)
+        acc = 0
         for e, sign in coeffs:
-            s = g.element_at(self._shift_of(e))
-            acc = g.mul(acc, s if sign > 0 else g.inv(s))
+            s = shifts.get(e, 0)
+            acc = add[acc][s if sign > 0 else neg[s]]
         return acc
 
     # -- algebra ----------------------------------------------------------------
@@ -102,29 +97,18 @@ class AffineMap:
         g = self.group
         if g != first.group or self.n_edges != first.n_edges:
             raise OperatorError("maps live on different lattices or groups")
-        shifts: dict[int, Element] = {
-            e: g.element_at(gi) for e, gi in first.shifts
-        }
+        add, neg, _ = g.index_tables()
+        shifts = dict(first.shifts)
         for e, gi in self.shifts:
-            shifts[e] = g.mul(shifts.get(e, g.identity()), g.element_at(gi))
-        new_shifts = tuple(
-            sorted(
-                (e, g.index_of(v))
-                for e, v in shifts.items()
-                if v != g.identity()
-            )
-        )
+            shifts[e] = add[shifts.get(e, 0)][gi]
+        new_shifts = tuple(sorted((e, v) for e, v in shifts.items() if v))
         # self's constraints read the input already shifted by `first`
         new_deltas = list(first.deltas)
         for coeffs, target in self.deltas:
-            adj = first._fold_shift(coeffs)
-            new_deltas.append(
-                (coeffs, g.index_of(g.mul(g.element_at(target), g.inv(adj))))
-            )
+            new_deltas.append((coeffs, add[target][neg[first._fold_shift(coeffs)]]))
         new_chars = list(first.chars)
         for chi, coeffs, offset in self.chars:
-            adj = first._fold_shift(coeffs)
-            new_chars.append((chi, coeffs, g.index_of(g.mul(g.element_at(offset), adj))))
+            new_chars.append((chi, coeffs, add[offset][first._fold_shift(coeffs)]))
         return AffineMap(
             g,
             self.n_edges,
@@ -136,25 +120,17 @@ class AffineMap:
 
     def adjoint(self) -> "AffineMap":
         g = self.group
-        inv_shifts = tuple(
-            sorted((e, g.index_of(g.inv(g.element_at(gi)))) for e, gi in self.shifts)
-        )
+        add, neg, _ = g.index_tables()
+        inv_shifts = tuple(sorted((e, neg[gi]) for e, gi in self.shifts))
         undo = AffineMap(g, self.n_edges, inv_shifts)
-        new_deltas = []
-        for coeffs, target in self.deltas:
-            adj = undo._fold_shift(coeffs)
-            new_deltas.append(
-                (coeffs, g.index_of(g.mul(g.element_at(target), g.inv(adj))))
-            )
-        new_chars = []
-        for chi, coeffs, offset in self.chars:
-            adj = undo._fold_shift(coeffs)
-            new_chars.append(
-                (g.char_conj(chi), coeffs, g.index_of(g.mul(g.element_at(offset), adj)))
-            )
-        return AffineMap(
-            g, self.n_edges, inv_shifts, tuple(new_deltas), tuple(new_chars), (-self.phase) % 1
+        new_deltas = tuple(
+            (coeffs, add[target][neg[undo._fold_shift(coeffs)]]) for coeffs, target in self.deltas
         )
+        new_chars = tuple(
+            (g.char_conj(chi), coeffs, add[offset][undo._fold_shift(coeffs)])
+            for chi, coeffs, offset in self.chars
+        )
+        return AffineMap(g, self.n_edges, inv_shifts, new_deltas, new_chars, (-self.phase) % 1)
 
     # -- evaluation ----------------------------------------------------------------
 
@@ -272,40 +248,37 @@ def canonical(m: AffineMap) -> Optional[AffineMap]:
     Two maps with equal normal forms are equal as operators; maps built from
     the same ribbon expressions compare completely."""
     g = m.group
-    e_idx = g.index_of(g.identity())
+    add, neg, char_num = g.index_tables()
 
-    def norm_expr(coeffs: Coeffs, flip_allowed: bool = True):
+    def norm_expr(coeffs: Coeffs):
         cs = tuple(sorted(coeffs))
-        if flip_allowed and cs and cs[0][1] < 0:
+        if cs and cs[0][1] < 0:
             return tuple((e, -s) for e, s in cs), True
         return cs, False
 
     delta_map: dict[Coeffs, int] = {}
     for coeffs, target in m.deltas:
         cs, flipped = norm_expr(coeffs)
-        t = g.index_of(g.inv(g.element_at(target))) if flipped else target
-        if not cs and t != e_idx:
+        t = neg[target] if flipped else target
+        if not cs and t:
             return None  # empty expression can only hit the identity
         if not cs:
             continue
-        if cs in delta_map and delta_map[cs] != t:
+        if delta_map.setdefault(cs, t) != t:
             return None  # conflicting constraints annihilate everything
-        delta_map[cs] = t
 
-    phase = m.phase
-    char_map: dict[Coeffs, Element] = {}
+    # each character's constant part goes into the global phase, leaving chi
+    # evaluated at the bare expression
+    pnum = 0
+    char_map: dict[Coeffs, int] = {}
     for chi, coeffs, offset in m.chars:
-        # constant part into the global phase, leaving chi evaluated at the
-        # bare expression
-        phase = (phase + g.char_phase(chi, g.element_at(offset))) % 1
+        ci = g.index_of(chi)
+        pnum += char_num[ci][offset]
         cs, flipped = norm_expr(coeffs)
-        ch = g.char_conj(chi) if flipped else chi
-        if not cs:
-            continue
-        char_map[cs] = g.char_mul(char_map.get(cs, g.identity()), ch)
-    chars = tuple(
-        sorted((ch, cs, e_idx) for cs, ch in char_map.items() if ch != g.identity())
-    )
+        if cs:
+            char_map[cs] = add[char_map.get(cs, 0)][neg[ci] if flipped else ci]
+    chars = tuple(sorted((g.element_at(ci), cs, 0) for cs, ci in char_map.items() if ci))
+    phase = (m.phase + Fraction(pnum, g.phase_denominator)) % 1 if m.chars else m.phase
     return AffineMap(
         g,
         m.n_edges,
@@ -429,11 +402,11 @@ def triangle_L(lat: Lattice, group: AbelianGroup, tri: Triangle, g: Element) -> 
     """Dual-triangle shift: adds g to the crossed edge with the travel sign."""
     if tri.kind != "dual":
         raise OperatorError("triangle_L needs a dual triangle")
-    s = dual_shift_sign(lat, tri)
-    val = g if s > 0 else group.inv(g)
-    if val == group.identity():
+    gi = group.index_of(g)
+    val = gi if dual_shift_sign(lat, tri) > 0 else group.index_tables()[1][gi]
+    if not val:
         return AffineMap.identity(group, lat.n_edges)
-    return AffineMap(group, lat.n_edges, shifts=((tri.edge, group.index_of(val)),))
+    return AffineMap(group, lat.n_edges, shifts=((tri.edge, val),))
 
 
 def _ribbon_parts(lat: Lattice, ribbon: Ribbon) -> tuple[Coeffs, tuple[tuple[int, int], ...]]:
@@ -447,6 +420,15 @@ def _ribbon_parts(lat: Lattice, ribbon: Ribbon) -> tuple[Coeffs, tuple[tuple[int
     return tuple(flux), tuple(duals)
 
 
+def _dual_shifts(group: AbelianGroup, duals: Coeffs, gi: int) -> tuple[tuple[int, int], ...]:
+    """Sorted (edge, index) shifts by gi along each dual edge's sign, or by
+    its inverse against it; none when gi is the identity."""
+    if not gi:
+        return ()
+    neg = group.index_tables()[1]
+    return tuple(sorted((e, gi if sign > 0 else neg[gi]) for e, sign in duals))
+
+
 def ribbon_F(lat: Lattice, group: AbelianGroup, ribbon: Ribbon, g: Element, h: Element) -> AffineMap:
     """Ribbon operator in the group-element basis: project the accumulated
     direct-edge flux onto h and shift every dual edge by g (with signs).
@@ -454,14 +436,10 @@ def ribbon_F(lat: Lattice, group: AbelianGroup, ribbon: Ribbon, g: Element, h: E
     if ribbon.is_trivial:
         return AffineMap.identity(group, lat.n_edges)
     flux, duals = _ribbon_parts(lat, ribbon)
-    shifts = []
-    for e, sign in duals:
-        val = g if sign > 0 else group.inv(g)
-        if val != group.identity():
-            shifts.append((e, group.index_of(val)))
+    shifts = _dual_shifts(group, duals, group.index_of(g))
     # with no direct triangles the empty flux expression makes this delta_{h,e}
     deltas = ((flux, group.index_of(h)),)
-    return AffineMap(group, lat.n_edges, tuple(sorted(shifts)), deltas)
+    return AffineMap(group, lat.n_edges, shifts, deltas)
 
 
 def ribbon_F_irrep(
@@ -473,16 +451,11 @@ def ribbon_F_irrep(
     if ribbon.is_trivial:
         raise OperatorError("irrep ribbon operators need a nonempty ribbon")
     flux, duals = _ribbon_parts(lat, ribbon)
-    c_bar = group.inv(c)
-    shifts = []
-    for e, sign in duals:
-        val = c_bar if sign > 0 else c
-        if val != group.identity():
-            shifts.append((e, group.index_of(val)))
+    shifts = _dual_shifts(group, duals, group.index_tables()[1][group.index_of(c)])
     chars = ()
     if chi != group.identity():
-        chars = ((group.char_conj(chi), flux, group.index_of(group.identity())),)
-    return AffineMap(group, lat.n_edges, tuple(sorted(shifts)), (), chars)
+        chars = ((group.char_conj(chi), flux, 0),)
+    return AffineMap(group, lat.n_edges, shifts, (), chars)
 
 
 # -- site operators -------------------------------------------------------------------

@@ -159,7 +159,6 @@ def test_rejected_config_exits_2_with_one_line(tmp_path, capsys, flag, value, me
     "args",
     [
         ["--experiment", "groundstate", "--lattice", "12x12:plane"],
-        ["--experiment", "deform", "--lattice", "12x12:plane"],
         ["--experiment", "haag-check", "--lattice", "12x12:plane"],
         ["--experiment", "smatrix", "--group", "z257"],
     ],
@@ -174,6 +173,18 @@ def test_oversized_inputs_exit_2_with_one_line(capsys, args):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {args[1]}: ") and err.count("\n") == 1
     assert "above the cap" in err or "at most 255" in err
+
+
+@pytest.mark.parametrize("group", ["z2", "z4"])
+def test_deform_runs_where_omega_would_be_above_the_cap(tmp_path, group):
+    """deform builds no ground state: on the 5x5 plane Ω would have 2^24
+    (z2) or 2^48 (z4) rows, above FLAT_ROWS_CAP, and the run still passes."""
+    out = tmp_path / "r.json"
+    args = ["--experiment", "deform", "--group", group, "--lattice", "5x5:plane", "--out", str(out)]
+    assert run_cli(args) == 0
+    data = json.loads(out.read_text())
+    assert data["passed"] is True
+    assert [c["status"] for c in data["checks"]] == ["pass"] * 3
 
 
 def test_haag_check_z3_is_refused_at_the_density_cap(capsys):

@@ -2,7 +2,13 @@ import random
 
 import pytest
 
-from qdlattice.deform import PATH_NODE_CAP, _paths_between, is_deformation_pair, sample_ribbon_pairs
+from qdlattice.deform import (
+    PATH_NODE_CAP,
+    _paths_between,
+    is_deformation_pair,
+    omega_distance,
+    sample_ribbon_pairs,
+)
 from qdlattice.groups import group_make
 from qdlattice.experiments import run_deform
 from qdlattice.groundstate import ground_state
@@ -116,3 +122,31 @@ def test_deform_report_counts_capped_searches():
     details = rep.checks[0].details
     assert details.startswith("20 seeded ribbon pairs of 20 requested; 0 of ")
     assert details.endswith(f" path searches hit the {PATH_NODE_CAP}-node cap")
+
+
+@pytest.mark.parametrize("grp", [Z2, Z3], ids=["z2", "z3"])
+def test_omega_distance_matches_materialized_distance(grp):
+    """The distance from ground-state expectations equals ‖F₁Ω − F₂Ω‖ on the
+    materialized Ω: exactly 0 on deformation pairs, above 0.1 on crossing
+    pairs with both labels nontrivial (the labels of the experiment's control)."""
+    lat = lattice_make(3, 4, "plane")
+    omega = ground_state(lat, grp)
+    rng = random.Random(5)
+    e = grp.identity()
+    labels = {
+        True: [(h, g) for h in grp.elements() for g in grp.elements() if (h, g) != (e, e)],
+        False: [(h, g) for h in grp.elements() for g in grp.elements() if e not in (h, g)],
+    }
+    for deformations, count in ((True, 12), (False, 6)):
+        n = 0
+        for r1, r2 in sample_ribbon_pairs(lat, grp, rng, count, deformations=deformations):
+            h, g = rng.choice(labels[deformations])
+            f1, f2 = ribbon_F(lat, grp, r1, h, g), ribbon_F(lat, grp, r2, h, g)
+            d = omega_distance(lat, grp, f1, f2)
+            assert abs(d - distance(as_opsum(f1).apply(omega), as_opsum(f2).apply(omega))) < 1e-12
+            if deformations:
+                assert d == 0.0
+            else:
+                assert d > 0.1
+            n += 1
+        assert n == count

@@ -402,3 +402,33 @@ def test_face_fluxes_match_per_face_oracle(spec, dims, boundary):
     for f in lat.faces():
         assert np.array_equal(fluxes[:, f], face_flux(lat, grp, rows, f))
     assert np.array_equal(is_flat(lat, grp, rows), ~np.any(fluxes, axis=1))
+
+
+@pytest.mark.parametrize(
+    "grp,spec,note",
+    [
+        (Z2, "3x3:plane", None),
+        (Z2, "4x4:plane", "brute-force cross-check skipped: 2^24 configurations above 2^20"),
+        (Z3, "3x3:torus", "exact diagonalization cross-check skipped: 3^18 configurations above 2^20"),
+    ],
+    ids=["z2-3x3-plane", "z2-4x4-plane", "z3-3x3-torus"],
+)
+def test_groundstate_report_names_skipped_cross_checks(grp, spec, note):
+    """A cross-check dropped by its size condition is named in the details
+    of the check before it; a check that runs leaves no such note."""
+    from qdlattice.experiments import run_groundstate
+    from qdlattice.lattice import parse_lattice
+    from qdlattice.reports import RunConfig
+
+    lat = parse_lattice(spec)
+    rep = run_groundstate(RunConfig("groundstate"), grp, lat)
+    names = [c.name for c in rep.checks]
+    # the torus report notes its skip on the stabilizer check, the plane
+    # report on the support check
+    details = rep.checks[1 if lat.is_torus else 0].details
+    cross = "exact diagonalization cross-check" if lat.is_torus else "flat enumeration matches brute force"
+    if note is None:
+        assert cross in names and "skipped" not in details
+    else:
+        assert cross not in names and details.endswith(note)
+    assert rep.all_passed

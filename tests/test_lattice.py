@@ -10,6 +10,8 @@ from qdlattice.lattice import (
     Triangle,
     closed_loop_around,
     cone_make,
+    direct_flux_sign,
+    dual_shift_sign,
     lattice_make,
     loop_encloses,
     make_triangle,
@@ -436,3 +438,29 @@ def test_moves_off_lattice_site_raise():
             call()
     with pytest.raises(LatticeError, match="not a site"):
         positive_moves(lattice_make(3, 3, "plane"), Site(100, 0), None)
+
+
+@pytest.mark.parametrize("w,h,boundary", MOVE_LATTICES)
+def test_sign_tables_match_coordinate_formulas(w, h, boundary):
+    """The table-backed ribbon signs equal the ones worked out from edge
+    coordinates, for every move and its reversal; a dual triangle across a
+    plane patch's rim edge is refused as before."""
+    lat = lattice_make(w, h, boundary)
+    for s in lat.sites():
+        pos, rev = lat.move_table[s]
+        for tri in pos + rev:
+            for t in (tri, tri.reversed()):
+                if t.kind == "direct":
+                    along = (t.s0.vertex, t.s1.vertex) == lat.edge_endpoints(t.edge)
+                    assert direct_flux_sign(lat, t) == (-1 if along else +1)
+                else:
+                    along = (t.s0.face, t.s1.face) == lat.dual_faces(t.edge)
+                    assert dual_shift_sign(lat, t) == (+1 if along else -1)
+    rim = [e for e in lat.edges() if lat.is_rim(e)]
+    assert bool(rim) == (boundary == "plane")
+    site = next(lat.sites())
+    for e in rim:
+        with pytest.raises(LatticeError, match=f"edge {e} lies on the patch rim"):
+            lat.dual_faces(e)
+        with pytest.raises(LatticeError, match=f"edge {e} lies on the patch rim"):
+            dual_shift_sign(lat, Triangle("dual", site, site, e))

@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -426,3 +427,125 @@ def test_ops_equal_enumerates_only_diagonal_edges():
     assert ops_equal(lhs, rhs, lat.n_edges) == 0
     wrong = plaq.compose(stars[2]).compose(stars[1])
     assert ops_equal(lhs, wrong, lat.n_edges) == 1.0
+
+
+# -- index arithmetic against the tuple-arithmetic reference ----------------------------
+
+ALGEBRA_GROUPS = [group_make(dims) for dims in ([2], [3], [4], [2, 2], [2, 4])]
+ALGEBRA_EDGES = 6
+
+
+def _ref_fold_shift(m, coeffs):
+    """Element sum of sign*shift(edge), in element tuples."""
+    g = m.group
+    shifts = dict(m.shifts)
+    acc = g.identity()
+    for e, sign in coeffs:
+        s = g.element_at(shifts.get(e, 0))
+        acc = g.mul(acc, s if sign > 0 else g.inv(s))
+    return acc
+
+
+def _ref_compose(a, first):
+    g = a.group
+    shifts = {e: g.element_at(gi) for e, gi in first.shifts}
+    for e, gi in a.shifts:
+        shifts[e] = g.mul(shifts.get(e, g.identity()), g.element_at(gi))
+    new_shifts = tuple(sorted((e, g.index_of(v)) for e, v in shifts.items() if v != g.identity()))
+    new_deltas = list(first.deltas)
+    for coeffs, target in a.deltas:
+        adj = _ref_fold_shift(first, coeffs)
+        new_deltas.append((coeffs, g.index_of(g.mul(g.element_at(target), g.inv(adj)))))
+    new_chars = list(first.chars)
+    for chi, coeffs, offset in a.chars:
+        adj = _ref_fold_shift(first, coeffs)
+        new_chars.append((chi, coeffs, g.index_of(g.mul(g.element_at(offset), adj))))
+    return AffineMap(
+        g, a.n_edges, new_shifts, tuple(new_deltas), tuple(new_chars), (a.phase + first.phase) % 1
+    )
+
+
+def _ref_adjoint(m):
+    g = m.group
+    inv_shifts = tuple(sorted((e, g.index_of(g.inv(g.element_at(gi)))) for e, gi in m.shifts))
+    undo = AffineMap(g, m.n_edges, inv_shifts)
+    new_deltas = tuple(
+        (coeffs, g.index_of(g.mul(g.element_at(target), g.inv(_ref_fold_shift(undo, coeffs)))))
+        for coeffs, target in m.deltas
+    )
+    new_chars = tuple(
+        (g.char_conj(chi), coeffs, g.index_of(g.mul(g.element_at(offset), _ref_fold_shift(undo, coeffs))))
+        for chi, coeffs, offset in m.chars
+    )
+    return AffineMap(g, m.n_edges, inv_shifts, new_deltas, new_chars, (-m.phase) % 1)
+
+
+def _ref_canonical(m):
+    g = m.group
+    e_idx = g.index_of(g.identity())
+
+    def norm_expr(coeffs):
+        cs = tuple(sorted(coeffs))
+        if cs and cs[0][1] < 0:
+            return tuple((e, -s) for e, s in cs), True
+        return cs, False
+
+    delta_map = {}
+    for coeffs, target in m.deltas:
+        cs, flipped = norm_expr(coeffs)
+        t = g.index_of(g.inv(g.element_at(target))) if flipped else target
+        if not cs and t != e_idx:
+            return None
+        if not cs:
+            continue
+        if cs in delta_map and delta_map[cs] != t:
+            return None
+        delta_map[cs] = t
+    phase = m.phase
+    char_map = {}
+    for chi, coeffs, offset in m.chars:
+        phase = (phase + g.char_phase(chi, g.element_at(offset))) % 1
+        cs, flipped = norm_expr(coeffs)
+        ch = g.char_conj(chi) if flipped else chi
+        if not cs:
+            continue
+        char_map[cs] = g.char_mul(char_map.get(cs, g.identity()), ch)
+    chars = tuple(sorted((ch, cs, e_idx) for cs, ch in char_map.items() if ch != g.identity()))
+    return AffineMap(
+        g, m.n_edges, tuple(sorted(m.shifts)), tuple(sorted(delta_map.items())), chars, phase
+    )
+
+
+def _expr(draw):
+    edges = draw(st.lists(st.integers(0, ALGEBRA_EDGES - 1), unique=True, max_size=4))
+    return tuple((e, draw(st.sampled_from([1, -1]))) for e in edges)
+
+
+def _affine_map(draw, grp):
+    index = st.integers(0, grp.order - 1)
+    edges = draw(st.lists(st.integers(0, ALGEBRA_EDGES - 1), unique=True, max_size=4))
+    shifts = tuple(sorted((e, draw(index)) for e in edges))
+    deltas = tuple((_expr(draw), draw(index)) for _ in range(draw(st.integers(0, 3))))
+    chars = tuple(
+        (draw(st.sampled_from(grp.characters())), _expr(draw), draw(index))
+        for _ in range(draw(st.integers(0, 3)))
+    )
+    L = grp.phase_denominator
+    phase = Fraction(draw(st.integers(0, L - 1)), L)
+    return AffineMap(grp, ALGEBRA_EDGES, shifts, deltas, chars, phase)
+
+
+@st.composite
+def _map_pairs(draw):
+    grp = draw(st.sampled_from(ALGEBRA_GROUPS))
+    return _affine_map(draw, grp), _affine_map(draw, grp)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=_map_pairs())
+def test_index_algebra_matches_tuple_reference(pair):
+    a, b = pair
+    assert a.compose(b) == _ref_compose(a, b)
+    assert a.adjoint() == _ref_adjoint(a)
+    for m in (a, a.compose(b), a.adjoint()):
+        assert canonical(m) == _ref_canonical(m)
