@@ -15,7 +15,6 @@ from .lattice import (
     Site,
     closed_loop_around,
     cone_make,
-    lattice_make,
     parse_lattice,
     ribbon_between,
     ribbon_concat,
@@ -25,7 +24,6 @@ from .operators import (
     AffineMap,
     OperatorError,
     OpSum,
-    charge_projector,
     hamiltonian,
     loop_charge_projector,
     plaq_h,
@@ -35,14 +33,12 @@ from .operators import (
     star_g,
     star_proj,
 )
-from .groundstate import flat_connections, ground_space, ground_state, expectation, omega_expectation
+from .groundstate import flat_connections, ground_state, omega_distance, omega_expectation
 from .states import SparseState, inner
 from .sectors import (
     SectorLabel,
     braiding_phase,
-    charged_state,
     fusion_table,
-    s_matrix,
     sector_labels,
 )
 from .reports import Report, RunConfig
@@ -59,7 +55,6 @@ __all__ = [
     "Site",
     "closed_loop_around",
     "cone_make",
-    "lattice_make",
     "parse_lattice",
     "ribbon_between",
     "ribbon_concat",
@@ -67,7 +62,6 @@ __all__ = [
     "AffineMap",
     "OperatorError",
     "OpSum",
-    "charge_projector",
     "hamiltonian",
     "loop_charge_projector",
     "plaq_h",
@@ -77,17 +71,14 @@ __all__ = [
     "star_g",
     "star_proj",
     "flat_connections",
-    "ground_space",
     "ground_state",
-    "expectation",
+    "omega_distance",
     "omega_expectation",
     "SparseState",
     "inner",
     "SectorLabel",
     "braiding_phase",
-    "charged_state",
     "fusion_table",
-    "s_matrix",
     "sector_labels",
     "Report",
     "RunConfig",

@@ -36,7 +36,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--tol", type=float, default=1e-9, help="check tolerance")
     p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
-    p.add_argument("--cap", type=int, default=6, help="ribbon enumeration length cap")
     p.add_argument("--out", default=None, help="report JSON path (stdout when omitted)")
     p.add_argument("--config", default=None, help="JSON file with the same fields")
     return p
@@ -50,7 +49,6 @@ def config_from_args(argv=None) -> RunConfig:
         "lattice": args.lattice,
         "tol": args.tol,
         "seed": args.seed,
-        "cap": args.cap,
         "out": args.out,
     }
     if args.config:

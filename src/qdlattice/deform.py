@@ -13,8 +13,8 @@ The check below is syntactic. It compares the face fluxes created by the
 two shift patterns (the excitation pattern must match at the endpoint
 faces), the winding around the torus handles when applicable, and the
 crossing obstruction read by each ribbon's flux expression on the other's
-shift pattern. ``omega_distance`` measures the outcome, ‖F₁Ω − F₂Ω‖, from
-ground-state expectations without building Ω.
+shift pattern. ``groundstate.omega_distance`` measures the outcome,
+‖F₁Ω − F₂Ω‖, from ground-state expectations without building Ω.
 """
 
 from __future__ import annotations
@@ -24,10 +24,10 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .groundstate import _torus_cocycle, face_fluxes, omega_expectation
+from .groundstate import _torus_cocycle, face_fluxes
 from .groups import AbelianGroup, Element
 from .lattice import Lattice, LatticeError, Ribbon, positive_moves, ribbon_between
-from .operators import AffineMap, OpSum, ribbon_F
+from .operators import ribbon_F
 
 
 def shift_pattern(lat: Lattice, group: AbelianGroup, ribbon: Ribbon, h: Element) -> np.ndarray:
@@ -76,18 +76,6 @@ def is_deformation_pair(lat: Lattice, group: AbelianGroup, r1: Ribbon, r2: Ribbo
             if flux_reading(lat, group, r1, row) != flux_reading(lat, group, r2, row):
                 return False
     return True
-
-
-def omega_distance(lat: Lattice, group: AbelianGroup, f1: AffineMap, f2: AffineMap) -> float:
-    """‖F₁Ω − F₂Ω‖ without Ω: ω(F₁†F₁) + ω(F₂†F₂) − ω(F₁†F₂) − ω(F₂†F₁), in
-    one ``omega_expectation`` call. For ribbon operators each term is a count
-    of vertex potentials over their number, so two maps with the same image
-    of Ω give exactly 0."""
-    a1, a2 = f1.adjoint(), f2.adjoint()
-    gram = OpSum.weighted(
-        [(1, a1.compose(f1)), (1, a2.compose(f2)), (-1, a1.compose(f2)), (-1, a2.compose(f1))]
-    )
-    return float(np.sqrt(max(omega_expectation(lat, group, gram).real, 0.0)))
 
 
 PATH_NODE_CAP = 20000

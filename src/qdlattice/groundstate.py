@@ -5,9 +5,10 @@ every complete face is trivial. On a plane patch every flat connection is a
 vertex-potential gradient, so the flat set has exactly |G|^(V-1) elements
 and the uniform superposition over it is the natural ground state. On a
 torus each flat connection is a gradient plus a harmonic piece labelled by
-the two holonomies, giving the |G|^2 ground-space sectors; the torus Ω used
-by the experiments is ``ground_space(...)[0]``, the zero-holonomy sector,
-which is again the uniform superposition over the gradients.
+the two holonomies, giving the |G|^2 ground-space sectors. Ω is the
+zero-holonomy sector, again the uniform superposition over the gradients;
+the sector with holonomies (a, b) is T_ab Ω, T_ab the pure shift by
+``_torus_cocycle(lat, group, a, b)``.
 
 Ω is therefore uniform over a group F (the gradients) and every ground-state
 expectation is computed from that group, not from an amplitude vector. An
@@ -24,14 +25,13 @@ freedom. ``omega_expectation`` computes this (``OpSum`` by linearity) and
 refuses, before enumerating, an enumeration of more than a capped number of
 rows.
 
-The deform experiment's distances need no vector either: for single maps,
-‖F₁Ω − F₂Ω‖² = ω(F₁†F₁) + ω(F₂†F₂) − 2 Re ω(F₁†F₂) (``deform.omega_distance``).
+Distances need no vector either: for single maps,
+‖F₁Ω − F₂Ω‖² = ω(F₁†F₁) + ω(F₂†F₂) − 2 Re ω(F₁†F₂) (``omega_distance``).
+The deformation, transporter and torus stabilizer checks all measure their
+distances this way; a torus sector vector is reached by composing with T_ab.
 
-``ground_state``, ``ground_space`` and ``expectation`` still materialize
-states. They serve the checks that need an actual vector: ‖x − y‖ distances
-(transporters, torus ground vectors), the cone subspaces of the Haag-duality
-checks, the support and brute-force checks of the groundstate experiment,
-and the tests' oracles for ``omega_expectation`` and ``omega_distance``.
+``ground_state`` still materializes Ω on a plane patch, for the cone
+subspaces of the Haag-duality checks.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ import numpy as np
 
 from .groups import AbelianGroup, Element
 from .lattice import Lattice
-from .operators import AffineMap, as_opsum
-from .states import SparseState, inner
+from .operators import AffineMap, OpSum, as_opsum
+from .states import SparseState
 
 FLAT_BRUTE_CAP = 1 << 22
 # rows flat_connections may enumerate: |G|^(V-1), times |G|^2 on the torus
@@ -82,6 +82,13 @@ def _torus_cocycle(lat: Lattice, group: AbelianGroup, hx: int, hy: int) -> np.nd
     return row
 
 
+def sector_shift(lat: Lattice, group: AbelianGroup, a: int, b: int) -> AffineMap:
+    """T_ab, the pure shift by ``_torus_cocycle(lat, group, a, b)``: T_ab Ω is
+    the ground vector of the torus holonomy sector (a, b)."""
+    row = _torus_cocycle(lat, group, a, b)
+    return AffineMap(group, lat.n_edges, shifts=tuple((e, int(gi)) for e, gi in enumerate(row) if gi))
+
+
 def flat_connections(lat: Lattice, group: AbelianGroup) -> np.ndarray:
     """All flat configurations, one uint8 row per connection. Refused, before
     anything is allocated, above FLAT_ROWS_CAP rows."""
@@ -101,10 +108,6 @@ def flat_connections(lat: Lattice, group: AbelianGroup) -> np.ndarray:
             c0 = _torus_cocycle(lat, group, hx, hy)
             parts.append(add[grads.astype(np.int64), c0[None, :]].astype(np.uint8))
     return np.concatenate(parts)
-
-
-def flat_connection_count(lat: Lattice, group: AbelianGroup) -> int:
-    return len(flat_connections(lat, group))
 
 
 def face_flux(lat: Lattice, group: AbelianGroup, configs: np.ndarray, f: int) -> np.ndarray:
@@ -149,11 +152,10 @@ def all_configs(lat: Lattice, group: AbelianGroup) -> np.ndarray:
 
 
 def ground_state(lat: Lattice, group: AbelianGroup) -> SparseState:
-    """Uniform superposition over flat connections (plane patches).
-
-    On a torus the stabilized space is degenerate; use ground_space."""
+    """Uniform superposition over flat connections (plane patches only: the
+    torus ground space is degenerate)."""
     if lat.is_torus:
-        raise GroundStateError("torus ground space is degenerate: use ground_space")
+        raise GroundStateError("torus ground space is degenerate: ground_state builds plane patches")
     configs = flat_connections(lat, group)
     amps = np.full(len(configs), 1.0 / np.sqrt(len(configs)), dtype=np.complex128)
     return SparseState.from_terms(configs, amps, lat.n_edges, group.order)
@@ -171,23 +173,6 @@ def torus_holonomies(
     for y in range(lat.height):
         hy = add[hy, configs[:, lat.edge_id("v", 0, y)].astype(np.int64)]
     return hx, hy
-
-
-def ground_space(lat: Lattice, group: AbelianGroup) -> list[SparseState]:
-    """Orthonormal basis of the joint +1 eigenspace of all complete star and
-    plaquette projectors. On the torus: one uniform superposition per
-    holonomy pair; on a plane patch the single flat-connection state."""
-    if not lat.is_torus:
-        return [ground_state(lat, group)]
-    configs = flat_connections(lat, group)
-    hx, hy = torus_holonomies(lat, group, configs)
-    out = []
-    for a in range(group.order):
-        for b in range(group.order):
-            sel = configs[(hx == a) & (hy == b)]
-            amps = np.full(len(sel), 1.0 / np.sqrt(len(sel)), dtype=np.complex128)
-            out.append(SparseState.from_terms(sel, amps, lat.n_edges, group.order))
-    return out
 
 
 def connection_projector(
@@ -221,14 +206,6 @@ def count_flat_on_faces(lat: Lattice, group: AbelianGroup, faces: list[int]) -> 
     for k, e in enumerate(edges):
         configs[:, e] = (idx // group.order**k) % group.order
     return int(np.sum(~np.any(face_fluxes(lat, group, configs)[:, faces], axis=1)))
-
-
-def expectation(psi: SparseState, op) -> complex:
-    """<psi|op|psi> / <psi|psi> on a materialized state."""
-    nrm = inner(psi, psi)
-    if nrm == 0:
-        raise GroundStateError("expectation in the zero vector")
-    return inner(psi, as_opsum(op).apply(psi)) / nrm
 
 
 def shift_row(lat: Lattice, m: AffineMap) -> np.ndarray:
@@ -343,3 +320,15 @@ def omega_expectation(lat: Lattice, group: AbelianGroup, op) -> complex:
             )
         terms.append((coeff, factors, vertices))
     return complex(sum(c * _potential_mean(group, f, vs) for c, f, vs in terms))
+
+
+def omega_distance(lat: Lattice, group: AbelianGroup, f1: AffineMap, f2: AffineMap) -> float:
+    """‖F₁Ω − F₂Ω‖ without Ω: ω(F₁†F₁) + ω(F₂†F₂) − ω(F₁†F₂) − ω(F₂†F₁), in
+    one ``omega_expectation`` call. For ribbon operators each term is a count
+    of vertex potentials over their number, so two maps with the same image
+    of Ω give exactly 0."""
+    a1, a2 = f1.adjoint(), f2.adjoint()
+    gram = OpSum.weighted(
+        [(1, a1.compose(f1)), (1, a2.compose(f2)), (-1, a1.compose(f2)), (-1, a2.compose(f1))]
+    )
+    return float(np.sqrt(max(omega_expectation(lat, group, gram).real, 0.0)))

@@ -59,7 +59,6 @@ raises ``LatticeError``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Optional
@@ -71,7 +70,6 @@ __all__ = [
     "Triangle",
     "Ribbon",
     "Region",
-    "lattice_make",
     "parse_lattice",
     "format_lattice",
     "ribbon_concat",
@@ -260,15 +258,6 @@ class Lattice:
         """``plaq_edges`` of every face, in face order (computed once)."""
         return tuple(tuple(self.plaq_edges(f)) for f in self.faces())
 
-    def plaq_edges_from(self, s: "Site") -> list[tuple[int, int]]:
-        """Same walk, rotated to start at the site's vertex."""
-        corners = self.face_corners_ccw(s.face)
-        if s.vertex not in corners:
-            raise LatticeError("site vertex is not a corner of its face")
-        k = corners.index(s.vertex)
-        walk = self.plaq_edges(s.face)
-        return walk[k:] + walk[:k]
-
     # -- sites ------------------------------------------------------------------
 
     def faces_at_vertex_cw(self, v: int) -> list[Optional[int]]:
@@ -370,23 +359,6 @@ def _edge_between_faces(lat: Lattice, v: int, f0: int, f1: int) -> int:
     if len(shared) != 1:
         raise LatticeError("dual triangle needs faces adjacent across one edge at the vertex")
     return shared[0]
-
-
-def triangle_is_positive(lat: Lattice, tri: Triangle) -> bool:
-    """True for the canonical orientation: face left of direct travel,
-    vertex right of dual travel. The reversed partner of a positive triangle
-    is negative and vice versa."""
-    if tri.kind == "direct":
-        tail, head = lat.edge_endpoints(tri.edge)
-        along = (tri.s0.vertex, tri.s1.vertex) == (tail, head)
-        # Walking ccw around the face keeps it on the left; the ccw walk
-        # traverses each boundary edge with the sign reported by plaq_edges.
-        sign = dict(lat.plaq_edges(tri.s0.face))[tri.edge]
-        return (sign == +1) == along
-    # Travel along the dual edge keeps the primal edge's head on its right.
-    d_tail, d_head = lat.dual_faces(tri.edge)
-    along = (tri.s0.face, tri.s1.face) == (d_tail, d_head)
-    return along == (tri.s0.vertex == lat.edge_endpoints(tri.edge)[1])
 
 
 def direct_flux_sign(lat: Lattice, tri: Triangle) -> int:
@@ -669,12 +641,6 @@ class Region:
         halo = self._site_halo(s)
         return any(e in self.edges for e in halo) and any(e not in self.edges for e in halo)
 
-    def contains_ribbon(self, r: Ribbon) -> bool:
-        return r.edges() <= self.edges
-
-    def complement(self) -> "Region":
-        return Region(self.lattice, self.complement_edges())
-
 
 _CONE_DIRS = {"N": (0, 1), "E": (1, 0), "S": (0, -1), "W": (-1, 0)}
 
@@ -717,16 +683,6 @@ def cone_make(
         if not (trim_rim and lat.is_rim(e)):
             edges.append(e)
     return Region(lat, frozenset(edges))
-
-
-def cone_from_spec(spec: dict, lat: Lattice) -> Region:
-    """Cone from its JSON form, e.g. {"apex": [1, 1], "dirs": ["N", "E"]}."""
-    try:
-        apex = tuple(int(v) for v in spec["apex"])
-        dirs = list(spec["dirs"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise LatticeError(f"malformed cone spec {spec!r}: {exc}") from None
-    return cone_make(apex, dirs, lat)
 
 
 def boundary(region: Region) -> frozenset[int]:
@@ -816,74 +772,6 @@ def closed_loop_around(target: Site, radius: int, lat: Lattice) -> Ribbon:
     if not loop.is_closed:
         raise LatticeError("loop construction failed to close")
     return ribbon_invert(loop)
-
-
-def site_point(lat: Lattice, s: Site) -> tuple[float, float]:
-    """Geometric anchor of a site: midway between vertex and face centre."""
-    vx, vy = lat.vertex_xy(s.vertex)
-    fx, fy = lat.face_xy(s.face)
-    if lat.is_torus:
-        # unwrap the face centre next to the vertex
-        cx, cy = fx + 0.5, fy + 0.5
-        if cx - vx > 1:
-            cx -= lat.width
-        if vx - cx > 1:
-            cx += lat.width
-        if cy - vy > 1:
-            cy -= lat.height
-        if vy - cy > 1:
-            cy += lat.height
-    else:
-        cx, cy = fx + 0.5, fy + 0.5
-    return (vx + cx) / 2.0, (vy + cy) / 2.0
-
-
-def loop_encloses(loop: Ribbon, target: Site, lat: Lattice) -> bool:
-    """Winding-number test of the loop's site polygon around the target
-    anchor point (plane geometry; torus loops are unwrapped locally)."""
-    pts = [site_point(lat, t.s0) for t in loop.triangles]
-    if lat.is_torus:
-        # unwrap consecutive points to the nearest images
-        unwrapped = [pts[0]]
-        for x, y in pts[1:]:
-            px, py = unwrapped[-1]
-            while x - px > lat.width / 2:
-                x -= lat.width
-            while px - x > lat.width / 2:
-                x += lat.width
-            while y - py > lat.height / 2:
-                y -= lat.height
-            while py - y > lat.height / 2:
-                y += lat.height
-            unwrapped.append((x, y))
-        pts = unwrapped
-        tx, ty = site_point(lat, target)
-        px, py = pts[0]
-        while tx - px > lat.width / 2:
-            tx -= lat.width
-        while px - tx > lat.width / 2:
-            tx += lat.width
-        while ty - py > lat.height / 2:
-            ty -= lat.height
-        while py - ty > lat.height / 2:
-            ty += lat.height
-    else:
-        tx, ty = site_point(lat, target)
-    winding = 0.0
-    for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]):
-        a0 = math.atan2(y0 - ty, x0 - tx)
-        a1 = math.atan2(y1 - ty, x1 - tx)
-        d = a1 - a0
-        while d > math.pi:
-            d -= 2 * math.pi
-        while d < -math.pi:
-            d += 2 * math.pi
-        winding += d
-    return abs(winding) > math.pi  # |winding| ~ 2*pi when enclosed
-
-
-def lattice_make(width: int, height: int, boundary: str) -> Lattice:
-    return Lattice(width, height, boundary)
 
 
 def parse_lattice(spec: str) -> Lattice:

@@ -1,4 +1,4 @@
-"""Triangle, ribbon, star, plaquette and charge operators.
+"""Ribbon, star, plaquette and loop charge operators.
 
 Every elementary operator here maps a configuration basis vector to at most
 one basis vector with a unit-modulus coefficient. Such maps close under
@@ -33,7 +33,6 @@ from .lattice import (
     Region,
     Ribbon,
     Site,
-    Triangle,
     direct_flux_sign,
     dual_shift_sign,
 )
@@ -386,29 +385,6 @@ def ops_equal(a, b, n_edges: int) -> float:
     return max(float(np.max(np.abs(np.subtract(*sums)))) for sums in buckets.values())
 
 
-# -- triangle operators ---------------------------------------------------------------
-
-
-def triangle_T(lat: Lattice, group: AbelianGroup, tri: Triangle, h: Element) -> AffineMap:
-    """Direct-triangle projector: keeps the basis state when the edge value,
-    read with the travel sign, equals h."""
-    if tri.kind != "direct":
-        raise OperatorError("triangle_T needs a direct triangle")
-    coeffs = ((tri.edge, direct_flux_sign(lat, tri)),)
-    return AffineMap(group, lat.n_edges, deltas=((coeffs, group.index_of(h)),))
-
-
-def triangle_L(lat: Lattice, group: AbelianGroup, tri: Triangle, g: Element) -> AffineMap:
-    """Dual-triangle shift: adds g to the crossed edge with the travel sign."""
-    if tri.kind != "dual":
-        raise OperatorError("triangle_L needs a dual triangle")
-    gi = group.index_of(g)
-    val = gi if dual_shift_sign(lat, tri) > 0 else group.index_tables()[1][gi]
-    if not val:
-        return AffineMap.identity(group, lat.n_edges)
-    return AffineMap(group, lat.n_edges, shifts=((tri.edge, val),))
-
-
 def _ribbon_parts(lat: Lattice, ribbon: Ribbon) -> tuple[Coeffs, tuple[tuple[int, int], ...]]:
     flux: list[tuple[int, int]] = []
     duals: list[tuple[int, int]] = []
@@ -509,18 +485,6 @@ def plaq_proj(lat: Lattice, group: AbelianGroup, s: Site) -> OpSum:
     return OpSum.of(plaq_h(lat, group, s, group.identity()))
 
 
-def charge_projector(
-    lat: Lattice, group: AbelianGroup, s: Site, xi: Char, d: Element
-) -> OpSum:
-    """Detector of the charge (xi, d) sitting at site s."""
-    bd = plaq_h(lat, group, s, d)
-    terms = []
-    for k in group.elements():
-        coeff = complex(np.conj(group.char_eval(xi, k))) / group.order
-        terms.append((coeff, star_g(lat, group, s, k).compose(bd)))
-    return OpSum.weighted(terms)
-
-
 def loop_charge_projector(
     lat: Lattice, group: AbelianGroup, loop: Ribbon, sigma: Char, c: Element
 ) -> OpSum:
@@ -582,8 +546,3 @@ def hamiltonian(lat: Lattice, group: AbelianGroup, region: Optional[Region] = No
     for f in plaqs:
         total = total + plaq_proj(lat, group, _site_at_face(lat, f)).scaled(-1.0)
     return total
-
-
-def ground_energy(lat: Lattice, region: Optional[Region] = None) -> float:
-    """Energy of a state stabilized by every term of the Hamiltonian."""
-    return -float(len(complete_stars(lat, region)) + len(complete_plaquettes(lat, region)))

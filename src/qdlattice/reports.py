@@ -24,7 +24,6 @@ class RunConfig:
     lattice: str = ""
     tol: float = 1e-9
     seed: int = 0
-    cap: int = 6
     out: Optional[str] = None
 
     def __post_init__(self):
@@ -33,12 +32,8 @@ class RunConfig:
             raise ValueError(f"tolerance must be a number, got {self.tol!r}")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tolerance must be positive and finite, got {self.tol!r}")
-        for name in ("seed", "cap"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.cap < 1:
-            raise ValueError(f"cap must be at least 1, got {self.cap}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
 
 
 @dataclass
@@ -111,10 +106,3 @@ def write_report(report: Report, path: str) -> None:
                 fh.write(",".join(str(c) for c in table["columns"]) + "\n")
                 for row in table["rows"]:
                     fh.write(",".join(str(_round_floats(v)) for v in row) + "\n")
-
-
-def schema() -> dict:
-    """The published report schema (shipped next to this module)."""
-    path = os.path.join(os.path.dirname(__file__), "report_schema.json")
-    with open(path) as fh:
-        return json.load(fh)

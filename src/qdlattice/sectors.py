@@ -1,15 +1,16 @@
-"""Charged states, sector distinguishability, transporters, fusion,
+"""Charge detection, sector distinguishability, transporters, fusion,
 braiding and the modular S matrix.
 
 Sector labels are pairs (character, group element). Charged states are
-ribbon operators applied to a stabilized ground state; all sector data can
-be extracted either operationally (detectors on states) or as exact operator
-phases (for braiding), since products of the unitary ribbon operators reduce
-to a global phase times the identity whenever the theory says they should.
-Detector readings on charged states F Ω are ground-state expectations
-<Ω|F† X F|Ω> / <Ω|F† F|Ω>, computed from the flat-connection group by
-``omega_expectation`` (fusion, loop-projector tables); ``charge_moments``
-reads the same moments off a materialized state.
+ribbon operators F applied to the ground state Ω; all sector data can be
+extracted either operationally (detectors in charged states) or as exact
+operator phases (for braiding), since products of the unitary ribbon
+operators reduce to a global phase times the identity whenever the theory
+says they should. No charged state is built: detector readings on F Ω are
+ground-state expectations <Ω|F† X F|Ω> / <Ω|F† F|Ω>, computed from the
+flat-connection group by ``omega_expectation`` (fusion, loop-projector
+tables), and the transporter checks compare images of Ω with
+``omega_distance``.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .operators import (
     ribbon_F_irrep,
     star_g,
 )
-from .states import SparseState, inner
 from .groundstate import GroundStateError, face_flux, omega_expectation, shift_row
 
 
@@ -54,63 +54,17 @@ def sector_labels(group: AbelianGroup) -> list[SectorLabel]:
     return [SectorLabel(chi, c) for chi in group.characters() for c in group.elements()]
 
 
-def conjugate_label(group: AbelianGroup, label: SectorLabel) -> SectorLabel:
-    return SectorLabel(group.char_conj(label.chi), group.inv(label.c))
-
-
 def fuse_labels(group: AbelianGroup, a: SectorLabel, b: SectorLabel) -> SectorLabel:
     return SectorLabel(group.char_mul(a.chi, b.chi), group.mul(a.c, b.c))
 
 
-# -- charged states -----------------------------------------------------------------
-
-
-def charged_state(
-    lat: Lattice,
-    group: AbelianGroup,
-    label: SectorLabel,
-    ribbon: Ribbon,
-    omega: SparseState,
-) -> SparseState:
-    """Normalized state with charge `label` at the ribbon's start site and
-    the conjugate charge at its end."""
-    if ribbon.is_closed or ribbon.is_trivial:
-        raise LatticeError("charged states need an open ribbon")
-    psi = as_opsum(ribbon_F_irrep(lat, group, ribbon, label.chi, label.c)).apply(omega)
-    return psi.normalized()
-
-
-def charge_moments(
-    lat: Lattice, group: AbelianGroup, s: Site, psi: SparseState
-) -> dict[tuple[Element, Element], complex]:
-    """<psi| A^k B^d |psi> / <psi|psi> for every pair (k, d), in one
-    vectorized pass: the plaquette flux is read once and the star shift once
-    per group element."""
-    norm = inner(psi, psi)
-    flux = face_flux(lat, group, psi.configs, s.face)
-    keys = psi.keys()
-    mu: dict[tuple[Element, Element], complex] = {}
-    for k in group.elements():
-        _, _, shifted = star_g(lat, group, s, k).eval(psi.configs)
-        buf = np.ascontiguousarray(shifted)
-        skeys = buf.view(np.dtype((np.void, buf.shape[1]))).ravel()
-        pos = np.searchsorted(keys, skeys)
-        pos_c = np.clip(pos, 0, len(keys) - 1)
-        hit = keys[pos_c] == skeys
-        # term i contributes conj(amp at shifted config) * amp_i to mu(k, flux_i)
-        contrib = np.zeros(len(keys), dtype=np.complex128)
-        contrib[hit] = np.conj(psi.amps[pos_c[hit]]) * psi.amps[np.nonzero(hit)[0]]
-        per_d = np.zeros(group.order, dtype=np.complex128)
-        np.add.at(per_d, flux[hit], contrib[hit])
-        for d_idx in range(group.order):
-            mu[(k, group.element_at(d_idx))] = complex(per_d[d_idx] / norm)
-    return mu
+# -- charge detection -----------------------------------------------------------------
 
 
 def omega_charge_moments(
     lat: Lattice, group: AbelianGroup, s: Site, F: AffineMap
 ) -> dict[tuple[Element, Element], complex]:
-    """``charge_moments`` of the state F Ω, without the state:
+    """Charge moments of the state F Ω, without the state:
     mu(k, d) = <Ω|F† A^k P_d F|Ω> / <Ω|F† F|Ω>, P_d the projector onto face
     flux d at s. F Ω lies on configurations c + shift(F) with c flat, and every
     face of the patch is complete, so the flux at s is that of F's shift on
@@ -140,13 +94,6 @@ def _label_from_moments(
             if abs(val - 1.0) < 1e-9:
                 return SectorLabel(xi, d)
     return None
-
-
-def detect_charge(
-    lat: Lattice, group: AbelianGroup, s: Site, psi: SparseState
-) -> Optional[SectorLabel]:
-    """The unique label whose charge projector fixes psi at s, if any."""
-    return _label_from_moments(group, charge_moments(lat, group, s, psi))
 
 
 # -- distinguishability ----------------------------------------------------------------
@@ -455,17 +402,3 @@ def s_matrix_formula(group: AbelianGroup, label1: SectorLabel, label2: SectorLab
         np.conj(group.char_eval(label1.chi, label2.c))
         * np.conj(group.char_eval(label2.chi, label1.c))
     )
-
-
-def s_matrix(
-    lat: Lattice, group: AbelianGroup, normalized: bool = False
-) -> dict[tuple[SectorLabel, SectorLabel], complex]:
-    """Full table of double-exchange scalars; with `normalized` the entries
-    are divided by the group order, giving the modular matrix normalization."""
-    geom = smatrix_geometry(lat)
-    scale = 1.0 / group.order if normalized else 1.0
-    out = {}
-    for a in sector_labels(group):
-        for b in sector_labels(group):
-            out[(a, b)] = s_matrix_entry(lat, group, a, b, geom) * scale
-    return out

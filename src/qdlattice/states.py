@@ -109,16 +109,6 @@ class SparseState:
             raise ValueError("cannot normalize the zero vector")
         return self.scaled(1.0 / n)
 
-    def to_records(self) -> list[dict]:
-        """Debug dump: mixed-radix integer key per configuration."""
-        out = []
-        for row, amp in zip(self.configs, self.amps):
-            key = 0
-            for digit in row[::-1]:
-                key = key * self.radix + int(digit)
-            out.append({"key": key, "re": float(amp.real), "im": float(amp.imag)})
-        return out
-
 
 def inner(psi: SparseState, phi: SparseState) -> complex:
     """<psi|phi>, conjugate-linear in the first argument."""
@@ -154,10 +144,6 @@ def gram_matrix(vectors: Sequence[SparseState]) -> np.ndarray:
     return np.asarray((m @ m.conj().T).todense())
 
 
-def distance(psi: SparseState, phi: SparseState) -> float:
-    return psi.sub(phi).norm()
-
-
 def orthonormal_coeffs(
     vectors: Iterable[SparseState], tol: float = SPAN_TOL
 ) -> tuple[list[SparseState], np.ndarray]:
@@ -185,46 +171,3 @@ def orthonormal_coeffs(
     for i, col in enumerate(cols):
         coeffs[i, : len(col)] = col
     return basis, coeffs
-
-
-def orthonormalize(vectors: Iterable[SparseState], tol: float = SPAN_TOL) -> list[SparseState]:
-    """Modified Gram-Schmidt; drops vectors whose residual norm is < tol."""
-    return orthonormal_coeffs(vectors, tol)[0]
-
-
-def complex_span_dim(vectors: Sequence[SparseState], tol: float = SPAN_TOL) -> int:
-    return len(orthonormalize(vectors, tol))
-
-
-def project_onto_span(
-    psi: SparseState, vectors: Sequence[SparseState], tol: float = SPAN_TOL
-) -> SparseState:
-    basis = orthonormalize(vectors, tol)
-    return project_onto_basis(psi, basis)
-
-
-def project_onto_basis(psi: SparseState, basis: Sequence[SparseState]) -> SparseState:
-    out = SparseState.zero(psi.n_edges, psi.radix)
-    for b in basis:
-        out = out.add(b.scaled(inner(b, psi)))
-    return out
-
-
-def real_linear_rank(vectors: Sequence[SparseState], tol: float = SPAN_TOL) -> int:
-    """Rank of the family over the reals: the span of real-coefficient
-    combinations, so `psi` and `i*psi` count as two independent directions."""
-    vecs = [v.normalized() for v in vectors if v.norm() > 0.0]
-    if not vecs:
-        return 0
-    gram = gram_matrix(vecs).real
-    eigs = np.linalg.eigvalsh(gram)
-    return int(np.sum(eigs > tol))
-
-
-def dump_state_jsonl(psi: SparseState, path: str) -> None:
-    """Debug dump: one JSON object {key, re, im} per stored amplitude."""
-    import json
-
-    with open(path, "w") as fh:
-        for rec in psi.to_records():
-            fh.write(json.dumps(rec) + "\n")

@@ -19,7 +19,7 @@ from qdlattice.experiments import (
     run_verify,
 )
 from qdlattice.groups import group_make, parse_group
-from qdlattice.lattice import lattice_make
+from qdlattice.lattice import Lattice
 from qdlattice.reports import Report, RunConfig
 from qdlattice.sectors import (
     SectorLabel,
@@ -43,7 +43,7 @@ def test_criterion_1_operator_identity_suite():
     worst = 0.0
     for spec in ("z2", "z3"):
         cfg = RunConfig("verify", group=spec, lattice="3x3:torus", tol=1e-10)
-        rep = run_verify(cfg, parse_group(spec), lattice_make(3, 3, "torus"))
+        rep = run_verify(cfg, parse_group(spec), Lattice(3, 3, "torus"))
         worst = max(worst, _worst(rep))
         assert rep.all_passed, [c.name for c in rep.checks if c.status != "pass"]
     elapsed = time.time() - t0
@@ -60,12 +60,12 @@ def test_criterion_2_ground_state():
     worst = 0.0
     for spec, dims in [("z2", (2, 2)), ("z2", (3, 3)), ("z3", (2, 2)), ("z3", (3, 3))]:
         cfg = RunConfig("groundstate", group=spec, lattice=f"{dims[0]}x{dims[1]}:plane", tol=1e-12)
-        rep = run_groundstate(cfg, parse_group(spec), lattice_make(*dims, "plane"))
+        rep = run_groundstate(cfg, parse_group(spec), Lattice(*dims, "plane"))
         worst = max(worst, _worst(rep))
         assert rep.all_passed
     for spec in ("z2", "z3"):
         cfg = RunConfig("groundstate", group=spec, lattice="2x2:torus")
-        rep = run_groundstate(cfg, parse_group(spec), lattice_make(2, 2, "torus"))
+        rep = run_groundstate(cfg, parse_group(spec), Lattice(2, 2, "torus"))
         assert rep.all_passed
         if spec == "z2":
             diag = next(c for c in rep.checks if "diagonalization" in c.name)
@@ -84,7 +84,7 @@ def test_criterion_2_ground_state():
 
 def test_criterion_3_deformation_and_inversion():
     cfg = RunConfig("deform", group="z2", lattice="3x4:plane", tol=1e-10, seed=0)
-    rep = run_deform(cfg, group_make([2]), lattice_make(3, 4, "plane"), pairs=200)
+    rep = run_deform(cfg, group_make([2]), Lattice(3, 4, "plane"), pairs=200)
     deform_check = rep.checks[0]
     assert "200 seeded ribbon pairs" in deform_check.details
     _announce(
@@ -97,7 +97,7 @@ def test_criterion_3_deformation_and_inversion():
 
 def test_criterion_4_braiding_and_smatrix():
     t0 = time.time()
-    lat = lattice_make(7, 7, "plane")
+    lat = Lattice(7, 7, "plane")
     worst = 0.0
     for spec in ("z2", "z3", "z4", "z2xz2"):
         grp = parse_group(spec)
@@ -141,7 +141,7 @@ def test_criterion_5_fusion():
     for spec in ("z2", "z3", "z4", "z2xz2"):
         grp = parse_group(spec)
         cfg = RunConfig("fusion", group=spec, lattice="3x3:torus")
-        rep = run_fusion(cfg, grp, lattice_make(3, 3, "torus"))
+        rep = run_fusion(cfg, grp, Lattice(3, 3, "torus"))
         assert rep.all_passed, f"fusion table broken for {spec}"
         worst_group = spec
     _announce(
@@ -156,7 +156,7 @@ def test_criterion_6_sector_disjointness():
     for spec in ("z2", "z3", "z4", "z2xz2"):
         grp = parse_group(spec)
         cfg = RunConfig("sectors", group=spec, lattice="3x3:torus", tol=1e-9)
-        rep = run_sectors(cfg, grp, lattice_make(3, 3, "torus"))
+        rep = run_sectors(cfg, grp, Lattice(3, 3, "torus"))
         assert rep.all_passed, f"sector separation broken for {spec}: " + str(
             [(c.name, c.details) for c in rep.checks if c.status != "pass"]
         )
@@ -165,8 +165,8 @@ def test_criterion_6_sector_disjointness():
 
 def test_criterion_7_haag_surrogates():
     t0 = time.time()
-    cfg = RunConfig("haag-check", group="z2", lattice="3x4:plane", seed=0, cap=5)
-    rep = run_haag(cfg, group_make([2]), lattice_make(3, 4, "plane"))
+    cfg = RunConfig("haag-check", group="z2", lattice="3x4:plane", seed=0)
+    rep = run_haag(cfg, group_make([2]), Lattice(3, 4, "plane"))
     elapsed = time.time() - t0
     _announce(
         7,
@@ -178,7 +178,7 @@ def test_criterion_7_haag_surrogates():
 
 def test_criterion_8_split_surrogate():
     cfg = RunConfig("split-check", group="z2", lattice="4x4:plane", seed=0)
-    rep = run_split(cfg, group_make([2]), lattice_make(4, 4, "plane"), samples=100)
+    rep = run_split(cfg, group_make([2]), Lattice(4, 4, "plane"), samples=100)
     factor = rep.checks[0]
     _announce(
         8,

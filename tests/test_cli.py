@@ -1,10 +1,13 @@
 import json
+from pathlib import Path
 
 import jsonschema
 import pytest
 
 from qdlattice.cli import main
-from qdlattice.reports import Report, RunConfig, report_json, schema
+from qdlattice.reports import Report, RunConfig, report_json
+
+SCHEMA = Path(__file__).resolve().parent.parent / "src" / "qdlattice" / "report_schema.json"
 
 
 def run_cli(args):
@@ -13,7 +16,8 @@ def run_cli(args):
 
 def schema_errors(data):
     """Violations of the published report schema (empty when valid)."""
-    return list(jsonschema.Draft202012Validator(schema()).iter_errors(data))
+    schema = json.loads(SCHEMA.read_text())
+    return list(jsonschema.Draft202012Validator(schema).iter_errors(data))
 
 
 def test_groundstate_run_and_schema(tmp_path):
@@ -100,12 +104,16 @@ def test_unknown_experiment_rejected(capsys):
         run_cli(["--experiment", "nonsense"])
 
 
-def test_config_file(tmp_path):
+def test_config_file(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(
         json.dumps({"experiment": "groundstate", "group": "z3", "lattice": "2x2:plane"})
     )
     assert run_cli(["--config", str(cfg)]) == 0
+    # the removed ribbon-length option is an unknown field now
+    cfg.write_text(json.dumps({"experiment": "groundstate", "cap": 6}))
+    assert run_cli(["--config", str(cfg)]) == 2
+    assert "unknown config fields: ['cap']" in capsys.readouterr().err
 
 
 def test_malformed_specs_error(capsys):
@@ -141,10 +149,7 @@ def test_published_schema_validates_reports(tmp_path):
         assert schema_errors(json.loads(out.read_text())) == []
 
 
-@pytest.mark.parametrize(
-    "flag,value,message",
-    [("--tol", "-1", "tolerance must be positive"), ("--cap", "0", "cap must be at least 1")],
-)
+@pytest.mark.parametrize("flag,value,message", [("--tol", "-1", "tolerance must be positive")])
 def test_rejected_config_exits_2_with_one_line(tmp_path, capsys, flag, value, message):
     out = tmp_path / "r.json"
     code = run_cli(["--experiment", "braid", flag, value, "--out", str(out)])

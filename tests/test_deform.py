@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,23 +7,34 @@ from qdlattice.deform import (
     PATH_NODE_CAP,
     _paths_between,
     is_deformation_pair,
-    omega_distance,
     sample_ribbon_pairs,
 )
 from qdlattice.groups import group_make
 from qdlattice.experiments import run_deform
-from qdlattice.groundstate import ground_state
-from qdlattice.lattice import Site, lattice_make, ribbon_between, ribbon_invert
-from qdlattice.operators import as_opsum, ribbon_F, ribbon_F_irrep, same_action, star_g
+from qdlattice.groundstate import ground_state, omega_distance, sector_shift
+from qdlattice.lattice import Lattice, Site, parse_lattice, ribbon_between, ribbon_invert
+from qdlattice.operators import (
+    AffineMap,
+    as_opsum,
+    plaq_h,
+    ribbon_F,
+    ribbon_F_irrep,
+    same_action,
+    star_g,
+)
 from qdlattice.reports import RunConfig
-from qdlattice.states import distance, inner
+from qdlattice.sectors import sector_labels, transporter, truncate
+from qdlattice.states import inner
+
+from oracles import distance, ground_space
 
 Z2 = group_make([2])
 Z3 = group_make([3])
+Z2xZ2 = group_make([2, 2])
 
 
 def test_deformation_pairs_act_identically():
-    lat = lattice_make(3, 4, "plane")
+    lat = Lattice(3, 4, "plane")
     omega = ground_state(lat, Z3)
     rng = random.Random(1)
     labels = [(h, g) for h in Z3.elements() for g in Z3.elements()]
@@ -38,7 +50,7 @@ def test_deformation_pairs_act_identically():
 
 
 def test_crossing_pairs_differ():
-    lat = lattice_make(3, 4, "plane")
+    lat = Lattice(3, 4, "plane")
     omega = ground_state(lat, Z3)
     rng = random.Random(2)
     n = 0
@@ -51,7 +63,7 @@ def test_crossing_pairs_differ():
 
 
 def test_obstruction_is_syntactic_symmetric():
-    lat = lattice_make(3, 4, "plane")
+    lat = Lattice(3, 4, "plane")
     rng = random.Random(3)
     for r1, r2 in sample_ribbon_pairs(lat, Z2, rng, 8, deformations=True):
         assert is_deformation_pair(lat, Z2, r1, r2)
@@ -60,7 +72,7 @@ def test_obstruction_is_syntactic_symmetric():
 
 def test_inverted_ribbon_same_operator():
     # the reversed ribbon with inverted labels is the same operator
-    lat = lattice_make(3, 3, "torus")
+    lat = Lattice(3, 3, "torus")
     s0 = Site(lat.vertex_id(0, 0), lat.face_id(0, 0))
     s1 = Site(lat.vertex_id(2, 1), lat.face_id(1, 1))
     rho = ribbon_between(s0, s1, lat)
@@ -80,7 +92,7 @@ def test_inverted_ribbon_same_operator():
 
 
 def test_inversion_expectation_identity():
-    lat = lattice_make(3, 3, "plane")
+    lat = Lattice(3, 3, "plane")
     omega = ground_state(lat, Z2)
     rng = random.Random(4)
     sites = [s for s in lat.sites()]
@@ -105,7 +117,7 @@ def test_inversion_expectation_identity():
 
 
 def test_path_search_reports_the_node_cap():
-    lat = lattice_make(3, 4, "plane")
+    lat = Lattice(3, 4, "plane")
     s0 = Site(lat.vertex_id(0, 0), lat.face_id(0, 0))
     s1 = Site(lat.vertex_id(2, 2), lat.face_id(1, 1))
     max_len = len(ribbon_between(s0, s1, lat)) + 8
@@ -117,19 +129,26 @@ def test_path_search_reports_the_node_cap():
 
 
 def test_deform_report_counts_capped_searches():
-    lat = lattice_make(3, 3, "plane")
+    lat = Lattice(3, 3, "plane")
     rep = run_deform(RunConfig("deform", seed=3), Z2, lat, pairs=20)
     details = rep.checks[0].details
     assert details.startswith("20 seeded ribbon pairs of 20 requested; 0 of ")
     assert details.endswith(f" path searches hit the {PATH_NODE_CAP}-node cap")
 
 
-@pytest.mark.parametrize("grp", [Z2, Z3], ids=["z2", "z3"])
-def test_omega_distance_matches_materialized_distance(grp):
-    """The distance from ground-state expectations equals ‖F₁Ω − F₂Ω‖ on the
-    materialized Ω: exactly 0 on deformation pairs, above 0.1 on crossing
-    pairs with both labels nontrivial (the labels of the experiment's control)."""
-    lat = lattice_make(3, 4, "plane")
+def _site(lat, x, y):
+    v = lat.vertex_id(x, y)
+    return Site(v, next(f for f in lat.faces_at_vertex_cw(v) if f is not None))
+
+
+def _apply(op, psi):
+    return as_opsum(op).apply(psi)
+
+
+def _deform_cases(lat, grp):
+    """Sampled deformation pairs (same image of Ω) and crossing pairs with
+    both labels nontrivial, the labels of the experiment's control (images
+    differ)."""
     omega = ground_state(lat, grp)
     rng = random.Random(5)
     e = grp.identity()
@@ -137,16 +156,86 @@ def test_omega_distance_matches_materialized_distance(grp):
         True: [(h, g) for h in grp.elements() for g in grp.elements() if (h, g) != (e, e)],
         False: [(h, g) for h in grp.elements() for g in grp.elements() if e not in (h, g)],
     }
+    cases = []
     for deformations, count in ((True, 12), (False, 6)):
-        n = 0
+        before = len(cases)
         for r1, r2 in sample_ribbon_pairs(lat, grp, rng, count, deformations=deformations):
             h, g = rng.choice(labels[deformations])
             f1, f2 = ribbon_F(lat, grp, r1, h, g), ribbon_F(lat, grp, r2, h, g)
-            d = omega_distance(lat, grp, f1, f2)
-            assert abs(d - distance(as_opsum(f1).apply(omega), as_opsum(f2).apply(omega))) < 1e-12
-            if deformations:
-                assert d == 0.0
-            else:
-                assert d > 0.1
-            n += 1
-        assert n == count
+            cases.append((f1, f2, _apply(f1, omega), _apply(f2, omega), deformations))
+        assert len(cases) - before == count
+    return cases
+
+
+def _torus_cases(lat, grp):
+    """Every holonomy sector's ground vector ψ_ab = T_ab Ω: stabilizers fix
+    it, and an open ribbon operator with sampled labels moves it."""
+    space = ground_space(lat, grp)
+    rng = random.Random(5)
+    s0, s1 = _site(lat, 0, 0), _site(lat, 1, 1)
+    rho = ribbon_between(s0, s1, lat)
+    labels = list(itertools.product(grp.elements(), repeat=2))
+    cases = []
+    for psi, (a, b) in zip(space, itertools.product(range(grp.order), repeat=2)):
+        T = sector_shift(lat, grp, a, b)
+        assert distance(_apply(T, space[0]), psi) == 0.0
+        stabilizers = [star_g(lat, grp, s1, g) for g in grp.elements()]
+        stabilizers.append(plaq_h(lat, grp, s1, grp.identity()))
+        for X in stabilizers:
+            cases.append((X.compose(T), T, _apply(X, psi), psi, True))
+        for h, g in rng.sample(labels, 2):
+            F = ribbon_F(lat, grp, rho, h, g)
+            cases.append((F.compose(T), T, _apply(F, psi), psi, None))
+    return cases
+
+
+def _sectors_cases(lat, grp):
+    """run_sectors' transporter V between two same-start ribbons: V Ω = Ω and
+    V α₁(A) Ω = α₂(A) Ω; the charged states F₁ Ω and F₂ Ω of the two
+    ribbons, with charges at different sites, differ."""
+    omega = ground_state(lat, grp)
+    s0 = _site(lat, 0, 0)
+    rho1 = ribbon_between(s0, _site(lat, 2, 1), lat)
+    rho2 = ribbon_between(s0, _site(lat, 1, 2), lat, avoid_edges=rho1.edges(), allow_reversed=True)
+    n = min(len(rho1), len(rho2))
+    ident = AffineMap.identity(grp, lat.n_edges)
+    local = star_g(lat, grp, _site(lat, 1, 1), grp.elements()[-1])
+    cases = []
+    for label in sector_labels(grp)[1:]:
+        V = transporter(lat, grp, label.chi, label.c, rho1, rho2, n)
+        F1 = ribbon_F_irrep(lat, grp, truncate(rho1, n), label.chi, label.c)
+        F2 = ribbon_F_irrep(lat, grp, truncate(rho2, n), label.chi, label.c)
+        a1 = F1.compose(local).compose(F1.adjoint())
+        a2 = F2.compose(local).compose(F2.adjoint())
+        cases.append((V, ident, _apply(V, omega), omega, True))
+        cases.append((V.compose(a1), a2, _apply(V, _apply(a1, omega)), _apply(a2, omega), True))
+        cases.append((F1, F2, _apply(F1, omega), _apply(F2, omega), False))
+    return cases
+
+
+ORACLE_CASES = [
+    pytest.param(_deform_cases, Z2, "3x4:plane", id="z2"),
+    pytest.param(_deform_cases, Z3, "3x4:plane", id="z3"),
+    *(
+        pytest.param(_torus_cases, grp, f"{w}x{w}:torus", id=f"torus-{w}x{w}-{name}")
+        for w in (2, 3)
+        for grp, name in ((Z2, "z2"), (Z3, "z3"), (Z2xZ2, "z2xz2"))
+    ),
+    pytest.param(_sectors_cases, Z2, "3x3:plane", id="sectors-z2"),
+    pytest.param(_sectors_cases, Z3, "3x3:plane", id="sectors-z3"),
+]
+
+
+@pytest.mark.parametrize("cases,grp,spec", ORACLE_CASES)
+def test_omega_distance_matches_materialized_distance(cases, grp, spec):
+    """The distance from ground-state expectations equals the materialized
+    ‖u − v‖: exactly 0 where the two images agree, above 0.1 where they are
+    known to differ (crossing pairs)."""
+    lat = parse_lattice(spec)
+    for f1, f2, u, v, same in cases(lat, grp):
+        d = omega_distance(lat, grp, f1, f2)
+        assert abs(d - distance(u, v)) < 1e-12
+        if same is True:
+            assert d == 0.0
+        elif same is False:
+            assert d > 0.1

@@ -19,14 +19,16 @@ from qdlattice.duality import (
 from qdlattice.groups import group_make
 from qdlattice.groundstate import ground_state
 from qdlattice.lattice import (
+    Lattice,
     Region,
     Site,
     cone_make,
-    lattice_make,
     ribbon_between,
 )
 from qdlattice.operators import as_opsum, ribbon_F_irrep
-from qdlattice.states import SparseState, inner, orthonormal_coeffs, orthonormalize
+from qdlattice.states import SparseState, inner, orthonormal_coeffs
+
+from oracles import orthonormalize
 
 Z2 = group_make([2])
 
@@ -127,7 +129,7 @@ def _case_id(case):
 def cone_case(request):
     order, w, h, trim = request.param
     group = group_make([order])
-    lat = lattice_make(w, h, "plane")
+    lat = Lattice(w, h, "plane")
     omega = ground_state(lat, group)
     cone = cone_make((1, 1), ["N", "E"], lat, trim_rim=trim)
     sub = cone_subspace(cone, lat, group, omega)
@@ -231,7 +233,7 @@ def test_density_ranks_match_materialized_oracle(cone_case):
 
 
 def test_density_check_refuses_oversized_matrices(monkeypatch):
-    lat = lattice_make(3, 3, "plane")
+    lat = Lattice(3, 3, "plane")
     omega = ground_state(lat, Z2)
     cone = cone_make((1, 1), ["N", "E"], lat)
     sub = cone_subspace(cone, lat, Z2, omega)
@@ -242,7 +244,7 @@ def test_density_check_refuses_oversized_matrices(monkeypatch):
 
 @pytest.fixture(scope="module")
 def small_cone():
-    lat = lattice_make(3, 3, "plane")
+    lat = Lattice(3, 3, "plane")
     omega = ground_state(lat, Z2)
     cone = cone_make((1, 1), ["N", "E"], lat)
     sub = cone_subspace(cone, lat, Z2, omega)
@@ -250,7 +252,7 @@ def small_cone():
 
 
 def test_trivial_region_subspace():
-    lat = lattice_make(3, 3, "plane")
+    lat = Lattice(3, 3, "plane")
     omega = ground_state(lat, Z2)
     sub = cone_subspace(Region(lat, frozenset()), lat, Z2, omega)
     assert sub.dim == 1
@@ -279,7 +281,7 @@ def test_subspace_invariant_under_region_operators(small_cone):
 
 @pytest.fixture(scope="module")
 def plane_4x4_cone():
-    lat = lattice_make(4, 4, "plane")
+    lat = Lattice(4, 4, "plane")
     omega = ground_state(lat, Z2)
     cone = cone_make((2, 2), ["N", "E"], lat)
     return lat, omega, cone, cone_subspace(cone, lat, Z2, omega)
@@ -326,7 +328,7 @@ def test_monomial_sweep_matches_projection_z2(plane_4x4_cone):
 
 def test_monomial_sweep_matches_projection_z3():
     group = group_make([3])
-    lat = lattice_make(3, 3, "plane")
+    lat = Lattice(3, 3, "plane")
     omega = ground_state(lat, group)
     cone = cone_make((1, 1), ["N", "E"], lat)
     sub = cone_subspace(cone, lat, group, omega)
@@ -337,7 +339,7 @@ def test_monomial_sweep_matches_projection_z3():
 def test_orthogonality_check_passes_on_4x4_enlargement(spec):
     from qdlattice.groups import parse_group
 
-    lat = lattice_make(4, 4, "plane")
+    lat = Lattice(4, 4, "plane")
     cone = cone_make((2, 2), ["N", "E"], lat)
     rec = external_charge_orthogonality_check(
         cone, lat, parse_group(spec), random.Random(0), samples=100
@@ -347,7 +349,7 @@ def test_orthogonality_check_passes_on_4x4_enlargement(spec):
 
 
 def test_orthogonality_check_refuses_oversized_sweep(monkeypatch):
-    lat = lattice_make(5, 5, "plane")
+    lat = Lattice(5, 5, "plane")
     cone = cone_make((1, 1), ["N", "E"], lat)
 
     def unreachable(*args, **kwargs):
@@ -410,7 +412,7 @@ def test_component_gram_schmidt_is_bitwise_all_pairs(order, height, kind):
     the star, random amplitudes on Omega's rows make each group yield two
     basis vectors, whose columns interleave with the other groups'."""
     group = group_make([order])
-    lat = lattice_make(3, height, "plane")
+    lat = Lattice(3, height, "plane")
     omega = ground_state(lat, group)
     if kind == "patch":
         cone = Region(lat, frozenset(lat.edges()))
@@ -428,7 +430,7 @@ def test_component_gram_schmidt_is_bitwise_all_pairs(order, height, kind):
 
 
 def test_density_rank_and_negative_control():
-    lat = lattice_make(3, 4, "plane")
+    lat = Lattice(3, 4, "plane")
     omega = ground_state(lat, Z2)
     cone = cone_make((1, 1), ["N", "E"], lat)
     sub = cone_subspace(cone, lat, Z2, omega)
@@ -441,7 +443,7 @@ def test_density_rank_and_negative_control():
 def test_multi_ribbon_states_reduce_to_products():
     # several ribbons anchored at one site with distinct far endpoints give,
     # up to a phase, a single anchored ribbon times endpoint connectors
-    lat = lattice_make(3, 4, "plane")
+    lat = Lattice(3, 4, "plane")
     grp = group_make([3])
     omega = ground_state(lat, grp)
     s = Site(lat.vertex_id(1, 1), lat.face_id(1, 1))
@@ -478,7 +480,7 @@ def test_full_patch_subspace_dimension():
     # restrictions to the rim), computed here independently from the flats
     from qdlattice.groundstate import flat_connections
 
-    lat = lattice_make(3, 3, "plane")
+    lat = Lattice(3, 3, "plane")
     omega = ground_state(lat, Z2)
     full = Region(lat, frozenset(lat.edges()))
     sub = cone_subspace(full, lat, Z2, omega)
@@ -490,7 +492,7 @@ def test_full_patch_subspace_dimension():
 
 
 def test_cone_region_has_boundary():
-    lat = lattice_make(5, 5, "plane")
+    lat = Lattice(5, 5, "plane")
     cone = cone_make((1, 1), ["N", "E"], lat)
     assert cone.edges
     assert cone.boundary_edges()
@@ -504,7 +506,7 @@ def test_haag_report_states_the_skipped_closure_check():
     from qdlattice.reports import RunConfig
 
     cfg = RunConfig("haag-check", group="z2", lattice="3x4:plane", seed=4300)
-    rep = run_haag(cfg, Z2, lattice_make(3, 4, "plane"))
+    rep = run_haag(cfg, Z2, Lattice(3, 4, "plane"))
     assert rep.checks[0].details == (
         "cone of 4 edges, subspace dimension 256; ribbon closure cross-check"
         " skipped: it runs on cones of at most 3 edges"

@@ -12,12 +12,9 @@ from qdlattice.groundstate import (
     connection_projector,
     count_flat_on_faces,
     edges_of_faces,
-    expectation,
     face_flux,
     face_fluxes,
-    flat_connection_count,
     flat_connections,
-    ground_space,
     ground_state,
     in_flat_group,
     is_flat,
@@ -26,10 +23,10 @@ from qdlattice.groundstate import (
     torus_holonomies,
 )
 from qdlattice.lattice import (
+    Lattice,
     LatticeError,
     Site,
     closed_loop_around,
-    lattice_make,
     ribbon_between,
     straight_ribbon,
 )
@@ -43,7 +40,9 @@ from qdlattice.operators import (
     ribbon_F_irrep,
     star_g,
 )
-from qdlattice.states import distance, inner
+from qdlattice.states import inner
+
+from oracles import distance, expectation, ground_space
 
 Z2 = group_make([2])
 Z3 = group_make([3])
@@ -53,7 +52,7 @@ Z3 = group_make([3])
     "grp,count", [(Z2, 8), (Z3, 27)]
 )
 def test_flat_count_2x2_plane(grp, count):
-    lat = lattice_make(2, 2, "plane")
+    lat = Lattice(2, 2, "plane")
     flats = flat_connections(lat, grp)
     assert len(flats) == count
     brute = all_configs(lat, grp)
@@ -63,7 +62,7 @@ def test_flat_count_2x2_plane(grp, count):
 @pytest.mark.parametrize("dims,boundary", [((2, 2), "torus"), ((3, 3), "torus"), ((3, 4), "plane")])
 @pytest.mark.parametrize("grp", [Z2, Z3])
 def test_flat_enumeration_matches_brute_force(dims, boundary, grp):
-    lat = lattice_make(*dims, boundary)
+    lat = Lattice(*dims, boundary)
     if grp.order**lat.n_edges > 1 << 22:
         pytest.skip("brute force too large")
     flats = flat_connections(lat, grp)
@@ -75,13 +74,13 @@ def test_flat_enumeration_matches_brute_force(dims, boundary, grp):
 
 
 def test_identity_configuration_is_flat():
-    for lat in (lattice_make(3, 3, "plane"), lattice_make(3, 3, "torus")):
+    for lat in (Lattice(3, 3, "plane"), Lattice(3, 3, "torus")):
         row = np.zeros((1, lat.n_edges), dtype=np.uint8)
         assert bool(is_flat(lat, Z3, row)[0])
 
 
 def test_ground_state_stabilized():
-    lat = lattice_make(3, 3, "plane")
+    lat = Lattice(3, 3, "plane")
     omega = ground_state(lat, Z3)
     assert abs(omega.norm() - 1) < 1e-12
     for v in range(lat.n_vertices):
@@ -97,12 +96,12 @@ def test_ground_state_stabilized():
 
 def test_ground_state_refuses_torus():
     with pytest.raises(GroundStateError):
-        ground_state(lattice_make(2, 2, "torus"), Z2)
+        ground_state(Lattice(2, 2, "torus"), Z2)
 
 
 @pytest.mark.parametrize("grp,dim", [(Z2, 4), (Z3, 9)])
 def test_ground_space_torus(grp, dim):
-    lat = lattice_make(2, 2, "torus")
+    lat = Lattice(2, 2, "torus")
     basis = ground_space(lat, grp)
     assert len(basis) == dim
     for i, a in enumerate(basis):
@@ -118,14 +117,14 @@ def test_ground_space_torus(grp, dim):
 
 
 def test_ground_space_plane_is_single_state():
-    lat = lattice_make(3, 3, "plane")
+    lat = Lattice(3, 3, "plane")
     basis = ground_space(lat, Z2)
     assert len(basis) == 1
     assert distance(basis[0], ground_state(lat, Z2)) < 1e-12
 
 
 def test_holonomy_labels_partition_flats():
-    lat = lattice_make(2, 2, "torus")
+    lat = Lattice(2, 2, "torus")
     flats = flat_connections(lat, Z3)
     hx, hy = torus_holonomies(lat, Z3, flats)
     counts = {}
@@ -136,7 +135,7 @@ def test_holonomy_labels_partition_flats():
 
 
 def test_connection_projector_values():
-    lat = lattice_make(3, 3, "plane")
+    lat = Lattice(3, 3, "plane")
     omega = ground_state(lat, Z2)
     faces = [0, 1]
     edges = edges_of_faces(lat, faces)
@@ -162,7 +161,7 @@ def test_connection_projector_values():
 
 
 def test_expectation_basics():
-    lat = lattice_make(2, 2, "plane")
+    lat = Lattice(2, 2, "plane")
     omega = ground_state(lat, Z2)
     from qdlattice.operators import AffineMap
 
@@ -174,8 +173,8 @@ def test_expectation_basics():
 def test_flat_count_formula_plane():
     # plane patches: |G|^(E - F) flat connections
     for dims in [(2, 2), (2, 3), (3, 3)]:
-        lat = lattice_make(*dims, "plane")
-        assert flat_connection_count(lat, Z2) == 2 ** (lat.n_edges - lat.n_faces)
+        lat = Lattice(*dims, "plane")
+        assert len(flat_connections(lat, Z2)) == 2 ** (lat.n_edges - lat.n_faces)
 
 
 # -- omega_expectation against the materialized oracle -----------------------------------
@@ -188,7 +187,7 @@ LATTICES = [(2, 2, "plane"), (3, 3, "plane"), (2, 2, "torus"), (3, 3, "torus")]
 def _oracle(spec, width, height, boundary):
     """Lattice, group and the materialized Omega (zero-holonomy sector on the
     torus); the largest, z4 or z2xz2 on 3x3, has 65536 rows."""
-    lat = lattice_make(width, height, boundary)
+    lat = Lattice(width, height, boundary)
     grp = parse_group(spec)
     return lat, grp, ground_space(lat, grp)[0]
 
@@ -348,7 +347,7 @@ def test_non_contractible_ribbon_has_zero_expectation(spec, width):
 def test_omega_expectation_refuses_large_enumerations():
     """A character on every horizontal edge of a 7x7 patch touches all 49
     vertices: 2^48 rows are refused before anything is allocated."""
-    lat = lattice_make(7, 7, "plane")
+    lat = Lattice(7, 7, "plane")
     one = (1,)
     h_edges = [e for e in lat.edges() if lat.edge_kind_xy(e)[0] == "h"]
     m = AffineMap(Z2, lat.n_edges, chars=tuple((one, ((e, 1),), 0) for e in h_edges))
@@ -359,7 +358,7 @@ def test_omega_expectation_refuses_large_enumerations():
 
 
 def test_omega_expectation_of_lone_z2_character_is_exactly_zero():
-    lat = lattice_make(3, 3, "plane")
+    lat = Lattice(3, 3, "plane")
     for e in lat.edges():
         m = AffineMap(Z2, lat.n_edges, chars=(((1,), ((e, 1),), 0),))
         assert omega_expectation(lat, Z2, m) == 0
@@ -367,11 +366,11 @@ def test_omega_expectation_of_lone_z2_character_is_exactly_zero():
 
 def test_flat_connections_refuse_before_allocating():
     with pytest.raises(GroundStateError, match=r"of 2\^143 = \d+ rows on 12x12 .* cap of 4194304"):
-        flat_connections(lattice_make(12, 12, "plane"), Z2)
+        flat_connections(Lattice(12, 12, "plane"), Z2)
     # on the torus the |G|^2 holonomy sectors count: 4^11 gradients fit the
     # cap, 4^13 flat connections do not
     with pytest.raises(GroundStateError, match=r"of 4\^13 = 67108864 rows on 3x4"):
-        flat_connections(lattice_make(3, 4, "torus"), group_make([4]))
+        flat_connections(Lattice(3, 4, "torus"), group_make([4]))
 
 
 @pytest.mark.parametrize("spec", ["z3", "z4"])
@@ -383,7 +382,7 @@ def test_split_negative_control_correlates(spec):
     from qdlattice.reports import RunConfig
 
     cfg = RunConfig("split-check", group=spec, lattice="4x4:plane", seed=4243)
-    rep = run_split(cfg, parse_group(spec), lattice_make(4, 4, "plane"))
+    rep = run_split(cfg, parse_group(spec), Lattice(4, 4, "plane"))
     control = rep.checks[1]
     assert control.name == "adjacent supports do correlate (negative control)"
     assert control.status == "pass" and control.max_error > 1e-6
@@ -395,7 +394,7 @@ def test_split_negative_control_correlates(spec):
 def test_face_fluxes_match_per_face_oracle(spec, dims, boundary):
     """Every column of the all-faces walk equals the per-face walk, on
     random configuration rows."""
-    lat, grp = lattice_make(*dims, boundary), parse_group(spec)
+    lat, grp = Lattice(*dims, boundary), parse_group(spec)
     rows = np.random.default_rng(7).integers(0, grp.order, (300, lat.n_edges), dtype=np.uint8)
     fluxes = face_fluxes(lat, grp, rows)
     assert fluxes.shape == (len(rows), lat.n_faces)
@@ -432,3 +431,16 @@ def test_groundstate_report_names_skipped_cross_checks(grp, spec, note):
     else:
         assert cross not in names and details.endswith(note)
     assert rep.all_passed
+
+
+@pytest.mark.parametrize("grp", [Z2, Z3], ids=["z2", "z3"])
+def test_groundstate_torus_report_is_reproducible_in_process(grp):
+    """The exact-diagonalization cross-check starts ARPACK from a fixed
+    vector, so two runs in one process give byte-identical reports."""
+    from qdlattice.experiments import run_groundstate
+    from qdlattice.reports import RunConfig, report_json
+
+    lat = Lattice(2, 2, "torus")
+    first, second = (report_json(run_groundstate(RunConfig("groundstate"), grp, lat)) for _ in range(2))
+    assert "exact diagonalization cross-check" in first
+    assert first == second

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from qdlattice.groups import group_make
 from qdlattice.groundstate import all_configs, face_flux
-from qdlattice.lattice import LatticeError, Ribbon, Site, lattice_make, make_triangle, ribbon_between
+from qdlattice.lattice import Lattice, LatticeError, Ribbon, Site, make_triangle, ribbon_between
 from qdlattice.operators import (
     CONFIG_BYTES_CAP,
     MATRIX_DIM_CAP,
@@ -21,8 +21,6 @@ from qdlattice.operators import (
     as_opsum,
     beta_ribbon,
     canonical,
-    charge_projector,
-    ground_energy,
     hamiltonian,
     loop_charge_projector,
     ops_equal,
@@ -35,10 +33,10 @@ from qdlattice.operators import (
     star_proj,
     support_matrix,
     to_matrix,
-    triangle_L,
-    triangle_T,
 )
-from qdlattice.states import SparseState, distance
+from qdlattice.states import SparseState
+
+from oracles import charge_projector, distance, ground_energy, ground_space, triangle_L, triangle_T
 
 Z2 = group_make([2])
 Z3 = group_make([3])
@@ -56,7 +54,7 @@ def _direct_dual(lat):
 
 
 def test_triangle_T_is_delta():
-    lat = lattice_make(2, 2, "torus")
+    lat = Lattice(2, 2, "torus")
     direct, dual = _direct_dual(lat)
     cfgs = all_configs(lat, Z2)
     op = triangle_T(lat, Z2, direct, (1,))
@@ -68,10 +66,14 @@ def test_triangle_T_is_delta():
     assert ops_equal(total, OpSum.of(AffineMap.identity(Z2, lat.n_edges)), lat.n_edges) == 0
     with pytest.raises(OperatorError):
         triangle_T(lat, Z2, dual, (1,))
+    # the ribbon operator of one direct triangle is F^{h,g} = T^g for every h
+    tau = Ribbon.from_triangles((direct,))
+    for h, g in itertools.product(Z3.elements(), repeat=2):
+        assert same_action(ribbon_F(lat, Z3, tau, h, g), triangle_T(lat, Z3, direct, g))
 
 
 def test_triangle_L_is_shift():
-    lat = lattice_make(2, 2, "torus")
+    lat = Lattice(2, 2, "torus")
     direct, dual = _direct_dual(lat)
     op = triangle_L(lat, Z3, dual, (1,))
     inv = triangle_L(lat, Z3, dual, (2,))
@@ -79,10 +81,16 @@ def test_triangle_L_is_shift():
     assert same_action(triangle_L(lat, Z3, dual, (0,)), AffineMap.identity(Z3, lat.n_edges))
     with pytest.raises(OperatorError):
         triangle_L(lat, Z3, direct, (1,))
+    # the ribbon operator of one dual triangle is F^{h,g} = delta_{g,e} L^h
+    tau = Ribbon.from_triangles((dual,))
+    for h in Z3.elements():
+        assert same_action(ribbon_F(lat, Z3, tau, h, Z3.identity()), triangle_L(lat, Z3, dual, h))
+        for g in Z3.elements()[1:]:
+            assert canonical(ribbon_F(lat, Z3, tau, h, g)) is None  # annihilates
 
 
 def test_ribbon_trivial_is_identity():
-    lat = lattice_make(3, 3, "torus")
+    lat = Lattice(3, 3, "torus")
     s = Site(lat.vertex_id(0, 0), lat.face_id(0, 0))
     eps = Ribbon.trivial(s)
     for g, h in itertools.product(Z3.elements(), repeat=2):
@@ -90,7 +98,7 @@ def test_ribbon_trivial_is_identity():
 
 
 def test_plaquette_is_flux_projector():
-    lat = lattice_make(2, 2, "torus")
+    lat = Lattice(2, 2, "torus")
     for grp in (Z2, Z3):
         cfgs = all_configs(lat, grp)
         for fx, fy in [(0, 0), (1, 0), (0, 1)]:
@@ -104,7 +112,7 @@ def test_plaquette_is_flux_projector():
 
 
 def test_star_shifts_by_orientation():
-    lat = lattice_make(2, 2, "torus")
+    lat = Lattice(2, 2, "torus")
     grp = Z3
     tables = grp.tables()
     cfgs = all_configs(lat, grp)
@@ -125,7 +133,7 @@ def test_star_shifts_by_orientation():
 
 
 def test_elementary_closed_ribbons_match_definitions():
-    lat = lattice_make(3, 3, "torus")
+    lat = Lattice(3, 3, "torus")
     s = Site(lat.vertex_id(1, 1), lat.face_id(1, 1))
     alpha = alpha_ribbon(lat, s)
     beta = beta_ribbon(lat, s)
@@ -143,7 +151,7 @@ def test_elementary_closed_ribbons_match_definitions():
 
 
 def test_star_plaquette_relations():
-    lat = lattice_make(2, 2, "torus")
+    lat = Lattice(2, 2, "torus")
     ne = lat.n_edges
     s = Site(lat.vertex_id(0, 0), lat.face_id(0, 0))
     A = star_proj(lat, Z2, s)
@@ -159,7 +167,7 @@ def test_star_plaquette_relations():
 
 
 def test_charge_projector_family():
-    lat = lattice_make(2, 2, "torus")
+    lat = Lattice(2, 2, "torus")
     grp = Z3
     ne = lat.n_edges
     s = Site(lat.vertex_id(0, 0), lat.face_id(0, 0))
@@ -174,7 +182,7 @@ def test_charge_projector_family():
 
 
 def test_loop_charge_projector_idempotent():
-    lat = lattice_make(3, 3, "torus")
+    lat = Lattice(3, 3, "torus")
     s = Site(lat.vertex_id(1, 1), lat.face_id(1, 1))
     loop = beta_ribbon(lat, s)
     ne = lat.n_edges
@@ -192,7 +200,7 @@ def test_loop_charge_projector_idempotent():
 
 @pytest.mark.parametrize("grp,degeneracy", [(Z2, 4), (Z3, 9)])
 def test_hamiltonian_diagonalization(grp, degeneracy):
-    lat = lattice_make(2, 2, "torus")
+    lat = Lattice(2, 2, "torus")
     H = to_matrix(hamiltonian(lat, grp), lat)
     assert abs((H - H.getH()).toarray()).max() < 1e-12
     k = min(H.shape[0] - 2, 3 * degeneracy)
@@ -203,7 +211,7 @@ def test_hamiltonian_diagonalization(grp, degeneracy):
 
 
 def test_hamiltonian_commutes_with_stabilizers():
-    lat = lattice_make(2, 2, "torus")
+    lat = Lattice(2, 2, "torus")
     H = hamiltonian(lat, Z2)
     ne = lat.n_edges
     s = Site(lat.vertex_id(1, 0), lat.face_id(0, 1))
@@ -213,7 +221,7 @@ def test_hamiltonian_commutes_with_stabilizers():
 
 
 def test_matrix_cap_enforced():
-    lat = lattice_make(5, 5, "torus")
+    lat = Lattice(5, 5, "torus")
     with pytest.raises(OperatorError):
         to_matrix(star_proj(lat, Z3, Site(lat.vertex_id(1, 1), lat.face_id(1, 1))), lat)
 
@@ -221,7 +229,7 @@ def test_matrix_cap_enforced():
 def test_support_matrix_unit_coefficients():
     # every triangle/ribbon basis map sends a basis state to at most one
     # basis state with unit modulus coefficient
-    lat = lattice_make(3, 3, "torus")
+    lat = Lattice(3, 3, "torus")
     s0 = Site(lat.vertex_id(0, 0), lat.face_id(0, 0))
     s1 = Site(lat.vertex_id(2, 1), lat.face_id(1, 1))
     rho = ribbon_between(s0, s1, lat)
@@ -234,7 +242,7 @@ def test_support_matrix_unit_coefficients():
 
 
 def test_canonical_zero_detection():
-    lat = lattice_make(2, 2, "torus")
+    lat = Lattice(2, 2, "torus")
     m = AffineMap(
         Z2,
         lat.n_edges,
@@ -244,7 +252,7 @@ def test_canonical_zero_detection():
 
 
 def test_apply_linear_and_annihilating():
-    lat = lattice_make(2, 2, "torus")
+    lat = Lattice(2, 2, "torus")
     s = Site(lat.vertex_id(0, 0), lat.face_id(0, 0))
     B = plaq_proj(lat, Z2, s)
     flat = SparseState.basis([0] * lat.n_edges, 2)
@@ -258,10 +266,7 @@ def test_apply_linear_and_annihilating():
 
 
 def test_vacuum_detectors_fix_ground_states():
-    from qdlattice.groundstate import ground_space
-    from qdlattice.states import distance
-
-    lat = lattice_make(3, 3, "torus")
+    lat = Lattice(3, 3, "torus")
     omega = ground_space(lat, Z3)[0]
     s = Site(lat.vertex_id(1, 1), lat.face_id(1, 1))
     D_vac = charge_projector(lat, Z3, s, Z3.identity(), Z3.identity())
@@ -279,7 +284,7 @@ def test_vacuum_detectors_fix_ground_states():
 def test_enumeration_refuses_wide_rows_before_allocating():
     # 2^20 rows is within the row cap, but 2^20 rows x 288 edges of uint8
     # is 302 MB
-    lat = lattice_make(12, 12, "torus")
+    lat = Lattice(12, 12, "torus")
     s = Site(lat.vertex_id(5, 5), lat.face_id(5, 5))
     op = star_g(lat, Z2, s, (1,))
     support = sorted(set(op.support()) | set(range(20 - len(op.support()))))
@@ -370,7 +375,7 @@ def _with_identity_entry(m, edge):
 def _op_pairs(draw):
     grp = DIFF_GROUPS[draw(st.sampled_from(sorted(DIFF_GROUPS)))]
     w, boundary = draw(st.sampled_from(DIFF_LATTICES))
-    lat = lattice_make(w, w, boundary)
+    lat = Lattice(w, w, boundary)
     a = [(_coeff(draw), _term(draw, lat, grp)) for _ in range(draw(st.integers(1, 3)))]
     kind = draw(st.sampled_from(["independent", "rewritten", "perturbed"]))
     if kind == "independent":
@@ -397,7 +402,7 @@ def test_ops_equal_matches_support_matrix_oracle(case):
 
 
 def test_ops_equal_ignores_identity_shift_entries_and_zero_terms():
-    lat = lattice_make(3, 3, "torus")
+    lat = Lattice(3, 3, "torus")
     grp = group_make([4])
     s = Site(lat.vertex_id(1, 1), lat.face_id(1, 1))
     m = star_g(lat, grp, s, (1,)).compose(plaq_h(lat, grp, s, (2,)))
@@ -413,7 +418,7 @@ def test_ops_equal_enumerates_only_diagonal_edges():
     # stars at three far-apart vertices shift 12 edges and read none, and the
     # plaquette reads 4: the joint support of 16 edges would need 4^16 rows,
     # above MATRIX_DIM_CAP, while the identity reads only 4^4 configurations
-    lat = lattice_make(7, 7, "torus")
+    lat = Lattice(7, 7, "torus")
     grp = group_make([4])
     sites = [Site(lat.vertex_id(x, y), lat.face_id(x, y)) for x, y in ((1, 1), (3, 4), (5, 2))]
     stars = [star_g(lat, grp, s, g) for s, g in zip(sites, [(1,), (2,), (3,)])]

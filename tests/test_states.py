@@ -2,16 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qdlattice.states import (
-    SparseState,
-    complex_span_dim,
-    distance,
-    gram_matrix,
-    inner,
-    orthonormalize,
-    project_onto_span,
-    real_linear_rank,
-)
+from qdlattice.states import SparseState, inner
+
+from oracles import orthonormalize
 
 
 def basis(config, radix=2):
@@ -69,35 +62,6 @@ def test_cauchy_schwarz(data):
     assert abs(inner(psi, phi)) <= psi.norm() * phi.norm() + 1e-12
 
 
-def test_real_linear_rank_cases():
-    psi = basis([0, 0]).add(basis([1, 1]).scaled(0.5)).normalized()
-    assert real_linear_rank([psi, psi.scaled(1j)]) == 2
-    assert real_linear_rank([psi, psi]) == 1
-    # real span of {s1, s2, s1+s2} has real dimension 2
-    s1, s2 = basis([0, 0]), basis([1, 0])
-    assert real_linear_rank([s1, s2, s1.add(s2)]) == 2
-    # gram oracle agrees
-    g = gram_matrix([s1, s2, s1.add(s2).scaled(1 / np.sqrt(2))]).real
-    assert np.linalg.matrix_rank(g, tol=1e-9) == 2
-    # adding the i-partners doubles the real dimension
-    assert real_linear_rank([s1, s2, s1.scaled(1j), s2.scaled(1j)]) == 4
-
-
-def test_complex_span_and_projection():
-    s1, s2, s3 = basis([0, 0]), basis([1, 0]), basis([0, 1])
-    assert complex_span_dim([s1, s1.scaled(2j)]) == 1
-    assert complex_span_dim([s1, s2, s1.add(s2)]) == 2
-    psi = s1.add(s2.scaled(2)).add(s3)
-    proj = project_onto_span(psi, [s1, s2])
-    assert distance(proj, s1.add(s2.scaled(2))) < 1e-12
-    # projecting onto its own span is the identity
-    assert distance(project_onto_span(psi, [psi]), psi) < 1e-12
-    # residual orthogonal to the span
-    residual = psi.sub(proj)
-    for v in (s1, s2):
-        assert abs(inner(v, residual)) < 1e-12
-
-
 def test_orthonormalize_drops_dependent():
     s1, s2 = basis([0, 0]), basis([1, 0])
     out = orthonormalize([s1, s1.add(s2), s2, s1.scaled(1j)])
@@ -108,29 +72,6 @@ def test_orthonormalize_drops_dependent():
             assert abs(inner(a, b) - want) < 1e-10
 
 
-def test_records_dump():
-    psi = SparseState.from_terms(
-        np.array([[1, 2, 0]], dtype=np.uint8), np.array([0.5 - 0.25j]), 3, 3
-    )
-    (rec,) = psi.to_records()
-    assert rec == {"key": 1 + 2 * 3, "re": 0.5, "im": -0.25}
-
-
 def test_incompatible_states_rejected():
     with pytest.raises(ValueError):
         inner(basis([0, 0], 2), basis([0, 0], 3))
-
-
-def test_dump_state_jsonl(tmp_path):
-    import json
-
-    from qdlattice.states import dump_state_jsonl
-
-    psi = SparseState.from_terms(
-        np.array([[0, 1], [1, 1]], dtype=np.uint8), np.array([1.0, 1j]), 2, 2
-    )
-    path = tmp_path / "state.jsonl"
-    dump_state_jsonl(psi, str(path))
-    lines = [json.loads(l) for l in path.read_text().splitlines()]
-    assert len(lines) == 2
-    assert all(set(l) == {"key", "re", "im"} for l in lines)
