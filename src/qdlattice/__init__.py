@@ -34,7 +34,7 @@ from .operators import (
     star_proj,
 )
 from .groundstate import flat_connections, ground_state, omega_distance, omega_expectation
-from .states import SparseState, inner
+from .states import SparseState
 from .sectors import (
     SectorLabel,
     braiding_phase,
@@ -75,7 +75,6 @@ __all__ = [
     "omega_distance",
     "omega_expectation",
     "SparseState",
-    "inner",
     "SectorLabel",
     "braiding_phase",
     "fusion_table",

@@ -8,9 +8,14 @@ edge-operator span applied to the ground state, which factorizes:
     H_Lambda = C^(|G|^k) tensor W,
 
 anything on the k dual-carrying region edges, tensored with W, the span of
-the ground state's exterior restrictions. The iterative ribbon-operator
-closure is kept as an independent construction, and the two are checked
-against each other at small sizes.
+the ground state's exterior restrictions. Omega is uniform over the group F
+of flat connections, and its rows with fixed region values form a coset of
+the subgroup vanishing on the region, so those restrictions are equal or
+disjoint cosets: W's orthonormal basis is one indicator per distinct
+exterior coset (``cone_subspace``), with no Gram-Schmidt. The iterative
+ribbon-operator closure is kept as an independent construction, grown in
+the block coordinates below (``ribbon_closure_rank``), and the two are
+checked against each other on cones of at most 3 edges.
 
 ``ConeSubspace`` works in these tensor coordinates and never lists the
 |G|^k * dim W product vectors. A vector of H_Lambda is a block X[a, j], the
@@ -19,8 +24,8 @@ state sum X[a, j] |a> tensor w_j, where
 * a is the region index: the configuration of the k region edges as one
   mixed-radix integer, first edge most significant, which is the row order
   of ``support_matrix``;
-* w_j is an orthonormal basis of W, stored as one conjugated sparse map
-  from integer exterior keys (the configuration of every other edge).
+* w_j is the orthonormal coset basis of W, stored as one conjugated sparse
+  map from integer exterior keys (the configuration of every other edge).
 
 The ground state's own block C gives Omega = sum C[a, j] |a> tensor w_j. A
 state's coordinates come from bucketing its rows by region index and
@@ -49,8 +54,9 @@ applied to Omega. The orthogonality check needs no Omega at all: H_Lambda is
 spanned by the M Omega for the region's edge monomials M, so it reads
 <M Omega|F Omega> = omega(M^dagger F) from the flat-connection group.
 
-What still materializes: Omega itself, and the exterior ribbon states of the
-membership check and of the density check's flavour family.
+What still materializes: Omega itself, read for its rows, and the exterior
+ribbon states of the membership check and of the density check's flavour
+family.
 """
 
 from __future__ import annotations
@@ -58,7 +64,6 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -67,11 +72,18 @@ import scipy.sparse as sp
 from .groundstate import OMEGA_ROWS_CAP, face_fluxes, omega_expectation, shift_row
 from .groups import AbelianGroup
 from .lattice import Lattice, LatticeError, Region, Ribbon, Site, Triangle, positive_moves
-from .operators import AffineMap, OpSum, as_opsum, ribbon_F_irrep, support_matrix
+from .operators import AffineMap, OpSum, as_opsum, canonical, ribbon_F_irrep, support_matrix
 from .reports import Check
-from .states import SparseState, gram_matrix, orthonormal_coeffs
+from .states import SparseState
 
 SUBSPACE_TOL = 1e-9
+# the ribbon closure runs with ribbons of up to this many triangles and one
+# fewer; equal ranks certify that longer ribbons add nothing
+CLOSURE_LENGTH_CAP = 6
+CLOSURE_ROUNDS = 8
+# exterior ribbons of the orthogonality and membership checks: 2 to this
+# many triangles
+EXTERIOR_RIBBON_LEN = 6
 # entries of a dense block: density matrix (family x 2 dim), residual (|G|^k x keys)
 DENSITY_ENTRIES_CAP = 1 << 24
 
@@ -132,16 +144,6 @@ def _codes(configs: np.ndarray, edges: Sequence[int], radix: int) -> np.ndarray:
     return out
 
 
-def _key_matrix(states: Sequence[SparseState], edges: Sequence[int], radix: int):
-    """(sorted joint keys on `edges`, the states' amplitudes as the columns of a
-    sparse matrix over those keys)."""
-    keys = [_codes(psi.configs, edges, radix) for psi in states]
-    uniq, rows = np.unique(np.concatenate(keys), return_inverse=True)
-    cols = np.repeat(np.arange(len(states)), [len(kk) for kk in keys])
-    amps = np.concatenate([psi.amps for psi in states])
-    return uniq, sp.csr_matrix((amps, (rows, cols)), shape=(len(uniq), len(states)))
-
-
 def _fill_edges(lat: Lattice, region: Region) -> list[int]:
     """The region edges with a dual triangle, in order: those region operators shift."""
     return [e for e in sorted(region.edges) if not lat.is_rim(e)]
@@ -190,29 +192,30 @@ class ConeSubspace:
         on = p.toarray() - (self.w_conj.conj() @ x.T).T
         return float(np.sqrt(off + np.sum(np.abs(on) ** 2)))
 
-    @cached_property
-    def _region_block(self) -> np.ndarray:
-        """C spread over support_matrix's index of the whole region: row
-        region_rows[a, j] of column j holds C[a, j]."""
-        rows, cols = self.region_rows, np.arange(self.omega_coeffs.shape[1])
-        n_region = self.group.order ** len(self.region.edges)
-        c = np.zeros((n_region, len(cols)), dtype=np.complex128)
-        c[rows, cols] = self.omega_coeffs
-        return c
+    def region_apply(self, s: sp.spmatrix, blocks: np.ndarray) -> np.ndarray:
+        """S x for each block x of `blocks`, shape (n, |G|^k, dim W), with S
+        a matrix on the configurations of all region edges (the index of
+        ``support_matrix``): column j of x is spread over rows
+        region_rows[:, j], the rim values of w_j, multiplied, and read back
+        there. Exact for region operators, which shift no rim edge."""
+        rows, cols = self.region_rows, np.arange(self.region_rows.shape[1])
+        spread = np.zeros((s.shape[1], len(cols), len(blocks)), dtype=np.complex128)
+        spread[rows, cols] = blocks.transpose(1, 2, 0)
+        out = (s @ spread.reshape(s.shape[1], -1)).reshape(spread.shape)
+        return out[rows, cols].transpose(2, 0, 1)
 
     def region_images(self, op) -> tuple[np.ndarray, np.ndarray]:
         """Coordinates of op Omega and op^dagger Omega for an operator on the
-        region's edges: S_op C and S_op^dagger C, each read at the rim values
-        of w_j. ``support_matrix`` refuses an operator that leaves the region."""
+        region's edges: S_op C and S_op^dagger C. ``support_matrix`` refuses
+        an operator that leaves the region."""
         opsum = as_opsum(op)
         pinned = set(self.region.edges) - set(self.fill_edges)
         assert not any(e in pinned for _, m in opsum.terms for e, _ in m.shifts), (
             "rim edges carry no dual triangle, so no region operator shifts them"
         )
         s = support_matrix(opsum, sorted(self.region.edges), self.lat.n_edges)
-        c = self._region_block
-        at = (self.region_rows, np.arange(c.shape[1]))
-        return (s @ c)[at], (s.T @ c.conj()).conj()[at]
+        c = self.omega_coeffs[None]
+        return self.region_apply(s, c)[0], self.region_apply(s.T, c.conj())[0].conj()
 
     def rim_groups(self) -> list[np.ndarray]:
         """Columns j of the block sharing the same pinned rim values: the
@@ -224,11 +227,18 @@ class ConeSubspace:
 def cone_subspace(
     region: Region, lat: Lattice, group: AbelianGroup, omega: SparseState
 ) -> ConeSubspace:
-    """H_Lambda in factorized coordinates: Omega's rows are bucketed by
-    their rim values and region configuration, and the buckets' exterior
-    restrictions are orthonormalized, with Omega's coefficients tracked."""
-    from scipy.sparse.csgraph import connected_components  # only the Haag checks need it
+    """H_Lambda in factorized coordinates, from the coset structure of the
+    flat group F that Omega is uniform over. Only Omega's rows are read,
+    never its amplitudes.
 
+    Omega's rows with given rim values r and fill values a (a bucket) form a
+    coset of K = {c in F : c vanishes on the region}. So every bucket holds
+    |K| rows, and the buckets' exterior restrictions are cosets of K
+    restricted to the exterior: any two are equal or disjoint. W's
+    orthonormal basis is one indicator per distinct exterior coset, of value
+    1/sqrt(|K|), and C[a, j] = sqrt(|K|/N) wherever bucket (r_j, a)
+    restricts to coset j. Columns are ordered by the first bucket, in
+    (rim, fill) order, that restricts to them."""
     radix = group.order
     region_edges = sorted(region.edges)
     fill_edges = _fill_edges(lat, region)
@@ -245,90 +255,77 @@ def cone_subspace(
     fill_rows = digits @ np.array([weight[e] for e in fill_edges], dtype=np.int64)
     fills = _codes(omega.configs, fill_edges, radix)
     rims = _codes(omega.configs, region_edges, radix) - fill_rows[fills]
-    exterior = omega.configs.copy()
-    exterior[:, fill_edges] = 0
-    order = np.lexsort((fills, rims))
-    cuts = np.flatnonzero(np.diff(rims[order]) | np.diff(fills[order])) + 1
-    buckets = np.split(order, cuts)
+    ext = _codes(omega.configs, ext_edges, radix)
 
-    # Restrictions that share no exterior key are exactly orthogonal, and
-    # modified Gram-Schmidt skips exact zero overlaps: orthonormalizing each
-    # connected component of shared keys on its own, with the columns put
-    # back in the order of the vectors that produced them, reproduces
-    # Gram-Schmidt over each whole rim group bit for bit.
-    vectors = [
-        SparseState.from_terms(exterior[b], omega.amps[b], lat.n_edges, radix) for b in buckets
-    ]
-    incidence = abs(_key_matrix(vectors, ext_edges, radix)[1])
-    n_comp, component = connected_components(incidence.T @ incidence, directed=False)
-    heads = [b[0] for b in buckets]
-    columns = []  # (producing vector, basis vector, member vectors, coefficients)
-    for c in range(n_comp):
-        members = np.flatnonzero(component == c)
-        basis, coeffs = orthonormal_coeffs([vectors[i] for i in members], SUBSPACE_TOL)
-        for j, w in enumerate(basis):
-            columns.append((members[np.argmax(coeffs[:, j] != 0)], w, members, coeffs[:, j]))
-    columns.sort(key=lambda col: col[0])
-    omega_coeffs = np.zeros((radix**k, len(columns)), dtype=np.complex128)
-    for j, (_, _, members, coeff) in enumerate(columns):
-        omega_coeffs[fills[heads][members], j] = coeff
-    region_rows = fill_rows[:, None] + rims[heads][[col[0] for col in columns]][None, :]
-    ext_keys, w = _key_matrix([col[1] for col in columns], ext_edges, radix)
+    # buckets in (rim, fill) order, each labelled by its coset's smallest
+    # exterior key; a column is a distinct label, placed at its first bucket
+    order = np.lexsort((fills, rims))
+    starts = np.r_[True, (np.diff(rims[order]) != 0) | (np.diff(fills[order]) != 0)]
+    bucket = np.empty(len(order), dtype=np.int64)
+    bucket[order] = np.cumsum(starts) - 1
+    heads = order[starts]
+    label = np.full(len(heads), np.iinfo(np.int64).max)
+    np.minimum.at(label, bucket, ext)
+    _, first, coset = np.unique(label, return_index=True, return_inverse=True)
+    column = np.empty(len(first), dtype=np.int64)
+    column[np.argsort(first)] = np.arange(len(first))
+    column = column[coset]  # of each bucket
+
+    n_rows, n_cols = omega.n_terms, len(first)
+    coset_size = n_rows // len(heads)  # |K|
+    ext_keys, key_row = np.unique(ext, return_index=True)
+    w_conj = sp.csr_matrix(
+        (
+            np.full(len(ext_keys), 1 / np.sqrt(coset_size)),
+            (np.arange(len(ext_keys)), column[bucket[key_row]]),
+        ),
+        shape=(len(ext_keys), n_cols),
+    )
+    omega_coeffs = np.zeros((radix**k, n_cols), dtype=np.complex128)
+    omega_coeffs[fills[heads], column] = np.sqrt(coset_size / n_rows)
+    region_rows = fill_rows[:, None] + rims[heads][np.sort(first)][None, :]
     return ConeSubspace(
-        region, lat, group, fill_edges, ext_edges, ext_keys, w.conj(), omega_coeffs, region_rows
+        region, lat, group, fill_edges, ext_edges, ext_keys, w_conj, omega_coeffs, region_rows
     )
 
 
-def _pivoted_independent(vectors: list[SparseState], tol: float) -> list[int]:
-    """Indices of a maximal independent subset, by greedy pivoted Cholesky
-    on the Gram matrix."""
-    if not vectors:
-        return []
-    g = gram_matrix([v.normalized() for v in vectors])
-    n = len(vectors)
-    diag = np.real(np.diag(g)).copy()
-    low = np.zeros((n, 0), dtype=np.complex128)
-    picked: list[int] = []
-    for _ in range(n):
-        k = int(np.argmax(diag))
-        if diag[k] <= tol:
-            break
-        col = (g[:, k] - low @ low[k].conj()) / np.sqrt(diag[k])
-        low = np.hstack([low, col[:, None]])
-        diag = diag - np.abs(col) ** 2
-        diag[picked + [k]] = 0.0
-        picked.append(k)
-    return picked
-
-
-def ribbon_closure_rank(
-    region: Region,
-    lat: Lattice,
-    group: AbelianGroup,
-    omega: SparseState,
-    length_cap: int = 5,
-    rounds: int = 8,
-    tol: float = SUBSPACE_TOL,
-) -> tuple[int, int]:
-    """Independent construction of H_Lambda: iterate the region's ribbon
-    operators on the ground state and report (rank at cap-1, rank at cap).
-    Equal ranks certify cap stability; the rank must match the factorized
-    dimension."""
+def ribbon_closure_rank(subspace: ConeSubspace) -> tuple[int, int]:
+    """Independent construction of H_Lambda: grow an orthonormal basis from
+    Omega's block C by the region's ribbon operators, one operator at a
+    time, and report its rank for ribbons of up to CLOSURE_LENGTH_CAP - 1
+    and up to CLOSURE_LENGTH_CAP triangles. Equal ranks certify cap
+    stability; the rank must match the factorized dimension. Each distinct
+    operator acts on the blocks through its support_matrix
+    (``ConeSubspace.region_apply``), so no state is built."""
+    lat, group, region = subspace.lat, subspace.group, subspace.region
+    edges, labels = sorted(region.edges), _nontrivial_labels(group)
+    block = subspace.omega_coeffs
     ranks = []
-    for cap in (length_cap - 1, length_cap):
-        ops = _label_ops(lat, group, ribbons_in_region(lat, region, cap))
-        spanning = [omega.normalized()]
-        frontier = list(spanning)
-        for _ in range(rounds):
-            new = [op.apply(v) for op in ops for v in frontier]
-            new = [v for v in new if not v.is_zero()]
-            keep = _pivoted_independent(spanning + new, tol)
-            grew = [i for i in keep if i >= len(spanning)]
-            if not grew:
+    for cap in (CLOSURE_LENGTH_CAP - 1, CLOSURE_LENGTH_CAP):
+        maps = dict.fromkeys(
+            canonical(ribbon_F_irrep(lat, group, r, chi, c))
+            for r in ribbons_in_region(lat, region, cap)
+            for chi, c in labels
+        )
+        mats = [support_matrix(m, edges, lat.n_edges) for m in maps if m is not None]
+        basis = (block / np.linalg.norm(block)).reshape(1, -1)  # orthonormal rows
+        frontier = basis
+        for _ in range(CLOSURE_ROUNDS):
+            grown = []
+            for s in mats:
+                new = subspace.region_apply(s, frontier.reshape(-1, *block.shape))
+                new = new.reshape(len(frontier), -1)
+                for _ in range(2):  # the second pass restores orthogonality to working precision
+                    new = new - (new @ basis.conj().T) @ basis
+                if np.linalg.norm(new) <= SUBSPACE_TOL:
+                    continue
+                _, sv, vh = np.linalg.svd(new, full_matrices=False)
+                grown.append(vh[sv > SUBSPACE_TOL])
+                basis = np.vstack([basis, grown[-1]])
+            if not grown:
                 break
-            frontier = [(spanning + new)[i] for i in grew]
-            spanning = [(spanning + new)[i] for i in keep]
-        ranks.append(len(_pivoted_independent(spanning, tol)))
+            frontier = np.vstack(grown)
+        ranks.append(len(basis))
     return ranks[0], ranks[1]
 
 
@@ -350,40 +347,45 @@ def detecting_exterior_sites(lat: Lattice, region: Region) -> dict[Site, tuple[b
     return out
 
 
+def _exterior_ribbons(lat: Lattice, region: Region) -> list[tuple[Ribbon, bool]]:
+    """Every exterior ribbon of 2 to EXTERIOR_RIBBON_LEN triangles, with
+    whether an endpoint sits at a detecting deep-exterior site."""
+    comp = Region(lat, region.complement_edges())
+    detecting = detecting_exterior_sites(lat, region)
+    return [
+        (r, r.start in detecting or r.end in detecting)
+        for r in ribbons_in_region(lat, comp, EXTERIOR_RIBBON_LEN)
+        if len(r) >= 2
+    ]
+
+
 def sample_exterior_ribbons(
-    lat: Lattice,
-    region: Region,
-    rng: random.Random,
-    count: int,
-    max_len: int = 6,
-    want_deep_endpoint: bool = True,
+    lat: Lattice, region: Region, rng: random.Random, count: int
 ) -> list[Ribbon]:
-    """Seeded exterior ribbons. With `want_deep_endpoint`, at least one
-    endpoint sits at a detecting deep-exterior site. Otherwise both
-    endpoints touch the region boundary and are joinable by a ribbon inside
-    the region, which is the cone-connectedness hypothesis under which
+    """Seeded exterior ribbons with at least one endpoint at a detecting
+    deep-exterior site."""
+    picked = [r for r, deep in _exterior_ribbons(lat, region) if deep]
+    rng.shuffle(picked)
+    return picked[:count]
+
+
+def boundary_ribbons(lat: Lattice, region: Region) -> list[Ribbon]:
+    """All exterior ribbons whose endpoints both touch the region boundary,
+    away from any deep detector, and are joinable by a ribbon inside the
+    region: the cone-connectedness hypothesis under which
     boundary-connecting exterior states belong to the cone subspace."""
     from .lattice import ribbon_between
 
-    comp = Region(lat, region.complement_edges())
-    detecting = detecting_exterior_sites(lat, region)
-    candidates = [r for r in ribbons_in_region(lat, comp, max_len) if len(r) >= 2]
-    picked = []
-    for r in candidates:
-        deep = r.start in detecting or r.end in detecting
-        if want_deep_endpoint or deep:
-            if want_deep_endpoint and deep:
-                picked.append(r)
-            continue
-        if not (region.site_on_boundary(r.start) and region.site_on_boundary(r.end)):
+    out = []
+    for r, deep in _exterior_ribbons(lat, region):
+        if deep or not (region.site_on_boundary(r.start) and region.site_on_boundary(r.end)):
             continue
         try:
             ribbon_between(r.start, r.end, lat, region, allow_reversed=True)
         except LatticeError:
             continue
-        picked.append(r)
-    rng.shuffle(picked)
-    return picked[:count]
+        out.append(r)
+    return out
 
 
 def _deep_charge_detected(group: AbelianGroup, detectors: dict, ribbon: Ribbon, chi, c) -> bool:
@@ -447,7 +449,7 @@ def external_charge_orthogonality_check(
     detectors = detecting_exterior_sites(lat, region)
     worst = 0.0
     n_used = 0
-    for r in sample_exterior_ribbons(lat, region, rng, samples, want_deep_endpoint=True):
+    for r in sample_exterior_ribbons(lat, region, rng, samples):
         labels = [
             (chi, c) for chi, c in nontrivial if _deep_charge_detected(group, detectors, r, chi, c)
         ]
@@ -473,10 +475,10 @@ def boundary_membership_check(
     omega: SparseState,
     subspace: ConeSubspace,
     rng: random.Random,
-    samples: int = 100,
 ) -> Check:
     """Exterior ribbons connecting two boundary sites must land inside
-    H_Lambda. Refused, before any ribbon is applied, when a residual's dense
+    H_Lambda: every ``boundary_ribbons`` ribbon, with a seeded nontrivial
+    label. Refused, before any ribbon is applied, when a residual's dense
     (region index, exterior key) block would exceed DENSITY_ENTRIES_CAP."""
     entries = subspace.omega_coeffs.shape[0] * len(subspace.ext_keys)
     if entries > DENSITY_ENTRIES_CAP:
@@ -485,7 +487,7 @@ def boundary_membership_check(
             f" {len(subspace.ext_keys)} blocks, above the cap of {DENSITY_ENTRIES_CAP} entries"
         )
     nontrivial = _nontrivial_labels(group)
-    boundary = sample_exterior_ribbons(lat, region, rng, samples, want_deep_endpoint=False)
+    boundary = boundary_ribbons(lat, region)
     worst = 0.0
     for r in boundary:
         chi, c = rng.choice(nontrivial)
@@ -496,7 +498,7 @@ def boundary_membership_check(
         "charge-free exterior vectors lie in the cone subspace",
         bool(boundary) and worst <= 1e-9,
         worst,
-        f"{len(boundary)} boundary-to-boundary ribbons of {samples} requested",
+        f"all {len(boundary)} boundary-to-boundary ribbons up to {EXTERIOR_RIBBON_LEN} triangles",
     )
 
 

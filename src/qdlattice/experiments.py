@@ -35,6 +35,7 @@ from .groundstate import (
     omega_distance,
     omega_expectation,
     sector_shift,
+    shift_row,
     torus_holonomies,
 )
 from .groups import AbelianGroup, parse_group, format_group
@@ -409,7 +410,11 @@ def _skip_note(check: str, group: AbelianGroup, lat: Lattice) -> str:
 def run_groundstate(config: RunConfig, group: AbelianGroup, lat: Lattice) -> Report:
     rep = Report("groundstate", config.__dict__.copy())
     if lat.is_torus:
-        hx, hy = torus_holonomies(lat, group, flat_connections(lat, group))
+        # gradients carry trivial holonomy, so the flat cocycle rows of the
+        # sector shifts T_ab hold every holonomy pair of the flat connections
+        pairs = itertools.product(range(group.order), repeat=2)
+        rows = np.concatenate([shift_row(lat, sector_shift(lat, group, a, b)) for a, b in pairs])
+        hx, hy = torus_holonomies(lat, group, rows[is_flat(lat, group, rows)])
         dim = len(np.unique(hx * group.order + hy))
         rep.add(
             "torus ground-space dimension",
@@ -845,7 +850,7 @@ def run_haag(config: RunConfig, group: AbelianGroup, lat: Lattice) -> Report:
     )
 
     if closure_runs:
-        r_lo, r_hi = ribbon_closure_rank(cone, lat, group, omega, length_cap=6)
+        r_lo, r_hi = ribbon_closure_rank(sub)
         rep.add(
             "ribbon closure reproduces the subspace and is cap-stable",
             "the ribbon algebra generates the region's edge operators",
@@ -869,9 +874,7 @@ def run_haag(config: RunConfig, group: AbelianGroup, lat: Lattice) -> Report:
     deep.details += note
     rep.checks.append(deep)
     rep.checks.append(
-        boundary_membership_check(
-            cone, lat, group, omega, sub, random.Random(config.seed + 2), samples=100
-        )
+        boundary_membership_check(cone, lat, group, omega, sub, random.Random(config.seed + 2))
     )
     rep.checks += self_adjoint_density_check(
         cone, lat, group, omega, sub, random.Random(config.seed + 1), ribbon_cap=5

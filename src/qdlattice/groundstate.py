@@ -8,7 +8,9 @@ torus each flat connection is a gradient plus a harmonic piece labelled by
 the two holonomies, giving the |G|^2 ground-space sectors. Ω is the
 zero-holonomy sector, again the uniform superposition over the gradients;
 the sector with holonomies (a, b) is T_ab Ω, T_ab the pure shift by
-``_torus_cocycle(lat, group, a, b)``.
+``_torus_cocycle(lat, group, a, b)``. Gradients carry trivial holonomy, so
+the torus ground-space dimension is the number of distinct holonomy pairs
+among the |G|^2 flat cocycles, and no torus flat connection is enumerated.
 
 Ω is therefore uniform over a group F (the gradients) and every ground-state
 expectation is computed from that group, not from an amplitude vector. An
@@ -30,8 +32,10 @@ Distances need no vector either: for single maps,
 The deformation, transporter and torus stabilizer checks all measure their
 distances this way; a torus sector vector is reached by composing with T_ab.
 
-``ground_state`` still materializes Ω on a plane patch, for the cone
-subspaces of the Haag-duality checks.
+``ground_state`` still materializes Ω on a plane patch, for the Haag-duality
+checks: ``cone_subspace`` reads its rows (not its amplitudes) to find the
+cosets of the flat group, and the exterior ribbon images of the membership
+and density checks are applied to it.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from .operators import AffineMap, OpSum, as_opsum
 from .states import SparseState
 
 FLAT_BRUTE_CAP = 1 << 22
-# rows flat_connections may enumerate: |G|^(V-1), times |G|^2 on the torus
+# rows flat_connections may enumerate: |G|^(V-1) gradients
 FLAT_ROWS_CAP = 1 << 22
 # vertex-potential rows one omega_expectation term may enumerate
 OMEGA_ROWS_CAP = 1 << 20
@@ -90,24 +94,19 @@ def sector_shift(lat: Lattice, group: AbelianGroup, a: int, b: int) -> AffineMap
 
 
 def flat_connections(lat: Lattice, group: AbelianGroup) -> np.ndarray:
-    """All flat configurations, one uint8 row per connection. Refused, before
-    anything is allocated, above FLAT_ROWS_CAP rows."""
-    power = lat.n_vertices - 1 + (2 if lat.is_torus else 0)
+    """All flat configurations of a plane patch, one uint8 row per
+    connection: the vertex-potential gradients. Refused, before anything is
+    allocated, above FLAT_ROWS_CAP rows, and on a torus, whose flat set is
+    the gradients shifted by each of the |G|^2 cocycles of ``_torus_cocycle``."""
+    if lat.is_torus:
+        raise GroundStateError("flat_connections enumerates plane patches only")
+    power = lat.n_vertices - 1
     if group.order**power > FLAT_ROWS_CAP:
         raise GroundStateError(
             f"flat-connection enumeration of {group.order}^{power} = {group.order**power}"
             f" rows on {lat.width}x{lat.height} is above the cap of {FLAT_ROWS_CAP}"
         )
-    grads = _gradient_configs(lat, group)
-    if not lat.is_torus:
-        return grads
-    add = group.tables()["add"]
-    parts = []
-    for hx in range(group.order):
-        for hy in range(group.order):
-            c0 = _torus_cocycle(lat, group, hx, hy)
-            parts.append(add[grads.astype(np.int64), c0[None, :]].astype(np.uint8))
-    return np.concatenate(parts)
+    return _gradient_configs(lat, group)
 
 
 def face_flux(lat: Lattice, group: AbelianGroup, configs: np.ndarray, f: int) -> np.ndarray:

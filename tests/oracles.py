@@ -3,8 +3,13 @@
 Each function here is the direct, materialized or coordinate form of
 something the package computes another way:
 
+- ``inner``, ``norm``, ``add`` and the other vector operations, with
+  ``gram_matrix`` and Gram-Schmidt (``orthonormal_coeffs``), are the
+  linear algebra of ``SparseState``, which the package no longer needs;
 - ``ground_space``, ``expectation`` and ``distance`` work on sparse
   amplitude vectors, for ``omega_expectation`` and ``omega_distance``;
+  ``torus_flat_connections`` lists every flat torus connection, for the
+  holonomy count of the groundstate experiment;
 - ``charged_state``, ``charge_moments`` and ``detect_charge`` read charges
   off a materialized charged state, for ``omega_charge_moments``;
 - ``charge_projector`` and ``conjugate_label`` are the textbook charge
@@ -14,20 +19,26 @@ something the package computes another way:
   ``ribbon_F``;
 - ``triangle_is_positive`` and ``loop_encloses`` read orientations and
   windings from coordinates, for the move tables and ``closed_loop_around``;
-- ``orthonormalize`` is plain Gram-Schmidt, for ``cone_subspace``.
+- ``orthonormalize`` is plain Gram-Schmidt, for ``cone_subspace``;
+- ``closure_rank`` grows the ribbon closure from materialized states with a
+  pivoted Cholesky on their Gram matrix, for ``ribbon_closure_rank``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
+from qdlattice.duality import _nontrivial_labels, ribbons_in_region
 from qdlattice.groundstate import (
+    FLAT_ROWS_CAP,
     GroundStateError,
+    _gradient_configs,
+    _torus_cocycle,
     face_flux,
-    flat_connections,
     ground_state,
     torus_holonomies,
 )
@@ -47,6 +58,7 @@ from qdlattice.operators import (
     OperatorError,
     OpSum,
     as_opsum,
+    canonical,
     complete_plaquettes,
     complete_stars,
     plaq_h,
@@ -54,14 +66,126 @@ from qdlattice.operators import (
     star_g,
 )
 from qdlattice.sectors import SectorLabel, _label_from_moments
-from qdlattice.states import SPAN_TOL, SparseState, inner, orthonormal_coeffs
+from qdlattice.states import SparseState
+
+SPAN_TOL = 1e-9
 
 
 # -- states ---------------------------------------------------------------------------
 
 
+def keys(psi: SparseState) -> np.ndarray:
+    """Row byte-keys, cached on the state (rows are unique and sorted already)."""
+    cached = getattr(psi, "_keys", None)
+    if cached is None:
+        buf = np.ascontiguousarray(psi.configs)
+        cached = buf.view(np.dtype((np.void, buf.shape[1]))).ravel()
+        object.__setattr__(psi, "_keys", cached)
+    return cached
+
+
+def basis(config: Sequence[int], radix: int) -> SparseState:
+    row = np.asarray(config, dtype=np.uint8).reshape(1, -1)
+    return SparseState(row, np.ones(1, dtype=np.complex128), row.shape[1], radix)
+
+
+def _check(psi: SparseState, phi: SparseState) -> None:
+    if (psi.n_edges, psi.radix) != (phi.n_edges, phi.radix):
+        raise ValueError("states live on different lattices or groups")
+
+
+def is_zero(psi: SparseState) -> bool:
+    return psi.n_terms == 0
+
+
+def scaled(psi: SparseState, c: complex) -> SparseState:
+    return SparseState(psi.configs, psi.amps * c, psi.n_edges, psi.radix)
+
+
+def add(psi: SparseState, phi: SparseState) -> SparseState:
+    _check(psi, phi)
+    return SparseState.from_terms(
+        np.concatenate([psi.configs, phi.configs]),
+        np.concatenate([psi.amps, phi.amps]),
+        psi.n_edges,
+        psi.radix,
+    )
+
+
+def sub(psi: SparseState, phi: SparseState) -> SparseState:
+    return add(psi, scaled(phi, -1.0))
+
+
+def norm(psi: SparseState) -> float:
+    return float(np.sqrt(np.sum(np.abs(psi.amps) ** 2)))
+
+
+def normalized(psi: SparseState) -> SparseState:
+    n = norm(psi)
+    if n == 0.0:
+        raise ValueError("cannot normalize the zero vector")
+    return scaled(psi, 1.0 / n)
+
+
+def inner(psi: SparseState, phi: SparseState) -> complex:
+    """<psi|phi>, conjugate-linear in the first argument."""
+    _check(psi, phi)
+    if is_zero(psi) or is_zero(phi):
+        return 0.0 + 0.0j
+    _, i1, i2 = np.intersect1d(keys(psi), keys(phi), assume_unique=True, return_indices=True)
+    if len(i1) == 0:
+        return 0.0 + 0.0j
+    return complex(np.sum(np.conj(psi.amps[i1]) * phi.amps[i2]))
+
+
 def distance(psi: SparseState, phi: SparseState) -> float:
-    return psi.sub(phi).norm()
+    return norm(sub(psi, phi))
+
+
+def gram_matrix(vectors: Sequence[SparseState]) -> np.ndarray:
+    """Hermitian Gram matrix over a shared support index (sparse product)."""
+    vecs = list(vectors)
+    if not vecs:
+        return np.zeros((0, 0), dtype=np.complex128)
+    all_keys = np.unique(np.concatenate([keys(v) for v in vecs]))
+    cols = [np.searchsorted(all_keys, keys(v)) for v in vecs]
+    m = sp.csr_matrix(
+        (
+            np.concatenate([v.amps for v in vecs]),
+            np.concatenate(cols),
+            np.cumsum([0] + [len(c) for c in cols]),
+        ),
+        shape=(len(vecs), len(all_keys)),
+    )
+    return np.asarray((m @ m.conj().T).todense())
+
+
+def orthonormal_coeffs(
+    vectors: Iterable[SparseState], tol: float = SPAN_TOL
+) -> tuple[list[SparseState], np.ndarray]:
+    """Modified Gram-Schmidt with coefficient tracking: an orthonormal basis
+    b, dropping vectors whose residual norm is < tol, and the matrix R with
+    vectors[i] = sum_k R[i, k] b[k] up to those dropped residuals."""
+    out: list[SparseState] = []
+    cols: list[list[complex]] = []
+    for v in vectors:
+        w, col = v, [0j] * len(out)
+        # the second sweep keeps the basis orthonormal to working precision
+        for _ in range(2):
+            for k, b in enumerate(out):
+                c = inner(b, w)
+                if c:
+                    col[k] += c
+                    w = sub(w, scaled(b, c))
+        nrm = norm(w)
+        if nrm >= tol:
+            out.append(scaled(w, 1.0 / nrm))
+            col.append(nrm)
+        cols.append(col)
+    coeffs = np.zeros((len(cols), len(out)), dtype=np.complex128)
+    for i, col in enumerate(cols):
+        coeffs[i, : len(col)] = col
+    return out, coeffs
 
 
 def orthonormalize(vectors: Iterable[SparseState], tol: float = SPAN_TOL) -> list[SparseState]:
@@ -69,7 +193,84 @@ def orthonormalize(vectors: Iterable[SparseState], tol: float = SPAN_TOL) -> lis
     return orthonormal_coeffs(vectors, tol)[0]
 
 
+def _pivoted_independent(vectors: list[SparseState], tol: float) -> list[int]:
+    """Indices of a maximal independent subset, by greedy pivoted Cholesky
+    on the Gram matrix."""
+    if not vectors:
+        return []
+    g = gram_matrix([normalized(v) for v in vectors])
+    n = len(vectors)
+    diag = np.real(np.diag(g)).copy()
+    low = np.zeros((n, 0), dtype=np.complex128)
+    picked: list[int] = []
+    for _ in range(n):
+        k = int(np.argmax(diag))
+        if diag[k] <= tol:
+            break
+        col = (g[:, k] - low @ low[k].conj()) / np.sqrt(diag[k])
+        low = np.hstack([low, col[:, None]])
+        diag = diag - np.abs(col) ** 2
+        diag[picked + [k]] = 0.0
+        picked.append(k)
+    return picked
+
+
+def closure_rank(
+    region: Region,
+    lat: Lattice,
+    group: AbelianGroup,
+    omega: SparseState,
+    length_cap: int,
+    rounds: int = 8,
+    tol: float = SPAN_TOL,
+) -> tuple[int, int]:
+    """The ribbon closure on materialized states: apply the region's ribbon
+    operators to Omega and to every new state, keep an independent subset,
+    and report (rank at cap-1, rank at cap)."""
+    ranks = []
+    for cap in (length_cap - 1, length_cap):
+        # equal operators span nothing new: apply each distinct one once
+        maps = dict.fromkeys(
+            canonical(ribbon_F_irrep(lat, group, r, chi, c))
+            for r in ribbons_in_region(lat, region, cap)
+            for chi, c in _nontrivial_labels(group)
+        )
+        ops = [as_opsum(m) for m in maps if m is not None]
+        spanning = [normalized(omega)]
+        frontier = list(spanning)
+        for _ in range(rounds):
+            new = [op.apply(v) for op in ops for v in frontier]
+            new = [v for v in new if not is_zero(v)]
+            keep = _pivoted_independent(spanning + new, tol)
+            grew = [i for i in keep if i >= len(spanning)]
+            if not grew:
+                break
+            frontier = [(spanning + new)[i] for i in grew]
+            spanning = [(spanning + new)[i] for i in keep]
+        ranks.append(len(_pivoted_independent(spanning, tol)))
+    return ranks[0], ranks[1]
+
+
 # -- ground states -----------------------------------------------------------------
+
+
+def torus_flat_connections(lat: Lattice, group: AbelianGroup) -> np.ndarray:
+    """Every flat torus configuration: each gradient plus each holonomy
+    cocycle ``_torus_cocycle(lat, group, a, b)``, one uint8 row apiece."""
+    power = lat.n_vertices + 1
+    if group.order**power > FLAT_ROWS_CAP:
+        raise GroundStateError(
+            f"flat-connection enumeration of {group.order}^{power} = {group.order**power}"
+            f" rows on {lat.width}x{lat.height} is above the cap of {FLAT_ROWS_CAP}"
+        )
+    grads = _gradient_configs(lat, group).astype(np.int64)
+    add_table = group.tables()["add"]
+    parts = []
+    for hx in range(group.order):
+        for hy in range(group.order):
+            c0 = _torus_cocycle(lat, group, hx, hy)
+            parts.append(add_table[grads, c0[None, :]].astype(np.uint8))
+    return np.concatenate(parts)
 
 
 def ground_space(lat: Lattice, group: AbelianGroup) -> list[SparseState]:
@@ -78,7 +279,7 @@ def ground_space(lat: Lattice, group: AbelianGroup) -> list[SparseState]:
     holonomy pair; on a plane patch the single flat-connection state."""
     if not lat.is_torus:
         return [ground_state(lat, group)]
-    configs = flat_connections(lat, group)
+    configs = torus_flat_connections(lat, group)
     hx, hy = torus_holonomies(lat, group, configs)
     out = []
     for a in range(group.order):
@@ -90,11 +291,13 @@ def ground_space(lat: Lattice, group: AbelianGroup) -> list[SparseState]:
 
 
 def expectation(psi: SparseState, op) -> complex:
-    """<psi|op|psi> / <psi|psi> on a materialized state."""
+    """<psi|op|psi> / <psi|psi> on a materialized state, one term of op at a
+    time: a single map cancels no amplitudes, while terms that cancel to
+    below ``from_terms``' pruning threshold would drop rows from op psi."""
     nrm = inner(psi, psi)
     if nrm == 0:
         raise GroundStateError("expectation in the zero vector")
-    return inner(psi, as_opsum(op).apply(psi)) / nrm
+    return sum(c * inner(psi, OpSum.of(m).apply(psi)) for c, m in as_opsum(op).terms) / nrm
 
 
 def ground_energy(lat: Lattice, region: Optional[Region] = None) -> float:
@@ -153,7 +356,7 @@ def charged_state(
     if ribbon.is_closed or ribbon.is_trivial:
         raise LatticeError("charged states need an open ribbon")
     psi = as_opsum(ribbon_F_irrep(lat, group, ribbon, label.chi, label.c)).apply(omega)
-    return psi.normalized()
+    return normalized(psi)
 
 
 def charge_moments(
@@ -162,24 +365,24 @@ def charge_moments(
     """<psi| A^k B^d |psi> / <psi|psi> for every pair (k, d), in one
     vectorized pass: the plaquette flux is read once and the star shift once
     per group element."""
-    norm = inner(psi, psi)
+    nrm = inner(psi, psi)
     flux = face_flux(lat, group, psi.configs, s.face)
-    keys = psi.keys()
+    row_keys = keys(psi)
     mu: dict[tuple[Element, Element], complex] = {}
     for k in group.elements():
         _, _, shifted = star_g(lat, group, s, k).eval(psi.configs)
         buf = np.ascontiguousarray(shifted)
         skeys = buf.view(np.dtype((np.void, buf.shape[1]))).ravel()
-        pos = np.searchsorted(keys, skeys)
-        pos_c = np.clip(pos, 0, len(keys) - 1)
-        hit = keys[pos_c] == skeys
+        pos = np.searchsorted(row_keys, skeys)
+        pos_c = np.clip(pos, 0, len(row_keys) - 1)
+        hit = row_keys[pos_c] == skeys
         # term i contributes conj(amp at shifted config) * amp_i to mu(k, flux_i)
-        contrib = np.zeros(len(keys), dtype=np.complex128)
+        contrib = np.zeros(len(row_keys), dtype=np.complex128)
         contrib[hit] = np.conj(psi.amps[pos_c[hit]]) * psi.amps[np.nonzero(hit)[0]]
         per_d = np.zeros(group.order, dtype=np.complex128)
         np.add.at(per_d, flux[hit], contrib[hit])
         for d_idx in range(group.order):
-            mu[(k, group.element_at(d_idx))] = complex(per_d[d_idx] / norm)
+            mu[(k, group.element_at(d_idx))] = complex(per_d[d_idx] / nrm)
     return mu
 
 

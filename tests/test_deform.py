@@ -24,9 +24,7 @@ from qdlattice.operators import (
 )
 from qdlattice.reports import RunConfig
 from qdlattice.sectors import sector_labels, transporter, truncate
-from qdlattice.states import inner
-
-from oracles import distance, ground_space
+from oracles import distance, ground_space, inner
 
 Z2 = group_make([2])
 Z3 = group_make([3])

@@ -26,9 +26,19 @@ from qdlattice.lattice import (
     ribbon_between,
 )
 from qdlattice.operators import as_opsum, ribbon_F_irrep
-from qdlattice.states import SparseState, inner, orthonormal_coeffs
+from qdlattice.states import SparseState
 
-from oracles import orthonormalize
+from oracles import (
+    add,
+    closure_rank,
+    distance,
+    inner,
+    keys,
+    normalized,
+    orthonormal_coeffs,
+    orthonormalize,
+    scaled,
+)
 
 Z2 = group_make([2])
 
@@ -70,8 +80,8 @@ class MaterializedSubspace:
             self.vectors.append(
                 SparseState.from_terms(rows, ws[j].amps, lat.n_edges, group.order)
             )
-        self.keys = np.unique(np.concatenate([v.keys() for v in self.vectors]))
-        cols = [np.searchsorted(self.keys, v.keys()) for v in self.vectors]
+        self.keys = np.unique(np.concatenate([keys(v) for v in self.vectors]))
+        cols = [np.searchsorted(self.keys, keys(v)) for v in self.vectors]
         self.mat_conj = sp.csr_matrix(
             (
                 np.concatenate([v.amps for v in self.vectors]),
@@ -83,14 +93,14 @@ class MaterializedSubspace:
 
     def coeffs(self, psi):
         """<v|psi> for every materialized vector v."""
-        pos = np.minimum(np.searchsorted(self.keys, psi.keys()), len(self.keys) - 1)
-        hit = self.keys[pos] == psi.keys()
+        pos = np.minimum(np.searchsorted(self.keys, keys(psi)), len(self.keys) - 1)
+        hit = self.keys[pos] == keys(psi)
         vec = np.zeros(len(self.keys), dtype=np.complex128)
         vec[pos[hit]] = psi.amps[hit]
         return self.mat_conj @ vec
 
     def residual(self, psi):
-        return psi.sub(_combine(self.vectors, self.coeffs(psi))).norm()
+        return distance(psi, _combine(self.vectors, self.coeffs(psi)))
 
 
 def _combine(vectors, coeffs):
@@ -211,13 +221,13 @@ def test_density_ranks_match_materialized_oracle(cone_case):
 
     b_family = []
     for j in range(r):
-        b_family.append(oracle.coeffs(e_omega(j, j).scaled(1j)))
+        b_family.append(oracle.coeffs(scaled(e_omega(j, j), 1j)))
     for j, k in itertools.combinations(range(r), 2):
         if rim_of[j] != rim_of[k]:
             continue
         jk, kj = e_omega(j, k), e_omega(k, j)
-        b_family.append(oracle.coeffs(jk.add(kj).scaled(1j)))
-        b_family.append(oracle.coeffs(jk.sub(kj).scaled(-1.0)))
+        b_family.append(oracle.coeffs(scaled(add(jk, kj), 1j)))
+        b_family.append(oracle.coeffs(add(kj, scaled(jk, -1.0))))  # -(jk - kj)
     for m in flavour:
         v, vs = oracle.coeffs(m.apply(omega)), oracle.coeffs(m.adjoint().apply(omega))
         b_family += [1j * (v + vs), -(v - vs)]
@@ -259,10 +269,18 @@ def test_trivial_region_subspace():
     assert sub.residual(omega) < 1e-12
 
 
-def test_closure_matches_factorized_dimension(small_cone):
-    lat, omega, cone, sub = small_cone
-    lo, hi = ribbon_closure_rank(cone, lat, Z2, omega, length_cap=5)
-    assert lo == hi == sub.dim
+def test_closure_matches_factorized_dimension():
+    """The closure grown in block coordinates against the closure grown
+    from materialized states at the same length caps, on a trimmed cone
+    and on one that keeps its rim edges."""
+    lat = Lattice(3, 3, "plane")
+    omega = ground_state(lat, Z2)
+    for trim, dim in [(True, 16), (False, 32)]:
+        cone = cone_make((1, 1), ["N", "E"], lat, trim_rim=trim)
+        sub = cone_subspace(cone, lat, Z2, omega)
+        ranks = ribbon_closure_rank(sub)
+        assert ranks == closure_rank(cone, lat, Z2, omega, duality.CLOSURE_LENGTH_CAP)
+        assert ranks == (dim, dim) and sub.dim == dim
 
 
 def test_subspace_invariant_under_region_operators(small_cone):
@@ -293,7 +311,7 @@ def test_external_orthogonality_and_membership(plane_4x4_cone):
     rng = random.Random(5)
     recs = [
         external_charge_orthogonality_check(cone, lat, Z2, rng, samples=60),
-        boundary_membership_check(cone, lat, Z2, omega, sub, rng, samples=60),
+        boundary_membership_check(cone, lat, Z2, omega, sub, rng),
     ]
     assert all(r.passed for r in recs), [(r.name, r.max_error) for r in recs]
     assert all(r.max_error <= 1e-9 for r in recs)
@@ -368,8 +386,9 @@ def test_boundary_check_refuses_oversized_residuals(monkeypatch, small_cone):
 
 
 def _all_pairs_subspace(region, lat, group, omega):
-    """cone_subspace's (w_conj, omega_coeffs, region_rows) with Gram-Schmidt
-    over every exterior restriction of each rim group, all pairs."""
+    """cone_subspace's (ext_keys, w_conj, omega_coeffs, region_rows) with
+    Gram-Schmidt over every exterior restriction of each rim group, all
+    pairs, on materialized states."""
     radix = group.order
     region_edges = sorted(region.edges)
     fill = [e for e in region_edges if not lat.is_rim(e)]
@@ -390,27 +409,38 @@ def _all_pairs_subspace(region, lat, group, omega):
             SparseState.from_terms(exterior[rows], omega.amps[rows], lat.n_edges, radix)
             for _, rows in members
         ]
-        basis, coeffs = orthonormal_coeffs(vectors, duality.SUBSPACE_TOL)
+        basis, coeffs = orthonormal_coeffs(vectors)
         block = np.zeros((radix**k, len(basis)), dtype=np.complex128)
         block[[a for a, _ in members]] = coeffs
         blocks.append(block)
         w_states += basis
         w_rims += [rim] * len(basis)
-    _, w = duality._key_matrix(w_states, ext, radix)
-    return w.conj(), np.hstack(blocks), fill_rows[:, None] + np.array(w_rims)[None, :]
+    codes = [duality._codes(w.configs, ext, radix) for w in w_states]
+    ext_keys, rows = np.unique(np.concatenate(codes), return_inverse=True)
+    cols = np.repeat(np.arange(len(w_states)), [len(c) for c in codes])
+    amps = np.concatenate([w.amps for w in w_states])
+    w = sp.csr_matrix((amps, (rows, cols)), shape=(len(ext_keys), len(w_states)))
+    region_rows = fill_rows[:, None] + np.array(w_rims)[None, :]
+    return ext_keys, w.conj(), np.hstack(blocks), region_rows
 
 
 @pytest.mark.parametrize(
     "order,height,kind",
-    [(2, 4, "trim"), (3, 4, "trim"), (2, 4, "rim"), (2, 3, "patch"), (2, 3, "star")],
+    [
+        (2, 4, "trim"),
+        (3, 4, "trim"),
+        (2, 4, "rim"),
+        (2, 3, "patch"),
+        (2, 3, "star"),
+        (3, 3, "empty"),
+    ],
 )
-def test_component_gram_schmidt_is_bitwise_all_pairs(order, height, kind):
-    """Orthonormalizing only within groups of restrictions that share
-    exterior keys gives the all-pairs result bit for bit. A cone's groups
-    are single restrictions. The whole 3x3 patch and the star of its centre
-    hold a complete star, whose gradient makes restrictions share keys; on
-    the star, random amplitudes on Omega's rows make each group yield two
-    basis vectors, whose columns interleave with the other groups'."""
+def test_coset_subspace_matches_all_pairs_gram_schmidt(order, height, kind):
+    """The coset construction of W and C against Gram-Schmidt over every
+    exterior restriction of each rim group, with the same column order. The
+    whole 3x3 patch and the star of its centre hold a complete star, whose
+    gradient makes distinct buckets restrict to the same coset; the empty
+    region has a single bucket, all of Omega."""
     group = group_make([order])
     lat = Lattice(3, height, "plane")
     omega = ground_state(lat, group)
@@ -418,14 +448,15 @@ def test_component_gram_schmidt_is_bitwise_all_pairs(order, height, kind):
         cone = Region(lat, frozenset(lat.edges()))
     elif kind == "star":
         cone = Region(lat, frozenset(lat.star_edges(lat.vertex_id(1, 1))))
-        amps = np.array([1, 1j]) @ np.random.default_rng(7).standard_normal((2, omega.n_terms))
-        omega = SparseState(omega.configs, amps, lat.n_edges, group.order)
+    elif kind == "empty":
+        cone = Region(lat, frozenset())
     else:
         cone = cone_make((1, 1), ["N", "E"], lat, trim_rim=kind == "trim")
     sub = cone_subspace(cone, lat, group, omega)
-    w_conj, coeffs, rows = _all_pairs_subspace(cone, lat, group, omega)
-    assert sub.w_conj.toarray().tobytes() == w_conj.toarray().tobytes()
-    assert sub.omega_coeffs.tobytes() == coeffs.tobytes()
+    ext_keys, w_conj, coeffs, rows = _all_pairs_subspace(cone, lat, group, omega)
+    assert np.array_equal(sub.ext_keys, ext_keys)
+    np.testing.assert_allclose(sub.w_conj.toarray(), w_conj.toarray(), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(sub.omega_coeffs, coeffs, rtol=0, atol=1e-15)
     assert np.array_equal(sub.region_rows, rows)
 
 
@@ -470,7 +501,7 @@ def test_multi_ribbon_states_reduce_to_products():
             )
             sigma = ribbon_between(far1, far2, lat, region, allow_reversed=True)
             rhs = (anchor @ as_opsum(ribbon_F_irrep(lat, grp, sigma, chi2, c2))).apply(omega)
-            overlap = abs(inner(lhs.normalized(), rhs.normalized()))
+            overlap = abs(inner(normalized(lhs), normalized(rhs)))
             assert abs(overlap - 1.0) < 1e-9
 
 
@@ -501,16 +532,32 @@ def test_cone_region_has_boundary():
 
 def test_haag_report_states_the_skipped_closure_check():
     """The default cone has 4 edges, above the closure cross-check's limit of
-    3: the construction check says so, and every other check appears once."""
+    3: the construction check says so, and every other check appears once.
+    On 3x3 the cone has 2 edges and the closure check runs as well."""
     from qdlattice.experiments import run_haag
+    from qdlattice.groups import parse_group
+    from qdlattice.lattice import parse_lattice
     from qdlattice.reports import RunConfig
 
-    cfg = RunConfig("haag-check", group="z2", lattice="3x4:plane", seed=4300)
-    rep = run_haag(cfg, Z2, Lattice(3, 4, "plane"))
-    assert rep.checks[0].details == (
-        "cone of 4 edges, subspace dimension 256; ribbon closure cross-check"
-        " skipped: it runs on cones of at most 3 edges"
-    )
-    names = [c.name for c in rep.checks]
-    assert len(names) == len(set(names)) == 5
-    assert rep.all_passed
+    cases = [
+        (
+            "z2",
+            "3x4:plane",
+            "cone of 4 edges, subspace dimension 256; ribbon closure cross-check"
+            " skipped: it runs on cones of at most 3 edges",
+        ),
+        ("z2", "3x3:plane", "cone of 2 edges, subspace dimension 16"),
+        ("z3", "3x3:plane", "cone of 2 edges, subspace dimension 81"),
+    ]
+    for spec, lattice, details in cases:
+        cfg = RunConfig("haag-check", group=spec, lattice=lattice, seed=4300)
+        rep = run_haag(cfg, parse_group(spec), parse_lattice(lattice))
+        assert rep.checks[0].details == details
+        names = [c.name for c in rep.checks]
+        closure = [c for c in rep.checks if c.name.startswith("ribbon closure")]
+        assert len(closure) == ("skipped" not in details)
+        assert len(names) == len(set(names)) == 5 + len(closure)
+        if closure:
+            dim = int(details.split()[-1])
+            assert closure[0].details == f"closure ranks ({dim}, {dim}) vs dimension {dim}"
+        assert rep.all_passed

