@@ -24,15 +24,20 @@ state sum X[a, j] |a> tensor w_j, where
 * a is the region index: the configuration of the k region edges as one
   mixed-radix integer, first edge most significant, which is the row order
   of ``support_matrix``;
-* w_j is the orthonormal coset basis of W, stored as one conjugated sparse
-  map from integer exterior keys (the configuration of every other edge).
+* w_j is the orthonormal coset basis of W: the value 1/sqrt(|K|) on each
+  of its |K| integer exterior keys (the configuration of every other edge),
+  stored as an index map from key to column.
 
 The ground state's own block C gives Omega = sum C[a, j] |a> tensor w_j. A
 state's coordinates come from bucketing its rows by region index and
-exterior key, then one sparse product. A region operator M acts on the
-block as its ``support_matrix`` S_M, so M Omega has coordinates S_M C
-without applying M to Omega. The compressed exterior operator
-E_jk = 1 tensor |w_j><w_k| maps Omega to the block whose column j is C[:, k].
+exterior key and summing each bucket into its column; its distance to
+H_Lambda is summed from its own rows, with no (region index, key) block. A
+region operator M is a sum of basis maps, and each map sends the region
+configuration of every block position to one configuration with one phase,
+so it acts on the block as a monomial matrix S_M (``region_action``): M
+Omega has coordinates S_M C without applying M to Omega. The compressed
+exterior operator E_jk = 1 tensor |w_j><w_k| maps Omega to the block whose
+column j is C[:, k].
 
 On a plane patch the rim edges admit no dual triangles, so a cone region
 that keeps its rim edges would carry an artificially diagonal operator
@@ -42,6 +47,12 @@ infinite lattice, where every edge is bulk. For a cone that keeps them, the
 rim values are pinned: each w_j carries them in its exterior key, and
 region operators, which only read rim edges through phases, act on the
 block through S_M taken at the rim values of w_j.
+
+The shape of H_Lambda needs no Omega either (``cone_shape``): with c(S) the
+number of components of the graph (vertices, S),
+dim H_Lambda = |G|^(k + V + 1 - c(Lambda) - c(E minus fill)). The density
+check's operator families need no Omega, so its size is refused before
+Omega is built (``refuse_oversized_density``).
 
 On top of the subspace sit the exterior-charge orthogonality check, the
 boundary membership check and the real-linear density check mirroring the
@@ -64,15 +75,15 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from functools import cached_property
+from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .groundstate import OMEGA_ROWS_CAP, face_fluxes, omega_expectation, shift_row
 from .groups import AbelianGroup
 from .lattice import Lattice, LatticeError, Region, Ribbon, Site, Triangle, positive_moves
-from .operators import AffineMap, OpSum, as_opsum, canonical, ribbon_F_irrep, support_matrix
+from .operators import AffineMap, OperatorError, OpSum, as_opsum, canonical, ribbon_F_irrep
 from .reports import Check
 from .states import SparseState
 
@@ -84,7 +95,7 @@ CLOSURE_ROUNDS = 8
 # exterior ribbons of the orthogonality and membership checks: 2 to this
 # many triangles
 EXTERIOR_RIBBON_LEN = 6
-# entries of a dense block: density matrix (family x 2 dim), residual (|G|^k x keys)
+# entries of the density check's coefficient matrix (family x 2 dim H_Lambda)
 DENSITY_ENTRIES_CAP = 1 << 24
 
 
@@ -152,7 +163,9 @@ def _fill_edges(lat: Lattice, region: Region) -> list[int]:
 @dataclass
 class ConeSubspace:
     """H_Lambda = C^(|G|^k) tensor W in tensor coordinates: a block X of
-    shape (|G|^k, dim W) stands for sum X[a, j] |a> tensor w_j."""
+    shape (|G|^k, dim W) stands for sum X[a, j] |a> tensor w_j. Each w_j is
+    1/sqrt(|K|) on its |K| exterior keys, so W is an index map from keys to
+    columns."""
 
     region: Region
     lat: Lattice
@@ -160,7 +173,8 @@ class ConeSubspace:
     fill_edges: list[int]  # region edges with a dual triangle: free
     ext_edges: list[int]  # every other edge: the exterior key
     ext_keys: np.ndarray  # sorted exterior keys on which some w_j lives
-    w_conj: sp.csr_matrix  # (len(ext_keys), dim W): conj(w_j) at each key
+    key_cols: np.ndarray  # the column j of the w_j living on each key
+    coset_size: int  # |K|: the keys of each w_j
     omega_coeffs: np.ndarray  # C: Omega = sum C[a, j] |a> tensor w_j
     region_rows: np.ndarray  # support_matrix index of (a, rim values of w_j)
 
@@ -168,54 +182,101 @@ class ConeSubspace:
     def dim(self) -> int:
         return self.omega_coeffs.size
 
-    def _buckets(self, psi: SparseState) -> tuple[sp.csr_matrix, float]:
-        """psi's amplitudes as a (region index, exterior key) matrix over the
-        keys of W, and the squared norm of psi's rows off those keys."""
+    def _buckets(self, psi: SparseState) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        """psi's rows on W's keys as (region index, column, amplitude), in
+        (region index, key) order, and the squared norm of psi's rows off
+        those keys."""
         radix = self.group.order
         keys = _codes(psi.configs, self.ext_edges, radix)
         pos = np.minimum(np.searchsorted(self.ext_keys, keys), len(self.ext_keys) - 1)
         hit = self.ext_keys[pos] == keys
-        fills = _codes(psi.configs[hit], self.fill_edges, radix)
-        shape = (self.omega_coeffs.shape[0], len(self.ext_keys))
-        p = sp.csr_matrix((psi.amps[hit], (fills, pos[hit])), shape=shape)
-        return p, float(np.sum(np.abs(psi.amps[~hit]) ** 2))
+        fills, pos = _codes(psi.configs[hit], self.fill_edges, radix), pos[hit]
+        order = np.lexsort((pos, fills))
+        off = float(np.sum(np.abs(psi.amps[~hit]) ** 2))
+        return fills[order], self.key_cols[pos[order]], psi.amps[hit][order], off
+
+    def _project(self, fills: np.ndarray, cols: np.ndarray, amps: np.ndarray) -> np.ndarray:
+        """<a tensor w_j | psi> from ``_buckets``: each amplitude times w_j's
+        value 1/sqrt(|K|), summed in key order."""
+        x = np.zeros_like(self.omega_coeffs)
+        np.add.at(x, (fills, cols), amps * (1 / np.sqrt(self.coset_size)))
+        return x
 
     def coeffs(self, psi: SparseState) -> np.ndarray:
         """<a tensor w_j | psi> as a (|G|^k, dim W) block."""
-        return (self._buckets(psi)[0] @ self.w_conj).toarray()
+        return self._project(*self._buckets(psi)[:3])
 
     def residual(self, psi: SparseState) -> float:
         """Distance from psi to H_Lambda, summed from psi's rows minus their
-        projection rather than as a difference of squared norms."""
-        p, off = self._buckets(psi)
-        x = (p @ self.w_conj).toarray()
-        on = p.toarray() - (self.w_conj.conj() @ x.T).T
-        return float(np.sqrt(off + np.sum(np.abs(on) ** 2)))
+        projection rather than as a difference of squared norms. The
+        projection is x[a, j] / sqrt(|K|) on each of the |K| keys of w_j at
+        region index a: psi's rows there contribute |amp - x / sqrt(|K|)|^2,
+        and each key psi misses |x / sqrt(|K|)|^2. No (region index, key)
+        block is built."""
+        fills, cols, amps, off = self._buckets(psi)
+        x = self._project(fills, cols, amps)
+        hits = np.zeros(x.shape, dtype=np.int64)
+        np.add.at(hits, (fills, cols), 1)
+        proj = x * (1 / np.sqrt(self.coset_size))
+        on = np.sum(np.abs(amps - proj[fills, cols]) ** 2)
+        missed = np.sum((self.coset_size - hits) * np.abs(proj) ** 2)
+        return float(np.sqrt(off + on + missed))
 
-    def region_apply(self, s: sp.spmatrix, blocks: np.ndarray) -> np.ndarray:
-        """S x for each block x of `blocks`, shape (n, |G|^k, dim W), with S
-        a matrix on the configurations of all region edges (the index of
-        ``support_matrix``): column j of x is spread over rows
-        region_rows[:, j], the rim values of w_j, multiplied, and read back
-        there. Exact for region operators, which shift no rim edge."""
-        rows, cols = self.region_rows, np.arange(self.region_rows.shape[1])
-        spread = np.zeros((s.shape[1], len(cols), len(blocks)), dtype=np.complex128)
-        spread[rows, cols] = blocks.transpose(1, 2, 0)
-        out = (s @ spread.reshape(s.shape[1], -1)).reshape(spread.shape)
-        return out[rows, cols].transpose(2, 0, 1)
+    @cached_property
+    def _region_configs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct region rows as configurations (every other edge at
+        0), and the one of each block position a * dim W + j."""
+        rows, inverse = np.unique(self.region_rows.ravel(), return_inverse=True)
+        radix, edges = self.group.order, sorted(self.region.edges)
+        configs = np.zeros((len(rows), self.lat.n_edges), dtype=np.uint8)
+        for pos, e in enumerate(edges):
+            configs[:, e] = rows // radix ** (len(edges) - 1 - pos) % radix
+        return configs, inverse
 
-    def region_images(self, op) -> tuple[np.ndarray, np.ndarray]:
-        """Coordinates of op Omega and op^dagger Omega for an operator on the
-        region's edges: S_op C and S_op^dagger C. ``support_matrix`` refuses
-        an operator that leaves the region."""
+    def region_action(self, op) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """A region operator on the blocks, one monomial matrix per term:
+        (source, target, coefficient) over the flat block positions
+        a * dim W + j. A map sends the region configuration of (a, rim
+        values of w_j) to one configuration with one phase (``AffineMap.eval``);
+        it shifts no rim edge, so the target stays in column j, at the
+        target's fill index."""
         opsum = as_opsum(op)
+        if not opsum.support() <= self.region.edges:
+            raise OperatorError("operator touches edges outside the region")
         pinned = set(self.region.edges) - set(self.fill_edges)
         assert not any(e in pinned for _, m in opsum.terms for e, _ in m.shifts), (
             "rim edges carry no dual triangle, so no region operator shifts them"
         )
-        s = support_matrix(opsum, sorted(self.region.edges), self.lat.n_edges)
+        configs, row_of = self._region_configs
+        n_cols = self.region_rows.shape[1]
+        source = np.arange(self.region_rows.size)
+        roots = self.group.tables()["roots"]
+        out = []
+        for coeff, m in opsum.terms:
+            alive, pnum, shifted = m.eval(configs)
+            target = _codes(shifted, self.fill_edges, self.group.order) * n_cols
+            live = alive[row_of]
+            src = source[live]
+            rows = row_of[live]
+            out.append((src, target[rows] + src % n_cols, coeff * roots[pnum[rows]]))
+        return out
+
+    def region_apply(self, action, blocks: np.ndarray) -> np.ndarray:
+        """The operator of ``region_action`` on each block of `blocks`, shape
+        (n, |G|^k, dim W): a scatter of the entries by target and phase. A
+        map is injective, so no term hits one target twice."""
+        flat = blocks.reshape(len(blocks), -1)
+        out = np.zeros_like(flat)
+        for src, dst, coeff in action:
+            out[:, dst] += flat[:, src] * coeff
+        return out.reshape(blocks.shape)
+
+    def region_images(self, op) -> tuple[np.ndarray, np.ndarray]:
+        """Coordinates of op Omega and op^dagger Omega for an operator on the
+        region's edges."""
         c = self.omega_coeffs[None]
-        return self.region_apply(s, c)[0], self.region_apply(s.T, c.conj())[0].conj()
+        image = self.region_apply(self.region_action(op), c)[0]
+        return image, self.region_apply(self.region_action(as_opsum(op).adjoint()), c)[0]
 
     def rim_groups(self) -> list[np.ndarray]:
         """Columns j of the block sharing the same pinned rim values: the
@@ -274,19 +335,58 @@ def cone_subspace(
     n_rows, n_cols = omega.n_terms, len(first)
     coset_size = n_rows // len(heads)  # |K|
     ext_keys, key_row = np.unique(ext, return_index=True)
-    w_conj = sp.csr_matrix(
-        (
-            np.full(len(ext_keys), 1 / np.sqrt(coset_size)),
-            (np.arange(len(ext_keys)), column[bucket[key_row]]),
-        ),
-        shape=(len(ext_keys), n_cols),
-    )
     omega_coeffs = np.zeros((radix**k, n_cols), dtype=np.complex128)
     omega_coeffs[fills[heads], column] = np.sqrt(coset_size / n_rows)
     region_rows = fill_rows[:, None] + rims[heads][np.sort(first)][None, :]
     return ConeSubspace(
-        region, lat, group, fill_edges, ext_edges, ext_keys, w_conj, omega_coeffs, region_rows
+        region,
+        lat,
+        group,
+        fill_edges,
+        ext_edges,
+        ext_keys,
+        column[bucket[key_row]],
+        coset_size,
+        omega_coeffs,
+        region_rows,
     )
+
+
+def _components(lat: Lattice, edges: Iterable[int]) -> int:
+    """Connected components of the graph on all of the lattice's vertices
+    with the given edges."""
+    parent = list(range(lat.n_vertices))
+
+    def root(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    count = lat.n_vertices
+    for e in edges:
+        a, b = (root(v) for v in lat.endpoint_table[e])
+        if a != b:
+            parent[a] = b
+            count -= 1
+    return count
+
+
+def cone_shape(lat: Lattice, group: AbelianGroup, region: Region) -> tuple[int, int, int]:
+    """(|G|^k, dim W, number of rim groups) of H_Lambda, from the graph
+    alone, without Omega. With c(S) the number of components of the graph
+    (vertices, S), the subgroup of the |G|^(V-1) gradients vanishing on S
+    has |G|^(c(S)-1) elements. W's basis is the cosets of K (vanishing on
+    the region, c(Lambda)) among the exterior restrictions (|G|^(V - c(ext))
+    of them), so dim W = |G|^(V + 1 - c(Lambda) - c(ext)). The rim values
+    take |G|^(V - c(rim)) values, and shifting by a gradient carries one rim
+    group onto another, so all rim groups have the same size."""
+    n, v = group.order, lat.n_vertices
+    fill = _fill_edges(lat, region)
+    ext = set(lat.edges()) - set(fill)
+    rim = set(region.edges) - set(fill)
+    dim_w = n ** (v + 1 - _components(lat, region.edges) - _components(lat, ext))
+    return n ** len(fill), dim_w, n ** (v - _components(lat, rim))
 
 
 def ribbon_closure_rank(subspace: ConeSubspace) -> tuple[int, int]:
@@ -295,10 +395,10 @@ def ribbon_closure_rank(subspace: ConeSubspace) -> tuple[int, int]:
     time, and report its rank for ribbons of up to CLOSURE_LENGTH_CAP - 1
     and up to CLOSURE_LENGTH_CAP triangles. Equal ranks certify cap
     stability; the rank must match the factorized dimension. Each distinct
-    operator acts on the blocks through its support_matrix
-    (``ConeSubspace.region_apply``), so no state is built."""
+    operator acts on the blocks as a monomial matrix
+    (``ConeSubspace.region_action``), so no state is built."""
     lat, group, region = subspace.lat, subspace.group, subspace.region
-    edges, labels = sorted(region.edges), _nontrivial_labels(group)
+    labels = _nontrivial_labels(group)
     block = subspace.omega_coeffs
     ranks = []
     for cap in (CLOSURE_LENGTH_CAP - 1, CLOSURE_LENGTH_CAP):
@@ -307,13 +407,13 @@ def ribbon_closure_rank(subspace: ConeSubspace) -> tuple[int, int]:
             for r in ribbons_in_region(lat, region, cap)
             for chi, c in labels
         )
-        mats = [support_matrix(m, edges, lat.n_edges) for m in maps if m is not None]
+        actions = [subspace.region_action(m) for m in maps if m is not None]
         basis = (block / np.linalg.norm(block)).reshape(1, -1)  # orthonormal rows
         frontier = basis
         for _ in range(CLOSURE_ROUNDS):
             grown = []
-            for s in mats:
-                new = subspace.region_apply(s, frontier.reshape(-1, *block.shape))
+            for action in actions:
+                new = subspace.region_apply(action, frontier.reshape(-1, *block.shape))
                 new = new.reshape(len(frontier), -1)
                 for _ in range(2):  # the second pass restores orthogonality to working precision
                     new = new - (new @ basis.conj().T) @ basis
@@ -478,14 +578,7 @@ def boundary_membership_check(
 ) -> Check:
     """Exterior ribbons connecting two boundary sites must land inside
     H_Lambda: every ``boundary_ribbons`` ribbon, with a seeded nontrivial
-    label. Refused, before any ribbon is applied, when a residual's dense
-    (region index, exterior key) block would exceed DENSITY_ENTRIES_CAP."""
-    entries = subspace.omega_coeffs.shape[0] * len(subspace.ext_keys)
-    if entries > DENSITY_ENTRIES_CAP:
-        raise DualityError(
-            f"boundary residuals need {subspace.omega_coeffs.shape[0]} x"
-            f" {len(subspace.ext_keys)} blocks, above the cap of {DENSITY_ENTRIES_CAP} entries"
-        )
+    label."""
     nontrivial = _nontrivial_labels(group)
     boundary = boundary_ribbons(lat, region)
     worst = 0.0
@@ -528,20 +621,20 @@ def _compressed_hermitian_images(subspace: ConeSubspace) -> list[np.ndarray]:
     return out
 
 
-def _density_operators(
+def density_operators(
     lat: Lattice,
     group: AbelianGroup,
     region: Region,
-    subspace: ConeSubspace,
     rng: random.Random,
-    ribbon_cap: int,
-    product_samples: int,
+    ribbon_cap: int = 5,
+    product_samples: int = 300,
 ) -> tuple[list[OpSum], list[OpSum]]:
     """The seeded operator families of the density check: region operators
     (ribbons, edge monomials, products of two ribbons) and a handful of
-    exterior ribbon operators for flavour."""
+    exterior ribbon operators for flavour. They need no Omega, so the size
+    of the check is known before Omega is built."""
     region_ops = _label_ops(lat, group, ribbons_in_region(lat, region, ribbon_cap))
-    pool = list(region_ops) + _edge_monomials(lat, group, subspace, rng, product_samples)
+    pool = list(region_ops) + _edge_monomials(lat, group, region, rng, product_samples)
     for _ in range(product_samples // 3):
         m = region_ops[rng.randrange(len(region_ops))].compose(
             region_ops[rng.randrange(len(region_ops))]
@@ -553,32 +646,40 @@ def _density_operators(
     return pool, ext[:40]
 
 
+def refuse_oversized_density(
+    lat: Lattice, group: AbelianGroup, region: Region, pool: list, flavour: list
+) -> None:
+    """Raise DualityError when the density check's coefficient matrix would
+    exceed DENSITY_ENTRIES_CAP entries. Its rows are two per pool operator
+    and per flavour operator plus the compressed family's |cols|^2 per rim
+    group, its columns 2 dim H_Lambda: all read off ``cone_shape``, so the
+    check is refused before Omega is built."""
+    fill, dim_w, rim_groups = cone_shape(lat, group, region)
+    n_rows = 2 * len(pool) + dim_w**2 // rim_groups + 2 * len(flavour)
+    n_cols = 2 * fill * dim_w
+    if n_rows * n_cols > DENSITY_ENTRIES_CAP:
+        raise DualityError(
+            f"density check needs a {n_rows} x {n_cols} coefficient matrix,"
+            f" above the cap of {DENSITY_ENTRIES_CAP} entries"
+        )
+
+
 def self_adjoint_density_check(
     region: Region,
     lat: Lattice,
     group: AbelianGroup,
     omega: SparseState,
     subspace: ConeSubspace,
-    rng: Optional[random.Random] = None,
-    ribbon_cap: int = 5,
-    product_samples: int = 300,
+    operators: tuple[list[OpSum], list[OpSum]],
 ) -> list[Check]:
     """Real-linear span of {X Omega : X self-adjoint region ribbon operator
     combination} and {i Y Omega : Y self-adjoint compressed exterior
     operator} must reach 2 dim(H_Lambda); the first family alone must not.
-    Both families are coordinate blocks: the region family is S_M C, the
-    compressed family is written from C."""
-    rng = rng or random.Random(0)
-    pool, flavour = _density_operators(
-        lat, group, region, subspace, rng, ribbon_cap, product_samples
-    )
-    n_b = sum(len(cols) ** 2 for cols in subspace.rim_groups()) + 2 * len(flavour)
-    n_rows = 2 * len(pool) + n_b
-    if n_rows * 2 * subspace.dim > DENSITY_ENTRIES_CAP:
-        raise DualityError(
-            f"density check needs a {n_rows} x {2 * subspace.dim} coefficient matrix,"
-            f" above the cap of {DENSITY_ENTRIES_CAP} entries"
-        )
+    `operators` is ``density_operators``' (pool, flavour). Both families are
+    coordinate blocks: the region family is S_M C, the compressed family is
+    written from C."""
+    pool, flavour = operators
+    refuse_oversized_density(lat, group, region, pool, flavour)
     a_family = []
     for m in pool:
         v, vs = subspace.region_images(m)
@@ -615,14 +716,14 @@ def self_adjoint_density_check(
 def _edge_monomials(
     lat: Lattice,
     group: AbelianGroup,
-    subspace: ConeSubspace,
+    region: Region,
     rng: random.Random,
     cap: int,
 ) -> list[OpSum]:
     """Products of single-triangle ribbon operators, one shift and one
     character phase per region edge: a deterministic monomial spanning set
     of the region's ribbon algebra (matrix units up to phases)."""
-    edges = subspace.fill_edges
+    edges = _fill_edges(lat, region)
     elems, chars = group.elements(), group.characters()
     if (group.order ** len(edges)) ** 2 <= cap:
         combos = itertools.product(

@@ -11,14 +11,15 @@ import random
 from typing import Callable
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .deform import PATH_NODE_CAP, sample_ribbon_pairs
 from .duality import (
     boundary_membership_check,
     cone_subspace,
+    density_operators,
     detecting_exterior_sites,
     external_charge_orthogonality_check,
+    refuse_oversized_density,
     ribbon_closure_rank,
     self_adjoint_density_check,
 )
@@ -34,6 +35,7 @@ from .groundstate import (
     is_flat,
     omega_distance,
     omega_expectation,
+    refuse_oversized_flats,
     sector_shift,
     shift_row,
     torus_holonomies,
@@ -441,6 +443,8 @@ def run_groundstate(config: RunConfig, group: AbelianGroup, lat: Lattice) -> Rep
             ed_skipped,
         )
         if not ed_skipped:
+            import scipy.sparse.linalg as spla  # only this cross-check needs scipy
+
             H = to_matrix(hamiltonian(lat, group), lat)
             k = min(H.shape[0] - 2, 3 * group.order**2)
             # a fixed start vector keeps the report byte-reproducible
@@ -836,6 +840,11 @@ def run_haag(config: RunConfig, group: AbelianGroup, lat: Lattice) -> Report:
     rng = random.Random(config.seed)
     apex = (1, 1)
     cone = cone_make(apex, ["N", "E"], lat)
+    # Omega's rows and the density check's size are known without Omega:
+    # refuse either before building anything
+    refuse_oversized_flats(lat, group)
+    operators = density_operators(lat, group, cone, random.Random(config.seed + 1))
+    refuse_oversized_density(lat, group, cone, *operators)
     omega = ground_state(lat, group)
     sub = cone_subspace(cone, lat, group, omega)
     closure_runs = len(cone.edges) <= 3
@@ -876,9 +885,7 @@ def run_haag(config: RunConfig, group: AbelianGroup, lat: Lattice) -> Report:
     rep.checks.append(
         boundary_membership_check(cone, lat, group, omega, sub, random.Random(config.seed + 2))
     )
-    rep.checks += self_adjoint_density_check(
-        cone, lat, group, omega, sub, random.Random(config.seed + 1), ribbon_cap=5
-    )
+    rep.checks += self_adjoint_density_check(cone, lat, group, omega, sub, operators)
     return rep
 
 

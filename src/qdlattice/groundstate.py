@@ -93,11 +93,10 @@ def sector_shift(lat: Lattice, group: AbelianGroup, a: int, b: int) -> AffineMap
     return AffineMap(group, lat.n_edges, shifts=tuple((e, int(gi)) for e, gi in enumerate(row) if gi))
 
 
-def flat_connections(lat: Lattice, group: AbelianGroup) -> np.ndarray:
-    """All flat configurations of a plane patch, one uint8 row per
-    connection: the vertex-potential gradients. Refused, before anything is
-    allocated, above FLAT_ROWS_CAP rows, and on a torus, whose flat set is
-    the gradients shifted by each of the |G|^2 cocycles of ``_torus_cocycle``."""
+def refuse_oversized_flats(lat: Lattice, group: AbelianGroup) -> None:
+    """Raise GroundStateError where ``flat_connections`` refuses: on a torus,
+    whose flat set is the gradients shifted by each of the |G|^2 cocycles
+    of ``_torus_cocycle``, and above FLAT_ROWS_CAP rows. Allocates nothing."""
     if lat.is_torus:
         raise GroundStateError("flat_connections enumerates plane patches only")
     power = lat.n_vertices - 1
@@ -106,6 +105,13 @@ def flat_connections(lat: Lattice, group: AbelianGroup) -> np.ndarray:
             f"flat-connection enumeration of {group.order}^{power} = {group.order**power}"
             f" rows on {lat.width}x{lat.height} is above the cap of {FLAT_ROWS_CAP}"
         )
+
+
+def flat_connections(lat: Lattice, group: AbelianGroup) -> np.ndarray:
+    """All flat configurations of a plane patch, one uint8 row per
+    connection: the vertex-potential gradients. Refused, before anything is
+    allocated, by ``refuse_oversized_flats``."""
+    refuse_oversized_flats(lat, group)
     return _gradient_configs(lat, group)
 
 
@@ -119,17 +125,18 @@ def face_flux(lat: Lattice, group: AbelianGroup, configs: np.ndarray, f: int) ->
         acc = add[acc, col if sign > 0 else neg[col]]
     return acc
 
+
 def face_fluxes(lat: Lattice, group: AbelianGroup, configs: np.ndarray) -> np.ndarray:
     """Oriented flux index of every face (columns, in face order) for each
     configuration row. All faces are walked at once, in uint8 like the
     configurations themselves."""
     t = group.tables()
-    add, neg = t["add"].astype(np.uint8), t["neg"].astype(np.uint8)
-    walks = np.array(lat.face_walks, dtype=np.int64).reshape(-1, 4, 2)
-    flux = np.zeros((configs.shape[0], len(walks)), dtype=np.uint8)
+    add, neg = t["add_u8"], t["neg_u8"]
+    edges, forward = lat.face_walks
+    flux = np.zeros((configs.shape[0], len(edges)), dtype=np.uint8)
     for j in range(4):
-        col = configs[:, walks[:, j, 0]]
-        flux = add[flux, np.where(walks[:, j, 1] > 0, col, neg[col])]
+        col = configs[:, edges[:, j]]
+        flux = add[flux, np.where(forward[:, j], col, neg[col])]
     return flux
 
 

@@ -137,6 +137,8 @@ class AbelianGroup:
                 char_num[i, j] = int(self.char_phase(chi, g) * L) % L
         roots = np.array([phase_to_complex(Fraction(k, L)) for k in range(L)])
         self._tables.update(add=add, neg=neg, mult=mult, char_num=char_num, roots=roots)
+        # uint8 copies for arithmetic on configuration rows (MAX_ORDER fits)
+        self._tables.update(add_u8=add.astype(np.uint8), neg_u8=neg.astype(np.uint8))
         return self._tables
 
     def index_tables(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:

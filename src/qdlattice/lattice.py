@@ -63,6 +63,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Optional
 
+import numpy as np
+
 __all__ = [
     "LatticeError",
     "Lattice",
@@ -254,9 +256,15 @@ class Lattice:
         ]
 
     @cached_property
-    def face_walks(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """``plaq_edges`` of every face, in face order (computed once)."""
-        return tuple(tuple(self.plaq_edges(f)) for f in self.faces())
+    def face_walks(self) -> tuple[np.ndarray, np.ndarray]:
+        """``plaq_edges`` of every face, in face order, as two (faces, 4)
+        arrays: the edges, and whether each is walked along its orientation
+        (computed once, read-only)."""
+        walks = np.array([self.plaq_edges(f) for f in self.faces()], dtype=np.int64)
+        walks = walks.reshape(-1, 4, 2)
+        edges, forward = walks[:, :, 0], walks[:, :, 1] > 0
+        edges.flags.writeable = forward.flags.writeable = False
+        return edges, forward
 
     # -- sites ------------------------------------------------------------------
 

@@ -10,21 +10,23 @@ composition and adjoints, so they get one exact normal form, ``AffineMap``:
 * one global phase, an exact fraction of a turn.
 
 Sums with scalar coefficients (projectors, Hamiltonians) are ``OpSum``.
-Operators may be applied to sparse states directly, or materialized as
-scipy sparse matrices over the full configuration space or over the
-subspace of any edge support set. Operator identities are checked exactly
-by ``ops_equal``, on the configurations of the edges that deltas and
-characters read rather than on matrices over the whole support.
+Operators are applied to sparse states directly, or read row by row from
+``AffineMap.eval``: on any set of configurations a map is a monomial
+matrix, one target and one phase per row. Operator identities are checked
+exactly by ``ops_equal``, on the configurations of the edges that deltas
+and characters read rather than on matrices over the whole support. Only
+the torus exact-diagonalization cross-check and the test oracles build
+whole matrices (``support_matrix``, ``to_matrix``), so scipy is imported
+there and not with the package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .groups import AbelianGroup, Char, Element
 from .lattice import (
@@ -36,6 +38,9 @@ from .lattice import (
     direct_flux_sign,
     dual_shift_sign,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 MATRIX_DIM_CAP = 1 << 20
 CONFIG_BYTES_CAP = 1 << 26  # uint8 configuration rows x edges, checked before allocating
@@ -319,6 +324,8 @@ def support_matrix(op, support: Sequence[int], n_edges: int) -> sp.csr_matrix:
 
     Faithful for any operator whose support is contained in `support`: the
     action then factorizes as (matrix on support) tensor (identity)."""
+    import scipy.sparse as sp
+
     opsum = as_opsum(op)
     if not opsum.terms:
         dim = 1

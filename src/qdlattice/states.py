@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-PRUNE_TOL = 1e-12
+PRUNE_TOL = 1e-12  # relative to the largest input term of from_terms
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,11 @@ class SparseState:
     def from_terms(
         configs: np.ndarray, amps: np.ndarray, n_edges: int, radix: int, prune: float = PRUNE_TOL
     ) -> "SparseState":
-        """Canonicalize arbitrary (possibly duplicated) terms."""
+        """Canonicalize arbitrary (possibly duplicated) terms. Sums below
+        `prune` times the largest input term are dropped: exact and
+        rounding-level cancellations vanish, while terms that nearly cancel
+        to a small but real amplitude stay, however small the state's
+        amplitudes are."""
         configs = np.ascontiguousarray(np.asarray(configs, dtype=np.uint8).reshape(-1, n_edges))
         amps = np.asarray(amps, dtype=np.complex128).ravel()
         if len(amps) == 0:
@@ -54,7 +58,7 @@ class SparseState:
         uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
         acc = np.zeros(len(uniq), dtype=np.complex128)
         np.add.at(acc, inverse, amps)
-        keep = np.abs(acc) >= prune
+        keep = np.abs(acc) > prune * np.max(np.abs(amps))
         return SparseState(
             np.ascontiguousarray(configs[first][keep]), acc[keep], n_edges, radix
         )

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -199,3 +202,23 @@ def test_haag_check_z3_is_refused_at_the_density_cap(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: haag-check: density check needs a 8081 x 13122 ")
     assert err.count("\n") == 1
+
+
+def test_start_up_and_haag_check_leave_scipy_unimported(tmp_path):
+    """Only the torus exact-diagonalization cross-check needs scipy: importing
+    the CLI and a whole haag-check run (z2, 3x4 plane) leave it unimported.
+    Run in a fresh interpreter, since other tests import scipy here."""
+    out = tmp_path / "r.json"
+    script = (
+        "import sys\n"
+        "from qdlattice import cli\n"
+        "assert 'scipy' not in sys.modules, 'imported with the CLI'\n"
+        f"code = cli.main(['--experiment', 'haag-check', '--out', {str(out)!r}])\n"
+        "assert code == 0, code\n"
+        "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'imported by haag-check'\n"
+    )
+    src = str(SCHEMA.parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(out.read_text())["passed"] is True

@@ -9,7 +9,9 @@ from qdlattice import duality
 from qdlattice.duality import (
     DualityError,
     boundary_membership_check,
+    cone_shape,
     cone_subspace,
+    density_operators,
     detecting_exterior_sites,
     external_charge_orthogonality_check,
     ribbon_closure_rank,
@@ -184,7 +186,7 @@ def test_region_images_match_applied_operators(cone_case):
     """S_M C and S_M^dagger C against the coordinates of M Omega and
     M^dagger Omega, for random region ribbons, edge monomials and products."""
     param, lat, group, omega, cone, sub, oracle = cone_case
-    pool, _ = duality._density_operators(lat, group, cone, sub, random.Random(3), 3, 60)
+    pool, _ = density_operators(lat, group, cone, random.Random(3), 3, 60)
     for m in random.Random(4).sample(pool, 6):
         v, vs = sub.region_images(m)
         np.testing.assert_allclose(v, sub.coeffs(m.apply(omega)), atol=1e-12)
@@ -199,12 +201,8 @@ def test_density_ranks_match_materialized_oracle(cone_case):
     ribbon images projected onto the subspace."""
     param, lat, group, omega, cone, sub, oracle = cone_case
     seed, ribbon_cap, samples = 5, 3, 100
-    spans, control = self_adjoint_density_check(
-        cone, lat, group, omega, sub, random.Random(seed), ribbon_cap, samples
-    )
-    pool, flavour = duality._density_operators(
-        lat, group, cone, sub, random.Random(seed), ribbon_cap, samples
-    )
+    pool, flavour = density_operators(lat, group, cone, random.Random(seed), ribbon_cap, samples)
+    spans, control = self_adjoint_density_check(cone, lat, group, omega, sub, (pool, flavour))
     a_family = []
     for m in pool:
         v, vs = oracle.coeffs(m.apply(omega)), oracle.coeffs(m.adjoint().apply(omega))
@@ -247,9 +245,10 @@ def test_density_check_refuses_oversized_matrices(monkeypatch):
     omega = ground_state(lat, Z2)
     cone = cone_make((1, 1), ["N", "E"], lat)
     sub = cone_subspace(cone, lat, Z2, omega)
+    operators = density_operators(lat, Z2, cone, random.Random(0))
     monkeypatch.setattr(duality, "DENSITY_ENTRIES_CAP", 1000)
     with pytest.raises(DualityError, match=r"x 32 coefficient matrix, above the cap of 1000"):
-        self_adjoint_density_check(cone, lat, Z2, omega, sub)
+        self_adjoint_density_check(cone, lat, Z2, omega, sub, operators)
 
 
 @pytest.fixture(scope="module")
@@ -378,11 +377,39 @@ def test_orthogonality_check_refuses_oversized_sweep(monkeypatch):
         external_charge_orthogonality_check(cone, lat, group_make([4]), random.Random(0))
 
 
-def test_boundary_check_refuses_oversized_residuals(monkeypatch, small_cone):
-    lat, omega, cone, sub = small_cone
-    monkeypatch.setattr(duality, "DENSITY_ENTRIES_CAP", 100)
-    with pytest.raises(DualityError, match=r"blocks, above the cap of 100 entries"):
-        boundary_membership_check(cone, lat, Z2, omega, sub, random.Random(0))
+def test_haag_check_refuses_z4_and_z2xz2_before_building_omega(monkeypatch):
+    """At the default 3x4 plane the density check's size is known from the
+    operator pool and ``cone_shape``; the 4^11-row Omega is never built."""
+    from qdlattice import experiments
+    from qdlattice.groups import parse_group
+    from qdlattice.reports import RunConfig
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("Omega built before the density estimate")
+
+    monkeypatch.setattr(experiments, "ground_state", unreachable)
+    lat = Lattice(3, 4, "plane")
+    for spec in ["z4", "z2xz2"]:
+        cfg = RunConfig("haag-check", group=spec, lattice="3x4:plane", seed=0)
+        with pytest.raises(DualityError, match=r"x 131072 coefficient matrix, above the cap"):
+            experiments.run_haag(cfg, parse_group(spec), lat)
+
+
+def test_haag_check_refuses_oversized_omega_before_the_density_pool(monkeypatch):
+    """On 12x12 Omega's 2^143 rows are refused first, before the density
+    check's operators (52452 region ribbon operators there) are built."""
+    from qdlattice import experiments
+    from qdlattice.groundstate import GroundStateError
+    from qdlattice.groups import parse_group
+    from qdlattice.reports import RunConfig
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("density operators built before the Omega estimate")
+
+    monkeypatch.setattr(experiments, "density_operators", unreachable)
+    cfg = RunConfig("haag-check", group="z2", lattice="12x12:plane", seed=0)
+    with pytest.raises(GroundStateError, match=r"2\^143 = \d+ rows on 12x12 is above the cap"):
+        experiments.run_haag(cfg, parse_group("z2"), Lattice(12, 12, "plane"))
 
 
 def _all_pairs_subspace(region, lat, group, omega):
@@ -455,9 +482,48 @@ def test_coset_subspace_matches_all_pairs_gram_schmidt(order, height, kind):
     sub = cone_subspace(cone, lat, group, omega)
     ext_keys, w_conj, coeffs, rows = _all_pairs_subspace(cone, lat, group, omega)
     assert np.array_equal(sub.ext_keys, ext_keys)
-    np.testing.assert_allclose(sub.w_conj.toarray(), w_conj.toarray(), rtol=0, atol=1e-15)
+    # every exterior key carries exactly one w_j, of value 1/sqrt(|K|)
+    w = w_conj.conj().tocsr()
+    assert np.array_equal(np.diff(w.indptr), np.ones(len(ext_keys)))
+    assert np.array_equal(sub.key_cols, w.indices)
+    np.testing.assert_allclose(w.data, 1 / np.sqrt(sub.coset_size), rtol=0, atol=1e-15)
     np.testing.assert_allclose(sub.omega_coeffs, coeffs, rtol=0, atol=1e-15)
     assert np.array_equal(sub.region_rows, rows)
+
+
+@pytest.mark.parametrize(
+    "spec,width,height,kind",
+    [
+        ("z2", 3, 4, "trim"),
+        ("z3", 3, 4, "trim"),
+        ("z2", 3, 4, "rim"),
+        ("z2", 3, 3, "trim"),
+        ("z3", 3, 3, "trim"),
+        ("z4", 3, 3, "trim"),
+        ("z2xz2", 3, 3, "rim"),
+        ("z3", 3, 3, "star"),
+        ("z2", 3, 3, "patch"),
+        ("z2", 4, 4, "trim"),
+    ],
+)
+def test_cone_shape_matches_cone_subspace(spec, width, height, kind):
+    """dim H_Lambda = |G|^(k + V + 1 - c(Lambda) - c(E minus fill)) and the
+    rim groups, from the graph alone, against the coset construction on
+    Omega's rows."""
+    from qdlattice.groups import parse_group
+
+    group = parse_group(spec)
+    lat = Lattice(width, height, "plane")
+    if kind == "star":
+        cone = Region(lat, frozenset(lat.star_edges(lat.vertex_id(1, 1))))
+    elif kind == "patch":
+        cone = Region(lat, frozenset(lat.edges()))
+    else:
+        cone = cone_make((1, 1), ["N", "E"], lat, trim_rim=kind == "trim")
+    sub = cone_subspace(cone, lat, group, ground_state(lat, group))
+    fill, dim_w, rim_groups = cone_shape(lat, group, cone)
+    assert sub.omega_coeffs.shape == (fill, dim_w)
+    assert [len(cols) for cols in sub.rim_groups()] == [dim_w // rim_groups] * rim_groups
 
 
 def test_density_rank_and_negative_control():
@@ -465,7 +531,8 @@ def test_density_rank_and_negative_control():
     omega = ground_state(lat, Z2)
     cone = cone_make((1, 1), ["N", "E"], lat)
     sub = cone_subspace(cone, lat, Z2, omega)
-    recs = self_adjoint_density_check(cone, lat, Z2, omega, sub, random.Random(6))
+    operators = density_operators(lat, Z2, cone, random.Random(6))
+    recs = self_adjoint_density_check(cone, lat, Z2, omega, sub, operators)
     spans, control = recs
     assert spans.passed, spans.details
     assert control.passed, control.details

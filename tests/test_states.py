@@ -22,6 +22,25 @@ def test_from_terms_merges_and_prunes():
     assert abs(psi.amps[0] - 1.0) < 1e-15
 
 
+def test_apply_keeps_rows_whose_terms_nearly_cancel():
+    """0.5 chi + (1e-10 + 0.5i) 1 on the z4 3x3 ground state (amplitudes
+    1/256): where chi reads -i the two terms sum to 1e-10 / 256 = 3.9e-13
+    per row, below an absolute 1e-12. Those rows are real amplitude, not
+    rounding, and applying the sum as one OpSum must keep them."""
+    from qdlattice.groundstate import ground_state, omega_expectation
+    from qdlattice.groups import group_make
+    from qdlattice.lattice import Lattice
+    from qdlattice.operators import AffineMap, OpSum
+
+    group, lat = group_make([4]), Lattice(3, 3, "plane")
+    omega = ground_state(lat, group)
+    chi = AffineMap(group, lat.n_edges, chars=(((1,), ((0, 1),), 0),))
+    op = OpSum.weighted([(0.5, chi), (1e-10 + 0.5j, AffineMap.identity(group, lat.n_edges))])
+    psi = op.apply(omega)
+    assert psi.n_terms == omega.n_terms
+    assert abs(inner(omega, psi) - omega_expectation(lat, group, op)) < 1e-15
+
+
 def test_add_scale_norm():
     a = basis([0, 0], 2)
     b = basis([1, 0], 2)
