@@ -50,24 +50,31 @@ block through S_M taken at the rim values of w_j.
 
 The shape of H_Lambda needs no Omega either (``cone_shape``): with c(S) the
 number of components of the graph (vertices, S),
-dim H_Lambda = |G|^(k + V + 1 - c(Lambda) - c(E minus fill)). The density
-check's operator families need no Omega, so its size is refused before
-Omega is built (``refuse_oversized_density``).
+dim H_Lambda = |G|^(k + V + 1 - c(Lambda) - c(E minus fill)). Nor do the
+density check's region monomials, so their number is refused before Omega
+is built (``region_monomials``).
 
 On top of the subspace sit the exterior-charge orthogonality check, the
 boundary membership check and the real-linear density check mirroring the
 commutant argument: self-adjoint region ribbon operators applied to the
 ground state, plus i times self-adjoint exterior operators compressed to
 H_Lambda, must span H_Lambda over the reals; dropping the compressed family
-must leave a strict deficit. The density check builds both families as
-coordinate blocks; only its 40 sampled exterior ribbon operators are
-applied to Omega. The orthogonality check needs no Omega at all: H_Lambda is
-spanned by the M Omega for the region's edge monomials M, so it reads
-<M Omega|F Omega> = omega(M^dagger F) from the flat-connection group.
+must leave a strict deficit. In block coordinates the families are X C
+and i C Y for Hermitian X and Y, and once the region operators are all of
+M_n both real ranks follow from the rank r of the n x m block C alone
+(n = |G|^k, m = dim W): n^2 - (n - r)^2 for the region family and that
+plus m^2 - (m - r)^2 for both, against the target 2 n m (``density_ranks``).
+A cone that keeps its rim edges is outside this formula and is refused.
+That the region operators are all of M_n is a count: the |G|^(2k) edge
+monomials and their adjoints carry n^2 distinct labels, so they are a
+Weyl basis. Exterior ribbon operators need no family of their own:
+P_Lambda (1 tensor Y) Omega = (1 tensor P_W Y P_W) Omega lies in the
+compressed family. The orthogonality check needs no Omega at all:
+H_Lambda is spanned by the M Omega for the region's edge monomials M, so it
+reads <M Omega|F Omega> = omega(M^dagger F) from the flat-connection group.
 
 What still materializes: Omega itself, read for its rows, and the exterior
-ribbon states of the membership check and of the density check's flavour
-family.
+ribbon states of the membership check.
 """
 
 from __future__ import annotations
@@ -83,7 +90,7 @@ import numpy as np
 from .groundstate import OMEGA_ROWS_CAP, face_fluxes, omega_expectation, shift_row
 from .groups import AbelianGroup
 from .lattice import Lattice, LatticeError, Region, Ribbon, Site, Triangle, positive_moves
-from .operators import AffineMap, OperatorError, OpSum, as_opsum, canonical, ribbon_F_irrep
+from .operators import AffineMap, OperatorError, as_opsum, canonical, ribbon_F_irrep
 from .reports import Check
 from .states import SparseState
 
@@ -95,8 +102,8 @@ CLOSURE_ROUNDS = 8
 # exterior ribbons of the orthogonality and membership checks: 2 to this
 # many triangles
 EXTERIOR_RIBBON_LEN = 6
-# entries of the density check's coefficient matrix (family x 2 dim H_Lambda)
-DENSITY_ENTRIES_CAP = 1 << 24
+# region monomials the density check enumerates: |G|^(2k) on k fill edges
+DENSITY_MONOMIAL_CAP = 1 << 16
 
 
 class DualityError(ValueError):
@@ -133,13 +140,6 @@ def _nontrivial_labels(group: AbelianGroup) -> list[tuple]:
     e = group.identity()
     return [
         (chi, c) for chi in group.characters() for c in group.elements() if (chi, c) != (e, e)
-    ]
-
-
-def _label_ops(lat: Lattice, group: AbelianGroup, ribbons: Iterable[Ribbon]) -> list[OpSum]:
-    labels = _nontrivial_labels(group)
-    return [
-        as_opsum(ribbon_F_irrep(lat, group, r, chi, c)) for r in ribbons for chi, c in labels
     ]
 
 
@@ -270,19 +270,6 @@ class ConeSubspace:
         for src, dst, coeff in action:
             out[:, dst] += flat[:, src] * coeff
         return out.reshape(blocks.shape)
-
-    def region_images(self, op) -> tuple[np.ndarray, np.ndarray]:
-        """Coordinates of op Omega and op^dagger Omega for an operator on the
-        region's edges."""
-        c = self.omega_coeffs[None]
-        image = self.region_apply(self.region_action(op), c)[0]
-        return image, self.region_apply(self.region_action(as_opsum(op).adjoint()), c)[0]
-
-    def rim_groups(self) -> list[np.ndarray]:
-        """Columns j of the block sharing the same pinned rim values: the
-        blocks on which a compressed exterior operator acts."""
-        rims = self.region_rows[0]  # a = 0 fills nothing, leaving the rim offsets
-        return [np.flatnonzero(rims == r) for r in np.unique(rims)]
 
 
 def cone_subspace(
@@ -598,102 +585,80 @@ def boundary_membership_check(
 # -- the real-linear density check ---------------------------------------------------
 
 
-def _compressed_hermitian_images(subspace: ConeSubspace) -> list[np.ndarray]:
-    """i Y Omega for a real basis of self-adjoint compressed exterior
-    operators, as coordinate blocks. An exterior operator preserves the
-    region factors, so its compression is a matrix on each rim group's
-    exterior span, and every Hermitian matrix there is the compression of
-    some exterior operator. E_jk Omega has column j equal to C[:, k]."""
-    c = subspace.omega_coeffs
-    out = []
-    for cols in subspace.rim_groups():
-        for j in cols:
-            x = np.zeros_like(c)
-            x[:, j] = 1j * c[:, j]  # i E_jj Omega
-            out.append(x)
-        for j, k in itertools.combinations(cols, 2):
-            x = np.zeros_like(c)
-            x[:, j], x[:, k] = 1j * c[:, k], 1j * c[:, j]  # i (E_jk + E_kj) Omega
-            out.append(x)
-            x = np.zeros_like(c)
-            x[:, j], x[:, k] = -c[:, k], c[:, j]  # i (i E_jk - i E_kj) Omega
-            out.append(x)
-    return out
-
-
-def density_operators(
-    lat: Lattice,
-    group: AbelianGroup,
-    region: Region,
-    rng: random.Random,
-    ribbon_cap: int = 5,
-    product_samples: int = 300,
-) -> tuple[list[OpSum], list[OpSum]]:
-    """The seeded operator families of the density check: region operators
-    (ribbons, edge monomials, products of two ribbons) and a handful of
-    exterior ribbon operators for flavour. They need no Omega, so the size
-    of the check is known before Omega is built."""
-    region_ops = _label_ops(lat, group, ribbons_in_region(lat, region, ribbon_cap))
-    pool = list(region_ops) + _edge_monomials(lat, group, region, rng, product_samples)
-    for _ in range(product_samples // 3):
-        m = region_ops[rng.randrange(len(region_ops))].compose(
-            region_ops[rng.randrange(len(region_ops))]
-        )
-        pool.append(m)
-    comp = Region(lat, region.complement_edges())
-    ext = _label_ops(lat, group, ribbons_in_region(lat, comp, 4))
-    rng.shuffle(ext)
-    return pool, ext[:40]
-
-
-def refuse_oversized_density(
-    lat: Lattice, group: AbelianGroup, region: Region, pool: list, flavour: list
-) -> None:
-    """Raise DualityError when the density check's coefficient matrix would
-    exceed DENSITY_ENTRIES_CAP entries. Its rows are two per pool operator
-    and per flavour operator plus the compressed family's |cols|^2 per rim
-    group, its columns 2 dim H_Lambda: all read off ``cone_shape``, so the
-    check is refused before Omega is built."""
-    fill, dim_w, rim_groups = cone_shape(lat, group, region)
-    n_rows = 2 * len(pool) + dim_w**2 // rim_groups + 2 * len(flavour)
-    n_cols = 2 * fill * dim_w
-    if n_rows * n_cols > DENSITY_ENTRIES_CAP:
+def region_monomials(lat: Lattice, group: AbelianGroup, region: Region) -> list[AffineMap]:
+    """Every edge monomial on the region's k fill edges, identity included:
+    a shift and a character per edge, |G|^(2k) maps. They need no Omega, so
+    they are refused, before any is built, above DENSITY_MONOMIAL_CAP."""
+    edges = _fill_edges(lat, region)
+    power = 2 * len(edges)
+    if group.order**power > DENSITY_MONOMIAL_CAP:
         raise DualityError(
-            f"density check needs a {n_rows} x {n_cols} coefficient matrix,"
-            f" above the cap of {DENSITY_ENTRIES_CAP} entries"
+            f"density check over {group.order}^{power} = {group.order**power} region"
+            f" monomials is above the cap of {DENSITY_MONOMIAL_CAP}"
         )
+    # packed index 0 is the identity, and characters share the elements' indices
+    chars = group.characters()
+    indices = list(itertools.product(range(group.order), repeat=len(edges)))
+    shifts = [tuple((e, gi) for e, gi in zip(edges, idx) if gi) for idx in indices]
+    phases = [tuple((chars[c], ((e, 1),), 0) for e, c in zip(edges, idx) if c) for idx in indices]
+    return [AffineMap(group, lat.n_edges, s, chars=p) for s in shifts for p in phases]
 
 
-def self_adjoint_density_check(
-    region: Region,
-    lat: Lattice,
-    group: AbelianGroup,
-    omega: SparseState,
-    subspace: ConeSubspace,
-    operators: tuple[list[OpSum], list[OpSum]],
-) -> list[Check]:
-    """Real-linear span of {X Omega : X self-adjoint region ribbon operator
-    combination} and {i Y Omega : Y self-adjoint compressed exterior
-    operator} must reach 2 dim(H_Lambda); the first family alone must not.
-    `operators` is ``density_operators``' (pool, flavour). Both families are
-    coordinate blocks: the region family is S_M C, the compressed family is
-    written from C."""
-    pool, flavour = operators
-    refuse_oversized_density(lat, group, region, pool, flavour)
-    a_family = []
-    for m in pool:
-        v, vs = subspace.region_images(m)
-        a_family += [v + vs, 1j * (v - vs)]
+def _weyl_label_count(monomials: Iterable[AffineMap]) -> int:
+    """Distinct (shift, characters) labels of the maps and their adjoints,
+    read from their normal forms with the global phase dropped."""
+    labels = set()
+    for m in monomials:
+        for c in (canonical(m), canonical(m.adjoint())):
+            labels.add((c.shifts, c.chars))
+    return len(labels)
 
-    b_family = _compressed_hermitian_images(subspace)
-    for m in flavour:
-        v = subspace.coeffs(m.apply(omega))
-        vs = subspace.coeffs(m.adjoint().apply(omega))
-        b_family += [1j * (v + vs), -(v - vs)]
 
+def density_ranks(coeffs: np.ndarray) -> tuple[int, int]:
+    """(real rank of both families, real rank of the region family) on one
+    rim group with Omega block C = `coeffs` (n x m), when the region family
+    is every Hermitian n x n matrix X. The families are {X C} and {i C Y}
+    for Hermitian m x m matrices Y. With C = U S V^dagger of rank r,
+    U^dagger X C V = X' S where X' = U^dagger X U runs over every Hermitian
+    matrix: the first r columns are free, n^2 - (n - r)^2 real directions,
+    and the rest vanish. Likewise i C Y gives m^2 - (m - r)^2 directions on
+    the first r rows. The two meet only on the r x r block, where
+    H S = i S K for Hermitian H and K reads H_ab = i K_ab s_a / s_b, and
+    Hermiticity then gives K_ba (s_a / s_b + s_b / s_a) = 0: they meet in 0
+    and the ranks add, whatever the spectrum."""
+    n, m = coeffs.shape
+    s = np.linalg.svd(coeffs, compute_uv=False)
+    r = int(np.sum(s > SUBSPACE_TOL * s.max(initial=0.0)))
+    a_rank = n * n - (n - r) ** 2
+    return a_rank + m * m - (m - r) ** 2, a_rank
+
+
+def self_adjoint_density_check(subspace: ConeSubspace, monomials: list[AffineMap]) -> list[Check]:
+    """Real-linear span of {X Omega : X self-adjoint region operator} and
+    {i Y Omega : Y self-adjoint compressed exterior operator} must reach
+    2 dim(H_Lambda); the first family alone must not. Both ranks follow from
+    Omega's Schmidt rank (``density_ranks``) once the region operators are
+    all of M_n on the n = |G|^k fill configurations. They are when
+    `monomials` (``region_monomials``) and their adjoints carry n^2 distinct
+    labels: maps of distinct shifts move every configuration differently,
+    and distinct characters of one shift are linearly independent, so the
+    monomials are a Weyl basis. A cone that keeps its rim edges has several
+    rim groups, on which region operators carry rim-dependent phases; the
+    formula does not cover it and DualityError is raised."""
+    rim_groups = cone_shape(subspace.lat, subspace.group, subspace.region)[2]
+    if rim_groups > 1:
+        raise DualityError(
+            f"density ranks are derived for one rim group, and this cone has {rim_groups}:"
+            " trim its rim edges"
+        )
+    n = subspace.omega_coeffs.shape[0]
+    labels = _weyl_label_count(monomials)
+    if labels != n * n:
+        raise DualityError(
+            f"region monomials carry {labels} distinct labels, not the {n * n} of a Weyl basis"
+        )
+    full_rank, a_rank = density_ranks(subspace.omega_coeffs)
     target = 2 * subspace.dim
-    full_rank = _real_rank(a_family + b_family)
-    a_rank = _real_rank(a_family)
     law = "self-adjoint parts plus i times compressed exterior parts span"
     return [
         Check.judged(
@@ -713,35 +678,6 @@ def self_adjoint_density_check(
     ]
 
 
-def _edge_monomials(
-    lat: Lattice,
-    group: AbelianGroup,
-    region: Region,
-    rng: random.Random,
-    cap: int,
-) -> list[OpSum]:
-    """Products of single-triangle ribbon operators, one shift and one
-    character phase per region edge: a deterministic monomial spanning set
-    of the region's ribbon algebra (matrix units up to phases)."""
-    edges = _fill_edges(lat, region)
-    elems, chars = group.elements(), group.characters()
-    if (group.order ** len(edges)) ** 2 <= cap:
-        combos = itertools.product(
-            itertools.product(elems, repeat=len(edges)), itertools.product(chars, repeat=len(edges))
-        )
-    else:
-        combos = [
-            (tuple(rng.choice(elems) for _ in edges), tuple(rng.choice(chars) for _ in edges))
-            for _ in range(cap)
-        ]
-    out = []
-    for shift_vals, char_vals in combos:
-        m = _monomial(lat, group, zip(edges, shift_vals), zip(edges, char_vals))
-        if m.shifts or m.chars:
-            out.append(OpSum.of(m))
-    return out
-
-
 def _monomial(lat: Lattice, group: AbelianGroup, shifts, chars) -> AffineMap:
     """Shift by each (edge, element) pair, times each (edge, character)
     pair's character of the edge value; identity factors are dropped."""
@@ -752,17 +688,3 @@ def _monomial(lat: Lattice, group: AbelianGroup, shifts, chars) -> AffineMap:
         shifts=tuple((edge, group.index_of(g)) for edge, g in shifts if g != e),
         chars=tuple((chi, ((edge, 1),), group.index_of(e)) for edge, chi in chars if chi != e),
     )
-
-
-def _real_rank(blocks: Sequence[np.ndarray], tol: float = 1e-7) -> int:
-    """Real rank of a family of H_Lambda vectors given by their coordinate
-    blocks: the rank of the normalized rows (Re x, Im x)."""
-    if not blocks:
-        return 0
-    m = np.array([b.ravel() for b in blocks])
-    norms = np.linalg.norm(m, axis=1)
-    m = m[norms > 1e-12] / norms[norms > 1e-12, None]
-    if not len(m):
-        return 0
-    s = np.linalg.svd(np.hstack([m.real, m.imag]), compute_uv=False)
-    return int(np.sum(s > tol))

@@ -16,14 +16,14 @@ from .deform import PATH_NODE_CAP, sample_ribbon_pairs
 from .duality import (
     boundary_membership_check,
     cone_subspace,
-    density_operators,
     detecting_exterior_sites,
     external_charge_orthogonality_check,
-    refuse_oversized_density,
+    region_monomials,
     ribbon_closure_rank,
     self_adjoint_density_check,
 )
 from .groundstate import (
+    OMEGA_ROWS_CAP,
     GroundStateError,
     all_configs,
     face_fluxes,
@@ -840,11 +840,16 @@ def run_haag(config: RunConfig, group: AbelianGroup, lat: Lattice) -> Report:
     rng = random.Random(config.seed)
     apex = (1, 1)
     cone = cone_make(apex, ["N", "E"], lat)
-    # Omega's rows and the density check's size are known without Omega:
-    # refuse either before building anything
+    # Omega's rows and the density check's monomials are counted without
+    # Omega: refuse either before building anything
     refuse_oversized_flats(lat, group)
-    operators = density_operators(lat, group, cone, random.Random(config.seed + 1))
-    refuse_oversized_density(lat, group, cone, *operators)
+    power = lat.n_vertices - 1
+    if group.order**power > OMEGA_ROWS_CAP:
+        raise GroundStateError(
+            f"ground state of {group.order}^{power} = {group.order**power} rows on"
+            f" {lat.width}x{lat.height} is above the cap of {OMEGA_ROWS_CAP}"
+        )
+    monomials = region_monomials(lat, group, cone)
     omega = ground_state(lat, group)
     sub = cone_subspace(cone, lat, group, omega)
     closure_runs = len(cone.edges) <= 3
@@ -885,7 +890,7 @@ def run_haag(config: RunConfig, group: AbelianGroup, lat: Lattice) -> Report:
     rep.checks.append(
         boundary_membership_check(cone, lat, group, omega, sub, random.Random(config.seed + 2))
     )
-    rep.checks += self_adjoint_density_check(cone, lat, group, omega, sub, operators)
+    rep.checks += self_adjoint_density_check(sub, monomials)
     return rep
 
 

@@ -21,18 +21,24 @@ something the package computes another way:
   windings from coordinates, for the move tables and ``closed_loop_around``;
 - ``orthonormalize`` is plain Gram-Schmidt, for ``cone_subspace``;
 - ``closure_rank`` grows the ribbon closure from materialized states with a
-  pivoted Cholesky on their Gram matrix, for ``ribbon_closure_rank``.
+  pivoted Cholesky on their Gram matrix, for ``ribbon_closure_rank``;
+- ``density_ranks_by_svd`` takes the density check's ranks from a real SVD
+  of both families in block coordinates (``region_images``, whose S_M C
+  reads ``ConeSubspace.region_action``, and
+  ``compressed_hermitian_images``), for ``density_ranks``; ``real_rank``,
+  ``rim_groups`` and ``label_ops`` serve it and the cone-subspace tests.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
-from qdlattice.duality import _nontrivial_labels, ribbons_in_region
+from qdlattice.duality import ConeSubspace, _nontrivial_labels, ribbons_in_region
 from qdlattice.groundstate import (
     FLAT_ROWS_CAP,
     GroundStateError,
@@ -249,6 +255,81 @@ def closure_rank(
             spanning = [(spanning + new)[i] for i in keep]
         ranks.append(len(_pivoted_independent(spanning, tol)))
     return ranks[0], ranks[1]
+
+
+# -- the density check's families, materialized ---------------------------------------
+
+
+def label_ops(lat: Lattice, group: AbelianGroup, ribbons: Iterable[Ribbon]) -> list[OpSum]:
+    """The ribbon operator of every nontrivial label on every ribbon."""
+    labels = _nontrivial_labels(group)
+    return [
+        as_opsum(ribbon_F_irrep(lat, group, r, chi, c)) for r in ribbons for chi, c in labels
+    ]
+
+
+def region_images(subspace: ConeSubspace, op) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates S_M C and S_M^dagger C of op Omega and op^dagger Omega,
+    for an operator on the region's edges."""
+    c = subspace.omega_coeffs[None]
+    image = subspace.region_apply(subspace.region_action(op), c)[0]
+    return image, subspace.region_apply(subspace.region_action(as_opsum(op).adjoint()), c)[0]
+
+
+def rim_groups(subspace: ConeSubspace) -> list[np.ndarray]:
+    """Columns j of the block sharing the same pinned rim values: the
+    blocks on which a compressed exterior operator acts."""
+    rims = subspace.region_rows[0]  # a = 0 fills nothing, leaving the rim offsets
+    return [np.flatnonzero(rims == r) for r in np.unique(rims)]
+
+
+def compressed_hermitian_images(subspace: ConeSubspace) -> list[np.ndarray]:
+    """i Y Omega for a real basis of self-adjoint compressed exterior
+    operators, as coordinate blocks. An exterior operator preserves the
+    region factors, so its compression is a matrix on each rim group's
+    exterior span, and every Hermitian matrix there is the compression of
+    some exterior operator. E_jk Omega has column j equal to C[:, k]."""
+    c = subspace.omega_coeffs
+    out = []
+    for cols in rim_groups(subspace):
+        for j in cols:
+            x = np.zeros_like(c)
+            x[:, j] = 1j * c[:, j]  # i E_jj Omega
+            out.append(x)
+        for j, k in itertools.combinations(cols, 2):
+            x = np.zeros_like(c)
+            x[:, j], x[:, k] = 1j * c[:, k], 1j * c[:, j]  # i (E_jk + E_kj) Omega
+            out.append(x)
+            x = np.zeros_like(c)
+            x[:, j], x[:, k] = -c[:, k], c[:, j]  # i (i E_jk - i E_kj) Omega
+            out.append(x)
+    return out
+
+
+def real_rank(blocks: Sequence[np.ndarray], tol: float = 1e-7) -> int:
+    """Real rank of a family of vectors given by their coordinates (arrays
+    of any shape): the rank of the normalized rows (Re x, Im x)."""
+    if not blocks:
+        return 0
+    m = np.array([b.ravel() for b in blocks])
+    norms = np.linalg.norm(m, axis=1)
+    m = m[norms > 1e-12] / norms[norms > 1e-12, None]
+    if not len(m):
+        return 0
+    s = np.linalg.svd(np.hstack([m.real, m.imag]), compute_uv=False)
+    return int(np.sum(s > tol))
+
+
+def density_ranks_by_svd(subspace: ConeSubspace, operators: Iterable) -> tuple[int, int]:
+    """(full rank, region-family rank) of the density check by a real SVD
+    of both families in block coordinates: (X + X^dagger) C and
+    i (X - X^dagger) C for each region operator X, and the compressed
+    family i C Y."""
+    a_family = []
+    for op in operators:
+        v, vs = region_images(subspace, op)
+        a_family += [v + vs, 1j * (v - vs)]
+    return real_rank(a_family + compressed_hermitian_images(subspace)), real_rank(a_family)
 
 
 # -- ground states -----------------------------------------------------------------

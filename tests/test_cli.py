@@ -195,13 +195,16 @@ def test_deform_runs_where_omega_would_be_above_the_cap(tmp_path, group):
     assert [c["status"] for c in data["checks"]] == ["pass"] * 3
 
 
-def test_haag_check_z3_is_refused_at_the_density_cap(capsys):
-    """The orthogonality check runs for z3 without the enlargement's ground
-    state; what is refused is the density check's coefficient matrix."""
-    assert run_cli(["--experiment", "haag-check", "--group", "z3"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: haag-check: density check needs a 8081 x 13122 ")
-    assert err.count("\n") == 1
+def test_haag_check_z3_passes_at_the_default_lattice(tmp_path):
+    """On the default 3x4 plane the density check reads z3's ranks from
+    Omega's 81 x 81 block and a count of the 6561 region monomials' labels,
+    so every check runs and passes."""
+    out = tmp_path / "r.json"
+    assert run_cli(["--experiment", "haag-check", "--group", "z3", "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert schema_errors(data) == []
+    assert [c["status"] for c in data["checks"]] == ["pass"] * 5
+    assert data["checks"][3]["details"] == "rank 13122 of target 13122"
 
 
 def test_start_up_and_haag_check_leave_scipy_unimported(tmp_path):

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from qdlattice import duality
 from qdlattice.duality import (
@@ -11,14 +12,15 @@ from qdlattice.duality import (
     boundary_membership_check,
     cone_shape,
     cone_subspace,
-    density_operators,
+    density_ranks,
     detecting_exterior_sites,
     external_charge_orthogonality_check,
+    region_monomials,
     ribbon_closure_rank,
     ribbons_in_region,
     self_adjoint_density_check,
 )
-from qdlattice.groups import group_make
+from qdlattice.groups import group_make, parse_group
 from qdlattice.groundstate import ground_state
 from qdlattice.lattice import (
     Lattice,
@@ -33,12 +35,18 @@ from qdlattice.states import SparseState
 from oracles import (
     add,
     closure_rank,
+    compressed_hermitian_images,
+    density_ranks_by_svd,
     distance,
     inner,
     keys,
+    label_ops,
     normalized,
     orthonormal_coeffs,
     orthonormalize,
+    real_rank,
+    region_images,
+    rim_groups,
     scaled,
 )
 
@@ -111,41 +119,44 @@ def _combine(vectors, coeffs):
     return SparseState.from_terms(rows, amps, vectors[0].n_edges, vectors[0].radix)
 
 
-def _real_rank(rows, tol=1e-7):
-    m = np.array([r for r in rows if np.linalg.norm(r) > 1e-12])
-    m = m / np.linalg.norm(m, axis=1)[:, None]
-    return int(np.sum(np.linalg.svd(np.hstack([m.real, m.imag]), compute_uv=False) > tol))
-
-
-# (group order, width, height, trim_rim); cones at apex (1, 1) opening N and E
+# (group, width, height, trim_rim); cones at apex (1, 1) opening N and E
 CASES = [
-    (2, 3, 3, True),
-    (3, 3, 3, True),
-    (2, 3, 4, True),
-    (3, 3, 4, True),
-    (2, 3, 3, False),
-    (2, 3, 4, False),
+    ("z2", 3, 3, True),
+    ("z3", 3, 3, True),
+    ("z2", 3, 4, True),
+    ("z3", 3, 4, True),
+    ("z2", 3, 3, False),
+    ("z2", 3, 4, False),
 ]
 # materializing every product vector of z3 on 3x4 (dim 6561) takes about
 # 1 GB, so that case compares a seeded sample of coordinates
-SAMPLED = {(3, 3, 4, True): 200}
-# the state-built density families of the oracle stay small on these
-DENSITY_CASES = [c for c in CASES if c not in SAMPLED and c != (2, 3, 4, False)]
+SAMPLED = {("z3", 3, 4, True): 200}
+# On the 4^8-row Omega of 3x3, applying one region monomial and its adjoint
+# as states and reading their coordinates takes about 0.12 s, over 30 s for
+# each group's 256 monomials, so these cases compare with the
+# block-coordinate SVD alone; the other density cases check that SVD
+# against the states.
+BLOCK_ONLY = [("z4", 3, 3, True), ("z2xz2", 3, 3, True)]
+# the density oracle's cases: on all but BLOCK_ONLY its state-built families
+# stay small
+DENSITY_CASES = [c for c in CASES if c not in SAMPLED and c != ("z2", 3, 4, False)] + BLOCK_ONLY
 
 
 def _case_id(case):
-    return f"z{case[0]}-{case[1]}x{case[2]}-{'trim' if case[3] else 'rim'}"
+    return f"{case[0]}-{case[1]}x{case[2]}-{'trim' if case[3] else 'rim'}"
 
 
 @pytest.fixture(scope="module", params=CASES, ids=_case_id)
 def cone_case(request):
-    order, w, h, trim = request.param
-    group = group_make([order])
+    spec, w, h, trim = request.param
+    group = parse_group(spec)
     lat = Lattice(w, h, "plane")
     omega = ground_state(lat, group)
     cone = cone_make((1, 1), ["N", "E"], lat, trim_rim=trim)
     sub = cone_subspace(cone, lat, group, omega)
-    oracle = MaterializedSubspace(cone, lat, group, omega, SAMPLED.get(request.param))
+    oracle = None
+    if request.param not in BLOCK_ONLY:
+        oracle = MaterializedSubspace(cone, lat, group, omega, SAMPLED.get(request.param))
     return request.param, lat, group, omega, cone, sub, oracle
 
 
@@ -154,9 +165,9 @@ def _probe_states(lat, group, omega, cone):
     (charged or not), a random state on Omega's support and one on random
     configurations (both mostly outside H_Lambda)."""
     rng = random.Random(1)
-    region_ops = duality._label_ops(lat, group, ribbons_in_region(lat, cone, 3))
+    region_ops = label_ops(lat, group, ribbons_in_region(lat, cone, 3))
     comp = Region(lat, cone.complement_edges())
-    ext_ops = duality._label_ops(lat, group, ribbons_in_region(lat, comp, 4))
+    ext_ops = label_ops(lat, group, ribbons_in_region(lat, comp, 4))
     out = [omega]
     out += [rng.choice(region_ops).apply(omega) for _ in range(3)]
     out += [rng.choice(ext_ops).apply(omega) for _ in range(4)]
@@ -186,26 +197,39 @@ def test_region_images_match_applied_operators(cone_case):
     """S_M C and S_M^dagger C against the coordinates of M Omega and
     M^dagger Omega, for random region ribbons, edge monomials and products."""
     param, lat, group, omega, cone, sub, oracle = cone_case
-    pool, _ = density_operators(lat, group, cone, random.Random(3), 3, 60)
+    rng = random.Random(3)
+    ribbon_ops = label_ops(lat, group, ribbons_in_region(lat, cone, 3))
+    pool = ribbon_ops + [as_opsum(m) for m in region_monomials(lat, group, cone)]
+    pool += [rng.choice(ribbon_ops).compose(rng.choice(ribbon_ops)) for _ in range(20)]
     for m in random.Random(4).sample(pool, 6):
-        v, vs = sub.region_images(m)
+        v, vs = region_images(sub, m)
         np.testing.assert_allclose(v, sub.coeffs(m.apply(omega)), atol=1e-12)
         np.testing.assert_allclose(vs, sub.coeffs(m.adjoint().apply(omega)), atol=1e-12)
 
 
-@pytest.mark.parametrize("cone_case", DENSITY_CASES, ids=_case_id, indirect=True)
-def test_density_ranks_match_materialized_oracle(cone_case):
-    """Both ranks of the density check against the families built as
-    states: region operators applied to Omega, compressed exterior
-    operators E_jk Omega assembled from the product vectors, and exterior
-    ribbon images projected onto the subspace."""
-    param, lat, group, omega, cone, sub, oracle = cone_case
-    seed, ribbon_cap, samples = 5, 3, 100
-    pool, flavour = density_operators(lat, group, cone, random.Random(seed), ribbon_cap, samples)
-    spans, control = self_adjoint_density_check(cone, lat, group, omega, sub, (pool, flavour))
+def _all_edge_monomials(lat, group, cone):
+    """Every shift on the cone's fill edges times every character on each of
+    its edges, rim edges included: the region's whole edge-monomial algebra,
+    the sweep's ``_monomial`` products rather than ``region_monomials``."""
+    fill = [e for e in sorted(cone.edges) if not lat.is_rim(e)]
+    edges = sorted(cone.edges)
+    return [
+        duality._monomial(lat, group, zip(fill, shift), zip(edges, chis))
+        for shift in itertools.product(group.elements(), repeat=len(fill))
+        for chis in itertools.product(group.characters(), repeat=len(edges))
+    ]
+
+
+def _state_density_ranks(omega, cone, sub, oracle, monomials):
+    """Both ranks of the density check from the families built as states:
+    (M + M^dagger) Omega and i (M - M^dagger) Omega for every monomial M,
+    and the compressed exterior operators E_jk Omega assembled from the
+    product vectors, all read into the oracle's coordinates. Also returns
+    the compressed family alone."""
     a_family = []
-    for m in pool:
-        v, vs = oracle.coeffs(m.apply(omega)), oracle.coeffs(m.adjoint().apply(omega))
+    for m in monomials:
+        v = oracle.coeffs(as_opsum(m).apply(omega))
+        vs = oracle.coeffs(as_opsum(m.adjoint()).apply(omega))
         a_family += [v + vs, 1j * (v - vs)]
     # E_jk Omega = sum_a C[a, k] |a> tensor w_j, within a rim group
     n_fill = len({a for a, _ in oracle.index})
@@ -226,29 +250,100 @@ def test_density_ranks_match_materialized_oracle(cone_case):
         jk, kj = e_omega(j, k), e_omega(k, j)
         b_family.append(oracle.coeffs(scaled(add(jk, kj), 1j)))
         b_family.append(oracle.coeffs(add(kj, scaled(jk, -1.0))))  # -(jk - kj)
-    for m in flavour:
-        v, vs = oracle.coeffs(m.apply(omega)), oracle.coeffs(m.adjoint().apply(omega))
-        b_family += [1j * (v + vs), -(v - vs)]
-    full_rank = _real_rank(a_family + b_family)
-    a_rank = _real_rank(a_family)
-    assert spans.details == f"rank {full_rank} of target {2 * sub.dim}"
-    assert control.max_error == a_rank
-    assert control.passed
+    return real_rank(a_family + b_family), real_rank(a_family), b_family
+
+
+@pytest.mark.parametrize("cone_case", DENSITY_CASES, ids=_case_id, indirect=True)
+def test_density_ranks_match_materialized_oracle(cone_case):
+    """Both ranks of the density check against a real SVD of its families:
+    the region's whole edge-monomial algebra and the compressed exterior
+    family, built as states where that fits and in block coordinates on
+    every case. A cone that keeps its rim edges is refused by the check."""
+    param, lat, group, omega, cone, sub, oracle = cone_case
+    monomials = _all_edge_monomials(lat, group, cone)
+    target = 2 * sub.dim
+    full_rank, a_rank = density_ranks_by_svd(sub, monomials)
+    if oracle is not None:
+        state_full, state_a, b_family = _state_density_ranks(omega, cone, sub, oracle, monomials)
+        assert (state_full, state_a) == (full_rank, a_rank)
+        assert real_rank(b_family) == real_rank(compressed_hermitian_images(sub))
     if not param[3]:
-        # a cone that keeps its rim edges has a one-sided algebra there, so
-        # the family falls short of the target on both paths
-        assert not spans.passed
+        # A cone that keeps its rim edges has several rim groups. Characters
+        # on the rim edges act on each group with its own phase, and with
+        # them the whole algebra reaches the target group by group; the
+        # fill-edge monomials alone act alike on every group and fall short.
+        # The check's formula covers one rim group, so it refuses the cone.
+        assert full_rank == target
+        assert density_ranks_by_svd(sub, region_monomials(lat, group, cone))[0] < target
+        with pytest.raises(DualityError, match=r"this cone has \d+: trim its rim edges"):
+            self_adjoint_density_check(sub, region_monomials(lat, group, cone))
+        return
+    spans, control = self_adjoint_density_check(sub, region_monomials(lat, group, cone))
+    assert spans.details == f"rank {full_rank} of target {target}"
+    assert control.max_error == a_rank
+    assert spans.passed and control.passed
 
 
-def test_density_check_refuses_oversized_matrices(monkeypatch):
-    lat = Lattice(3, 3, "plane")
-    omega = ground_state(lat, Z2)
-    cone = cone_make((1, 1), ["N", "E"], lat)
-    sub = cone_subspace(cone, lat, Z2, omega)
-    operators = density_operators(lat, Z2, cone, random.Random(0))
-    monkeypatch.setattr(duality, "DENSITY_ENTRIES_CAP", 1000)
-    with pytest.raises(DualityError, match=r"x 32 coefficient matrix, above the cap of 1000"):
-        self_adjoint_density_check(cone, lat, Z2, omega, sub, operators)
+def _hermitian_basis(d):
+    """A real basis of the d x d Hermitian matrices."""
+    out = []
+    for a in range(d):
+        for b in range(a, d):
+            x = np.zeros((d, d), dtype=np.complex128)
+            x[a, b] = x[b, a] = 1.0
+            out.append(x)
+            if a != b:
+                y = np.zeros((d, d), dtype=np.complex128)
+                y[a, b], y[b, a] = 1j, -1j
+                out.append(y)
+    return out
+
+
+@st.composite
+def _coefficient_blocks(draw):
+    """An n x m block C = U S V^dagger with n, m <= 5, any rank r, and
+    singular values drawn independently, so the spectrum is rarely flat."""
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    r = draw(st.integers(0, min(n, m)))
+    spectrum = draw(st.lists(st.floats(0.05, 1.0), min_size=r, max_size=r))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def unitary(d):
+        q, _ = np.linalg.qr(gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d)))
+        return q
+
+    return unitary(n)[:, :r] @ np.diag(spectrum) @ unitary(m)[:, :r].conj().T
+
+
+@settings(max_examples=200, deadline=None)
+@given(c=_coefficient_blocks())
+def test_density_ranks_match_explicit_svd(c):
+    """The ranks formula against a real SVD of {H C} and {i C Y} over real
+    bases of the Hermitian n x n and m x m matrices: it covers r < n and
+    n != m, which no lattice case small enough for the state oracle reaches."""
+    n, m = c.shape
+    a_family = [h @ c for h in _hermitian_basis(n)]
+    b_family = [1j * c @ y for y in _hermitian_basis(m)]
+    assert density_ranks(c) == (real_rank(a_family + b_family), real_rank(a_family))
+
+
+def test_density_check_refuses_oversized_monomial_families(monkeypatch, capsys):
+    """z2 on 3x7: Omega's 2^20 rows are at the cap, but the cone's 10 fill
+    edges carry 2^20 region monomials, above the cap of 2^16. The CLI exits 2
+    with one line before Omega is built."""
+    from qdlattice import experiments
+    from qdlattice.cli import main
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("Omega built before the monomial count")
+
+    monkeypatch.setattr(experiments, "ground_state", unreachable)
+    assert main(["--experiment", "haag-check", "--lattice", "3x7:plane"]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "error: haag-check: density check over 2^20 = 1048576 region monomials"
+        " is above the cap of 65536\n"
+    )
 
 
 @pytest.fixture(scope="module")
@@ -378,35 +473,37 @@ def test_orthogonality_check_refuses_oversized_sweep(monkeypatch):
 
 
 def test_haag_check_refuses_z4_and_z2xz2_before_building_omega(monkeypatch):
-    """At the default 3x4 plane the density check's size is known from the
-    operator pool and ``cone_shape``; the 4^11-row Omega is never built."""
+    """At the default 3x4 plane Omega's 4^11 rows are counted from the
+    lattice and refused above OMEGA_ROWS_CAP; Omega is never built."""
     from qdlattice import experiments
-    from qdlattice.groups import parse_group
+    from qdlattice.groundstate import GroundStateError
     from qdlattice.reports import RunConfig
 
     def unreachable(*args, **kwargs):
-        raise AssertionError("Omega built before the density estimate")
+        raise AssertionError("Omega built before its row count")
 
     monkeypatch.setattr(experiments, "ground_state", unreachable)
     lat = Lattice(3, 4, "plane")
     for spec in ["z4", "z2xz2"]:
         cfg = RunConfig("haag-check", group=spec, lattice="3x4:plane", seed=0)
-        with pytest.raises(DualityError, match=r"x 131072 coefficient matrix, above the cap"):
+        with pytest.raises(
+            GroundStateError,
+            match=r"^ground state of 4\^11 = 4194304 rows on 3x4 is above the cap of 1048576$",
+        ):
             experiments.run_haag(cfg, parse_group(spec), lat)
 
 
 def test_haag_check_refuses_oversized_omega_before_the_density_pool(monkeypatch):
     """On 12x12 Omega's 2^143 rows are refused first, before the density
-    check's operators (52452 region ribbon operators there) are built."""
+    check's region monomials are counted or built."""
     from qdlattice import experiments
     from qdlattice.groundstate import GroundStateError
-    from qdlattice.groups import parse_group
     from qdlattice.reports import RunConfig
 
     def unreachable(*args, **kwargs):
-        raise AssertionError("density operators built before the Omega estimate")
+        raise AssertionError("region monomials built before the Omega estimate")
 
-    monkeypatch.setattr(experiments, "density_operators", unreachable)
+    monkeypatch.setattr(experiments, "region_monomials", unreachable)
     cfg = RunConfig("haag-check", group="z2", lattice="12x12:plane", seed=0)
     with pytest.raises(GroundStateError, match=r"2\^143 = \d+ rows on 12x12 is above the cap"):
         experiments.run_haag(cfg, parse_group("z2"), Lattice(12, 12, "plane"))
@@ -510,8 +607,6 @@ def test_cone_shape_matches_cone_subspace(spec, width, height, kind):
     """dim H_Lambda = |G|^(k + V + 1 - c(Lambda) - c(E minus fill)) and the
     rim groups, from the graph alone, against the coset construction on
     Omega's rows."""
-    from qdlattice.groups import parse_group
-
     group = parse_group(spec)
     lat = Lattice(width, height, "plane")
     if kind == "star":
@@ -521,9 +616,9 @@ def test_cone_shape_matches_cone_subspace(spec, width, height, kind):
     else:
         cone = cone_make((1, 1), ["N", "E"], lat, trim_rim=kind == "trim")
     sub = cone_subspace(cone, lat, group, ground_state(lat, group))
-    fill, dim_w, rim_groups = cone_shape(lat, group, cone)
+    fill, dim_w, n_rim = cone_shape(lat, group, cone)
     assert sub.omega_coeffs.shape == (fill, dim_w)
-    assert [len(cols) for cols in sub.rim_groups()] == [dim_w // rim_groups] * rim_groups
+    assert [len(cols) for cols in rim_groups(sub)] == [dim_w // n_rim] * n_rim
 
 
 def test_density_rank_and_negative_control():
@@ -531,9 +626,7 @@ def test_density_rank_and_negative_control():
     omega = ground_state(lat, Z2)
     cone = cone_make((1, 1), ["N", "E"], lat)
     sub = cone_subspace(cone, lat, Z2, omega)
-    operators = density_operators(lat, Z2, cone, random.Random(6))
-    recs = self_adjoint_density_check(cone, lat, Z2, omega, sub, operators)
-    spans, control = recs
+    spans, control = self_adjoint_density_check(sub, region_monomials(lat, Z2, cone))
     assert spans.passed, spans.details
     assert control.passed, control.details
 
