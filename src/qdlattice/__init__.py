@@ -33,7 +33,7 @@ from .operators import (
     star_g,
     star_proj,
 )
-from .groundstate import flat_connections, ground_state, omega_distance, omega_expectation
+from .groundstate import flat_connections, ground_state, omega_distances, omega_expectations
 from .states import SparseState
 from .sectors import (
     SectorLabel,
@@ -72,8 +72,8 @@ __all__ = [
     "star_proj",
     "flat_connections",
     "ground_state",
-    "omega_distance",
-    "omega_expectation",
+    "omega_distances",
+    "omega_expectations",
     "SparseState",
     "SectorLabel",
     "braiding_phase",

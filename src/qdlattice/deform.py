@@ -13,7 +13,7 @@ The check below is syntactic. It compares the face fluxes created by the
 two shift patterns (the excitation pattern must match at the endpoint
 faces), the winding around the torus handles when applicable, and the
 crossing obstruction read by each ribbon's flux expression on the other's
-shift pattern. ``groundstate.omega_distance`` measures the outcome,
+shift pattern. ``groundstate.omega_distances`` measures the outcome,
 ‖F₁Ω − F₂Ω‖, from ground-state expectations without building Ω.
 """
 

@@ -87,7 +87,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .groundstate import OMEGA_ROWS_CAP, face_fluxes, omega_expectation, shift_row
+from .groundstate import OMEGA_ROWS_CAP, face_fluxes, omega_expectations, shift_rows
 from .groups import AbelianGroup
 from .lattice import Lattice, LatticeError, Region, Ribbon, Site, Triangle, positive_moves
 from .operators import AffineMap, OperatorError, as_opsum, canonical, ribbon_F_irrep
@@ -500,19 +500,19 @@ def _max_cone_overlap(lat: Lattice, group: AbelianGroup, region: Region, f: Affi
     region edge). The M Omega span H_Lambda, so F Omega is orthogonal to it
     exactly when this is 0, and each term is at most the norm of F Omega's
     projection. A term vanishes unless M^dagger F's shift s_F - s_M is flat,
-    so all |G|^k shifts are filtered with one face-flux pass first."""
+    so all |G|^k shifts are filtered with one face-flux pass first; the
+    surviving terms go to ``omega_expectations`` as one batch."""
     t, n = group.tables(), group.order
     fill, edges = _fill_edges(lat, region), sorted(region.edges)
     digits = np.arange(n ** len(fill))[:, None] // n ** np.arange(len(fill) - 1, -1, -1) % n
-    rows = np.repeat(shift_row(lat, f), len(digits), axis=0)
+    rows = np.repeat(shift_rows(lat, [f]), len(digits), axis=0)
     rows[:, fill] = t["add"][rows[:, fill], t["neg"][digits]]
-    worst = 0.0
+    ops = []
     for d in digits[~face_fluxes(lat, group, rows).any(axis=1)]:
         shifts = list(zip(fill, map(group.element_at, d.tolist())))
         for chis in itertools.product(group.characters(), repeat=len(edges)):
-            m = _monomial(lat, group, shifts, zip(edges, chis))
-            worst = max(worst, abs(omega_expectation(lat, group, m.adjoint().compose(f))))
-    return worst
+            ops.append(_monomial(lat, group, shifts, zip(edges, chis)).adjoint().compose(f))
+    return max([0.0] + [abs(v) for v in omega_expectations(lat, group, ops)])
 
 
 def external_charge_orthogonality_check(

@@ -33,11 +33,11 @@ from .groundstate import (
     flat_connections,
     ground_state,
     is_flat,
-    omega_distance,
-    omega_expectation,
+    omega_distances,
+    omega_expectations,
     refuse_oversized_flats,
     sector_shift,
-    shift_row,
+    shift_rows,
     torus_holonomies,
 )
 from .groups import AbelianGroup, parse_group, format_group
@@ -415,7 +415,7 @@ def run_groundstate(config: RunConfig, group: AbelianGroup, lat: Lattice) -> Rep
         # gradients carry trivial holonomy, so the flat cocycle rows of the
         # sector shifts T_ab hold every holonomy pair of the flat connections
         pairs = itertools.product(range(group.order), repeat=2)
-        rows = np.concatenate([shift_row(lat, sector_shift(lat, group, a, b)) for a, b in pairs])
+        rows = shift_rows(lat, [sector_shift(lat, group, a, b) for a, b in pairs])
         hx, hy = torus_holonomies(lat, group, rows[is_flat(lat, group, rows)])
         dim = len(np.unique(hx * group.order + hy))
         rep.add(
@@ -427,14 +427,15 @@ def run_groundstate(config: RunConfig, group: AbelianGroup, lat: Lattice) -> Rep
         )
         ed_skipped = _skip_note("exact diagonalization", group, lat)
         # the ground vector of holonomy sector (a, b) is T_ab Omega
-        errs = []
+        stabilized = []
         for a, b in itertools.product(range(group.order), repeat=2):
             T = sector_shift(lat, group, a, b)
             for v in range(lat.n_vertices):
                 sv = _site_at(lat, *lat.vertex_xy(v))
                 stabilizers = [star_g(lat, group, sv, g) for g in group.elements()]
                 stabilizers.append(plaq_h(lat, group, sv, group.identity()))
-                errs += [omega_distance(lat, group, X.compose(T), T) for X in stabilizers]
+                stabilized += [(X.compose(T), T) for X in stabilizers]
+        errs = omega_distances(lat, group, stabilized)
         rep.add(
             "ground vectors stabilized by all stars and plaquettes",
             "A^g psi = psi, B psi = psi",
@@ -465,7 +466,8 @@ def run_groundstate(config: RunConfig, group: AbelianGroup, lat: Lattice) -> Rep
         return rep
 
     flats = flat_connections(lat, group)
-    support = len(np.unique(flats, axis=0))
+    # distinct rows, each viewed as one byte-string key
+    support = len(np.unique(flats.view(np.dtype((np.void, lat.n_edges))).ravel()))
     brute_skipped = _skip_note("brute-force", group, lat)
     rep.add(
         "support equals the flat connections",
@@ -484,16 +486,16 @@ def run_groundstate(config: RunConfig, group: AbelianGroup, lat: Lattice) -> Rep
             abs(brute - len(flats)),
             f"{brute} flat of {len(cfgs)}",
         )
-    errs = []
+    stabilizers = []
     for v in range(lat.n_vertices):
         if not lat.has_full_star(v):
             continue
         sv = _site_at(lat, *lat.vertex_xy(v))
-        for g in group.elements():
-            errs.append(abs(omega_expectation(lat, group, star_g(lat, group, sv, g)) - 1))
+        stabilizers += [star_g(lat, group, sv, g) for g in group.elements()]
     for f in lat.faces():
         sf = Site(lat.face_corners_ccw(f)[0], f)
-        errs.append(abs(omega_expectation(lat, group, plaq_h(lat, group, sf, group.identity())) - 1))
+        stabilizers.append(plaq_h(lat, group, sf, group.identity()))
+    errs = [abs(val - 1) for val in omega_expectations(lat, group, stabilizers)]
     rep.add(
         "stabilizer expectations equal one",
         "omega(A_s) = omega(B_s) = 1",
@@ -509,10 +511,10 @@ def run_groundstate(config: RunConfig, group: AbelianGroup, lat: Lattice) -> Rep
     rows = np.zeros((len(assignments), lat.n_edges), dtype=np.uint8)
     rows[:, edges] = [[group.index_of(val) for val in a] for a in assignments]
     flats = ~np.any(face_fluxes(lat, group, rows)[:, faces], axis=1)
+    projectors = [connection_projector(lat, group, dict(zip(edges, a))) for a in assignments]
     errs_flat, errs_nonflat = [], []
-    for assignment, flat in zip(assignments, flats):
-        sub = dict(zip(edges, assignment))
-        val = omega_expectation(lat, group, connection_projector(lat, group, sub)).real
+    for val, flat in zip(omega_expectations(lat, group, projectors), flats):
+        val = val.real
         if flat:
             errs_flat.append(abs(val - 1.0 / n_flat))
         else:
@@ -543,14 +545,13 @@ def run_deform(config: RunConfig, group: AbelianGroup, lat: Lattice, pairs: int 
         for c in group.elements()
         if (chi, c) != (group.identity(), group.identity())
     ]
-    errs = []
-    count = 0
+    deformed = []
     searches: list[bool] = []
     for r1, r2 in sample_ribbon_pairs(lat, group, rng, pairs, deformations=True, searches=searches):
         h, g = rng.choice(labels)
-        f1, f2 = ribbon_F(lat, group, r1, h, g), ribbon_F(lat, group, r2, h, g)
-        errs.append(omega_distance(lat, group, f1, f2))
-        count += 1
+        deformed.append((ribbon_F(lat, group, r1, h, g), ribbon_F(lat, group, r2, h, g)))
+    errs = omega_distances(lat, group, deformed)
+    count = len(deformed)
     rep.add(
         "deformation invariance on the ground state",
         "F_rho Omega = F_rho' Omega for same-endpoint deformations",
@@ -562,14 +563,12 @@ def run_deform(config: RunConfig, group: AbelianGroup, lat: Lattice, pairs: int 
 
     # negative control: crossing pairs are detectably different
     control_pairs = 20
-    bad = 0
-    tried = 0
+    crossing = []
     for r1, r2 in sample_ribbon_pairs(lat, group, rng, control_pairs, deformations=False):
-        tried += 1
         h, g = rng.choice([l for l in labels if l[0] != group.identity() and l[1] != group.identity()] or labels)
-        f1, f2 = ribbon_F(lat, group, r1, h, g), ribbon_F(lat, group, r2, h, g)
-        if omega_distance(lat, group, f1, f2) > 0.1:
-            bad += 1
+        crossing.append((ribbon_F(lat, group, r1, h, g), ribbon_F(lat, group, r2, h, g)))
+    tried = len(crossing)
+    bad = sum(d > 0.1 for d in omega_distances(lat, group, crossing))
     rep.add(
         "crossing pairs break the naive invariance (negative control)",
         "plumbing",
@@ -579,7 +578,7 @@ def run_deform(config: RunConfig, group: AbelianGroup, lat: Lattice, pairs: int 
     )
 
     # inversion: the reversed ribbon with inverted labels acts identically
-    errs = []
+    sandwiches = []
     struct_ok = True
     sites = list(lat.sites())
     for _ in range(40):
@@ -600,19 +599,16 @@ def run_deform(config: RunConfig, group: AbelianGroup, lat: Lattice, pairs: int 
         full_sites = [x for x in sites if lat.has_full_star(x.vertex)]
         mid = rng.choice(full_sites)
         Aop = as_opsum(star_g(lat, group, mid, rng.choice(group.elements())))
-        lhs = omega_expectation(
-            lat,
-            group,
-            as_opsum(ribbon_F(lat, group, r, h, g)) @ Aop @ as_opsum(ribbon_F(lat, group, r, l2, k2)),
+        sandwiches.append(
+            as_opsum(ribbon_F(lat, group, r, h, g)) @ Aop @ as_opsum(ribbon_F(lat, group, r, l2, k2))
         )
-        rhs = omega_expectation(
-            lat,
-            group,
+        sandwiches.append(
             as_opsum(ribbon_F(lat, group, rbar, group.inv(h), group.inv(g)))
             @ Aop
-            @ as_opsum(ribbon_F(lat, group, rbar, group.inv(l2), group.inv(k2))),
+            @ as_opsum(ribbon_F(lat, group, rbar, group.inv(l2), group.inv(k2)))
         )
-        errs.append(abs(lhs - rhs))
+    vals = omega_expectations(lat, group, sandwiches)
+    errs = [abs(lhs - rhs) for lhs, rhs in zip(vals[::2], vals[1::2])]
     rep.add(
         "inversion identity",
         "omega(F_rho^{h,g} A F_sigma^{l,k}) = omega(F_rhobar^{hbar,gbar} A F_sigmabar^{lbar,kbar})",
@@ -796,18 +792,19 @@ def run_sectors(config: RunConfig, group: AbelianGroup, lat: Lattice) -> Report:
         r1n, r2n = truncate(rho1, n), truncate(rho2, n)
         ident = AffineMap.identity(group, plat.n_edges)
         local = star_g(plat, group, _site_at(plat, 1, 1), group.elements()[-1])
-        errs = []
-        intertwine_errs = []
+        fixed, intertwined = [], []
         for label in labels[1:]:
             V = transporter(plat, group, label.chi, label.c, rho1, rho2, n)
-            errs.append(omega_distance(plat, group, V, ident))
+            fixed.append((V, ident))
             # the transporter moves the dressed state of the first ribbon to
             # the second: V alpha1(A) Omega = alpha2(A) Omega for local A
             F1 = ribbon_F_irrep(plat, group, r1n, label.chi, label.c)
             F2 = ribbon_F_irrep(plat, group, r2n, label.chi, label.c)
             a1 = F1.compose(local).compose(F1.adjoint())
             a2 = F2.compose(local).compose(F2.adjoint())
-            intertwine_errs.append(omega_distance(plat, group, V.compose(a1), a2))
+            intertwined.append((V.compose(a1), a2))
+        dists = omega_distances(plat, group, fixed + intertwined)
+        errs, intertwine_errs = dists[: len(fixed)], dists[len(fixed) :]
         rep.add(
             "finite charge transporter fixes the ground state",
             "V_n Omega = Omega",
@@ -944,18 +941,21 @@ def _separated_blocks(lat: Lattice) -> tuple[list[int], list[int]]:
     return b1, b2
 
 
+def _triples(values: list) -> zip:
+    """(ω(A), ω(B), ω(AB)) from a flat batch laid out as A, B, AB per pair."""
+    return zip(values[::3], values[1::3], values[2::3])
+
+
 def run_split(config: RunConfig, group: AbelianGroup, lat: Lattice, samples: int = 100) -> Report:
     rep = Report("split-check", config.__dict__.copy())
     rng = random.Random(config.seed)
     b1, b2 = _separated_blocks(lat)
-    errs = []
+    ops = []
     for _ in range(samples):
         A = _random_local_op(lat, group, b1, rng)
         B = _random_local_op(lat, group, b2, rng)
-        wa = omega_expectation(lat, group, A)
-        wb = omega_expectation(lat, group, B)
-        wab = omega_expectation(lat, group, A @ B)
-        errs.append(abs(wab - wa * wb))
+        ops += [A, B, A @ B]
+    errs = [abs(wab - wa * wb) for wa, wb, wab in _triples(omega_expectations(lat, group, ops))]
     rep.add(
         "ground state factorizes across separated regions",
         "omega(AB) = omega(A) omega(B) without shared stars or plaquettes",
@@ -967,13 +967,15 @@ def run_split(config: RunConfig, group: AbelianGroup, lat: Lattice, samples: int
     # negative control: overlapping supports correlate. B = A† on the same
     # edges makes omega(AB) - omega(A) omega(B) = ||A†Ω||^2 - |<Ω|A†Ω>|^2,
     # which vanishes only when A†Ω is parallel to Ω.
-    worst = 0.0
+    ops = []
     for _ in range(40):
         shared = sorted(set(b1) | {lat.edge_id("h", 0, 1) if lat.height > 2 else b1[0]})
         A = _random_local_op(lat, group, shared, rng)
         B = A.adjoint()
-        wab = omega_expectation(lat, group, A @ B)
-        worst = max(worst, abs(wab - omega_expectation(lat, group, A) * omega_expectation(lat, group, B)))
+        ops += [A, B, A @ B]
+    worst = 0.0
+    for wa, wb, wab in _triples(omega_expectations(lat, group, ops)):
+        worst = max(worst, abs(wab - wa * wb))
     rep.add(
         "adjacent supports do correlate (negative control)",
         "plumbing",

@@ -21,16 +21,24 @@ expectation is computed from that group, not from an amplitude vector. An
 s lies in F when every face flux of s is trivial and, on the torus, both
 ``torus_holonomies`` of s are trivial. M's delta and character expressions
 are sums of edge values; on a gradient each one telescopes to an integer
-combination of vertex potentials, so the mean runs over the potentials of
-the vertices those combinations touch, with one of them fixed by the gauge
-freedom. ``omega_expectation`` computes this (``OpSum`` by linearity) and
-refuses, before enumerating, an enumeration of more than a capped number of
-rows.
+combination of vertex potentials (a vertex form), so the mean runs over the
+potentials of the vertices those forms touch, with one of them fixed by the
+gauge freedom.
+
+``omega_expectations(lat, group, ops)`` is the one implementation, and it
+takes whole batches (``OpSum`` terms by linearity): every term's shift is
+tested against F in one face-flux pass, every term is checked against a
+capped number of potential rows before anything is enumerated, and the terms
+are grouped by the vertices they touch, so that each vertex set's potentials
+are enumerated once and each distinct form is evaluated on them once. Terms
+that only test deltas on a shared set of forms, such as the connection
+projectors of one edge set, read their counts off one histogram.
 
 Distances need no vector either: for single maps,
-‖F₁Ω − F₂Ω‖² = ω(F₁†F₁) + ω(F₂†F₂) − 2 Re ω(F₁†F₂) (``omega_distance``).
-The deformation, transporter and torus stabilizer checks all measure their
-distances this way; a torus sector vector is reached by composing with T_ab.
+‖F₁Ω − F₂Ω‖² = ω(F₁†F₁) + ω(F₂†F₂) − 2 Re ω(F₁†F₂) (``omega_distances``, one
+batch for many pairs). The deformation, transporter and torus stabilizer
+checks all measure their distances this way; a torus sector vector is
+reached by composing with T_ab.
 
 ``ground_state`` still materializes Ω on a plane patch, for the Haag-duality
 checks: ``cone_subspace`` reads its rows (not its amplitudes) to find the
@@ -50,7 +58,7 @@ from .states import SparseState
 FLAT_BRUTE_CAP = 1 << 22
 # rows flat_connections may enumerate: |G|^(V-1) gradients
 FLAT_ROWS_CAP = 1 << 22
-# vertex-potential rows one omega_expectation term may enumerate
+# vertex-potential rows one omega_expectations term may enumerate
 OMEGA_ROWS_CAP = 1 << 20
 
 
@@ -113,17 +121,6 @@ def flat_connections(lat: Lattice, group: AbelianGroup) -> np.ndarray:
     allocated, by ``refuse_oversized_flats``."""
     refuse_oversized_flats(lat, group)
     return _gradient_configs(lat, group)
-
-
-def face_flux(lat: Lattice, group: AbelianGroup, configs: np.ndarray, f: int) -> np.ndarray:
-    """Oriented flux index around face f for each configuration row."""
-    t = group.tables()
-    add, neg = t["add"], t["neg"]
-    acc = np.zeros(configs.shape[0], dtype=np.int64)
-    for e, sign in lat.plaq_edges(f):
-        col = configs[:, e].astype(np.int64)
-        acc = add[acc, col if sign > 0 else neg[col]]
-    return acc
 
 
 def face_fluxes(lat: Lattice, group: AbelianGroup, configs: np.ndarray) -> np.ndarray:
@@ -214,23 +211,29 @@ def count_flat_on_faces(lat: Lattice, group: AbelianGroup, faces: list[int]) -> 
     return int(np.sum(~np.any(face_fluxes(lat, group, configs)[:, faces], axis=1)))
 
 
-def shift_row(lat: Lattice, m: AffineMap) -> np.ndarray:
-    """m's shift pattern as a one-row configuration."""
-    row = np.zeros((1, lat.n_edges), dtype=np.uint8)
-    for e, gi in m.shifts:
-        row[0, e] = gi
-    return row
+def shift_rows(lat: Lattice, maps) -> np.ndarray:
+    """The maps' shift patterns as configuration rows, one per map."""
+    rows = np.zeros((len(maps), lat.n_edges), dtype=np.uint8)
+    for r, m in enumerate(maps):
+        for e, gi in m.shifts:
+            rows[r, e] = gi
+    return rows
 
 
-def in_flat_group(lat: Lattice, group: AbelianGroup, row: np.ndarray) -> bool:
-    """Whether a one-row configuration lies in the group Ω is uniform over:
-    flat, and on the torus also of trivial holonomy."""
-    if face_fluxes(lat, group, row).any():
-        return False
-    if lat.is_torus:
-        hx, hy = torus_holonomies(lat, group, row)
-        return hx[0] == 0 and hy[0] == 0
-    return True
+def _in_flat_group(lat: Lattice, group: AbelianGroup, maps) -> np.ndarray:
+    """Per map, whether its shift lies in the group Ω is uniform over: flat,
+    and on the torus also of trivial holonomy. One face-flux pass for all
+    maps that shift at all."""
+    ok = np.ones(len(maps), dtype=bool)
+    moved = [r for r, m in enumerate(maps) if m.shifts]
+    if moved:
+        rows = shift_rows(lat, [maps[r] for r in moved])
+        flat = ~face_fluxes(lat, group, rows).any(axis=1)
+        if lat.is_torus:
+            hx, hy = torus_holonomies(lat, group, rows)
+            flat &= (hx == 0) & (hy == 0)
+        ok[moved] = flat
+    return ok
 
 
 def _vertex_form(lat: Lattice, group: AbelianGroup, coeffs) -> tuple[tuple[int, int], ...]:
@@ -245,17 +248,24 @@ def _vertex_form(lat: Lattice, group: AbelianGroup, coeffs) -> tuple[tuple[int, 
     return tuple(sorted((v, c % group.order) for v, c in acc.items() if c % group.order))
 
 
-def _gradient_factors(lat: Lattice, group: AbelianGroup, m: AffineMap):
+def _gradient_factors(lat: Lattice, group: AbelianGroup, m: AffineMap, forms: dict):
     """m's deltas and character phases as functions of the vertex
     potentials: (constant phase numerator, {form: delta target},
-    {form: character}), or None when a constant delta fails."""
+    {form: character}), or None when a constant delta fails. ``forms`` memoizes
+    ``_vertex_form`` by coefficient tuple."""
+
+    def form_of(coeffs):
+        if coeffs not in forms:
+            forms[coeffs] = _vertex_form(lat, group, coeffs)
+        return forms[coeffs]
+
     L = group.phase_denominator
     char_num = group.tables()["char_num"]
     e_idx = group.index_of(group.identity())
     pnum = int(m.phase * L) % L
     deltas: dict[tuple, int] = {}
     for coeffs, target in m.deltas:
-        form = _vertex_form(lat, group, coeffs)
+        form = form_of(coeffs)
         if not form:
             if target != e_idx:
                 return None
@@ -265,18 +275,21 @@ def _gradient_factors(lat: Lattice, group: AbelianGroup, m: AffineMap):
     for chi, coeffs, offset in m.chars:
         # chi(offset + expr) = chi(offset) chi(expr)
         pnum = (pnum + int(char_num[group.index_of(chi), offset])) % L
-        form = _vertex_form(lat, group, coeffs)
+        form = form_of(coeffs)
         if form:
             chars[form] = group.char_mul(chars.get(form, group.identity()), chi)
     chars = {f: chi for f, chi in chars.items() if chi != group.identity()}
     return pnum, deltas, chars
 
 
-def _potential_mean(group: AbelianGroup, factors, vertices: list[int]) -> complex:
-    """Mean of delta * phase over all potentials of the touched vertices.
-    Every form's multiplicities sum to zero, so a common shift of the
-    potentials changes nothing and the first vertex is held at the identity."""
-    pnum, deltas, chars = factors
+def _potential_means(group: AbelianGroup, factors: list, vertices: tuple[int, ...]) -> list[complex]:
+    """Per term, the mean of delta * phase over all potentials of the shared
+    touched vertices. Every form's multiplicities sum to zero, so a common
+    shift of the potentials changes nothing and the first vertex is held at
+    the identity. The potentials are enumerated once and each distinct form
+    is evaluated on them once. Terms that only test deltas, and share their
+    forms with another such term, read their count of surviving potentials
+    off one histogram of the joint form values."""
     t = group.tables()
     add, mult, char_num, roots = t["add"], t["mult"], t["char_num"], t["roots"]
     L = group.phase_denominator
@@ -287,54 +300,107 @@ def _potential_mean(group: AbelianGroup, factors, vertices: list[int]) -> comple
     pots = {v: ((idx // n**k) % n).astype(np.uint16) for k, v in enumerate(vertices[1:])}
     if vertices:
         pots[vertices[0]] = np.full(rows, e_idx, dtype=np.uint16)
+    values: dict[tuple, np.ndarray] = {}
 
     def value(form) -> np.ndarray:
-        acc = np.full(rows, e_idx, dtype=np.int64)
-        for v, c in form:
-            acc = add[acc, mult[c, pots[v]]]
-        return acc
+        if form not in values:
+            acc = np.full(rows, e_idx, dtype=np.int64)
+            for v, c in form:
+                acc = add[acc, mult[c, pots[v]]]
+            values[form] = acc.astype(np.uint8)
+        return values[form]
 
-    alive = np.ones(rows, dtype=bool)
-    for form, target in deltas.items():
-        alive &= value(form) == target
-    phase = np.full(rows, pnum, dtype=np.int64)
-    for form, chi in chars.items():
-        phase = (phase + char_num[group.index_of(chi), value(form)]) % L
-    return complex(np.sum(roots[phase[alive]])) / rows
-
-
-def omega_expectation(lat: Lattice, group: AbelianGroup, op) -> complex:
-    """<Ω|op|Ω> for an AffineMap or OpSum, computed from the flat-connection
-    group (see the module docstring); Ω is the plane ground state or the
-    zero-holonomy torus ground vector. Raises GroundStateError, before any
-    enumeration, when a term would need more than OMEGA_ROWS_CAP potential
-    rows."""
-    terms = []
-    for coeff, m in as_opsum(op).terms:
-        if m.shifts and not in_flat_group(lat, group, shift_row(lat, m)):
+    by_forms: dict[tuple, list[int]] = {}
+    for j, (_, deltas, chars) in enumerate(factors):
+        if not chars:
+            by_forms.setdefault(tuple(deltas), []).append(j)
+    counts: dict[int, int] = {}
+    for forms, js in by_forms.items():
+        if len(js) < 2:
             continue
-        factors = _gradient_factors(lat, group, m)
+        code = np.zeros(rows, dtype=np.int64)
+        for form in forms:
+            code = code * n + value(form)
+        hist = dict(zip(*(a.tolist() for a in np.unique(code, return_counts=True))))
+        for j in js:
+            target = 0
+            for form in forms:
+                target = target * n + factors[j][1][form]
+            counts[j] = hist.get(target, 0)
+
+    # the same summands as below: counts[j] copies of one root
+    sums: dict[tuple[int, int], complex] = {}
+    means = []
+    for j, (pnum, deltas, chars) in enumerate(factors):
+        if j in counts:
+            key = (counts[j], pnum)
+            if key not in sums:
+                sums[key] = complex(np.sum(np.full(counts[j], roots[pnum])))
+            means.append(sums[key] / rows)
+            continue
+        alive = np.ones(rows, dtype=bool)
+        for form, target in deltas.items():
+            alive &= value(form) == target
+        phase = np.full(rows, pnum, dtype=np.int64)
+        for form, chi in chars.items():
+            phase = (phase + char_num[group.index_of(chi), value(form)]) % L
+        means.append(complex(np.sum(roots[phase[alive]])) / rows)
+    return means
+
+
+def omega_expectations(lat: Lattice, group: AbelianGroup, ops) -> list[complex]:
+    """<Ω|op|Ω> for each AffineMap or OpSum in ops, computed from the
+    flat-connection group (see the module docstring); Ω is the plane ground
+    state or the zero-holonomy torus ground vector. All terms of all ops are
+    tested for a shift in F in one face-flux pass, and terms touching the
+    same vertices share one enumeration of their potentials. Raises
+    GroundStateError, before any enumeration, when a term would need more
+    than OMEGA_ROWS_CAP potential rows."""
+    terms = [(i, coeff, m) for i, op in enumerate(ops) for coeff, m in as_opsum(op).terms]
+    in_f = _in_flat_group(lat, group, [m for _, _, m in terms])
+    forms: dict = {}
+    kept = []
+    for (i, coeff, m), ok in zip(terms, in_f):
+        if not ok:
+            continue
+        factors = _gradient_factors(lat, group, m, forms)
         if factors is None:
             continue
         _, deltas, chars = factors
-        vertices = sorted({v for form in (*deltas, *chars) for v, _ in form})
+        vertices = tuple(sorted({v for form in (*deltas, *chars) for v, _ in form}))
         k = max(len(vertices) - 1, 0)
         if group.order**k > OMEGA_ROWS_CAP:
             raise GroundStateError(
                 f"ground-state expectation needs {group.order}^{k} = {group.order**k}"
                 f" vertex-potential rows, above the cap of {OMEGA_ROWS_CAP}"
             )
-        terms.append((coeff, factors, vertices))
-    return complex(sum(c * _potential_mean(group, f, vs) for c, f, vs in terms))
+        kept.append((i, coeff, factors, vertices))
+    by_vertices: dict[tuple, list[int]] = {}
+    for j, (_, _, _, vertices) in enumerate(kept):
+        by_vertices.setdefault(vertices, []).append(j)
+    means: list = [None] * len(kept)
+    for vertices, js in by_vertices.items():
+        for j, mean in zip(js, _potential_means(group, [kept[j][2] for j in js], vertices)):
+            means[j] = mean
+    # each op sums its terms in order, from 0, as the builtin sum would
+    out: list = [0] * len(ops)
+    for (i, coeff, _, _), mean in zip(kept, means):
+        out[i] = out[i] + coeff * mean
+    return [complex(x) for x in out]
 
 
-def omega_distance(lat: Lattice, group: AbelianGroup, f1: AffineMap, f2: AffineMap) -> float:
-    """‖F₁Ω − F₂Ω‖ without Ω: ω(F₁†F₁) + ω(F₂†F₂) − ω(F₁†F₂) − ω(F₂†F₁), in
-    one ``omega_expectation`` call. For ribbon operators each term is a count
+def omega_distances(lat: Lattice, group: AbelianGroup, pairs) -> list[float]:
+    """‖F₁Ω − F₂Ω‖ without Ω for each pair (F₁, F₂) of maps:
+    ω(F₁†F₁) + ω(F₂†F₂) − ω(F₁†F₂) − ω(F₂†F₁), all in one
+    ``omega_expectations`` batch. For ribbon operators each term is a count
     of vertex potentials over their number, so two maps with the same image
     of Ω give exactly 0."""
-    a1, a2 = f1.adjoint(), f2.adjoint()
-    gram = OpSum.weighted(
-        [(1, a1.compose(f1)), (1, a2.compose(f2)), (-1, a1.compose(f2)), (-1, a2.compose(f1))]
-    )
-    return float(np.sqrt(max(omega_expectation(lat, group, gram).real, 0.0)))
+    grams = []
+    for f1, f2 in pairs:
+        a1, a2 = f1.adjoint(), f2.adjoint()
+        grams.append(
+            OpSum.weighted(
+                [(1, a1.compose(f1)), (1, a2.compose(f2)), (-1, a1.compose(f2)), (-1, a2.compose(f1))]
+            )
+        )
+    return [float(np.sqrt(max(v.real, 0.0))) for v in omega_expectations(lat, group, grams)]

@@ -14,7 +14,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -40,11 +40,11 @@ class AbelianGroup:
         if any(n <= 1 for n in self.orders):
             raise GroupError(f"cyclic factors must have order >= 2, got {self.orders}")
 
-    @property
+    @cached_property
     def order(self) -> int:
         return math.prod(self.orders)
 
-    @property
+    @cached_property
     def phase_denominator(self) -> int:
         """lcm of the cyclic orders; every character phase is a multiple of 1/this."""
         return reduce(math.lcm, self.orders, 1)
@@ -77,7 +77,15 @@ class AbelianGroup:
 
     # -- index packing (mixed radix, used by the state layer) ---------------
 
+    @cached_property
+    def _packed(self) -> dict[Element, int]:
+        return {g: i for i, g in enumerate(self.elements())}
+
     def index_of(self, g: Element) -> int:
+        try:
+            return self._packed[g]
+        except (KeyError, TypeError):
+            pass  # unreduced, unhashable or malformed: the checked route
         self._check(g)
         idx = 0
         for a, n in zip(g, self.orders):

@@ -8,9 +8,9 @@ operator phases (for braiding), since products of the unitary ribbon
 operators reduce to a global phase times the identity whenever the theory
 says they should. No charged state is built: detector readings on F Ω are
 ground-state expectations <Ω|F† X F|Ω> / <Ω|F† F|Ω>, computed from the
-flat-connection group by ``omega_expectation`` (fusion, loop-projector
-tables), and the transporter checks compare images of Ω with
-``omega_distance``.
+flat-connection group by ``omega_expectations``, one batch per table
+(fusion, loop projectors), and the transporter checks compare images of Ω
+with ``omega_distances``.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .operators import (
     ribbon_F_irrep,
     star_g,
 )
-from .groundstate import GroundStateError, face_flux, omega_expectation, shift_row
+from .groundstate import GroundStateError, face_fluxes, omega_expectations, shift_rows
 
 
 class SectorLabel(NamedTuple):
@@ -62,35 +62,48 @@ def fuse_labels(group: AbelianGroup, a: SectorLabel, b: SectorLabel) -> SectorLa
 
 
 def omega_charge_moments(
-    lat: Lattice, group: AbelianGroup, s: Site, F: AffineMap
-) -> dict[tuple[Element, Element], complex]:
-    """Charge moments of the state F Ω, without the state:
-    mu(k, d) = <Ω|F† A^k P_d F|Ω> / <Ω|F† F|Ω>, P_d the projector onto face
-    flux d at s. F Ω lies on configurations c + shift(F) with c flat, and every
-    face of the patch is complete, so the flux at s is that of F's shift on
-    all of F Ω: P_d acts as 1 for that d and as 0 for the others."""
-    norm = omega_expectation(lat, group, F.adjoint().compose(F))
-    if norm == 0:
-        raise GroundStateError("the ribbon operator annihilates the ground state")
-    d_f = int(face_flux(lat, group, shift_row(lat, F), s.face)[0])
-    mu: dict[tuple[Element, Element], complex] = {}
-    for k in group.elements():
-        Ak_F = star_g(lat, group, s, k).compose(F)
-        val = omega_expectation(lat, group, F.adjoint().compose(Ak_F)) / norm
-        for d_idx in range(group.order):
-            mu[(k, group.element_at(d_idx))] = val if d_idx == d_f else 0j
-    return mu
+    lat: Lattice, group: AbelianGroup, s: Site, Fs: list[AffineMap]
+) -> list[dict[tuple[Element, Element], complex]]:
+    """Charge moments of each state F Ω, without the state, in one
+    ``omega_expectations`` batch: mu(k, d) = <Ω|F† A^k P_d F|Ω> / <Ω|F† F|Ω>,
+    P_d the projector onto face flux d at s. F Ω lies on configurations
+    c + shift(F) with c flat, and every face of the patch is complete, so the
+    flux at s is that of F's shift on all of F Ω: P_d acts as 1 for that d
+    and as 0 for the others."""
+    elements = group.elements()
+    stars = [star_g(lat, group, s, k) for k in elements]
+    ops = []
+    for F in Fs:
+        Fdag = F.adjoint()
+        ops.append(Fdag.compose(F))
+        ops += [Fdag.compose(A.compose(F)) for A in stars]
+    vals = omega_expectations(lat, group, ops)
+    fluxes = face_fluxes(lat, group, shift_rows(lat, Fs))[:, s.face]
+    out = []
+    for i, d_f in enumerate(fluxes.tolist()):
+        norm, *moments = vals[i * (len(elements) + 1) : (i + 1) * (len(elements) + 1)]
+        if norm == 0:
+            raise GroundStateError("the ribbon operator annihilates the ground state")
+        mu: dict[tuple[Element, Element], complex] = {}
+        for k, val in zip(elements, moments):
+            val = val / norm
+            for d_idx in range(group.order):
+                mu[(k, group.element_at(d_idx))] = val if d_idx == d_f else 0j
+        out.append(mu)
+    return out
 
 
 def _label_from_moments(
     group: AbelianGroup, mu: dict[tuple[Element, Element], complex]
 ) -> Optional[SectorLabel]:
     """The unique label whose charge projector has expectation 1, if any."""
+    t = group.tables()
+    roots, char_num = t["roots"], t["char_num"]
+    elements = group.elements()
     for xi in group.characters():
-        for d in group.elements():
-            val = sum(
-                np.conj(group.char_eval(xi, k)) * mu[(k, d)] for k in group.elements()
-            ) / group.order
+        xi_roots = [roots[char_num[group.index_of(xi), group.index_of(k)]] for k in elements]
+        for d in elements:
+            val = sum(np.conj(r) * mu[(k, d)] for r, k in zip(xi_roots, elements)) / group.order
             if abs(val - 1.0) < 1e-9:
                 return SectorLabel(xi, d)
     return None
@@ -121,14 +134,16 @@ def loop_projector_table(
     projectors = {
         k: loop_charge_projector(lat, group, loop, k.chi, k.c) for k in sector_labels(group)
     }
-    table = {}
+    ops = []
     for label in labels:
         F = as_opsum(ribbon_F_irrep(lat, group, rho, label.chi, label.c))
-        norm = omega_expectation(lat, group, F.adjoint() @ F)
-        table[label] = {
-            k: omega_expectation(lat, group, F.adjoint() @ K @ F) / norm
-            for k, K in projectors.items()
-        }
+        ops.append(F.adjoint() @ F)
+        ops += [F.adjoint() @ K @ F for K in projectors.values()]
+    vals = iter(omega_expectations(lat, group, ops))
+    table = {}
+    for label in labels:
+        norm = next(vals)
+        table[label] = {k: next(vals) / norm for k in projectors}
     return table
 
 
@@ -216,13 +231,9 @@ def fusion_table(
     site (None where no label is definite)."""
     labels = sector_labels(group)
     ops = {l: ribbon_F_irrep(lat, group, rho, l.chi, l.c) for l in labels}
-    return {
-        (a, b): _label_from_moments(
-            group, omega_charge_moments(lat, group, rho.start, ops[a].compose(ops[b]))
-        )
-        for a in labels
-        for b in labels
-    }
+    pairs = [(a, b) for a in labels for b in labels]
+    moments = omega_charge_moments(lat, group, rho.start, [ops[a].compose(ops[b]) for a, b in pairs])
+    return {pair: _label_from_moments(group, mu) for pair, mu in zip(pairs, moments)}
 
 
 # -- braiding ----------------------------------------------------------------------------------

@@ -7,7 +7,10 @@ something the package computes another way:
   ``gram_matrix`` and Gram-Schmidt (``orthonormal_coeffs``), are the
   linear algebra of ``SparseState``, which the package no longer needs;
 - ``ground_space``, ``expectation`` and ``distance`` work on sparse
-  amplitude vectors, for ``omega_expectation`` and ``omega_distance``;
+  amplitude vectors, for ``omega_expectations`` and ``omega_distances``;
+  ``omega_expectation`` and ``omega_distance`` are those batches of one, and
+  ``in_flat_group`` and ``face_flux`` are the one-row flatness test and the
+  per-face flux walk, for ``face_fluxes``;
   ``torus_flat_connections`` lists every flat torus connection, for the
   holonomy count of the groundstate experiment;
 - ``charged_state``, ``charge_moments`` and ``detect_charge`` read charges
@@ -44,8 +47,10 @@ from qdlattice.groundstate import (
     GroundStateError,
     _gradient_configs,
     _torus_cocycle,
-    face_flux,
+    face_fluxes,
     ground_state,
+    omega_distances,
+    omega_expectations,
     torus_holonomies,
 )
 from qdlattice.groups import AbelianGroup, Char, Element
@@ -369,6 +374,38 @@ def ground_space(lat: Lattice, group: AbelianGroup) -> list[SparseState]:
             amps = np.full(len(sel), 1.0 / np.sqrt(len(sel)), dtype=np.complex128)
             out.append(SparseState.from_terms(sel, amps, lat.n_edges, group.order))
     return out
+
+
+def omega_expectation(lat: Lattice, group: AbelianGroup, op) -> complex:
+    """<Ω|op|Ω> for one AffineMap or OpSum: a batch of one."""
+    return omega_expectations(lat, group, [op])[0]
+
+
+def omega_distance(lat: Lattice, group: AbelianGroup, f1: AffineMap, f2: AffineMap) -> float:
+    """‖F₁Ω − F₂Ω‖ for one pair of maps: a batch of one."""
+    return omega_distances(lat, group, [(f1, f2)])[0]
+
+
+def face_flux(lat: Lattice, group: AbelianGroup, configs: np.ndarray, f: int) -> np.ndarray:
+    """Oriented flux index around face f for each configuration row."""
+    t = group.tables()
+    add, neg = t["add"], t["neg"]
+    acc = np.zeros(configs.shape[0], dtype=np.int64)
+    for e, sign in lat.plaq_edges(f):
+        col = configs[:, e].astype(np.int64)
+        acc = add[acc, col if sign > 0 else neg[col]]
+    return acc
+
+
+def in_flat_group(lat: Lattice, group: AbelianGroup, row: np.ndarray) -> bool:
+    """Whether a one-row configuration lies in the group Ω is uniform over:
+    flat, and on the torus also of trivial holonomy."""
+    if face_fluxes(lat, group, row).any():
+        return False
+    if lat.is_torus:
+        hx, hy = torus_holonomies(lat, group, row)
+        return hx[0] == 0 and hy[0] == 0
+    return True
 
 
 def expectation(psi: SparseState, op) -> complex:

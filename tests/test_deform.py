@@ -11,7 +11,7 @@ from qdlattice.deform import (
 )
 from qdlattice.groups import group_make
 from qdlattice.experiments import run_deform
-from qdlattice.groundstate import ground_state, omega_distance, sector_shift
+from qdlattice.groundstate import ground_state, omega_distances, sector_shift
 from qdlattice.lattice import Lattice, Site, parse_lattice, ribbon_between, ribbon_invert
 from qdlattice.operators import (
     AffineMap,
@@ -24,7 +24,7 @@ from qdlattice.operators import (
 )
 from qdlattice.reports import RunConfig
 from qdlattice.sectors import sector_labels, transporter, truncate
-from oracles import distance, ground_space, inner
+from oracles import distance, ground_space, inner, omega_distance
 
 Z2 = group_make([2])
 Z3 = group_make([3])
@@ -230,6 +230,7 @@ def test_omega_distance_matches_materialized_distance(cases, grp, spec):
     ‖u − v‖: exactly 0 where the two images agree, above 0.1 where they are
     known to differ (crossing pairs)."""
     lat = parse_lattice(spec)
+    pairs = []
     for f1, f2, u, v, same in cases(lat, grp):
         d = omega_distance(lat, grp, f1, f2)
         assert abs(d - distance(u, v)) < 1e-12
@@ -237,3 +238,6 @@ def test_omega_distance_matches_materialized_distance(cases, grp, spec):
             assert d == 0.0
         elif same is False:
             assert d > 0.1
+        pairs.append((f1, f2, d))
+    # one batch for all pairs gives every pair's distance exactly
+    assert omega_distances(lat, grp, [(f1, f2) for f1, f2, _ in pairs]) == [d for *_, d in pairs]

@@ -12,14 +12,13 @@ from qdlattice.groundstate import (
     connection_projector,
     count_flat_on_faces,
     edges_of_faces,
-    face_flux,
     face_fluxes,
     flat_connections,
     ground_state,
-    in_flat_group,
     is_flat,
-    omega_expectation,
-    shift_row,
+    omega_distances,
+    omega_expectations,
+    shift_rows,
     torus_holonomies,
 )
 from qdlattice.lattice import (
@@ -43,9 +42,13 @@ from qdlattice.operators import (
 from oracles import (
     distance,
     expectation,
+    face_flux,
     ground_space,
+    in_flat_group,
     inner,
     norm,
+    omega_distance,
+    omega_expectation,
     scaled,
     torus_flat_connections,
 )
@@ -279,11 +282,7 @@ def _any_piece(draw, lat, grp):
     return _flat_piece(draw, lat, grp)
 
 
-@st.composite
-def _opsums(draw, flat_only):
-    spec = draw(st.sampled_from(GROUP_SPECS))
-    lat, grp, omega = _oracle(spec, *draw(st.sampled_from(LATTICES)))
-    piece = _flat_piece if flat_only else _any_piece
+def _draw_opsum(draw, lat, grp, piece):
     terms = []
     for _ in range(draw(st.integers(1, 3))):
         m = AffineMap.identity(grp, lat.n_edges)
@@ -292,7 +291,32 @@ def _opsums(draw, flat_only):
         # the oracle's SparseState prunes amplitudes below 1e-12, so
         # coefficients stay well above that
         terms.append((draw(st.complex_numbers(min_magnitude=0.1, max_magnitude=1)), m))
-    return lat, grp, omega, OpSum.weighted(terms)
+    return OpSum.weighted(terms)
+
+
+@st.composite
+def _opsums(draw, flat_only):
+    spec = draw(st.sampled_from(GROUP_SPECS))
+    lat, grp, omega = _oracle(spec, *draw(st.sampled_from(LATTICES)))
+    piece = _flat_piece if flat_only else _any_piece
+    return lat, grp, omega, _draw_opsum(draw, lat, grp, piece)
+
+
+@st.composite
+def _batches(draw):
+    """Several drawn ops on one oracle lattice, plus a single-edge shift (not
+    flat), a ribbon once around the torus (flat, but it changes a holonomy),
+    an empty OpSum and a repeat, in a drawn order."""
+    spec = draw(st.sampled_from(GROUP_SPECS))
+    lat, grp, omega = _oracle(spec, *draw(st.sampled_from(LATTICES)))
+    ops = [_draw_opsum(draw, lat, grp, _any_piece) for _ in range(draw(st.integers(2, 4)))]
+    g = grp.elements()[1]
+    ops.append(AffineMap(grp, lat.n_edges, shifts=((lat.n_edges - 1, 1),)))
+    if lat.is_torus:
+        ops.append(ribbon_F(lat, grp, _wrap_ribbon(lat, 0), g, grp.identity()))
+    ops += [OpSum(()), ops[0]]
+    order = draw(st.permutations(range(len(ops))))
+    return lat, grp, omega, [ops[i] for i in order]
 
 
 @settings(max_examples=150, deadline=None)
@@ -309,8 +333,21 @@ def test_omega_expectation_matches_oracle_on_flat_shifts(case):
     term takes the enumerated branch."""
     lat, grp, omega, op = case
     for _, m in op.terms:
-        assert in_flat_group(lat, grp, shift_row(lat, m))
+        assert in_flat_group(lat, grp, shift_rows(lat, [m]))
     assert abs(omega_expectation(lat, grp, op) - expectation(omega, op)) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_batches())
+def test_omega_expectations_batch_matches_oracle_and_batch_of_one(case):
+    """A batch gives each op the oracle's value, and exactly the value the
+    op gets alone: grouping terms by vertex set changes no arithmetic."""
+    lat, grp, omega, ops = case
+    got = omega_expectations(lat, grp, ops)
+    assert len(got) == len(ops)
+    for op, val in zip(ops, got):
+        assert abs(val - expectation(omega, op)) < 1e-12
+        assert val == omega_expectation(lat, grp, op)
 
 
 @pytest.mark.parametrize("spec", GROUP_SPECS)
@@ -343,7 +380,7 @@ def test_non_contractible_ribbon_has_zero_expectation(spec, width):
     wrap = _wrap_ribbon(lat, 0)
     assert wrap.is_closed
     m = ribbon_F(lat, grp, wrap, g, grp.identity())
-    row = shift_row(lat, m)
+    row = shift_rows(lat, [m])
     assert is_flat(lat, grp, row)[0]
     assert not in_flat_group(lat, grp, row)
     assert omega_expectation(lat, grp, m) == 0
@@ -361,6 +398,19 @@ def test_omega_expectation_refuses_large_enumerations():
         omega_expectation(lat, Z2, m)
     edge = AffineMap(Z2, lat.n_edges, chars=((one, ((h_edges[0], 1),), 0),))
     assert abs(omega_expectation(lat, Z2, edge)) < 1e-15
+
+
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_omega_expectations_refuse_an_over_cap_op_anywhere_in_a_batch(position):
+    lat = Lattice(7, 7, "plane")
+    one = (1,)
+    h_edges = [e for e in lat.edges() if lat.edge_kind_xy(e)[0] == "h"]
+    big = AffineMap(Z2, lat.n_edges, chars=tuple((one, ((e, 1),), 0) for e in h_edges))
+    edge = AffineMap(Z2, lat.n_edges, chars=((one, ((h_edges[0], 1),), 0),))
+    ops = [edge, OpSum.of(edge, edge)]
+    ops.insert(position, big)
+    with pytest.raises(GroundStateError, match=r"2\^48 = 281474976710656 .* above the cap of 1048576"):
+        omega_expectations(lat, Z2, ops)
 
 
 def test_omega_expectation_of_lone_z2_character_is_exactly_zero():
@@ -453,3 +503,52 @@ def test_groundstate_torus_report_is_reproducible_in_process(grp):
     first, second = (report_json(run_groundstate(RunConfig("groundstate"), grp, lat)) for _ in range(2))
     assert "exact diagonalization cross-check" in first
     assert first == second
+
+
+# -- one batch per check -----------------------------------------------------------------
+
+
+@pytest.fixture
+def batch_calls(monkeypatch):
+    """Counts omega_expectations calls, through every module binding of it."""
+    from qdlattice import duality, experiments, groundstate, sectors
+
+    calls = []
+    original = groundstate.omega_expectations
+
+    def counting(lat, group, ops):
+        calls.append(len(ops))
+        return original(lat, group, ops)
+
+    for mod in (groundstate, experiments, sectors, duality):
+        monkeypatch.setattr(mod, "omega_expectations", counting)
+    return calls
+
+
+def test_split_check_makes_two_batches(batch_calls):
+    from qdlattice.experiments import run_split
+    from qdlattice.reports import RunConfig
+
+    rep = run_split(RunConfig("split-check", lattice="4x4:plane"), Z2, Lattice(4, 4, "plane"))
+    assert rep.all_passed
+    assert 0 < len(batch_calls) <= 2
+
+
+def test_groundstate_makes_at_most_three_batches(batch_calls):
+    from qdlattice.experiments import run_groundstate
+    from qdlattice.reports import RunConfig
+
+    rep = run_groundstate(RunConfig("groundstate"), Z2, Lattice(3, 3, "plane"))
+    assert rep.all_passed
+    assert 0 < len(batch_calls) <= 3
+
+
+def test_fusion_table_makes_no_more_batches_than_labels(batch_calls):
+    from qdlattice.sectors import fusion_table, sector_labels
+
+    lat = Lattice(3, 3, "torus")
+    s0, s1 = (Site(lat.vertex_id(x, x), lat.face_id(x, x)) for x in (1, 2))
+    rho = ribbon_between(s0, s1, lat)
+    table = fusion_table(lat, Z2, rho)
+    assert None not in table.values()
+    assert 0 < len(batch_calls) <= len(sector_labels(Z2))

@@ -9,7 +9,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import assume, given, settings, strategies as st
 
 from qdlattice.groups import group_make
-from qdlattice.groundstate import all_configs, face_flux
+from qdlattice.groundstate import all_configs
 from qdlattice.lattice import Lattice, LatticeError, Ribbon, Site, make_triangle, ribbon_between
 from qdlattice.operators import (
     CONFIG_BYTES_CAP,
@@ -41,6 +41,7 @@ from oracles import (
     basis,
     charge_projector,
     distance,
+    face_flux,
     ground_energy,
     ground_space,
     norm,

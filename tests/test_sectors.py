@@ -236,6 +236,6 @@ def test_omega_charge_moments_match_state_moments(grp, data):
         return
     s = data.draw(st.sampled_from([rho.start, rho.end]), label="site")
     want = charge_moments(lat, grp, s, psi)
-    got = omega_charge_moments(lat, grp, s, F)
+    got = omega_charge_moments(lat, grp, s, [F])[0]
     assert set(got) == set(want)
     assert max(abs(got[key] - want[key]) for key in want) < 1e-12

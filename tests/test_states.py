@@ -27,10 +27,11 @@ def test_apply_keeps_rows_whose_terms_nearly_cancel():
     1/256): where chi reads -i the two terms sum to 1e-10 / 256 = 3.9e-13
     per row, below an absolute 1e-12. Those rows are real amplitude, not
     rounding, and applying the sum as one OpSum must keep them."""
-    from qdlattice.groundstate import ground_state, omega_expectation
+    from qdlattice.groundstate import ground_state
     from qdlattice.groups import group_make
     from qdlattice.lattice import Lattice
     from qdlattice.operators import AffineMap, OpSum
+    from oracles import omega_expectation
 
     group, lat = group_make([4]), Lattice(3, 3, "plane")
     omega = ground_state(lat, group)
