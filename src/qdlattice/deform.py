@@ -24,7 +24,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .groundstate import _torus_cocycle, face_fluxes
+from .groundstate import _torus_cocycle, face_fluxes, shift_rows
 from .groups import AbelianGroup, Element
 from .lattice import Lattice, LatticeError, Ribbon, positive_moves, ribbon_between
 from .operators import ribbon_F
@@ -32,11 +32,7 @@ from .operators import ribbon_F
 
 def shift_pattern(lat: Lattice, group: AbelianGroup, ribbon: Ribbon, h: Element) -> np.ndarray:
     """Configuration row holding the dual-edge shifts of the (h, e) operator."""
-    row = np.zeros((1, lat.n_edges), dtype=np.uint8)
-    m = ribbon_F(lat, group, ribbon, h, group.identity())
-    for e, gi in m.shifts:
-        row[0, e] = gi
-    return row
+    return shift_rows(lat, [ribbon_F(lat, group, ribbon, h, group.identity())])
 
 
 def flux_reading(lat: Lattice, group: AbelianGroup, ribbon: Ribbon, row: np.ndarray) -> Element:

@@ -202,10 +202,6 @@ class ConeSubspace:
         np.add.at(x, (fills, cols), amps * (1 / np.sqrt(self.coset_size)))
         return x
 
-    def coeffs(self, psi: SparseState) -> np.ndarray:
-        """<a tensor w_j | psi> as a (|G|^k, dim W) block."""
-        return self._project(*self._buckets(psi)[:3])
-
     def residual(self, psi: SparseState) -> float:
         """Distance from psi to H_Lambda, summed from psi's rows minus their
         projection rather than as a difference of squared norms. The
@@ -509,8 +505,8 @@ def _max_cone_overlap(lat: Lattice, group: AbelianGroup, region: Region, f: Affi
     rows[:, fill] = t["add"][rows[:, fill], t["neg"][digits]]
     ops = []
     for d in digits[~face_fluxes(lat, group, rows).any(axis=1)]:
-        shifts = list(zip(fill, map(group.element_at, d.tolist())))
-        for chis in itertools.product(group.characters(), repeat=len(edges)):
+        shifts = list(zip(fill, d.tolist()))
+        for chis in itertools.product(range(n), repeat=len(edges)):
             ops.append(_monomial(lat, group, shifts, zip(edges, chis)).adjoint().compose(f))
     return max([0.0] + [abs(v) for v in omega_expectations(lat, group, ops)])
 
@@ -597,10 +593,9 @@ def region_monomials(lat: Lattice, group: AbelianGroup, region: Region) -> list[
             f" monomials is above the cap of {DENSITY_MONOMIAL_CAP}"
         )
     # packed index 0 is the identity, and characters share the elements' indices
-    chars = group.characters()
     indices = list(itertools.product(range(group.order), repeat=len(edges)))
     shifts = [tuple((e, gi) for e, gi in zip(edges, idx) if gi) for idx in indices]
-    phases = [tuple((chars[c], ((e, 1),), 0) for e, c in zip(edges, idx) if c) for idx in indices]
+    phases = [tuple((ci, ((e, 1),), 0) for e, ci in zip(edges, idx) if ci) for idx in indices]
     return [AffineMap(group, lat.n_edges, s, chars=p) for s in shifts for p in phases]
 
 
@@ -679,12 +674,12 @@ def self_adjoint_density_check(subspace: ConeSubspace, monomials: list[AffineMap
 
 
 def _monomial(lat: Lattice, group: AbelianGroup, shifts, chars) -> AffineMap:
-    """Shift by each (edge, element) pair, times each (edge, character)
-    pair's character of the edge value; identity factors are dropped."""
-    e = group.identity()
+    """Shift by each (edge, element index) pair, times each (edge, character
+    index) pair's character of the edge value; identity factors (index 0)
+    are dropped."""
     return AffineMap(
         group,
         lat.n_edges,
-        shifts=tuple((edge, group.index_of(g)) for edge, g in shifts if g != e),
-        chars=tuple((chi, ((edge, 1),), group.index_of(e)) for edge, chi in chars if chi != e),
+        shifts=tuple((edge, gi) for edge, gi in shifts if gi),
+        chars=tuple((ci, ((edge, 1),), 0) for edge, ci in chars if ci),
     )

@@ -901,14 +901,10 @@ def _random_local_op(
     for _ in range(rng.randrange(1, 4)):
         m = AffineMap.identity(group, lat.n_edges)
         for e in rng.sample(edges, min(len(edges), rng.randrange(1, 3))):
-            g = rng.choice(group.elements())
-            chi = rng.choice(group.characters())
-            shifts = ((e, group.index_of(g)),) if g != group.identity() else ()
-            chars = (
-                ((chi, ((e, 1),), group.index_of(group.identity())),)
-                if chi != group.identity()
-                else ()
-            )
+            # packed indices: 0 is the identity, characters share the elements'
+            gi, ci = rng.randrange(group.order), rng.randrange(group.order)
+            shifts = ((e, gi),) if gi else ()
+            chars = ((ci, ((e, 1),), 0),) if ci else ()
             m = AffineMap(group, lat.n_edges, shifts=shifts, chars=chars).compose(m)
         coeff = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         terms.append((coeff, m))

@@ -251,8 +251,8 @@ def _vertex_form(lat: Lattice, group: AbelianGroup, coeffs) -> tuple[tuple[int, 
 def _gradient_factors(lat: Lattice, group: AbelianGroup, m: AffineMap, forms: dict):
     """m's deltas and character phases as functions of the vertex
     potentials: (constant phase numerator, {form: delta target},
-    {form: character}), or None when a constant delta fails. ``forms`` memoizes
-    ``_vertex_form`` by coefficient tuple."""
+    {form: character index}), or None when a constant delta fails. ``forms``
+    memoizes ``_vertex_form`` by coefficient tuple."""
 
     def form_of(coeffs):
         if coeffs not in forms:
@@ -260,25 +260,24 @@ def _gradient_factors(lat: Lattice, group: AbelianGroup, m: AffineMap, forms: di
         return forms[coeffs]
 
     L = group.phase_denominator
-    char_num = group.tables()["char_num"]
-    e_idx = group.index_of(group.identity())
-    pnum = int(m.phase * L) % L
+    add, _, char_num = group.index_tables()
+    pnum = m.phase
     deltas: dict[tuple, int] = {}
     for coeffs, target in m.deltas:
         form = form_of(coeffs)
         if not form:
-            if target != e_idx:
+            if target:
                 return None
         elif deltas.setdefault(form, target) != target:
             return None
-    chars: dict[tuple, tuple] = {}
-    for chi, coeffs, offset in m.chars:
+    chars: dict[tuple, int] = {}
+    for ci, coeffs, offset in m.chars:
         # chi(offset + expr) = chi(offset) chi(expr)
-        pnum = (pnum + int(char_num[group.index_of(chi), offset])) % L
+        pnum = (pnum + char_num[ci][offset]) % L
         form = form_of(coeffs)
         if form:
-            chars[form] = group.char_mul(chars.get(form, group.identity()), chi)
-    chars = {f: chi for f, chi in chars.items() if chi != group.identity()}
+            chars[form] = add[chars.get(form, 0)][ci]
+    chars = {f: ci for f, ci in chars.items() if ci}
     return pnum, deltas, chars
 
 
@@ -296,15 +295,14 @@ def _potential_means(group: AbelianGroup, factors: list, vertices: tuple[int, ..
     n = group.order
     rows = n ** max(len(vertices) - 1, 0)
     idx = np.arange(rows, dtype=np.int64)
-    e_idx = group.index_of(group.identity())
     pots = {v: ((idx // n**k) % n).astype(np.uint16) for k, v in enumerate(vertices[1:])}
     if vertices:
-        pots[vertices[0]] = np.full(rows, e_idx, dtype=np.uint16)
+        pots[vertices[0]] = np.zeros(rows, dtype=np.uint16)
     values: dict[tuple, np.ndarray] = {}
 
     def value(form) -> np.ndarray:
         if form not in values:
-            acc = np.full(rows, e_idx, dtype=np.int64)
+            acc = np.zeros(rows, dtype=np.int64)
             for v, c in form:
                 acc = add[acc, mult[c, pots[v]]]
             values[form] = acc.astype(np.uint8)
@@ -342,8 +340,8 @@ def _potential_means(group: AbelianGroup, factors: list, vertices: tuple[int, ..
         for form, target in deltas.items():
             alive &= value(form) == target
         phase = np.full(rows, pnum, dtype=np.int64)
-        for form, chi in chars.items():
-            phase = (phase + char_num[group.index_of(chi), value(form)]) % L
+        for form, ci in chars.items():
+            phase = (phase + char_num[ci, value(form)]) % L
         means.append(complex(np.sum(roots[phase[alive]])) / rows)
     return means
 

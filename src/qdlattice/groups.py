@@ -4,7 +4,9 @@ Elements and characters are both plain tuples of residues, one per cyclic
 factor. A character ``chi`` evaluates as ``exp(2*pi*i * sum_j chi_j g_j / n_j)``;
 the exponent is kept as an exact fraction of a full turn so that phase
 comparisons are bit-reproducible, and converted to a complex double only on
-demand.
+demand. This is the only module that sees a phase as a fraction: the rest of
+the package works on packed indices (elements and characters alike) and on
+integer phase numerators mod ``phase_denominator``, through ``tables()``.
 """
 
 from __future__ import annotations

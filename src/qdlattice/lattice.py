@@ -626,9 +626,6 @@ class Region:
             if not (set(self.lattice.edge_endpoints(e)) & touched)
         )
 
-    def boundary_edges(self) -> frozenset[int]:
-        return frozenset(self.lattice.edges()) - self.edges - self.interior_complement_edges()
-
     # -- site membership ------------------------------------------------------
 
     def site_in(self, s: Site) -> bool:
@@ -691,18 +688,6 @@ def cone_make(
         if not (trim_rim and lat.is_rim(e)):
             edges.append(e)
     return Region(lat, frozenset(edges))
-
-
-def boundary(region: Region) -> frozenset[int]:
-    return region.boundary_edges()
-
-
-def site_in(region: Region, s: Site) -> bool:
-    return region.site_in(s)
-
-
-def site_on_boundary(region: Region, s: Site) -> bool:
-    return region.site_on_boundary(s)
 
 
 # -- closed loops ------------------------------------------------------------------

@@ -7,7 +7,12 @@ composition and adjoints, so they get one exact normal form, ``AffineMap``:
 * a group shift per touched edge (the dual-triangle action),
 * affine delta constraints (the direct-triangle flux projections),
 * character phases evaluated on affine flux expressions,
-* one global phase, an exact fraction of a turn.
+* one global phase.
+
+Every field is a packed index or an integer: characters are packed indices
+like elements (the dual group shares the presentation), and phases are
+numerators mod the group's ``phase_denominator`` L, read through the
+group's ``char_num`` and ``roots`` tables.
 
 Sums with scalar coefficients (projectors, Hamiltonians) are ``OpSum``.
 Operators are applied to sparse states directly, or read row by row from
@@ -23,7 +28,6 @@ there and not with the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
@@ -60,8 +64,8 @@ class AffineMap:
     n_edges: int
     shifts: tuple[tuple[int, int], ...] = ()  # (edge, group index), sorted by edge
     deltas: tuple[tuple[Coeffs, int], ...] = ()  # (affine flux expression, target index)
-    chars: tuple[tuple[Char, Coeffs, int], ...] = ()  # chi evaluated at offset + flux expr
-    phase: Fraction = Fraction(0)  # global phase in turns
+    chars: tuple[tuple[int, Coeffs, int], ...] = ()  # (character index, flux expr, offset index)
+    phase: int = 0  # global phase numerator mod group.phase_denominator
 
     # -- constructors ---------------------------------------------------------
 
@@ -111,15 +115,15 @@ class AffineMap:
         for coeffs, target in self.deltas:
             new_deltas.append((coeffs, add[target][neg[first._fold_shift(coeffs)]]))
         new_chars = list(first.chars)
-        for chi, coeffs, offset in self.chars:
-            new_chars.append((chi, coeffs, add[offset][first._fold_shift(coeffs)]))
+        for ci, coeffs, offset in self.chars:
+            new_chars.append((ci, coeffs, add[offset][first._fold_shift(coeffs)]))
         return AffineMap(
             g,
             self.n_edges,
             new_shifts,
             tuple(new_deltas),
             tuple(new_chars),
-            (self.phase + first.phase) % 1,
+            (self.phase + first.phase) % g.phase_denominator,
         )
 
     def adjoint(self) -> "AffineMap":
@@ -131,10 +135,12 @@ class AffineMap:
             (coeffs, add[target][neg[undo._fold_shift(coeffs)]]) for coeffs, target in self.deltas
         )
         new_chars = tuple(
-            (g.char_conj(chi), coeffs, add[offset][undo._fold_shift(coeffs)])
-            for chi, coeffs, offset in self.chars
+            (neg[ci], coeffs, add[offset][undo._fold_shift(coeffs)])
+            for ci, coeffs, offset in self.chars
         )
-        return AffineMap(g, self.n_edges, inv_shifts, new_deltas, new_chars, (-self.phase) % 1)
+        return AffineMap(
+            g, self.n_edges, inv_shifts, new_deltas, new_chars, -self.phase % g.phase_denominator
+        )
 
     # -- evaluation ----------------------------------------------------------------
 
@@ -154,21 +160,20 @@ class AffineMap:
         add, neg, char_num = t["add"], t["neg"], t["char_num"]
         n = configs.shape[0]
         alive = np.ones(n, dtype=bool)
-        e_id = self.group.index_of(self.group.identity())
         for coeffs, target in self.deltas:
-            acc = np.full(n, e_id, dtype=np.int64)
+            acc = np.zeros(n, dtype=np.int64)
             for e, sign in coeffs:
                 col = configs[:, e].astype(np.int64)
                 acc = add[acc, col if sign > 0 else neg[col]]
             alive &= acc == target
         L = self.group.phase_denominator
-        pnum = np.full(n, int(self.phase * L) % L, dtype=np.int64)
-        for chi, coeffs, offset in self.chars:
+        pnum = np.full(n, self.phase, dtype=np.int64)
+        for ci, coeffs, offset in self.chars:
             acc = np.full(n, offset, dtype=np.int64)
             for e, sign in coeffs:
                 col = configs[:, e].astype(np.int64)
                 acc = add[acc, col if sign > 0 else neg[col]]
-            pnum = (pnum + char_num[self.group.index_of(chi), acc]) % L
+            pnum = (pnum + char_num[ci, acc]) % L
         return alive, pnum
 
 
@@ -273,23 +278,21 @@ def canonical(m: AffineMap) -> Optional[AffineMap]:
 
     # each character's constant part goes into the global phase, leaving chi
     # evaluated at the bare expression
-    pnum = 0
+    pnum = m.phase
     char_map: dict[Coeffs, int] = {}
-    for chi, coeffs, offset in m.chars:
-        ci = g.index_of(chi)
+    for ci, coeffs, offset in m.chars:
         pnum += char_num[ci][offset]
         cs, flipped = norm_expr(coeffs)
         if cs:
             char_map[cs] = add[char_map.get(cs, 0)][neg[ci] if flipped else ci]
-    chars = tuple(sorted((g.element_at(ci), cs, 0) for cs, ci in char_map.items() if ci))
-    phase = (m.phase + Fraction(pnum, g.phase_denominator)) % 1 if m.chars else m.phase
+    chars = tuple(sorted((ci, cs, 0) for cs, ci in char_map.items() if ci))
     return AffineMap(
         g,
         m.n_edges,
         tuple(sorted(m.shifts)),
         tuple(sorted(delta_map.items())),
         chars,
-        phase,
+        pnum % g.phase_denominator,
     )
 
 
@@ -377,7 +380,6 @@ def ops_equal(a, b, n_edges: int) -> float:
     if not terms:
         return 0.0
     group = terms[0][2].group
-    e_id = group.index_of(group.identity())
     diagonal = set().union(*(m.diagonal_edges() for _, _, m in terms))
     configs = _enumerate_configs(sorted(diagonal), n_edges, group.order)
     roots = group.tables()["roots"]
@@ -386,7 +388,7 @@ def ops_equal(a, b, n_edges: int) -> float:
     buckets: dict[tuple, list] = {}
     for side, coeff, m in terms:
         alive, pnum = m.diagonal(configs)
-        shift = tuple(sorted((e, gi) for e, gi in m.shifts if gi != e_id))
+        shift = tuple(sorted((e, gi) for e, gi in m.shifts if gi))
         sums = buckets.setdefault(shift, [0.0, 0.0])
         sums[side] = sums[side] + np.where(alive, roots[pnum] * coeff, 0.0)
     return max(float(np.max(np.abs(np.subtract(*sums)))) for sums in buckets.values())
@@ -434,10 +436,10 @@ def ribbon_F_irrep(
     if ribbon.is_trivial:
         raise OperatorError("irrep ribbon operators need a nonempty ribbon")
     flux, duals = _ribbon_parts(lat, ribbon)
-    shifts = _dual_shifts(group, duals, group.index_tables()[1][group.index_of(c)])
-    chars = ()
-    if chi != group.identity():
-        chars = ((group.char_conj(chi), flux, 0),)
+    neg = group.index_tables()[1]
+    shifts = _dual_shifts(group, duals, neg[group.index_of(c)])
+    ci = group.index_of(chi)
+    chars = ((neg[ci], flux, 0),) if ci else ()
     return AffineMap(group, lat.n_edges, shifts, (), chars)
 
 

@@ -16,12 +16,11 @@ with ``omega_distances``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .groups import AbelianGroup, Char, Element, phase_to_complex
+from .groups import AbelianGroup, Char, Element
 from .lattice import (
     Lattice,
     LatticeError,
@@ -248,8 +247,9 @@ def crossing_pair(lat: Lattice, x: int, y: int, steps: int = 2) -> tuple[Ribbon,
     return rho, sigma
 
 
-def phase_of_map(m: AffineMap) -> Optional[Fraction]:
-    """The exact phase when the map is a scalar multiple of the identity."""
+def phase_of_map(m: AffineMap) -> Optional[int]:
+    """The exact phase numerator when the map is a scalar multiple of the
+    identity."""
     cm = canonical(m)
     if cm is None or cm.shifts or cm.deltas or cm.chars:
         return None
@@ -279,7 +279,8 @@ def braiding_phase(
         raise OperatorError("crossing operators unexpectedly annihilate")
     if (ca.shifts, ca.deltas, ca.chars) != (cb.shifts, cb.deltas, cb.chars):
         raise OperatorError("crossing products differ by more than a phase")
-    return phase_to_complex((ca.phase - cb.phase) % 1)
+    roots = group.tables()["roots"]
+    return complex(roots[(ca.phase - cb.phase) % group.phase_denominator])
 
 
 # -- S matrix ------------------------------------------------------------------------------------
@@ -367,8 +368,8 @@ def _exchange_phase(
     connector: Ribbon,
     spectator_label: SectorLabel,
     spectator: Ribbon,
-) -> Fraction:
-    """Phase of V* alpha(V) where V transports the mover charge along the
+) -> int:
+    """Phase numerator of V* alpha(V) where V transports the mover charge along the
     connector and alpha conjugates by the spectator's ribbon operator."""
     V = ribbon_F_irrep(lat, group, mover_hat, mover_label.chi, mover_label.c).compose(
         ribbon_F_irrep(
@@ -404,7 +405,8 @@ def s_matrix_entry(
     eps_ba = _exchange_phase(
         lat, group, label1, geom.rho1, geom.rho1_hat, geom.kappa1, label2, geom.rho2
     )
-    return phase_to_complex((eps_ab + eps_ba) % 1)
+    roots = group.tables()["roots"]
+    return complex(roots[(eps_ab + eps_ba) % group.phase_denominator])
 
 
 def s_matrix_formula(group: AbelianGroup, label1: SectorLabel, label2: SectorLabel) -> complex:

@@ -22,9 +22,13 @@ something the package computes another way:
   ``ribbon_F``;
 - ``triangle_is_positive`` and ``loop_encloses`` read orientations and
   windings from coordinates, for the move tables and ``closed_loop_around``;
+  ``boundary_edges`` is the gap between a region and its interior
+  complement, for the region tests;
 - ``orthonormalize`` is plain Gram-Schmidt, for ``cone_subspace``;
 - ``closure_rank`` grows the ribbon closure from materialized states with a
   pivoted Cholesky on their Gram matrix, for ``ribbon_closure_rank``;
+- ``cone_coeffs`` reads a state's block coordinates with
+  ``ConeSubspace``'s own key lookup, for the coordinate tests;
 - ``density_ranks_by_svd`` takes the density check's ranks from a real SVD
   of both families in block coordinates (``region_images``, whose S_M C
   reads ``ConeSubspace.region_action``, and
@@ -273,6 +277,12 @@ def label_ops(lat: Lattice, group: AbelianGroup, ribbons: Iterable[Ribbon]) -> l
     ]
 
 
+def cone_coeffs(subspace: ConeSubspace, psi: SparseState) -> np.ndarray:
+    """<a tensor w_j | psi> as a (|G|^k, dim W) block: the projection
+    step of ``ConeSubspace.residual`` on its own."""
+    return subspace._project(*subspace._buckets(psi)[:3])
+
+
 def region_images(subspace: ConeSubspace, op) -> tuple[np.ndarray, np.ndarray]:
     """Coordinates S_M C and S_M^dagger C of op Omega and op^dagger Omega,
     for an operator on the region's edges."""
@@ -512,6 +522,12 @@ def detect_charge(
 
 
 # -- lattice geometry ----------------------------------------------------------------
+
+
+def boundary_edges(region: Region) -> frozenset[int]:
+    """Edges neither in the region nor in its interior complement."""
+    lat = region.lattice
+    return frozenset(lat.edges()) - region.edges - region.interior_complement_edges()
 
 
 def triangle_is_positive(lat: Lattice, tri: Triangle) -> bool:

@@ -253,7 +253,8 @@ def _flat_piece(draw, lat, grp):
     if kind == "delta":
         return AffineMap(grp, lat.n_edges, deltas=((((e, 1),), grp.index_of(g)),))
     chi = draw(st.sampled_from(chars))
-    return AffineMap(grp, lat.n_edges, chars=((chi, ((e, draw(st.sampled_from([1, -1]))),), grp.index_of(g)),))
+    sign = draw(st.sampled_from([1, -1]))
+    return AffineMap(grp, lat.n_edges, chars=((grp.index_of(chi), ((e, sign),), grp.index_of(g)),))
 
 
 def _any_piece(draw, lat, grp):
@@ -358,7 +359,8 @@ def test_omega_expectation_nonzero_values(spec):
     s = Site(lat.vertex_id(1, 1), lat.face_id(1, 1))
     delta = AffineMap(grp, lat.n_edges, deltas=((((e, 1),), grp.index_of(g)),))
     chi = grp.characters()[1]
-    both = AffineMap(grp, lat.n_edges, deltas=delta.deltas, chars=((chi, ((e, 1),), 0),))
+    chars = ((grp.index_of(chi), ((e, 1),), 0),)
+    both = AffineMap(grp, lat.n_edges, deltas=delta.deltas, chars=chars)
     cases = [
         (star_g(lat, grp, s, g), 1.0),
         (delta, 1.0 / grp.order),
@@ -391,22 +393,20 @@ def test_omega_expectation_refuses_large_enumerations():
     """A character on every horizontal edge of a 7x7 patch touches all 49
     vertices: 2^48 rows are refused before anything is allocated."""
     lat = Lattice(7, 7, "plane")
-    one = (1,)
     h_edges = [e for e in lat.edges() if lat.edge_kind_xy(e)[0] == "h"]
-    m = AffineMap(Z2, lat.n_edges, chars=tuple((one, ((e, 1),), 0) for e in h_edges))
+    m = AffineMap(Z2, lat.n_edges, chars=tuple((1, ((e, 1),), 0) for e in h_edges))
     with pytest.raises(GroundStateError, match=r"2\^48 = 281474976710656 .* above the cap of 1048576"):
         omega_expectation(lat, Z2, m)
-    edge = AffineMap(Z2, lat.n_edges, chars=((one, ((h_edges[0], 1),), 0),))
+    edge = AffineMap(Z2, lat.n_edges, chars=((1, ((h_edges[0], 1),), 0),))
     assert abs(omega_expectation(lat, Z2, edge)) < 1e-15
 
 
 @pytest.mark.parametrize("position", [0, 1, 2])
 def test_omega_expectations_refuse_an_over_cap_op_anywhere_in_a_batch(position):
     lat = Lattice(7, 7, "plane")
-    one = (1,)
     h_edges = [e for e in lat.edges() if lat.edge_kind_xy(e)[0] == "h"]
-    big = AffineMap(Z2, lat.n_edges, chars=tuple((one, ((e, 1),), 0) for e in h_edges))
-    edge = AffineMap(Z2, lat.n_edges, chars=((one, ((h_edges[0], 1),), 0),))
+    big = AffineMap(Z2, lat.n_edges, chars=tuple((1, ((e, 1),), 0) for e in h_edges))
+    edge = AffineMap(Z2, lat.n_edges, chars=((1, ((h_edges[0], 1),), 0),))
     ops = [edge, OpSum.of(edge, edge)]
     ops.insert(position, big)
     with pytest.raises(GroundStateError, match=r"2\^48 = 281474976710656 .* above the cap of 1048576"):
@@ -416,7 +416,7 @@ def test_omega_expectations_refuse_an_over_cap_op_anywhere_in_a_batch(position):
 def test_omega_expectation_of_lone_z2_character_is_exactly_zero():
     lat = Lattice(3, 3, "plane")
     for e in lat.edges():
-        m = AffineMap(Z2, lat.n_edges, chars=(((1,), ((e, 1),), 0),))
+        m = AffineMap(Z2, lat.n_edges, chars=((1, ((e, 1),), 0),))
         assert omega_expectation(lat, Z2, m) == 0
 
 

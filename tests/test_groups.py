@@ -1,10 +1,11 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qdlattice.groups import GroupError, format_group, group_make, parse_group
+from qdlattice.groups import GroupError, format_group, group_make, parse_group, phase_to_complex
 
 
 def test_group_make_orders():
@@ -108,6 +109,18 @@ def test_roots_exact_at_quarter_turns():
     assert group_make([2]).tables()["roots"].tolist() == [1, -1]
     assert group_make([4]).tables()["roots"].tolist() == [1, 1j, -1, -1j]
     assert group_make([2]).tables()["roots"].imag.tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("orders", [[2], [3], [4], [2, 2], [2, 3], [2, 4]])
+def test_roots_are_phase_to_complex_bit_for_bit(orders):
+    """Every module reads phases as numerators k mod L through ``roots``:
+    its entries must be exactly the exact-fraction values."""
+    grp = group_make(orders)
+    L = grp.phase_denominator
+    roots = grp.tables()["roots"]
+    assert len(roots) == L
+    for k in range(L):
+        assert roots[k].tobytes() == np.complex128(phase_to_complex(Fraction(k, L))).tobytes()
 
 
 def test_parse_group_rejects_orders_beyond_uint8():

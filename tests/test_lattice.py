@@ -25,7 +25,7 @@ from qdlattice.lattice import (
     straight_ribbon,
 )
 
-from oracles import loop_encloses, triangle_is_positive
+from oracles import boundary_edges, loop_encloses, triangle_is_positive
 
 
 def test_edge_face_counts():
@@ -201,7 +201,7 @@ def test_closed_loop():
 def test_region_boundary_gap():
     lat = Lattice(4, 4, "plane")
     cone = cone_make((1, 1), ["N", "E"], lat)
-    boundary = cone.boundary_edges()
+    boundary = boundary_edges(cone)
     interior = cone.interior_complement_edges()
     assert not (boundary & cone.edges)
     assert not (boundary & interior)

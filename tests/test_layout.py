@@ -1,10 +1,16 @@
-"""Every definition in the package has a caller in the package.
+"""Package layout rules, checked on src/qdlattice/*.py with ast.
 
-Walks src/qdlattice/*.py with ast: each top-level function or class, and
-each public method, must be referenced by name (an ast.Name or the attribute
-of an ast.Attribute, so docstrings and comments do not count) from package
-code outside its own definition and outside __init__.py. Code that only the
-tests call belongs in tests/oracles.py or nowhere.
+Every definition in the package has a caller in the package, outside its own
+definition and outside __init__.py. A top-level function or class counts as
+called only where it is loaded by name (a load-context ast.Name): in its own
+module, or in a module that imports it from there. A public method of a
+top-level class counts as called wherever its name is referenced, as an
+ast.Name or as the attribute of an ast.Attribute. Docstrings and comments do
+not count. Code that only the tests call belongs in tests/oracles.py or
+nowhere.
+
+Only groups.py imports ``fractions``: a phase is a fraction of a turn there
+and an integer numerator everywhere else.
 """
 
 import ast
@@ -14,41 +20,87 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qdlattice"
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
+def _modules(with_init=False):
+    return {
+        path.name: ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(PACKAGE.glob("*.py"))
+        if with_init or path.name != "__init__.py"
+    }
+
+
 def _definitions(tree):
-    """(qualified name, referenced name, first line, last line) of the
-    top-level definitions and the public methods of top-level classes."""
+    """(qualified name, referenced name, first line, last line, is method)
+    of the top-level definitions and the public methods of top-level
+    classes."""
     for node in tree.body:
         if not isinstance(node, DEFS):
             continue
-        yield node.name, node.name, node.lineno, node.end_lineno
+        yield node.name, node.name, node.lineno, node.end_lineno, False
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, DEFS) and not item.name.startswith("_"):
-                    yield f"{node.name}.{item.name}", item.name, item.lineno, item.end_lineno
+                    yield f"{node.name}.{item.name}", item.name, item.lineno, item.end_lineno, True
 
 
-def _references(tree):
+def _source_module(node):
+    """The package module an ``from ... import`` reads from, or None."""
+    if node.level == 1:
+        return node.module
+    if node.level == 0 and node.module and node.module.startswith("qdlattice."):
+        return node.module.removeprefix("qdlattice.")
+    return None
+
+
+def _scan(tree):
+    """(load-context names, attribute and name references, imports) of one
+    module: name -> lines, name -> lines, and (source module, name) -> local
+    aliases of every package import."""
+    loads: dict[str, list] = {}
+    refs: dict[str, list] = {}
+    imports: dict[tuple, set] = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+            refs.setdefault(node.id, []).append(node.lineno)
+            if isinstance(node.ctx, ast.Load):
+                loads.setdefault(node.id, []).append(node.lineno)
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            refs.setdefault(node.attr, []).append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and _source_module(node):
+            for alias in node.names:
+                key = (_source_module(node), alias.name)
+                imports.setdefault(key, set()).add(alias.asname or alias.name)
+    return loads, refs, imports
 
 
 def test_every_definition_has_a_package_caller():
-    modules = {
-        path.name: ast.parse(path.read_text(), filename=str(path))
-        for path in sorted(PACKAGE.glob("*.py"))
-        if path.name != "__init__.py"
-    }
-    refs: dict[str, set] = {}
-    for module, tree in modules.items():
-        for name, line in _references(tree):
-            refs.setdefault(name, set()).add((module, line))
+    modules = _modules()
+    scans = {module: _scan(tree) for module, tree in modules.items()}
     unused = []
     for module, tree in modules.items():
-        for qualname, name, first, last in _definitions(tree):
-            outside = (m != module or not first <= line <= last for m, line in refs.get(name, ()))
-            if not any(outside):
+        stem = module.removesuffix(".py")
+        for qualname, name, first, last, is_method in _definitions(tree):
+            calls = []
+            for other, (loads, refs, imports) in scans.items():
+                if is_method:
+                    calls += [(other, line) for line in refs.get(name, ())]
+                    continue
+                aliases = {name} if other == module else imports.get((stem, name), set())
+                calls += [(other, line) for alias in aliases for line in loads.get(alias, ())]
+            if all(m == module and first <= line <= last for m, line in calls):
                 unused.append(f"{module}:{qualname}")
     assert not unused, f"defined in src/qdlattice but called only from outside it: {unused}"
+
+
+def test_only_groups_imports_fractions():
+    importers = []
+    for module, tree in _modules(with_init=True).items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            if any(n.split(".")[0] == "fractions" for n in names) and module != "groups.py":
+                importers.append(f"{module}:{node.lineno}")
+    assert not importers, f"only groups.py may import fractions: {importers}"

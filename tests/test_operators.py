@@ -452,6 +452,23 @@ ALGEBRA_GROUPS = [group_make(dims) for dims in ([2], [3], [4], [2, 2], [2, 4])]
 ALGEBRA_EDGES = 6
 
 
+def _ref_parts(m):
+    """m's characters as element tuples and its phase as a Fraction of a
+    turn: the reference's format, converted from AffineMap's only here."""
+    g = m.group
+    chars = [(g.element_at(ci), coeffs, offset) for ci, coeffs, offset in m.chars]
+    return chars, Fraction(m.phase, g.phase_denominator)
+
+
+def _ref_map(g, n_edges, shifts, deltas, chars, phase):
+    """An AffineMap from the reference's format: character tuples and a
+    phase in turns, which must be a whole number of 1/L turns."""
+    L = g.phase_denominator
+    assert (phase * L).denominator == 1
+    packed = tuple((g.index_of(chi), coeffs, offset) for chi, coeffs, offset in chars)
+    return AffineMap(g, n_edges, shifts, deltas, packed, int(phase * L) % L)
+
+
 def _ref_fold_shift(m, coeffs):
     """Element sum of sign*shift(edge), in element tuples."""
     g = m.group
@@ -473,12 +490,14 @@ def _ref_compose(a, first):
     for coeffs, target in a.deltas:
         adj = _ref_fold_shift(first, coeffs)
         new_deltas.append((coeffs, g.index_of(g.mul(g.element_at(target), g.inv(adj)))))
-    new_chars = list(first.chars)
-    for chi, coeffs, offset in a.chars:
+    a_chars, a_phase = _ref_parts(a)
+    first_chars, first_phase = _ref_parts(first)
+    new_chars = list(first_chars)
+    for chi, coeffs, offset in a_chars:
         adj = _ref_fold_shift(first, coeffs)
         new_chars.append((chi, coeffs, g.index_of(g.mul(g.element_at(offset), adj))))
-    return AffineMap(
-        g, a.n_edges, new_shifts, tuple(new_deltas), tuple(new_chars), (a.phase + first.phase) % 1
+    return _ref_map(
+        g, a.n_edges, new_shifts, tuple(new_deltas), new_chars, (a_phase + first_phase) % 1
     )
 
 
@@ -490,11 +509,12 @@ def _ref_adjoint(m):
         (coeffs, g.index_of(g.mul(g.element_at(target), g.inv(_ref_fold_shift(undo, coeffs)))))
         for coeffs, target in m.deltas
     )
-    new_chars = tuple(
+    chars, phase = _ref_parts(m)
+    new_chars = [
         (g.char_conj(chi), coeffs, g.index_of(g.mul(g.element_at(offset), _ref_fold_shift(undo, coeffs))))
-        for chi, coeffs, offset in m.chars
-    )
-    return AffineMap(g, m.n_edges, inv_shifts, new_deltas, new_chars, (-m.phase) % 1)
+        for chi, coeffs, offset in chars
+    ]
+    return _ref_map(g, m.n_edges, inv_shifts, new_deltas, new_chars, (-phase) % 1)
 
 
 def _ref_canonical(m):
@@ -518,17 +538,17 @@ def _ref_canonical(m):
         if cs in delta_map and delta_map[cs] != t:
             return None
         delta_map[cs] = t
-    phase = m.phase
+    chars, phase = _ref_parts(m)
     char_map = {}
-    for chi, coeffs, offset in m.chars:
+    for chi, coeffs, offset in chars:
         phase = (phase + g.char_phase(chi, g.element_at(offset))) % 1
         cs, flipped = norm_expr(coeffs)
         ch = g.char_conj(chi) if flipped else chi
         if not cs:
             continue
         char_map[cs] = g.char_mul(char_map.get(cs, g.identity()), ch)
-    chars = tuple(sorted((ch, cs, e_idx) for cs, ch in char_map.items() if ch != g.identity()))
-    return AffineMap(
+    chars = sorted((ch, cs, e_idx) for cs, ch in char_map.items() if ch != g.identity())
+    return _ref_map(
         g, m.n_edges, tuple(sorted(m.shifts)), tuple(sorted(delta_map.items())), chars, phase
     )
 
@@ -543,12 +563,9 @@ def _affine_map(draw, grp):
     edges = draw(st.lists(st.integers(0, ALGEBRA_EDGES - 1), unique=True, max_size=4))
     shifts = tuple(sorted((e, draw(index)) for e in edges))
     deltas = tuple((_expr(draw), draw(index)) for _ in range(draw(st.integers(0, 3))))
-    chars = tuple(
-        (draw(st.sampled_from(grp.characters())), _expr(draw), draw(index))
-        for _ in range(draw(st.integers(0, 3)))
-    )
-    L = grp.phase_denominator
-    phase = Fraction(draw(st.integers(0, L - 1)), L)
+    # characters are packed indices like elements; the phase is a numerator mod L
+    chars = tuple((draw(index), _expr(draw), draw(index)) for _ in range(draw(st.integers(0, 3))))
+    phase = draw(st.integers(0, grp.phase_denominator - 1))
     return AffineMap(grp, ALGEBRA_EDGES, shifts, deltas, chars, phase)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qdlattice.groups import group_make
+from qdlattice.groups import group_make, phase_to_complex
 from qdlattice.groundstate import ground_state
 from qdlattice.lattice import Lattice, LatticeError, Site, ribbon_between
 from qdlattice.operators import OpSum, as_opsum, hamiltonian, ribbon_F, ribbon_F_irrep
@@ -153,6 +153,20 @@ def test_braiding_phase_formula(orders):
         lam = braiding_phase(lat, grp, l1, l2)
         pred = grp.char_eval(l1.chi, l2.c) * grp.char_eval(l2.chi, l1.c)
         assert abs(lam - pred) < 1e-10
+
+
+@pytest.mark.parametrize("orders", [[4], [2, 2]])
+def test_braiding_and_s_matrix_are_exact_turns(orders):
+    """Both scalars equal phase_to_complex of the exact formula phase, with
+    no tolerance: the quarter turns come out as exact 1, i, -1, -i."""
+    grp = group_make(orders)
+    lat = Lattice(7, 7, "plane")
+    geom = smatrix_geometry(lat)
+    for l1, l2 in itertools.product(sector_labels(grp), repeat=2):
+        # chi1(c2) chi2(c1) as an exact fraction of a turn
+        turns = (grp.char_phase(l1.chi, l2.c) + grp.char_phase(l2.chi, l1.c)) % 1
+        assert braiding_phase(lat, grp, l1, l2) == phase_to_complex(turns)
+        assert s_matrix_entry(lat, grp, l1, l2, geom) == phase_to_complex(-turns)
 
 
 def test_braiding_phase_z2_mutual_statistics():
