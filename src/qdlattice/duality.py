@@ -79,19 +79,26 @@ ribbon states of the membership check.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .groundstate import OMEGA_ROWS_CAP, face_fluxes, omega_expectations, shift_rows
-from .groups import AbelianGroup
+from .groups import AbelianGroup, codes, digit_rows
 from .lattice import Lattice, LatticeError, Region, Ribbon, Site, Triangle, positive_moves
-from .operators import AffineMap, OperatorError, as_opsum, canonical, ribbon_F_irrep
+from .operators import (
+    AffineMap,
+    OperatorError,
+    _enumerate_configs,
+    as_opsum,
+    canonical,
+    ribbon_F_irrep,
+)
 from .reports import Check
+from .sectors import sector_labels
 from .states import SparseState
 
 SUBSPACE_TOL = 1e-9
@@ -136,23 +143,7 @@ def ribbons_in_region(lat: Lattice, region: Region, max_len: int) -> list[Ribbon
     return out
 
 
-def _nontrivial_labels(group: AbelianGroup) -> list[tuple]:
-    e = group.identity()
-    return [
-        (chi, c) for chi in group.characters() for c in group.elements() if (chi, c) != (e, e)
-    ]
-
-
 # -- the cone subspace in factorized coordinates -------------------------------------
-
-
-def _codes(configs: np.ndarray, edges: Sequence[int], radix: int) -> np.ndarray:
-    """Mixed-radix integer of each row's values on `edges`, the first edge
-    most significant (``support_matrix``'s index order)."""
-    out = np.zeros(len(configs), dtype=np.int64)
-    for e in edges:
-        out = out * radix + configs[:, e]
-    return out
 
 
 def _fill_edges(lat: Lattice, region: Region) -> list[int]:
@@ -187,10 +178,10 @@ class ConeSubspace:
         (region index, key) order, and the squared norm of psi's rows off
         those keys."""
         radix = self.group.order
-        keys = _codes(psi.configs, self.ext_edges, radix)
+        keys = codes(psi.configs, self.ext_edges, radix)
         pos = np.minimum(np.searchsorted(self.ext_keys, keys), len(self.ext_keys) - 1)
         hit = self.ext_keys[pos] == keys
-        fills, pos = _codes(psi.configs[hit], self.fill_edges, radix), pos[hit]
+        fills, pos = codes(psi.configs[hit], self.fill_edges, radix), pos[hit]
         order = np.lexsort((pos, fills))
         off = float(np.sum(np.abs(psi.amps[~hit]) ** 2))
         return fills[order], self.key_cols[pos[order]], psi.amps[hit][order], off
@@ -225,8 +216,7 @@ class ConeSubspace:
         rows, inverse = np.unique(self.region_rows.ravel(), return_inverse=True)
         radix, edges = self.group.order, sorted(self.region.edges)
         configs = np.zeros((len(rows), self.lat.n_edges), dtype=np.uint8)
-        for pos, e in enumerate(edges):
-            configs[:, e] = rows // radix ** (len(edges) - 1 - pos) % radix
+        configs[:, edges] = digit_rows(radix, len(edges))[rows]
         return configs, inverse
 
     def region_action(self, op) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -250,7 +240,7 @@ class ConeSubspace:
         out = []
         for coeff, m in opsum.terms:
             alive, pnum, shifted = m.eval(configs)
-            target = _codes(shifted, self.fill_edges, self.group.order) * n_cols
+            target = codes(shifted, self.fill_edges, self.group.order) * n_cols
             live = alive[row_of]
             src = source[live]
             rows = row_of[live]
@@ -293,13 +283,10 @@ def cone_subspace(
         )
     # support_matrix index of each fill a (rim edges at 0), and of each
     # row's rim values (fill edges at 0)
-    weight = {e: radix ** (len(region_edges) - 1 - i) for i, e in enumerate(region_edges)}
-    k = len(fill_edges)
-    digits = np.arange(radix**k)[:, None] // radix ** np.arange(k - 1, -1, -1) % radix
-    fill_rows = digits @ np.array([weight[e] for e in fill_edges], dtype=np.int64)
-    fills = _codes(omega.configs, fill_edges, radix)
-    rims = _codes(omega.configs, region_edges, radix) - fill_rows[fills]
-    ext = _codes(omega.configs, ext_edges, radix)
+    fill_rows = codes(_enumerate_configs(fill_edges, lat.n_edges, radix), region_edges, radix)
+    fills = codes(omega.configs, fill_edges, radix)
+    rims = codes(omega.configs, region_edges, radix) - fill_rows[fills]
+    ext = codes(omega.configs, ext_edges, radix)
 
     # buckets in (rim, fill) order, each labelled by its coset's smallest
     # exterior key; a column is a distinct label, placed at its first bucket
@@ -318,7 +305,7 @@ def cone_subspace(
     n_rows, n_cols = omega.n_terms, len(first)
     coset_size = n_rows // len(heads)  # |K|
     ext_keys, key_row = np.unique(ext, return_index=True)
-    omega_coeffs = np.zeros((radix**k, n_cols), dtype=np.complex128)
+    omega_coeffs = np.zeros((len(fill_rows), n_cols), dtype=np.complex128)
     omega_coeffs[fills[heads], column] = np.sqrt(coset_size / n_rows)
     region_rows = fill_rows[:, None] + rims[heads][np.sort(first)][None, :]
     return ConeSubspace(
@@ -381,7 +368,7 @@ def ribbon_closure_rank(subspace: ConeSubspace) -> tuple[int, int]:
     operator acts on the blocks as a monomial matrix
     (``ConeSubspace.region_action``), so no state is built."""
     lat, group, region = subspace.lat, subspace.group, subspace.region
-    labels = _nontrivial_labels(group)
+    labels = sector_labels(group)[1:]
     block = subspace.omega_coeffs
     ranks = []
     for cap in (CLOSURE_LENGTH_CAP - 1, CLOSURE_LENGTH_CAP):
@@ -500,13 +487,14 @@ def _max_cone_overlap(lat: Lattice, group: AbelianGroup, region: Region, f: Affi
     surviving terms go to ``omega_expectations`` as one batch."""
     t, n = group.tables(), group.order
     fill, edges = _fill_edges(lat, region), sorted(region.edges)
-    digits = np.arange(n ** len(fill))[:, None] // n ** np.arange(len(fill) - 1, -1, -1) % n
+    digits = digit_rows(n, len(fill))
     rows = np.repeat(shift_rows(lat, [f]), len(digits), axis=0)
     rows[:, fill] = t["add"][rows[:, fill], t["neg"][digits]]
+    all_chis = digit_rows(n, len(edges)).tolist()
     ops = []
     for d in digits[~face_fluxes(lat, group, rows).any(axis=1)]:
         shifts = list(zip(fill, d.tolist()))
-        for chis in itertools.product(range(n), repeat=len(edges)):
+        for chis in all_chis:
             ops.append(_monomial(lat, group, shifts, zip(edges, chis)).adjoint().compose(f))
     return max([0.0] + [abs(v) for v in omega_expectations(lat, group, ops)])
 
@@ -528,7 +516,7 @@ def external_charge_orthogonality_check(
             f"orthogonality sweep over {group.order}^{power} = {group.order**power} region"
             f" monomials is above the cap of {OMEGA_ROWS_CAP}"
         )
-    nontrivial = _nontrivial_labels(group)
+    nontrivial = sector_labels(group)[1:]
     detectors = detecting_exterior_sites(lat, region)
     worst = 0.0
     n_used = 0
@@ -562,7 +550,7 @@ def boundary_membership_check(
     """Exterior ribbons connecting two boundary sites must land inside
     H_Lambda: every ``boundary_ribbons`` ribbon, with a seeded nontrivial
     label."""
-    nontrivial = _nontrivial_labels(group)
+    nontrivial = sector_labels(group)[1:]
     boundary = boundary_ribbons(lat, region)
     worst = 0.0
     for r in boundary:
@@ -593,7 +581,7 @@ def region_monomials(lat: Lattice, group: AbelianGroup, region: Region) -> list[
             f" monomials is above the cap of {DENSITY_MONOMIAL_CAP}"
         )
     # packed index 0 is the identity, and characters share the elements' indices
-    indices = list(itertools.product(range(group.order), repeat=len(edges)))
+    indices = digit_rows(group.order, len(edges)).tolist()
     shifts = [tuple((e, gi) for e, gi in zip(edges, idx) if gi) for idx in indices]
     phases = [tuple((ci, ((e, 1),), 0) for e, ci in zip(edges, idx) if ci) for idx in indices]
     return [AffineMap(group, lat.n_edges, s, chars=p) for s in shifts for p in phases]

@@ -25,9 +25,7 @@ from .duality import (
 from .groundstate import (
     OMEGA_ROWS_CAP,
     GroundStateError,
-    all_configs,
     face_fluxes,
-    count_flat_on_faces,
     connection_projector,
     edges_of_faces,
     flat_connections,
@@ -35,12 +33,11 @@ from .groundstate import (
     is_flat,
     omega_distances,
     omega_expectations,
-    refuse_oversized_flats,
     sector_shift,
     shift_rows,
     torus_holonomies,
 )
-from .groups import AbelianGroup, parse_group, format_group
+from .groups import AbelianGroup, digit_rows, format_group, parse_group
 from .lattice import (
     Lattice,
     LatticeError,
@@ -53,8 +50,10 @@ from .lattice import (
     ribbon_invert,
 )
 from .operators import (
+    MATRIX_DIM_CAP,
     AffineMap,
     OpSum,
+    _enumerate_configs,
     as_opsum,
     alpha_ribbon,
     beta_ribbon,
@@ -86,12 +85,6 @@ from .sectors import (
 )
 
 
-def _site_at(lat: Lattice, vx: int, vy: int) -> Site:
-    v = lat.vertex_id(vx, vy)
-    f = next(f for f in lat.faces_at_vertex_cw(v) if f is not None)
-    return Site(v, f)
-
-
 def _max_err(errors) -> float:
     errors = list(errors)
     return float(max(errors)) if errors else 0.0
@@ -110,8 +103,8 @@ def run_verify(config: RunConfig, group: AbelianGroup, lat: Lattice) -> Report:
     elems = group.elements()
     chars = group.characters()
     ident = group.identity()
-    s = _site_at(lat, 1, 1)
-    s2 = _site_at(lat, 0, 1)
+    s = lat.site_at(lat.vertex_id(1, 1))
+    s2 = lat.site_at(lat.vertex_id(0, 1))
 
     # star and plaquette generator relations
     errs = []
@@ -167,7 +160,9 @@ def run_verify(config: RunConfig, group: AbelianGroup, lat: Lattice) -> Report:
     )
 
     # ribbon with both endpoints on the torus
-    rho = ribbon_between(_site_at(lat, 0, 0), _site_at(lat, 2, 1), lat)
+    rho = ribbon_between(
+        lat.site_at(lat.vertex_id(0, 0)), lat.site_at(lat.vertex_id(2, 1)), lat
+    )
     s0, s1 = rho.start, rho.end
 
     errs = []
@@ -342,7 +337,9 @@ def run_verify(config: RunConfig, group: AbelianGroup, lat: Lattice) -> Report:
     )
 
     # disjoint ribbons commute
-    rho_b = ribbon_between(_site_at(lat, 0, 2), _site_at(lat, 2, 2), lat, avoid_edges=rho.edges())
+    rho_b = ribbon_between(
+        lat.site_at(lat.vertex_id(0, 2)), lat.site_at(lat.vertex_id(2, 2)), lat, avoid_edges=rho.edges()
+    )
     errs = []
     for g1, h1, g2, h2 in itertools.product(elems, repeat=4):
         Fa = as_opsum(ribbon_F(lat, group, rho, g1, h1))
@@ -356,13 +353,13 @@ def run_verify(config: RunConfig, group: AbelianGroup, lat: Lattice) -> Report:
     )
 
     # closed ribbons commute with every star and plaquette
-    target = _site_at(lat, 1, 1)
+    target = lat.site_at(lat.vertex_id(1, 1))
     loop = closed_loop_around(target, 1, lat)
     ok = True
     for h, g in itertools.product(elems, repeat=2):
         F = ribbon_F(lat, group, loop, h, g)
         for v in range(lat.n_vertices):
-            sv = _site_at(lat, *lat.vertex_xy(v))
+            sv = lat.site_at(v)
             for k in elems:
                 ok &= same_action(F.compose(star_g(lat, group, sv, k)), star_g(lat, group, sv, k).compose(F))
                 ok &= same_action(F.compose(plaq_h(lat, group, sv, k)), plaq_h(lat, group, sv, k).compose(F))
@@ -398,13 +395,10 @@ def run_verify(config: RunConfig, group: AbelianGroup, lat: Lattice) -> Report:
 # -- ground state ----------------------------------------------------------------------
 
 
-CROSS_CHECK_CAP = 1 << 20  # configurations the brute-force cross-checks may enumerate
-
-
 def _skip_note(check: str, group: AbelianGroup, lat: Lattice) -> str:
     """Details for a cross-check dropped by its size condition; empty when
     the check runs."""
-    if group.order**lat.n_edges <= CROSS_CHECK_CAP:
+    if group.order**lat.n_edges <= MATRIX_DIM_CAP:
         return ""
     return f"{check} cross-check skipped: {group.order}^{lat.n_edges} configurations above 2^20"
 
@@ -414,7 +408,7 @@ def run_groundstate(config: RunConfig, group: AbelianGroup, lat: Lattice) -> Rep
     if lat.is_torus:
         # gradients carry trivial holonomy, so the flat cocycle rows of the
         # sector shifts T_ab hold every holonomy pair of the flat connections
-        pairs = itertools.product(range(group.order), repeat=2)
+        pairs = digit_rows(group.order, 2).tolist()
         rows = shift_rows(lat, [sector_shift(lat, group, a, b) for a, b in pairs])
         hx, hy = torus_holonomies(lat, group, rows[is_flat(lat, group, rows)])
         dim = len(np.unique(hx * group.order + hy))
@@ -428,10 +422,10 @@ def run_groundstate(config: RunConfig, group: AbelianGroup, lat: Lattice) -> Rep
         ed_skipped = _skip_note("exact diagonalization", group, lat)
         # the ground vector of holonomy sector (a, b) is T_ab Omega
         stabilized = []
-        for a, b in itertools.product(range(group.order), repeat=2):
+        for a, b in pairs:
             T = sector_shift(lat, group, a, b)
             for v in range(lat.n_vertices):
-                sv = _site_at(lat, *lat.vertex_xy(v))
+                sv = lat.site_at(v)
                 stabilizers = [star_g(lat, group, sv, g) for g in group.elements()]
                 stabilizers.append(plaq_h(lat, group, sv, group.identity()))
                 stabilized += [(X.compose(T), T) for X in stabilizers]
@@ -477,7 +471,7 @@ def run_groundstate(config: RunConfig, group: AbelianGroup, lat: Lattice) -> Rep
         f"{support} terms" + (f"; {brute_skipped}" if brute_skipped else ""),
     )
     if not brute_skipped:
-        cfgs = all_configs(lat, group)
+        cfgs = _enumerate_configs(lat.edges()[::-1], lat.n_edges, group.order)
         brute = int(np.sum(is_flat(lat, group, cfgs)))
         rep.add(
             "flat enumeration matches brute force",
@@ -490,7 +484,7 @@ def run_groundstate(config: RunConfig, group: AbelianGroup, lat: Lattice) -> Rep
     for v in range(lat.n_vertices):
         if not lat.has_full_star(v):
             continue
-        sv = _site_at(lat, *lat.vertex_xy(v))
+        sv = lat.site_at(v)
         stabilizers += [star_g(lat, group, sv, g) for g in group.elements()]
     for f in lat.faces():
         sf = Site(lat.face_corners_ccw(f)[0], f)
@@ -506,12 +500,14 @@ def run_groundstate(config: RunConfig, group: AbelianGroup, lat: Lattice) -> Rep
     # connection projector values on a face set
     faces = [0] if lat.n_faces == 1 else [0, 1]
     edges = edges_of_faces(lat, faces)
-    n_flat = count_flat_on_faces(lat, group, faces)
-    assignments = list(itertools.product(group.elements(), repeat=len(edges)))
-    rows = np.zeros((len(assignments), lat.n_edges), dtype=np.uint8)
-    rows[:, edges] = [[group.index_of(val) for val in a] for a in assignments]
+    rows = _enumerate_configs(edges, lat.n_edges, group.order)
     flats = ~np.any(face_fluxes(lat, group, rows)[:, faces], axis=1)
-    projectors = [connection_projector(lat, group, dict(zip(edges, a))) for a in assignments]
+    n_flat = int(np.sum(flats))
+    elems = group.elements()
+    projectors = [
+        connection_projector(lat, group, {e: elems[gi] for e, gi in zip(edges, row)})
+        for row in rows[:, edges].tolist()
+    ]
     errs_flat, errs_nonflat = [], []
     for val, flat in zip(omega_expectations(lat, group, projectors), flats):
         val = val.real
@@ -539,12 +535,7 @@ def run_deform(config: RunConfig, group: AbelianGroup, lat: Lattice, pairs: int 
         raise GroundStateError("torus ground space is degenerate: deform runs on plane patches")
     rep = Report("deform", config.__dict__.copy())
     rng = random.Random(config.seed)
-    labels = [
-        (chi, c)
-        for chi in group.characters()
-        for c in group.elements()
-        if (chi, c) != (group.identity(), group.identity())
-    ]
+    labels = sector_labels(group)[1:]
     deformed = []
     searches: list[bool] = []
     for r1, r2 in sample_ribbon_pairs(lat, group, rng, pairs, deformations=True, searches=searches):
@@ -703,8 +694,8 @@ def run_fusion(config: RunConfig, group: AbelianGroup, lat: Lattice) -> Report:
     rep = Report("fusion", config.__dict__.copy())
     if not lat.is_torus:
         raise LatticeError("fusion measurements need complete detectors: use a torus")
-    s0 = _site_at(lat, 1, 1)
-    far = _site_at(lat, 2, 2) if lat.width > 2 else _site_at(lat, 0, 1)
+    s0 = lat.site_at(lat.vertex_id(1, 1))
+    far = lat.site_at(lat.vertex_id(2, 2) if lat.width > 2 else lat.vertex_id(0, 1))
     rho = ribbon_between(s0, far, lat)
     labels = sector_labels(group)
     table = fusion_table(lat, group, rho)
@@ -747,7 +738,7 @@ def run_sectors(config: RunConfig, group: AbelianGroup, lat: Lattice) -> Report:
     rep = Report("sectors", config.__dict__.copy())
     if not lat.is_torus:
         raise LatticeError("sector distinguishability runs on a torus")
-    target = _site_at(lat, 1, 1)
+    target = lat.site_at(lat.vertex_id(1, 1))
     # the far charge pair must land outside the detection loop: on a small
     # torus the far vertex sits on the loop's outer corner and the far face
     # in the unenclosed column
@@ -782,16 +773,16 @@ def run_sectors(config: RunConfig, group: AbelianGroup, lat: Lattice) -> Report:
 
     # transporter behaviour on a plane patch: ground state fixed, charge moved
     plat = Lattice(3, 3, "plane")
-    s0 = _site_at(plat, 0, 0)
+    s0 = plat.site_at(plat.vertex_id(0, 0))
     try:
-        rho1 = ribbon_between(s0, _site_at(plat, 2, 1), plat)
+        rho1 = ribbon_between(s0, plat.site_at(plat.vertex_id(2, 1)), plat)
         rho2 = ribbon_between(
-            s0, _site_at(plat, 1, 2), plat, avoid_edges=rho1.edges(), allow_reversed=True
+            s0, plat.site_at(plat.vertex_id(1, 2)), plat, avoid_edges=rho1.edges(), allow_reversed=True
         )
         n = min(len(rho1), len(rho2))
         r1n, r2n = truncate(rho1, n), truncate(rho2, n)
         ident = AffineMap.identity(group, plat.n_edges)
-        local = star_g(plat, group, _site_at(plat, 1, 1), group.elements()[-1])
+        local = star_g(plat, group, plat.site_at(plat.vertex_id(1, 1)), group.elements()[-1])
         fixed, intertwined = [], []
         for label in labels[1:]:
             V = transporter(plat, group, label.chi, label.c, rho1, rho2, n)
@@ -839,7 +830,6 @@ def run_haag(config: RunConfig, group: AbelianGroup, lat: Lattice) -> Report:
     cone = cone_make(apex, ["N", "E"], lat)
     # Omega's rows and the density check's monomials are counted without
     # Omega: refuse either before building anything
-    refuse_oversized_flats(lat, group)
     power = lat.n_vertices - 1
     if group.order**power > OMEGA_ROWS_CAP:
         raise GroundStateError(

@@ -43,19 +43,18 @@ reached by composing with T_ab.
 ``ground_state`` still materializes Ω on a plane patch, for the Haag-duality
 checks: ``cone_subspace`` reads its rows (not its amplitudes) to find the
 cosets of the flat group, and the exterior ribbon images of the membership
-and density checks are applied to it.
+check are applied to it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .groups import AbelianGroup, Element
+from .groups import AbelianGroup, Element, codes, digit_rows
 from .lattice import Lattice
 from .operators import AffineMap, OpSum, as_opsum
 from .states import SparseState
 
-FLAT_BRUTE_CAP = 1 << 22
 # rows flat_connections may enumerate: |G|^(V-1) gradients
 FLAT_ROWS_CAP = 1 << 22
 # vertex-potential rows one omega_expectations term may enumerate
@@ -66,20 +65,23 @@ class GroundStateError(ValueError):
     pass
 
 
+def _potentials(group: AbelianGroup, n_free: int) -> np.ndarray:
+    """Every assignment of group indices to n_free vertices, one uint8 row
+    each, the first vertex least significant."""
+    return digit_rows(group.order, n_free)[:, ::-1]
+
+
 def _gradient_configs(lat: Lattice, group: AbelianGroup) -> np.ndarray:
     """Edge configurations of all vertex potentials with the root fixed."""
     t = group.tables()
-    add, neg = t["add"], t["neg"]
-    n_free = lat.n_vertices - 1
-    count = group.order**n_free
-    idx = np.arange(count, dtype=np.int64)
-    pots = np.zeros((count, lat.n_vertices), dtype=np.int64)
-    for k in range(n_free):
-        pots[:, k + 1] = (idx // group.order**k) % group.order
-    configs = np.zeros((count, lat.n_edges), dtype=np.uint8)
+    add, neg = t["add_u8"], t["neg_u8"]
+    free = _potentials(group, lat.n_vertices - 1)
+    pots = np.zeros((len(free), lat.n_vertices), dtype=np.uint8)
+    pots[:, 1:] = free
+    configs = np.zeros((len(free), lat.n_edges), dtype=np.uint8)
     for e in lat.edges():
         tail, head = lat.edge_endpoints(e)
-        configs[:, e] = add[pots[:, head], neg[pots[:, tail]]].astype(np.uint8)
+        configs[:, e] = add[pots[:, head], neg[pots[:, tail]]]
     return configs
 
 
@@ -101,10 +103,12 @@ def sector_shift(lat: Lattice, group: AbelianGroup, a: int, b: int) -> AffineMap
     return AffineMap(group, lat.n_edges, shifts=tuple((e, int(gi)) for e, gi in enumerate(row) if gi))
 
 
-def refuse_oversized_flats(lat: Lattice, group: AbelianGroup) -> None:
-    """Raise GroundStateError where ``flat_connections`` refuses: on a torus,
-    whose flat set is the gradients shifted by each of the |G|^2 cocycles
-    of ``_torus_cocycle``, and above FLAT_ROWS_CAP rows. Allocates nothing."""
+def flat_connections(lat: Lattice, group: AbelianGroup) -> np.ndarray:
+    """All flat configurations of a plane patch, one uint8 row per
+    connection: the vertex-potential gradients. Refused, before anything is
+    allocated, on a torus (whose flat set is the gradients shifted by each
+    of the |G|^2 cocycles of ``_torus_cocycle``) and above FLAT_ROWS_CAP
+    rows."""
     if lat.is_torus:
         raise GroundStateError("flat_connections enumerates plane patches only")
     power = lat.n_vertices - 1
@@ -113,13 +117,6 @@ def refuse_oversized_flats(lat: Lattice, group: AbelianGroup) -> None:
             f"flat-connection enumeration of {group.order}^{power} = {group.order**power}"
             f" rows on {lat.width}x{lat.height} is above the cap of {FLAT_ROWS_CAP}"
         )
-
-
-def flat_connections(lat: Lattice, group: AbelianGroup) -> np.ndarray:
-    """All flat configurations of a plane patch, one uint8 row per
-    connection: the vertex-potential gradients. Refused, before anything is
-    allocated, by ``refuse_oversized_flats``."""
-    refuse_oversized_flats(lat, group)
     return _gradient_configs(lat, group)
 
 
@@ -140,18 +137,6 @@ def face_fluxes(lat: Lattice, group: AbelianGroup, configs: np.ndarray) -> np.nd
 def is_flat(lat: Lattice, group: AbelianGroup, configs: np.ndarray) -> np.ndarray:
     """Whether every face flux is trivial, per configuration row."""
     return ~np.any(face_fluxes(lat, group, configs), axis=1)
-
-
-def all_configs(lat: Lattice, group: AbelianGroup) -> np.ndarray:
-    """Every configuration of the patch (guarded brute-force oracle)."""
-    n = group.order**lat.n_edges
-    if n > FLAT_BRUTE_CAP:
-        raise GroundStateError("configuration space too large for brute force")
-    idx = np.arange(n, dtype=np.int64)
-    configs = np.zeros((n, lat.n_edges), dtype=np.uint8)
-    for e in lat.edges():
-        configs[:, e] = (idx // group.order**e) % group.order
-    return configs
 
 
 def ground_state(lat: Lattice, group: AbelianGroup) -> SparseState:
@@ -195,20 +180,6 @@ def edges_of_faces(lat: Lattice, faces: list[int]) -> list[int]:
     for f in faces:
         out.update(e for e, _ in lat.plaq_edges(f))
     return sorted(out)
-
-
-def count_flat_on_faces(lat: Lattice, group: AbelianGroup, faces: list[int]) -> int:
-    """Brute-force count of flat assignments of the edges bounding the given
-    faces (the face-set flux constraints only)."""
-    edges = edges_of_faces(lat, faces)
-    n = group.order ** len(edges)
-    if n > FLAT_BRUTE_CAP:
-        raise GroundStateError("face set too large for brute force")
-    idx = np.arange(n, dtype=np.int64)
-    configs = np.zeros((n, lat.n_edges), dtype=np.uint8)
-    for k, e in enumerate(edges):
-        configs[:, e] = (idx // group.order**k) % group.order
-    return int(np.sum(~np.any(face_fluxes(lat, group, configs)[:, faces], axis=1)))
 
 
 def shift_rows(lat: Lattice, maps) -> np.ndarray:
@@ -293,11 +264,11 @@ def _potential_means(group: AbelianGroup, factors: list, vertices: tuple[int, ..
     add, mult, char_num, roots = t["add"], t["mult"], t["char_num"], t["roots"]
     L = group.phase_denominator
     n = group.order
-    rows = n ** max(len(vertices) - 1, 0)
-    idx = np.arange(rows, dtype=np.int64)
-    pots = {v: ((idx // n**k) % n).astype(np.uint16) for k, v in enumerate(vertices[1:])}
+    free = _potentials(group, max(len(vertices) - 1, 0))
+    rows = len(free)
+    pots = {v: free[:, k] for k, v in enumerate(vertices[1:])}
     if vertices:
-        pots[vertices[0]] = np.zeros(rows, dtype=np.uint16)
+        pots[vertices[0]] = np.zeros(rows, dtype=np.uint8)
     values: dict[tuple, np.ndarray] = {}
 
     def value(form) -> np.ndarray:
@@ -316,14 +287,13 @@ def _potential_means(group: AbelianGroup, factors: list, vertices: tuple[int, ..
     for forms, js in by_forms.items():
         if len(js) < 2:
             continue
-        code = np.zeros(rows, dtype=np.int64)
-        for form in forms:
-            code = code * n + value(form)
+        joint = np.zeros((rows, len(forms)), dtype=np.uint8)
+        for i, form in enumerate(forms):
+            joint[:, i] = value(form)
+        code = codes(joint, range(len(forms)), n)
         hist = dict(zip(*(a.tolist() for a in np.unique(code, return_counts=True))))
-        for j in js:
-            target = 0
-            for form in forms:
-                target = target * n + factors[j][1][form]
+        targets = np.array([[factors[j][1][form] for form in forms] for j in js])
+        for j, target in zip(js, codes(targets, range(len(forms)), n).tolist()):
             counts[j] = hist.get(target, 0)
 
     # the same summands as below: counts[j] copies of one root

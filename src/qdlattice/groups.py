@@ -165,6 +165,26 @@ class AbelianGroup:
         return t["index"]
 
 
+def digit_rows(radix: int, k: int) -> np.ndarray:
+    """All radix^k rows of k mixed-radix digits as uint8, the first column
+    most significant (the order of ``itertools.product``). Each column is
+    written through a view of the output, so no wider temporary is made."""
+    out = np.empty((radix**k, k), dtype=np.uint8)
+    digits = np.arange(radix, dtype=np.uint8)[:, None]
+    for j in range(k):
+        out.reshape(radix**j, radix, radix ** (k - 1 - j), k)[:, :, :, j] = digits
+    return out
+
+
+def codes(configs: np.ndarray, columns, radix: int) -> np.ndarray:
+    """Mixed-radix integer of each row's values on `columns`, the first
+    column most significant: the inverse of ``digit_rows``."""
+    out = np.zeros(len(configs), dtype=np.int64)
+    for c in columns:
+        out = out * radix + configs[:, c]
+    return out
+
+
 def phase_to_complex(turns: Fraction) -> complex:
     """exp(2*pi*i*turns) with exact values at the quarter turns."""
     t = turns % 1

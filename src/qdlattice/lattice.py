@@ -279,6 +279,13 @@ class Lattice:
                 out.append(None)
         return out
 
+    def site_at(self, v: int) -> Site:
+        """v with the first face clockwise from the north-east one."""
+        for f in self.faces_at_vertex_cw(v):
+            if f is not None:
+                return Site(v, f)
+        raise LatticeError(f"vertex {v} touches no face")
+
     def site(self, vx: int, vy: int, fx: int, fy: int) -> Site:
         s = Site(self.vertex_id(vx, vy), self.face_id(fx, fy))
         if s.vertex not in self.face_corners_ccw(s.face):

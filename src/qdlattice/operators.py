@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .groups import AbelianGroup, Char, Element
+from .groups import AbelianGroup, Char, Element, codes, digit_rows
 from .lattice import (
     Lattice,
     LatticeError,
@@ -316,9 +316,7 @@ def _enumerate_configs(edges: Sequence[int], n_edges: int, radix: int) -> np.nda
             f" and {CONFIG_BYTES_CAP} bytes"
         )
     configs = np.zeros((n, n_edges), dtype=np.uint8)
-    idx = np.arange(n)
-    for pos, e in enumerate(edges):
-        configs[:, e] = (idx // radix ** (k - 1 - pos)) % radix
+    configs[:, list(edges)] = digit_rows(radix, k)
     return configs
 
 
@@ -340,13 +338,12 @@ def support_matrix(op, support: Sequence[int], n_edges: int) -> sp.csr_matrix:
         raise OperatorError("operator touches edges outside the requested support")
     configs = _enumerate_configs(support, n_edges, radix)
     n = configs.shape[0]
-    powers = np.array([radix ** (len(support) - 1 - i) for i in range(len(support))], dtype=np.int64)
     cols = np.arange(n, dtype=np.int64)
     roots = group.tables()["roots"]
     mats = []
     for coeff, m in opsum.terms:
         alive, pnum, out = m.eval(configs)
-        rows = out[:, support].astype(np.int64) @ powers
+        rows = codes(out, support, radix)
         data = np.where(alive, roots[pnum] * coeff, 0.0)
         mats.append(sp.coo_matrix((data[alive], (rows[alive], cols[alive])), shape=(n, n)))
     total = mats[0].tocsr()
@@ -357,10 +354,6 @@ def support_matrix(op, support: Sequence[int], n_edges: int) -> sp.csr_matrix:
 
 def to_matrix(op, lat: Lattice) -> sp.csr_matrix:
     """Matrix over the full configuration space (refused above the cap)."""
-    opsum = as_opsum(op)
-    group = opsum.terms[0][1].group
-    if group.order**lat.n_edges > MATRIX_DIM_CAP:
-        raise OperatorError("full configuration space exceeds the matrix cap")
     return support_matrix(op, list(lat.edges()), lat.n_edges)
 
 
@@ -531,13 +524,6 @@ def complete_plaquettes(lat: Lattice, region: Optional[Region] = None) -> list[i
     return out
 
 
-def _site_at_vertex(lat: Lattice, v: int) -> Site:
-    for f in lat.faces_at_vertex_cw(v):
-        if f is not None:
-            return Site(v, f)
-    raise LatticeError(f"vertex {v} touches no face")
-
-
 def _site_at_face(lat: Lattice, f: int) -> Site:
     return Site(lat.face_corners_ccw(f)[0], f)
 
@@ -551,7 +537,7 @@ def hamiltonian(lat: Lattice, group: AbelianGroup, region: Optional[Region] = No
         raise OperatorError("region contains no complete star or plaquette")
     total = OpSum(())
     for v in stars:
-        total = total + star_proj(lat, group, _site_at_vertex(lat, v)).scaled(-1.0)
+        total = total + star_proj(lat, group, lat.site_at(v)).scaled(-1.0)
     for f in plaqs:
         total = total + plaq_proj(lat, group, _site_at_face(lat, f)).scaled(-1.0)
     return total

@@ -12,7 +12,10 @@ something the package computes another way:
   ``in_flat_group`` and ``face_flux`` are the one-row flatness test and the
   per-face flux walk, for ``face_fluxes``;
   ``torus_flat_connections`` lists every flat torus connection, for the
-  holonomy count of the groundstate experiment;
+  holonomy count of the groundstate experiment; ``all_configs`` lists every
+  configuration of a patch and ``count_flat_on_faces`` counts the flat
+  assignments of a face set by brute force, for ``flat_connections`` and
+  the groundstate experiment's #flat;
 - ``charged_state``, ``charge_moments`` and ``detect_charge`` read charges
   off a materialized charged state, for ``omega_charge_moments``;
 - ``charge_projector`` and ``conjugate_label`` are the textbook charge
@@ -45,12 +48,13 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from qdlattice.duality import ConeSubspace, _nontrivial_labels, ribbons_in_region
+from qdlattice.duality import ConeSubspace, ribbons_in_region
 from qdlattice.groundstate import (
     FLAT_ROWS_CAP,
     GroundStateError,
     _gradient_configs,
     _torus_cocycle,
+    edges_of_faces,
     face_fluxes,
     ground_state,
     omega_distances,
@@ -72,6 +76,7 @@ from qdlattice.operators import (
     AffineMap,
     OperatorError,
     OpSum,
+    _enumerate_configs,
     as_opsum,
     canonical,
     complete_plaquettes,
@@ -80,7 +85,7 @@ from qdlattice.operators import (
     ribbon_F_irrep,
     star_g,
 )
-from qdlattice.sectors import SectorLabel, _label_from_moments
+from qdlattice.sectors import SectorLabel, _label_from_moments, sector_labels
 from qdlattice.states import SparseState
 
 SPAN_TOL = 1e-9
@@ -248,7 +253,7 @@ def closure_rank(
         maps = dict.fromkeys(
             canonical(ribbon_F_irrep(lat, group, r, chi, c))
             for r in ribbons_in_region(lat, region, cap)
-            for chi, c in _nontrivial_labels(group)
+            for chi, c in sector_labels(group)[1:]
         )
         ops = [as_opsum(m) for m in maps if m is not None]
         spanning = [normalized(omega)]
@@ -271,7 +276,7 @@ def closure_rank(
 
 def label_ops(lat: Lattice, group: AbelianGroup, ribbons: Iterable[Ribbon]) -> list[OpSum]:
     """The ribbon operator of every nontrivial label on every ribbon."""
-    labels = _nontrivial_labels(group)
+    labels = sector_labels(group)[1:]
     return [
         as_opsum(ribbon_F_irrep(lat, group, r, chi, c)) for r in ribbons for chi, c in labels
     ]
@@ -394,6 +399,23 @@ def omega_expectation(lat: Lattice, group: AbelianGroup, op) -> complex:
 def omega_distance(lat: Lattice, group: AbelianGroup, f1: AffineMap, f2: AffineMap) -> float:
     """‖F₁Ω − F₂Ω‖ for one pair of maps: a batch of one."""
     return omega_distances(lat, group, [(f1, f2)])[0]
+
+
+def all_configs(lat: Lattice, group: AbelianGroup) -> np.ndarray:
+    """Every configuration of the patch, one uint8 row each (brute force,
+    refused like any enumeration above 2^20 rows)."""
+    return _enumerate_configs(lat.edges(), lat.n_edges, group.order)
+
+
+def count_flat_on_faces(lat: Lattice, group: AbelianGroup, faces: list[int]) -> int:
+    """Brute-force count of the assignments of the edges bounding `faces`
+    whose flux is trivial on each of them, from ``itertools.product`` and
+    the per-face walk."""
+    edges = edges_of_faces(lat, faces)
+    values = list(itertools.product(range(group.order), repeat=len(edges)))
+    rows = np.zeros((len(values), lat.n_edges), dtype=np.uint8)
+    rows[:, edges] = np.array(values, dtype=np.uint8).reshape(len(values), len(edges))
+    return int(np.sum(np.all([face_flux(lat, group, rows, f) == 0 for f in faces], axis=0)))
 
 
 def face_flux(lat: Lattice, group: AbelianGroup, configs: np.ndarray, f: int) -> np.ndarray:

@@ -20,7 +20,7 @@ from qdlattice.duality import (
     ribbons_in_region,
     self_adjoint_density_check,
 )
-from qdlattice.groups import group_make, parse_group
+from qdlattice.groups import codes, group_make, parse_group
 from qdlattice.groundstate import ground_state
 from qdlattice.lattice import (
     Lattice,
@@ -30,6 +30,7 @@ from qdlattice.lattice import (
     ribbon_between,
 )
 from qdlattice.operators import as_opsum, ribbon_F_irrep
+from qdlattice.sectors import sector_labels
 from qdlattice.states import SparseState
 
 from oracles import (
@@ -423,7 +424,7 @@ def _sweep_against_projection(lat, group, omega, cone, sub):
     maps = dict.fromkeys(
         ribbon_F_irrep(lat, group, r, chi, c)
         for r in ribbons_in_region(lat, comp, 4)
-        for chi, c in duality._nontrivial_labels(group)
+        for chi, c in sector_labels(group)[1:]
     )
     hits = 0
     for f in maps:
@@ -523,8 +524,8 @@ def _all_pairs_subspace(region, lat, group, omega):
     weight = {e: radix ** (len(region_edges) - 1 - i) for i, e in enumerate(region_edges)}
     digits = np.arange(radix**k)[:, None] // radix ** np.arange(k - 1, -1, -1) % radix
     fill_rows = digits @ np.array([weight[e] for e in fill], dtype=np.int64)
-    fills = duality._codes(omega.configs, fill, radix)
-    rims = duality._codes(omega.configs, region_edges, radix) - fill_rows[fills]
+    fills = codes(omega.configs, fill, radix)
+    rims = codes(omega.configs, region_edges, radix) - fill_rows[fills]
     exterior = omega.configs.copy()
     exterior[:, fill] = 0
     blocks, w_states, w_rims = [], [], []
@@ -541,9 +542,9 @@ def _all_pairs_subspace(region, lat, group, omega):
         blocks.append(block)
         w_states += basis
         w_rims += [rim] * len(basis)
-    codes = [duality._codes(w.configs, ext, radix) for w in w_states]
-    ext_keys, rows = np.unique(np.concatenate(codes), return_inverse=True)
-    cols = np.repeat(np.arange(len(w_states)), [len(c) for c in codes])
+    keys = [codes(w.configs, ext, radix) for w in w_states]
+    ext_keys, rows = np.unique(np.concatenate(keys), return_inverse=True)
+    cols = np.repeat(np.arange(len(w_states)), [len(c) for c in keys])
     amps = np.concatenate([w.amps for w in w_states])
     w = sp.csr_matrix((amps, (rows, cols)), shape=(len(ext_keys), len(w_states)))
     region_rows = fill_rows[:, None] + np.array(w_rims)[None, :]

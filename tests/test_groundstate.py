@@ -8,9 +8,7 @@ from hypothesis import given, settings, strategies as st
 from qdlattice.groups import group_make, parse_group
 from qdlattice.groundstate import (
     GroundStateError,
-    all_configs,
     connection_projector,
-    count_flat_on_faces,
     edges_of_faces,
     face_fluxes,
     flat_connections,
@@ -40,6 +38,8 @@ from qdlattice.operators import (
     star_g,
 )
 from oracles import (
+    all_configs,
+    count_flat_on_faces,
     distance,
     expectation,
     face_flux,
@@ -490,6 +490,21 @@ def test_groundstate_report_names_skipped_cross_checks(grp, spec, note):
     else:
         assert cross not in names and details.endswith(note)
     assert rep.all_passed
+
+
+@pytest.mark.parametrize("grp", [Z2, Z3], ids=["z2", "z3"])
+@pytest.mark.parametrize("size", [2, 3])
+def test_groundstate_flat_count_matches_brute_force_oracle(grp, size):
+    """The connection-projector check's #flat, read off the flatness mask
+    of its own assignments, equals the brute-force count."""
+    from qdlattice.experiments import run_groundstate
+    from qdlattice.reports import RunConfig
+
+    lat = Lattice(size, size, "plane")
+    faces = [0] if lat.n_faces == 1 else [0, 1]
+    check = run_groundstate(RunConfig("groundstate"), grp, lat).checks[-1]
+    assert check.name == "connection projector expectations" and check.status == "pass"
+    assert check.details.startswith(f"{count_flat_on_faces(lat, grp, faces)} flat and ")
 
 
 @pytest.mark.parametrize("grp", [Z2, Z3], ids=["z2", "z3"])

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -5,7 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qdlattice.groups import GroupError, format_group, group_make, parse_group, phase_to_complex
+from qdlattice.groups import (
+    GroupError,
+    codes,
+    digit_rows,
+    format_group,
+    group_make,
+    parse_group,
+    phase_to_complex,
+)
 
 
 def test_group_make_orders():
@@ -128,3 +137,12 @@ def test_parse_group_rejects_orders_beyond_uint8():
     for spec in ("z257", "z16xz16"):
         with pytest.raises(GroupError, match="must be at most 255"):
             parse_group(spec)
+
+
+@given(st.integers(2, 5), st.integers(0, 6))
+def test_digit_rows_match_itertools_product_and_codes_invert_them(radix, k):
+    rows = digit_rows(radix, k)
+    assert rows.dtype == np.uint8 and rows.shape == (radix**k, k)
+    want = list(itertools.product(range(radix), repeat=k))
+    assert [tuple(r) for r in rows.tolist()] == want
+    assert np.array_equal(codes(rows, range(k), radix), np.arange(radix**k))

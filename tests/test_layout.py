@@ -1,9 +1,10 @@
 """Package layout rules, checked on src/qdlattice/*.py with ast.
 
 Every definition in the package has a caller in the package, outside its own
-definition and outside __init__.py. A top-level function or class counts as
-called only where it is loaded by name (a load-context ast.Name): in its own
-module, or in a module that imports it from there. A public method of a
+definition and outside __init__.py. A top-level function, class or
+UPPER_CASE constant counts as called only where it is loaded by name (a
+load-context ast.Name): in its own module, or in a module that imports it
+from there. So a cap or tolerance that no package code reads fails too. A public method of a
 top-level class counts as called wherever its name is referenced, as an
 ast.Name or as the attribute of an ast.Attribute. Docstrings and comments do
 not count. Code that only the tests call belongs in tests/oracles.py or
@@ -30,9 +31,14 @@ def _modules(with_init=False):
 
 def _definitions(tree):
     """(qualified name, referenced name, first line, last line, is method)
-    of the top-level definitions and the public methods of top-level
-    classes."""
+    of the top-level definitions, the module-level UPPER_CASE constants and
+    the public methods of top-level classes."""
     for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for t in targets:
+                if isinstance(t, ast.Name) and t.id.isupper():
+                    yield t.id, t.id, node.lineno, node.end_lineno, False
         if not isinstance(node, DEFS):
             continue
         yield node.name, node.name, node.lineno, node.end_lineno, False

@@ -9,7 +9,6 @@ import scipy.sparse.linalg as spla
 from hypothesis import assume, given, settings, strategies as st
 
 from qdlattice.groups import group_make
-from qdlattice.groundstate import all_configs
 from qdlattice.lattice import Lattice, LatticeError, Ribbon, Site, make_triangle, ribbon_between
 from qdlattice.operators import (
     CONFIG_BYTES_CAP,
@@ -38,6 +37,7 @@ from qdlattice.states import SparseState
 
 from oracles import (
     add,
+    all_configs,
     basis,
     charge_projector,
     distance,
