@@ -75,6 +75,8 @@ def is_deformation_pair(lat: Lattice, group: AbelianGroup, r1: Ribbon, r2: Ribbo
 
 
 PATH_NODE_CAP = 20000
+# a partner ribbon is at most this many triangles longer than its base
+PATH_SLACK = 8
 
 
 def _paths_between(lat, s0, s1, max_len, node_cap=PATH_NODE_CAP):
@@ -107,7 +109,6 @@ def sample_ribbon_pairs(
     rng: random.Random,
     count: int,
     deformations: bool = True,
-    slack: int = 8,
     searches: Optional[list[bool]] = None,
 ) -> Iterator[tuple[Ribbon, Ribbon]]:
     """Seeded stream of same-endpoint ribbon pairs: proper deformations when
@@ -123,7 +124,7 @@ def sample_ribbon_pairs(
             base = ribbon_between(s0, s1, lat)
         except LatticeError:
             continue
-        paths, capped = _paths_between(lat, s0, s1, len(base) + slack)
+        paths, capped = _paths_between(lat, s0, s1, len(base) + PATH_SLACK)
         if searches is not None:
             searches.append(capped)
         rng.shuffle(paths)

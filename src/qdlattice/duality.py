@@ -7,7 +7,7 @@ edge-operator span applied to the ground state, which factorizes:
 
     H_Lambda = C^(|G|^k) tensor W,
 
-anything on the k dual-carrying region edges, tensored with W, the span of
+anything on the k region edges, tensored with W, the span of
 the ground state's exterior restrictions. Omega is uniform over the group F
 of flat connections, and its rows with fixed region values form a coset of
 the subgroup vanishing on the region, so those restrictions are equal or
@@ -32,27 +32,21 @@ The ground state's own block C gives Omega = sum C[a, j] |a> tensor w_j. A
 state's coordinates come from bucketing its rows by region index and
 exterior key and summing each bucket into its column; its distance to
 H_Lambda is summed from its own rows, with no (region index, key) block. A
-region operator M is a sum of basis maps, and each map sends the region
-configuration of every block position to one configuration with one phase,
-so it acts on the block as a monomial matrix S_M (``region_action``): M
+region operator M is a sum of basis maps, and each map sends every region
+configuration a to one configuration with one phase, so it acts on the
+block's rows as a monomial matrix S_M (``region_action``): M
 Omega has coordinates S_M C without applying M to Omega. The compressed
 exterior operator E_jk = 1 tensor |w_j><w_k| maps Omega to the block whose
 column j is C[:, k].
 
-On a plane patch the rim edges admit no dual triangles, so a cone region
-that keeps its rim edges would carry an artificially diagonal operator
-algebra there. Truncated cones therefore drop rim edges (see cone_make's
-trim flag); this is the honest finite stand-in for a cone drawn on the
-infinite lattice, where every edge is bulk. For a cone that keeps them, the
-rim values are pinned: each w_j carries them in its exterior key, and
-region operators, which only read rim edges through phases, act on the
-block through S_M taken at the rim values of w_j.
-
-The shape of H_Lambda needs no Omega either (``cone_shape``): with c(S) the
-number of components of the graph (vertices, S),
-dim H_Lambda = |G|^(k + V + 1 - c(Lambda) - c(E minus fill)). Nor do the
-density check's region monomials, so their number is refused before Omega
-is built (``region_monomials``).
+The region is a truncated cone as ``cone_make`` builds it: every region
+edge is bulk, with a dual triangle on each side, as every edge of a cone
+drawn on the infinite lattice is. The region index a is then the
+configuration of all region edges. The shape of H_Lambda follows from the
+graph alone: with c(S) the number of components of the graph (vertices, S),
+dim H_Lambda = |G|^(k + V + 1 - c(Lambda) - c(E minus Lambda)). The density
+check's region monomials need no Omega either, so their number is refused
+before Omega is built (``region_monomials``).
 
 On top of the subspace sit the exterior-charge orthogonality check, the
 boundary membership check and the real-linear density check mirroring the
@@ -64,7 +58,6 @@ and i C Y for Hermitian X and Y, and once the region operators are all of
 M_n both real ranks follow from the rank r of the n x m block C alone
 (n = |G|^k, m = dim W): n^2 - (n - r)^2 for the region family and that
 plus m^2 - (m - r)^2 for both, against the target 2 n m (``density_ranks``).
-A cone that keeps its rim edges is outside this formula and is refused.
 That the region operators are all of M_n is a count: the |G|^(2k) edge
 monomials and their adjoints carry n^2 distinct labels, so they are a
 Weyl basis. Exterior ribbon operators need no family of their own:
@@ -81,7 +74,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -109,7 +101,7 @@ CLOSURE_ROUNDS = 8
 # exterior ribbons of the orthogonality and membership checks: 2 to this
 # many triangles
 EXTERIOR_RIBBON_LEN = 6
-# region monomials the density check enumerates: |G|^(2k) on k fill edges
+# region monomials the density check enumerates: |G|^(2k) on k region edges
 DENSITY_MONOMIAL_CAP = 1 << 16
 
 
@@ -125,7 +117,6 @@ def ribbons_in_region(lat: Lattice, region: Region, max_len: int) -> list[Ribbon
     to the triangle-count cap."""
     allowed = frozenset(region.edges)
     out: list[Ribbon] = []
-    seen: set[tuple] = set()
     for s0 in sorted(lat.sites()):
         stack: list[tuple[Site, tuple[Triangle, ...], frozenset[int]]] = [(s0, (), frozenset())]
         while stack:
@@ -136,19 +127,12 @@ def ribbons_in_region(lat: Lattice, region: Region, max_len: int) -> list[Ribbon
                 if tri.edge in used:
                     continue
                 new = path + (tri,)
-                if new not in seen:
-                    seen.add(new)
-                    out.append(Ribbon.from_triangles(new))
+                out.append(Ribbon.from_triangles(new))
                 stack.append((tri.s1, new, used | {tri.edge}))
     return out
 
 
 # -- the cone subspace in factorized coordinates -------------------------------------
-
-
-def _fill_edges(lat: Lattice, region: Region) -> list[int]:
-    """The region edges with a dual triangle, in order: those region operators shift."""
-    return [e for e in sorted(region.edges) if not lat.is_rim(e)]
 
 
 @dataclass
@@ -161,13 +145,11 @@ class ConeSubspace:
     region: Region
     lat: Lattice
     group: AbelianGroup
-    fill_edges: list[int]  # region edges with a dual triangle: free
-    ext_edges: list[int]  # every other edge: the exterior key
+    ext_edges: list[int]  # every edge off the region: the exterior key
     ext_keys: np.ndarray  # sorted exterior keys on which some w_j lives
     key_cols: np.ndarray  # the column j of the w_j living on each key
     coset_size: int  # |K|: the keys of each w_j
     omega_coeffs: np.ndarray  # C: Omega = sum C[a, j] |a> tensor w_j
-    region_rows: np.ndarray  # support_matrix index of (a, rim values of w_j)
 
     @property
     def dim(self) -> int:
@@ -181,7 +163,7 @@ class ConeSubspace:
         keys = codes(psi.configs, self.ext_edges, radix)
         pos = np.minimum(np.searchsorted(self.ext_keys, keys), len(self.ext_keys) - 1)
         hit = self.ext_keys[pos] == keys
-        fills, pos = codes(psi.configs[hit], self.fill_edges, radix), pos[hit]
+        fills, pos = codes(psi.configs[hit], sorted(self.region.edges), radix), pos[hit]
         order = np.lexsort((pos, fills))
         off = float(np.sum(np.abs(psi.amps[~hit]) ** 2))
         return fills[order], self.key_cols[pos[order]], psi.amps[hit][order], off
@@ -209,53 +191,32 @@ class ConeSubspace:
         missed = np.sum((self.coset_size - hits) * np.abs(proj) ** 2)
         return float(np.sqrt(off + on + missed))
 
-    @cached_property
-    def _region_configs(self) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct region rows as configurations (every other edge at
-        0), and the one of each block position a * dim W + j."""
-        rows, inverse = np.unique(self.region_rows.ravel(), return_inverse=True)
-        radix, edges = self.group.order, sorted(self.region.edges)
-        configs = np.zeros((len(rows), self.lat.n_edges), dtype=np.uint8)
-        configs[:, edges] = digit_rows(radix, len(edges))[rows]
-        return configs, inverse
-
     def region_action(self, op) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """A region operator on the blocks, one monomial matrix per term:
-        (source, target, coefficient) over the flat block positions
-        a * dim W + j. A map sends the region configuration of (a, rim
-        values of w_j) to one configuration with one phase (``AffineMap.eval``);
-        it shifts no rim edge, so the target stays in column j, at the
-        target's fill index."""
+        """A region operator on the block's rows, one n x n monomial matrix
+        per term (n = |G|^k): (source, target, coefficient) over region
+        indices. A map sends region configuration a to one configuration
+        with one phase (``AffineMap.eval``), whatever the column."""
         opsum = as_opsum(op)
         if not opsum.support() <= self.region.edges:
             raise OperatorError("operator touches edges outside the region")
-        pinned = set(self.region.edges) - set(self.fill_edges)
-        assert not any(e in pinned for _, m in opsum.terms for e, _ in m.shifts), (
-            "rim edges carry no dual triangle, so no region operator shifts them"
-        )
-        configs, row_of = self._region_configs
-        n_cols = self.region_rows.shape[1]
-        source = np.arange(self.region_rows.size)
+        radix, edges = self.group.order, sorted(self.region.edges)
+        configs = _enumerate_configs(edges, self.lat.n_edges, radix)
         roots = self.group.tables()["roots"]
         out = []
         for coeff, m in opsum.terms:
             alive, pnum, shifted = m.eval(configs)
-            target = codes(shifted, self.fill_edges, self.group.order) * n_cols
-            live = alive[row_of]
-            src = source[live]
-            rows = row_of[live]
-            out.append((src, target[rows] + src % n_cols, coeff * roots[pnum[rows]]))
+            target = codes(shifted[alive], edges, radix)
+            out.append((np.flatnonzero(alive), target, coeff * roots[pnum[alive]]))
         return out
 
     def region_apply(self, action, blocks: np.ndarray) -> np.ndarray:
         """The operator of ``region_action`` on each block of `blocks`, shape
-        (n, |G|^k, dim W): a scatter of the entries by target and phase. A
+        (n, |G|^k, dim W): a scatter of whole rows by target and phase. A
         map is injective, so no term hits one target twice."""
-        flat = blocks.reshape(len(blocks), -1)
-        out = np.zeros_like(flat)
+        out = np.zeros_like(blocks)
         for src, dst, coeff in action:
-            out[:, dst] += flat[:, src] * coeff
-        return out.reshape(blocks.shape)
+            out[:, dst] += blocks[:, src] * coeff[:, None]
+        return out
 
 
 def cone_subspace(
@@ -263,100 +224,51 @@ def cone_subspace(
 ) -> ConeSubspace:
     """H_Lambda in factorized coordinates, from the coset structure of the
     flat group F that Omega is uniform over. Only Omega's rows are read,
-    never its amplitudes.
+    never its amplitudes. Every region edge must carry a dual triangle, as
+    on a cone from ``cone_make``: region operators then shift every region
+    edge, and the region index is the configuration of all of them.
 
-    Omega's rows with given rim values r and fill values a (a bucket) form a
-    coset of K = {c in F : c vanishes on the region}. So every bucket holds
-    |K| rows, and the buckets' exterior restrictions are cosets of K
-    restricted to the exterior: any two are equal or disjoint. W's
-    orthonormal basis is one indicator per distinct exterior coset, of value
-    1/sqrt(|K|), and C[a, j] = sqrt(|K|/N) wherever bucket (r_j, a)
-    restricts to coset j. Columns are ordered by the first bucket, in
-    (rim, fill) order, that restricts to them."""
+    Omega's rows with given region values a (a bucket) form a coset of
+    K = {c in F : c vanishes on the region}. So every bucket holds |K| rows,
+    and the buckets' exterior restrictions are cosets of K restricted to the
+    exterior: any two are equal or disjoint. W's orthonormal basis is one
+    indicator per distinct exterior coset, of value 1/sqrt(|K|), and
+    C[a, j] = sqrt(|K|/N) wherever bucket a restricts to coset j. Columns
+    are ordered by the first bucket, in region-index order, that restricts
+    to them."""
     radix = group.order
-    region_edges = sorted(region.edges)
-    fill_edges = _fill_edges(lat, region)
-    ext_edges = sorted(set(lat.edges()) - set(fill_edges))
+    edges = sorted(region.edges)
+    ext_edges = sorted(set(lat.edges()) - region.edges)
     if radix ** len(ext_edges) > np.iinfo(np.int64).max:
         raise DualityError(
             f"exterior keys of {len(ext_edges)} edges over |G| = {radix} overflow int64"
         )
-    # support_matrix index of each fill a (rim edges at 0), and of each
-    # row's rim values (fill edges at 0)
-    fill_rows = codes(_enumerate_configs(fill_edges, lat.n_edges, radix), region_edges, radix)
-    fills = codes(omega.configs, fill_edges, radix)
-    rims = codes(omega.configs, region_edges, radix) - fill_rows[fills]
     ext = codes(omega.configs, ext_edges, radix)
-
-    # buckets in (rim, fill) order, each labelled by its coset's smallest
+    # buckets in region-index order, each labelled by its coset's smallest
     # exterior key; a column is a distinct label, placed at its first bucket
-    order = np.lexsort((fills, rims))
-    starts = np.r_[True, (np.diff(rims[order]) != 0) | (np.diff(fills[order]) != 0)]
-    bucket = np.empty(len(order), dtype=np.int64)
-    bucket[order] = np.cumsum(starts) - 1
-    heads = order[starts]
-    label = np.full(len(heads), np.iinfo(np.int64).max)
+    fills, bucket = np.unique(codes(omega.configs, edges, radix), return_inverse=True)
+    label = np.full(len(fills), np.iinfo(np.int64).max)
     np.minimum.at(label, bucket, ext)
     _, first, coset = np.unique(label, return_index=True, return_inverse=True)
     column = np.empty(len(first), dtype=np.int64)
     column[np.argsort(first)] = np.arange(len(first))
     column = column[coset]  # of each bucket
 
-    n_rows, n_cols = omega.n_terms, len(first)
-    coset_size = n_rows // len(heads)  # |K|
+    n_rows = omega.n_terms
+    coset_size = n_rows // len(fills)  # |K|
     ext_keys, key_row = np.unique(ext, return_index=True)
-    omega_coeffs = np.zeros((len(fill_rows), n_cols), dtype=np.complex128)
-    omega_coeffs[fills[heads], column] = np.sqrt(coset_size / n_rows)
-    region_rows = fill_rows[:, None] + rims[heads][np.sort(first)][None, :]
+    omega_coeffs = np.zeros((radix ** len(edges), len(first)), dtype=np.complex128)
+    omega_coeffs[fills, column] = np.sqrt(coset_size / n_rows)
     return ConeSubspace(
         region,
         lat,
         group,
-        fill_edges,
         ext_edges,
         ext_keys,
         column[bucket[key_row]],
         coset_size,
         omega_coeffs,
-        region_rows,
     )
-
-
-def _components(lat: Lattice, edges: Iterable[int]) -> int:
-    """Connected components of the graph on all of the lattice's vertices
-    with the given edges."""
-    parent = list(range(lat.n_vertices))
-
-    def root(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    count = lat.n_vertices
-    for e in edges:
-        a, b = (root(v) for v in lat.endpoint_table[e])
-        if a != b:
-            parent[a] = b
-            count -= 1
-    return count
-
-
-def cone_shape(lat: Lattice, group: AbelianGroup, region: Region) -> tuple[int, int, int]:
-    """(|G|^k, dim W, number of rim groups) of H_Lambda, from the graph
-    alone, without Omega. With c(S) the number of components of the graph
-    (vertices, S), the subgroup of the |G|^(V-1) gradients vanishing on S
-    has |G|^(c(S)-1) elements. W's basis is the cosets of K (vanishing on
-    the region, c(Lambda)) among the exterior restrictions (|G|^(V - c(ext))
-    of them), so dim W = |G|^(V + 1 - c(Lambda) - c(ext)). The rim values
-    take |G|^(V - c(rim)) values, and shifting by a gradient carries one rim
-    group onto another, so all rim groups have the same size."""
-    n, v = group.order, lat.n_vertices
-    fill = _fill_edges(lat, region)
-    ext = set(lat.edges()) - set(fill)
-    rim = set(region.edges) - set(fill)
-    dim_w = n ** (v + 1 - _components(lat, region.edges) - _components(lat, ext))
-    return n ** len(fill), dim_w, n ** (v - _components(lat, rim))
 
 
 def ribbon_closure_rank(subspace: ConeSubspace) -> tuple[int, int]:
@@ -479,21 +391,20 @@ def _deep_charge_detected(group: AbelianGroup, detectors: dict, ribbon: Ribbon, 
 
 def _max_cone_overlap(lat: Lattice, group: AbelianGroup, region: Region, f: AffineMap) -> float:
     """max |<M Omega|F Omega>| = max |omega(M^dagger F)| over the region's
-    edge monomials M (a shift on the fill edges times a character on every
-    region edge). The M Omega span H_Lambda, so F Omega is orthogonal to it
-    exactly when this is 0, and each term is at most the norm of F Omega's
-    projection. A term vanishes unless M^dagger F's shift s_F - s_M is flat,
+    edge monomials M (a shift times a character on every region edge). The
+    M Omega span H_Lambda, so F Omega is orthogonal to it exactly when this
+    is 0, and each term is at most the norm of F Omega's projection. A term vanishes unless M^dagger F's shift s_F - s_M is flat,
     so all |G|^k shifts are filtered with one face-flux pass first; the
     surviving terms go to ``omega_expectations`` as one batch."""
     t, n = group.tables(), group.order
-    fill, edges = _fill_edges(lat, region), sorted(region.edges)
-    digits = digit_rows(n, len(fill))
+    edges = sorted(region.edges)
+    digits = digit_rows(n, len(edges))
     rows = np.repeat(shift_rows(lat, [f]), len(digits), axis=0)
-    rows[:, fill] = t["add"][rows[:, fill], t["neg"][digits]]
-    all_chis = digit_rows(n, len(edges)).tolist()
+    rows[:, edges] = t["add"][rows[:, edges], t["neg"][digits]]
+    all_chis = digits.tolist()
     ops = []
     for d in digits[~face_fluxes(lat, group, rows).any(axis=1)]:
-        shifts = list(zip(fill, d.tolist()))
+        shifts = list(zip(edges, d.tolist()))
         for chis in all_chis:
             ops.append(_monomial(lat, group, shifts, zip(edges, chis)).adjoint().compose(f))
     return max([0.0] + [abs(v) for v in omega_expectations(lat, group, ops)])
@@ -510,7 +421,7 @@ def external_charge_orthogonality_check(
     through ground-state expectations without building Omega. Refused,
     before anything is enumerated, when the region has more than
     OMEGA_ROWS_CAP edge monomials."""
-    power = len(_fill_edges(lat, region)) + len(region.edges)
+    power = 2 * len(region.edges)
     if group.order**power > OMEGA_ROWS_CAP:
         raise DualityError(
             f"orthogonality sweep over {group.order}^{power} = {group.order**power} region"
@@ -570,10 +481,10 @@ def boundary_membership_check(
 
 
 def region_monomials(lat: Lattice, group: AbelianGroup, region: Region) -> list[AffineMap]:
-    """Every edge monomial on the region's k fill edges, identity included:
+    """Every edge monomial on the region's k edges, identity included:
     a shift and a character per edge, |G|^(2k) maps. They need no Omega, so
     they are refused, before any is built, above DENSITY_MONOMIAL_CAP."""
-    edges = _fill_edges(lat, region)
+    edges = sorted(region.edges)
     power = 2 * len(edges)
     if group.order**power > DENSITY_MONOMIAL_CAP:
         raise DualityError(
@@ -598,10 +509,10 @@ def _weyl_label_count(monomials: Iterable[AffineMap]) -> int:
 
 
 def density_ranks(coeffs: np.ndarray) -> tuple[int, int]:
-    """(real rank of both families, real rank of the region family) on one
-    rim group with Omega block C = `coeffs` (n x m), when the region family
-    is every Hermitian n x n matrix X. The families are {X C} and {i C Y}
-    for Hermitian m x m matrices Y. With C = U S V^dagger of rank r,
+    """(real rank of both families, real rank of the region family) with
+    Omega block C = `coeffs` (n x m), when the region family is every
+    Hermitian n x n matrix X. The families are {X C} and {i C Y} for
+    Hermitian m x m matrices Y. With C = U S V^dagger of rank r,
     U^dagger X C V = X' S where X' = U^dagger X U runs over every Hermitian
     matrix: the first r columns are free, n^2 - (n - r)^2 real directions,
     and the rest vanish. Likewise i C Y gives m^2 - (m - r)^2 directions on
@@ -621,19 +532,11 @@ def self_adjoint_density_check(subspace: ConeSubspace, monomials: list[AffineMap
     {i Y Omega : Y self-adjoint compressed exterior operator} must reach
     2 dim(H_Lambda); the first family alone must not. Both ranks follow from
     Omega's Schmidt rank (``density_ranks``) once the region operators are
-    all of M_n on the n = |G|^k fill configurations. They are when
+    all of M_n on the n = |G|^k region configurations. They are when
     `monomials` (``region_monomials``) and their adjoints carry n^2 distinct
     labels: maps of distinct shifts move every configuration differently,
     and distinct characters of one shift are linearly independent, so the
-    monomials are a Weyl basis. A cone that keeps its rim edges has several
-    rim groups, on which region operators carry rim-dependent phases; the
-    formula does not cover it and DualityError is raised."""
-    rim_groups = cone_shape(subspace.lat, subspace.group, subspace.region)[2]
-    if rim_groups > 1:
-        raise DualityError(
-            f"density ranks are derived for one rim group, and this cone has {rim_groups}:"
-            " trim its rim edges"
-        )
+    monomials are a Weyl basis."""
     n = subspace.omega_coeffs.shape[0]
     labels = _weyl_label_count(monomials)
     if labels != n * n:

@@ -527,8 +527,9 @@ def ribbon_between(
     """Shortest ribbon from s0 to s1 staying on the region's edges; ties
     broken by the fixed move order. Positively oriented triangles only,
     unless `allow_reversed` admits formal inverses as well. Raises when no
-    edge-disjoint path exists, or when either endpoint is not a site of
-    the lattice."""
+    edge-disjoint path exists, when the search for one stops at
+    DFS_NODE_CAP moves, or when either endpoint is not a site of the
+    lattice."""
     for s in (s0, s1):
         _table_moves(lat, s)  # raises for a site that is not on the lattice
     allowed: Optional[frozenset[int]]
@@ -541,14 +542,14 @@ def ribbon_between(
     if s0 == s1:
         return Ribbon.trivial(s0)
     # BFS over sites almost always yields edge-disjoint chains at these
-    # sizes; fall back to a bounded DFS if overlap sneaks in.
+    # sizes; fall back to a bounded DFS if overlap sneaks in. Without any
+    # site path there is no edge-disjoint one either.
     path = _site_bfs(lat, s0, s1, allowed, allow_reversed)
     if path is not None:
         try:
             return Ribbon.from_triangles(path)
         except LatticeError:
-            pass
-    path = _edge_disjoint_dfs(lat, s0, s1, allowed, allow_reversed, max_len=2 * lat.n_edges)
+            path = _edge_disjoint_dfs(lat, s0, s1, allowed, allow_reversed, 2 * lat.n_edges)
     if path is None:
         raise LatticeError(f"no ribbon from {s0} to {s1} within the region")
     return Ribbon.from_triangles(path)
@@ -578,9 +579,11 @@ def _site_bfs(lat, s0, s1, allowed, allow_reversed=False) -> Optional[list[Trian
     return None
 
 
-def _edge_disjoint_dfs(
-    lat, s0, s1, allowed, allow_reversed, max_len, node_cap: int = 500_000
-) -> Optional[list[Triangle]]:
+# moves the edge-disjoint fallback search may try before it gives up
+DFS_NODE_CAP = 500_000
+
+
+def _edge_disjoint_dfs(lat, s0, s1, allowed, allow_reversed, max_len) -> Optional[list[Triangle]]:
     # iterative deepening keeps the result shortest and deterministic;
     # the node cap bounds the blow-up when no path exists
     visited = 0
@@ -594,8 +597,11 @@ def _edge_disjoint_dfs(
                 if tri.edge in used:
                     continue
                 visited += 1
-                if visited > node_cap:
-                    return None
+                if visited > DFS_NODE_CAP:
+                    raise LatticeError(
+                        f"ribbon search from {s0} to {s1} stopped at the"
+                        f" {DFS_NODE_CAP}-node cap"
+                    )
                 new_path = path + [tri]
                 if tri.s1 == s1:
                     return new_path
@@ -657,15 +663,14 @@ class Region:
 _CONE_DIRS = {"N": (0, 1), "E": (1, 0), "S": (0, -1), "W": (-1, 0)}
 
 
-def cone_make(
-    apex: tuple[int, int], dirs: Iterable[str], lat: Lattice, trim_rim: bool = True
-) -> Region:
+def cone_make(apex: tuple[int, int], dirs: Iterable[str], lat: Lattice) -> Region:
     """Truncated quadrant cone on a plane patch: the edges whose endpoints
     satisfy both half-plane constraints of the chosen pair of axis
-    directions. With `trim_rim` (default) edges on the patch rim are
-    dropped: they carry no dual triangle, so keeping them would give the
-    region an artificially one-sided operator algebra that a cone drawn on
-    the infinite lattice never has."""
+    directions, less the edges on the patch rim. A rim edge carries no dual
+    triangle, so keeping it would give the region an artificially one-sided
+    operator algebra that a cone drawn on the infinite lattice never has;
+    without them every cone edge is bulk, as ``duality.cone_subspace``
+    requires."""
     if lat.is_torus:
         raise LatticeError("cones are defined on plane patches")
     dd = [d.upper() for d in dirs]
@@ -690,9 +695,7 @@ def cone_make(
     edges = []
     for e in lat.edges():
         pts = [lat.vertex_xy(v) for v in lat.edge_endpoints(e)]
-        if not all(inside(x, y) for x, y in pts):
-            continue
-        if not (trim_rim and lat.is_rim(e)):
+        if all(inside(x, y) for x, y in pts) and not lat.is_rim(e):
             edges.append(e)
     return Region(lat, frozenset(edges))
 

@@ -24,7 +24,6 @@ from .groups import AbelianGroup, Char, Element
 from .lattice import (
     Lattice,
     LatticeError,
-    Region,
     Ribbon,
     Site,
     closed_loop_around,
@@ -123,12 +122,12 @@ def loop_projector_table(
     labels: list[SectorLabel],
     target: Site,
     far: Site,
-    radius: int = 1,
 ) -> dict[SectorLabel, dict[SectorLabel, complex]]:
     """table[label][k] = <Ω|F† K_k F|Ω> / <Ω|F† F|Ω>: the loop charge
-    projector K_k around `target` in the charged state F Ω, F the irrep ribbon
-    operator of `label` from `target` to `far` (the identity for the vacuum)."""
-    loop = closed_loop_around(target, radius, lat)
+    projector K_k on the radius-1 loop around `target` in the charged state
+    F Ω, F the irrep ribbon operator of `label` from `target` to `far` (the
+    identity for the vacuum)."""
+    loop = closed_loop_around(target, 1, lat)
     rho = ribbon_between(target, far, lat)
     projectors = {
         k: loop_charge_projector(lat, group, loop, k.chi, k.c) for k in sector_labels(group)
@@ -153,12 +152,11 @@ def sector_distinguish(
     label2: SectorLabel,
     target: Site,
     far: Site,
-    radius: int = 1,
 ) -> DistinguishResult:
     """Search the loop charge projectors for one whose expectation separates
     the two charged states with gap 1, the finite analogue of telling two
     superselection sectors apart by a distant measurement."""
-    table = loop_projector_table(lat, group, [label1, label2], target, far, radius)
+    table = loop_projector_table(lat, group, [label1, label2], target, far)
     best: Optional[SectorLabel] = None
     best_gap = 0.0
     for k in sector_labels(group):
@@ -186,7 +184,6 @@ def transporter(
     rho1: Ribbon,
     rho2: Ribbon,
     n: int,
-    connector_region: Optional[Region] = None,
 ) -> AffineMap:
     """Finite charge transporter between two same-start ribbons: the charge
     at the end of the first truncated ribbon is moved to the end of the
@@ -199,12 +196,7 @@ def transporter(
     if r1.triangles == r2.triangles:
         return AffineMap.identity(group, lat.n_edges)
     hat = ribbon_between(
-        r1.end,
-        r2.end,
-        lat,
-        connector_region,
-        avoid_edges=r1.edges() | r2.edges(),
-        allow_reversed=True,
+        r1.end, r2.end, lat, avoid_edges=r1.edges() | r2.edges(), allow_reversed=True
     )
     from .deform import is_deformation_pair
 
@@ -238,12 +230,13 @@ def fusion_table(
 # -- braiding ----------------------------------------------------------------------------------
 
 
-def crossing_pair(lat: Lattice, x: int, y: int, steps: int = 2) -> tuple[Ribbon, Ribbon]:
+def crossing_pair(lat: Lattice, x: int, y: int) -> tuple[Ribbon, Ribbon]:
     """Canonical once-crossing pair at the site region around vertex
-    (x+1, y): the first ribbon heads north, the second east; the first is
-    the one whose operator picks up the phase when commuted to the right."""
-    rho = straight_ribbon(lat, x + 1, y - steps + 1, "N", 2 * steps - 1)
-    sigma = straight_ribbon(lat, x - steps + 1, y, "E", 2 * steps - 1)
+    (x+1, y), each ribbon 3 steps long: the first ribbon heads north, the
+    second east; the first is the one whose operator picks up the phase
+    when commuted to the right."""
+    rho = straight_ribbon(lat, x + 1, y - 1, "N", 3)
+    sigma = straight_ribbon(lat, x - 1, y, "E", 3)
     return rho, sigma
 
 
@@ -261,13 +254,11 @@ def braiding_phase(
     group: AbelianGroup,
     label1: SectorLabel,
     label2: SectorLabel,
-    at: Optional[tuple[int, int]] = None,
 ) -> complex:
     """Scalar lambda with F1 F2 = lambda F2 F1 for the canonical
-    once-crossing ribbon pair (label1 rides the north ribbon)."""
-    if at is None:
-        at = (lat.width // 2, lat.height // 2)
-    rho, sigma = crossing_pair(lat, *at)
+    once-crossing ribbon pair at the patch centre (label1 rides the north
+    ribbon)."""
+    rho, sigma = crossing_pair(lat, lat.width // 2, lat.height // 2)
     f1 = ribbon_F_irrep(lat, group, rho, label1.chi, label1.c)
     f2 = ribbon_F_irrep(lat, group, sigma, label2.chi, label2.c)
     lhs = f1.compose(f2)
@@ -393,12 +384,11 @@ def s_matrix_entry(
     group: AbelianGroup,
     label1: SectorLabel,
     label2: SectorLabel,
-    geom: Optional[SMatrixGeometry] = None,
+    geom: SMatrixGeometry,
 ) -> complex:
     """Double-exchange (monodromy) scalar of the two sectors, simulated with
-    finite transporters; label1 rides the north ribbon."""
-    if geom is None:
-        geom = smatrix_geometry(lat)
+    finite transporters on the layout `geom` (``smatrix_geometry``); label1
+    rides the north ribbon."""
     eps_ab = _exchange_phase(
         lat, group, label2, geom.rho2, geom.rho2_hat, geom.kappa, label1, geom.rho1
     )

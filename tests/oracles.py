@@ -35,8 +35,10 @@ something the package computes another way:
 - ``density_ranks_by_svd`` takes the density check's ranks from a real SVD
   of both families in block coordinates (``region_images``, whose S_M C
   reads ``ConeSubspace.region_action``, and
-  ``compressed_hermitian_images``), for ``density_ranks``; ``real_rank``,
-  ``rim_groups`` and ``label_ops`` serve it and the cone-subspace tests.
+  ``compressed_hermitian_images``), for ``density_ranks``; ``real_rank``
+  and ``label_ops`` serve it and the cone-subspace tests;
+- ``cone_shape`` gives the shape of ``cone_subspace``'s block from graph
+  components (``_components``), without Omega.
 """
 
 from __future__ import annotations
@@ -296,33 +298,25 @@ def region_images(subspace: ConeSubspace, op) -> tuple[np.ndarray, np.ndarray]:
     return image, subspace.region_apply(subspace.region_action(as_opsum(op).adjoint()), c)[0]
 
 
-def rim_groups(subspace: ConeSubspace) -> list[np.ndarray]:
-    """Columns j of the block sharing the same pinned rim values: the
-    blocks on which a compressed exterior operator acts."""
-    rims = subspace.region_rows[0]  # a = 0 fills nothing, leaving the rim offsets
-    return [np.flatnonzero(rims == r) for r in np.unique(rims)]
-
-
 def compressed_hermitian_images(subspace: ConeSubspace) -> list[np.ndarray]:
     """i Y Omega for a real basis of self-adjoint compressed exterior
     operators, as coordinate blocks. An exterior operator preserves the
-    region factors, so its compression is a matrix on each rim group's
-    exterior span, and every Hermitian matrix there is the compression of
-    some exterior operator. E_jk Omega has column j equal to C[:, k]."""
+    region factors, so its compression is a matrix on W, and every
+    Hermitian matrix there is the compression of some exterior operator.
+    E_jk Omega has column j equal to C[:, k]."""
     c = subspace.omega_coeffs
     out = []
-    for cols in rim_groups(subspace):
-        for j in cols:
-            x = np.zeros_like(c)
-            x[:, j] = 1j * c[:, j]  # i E_jj Omega
-            out.append(x)
-        for j, k in itertools.combinations(cols, 2):
-            x = np.zeros_like(c)
-            x[:, j], x[:, k] = 1j * c[:, k], 1j * c[:, j]  # i (E_jk + E_kj) Omega
-            out.append(x)
-            x = np.zeros_like(c)
-            x[:, j], x[:, k] = -c[:, k], c[:, j]  # i (i E_jk - i E_kj) Omega
-            out.append(x)
+    for j in range(c.shape[1]):
+        x = np.zeros_like(c)
+        x[:, j] = 1j * c[:, j]  # i E_jj Omega
+        out.append(x)
+    for j, k in itertools.combinations(range(c.shape[1]), 2):
+        x = np.zeros_like(c)
+        x[:, j], x[:, k] = 1j * c[:, k], 1j * c[:, j]  # i (E_jk + E_kj) Omega
+        out.append(x)
+        x = np.zeros_like(c)
+        x[:, j], x[:, k] = -c[:, k], c[:, j]  # i (i E_jk - i E_kj) Omega
+        out.append(x)
     return out
 
 
@@ -350,6 +344,39 @@ def density_ranks_by_svd(subspace: ConeSubspace, operators: Iterable) -> tuple[i
         v, vs = region_images(subspace, op)
         a_family += [v + vs, 1j * (v - vs)]
     return real_rank(a_family + compressed_hermitian_images(subspace)), real_rank(a_family)
+
+
+def _components(lat: Lattice, edges: Iterable[int]) -> int:
+    """Connected components of the graph on all of the lattice's vertices
+    with the given edges."""
+    parent = list(range(lat.n_vertices))
+
+    def root(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    count = lat.n_vertices
+    for e in edges:
+        a, b = (root(v) for v in lat.endpoint_table[e])
+        if a != b:
+            parent[a] = b
+            count -= 1
+    return count
+
+
+def cone_shape(lat: Lattice, group: AbelianGroup, region: Region) -> tuple[int, int]:
+    """(|G|^k, dim W) of H_Lambda, from the graph alone, without Omega. With
+    c(S) the number of components of the graph (vertices, S), the subgroup
+    of the |G|^(V-1) gradients vanishing on S has |G|^(c(S)-1) elements.
+    W's basis is the cosets of K (vanishing on the region, c(Lambda)) among
+    the exterior restrictions (|G|^(V - c(ext)) of them), so
+    dim W = |G|^(V + 1 - c(Lambda) - c(ext))."""
+    n, v = group.order, lat.n_vertices
+    ext = set(lat.edges()) - region.edges
+    dim_w = n ** (v + 1 - _components(lat, region.edges) - _components(lat, ext))
+    return n ** len(region.edges), dim_w
 
 
 # -- ground states -----------------------------------------------------------------

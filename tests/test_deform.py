@@ -5,6 +5,7 @@ import pytest
 
 from qdlattice.deform import (
     PATH_NODE_CAP,
+    PATH_SLACK,
     _paths_between,
     is_deformation_pair,
     sample_ribbon_pairs,
@@ -118,7 +119,7 @@ def test_path_search_reports_the_node_cap():
     lat = Lattice(3, 4, "plane")
     s0 = Site(lat.vertex_id(0, 0), lat.face_id(0, 0))
     s1 = Site(lat.vertex_id(2, 2), lat.face_id(1, 1))
-    max_len = len(ribbon_between(s0, s1, lat)) + 8
+    max_len = len(ribbon_between(s0, s1, lat)) + PATH_SLACK
     full, capped = _paths_between(lat, s0, s1, max_len)
     assert not capped and len(full) > 1
     partial, capped = _paths_between(lat, s0, s1, max_len, node_cap=20)

@@ -10,7 +10,6 @@ from qdlattice import duality
 from qdlattice.duality import (
     DualityError,
     boundary_membership_check,
-    cone_shape,
     cone_subspace,
     density_ranks,
     detecting_exterior_sites,
@@ -39,6 +38,7 @@ from oracles import (
     closure_rank,
     cone_coeffs,
     compressed_hermitian_images,
+    cone_shape,
     density_ranks_by_svd,
     distance,
     inner,
@@ -49,7 +49,6 @@ from oracles import (
     orthonormalize,
     real_rank,
     region_images,
-    rim_groups,
     scaled,
 )
 
@@ -59,37 +58,34 @@ Z2 = group_make([2])
 class MaterializedSubspace:
     """Oracle for ConeSubspace: every product vector |a> tensor w_j as a
     sparse state, and coordinates by key lookup over their joint support.
-    Omega's rows are grouped by their rim and region values as rows (no
-    integer codes); each rim group's exterior restrictions (region values
-    zeroed) are orthonormalized. Vectors are listed in ConeSubspace's block
-    order: region values a in lexicographic order (first edge most
-    significant), then w_j by rim values and Gram-Schmidt order. With
-    `sample`, only that many seeded product vectors are materialized."""
+    Omega's rows are grouped by their region values as rows (no integer
+    codes), and the groups' exterior restrictions (region values zeroed) are
+    orthonormalized. Vectors are listed in ConeSubspace's block order:
+    region values a in lexicographic order (first edge most significant),
+    then w_j in Gram-Schmidt order. With `sample`, only that many seeded
+    product vectors are materialized."""
 
     def __init__(self, region, lat, group, omega, sample=None):
-        full = [e for e in sorted(region.edges) if not lat.is_rim(e)]
-        rim = [e for e in sorted(region.edges) if e not in full]
-        labels, which = np.unique(omega.configs[:, rim + full], axis=0, return_inverse=True)
+        edges = sorted(region.edges)
+        labels, which = np.unique(omega.configs[:, edges], axis=0, return_inverse=True)
         exterior = omega.configs.copy()
-        exterior[:, full] = 0
-        ws = []
-        for bd in sorted({tuple(lab[: len(rim)]) for lab in labels}):
-            raw = [
+        exterior[:, edges] = 0
+        ws = orthonormalize(
+            [
                 SparseState.from_terms(
                     exterior[which == i], omega.amps[which == i], lat.n_edges, group.order
                 )
-                for i, lab in enumerate(labels)
-                if tuple(lab[: len(rim)]) == bd
+                for i in range(len(labels))
             ]
-            ws += orthonormalize(raw)
-        fills = list(itertools.product(range(group.order), repeat=len(full)))
+        )
+        fills = list(itertools.product(range(group.order), repeat=len(edges)))
         self.index = [(a, j) for a in range(len(fills)) for j in range(len(ws))]
         if sample is not None:
             self.index = random.Random(0).sample(self.index, sample)
         self.vectors = []
         for a, j in self.index:
             rows = ws[j].configs.copy()
-            rows[:, full] = fills[a]
+            rows[:, edges] = fills[a]
             self.vectors.append(
                 SparseState.from_terms(rows, ws[j].amps, lat.n_edges, group.order)
             )
@@ -122,40 +118,38 @@ def _combine(vectors, coeffs):
     return SparseState.from_terms(rows, amps, vectors[0].n_edges, vectors[0].radix)
 
 
-# (group, width, height, trim_rim); cones at apex (1, 1) opening N and E
+# (group, width, height); cones at apex (1, 1) opening N and E
 CASES = [
-    ("z2", 3, 3, True),
-    ("z3", 3, 3, True),
-    ("z2", 3, 4, True),
-    ("z3", 3, 4, True),
-    ("z2", 3, 3, False),
-    ("z2", 3, 4, False),
+    ("z2", 3, 3),
+    ("z3", 3, 3),
+    ("z2", 3, 4),
+    ("z3", 3, 4),
 ]
 # materializing every product vector of z3 on 3x4 (dim 6561) takes about
 # 1 GB, so that case compares a seeded sample of coordinates
-SAMPLED = {("z3", 3, 4, True): 200}
+SAMPLED = {("z3", 3, 4): 200}
 # On the 4^8-row Omega of 3x3, applying one region monomial and its adjoint
 # as states and reading their coordinates takes about 0.12 s, over 30 s for
 # each group's 256 monomials, so these cases compare with the
 # block-coordinate SVD alone; the other density cases check that SVD
 # against the states.
-BLOCK_ONLY = [("z4", 3, 3, True), ("z2xz2", 3, 3, True)]
+BLOCK_ONLY = [("z4", 3, 3), ("z2xz2", 3, 3)]
 # the density oracle's cases: on all but BLOCK_ONLY its state-built families
 # stay small
-DENSITY_CASES = [c for c in CASES if c not in SAMPLED and c != ("z2", 3, 4, False)] + BLOCK_ONLY
+DENSITY_CASES = [c for c in CASES if c not in SAMPLED] + BLOCK_ONLY
 
 
 def _case_id(case):
-    return f"{case[0]}-{case[1]}x{case[2]}-{'trim' if case[3] else 'rim'}"
+    return f"{case[0]}-{case[1]}x{case[2]}-trim"  # cone_make trims the rim
 
 
 @pytest.fixture(scope="module", params=CASES, ids=_case_id)
 def cone_case(request):
-    spec, w, h, trim = request.param
+    spec, w, h = request.param
     group = parse_group(spec)
     lat = Lattice(w, h, "plane")
     omega = ground_state(lat, group)
-    cone = cone_make((1, 1), ["N", "E"], lat, trim_rim=trim)
+    cone = cone_make((1, 1), ["N", "E"], lat)
     sub = cone_subspace(cone, lat, group, omega)
     oracle = None
     if request.param not in BLOCK_ONLY:
@@ -211,19 +205,19 @@ def test_region_images_match_applied_operators(cone_case):
 
 
 def _all_edge_monomials(lat, group, cone):
-    """Every shift on the cone's fill edges times every character on each of
-    its edges, rim edges included: the region's whole edge-monomial algebra,
-    the sweep's ``_monomial`` products rather than ``region_monomials``."""
-    fill = [e for e in sorted(cone.edges) if not lat.is_rim(e)]
+    """Every shift times every character on the cone's edges: the region's
+    whole edge-monomial algebra, the sweep's ``_monomial`` products rather
+    than ``region_monomials``."""
     edges = sorted(cone.edges)
+    configs = list(itertools.product(range(group.order), repeat=len(edges)))
     return [
-        duality._monomial(lat, group, zip(fill, shift), zip(edges, chis))
-        for shift in itertools.product(range(group.order), repeat=len(fill))
-        for chis in itertools.product(range(group.order), repeat=len(edges))
+        duality._monomial(lat, group, zip(edges, shift), zip(edges, chis))
+        for shift in configs
+        for chis in configs
     ]
 
 
-def _state_density_ranks(omega, cone, sub, oracle, monomials):
+def _state_density_ranks(omega, oracle, monomials):
     """Both ranks of the density check from the families built as states:
     (M + M^dagger) Omega and i (M - M^dagger) Omega for every monomial M,
     and the compressed exterior operators E_jk Omega assembled from the
@@ -234,12 +228,10 @@ def _state_density_ranks(omega, cone, sub, oracle, monomials):
         v = oracle.coeffs(as_opsum(m).apply(omega))
         vs = oracle.coeffs(as_opsum(m.adjoint()).apply(omega))
         a_family += [v + vs, 1j * (v - vs)]
-    # E_jk Omega = sum_a C[a, k] |a> tensor w_j, within a rim group
+    # E_jk Omega = sum_a C[a, k] |a> tensor w_j
     n_fill = len({a for a, _ in oracle.index})
     r = len(oracle.index) // n_fill
     c = oracle.coeffs(omega).reshape(n_fill, r)
-    rim = sorted(set(cone.edges) - set(sub.fill_edges))
-    rim_of = [tuple(oracle.vectors[j].configs[0, rim]) for j in range(r)]
 
     def e_omega(j, k):
         return _combine([oracle.vectors[a * r + j] for a in range(n_fill)], c[:, k])
@@ -248,8 +240,6 @@ def _state_density_ranks(omega, cone, sub, oracle, monomials):
     for j in range(r):
         b_family.append(oracle.coeffs(scaled(e_omega(j, j), 1j)))
     for j, k in itertools.combinations(range(r), 2):
-        if rim_of[j] != rim_of[k]:
-            continue
         jk, kj = e_omega(j, k), e_omega(k, j)
         b_family.append(oracle.coeffs(scaled(add(jk, kj), 1j)))
         b_family.append(oracle.coeffs(add(kj, scaled(jk, -1.0))))  # -(jk - kj)
@@ -261,26 +251,15 @@ def test_density_ranks_match_materialized_oracle(cone_case):
     """Both ranks of the density check against a real SVD of its families:
     the region's whole edge-monomial algebra and the compressed exterior
     family, built as states where that fits and in block coordinates on
-    every case. A cone that keeps its rim edges is refused by the check."""
+    every case."""
     param, lat, group, omega, cone, sub, oracle = cone_case
     monomials = _all_edge_monomials(lat, group, cone)
     target = 2 * sub.dim
     full_rank, a_rank = density_ranks_by_svd(sub, monomials)
     if oracle is not None:
-        state_full, state_a, b_family = _state_density_ranks(omega, cone, sub, oracle, monomials)
+        state_full, state_a, b_family = _state_density_ranks(omega, oracle, monomials)
         assert (state_full, state_a) == (full_rank, a_rank)
         assert real_rank(b_family) == real_rank(compressed_hermitian_images(sub))
-    if not param[3]:
-        # A cone that keeps its rim edges has several rim groups. Characters
-        # on the rim edges act on each group with its own phase, and with
-        # them the whole algebra reaches the target group by group; the
-        # fill-edge monomials alone act alike on every group and fall short.
-        # The check's formula covers one rim group, so it refuses the cone.
-        assert full_rank == target
-        assert density_ranks_by_svd(sub, region_monomials(lat, group, cone))[0] < target
-        with pytest.raises(DualityError, match=r"this cone has \d+: trim its rim edges"):
-            self_adjoint_density_check(sub, region_monomials(lat, group, cone))
-        return
     spans, control = self_adjoint_density_check(sub, region_monomials(lat, group, cone))
     assert spans.details == f"rank {full_rank} of target {target}"
     assert control.max_error == a_rank
@@ -368,16 +347,14 @@ def test_trivial_region_subspace():
 
 def test_closure_matches_factorized_dimension():
     """The closure grown in block coordinates against the closure grown
-    from materialized states at the same length caps, on a trimmed cone
-    and on one that keeps its rim edges."""
+    from materialized states at the same length caps."""
     lat = Lattice(3, 3, "plane")
     omega = ground_state(lat, Z2)
-    for trim, dim in [(True, 16), (False, 32)]:
-        cone = cone_make((1, 1), ["N", "E"], lat, trim_rim=trim)
-        sub = cone_subspace(cone, lat, Z2, omega)
-        ranks = ribbon_closure_rank(sub)
-        assert ranks == closure_rank(cone, lat, Z2, omega, duality.CLOSURE_LENGTH_CAP)
-        assert ranks == (dim, dim) and sub.dim == dim
+    cone = cone_make((1, 1), ["N", "E"], lat)
+    sub = cone_subspace(cone, lat, Z2, omega)
+    ranks = ribbon_closure_rank(sub)
+    assert ranks == closure_rank(cone, lat, Z2, omega, duality.CLOSURE_LENGTH_CAP)
+    assert ranks == (16, 16) and sub.dim == 16
 
 
 def test_subspace_invariant_under_region_operators(small_cone):
@@ -513,42 +490,35 @@ def test_haag_check_refuses_oversized_omega_before_the_density_pool(monkeypatch)
 
 
 def _all_pairs_subspace(region, lat, group, omega):
-    """cone_subspace's (ext_keys, w_conj, omega_coeffs, region_rows) with
-    Gram-Schmidt over every exterior restriction of each rim group, all
-    pairs, on materialized states."""
+    """cone_subspace's (ext_keys, w_conj, omega_coeffs) with Gram-Schmidt
+    over every exterior restriction, all pairs, on materialized states."""
     radix = group.order
-    region_edges = sorted(region.edges)
-    fill = [e for e in region_edges if not lat.is_rim(e)]
-    ext = sorted(set(lat.edges()) - set(fill))
-    k = len(fill)
-    weight = {e: radix ** (len(region_edges) - 1 - i) for i, e in enumerate(region_edges)}
-    digits = np.arange(radix**k)[:, None] // radix ** np.arange(k - 1, -1, -1) % radix
-    fill_rows = digits @ np.array([weight[e] for e in fill], dtype=np.int64)
-    fills = codes(omega.configs, fill, radix)
-    rims = codes(omega.configs, region_edges, radix) - fill_rows[fills]
+    edges = sorted(region.edges)
+    ext = sorted(set(lat.edges()) - set(edges))
+    k = len(edges)
+    fills = codes(omega.configs, edges, radix)
     exterior = omega.configs.copy()
-    exterior[:, fill] = 0
-    blocks, w_states, w_rims = [], [], []
-    for rim in np.unique(rims):
-        members = [(a, (rims == rim) & (fills == a)) for a in range(radix**k)]
-        members = [(a, rows) for a, rows in members if rows.any()]
-        vectors = [
-            SparseState.from_terms(exterior[rows], omega.amps[rows], lat.n_edges, radix)
-            for _, rows in members
-        ]
-        basis, coeffs = orthonormal_coeffs(vectors)
-        block = np.zeros((radix**k, len(basis)), dtype=np.complex128)
-        block[[a for a, _ in members]] = coeffs
-        blocks.append(block)
-        w_states += basis
-        w_rims += [rim] * len(basis)
-    keys = [codes(w.configs, ext, radix) for w in w_states]
+    exterior[:, edges] = 0
+    members = [(a, fills == a) for a in range(radix**k)]
+    members = [(a, rows) for a, rows in members if rows.any()]
+    vectors = [
+        SparseState.from_terms(exterior[rows], omega.amps[rows], lat.n_edges, radix)
+        for _, rows in members
+    ]
+    basis, coeffs = orthonormal_coeffs(vectors)
+    block = np.zeros((radix**k, len(basis)), dtype=np.complex128)
+    block[[a for a, _ in members]] = coeffs
+    keys = [codes(w.configs, ext, radix) for w in basis]
     ext_keys, rows = np.unique(np.concatenate(keys), return_inverse=True)
-    cols = np.repeat(np.arange(len(w_states)), [len(c) for c in keys])
-    amps = np.concatenate([w.amps for w in w_states])
-    w = sp.csr_matrix((amps, (rows, cols)), shape=(len(ext_keys), len(w_states)))
-    region_rows = fill_rows[:, None] + np.array(w_rims)[None, :]
-    return ext_keys, w.conj(), np.hstack(blocks), region_rows
+    cols = np.repeat(np.arange(len(basis)), [len(c) for c in keys])
+    amps = np.concatenate([w.amps for w in basis])
+    w = sp.csr_matrix((amps, (rows, cols)), shape=(len(ext_keys), len(basis)))
+    return ext_keys, w.conj(), block
+
+
+def _bulk(lat):
+    """The patch's bulk edges: every edge with a dual triangle."""
+    return Region(lat, frozenset(e for e in lat.edges() if not lat.is_rim(e)))
 
 
 @pytest.mark.parametrize(
@@ -556,7 +526,6 @@ def _all_pairs_subspace(region, lat, group, omega):
     [
         (2, 4, "trim"),
         (3, 4, "trim"),
-        (2, 4, "rim"),
         (2, 3, "patch"),
         (2, 3, "star"),
         (3, 3, "empty"),
@@ -564,23 +533,23 @@ def _all_pairs_subspace(region, lat, group, omega):
 )
 def test_coset_subspace_matches_all_pairs_gram_schmidt(order, height, kind):
     """The coset construction of W and C against Gram-Schmidt over every
-    exterior restriction of each rim group, with the same column order. The
-    whole 3x3 patch and the star of its centre hold a complete star, whose
-    gradient makes distinct buckets restrict to the same coset; the empty
-    region has a single bucket, all of Omega."""
+    exterior restriction, with the same column order. The bulk of the 3x3
+    patch and the star of its centre hold a complete star, whose gradient
+    makes distinct buckets restrict to the same coset; the empty region has
+    a single bucket, all of Omega."""
     group = group_make([order])
     lat = Lattice(3, height, "plane")
     omega = ground_state(lat, group)
     if kind == "patch":
-        cone = Region(lat, frozenset(lat.edges()))
+        cone = _bulk(lat)
     elif kind == "star":
         cone = Region(lat, frozenset(lat.star_edges(lat.vertex_id(1, 1))))
     elif kind == "empty":
         cone = Region(lat, frozenset())
     else:
-        cone = cone_make((1, 1), ["N", "E"], lat, trim_rim=kind == "trim")
+        cone = cone_make((1, 1), ["N", "E"], lat)
     sub = cone_subspace(cone, lat, group, omega)
-    ext_keys, w_conj, coeffs, rows = _all_pairs_subspace(cone, lat, group, omega)
+    ext_keys, w_conj, coeffs = _all_pairs_subspace(cone, lat, group, omega)
     assert np.array_equal(sub.ext_keys, ext_keys)
     # every exterior key carries exactly one w_j, of value 1/sqrt(|K|)
     w = w_conj.conj().tocsr()
@@ -588,7 +557,6 @@ def test_coset_subspace_matches_all_pairs_gram_schmidt(order, height, kind):
     assert np.array_equal(sub.key_cols, w.indices)
     np.testing.assert_allclose(w.data, 1 / np.sqrt(sub.coset_size), rtol=0, atol=1e-15)
     np.testing.assert_allclose(sub.omega_coeffs, coeffs, rtol=0, atol=1e-15)
-    assert np.array_equal(sub.region_rows, rows)
 
 
 @pytest.mark.parametrize(
@@ -596,32 +564,28 @@ def test_coset_subspace_matches_all_pairs_gram_schmidt(order, height, kind):
     [
         ("z2", 3, 4, "trim"),
         ("z3", 3, 4, "trim"),
-        ("z2", 3, 4, "rim"),
         ("z2", 3, 3, "trim"),
         ("z3", 3, 3, "trim"),
         ("z4", 3, 3, "trim"),
-        ("z2xz2", 3, 3, "rim"),
         ("z3", 3, 3, "star"),
         ("z2", 3, 3, "patch"),
         ("z2", 4, 4, "trim"),
     ],
 )
 def test_cone_shape_matches_cone_subspace(spec, width, height, kind):
-    """dim H_Lambda = |G|^(k + V + 1 - c(Lambda) - c(E minus fill)) and the
-    rim groups, from the graph alone, against the coset construction on
-    Omega's rows."""
+    """(|G|^k, dim W) with dim H_Lambda = |G|^(k + V + 1 - c(Lambda) -
+    c(E minus Lambda)), from the graph alone, against the coset
+    construction on Omega's rows."""
     group = parse_group(spec)
     lat = Lattice(width, height, "plane")
     if kind == "star":
         cone = Region(lat, frozenset(lat.star_edges(lat.vertex_id(1, 1))))
     elif kind == "patch":
-        cone = Region(lat, frozenset(lat.edges()))
+        cone = _bulk(lat)
     else:
-        cone = cone_make((1, 1), ["N", "E"], lat, trim_rim=kind == "trim")
+        cone = cone_make((1, 1), ["N", "E"], lat)
     sub = cone_subspace(cone, lat, group, ground_state(lat, group))
-    fill, dim_w, n_rim = cone_shape(lat, group, cone)
-    assert sub.omega_coeffs.shape == (fill, dim_w)
-    assert [len(cols) for cols in rim_groups(sub)] == [dim_w // n_rim] * n_rim
+    assert sub.omega_coeffs.shape == cone_shape(lat, group, cone)
 
 
 def test_density_rank_and_negative_control():
@@ -669,20 +633,23 @@ def test_multi_ribbon_states_reduce_to_products():
 
 
 def test_full_patch_subspace_dimension():
-    # the whole patch as the region: the subspace dimension factorizes as
-    # (free configurations on both-sided edges) x (distinct flat-connection
-    # restrictions to the rim), computed here independently from the flats
+    # the whole bulk of the patch as the region, the most a region can hold:
+    # the subspace dimension factorizes as (free configurations on the bulk)
+    # x (exterior cosets), one coset per |K| distinct flat-connection
+    # restrictions to the rim, with K the flat connections vanishing on the
+    # bulk; computed here independently from the flats
     from qdlattice.groundstate import flat_connections
 
-    lat = Lattice(3, 3, "plane")
+    lat = Lattice(3, 4, "plane")
     omega = ground_state(lat, Z2)
-    full = Region(lat, frozenset(lat.edges()))
-    sub = cone_subspace(full, lat, Z2, omega)
+    bulk = _bulk(lat)
+    sub = cone_subspace(bulk, lat, Z2, omega)
     flats = flat_connections(lat, Z2)
     rim = [e for e in lat.edges() if lat.is_rim(e)]
-    bulk = [e for e in lat.edges() if not lat.is_rim(e)]
     rim_patterns = {tuple(row[rim]) for row in flats}
-    assert sub.dim == (2 ** len(bulk)) * len(rim_patterns)
+    vanishing = int(np.sum(~flats[:, sorted(bulk.edges)].any(axis=1)))
+    assert sub.coset_size == vanishing
+    assert sub.dim == 2 ** len(bulk.edges) * len(rim_patterns) // vanishing
 
 
 def test_cone_region_has_boundary():

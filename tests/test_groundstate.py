@@ -28,6 +28,7 @@ from qdlattice.lattice import (
     straight_ribbon,
 )
 from qdlattice.operators import (
+    MATRIX_DIM_CAP,
     AffineMap,
     OpSum,
     as_opsum,
@@ -72,7 +73,7 @@ def test_flat_count_2x2_plane(grp, count):
 @pytest.mark.parametrize("grp", [Z2, Z3])
 def test_flat_enumeration_matches_brute_force(dims, boundary, grp):
     lat = Lattice(*dims, boundary)
-    if grp.order**lat.n_edges > 1 << 22:
+    if grp.order**lat.n_edges > MATRIX_DIM_CAP:
         pytest.skip("brute force too large")
     flats = torus_flat_connections(lat, grp) if lat.is_torus else flat_connections(lat, grp)
     assert np.all(is_flat(lat, grp, flats))

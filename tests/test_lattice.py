@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from qdlattice import lattice
 from qdlattice.lattice import (
     Lattice,
     LatticeError,
@@ -144,14 +145,37 @@ def test_ribbon_invert_involution():
     assert (bar2.start, bar2.end) == (two.end, two.start)
 
 
-def test_ribbon_between_trivial_and_unreachable():
+def test_ribbon_between_trivial_and_unreachable(monkeypatch):
     lat = Lattice(3, 3, "plane")
     s = Site(lat.vertex_id(1, 1), lat.face_id(1, 1))
     assert ribbon_between(s, s, lat).is_trivial
     other = Site(lat.vertex_id(0, 0), lat.face_id(0, 0))
     tiny = Region(lat, frozenset([0]))
-    with pytest.raises(LatticeError):
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("edge-disjoint search run without a site path")
+
+    # no site path within the region: refused without the fallback search
+    monkeypatch.setattr(lattice, "_edge_disjoint_dfs", unreachable)
+    with pytest.raises(LatticeError) as err:
         ribbon_between(s, other, lat, tiny)
+    assert str(err.value) == f"no ribbon from {s} to {other} within the region"
+
+
+def test_ribbon_between_reports_the_search_cap(monkeypatch):
+    """The site path from (1, 0) to (1, 1) with reversed moves crosses edge
+    7 twice, so the edge-disjoint search runs; stopped at its node cap, it
+    says so rather than that no ribbon exists."""
+    lat = Lattice(3, 3, "plane")
+    s0 = Site(lat.vertex_id(1, 0), lat.face_id(0, 0))
+    s1 = Site(lat.vertex_id(1, 1), lat.face_id(1, 0))
+    with pytest.raises(LatticeError, match="overlap"):
+        Ribbon.from_triangles(lattice._site_bfs(lat, s0, s1, None, True))
+    assert len(ribbon_between(s0, s1, lat, allow_reversed=True)) == 4
+    monkeypatch.setattr(lattice, "DFS_NODE_CAP", 3)
+    with pytest.raises(LatticeError) as err:
+        ribbon_between(s0, s1, lat, allow_reversed=True)
+    assert str(err.value) == f"ribbon search from {s0} to {s1} stopped at the 3-node cap"
 
 
 def test_ribbon_random_walks_stay_valid():
@@ -213,8 +237,9 @@ def test_cone_trims_rim_edges():
     cone = cone_make((1, 1), ["N", "E"], lat)
     for e in cone.edges:
         lat.dual_faces(e)  # must not raise: every cone edge is bulk
-    full = cone_make((1, 1), ["N", "E"], lat, trim_rim=False)
-    assert cone.edges < full.edges
+    # the quadrant above (1, 1) holds 4 edges; the 2 on the top and right
+    # rim are dropped
+    assert cone.edges == {lat.edge_id("h", 1, 1), lat.edge_id("v", 1, 1)}
 
 
 def test_cone_site_membership():
