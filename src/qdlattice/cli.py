@@ -79,12 +79,11 @@ def main(argv=None) -> int:
         print(f"error: {config.experiment}: {exc}", file=sys.stderr)
         return 2
     elapsed = time.time() - t0
-    payload = report_json(report)
     if config.out:
         write_report(report, config.out)
         print(f"report written to {config.out}", file=sys.stderr)
     else:
-        sys.stdout.write(payload)
+        sys.stdout.write(report_json(report))
     n_pass = sum(1 for c in report.checks if c.status == "pass")
     print(
         f"{config.experiment}: {n_pass}/{len(report.checks)} checks passed"

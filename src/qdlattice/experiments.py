@@ -72,6 +72,7 @@ from .reports import Report, RunConfig
 from .sectors import (
     SectorLabel,
     braiding_phase,
+    crossing_pair,
     fuse_labels,
     fusion_table,
     loop_projector_table,
@@ -378,8 +379,9 @@ def run_verify(config: RunConfig, group: AbelianGroup, lat: Lattice) -> Report:
 
     # crossing phase
     errs = []
+    pair = crossing_pair(lat, lat.width // 2, lat.height // 2)
     for l1, l2 in itertools.product(sector_labels(group), repeat=2):
-        lam = braiding_phase(lat, group, l1, l2)
+        lam = braiding_phase(lat, group, l1, l2, pair)
         pred = group.char_eval(l1.chi, l2.c) * group.char_eval(l2.chi, l1.c)
         errs.append(abs(lam - pred))
     rep.add(
@@ -616,14 +618,14 @@ def run_deform(config: RunConfig, group: AbelianGroup, lat: Lattice, pairs: int 
 def run_braid(config: RunConfig, group: AbelianGroup, lat: Lattice) -> Report:
     rep = Report("braid", config.__dict__.copy())
     labels = sector_labels(group)
+    pair = crossing_pair(lat, lat.width // 2, lat.height // 2)
+    lams = {(l1, l2): braiding_phase(lat, group, l1, l2, pair) for l1 in labels for l2 in labels}
     errs = []
     sym_errs = []
-    for l1 in labels:
-        for l2 in labels:
-            lam = braiding_phase(lat, group, l1, l2)
-            pred = group.char_eval(l1.chi, l2.c) * group.char_eval(l2.chi, l1.c)
-            errs.append(abs(lam - pred))
-            sym_errs.append(abs(lam - braiding_phase(lat, group, l2, l1)))
+    for (l1, l2), lam in lams.items():
+        pred = group.char_eval(l1.chi, l2.c) * group.char_eval(l2.chi, l1.c)
+        errs.append(abs(lam - pred))
+        sym_errs.append(abs(lam - lams[l2, l1]))
     rep.add(
         "one-crossing phase matches the character formula",
         "lambda = chi(d) xi(c)",

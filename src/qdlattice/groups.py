@@ -113,7 +113,12 @@ class AbelianGroup:
         ) % 1
 
     def char_eval(self, chi: Char, g: Element) -> complex:
-        return phase_to_complex(self.char_phase(chi, g))
+        """chi(g) read from ``tables()``: the root of unity that
+        ``phase_to_complex`` gives for ``char_phase(chi, g)``."""
+        self._check(chi)
+        self._check(g)
+        t = self.tables()
+        return complex(t["roots"][t["char_num"][self.index_of(chi), self.index_of(g)]])
 
     def char_mul(self, chi1: Char, chi2: Char) -> Char:
         return self.mul(chi1, chi2)

@@ -49,6 +49,8 @@ to the next face clockwise around its vertex) and at most two reversed ones
 (the formal inverses of the positive triangles arriving at it). The lattice
 is frozen, so ``Lattice.move_table`` works these out from coordinates once,
 on first use, and maps each site to its (positive, reversed) triangle tuples.
+Each triangle carries its operator sign from there, and ``Ribbon.parts``
+reads a ribbon's signed edges off its triangles once per ribbon.
 ``positive_moves``, ``reversed_moves`` and ``site_moves`` read the table and
 filter by the allowed edges only when a set is given; every ribbon search
 (``ribbon_between``, deform's path sampler, the duality module's region
@@ -59,7 +61,7 @@ raises ``LatticeError``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Optional
 
@@ -93,7 +95,8 @@ class Site(NamedTuple):
 
 @dataclass(frozen=True)
 class Lattice:
-    """Square-lattice patch, plane (open) or torus (periodic)."""
+    """Square-lattice patch, plane (open) or torus (periodic). Frozen, so
+    its sizes and tables are worked out once, on first use."""
 
     width: int
     height: int
@@ -107,11 +110,11 @@ class Lattice:
 
     # -- vertices ------------------------------------------------------------
 
-    @property
+    @cached_property
     def is_torus(self) -> bool:
         return self.boundary == "torus"
 
-    @property
+    @cached_property
     def n_vertices(self) -> int:
         return self.width * self.height
 
@@ -128,19 +131,19 @@ class Lattice:
     # -- edges ---------------------------------------------------------------
     # h edges first (row-major), then v edges (row-major).
 
-    @property
+    @cached_property
     def _h_cols(self) -> int:
         return self.width if self.is_torus else self.width - 1
 
-    @property
+    @cached_property
     def _v_rows(self) -> int:
         return self.height if self.is_torus else self.height - 1
 
-    @property
+    @cached_property
     def n_h_edges(self) -> int:
         return self._h_cols * self.height
 
-    @property
+    @cached_property
     def n_edges(self) -> int:
         return self.n_h_edges + self.width * self._v_rows
 
@@ -180,15 +183,15 @@ class Lattice:
 
     # -- faces ---------------------------------------------------------------
 
-    @property
+    @cached_property
     def _f_cols(self) -> int:
         return self.width if self.is_torus else self.width - 1
 
-    @property
+    @cached_property
     def _f_rows(self) -> int:
         return self.height if self.is_torus else self.height - 1
 
-    @property
+    @cached_property
     def n_faces(self) -> int:
         return self._f_cols * self._f_rows
 
@@ -337,15 +340,18 @@ class Lattice:
 class Triangle:
     """One ribbon step. kind "direct": sites share the face and the travel
     runs between their vertices along `edge`; kind "dual": sites share the
-    vertex and the travel runs between their faces across `edge`."""
+    vertex and the travel runs between their faces across `edge`. `sign` is
+    ``direct_flux_sign`` or ``dual_shift_sign`` of the step, set by the move
+    table that builds it; reversal negates it."""
 
     kind: str
     s0: Site
     s1: Site
     edge: int
+    sign: int
 
     def reversed(self) -> "Triangle":
-        return Triangle(self.kind, self.s1, self.s0, self.edge)
+        return Triangle(self.kind, self.s1, self.s0, self.edge, -self.sign)
 
 
 def _face_edge_between(lat: Lattice, f: int, v0: int, v1: int) -> Optional[int]:
@@ -444,6 +450,15 @@ class Ribbon:
     def edges(self) -> set[int]:
         return {t.edge for t in self.triangles}
 
+    @cached_property
+    def parts(self) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
+        """(flux, duals): the (edge, sign) pairs of the direct triangles and
+        of the dual ones, in ribbon order, which is all a ribbon operator
+        reads of the ribbon (computed once)."""
+        flux = tuple((t.edge, t.sign) for t in self.triangles if t.kind == "direct")
+        duals = tuple((t.edge, t.sign) for t in self.triangles if t.kind == "dual")
+        return flux, duals
+
     def __len__(self) -> int:
         return len(self.triangles)
 
@@ -468,16 +483,19 @@ def ribbon_invert(r: Ribbon) -> Ribbon:
 def _build_moves(lat: Lattice, s: Site, step: int) -> tuple[Triangle, ...]:
     """Builder of ``Lattice.move_table``: the direct, then the dual triangle
     from s to the next corner and face (step +1, positively oriented) or to
-    the previous ones (step -1, formal inverses of positive triangles)."""
+    the previous ones (step -1, formal inverses of positive triangles), each
+    with its sign."""
     corners = lat.face_corners_ccw(s.face)
     other = corners[(corners.index(s.vertex) + step) % 4]
     e = _face_edge_between(lat, s.face, s.vertex, other)
-    out = [Triangle("direct", s, Site(other, s.face), e)]
+    tri = Triangle("direct", s, Site(other, s.face), e, 0)
+    out = [replace(tri, sign=direct_flux_sign(lat, tri))]
     ring = lat.faces_at_vertex_cw(s.vertex)
     f_other = ring[(ring.index(s.face) + step) % 4]
     if f_other is not None:  # no face beyond a plane patch's rim
         e = _edge_between_faces(lat, s.vertex, s.face, f_other)
-        out.append(Triangle("dual", s, Site(s.vertex, f_other), e))
+        tri = Triangle("dual", s, Site(s.vertex, f_other), e, 0)
+        out.append(replace(tri, sign=dual_shift_sign(lat, tri)))
     return tuple(out)
 
 

@@ -33,15 +33,7 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 import numpy as np
 
 from .groups import AbelianGroup, Char, Element, codes, digit_rows
-from .lattice import (
-    Lattice,
-    LatticeError,
-    Region,
-    Ribbon,
-    Site,
-    direct_flux_sign,
-    dual_shift_sign,
-)
+from .lattice import Lattice, LatticeError, Region, Ribbon, Site, positive_moves
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -54,6 +46,15 @@ Coeffs = tuple[tuple[int, int], ...]  # ((edge, sign), ...), sign in {+1, -1}
 
 class OperatorError(ValueError):
     """Operator construction or materialization is not admissible."""
+
+
+def _fold_shift(shifts: dict[int, int], coeffs: Coeffs, add, neg) -> int:
+    """Packed index of the sum of sign*shifts[edge] over the expression."""
+    acc = 0
+    for e, sign in coeffs:
+        s = shifts.get(e, 0)
+        acc = add[acc][s if sign > 0 else neg[s]]
+    return acc
 
 
 @dataclass(frozen=True)
@@ -88,16 +89,6 @@ class AffineMap:
             out.update(e for e, _ in coeffs)
         return frozenset(out)
 
-    def _fold_shift(self, coeffs: Coeffs) -> int:
-        """Packed index of the sum of sign*shift(edge) over the expression."""
-        add, neg, _ = self.group.index_tables()
-        shifts = dict(self.shifts)
-        acc = 0
-        for e, sign in coeffs:
-            s = shifts.get(e, 0)
-            acc = add[acc][s if sign > 0 else neg[s]]
-        return acc
-
     # -- algebra ----------------------------------------------------------------
 
     def compose(self, first: "AffineMap") -> "AffineMap":
@@ -107,16 +98,16 @@ class AffineMap:
             raise OperatorError("maps live on different lattices or groups")
         add, neg, _ = g.index_tables()
         shifts = dict(first.shifts)
-        for e, gi in self.shifts:
-            shifts[e] = add[shifts.get(e, 0)][gi]
-        new_shifts = tuple(sorted((e, v) for e, v in shifts.items() if v))
         # self's constraints read the input already shifted by `first`
         new_deltas = list(first.deltas)
         for coeffs, target in self.deltas:
-            new_deltas.append((coeffs, add[target][neg[first._fold_shift(coeffs)]]))
+            new_deltas.append((coeffs, add[target][neg[_fold_shift(shifts, coeffs, add, neg)]]))
         new_chars = list(first.chars)
         for ci, coeffs, offset in self.chars:
-            new_chars.append((ci, coeffs, add[offset][first._fold_shift(coeffs)]))
+            new_chars.append((ci, coeffs, add[offset][_fold_shift(shifts, coeffs, add, neg)]))
+        for e, gi in self.shifts:
+            shifts[e] = add[shifts.get(e, 0)][gi]
+        new_shifts = tuple(sorted((e, v) for e, v in shifts.items() if v))
         return AffineMap(
             g,
             self.n_edges,
@@ -130,12 +121,13 @@ class AffineMap:
         g = self.group
         add, neg, _ = g.index_tables()
         inv_shifts = tuple(sorted((e, neg[gi]) for e, gi in self.shifts))
-        undo = AffineMap(g, self.n_edges, inv_shifts)
+        undo = dict(inv_shifts)
         new_deltas = tuple(
-            (coeffs, add[target][neg[undo._fold_shift(coeffs)]]) for coeffs, target in self.deltas
+            (coeffs, add[target][neg[_fold_shift(undo, coeffs, add, neg)]])
+            for coeffs, target in self.deltas
         )
         new_chars = tuple(
-            (neg[ci], coeffs, add[offset][undo._fold_shift(coeffs)])
+            (neg[ci], coeffs, add[offset][_fold_shift(undo, coeffs, add, neg)])
             for ci, coeffs, offset in self.chars
         )
         return AffineMap(
@@ -387,17 +379,6 @@ def ops_equal(a, b, n_edges: int) -> float:
     return max(float(np.max(np.abs(np.subtract(*sums)))) for sums in buckets.values())
 
 
-def _ribbon_parts(lat: Lattice, ribbon: Ribbon) -> tuple[Coeffs, tuple[tuple[int, int], ...]]:
-    flux: list[tuple[int, int]] = []
-    duals: list[tuple[int, int]] = []
-    for tri in ribbon.triangles:
-        if tri.kind == "direct":
-            flux.append((tri.edge, direct_flux_sign(lat, tri)))
-        else:
-            duals.append((tri.edge, dual_shift_sign(lat, tri)))
-    return tuple(flux), tuple(duals)
-
-
 def _dual_shifts(group: AbelianGroup, duals: Coeffs, gi: int) -> tuple[tuple[int, int], ...]:
     """Sorted (edge, index) shifts by gi along each dual edge's sign, or by
     its inverse against it; none when gi is the identity."""
@@ -413,7 +394,7 @@ def ribbon_F(lat: Lattice, group: AbelianGroup, ribbon: Ribbon, g: Element, h: E
     The trivial ribbon gives the identity."""
     if ribbon.is_trivial:
         return AffineMap.identity(group, lat.n_edges)
-    flux, duals = _ribbon_parts(lat, ribbon)
+    flux, duals = ribbon.parts
     shifts = _dual_shifts(group, duals, group.index_of(g))
     # with no direct triangles the empty flux expression makes this delta_{h,e}
     deltas = ((flux, group.index_of(h)),)
@@ -428,7 +409,7 @@ def ribbon_F_irrep(
     conj(chi)(flux) and a dual shift by the inverse of c. Unitary."""
     if ribbon.is_trivial:
         raise OperatorError("irrep ribbon operators need a nonempty ribbon")
-    flux, duals = _ribbon_parts(lat, ribbon)
+    flux, duals = ribbon.parts
     neg = group.index_tables()[1]
     shifts = _dual_shifts(group, duals, neg[group.index_of(c)])
     ci = group.index_of(chi)
@@ -439,35 +420,28 @@ def ribbon_F_irrep(
 # -- site operators -------------------------------------------------------------------
 
 
+def _closed_walk(lat: Lattice, s: Site, kind: str) -> Ribbon:
+    """Four positive moves of the given kind from s: once around its vertex
+    (dual) or its face (direct)."""
+    tris = []
+    site = s
+    for _ in range(4):
+        step = [t for t in positive_moves(lat, site, None) if t.kind == kind]
+        if not step:  # no face beyond a plane patch's rim
+            raise LatticeError(f"vertex {s.vertex} has an incomplete star")
+        tris.append(step[0])
+        site = step[0].s1
+    return Ribbon.from_triangles(tris)
+
+
 def alpha_ribbon(lat: Lattice, s: Site) -> Ribbon:
     """Smallest closed dual ribbon at s: clockwise around the vertex."""
-    ring = lat.faces_at_vertex_cw(s.vertex)
-    if None in ring:
-        raise LatticeError(f"vertex {s.vertex} has an incomplete star")
-    k = ring.index(s.face)
-    order = [ring[(k + i) % 4] for i in range(4)] + [s.face]
-    tris = []
-    for f0, f1 in zip(order, order[1:]):
-        from .lattice import make_triangle
-
-        tris.append(make_triangle(lat, Site(s.vertex, f0), Site(s.vertex, f1)))
-    return Ribbon.from_triangles(tris)
+    return _closed_walk(lat, s, "dual")
 
 
 def beta_ribbon(lat: Lattice, s: Site) -> Ribbon:
     """Smallest closed direct ribbon at s: counterclockwise around the face."""
-    corners = lat.face_corners_ccw(s.face)
-    if s.vertex not in corners:
-        raise LatticeError("site vertex is not a corner of its face")
-    k = corners.index(s.vertex)
-    order = [corners[(k + i) % 4] for i in range(4)] + [s.vertex]
-    from .lattice import make_triangle
-
-    tris = [
-        make_triangle(lat, Site(v0, s.face), Site(v1, s.face))
-        for v0, v1 in zip(order, order[1:])
-    ]
-    return Ribbon.from_triangles(tris)
+    return _closed_walk(lat, s, "direct")
 
 
 def star_g(lat: Lattice, group: AbelianGroup, s: Site, g: Element) -> AffineMap:

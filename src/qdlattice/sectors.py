@@ -254,11 +254,12 @@ def braiding_phase(
     group: AbelianGroup,
     label1: SectorLabel,
     label2: SectorLabel,
+    pair: tuple[Ribbon, Ribbon],
 ) -> complex:
-    """Scalar lambda with F1 F2 = lambda F2 F1 for the canonical
-    once-crossing ribbon pair at the patch centre (label1 rides the north
-    ribbon)."""
-    rho, sigma = crossing_pair(lat, lat.width // 2, lat.height // 2)
+    """Scalar lambda with F1 F2 = lambda F2 F1 for the once-crossing ribbon
+    `pair` (``crossing_pair``): label1 rides its first, north ribbon and
+    label2 its second, east one."""
+    rho, sigma = pair
     f1 = ribbon_F_irrep(lat, group, rho, label1.chi, label1.c)
     f2 = ribbon_F_irrep(lat, group, sigma, label2.chi, label2.c)
     lhs = f1.compose(f2)
@@ -287,9 +288,9 @@ class SMatrixGeometry:
     rho1: Ribbon  # alpha, north
     rho2: Ribbon  # beta, east
     rho2_hat: Ribbon  # beta transported to the west
-    kappa: Ribbon  # end of rho2 -> end of rho2_hat, crossing rho1 once
+    transport2: Ribbon  # rho2, then its connector to the end of rho2_hat, crossing rho1 once
     rho1_hat: Ribbon  # alpha transported west, below the arc
-    kappa1: Ribbon  # end of rho1 -> end of rho1_hat, crossing nothing
+    transport1: Ribbon  # rho1, then its connector to the end of rho1_hat, crossing nothing
 
 
 def smatrix_geometry(lat: Lattice, reversed_orientation: bool = False) -> SMatrixGeometry:
@@ -330,45 +331,36 @@ def smatrix_geometry(lat: Lattice, reversed_orientation: bool = False) -> SMatri
             avoid_edges=rho1.edges() | rho2.edges(),
             allow_reversed=True,
         )
-    geom = SMatrixGeometry(rho1, rho2, rho2_hat, kappa, rho1_hat, kappa1)
-
     # wiring checks: connectors chain exactly onto the ribbon ends, beta's
     # path crosses alpha's ribbon exactly once, alpha's path avoids beta
     if kappa.start != rho2.end or kappa.end != rho2_hat.end:
         raise LatticeError("beta connector endpoints do not match")
     if kappa1.start != rho1.end or kappa1.end != rho1_hat.end:
         raise LatticeError("alpha connector endpoints do not match")
+    transport2, transport1 = ribbon_concat(rho2, kappa), ribbon_concat(rho1, kappa1)
     g2 = group_make([2])
-    if flux_reading(
-        lat, g2, rho1, shift_pattern(lat, g2, ribbon_concat(rho2, kappa), (1,))
-    ) == g2.identity():
+    if flux_reading(lat, g2, rho1, shift_pattern(lat, g2, transport2, (1,))) == g2.identity():
         raise LatticeError("beta connector fails to cross alpha's ribbon")
-    if flux_reading(
-        lat, g2, rho2, shift_pattern(lat, g2, ribbon_concat(rho1, kappa1), (1,))
-    ) != g2.identity():
+    if flux_reading(lat, g2, rho2, shift_pattern(lat, g2, transport1, (1,))) != g2.identity():
         raise LatticeError("alpha transporter path crosses beta's ribbon")
-    return geom
+    return SMatrixGeometry(rho1, rho2, rho2_hat, transport2, rho1_hat, transport1)
 
 
 def _exchange_phase(
     lat: Lattice,
     group: AbelianGroup,
     mover_label: SectorLabel,
-    mover: Ribbon,
     mover_hat: Ribbon,
-    connector: Ribbon,
+    transport: Ribbon,
     spectator_label: SectorLabel,
     spectator: Ribbon,
 ) -> int:
-    """Phase numerator of V* alpha(V) where V transports the mover charge along the
-    connector and alpha conjugates by the spectator's ribbon operator."""
+    """Phase numerator of V* alpha(V) where V transports the mover charge
+    along `transport` (its ribbon, then the connector) to the end of
+    `mover_hat`, and alpha conjugates by the spectator's ribbon operator."""
     V = ribbon_F_irrep(lat, group, mover_hat, mover_label.chi, mover_label.c).compose(
         ribbon_F_irrep(
-            lat,
-            group,
-            ribbon_concat(mover, connector),
-            group.char_conj(mover_label.chi),
-            group.inv(mover_label.c),
+            lat, group, transport, group.char_conj(mover_label.chi), group.inv(mover_label.c)
         )
     )
     Fs = ribbon_F_irrep(lat, group, spectator, spectator_label.chi, spectator_label.c)
@@ -389,12 +381,8 @@ def s_matrix_entry(
     """Double-exchange (monodromy) scalar of the two sectors, simulated with
     finite transporters on the layout `geom` (``smatrix_geometry``); label1
     rides the north ribbon."""
-    eps_ab = _exchange_phase(
-        lat, group, label2, geom.rho2, geom.rho2_hat, geom.kappa, label1, geom.rho1
-    )
-    eps_ba = _exchange_phase(
-        lat, group, label1, geom.rho1, geom.rho1_hat, geom.kappa1, label2, geom.rho2
-    )
+    eps_ab = _exchange_phase(lat, group, label2, geom.rho2_hat, geom.transport2, label1, geom.rho1)
+    eps_ba = _exchange_phase(lat, group, label1, geom.rho1_hat, geom.transport1, label2, geom.rho2)
     roots = group.tables()["roots"]
     return complex(roots[(eps_ab + eps_ba) % group.phase_denominator])
 

@@ -25,6 +25,9 @@ something the package computes another way:
   ``ribbon_F``;
 - ``triangle_is_positive`` and ``loop_encloses`` read orientations and
   windings from coordinates, for the move tables and ``closed_loop_around``;
+  ``closed_dual_ribbon`` and ``closed_direct_ribbon`` join the faces around
+  a vertex and the corners of a face with ``make_triangle``, for
+  ``alpha_ribbon`` and ``beta_ribbon``;
   ``boundary_edges`` is the gap between a region and its interior
   complement, for the region tests;
 - ``orthonormalize`` is plain Gram-Schmidt, for ``cone_subspace``;
@@ -73,6 +76,7 @@ from qdlattice.lattice import (
     Triangle,
     direct_flux_sign,
     dual_shift_sign,
+    make_triangle,
 )
 from qdlattice.operators import (
     AffineMap,
@@ -594,6 +598,30 @@ def triangle_is_positive(lat: Lattice, tri: Triangle) -> bool:
     d_tail, d_head = lat.dual_faces(tri.edge)
     along = (tri.s0.face, tri.s1.face) == (d_tail, d_head)
     return along == (tri.s0.vertex == lat.edge_endpoints(tri.edge)[1])
+
+
+def closed_dual_ribbon(lat: Lattice, s: Site) -> Ribbon:
+    """The faces around s's vertex clockwise from s's face and back, joined
+    by dual triangles; refused when a face is missing."""
+    ring = lat.faces_at_vertex_cw(s.vertex)
+    if None in ring:
+        raise LatticeError(f"vertex {s.vertex} has an incomplete star")
+    k = ring.index(s.face)
+    order = [ring[(k + i) % 4] for i in range(5)]
+    return Ribbon.from_triangles(
+        make_triangle(lat, Site(s.vertex, f0), Site(s.vertex, f1)) for f0, f1 in zip(order, order[1:])
+    )
+
+
+def closed_direct_ribbon(lat: Lattice, s: Site) -> Ribbon:
+    """The corners of s's face counterclockwise from s's vertex and back,
+    joined by direct triangles."""
+    corners = lat.face_corners_ccw(s.face)
+    k = corners.index(s.vertex)
+    order = [corners[(k + i) % 4] for i in range(5)]
+    return Ribbon.from_triangles(
+        make_triangle(lat, Site(v0, s.face), Site(v1, s.face)) for v0, v1 in zip(order, order[1:])
+    )
 
 
 def site_point(lat: Lattice, s: Site) -> tuple[float, float]:

@@ -102,6 +102,28 @@ def test_csv_export(tmp_path):
     assert header == "row,col,re,im"
 
 
+def test_out_file_matches_stdout_and_report_is_serialized_once(tmp_path, capsys, monkeypatch):
+    """--out writes the bytes the CLI prints without it, and each run
+    serializes its report once."""
+    from qdlattice import cli, reports
+
+    calls = []
+
+    def counted(report):
+        calls.append(report)
+        return report_json(report)
+
+    monkeypatch.setattr(cli, "report_json", counted)
+    monkeypatch.setattr(reports, "report_json", counted)
+    args = ["--experiment", "braid", "--group", "z2"]
+    assert run_cli(args) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "r.json"
+    assert run_cli(args + ["--out", str(out)]) == 0
+    assert out.read_text() == printed
+    assert len(calls) == 2
+
+
 def test_unknown_experiment_rejected(capsys):
     with pytest.raises(SystemExit):
         run_cli(["--experiment", "nonsense"])

@@ -55,6 +55,15 @@ def test_char_eval_values():
     for g in z3.elements():
         assert z3.char_eval(z3.identity(), g) == 1
         assert z3.char_eval((1,), z3.identity()) == 1
+    # the table lookup is bit-identical to converting the exact phase
+    for orders in ([2], [3], [4], [2, 2], [2, 3], [6]):
+        grp = group_make(orders)
+        for chi, g in itertools.product(grp.elements(), repeat=2):
+            assert grp.char_eval(chi, g) == phase_to_complex(grp.char_phase(chi, g))
+    z6 = group_make([6])
+    assert z6.char_eval((7,), (-1,)) == phase_to_complex(z6.char_phase((7,), (-1,)))
+    with pytest.raises(GroupError):
+        z6.char_eval((1, 0), (1,))
 
 
 def test_char_mul_conj():

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -26,7 +27,15 @@ from qdlattice.lattice import (
     straight_ribbon,
 )
 
-from oracles import boundary_edges, loop_encloses, triangle_is_positive
+from qdlattice.operators import alpha_ribbon, beta_ribbon
+
+from oracles import (
+    boundary_edges,
+    closed_direct_ribbon,
+    closed_dual_ribbon,
+    loop_encloses,
+    triangle_is_positive,
+)
 
 
 def test_edge_face_counts():
@@ -370,11 +379,21 @@ def test_cone_conditions_exhaustive():
 MOVE_LATTICES = [(w, h, b) for w, h in ((2, 2), (3, 3), (3, 4)) for b in ("plane", "torus")]
 
 
+def _coordinate_sign(lat, t):
+    """A triangle's operator sign from edge coordinates: a direct step
+    against its edge's orientation, or a dual step along the dual edge's,
+    gives +1."""
+    if t.kind == "direct":
+        return -1 if (t.s0.vertex, t.s1.vertex) == lat.edge_endpoints(t.edge) else +1
+    return +1 if (t.s0.face, t.s1.face) == lat.dual_faces(t.edge) else -1
+
+
 def _coordinate_triangle(lat, s0, s1):
     """The triangle from s0 to s1 worked out from coordinates, or None when
     the sites are not one step apart: a direct step along the boundary edge
     of their shared face that joins their vertices, or a dual step across
-    the one edge at their shared vertex that their faces have in common."""
+    the one edge at their shared vertex that their faces have in common,
+    with the sign ``_coordinate_sign`` gives it."""
     if s0 == s1:
         return None
     if s0.face == s1.face:
@@ -387,7 +406,10 @@ def _coordinate_triangle(lat, s0, s1):
         kind = "dual"
     else:
         return None
-    return Triangle(kind, s0, s1, edges[0]) if len(edges) == 1 else None
+    if len(edges) != 1:
+        return None
+    tri = Triangle(kind, s0, s1, edges[0], 0)
+    return replace(tri, sign=_coordinate_sign(lat, tri))
 
 
 def _oracle_moves(lat, s):
@@ -453,20 +475,21 @@ def test_moves_off_lattice_site_raise():
 
 @pytest.mark.parametrize("w,h,boundary", MOVE_LATTICES)
 def test_sign_tables_match_coordinate_formulas(w, h, boundary):
-    """The table-backed ribbon signs equal the ones worked out from edge
-    coordinates, for every move and its reversal; a dual triangle across a
-    plane patch's rim edge is refused as before."""
+    """The table-backed ribbon signs, and the sign each move carries, equal
+    the ones worked out from edge coordinates, for every move and its
+    reversal; a dual triangle across a plane patch's rim edge is refused as
+    before."""
     lat = Lattice(w, h, boundary)
     for s in lat.sites():
         pos, rev = lat.move_table[s]
         for tri in pos + rev:
             for t in (tri, tri.reversed()):
+                want = _coordinate_sign(lat, t)
+                assert t.sign == want
                 if t.kind == "direct":
-                    along = (t.s0.vertex, t.s1.vertex) == lat.edge_endpoints(t.edge)
-                    assert direct_flux_sign(lat, t) == (-1 if along else +1)
+                    assert direct_flux_sign(lat, t) == want
                 else:
-                    along = (t.s0.face, t.s1.face) == lat.dual_faces(t.edge)
-                    assert dual_shift_sign(lat, t) == (+1 if along else -1)
+                    assert dual_shift_sign(lat, t) == want
     rim = [e for e in lat.edges() if lat.is_rim(e)]
     assert bool(rim) == (boundary == "plane")
     site = next(lat.sites())
@@ -474,4 +497,55 @@ def test_sign_tables_match_coordinate_formulas(w, h, boundary):
         with pytest.raises(LatticeError, match=f"edge {e} lies on the patch rim"):
             lat.dual_faces(e)
         with pytest.raises(LatticeError, match=f"edge {e} lies on the patch rim"):
-            dual_shift_sign(lat, Triangle("dual", site, site, e))
+            dual_shift_sign(lat, Triangle("dual", site, site, e, +1))
+
+
+def _coordinate_parts(lat, ribbon):
+    flux = tuple((t.edge, _coordinate_sign(lat, t)) for t in ribbon.triangles if t.kind == "direct")
+    duals = tuple((t.edge, _coordinate_sign(lat, t)) for t in ribbon.triangles if t.kind == "dual")
+    return flux, duals
+
+
+@pytest.mark.parametrize("w,h,boundary", MOVE_LATTICES)
+def test_ribbon_parts_match_coordinate_formulas(w, h, boundary):
+    """Ribbon.parts equals the signed edges worked out from coordinates for
+    searched ribbons with and without reversed moves, their inverses, and
+    concatenations of a ribbon with one that continues it."""
+    lat = Lattice(w, h, boundary)
+    rng = random.Random(w * 100 + h + (boundary == "torus"))
+    sites = list(lat.sites())
+    checked = 0
+    for _ in range(20):
+        s0, s1, s2 = (rng.choice(sites) for _ in range(3))
+        r1 = ribbon_between(s0, s1, lat, allow_reversed=rng.random() < 0.5)
+        ribbons = [r1, ribbon_invert(r1)]
+        try:
+            r2 = ribbon_between(s1, s2, lat, avoid_edges=r1.edges(), allow_reversed=True)
+        except LatticeError:
+            pass
+        else:
+            ribbons.append(ribbon_concat(r1, r2))
+        for r in ribbons:
+            assert r.parts == _coordinate_parts(lat, r)
+            checked += len(r)
+    assert checked > 0
+
+
+@pytest.mark.parametrize("w,h,boundary", MOVE_LATTICES)
+def test_closed_site_ribbons_match_oracle(w, h, boundary):
+    """alpha_ribbon and beta_ribbon, walked on the move table, equal the
+    ribbons joined from the faces around the vertex and the corners of the
+    face, on every site, and refuse the same sites with the same message."""
+    lat = Lattice(w, h, boundary)
+    refused = 0
+    for s in lat.sites():
+        for walk, oracle in ((alpha_ribbon, closed_dual_ribbon), (beta_ribbon, closed_direct_ribbon)):
+            try:
+                want = oracle(lat, s)
+            except LatticeError as exc:
+                refused += 1
+                with pytest.raises(LatticeError, match=f"^{exc}$"):
+                    walk(lat, s)
+            else:
+                assert walk(lat, s) == want
+    assert bool(refused) == (boundary == "plane")

@@ -149,8 +149,9 @@ def test_crossing_pair_shares_two_edges_transversally():
 def test_braiding_phase_formula(orders):
     grp = group_make(orders)
     lat = Lattice(7, 7, "plane")
+    pair = crossing_pair(lat, 3, 3)
     for l1, l2 in itertools.product(sector_labels(grp), repeat=2):
-        lam = braiding_phase(lat, grp, l1, l2)
+        lam = braiding_phase(lat, grp, l1, l2, pair)
         pred = grp.char_eval(l1.chi, l2.c) * grp.char_eval(l2.chi, l1.c)
         assert abs(lam - pred) < 1e-10
 
@@ -162,10 +163,11 @@ def test_braiding_and_s_matrix_are_exact_turns(orders):
     grp = group_make(orders)
     lat = Lattice(7, 7, "plane")
     geom = smatrix_geometry(lat)
+    pair = crossing_pair(lat, 3, 3)
     for l1, l2 in itertools.product(sector_labels(grp), repeat=2):
         # chi1(c2) chi2(c1) as an exact fraction of a turn
         turns = (grp.char_phase(l1.chi, l2.c) + grp.char_phase(l2.chi, l1.c)) % 1
-        assert braiding_phase(lat, grp, l1, l2) == phase_to_complex(turns)
+        assert braiding_phase(lat, grp, l1, l2, pair) == phase_to_complex(turns)
         assert s_matrix_entry(lat, grp, l1, l2, geom) == phase_to_complex(-turns)
 
 
@@ -173,10 +175,11 @@ def test_braiding_phase_z2_mutual_statistics():
     lat = Lattice(7, 7, "plane")
     e = SectorLabel((1,), (0,))
     m = SectorLabel((0,), (1,))
-    assert abs(braiding_phase(lat, Z2, e, m) + 1) < 1e-12
+    pair = crossing_pair(lat, 3, 3)
+    assert abs(braiding_phase(lat, Z2, e, m, pair) + 1) < 1e-12
     vac = SectorLabel((0,), (0,))
     for other in sector_labels(Z2):
-        assert abs(braiding_phase(lat, Z2, vac, other) - 1) < 1e-12
+        assert abs(braiding_phase(lat, Z2, vac, other, pair) - 1) < 1e-12
 
 
 def test_smatrix_entries_and_normalization():
