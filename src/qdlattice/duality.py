@@ -44,9 +44,7 @@ edge is bulk, with a dual triangle on each side, as every edge of a cone
 drawn on the infinite lattice is. The region index a is then the
 configuration of all region edges. The shape of H_Lambda follows from the
 graph alone: with c(S) the number of components of the graph (vertices, S),
-dim H_Lambda = |G|^(k + V + 1 - c(Lambda) - c(E minus Lambda)). The density
-check's region monomials need no Omega either, so their number is refused
-before Omega is built (``region_monomials``).
+dim H_Lambda = |G|^(k + V + 1 - c(Lambda) - c(E minus Lambda)).
 
 On top of the subspace sit the exterior-charge orthogonality check, the
 boundary membership check and the real-linear density check mirroring the
@@ -58,9 +56,13 @@ and i C Y for Hermitian X and Y, and once the region operators are all of
 M_n both real ranks follow from the rank r of the n x m block C alone
 (n = |G|^k, m = dim W): n^2 - (n - r)^2 for the region family and that
 plus m^2 - (m - r)^2 for both, against the target 2 n m (``density_ranks``).
-That the region operators are all of M_n is a count: the |G|^(2k) edge
-monomials and their adjoints carry n^2 distinct labels, so they are a
-Weyl basis. Exterior ribbon operators need no family of their own:
+Each bucket of Omega's rows restricts to one coset, so every row of C has
+at most one nonzero entry: C's columns have disjoint supports, C^dagger C
+is diagonal, and r is the number of nonzero columns, with no SVD.
+The region operators are all of M_n because every region edge is bulk: a
+shift and a character on each of the k edges give the |G|^(2k) monomials
+of a Weyl basis. The tests count their n^2 distinct labels; the check
+enumerates none of them. Exterior ribbon operators need no family of their own:
 P_Lambda (1 tensor Y) Omega = (1 tensor P_W Y P_W) Omega lies in the
 compressed family. The orthogonality check needs no Omega at all:
 H_Lambda is spanned by the M Omega for the region's edge monomials M, so it
@@ -74,7 +76,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -101,8 +102,6 @@ CLOSURE_ROUNDS = 8
 # exterior ribbons of the orthogonality and membership checks: 2 to this
 # many triangles
 EXTERIOR_RIBBON_LEN = 6
-# region monomials the density check enumerates: |G|^(2k) on k region edges
-DENSITY_MONOMIAL_CAP = 1 << 16
 
 
 class DualityError(ValueError):
@@ -480,86 +479,64 @@ def boundary_membership_check(
 # -- the real-linear density check ---------------------------------------------------
 
 
-def region_monomials(lat: Lattice, group: AbelianGroup, region: Region) -> list[AffineMap]:
-    """Every edge monomial on the region's k edges, identity included:
-    a shift and a character per edge, |G|^(2k) maps. They need no Omega, so
-    they are refused, before any is built, above DENSITY_MONOMIAL_CAP."""
-    edges = sorted(region.edges)
-    power = 2 * len(edges)
-    if group.order**power > DENSITY_MONOMIAL_CAP:
-        raise DualityError(
-            f"density check over {group.order}^{power} = {group.order**power} region"
-            f" monomials is above the cap of {DENSITY_MONOMIAL_CAP}"
-        )
-    # packed index 0 is the identity, and characters share the elements' indices
-    indices = digit_rows(group.order, len(edges)).tolist()
-    shifts = [tuple((e, gi) for e, gi in zip(edges, idx) if gi) for idx in indices]
-    phases = [tuple((ci, ((e, 1),), 0) for e, ci in zip(edges, idx) if ci) for idx in indices]
-    return [AffineMap(group, lat.n_edges, s, chars=p) for s in shifts for p in phases]
-
-
-def _weyl_label_count(monomials: Iterable[AffineMap]) -> int:
-    """Distinct (shift, characters) labels of the maps and their adjoints,
-    read from their normal forms with the global phase dropped."""
-    labels = set()
-    for m in monomials:
-        for c in (canonical(m), canonical(m.adjoint())):
-            labels.add((c.shifts, c.chars))
-    return len(labels)
+def _disjoint_column_rank(coeffs: np.ndarray) -> int:
+    """Rank of an Omega block C whose rows each hold at most one nonzero
+    entry: its columns then have disjoint supports, C^dagger C is diagonal,
+    and the rank is the number of nonzero columns. A row with two nonzero
+    entries is refused."""
+    nonzero = coeffs != 0
+    if (nonzero.sum(axis=1) > 1).any():
+        raise DualityError("a row of Omega's block has two nonzero entries")
+    return int(nonzero.any(axis=0).sum())
 
 
 def density_ranks(coeffs: np.ndarray) -> tuple[int, int]:
     """(real rank of both families, real rank of the region family) with
-    Omega block C = `coeffs` (n x m), when the region family is every
-    Hermitian n x n matrix X. The families are {X C} and {i C Y} for
-    Hermitian m x m matrices Y. With C = U S V^dagger of rank r,
-    U^dagger X C V = X' S where X' = U^dagger X U runs over every Hermitian
-    matrix: the first r columns are free, n^2 - (n - r)^2 real directions,
-    and the rest vanish. Likewise i C Y gives m^2 - (m - r)^2 directions on
-    the first r rows. The two meet only on the r x r block, where
-    H S = i S K for Hermitian H and K reads H_ab = i K_ab s_a / s_b, and
-    Hermiticity then gives K_ba (s_a / s_b + s_b / s_a) = 0: they meet in 0
-    and the ranks add, whatever the spectrum."""
+    Omega block C = `coeffs` (n x m) of rank r, when the region family is
+    every Hermitian n x n matrix X. The families are {X C} and {i C Y} for
+    Hermitian m x m matrices Y. With C = U S V^dagger, U^dagger X C V = X' S
+    where X' = U^dagger X U runs over every Hermitian matrix: the first r
+    columns are free, n^2 - (n - r)^2 real directions, and the rest vanish.
+    Likewise i C Y gives m^2 - (m - r)^2 directions on the first r rows. The
+    two meet only on the r x r block, where H S = i S K for Hermitian H and
+    K reads H_ab = i K_ab s_a / s_b, and Hermiticity then gives
+    K_ba (s_a / s_b + s_b / s_a) = 0: they meet in 0 and the ranks add,
+    whatever the spectrum. r is read from C's disjoint columns
+    (``_disjoint_column_rank``)."""
     n, m = coeffs.shape
-    s = np.linalg.svd(coeffs, compute_uv=False)
-    r = int(np.sum(s > SUBSPACE_TOL * s.max(initial=0.0)))
+    r = _disjoint_column_rank(coeffs)
     a_rank = n * n - (n - r) ** 2
     return a_rank + m * m - (m - r) ** 2, a_rank
 
 
-def self_adjoint_density_check(subspace: ConeSubspace, monomials: list[AffineMap]) -> list[Check]:
+def self_adjoint_density_check(subspace: ConeSubspace) -> list[Check]:
     """Real-linear span of {X Omega : X self-adjoint region operator} and
     {i Y Omega : Y self-adjoint compressed exterior operator} must reach
     2 dim(H_Lambda); the first family alone must not. Both ranks follow from
-    Omega's Schmidt rank (``density_ranks``) once the region operators are
-    all of M_n on the n = |G|^k region configurations. They are when
-    `monomials` (``region_monomials``) and their adjoints carry n^2 distinct
-    labels: maps of distinct shifts move every configuration differently,
-    and distinct characters of one shift are linearly independent, so the
-    monomials are a Weyl basis."""
-    n = subspace.omega_coeffs.shape[0]
-    labels = _weyl_label_count(monomials)
-    if labels != n * n:
-        raise DualityError(
-            f"region monomials carry {labels} distinct labels, not the {n * n} of a Weyl basis"
-        )
-    full_rank, a_rank = density_ranks(subspace.omega_coeffs)
+    the rank r of Omega's block (``density_ranks``), since the region
+    operators are all of M_n on the n = |G|^k region configurations: every
+    region edge is bulk, so its shifts and characters give a Weyl basis."""
+    coeffs = subspace.omega_coeffs
+    n, m = coeffs.shape
+    r = _disjoint_column_rank(coeffs)
+    full_rank, a_rank = density_ranks(coeffs)
     target = 2 * subspace.dim
     law = "self-adjoint parts plus i times compressed exterior parts span"
+    source = f"from n = {n}, m = {m}, r = {r} (C's columns are disjoint)"
     return [
         Check.judged(
             "self-adjoint family spans the cone subspace over the reals",
             law,
             full_rank == target,
             float(target - full_rank),
-            f"rank {full_rank} of target {target}",
+            f"rank {full_rank} of target {target} {source}",
         ),
         Check.judged(
             "dropping the compressed exterior family leaves a deficit",
             law,
             a_rank < target,
             float(a_rank),
-            f"rank {a_rank} < {target}",
+            f"rank {a_rank} < {target} {source}",
         ),
     ]
 

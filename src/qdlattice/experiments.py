@@ -18,7 +18,6 @@ from .duality import (
     cone_subspace,
     detecting_exterior_sites,
     external_charge_orthogonality_check,
-    region_monomials,
     ribbon_closure_rank,
     self_adjoint_density_check,
 )
@@ -830,15 +829,15 @@ def run_haag(config: RunConfig, group: AbelianGroup, lat: Lattice) -> Report:
     rng = random.Random(config.seed)
     apex = (1, 1)
     cone = cone_make(apex, ["N", "E"], lat)
-    # Omega's rows and the density check's monomials are counted without
-    # Omega: refuse either before building anything
+    # Omega's rows are counted from the lattice: refuse them before building
+    # anything. The density check enumerates nothing; its ranks come from
+    # Omega's block
     power = lat.n_vertices - 1
     if group.order**power > OMEGA_ROWS_CAP:
         raise GroundStateError(
             f"ground state of {group.order}^{power} = {group.order**power} rows on"
             f" {lat.width}x{lat.height} is above the cap of {OMEGA_ROWS_CAP}"
         )
-    monomials = region_monomials(lat, group, cone)
     omega = ground_state(lat, group)
     sub = cone_subspace(cone, lat, group, omega)
     closure_runs = len(cone.edges) <= 3
@@ -879,7 +878,7 @@ def run_haag(config: RunConfig, group: AbelianGroup, lat: Lattice) -> Report:
     rep.checks.append(
         boundary_membership_check(cone, lat, group, omega, sub, random.Random(config.seed + 2))
     )
-    rep.checks += self_adjoint_density_check(sub, monomials)
+    rep.checks += self_adjoint_density_check(sub)
     return rep
 
 

@@ -40,6 +40,12 @@ something the package computes another way:
   reads ``ConeSubspace.region_action``, and
   ``compressed_hermitian_images``), for ``density_ranks``; ``real_rank``
   and ``label_ops`` serve it and the cone-subspace tests;
+  ``schmidt_density_ranks`` is the same closed form with r from an SVD of
+  C, for ``density_ranks``'s r from C's disjoint columns;
+- ``region_monomials`` lists the |G|^(2k) edge monomials of a region and
+  ``weyl_label_count`` counts the distinct labels of them and their
+  adjoints: n^2 labels make them a Weyl basis, the fact the density check
+  takes from the region's edges being bulk;
 - ``cone_shape`` gives the shape of ``cone_subspace``'s block from graph
   components (``_components``), without Omega.
 """
@@ -53,7 +59,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from qdlattice.duality import ConeSubspace, ribbons_in_region
+from qdlattice.duality import SUBSPACE_TOL, ConeSubspace, ribbons_in_region
 from qdlattice.groundstate import (
     FLAT_ROWS_CAP,
     GroundStateError,
@@ -66,7 +72,7 @@ from qdlattice.groundstate import (
     omega_expectations,
     torus_holonomies,
 )
-from qdlattice.groups import AbelianGroup, Char, Element
+from qdlattice.groups import AbelianGroup, Char, Element, digit_rows
 from qdlattice.lattice import (
     Lattice,
     LatticeError,
@@ -349,6 +355,38 @@ def density_ranks_by_svd(subspace: ConeSubspace, operators: Iterable) -> tuple[i
         a_family += [v + vs, 1j * (v - vs)]
     return real_rank(a_family + compressed_hermitian_images(subspace)), real_rank(a_family)
 
+
+
+def schmidt_density_ranks(coeffs: np.ndarray) -> tuple[int, int]:
+    """``density_ranks``'s closed form with the rank r of C = `coeffs`
+    (n x m) read from its singular values: n^2 - (n - r)^2 for the region
+    family and that plus m^2 - (m - r)^2 for both."""
+    n, m = coeffs.shape
+    s = np.linalg.svd(coeffs, compute_uv=False)
+    r = int(np.sum(s > SUBSPACE_TOL * s.max(initial=0.0)))
+    a_rank = n * n - (n - r) ** 2
+    return a_rank + m * m - (m - r) ** 2, a_rank
+
+
+def region_monomials(lat: Lattice, group: AbelianGroup, region: Region) -> list[AffineMap]:
+    """Every edge monomial on the region's k edges, identity included:
+    a shift and a character per edge, |G|^(2k) maps."""
+    edges = sorted(region.edges)
+    # packed index 0 is the identity, and characters share the elements' indices
+    indices = digit_rows(group.order, len(edges)).tolist()
+    shifts = [tuple((e, gi) for e, gi in zip(edges, idx) if gi) for idx in indices]
+    phases = [tuple((ci, ((e, 1),), 0) for e, ci in zip(edges, idx) if ci) for idx in indices]
+    return [AffineMap(group, lat.n_edges, s, chars=p) for s in shifts for p in phases]
+
+
+def weyl_label_count(monomials: Iterable[AffineMap]) -> int:
+    """Distinct (shift, characters) labels of the maps and their adjoints,
+    read from their normal forms with the global phase dropped."""
+    labels = set()
+    for m in monomials:
+        for c in (canonical(m), canonical(m.adjoint())):
+            labels.add((c.shifts, c.chars))
+    return len(labels)
 
 def _components(lat: Lattice, edges: Iterable[int]) -> int:
     """Connected components of the graph on all of the lattice's vertices

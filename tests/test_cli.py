@@ -219,14 +219,24 @@ def test_deform_runs_where_omega_would_be_above_the_cap(tmp_path, group):
 
 def test_haag_check_z3_passes_at_the_default_lattice(tmp_path):
     """On the default 3x4 plane the density check reads z3's ranks from
-    Omega's 81 x 81 block and a count of the 6561 region monomials' labels,
-    so every check runs and passes."""
+    the nonzero columns of Omega's 81 x 81 block, so every check runs and
+    passes."""
     out = tmp_path / "r.json"
     assert run_cli(["--experiment", "haag-check", "--group", "z3", "--out", str(out)]) == 0
     data = json.loads(out.read_text())
     assert schema_errors(data) == []
     assert [c["status"] for c in data["checks"]] == ["pass"] * 5
-    assert data["checks"][3]["details"] == "rank 13122 of target 13122"
+    assert data["checks"][3]["details"] == (
+        "rank 13122 of target 13122 from n = 81, m = 81, r = 81 (C's columns are disjoint)"
+    )
+
+
+def test_haag_check_z2_passes_on_the_4x4_plane(capsys):
+    """On the 4x4 plane the cone has 8 edges: the density check enumerates
+    none of their 2^16 monomials, and all 5 checks pass."""
+    assert run_cli(["--experiment", "haag-check", "--lattice", "4x4:plane"]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("haag-check: 5/5 checks passed in ")
 
 
 def test_start_up_and_haag_check_leave_scipy_unimported(tmp_path):

@@ -14,7 +14,6 @@ from qdlattice.duality import (
     density_ranks,
     detecting_exterior_sites,
     external_charge_orthogonality_check,
-    region_monomials,
     ribbon_closure_rank,
     ribbons_in_region,
     self_adjoint_density_check,
@@ -49,7 +48,10 @@ from oracles import (
     orthonormalize,
     real_rank,
     region_images,
+    region_monomials,
     scaled,
+    schmidt_density_ranks,
+    weyl_label_count,
 )
 
 Z2 = group_make([2])
@@ -251,17 +253,24 @@ def test_density_ranks_match_materialized_oracle(cone_case):
     """Both ranks of the density check against a real SVD of its families:
     the region's whole edge-monomial algebra and the compressed exterior
     family, built as states where that fits and in block coordinates on
-    every case."""
+    every case. The check takes the region operators to be all of M_n; the
+    region monomials and their adjoints carry the n^2 labels of a Weyl
+    basis on every case."""
     param, lat, group, omega, cone, sub, oracle = cone_case
+    (n, m), target = sub.omega_coeffs.shape, 2 * sub.dim
+    assert weyl_label_count(region_monomials(lat, group, cone)) == n * n
     monomials = _all_edge_monomials(lat, group, cone)
-    target = 2 * sub.dim
     full_rank, a_rank = density_ranks_by_svd(sub, monomials)
     if oracle is not None:
         state_full, state_a, b_family = _state_density_ranks(omega, oracle, monomials)
         assert (state_full, state_a) == (full_rank, a_rank)
         assert real_rank(b_family) == real_rank(compressed_hermitian_images(sub))
-    spans, control = self_adjoint_density_check(sub, region_monomials(lat, group, cone))
-    assert spans.details == f"rank {full_rank} of target {target}"
+    assert density_ranks(sub.omega_coeffs) == (full_rank, a_rank)
+    assert schmidt_density_ranks(sub.omega_coeffs) == (full_rank, a_rank)
+    spans, control = self_adjoint_density_check(sub)
+    source = f"from n = {n}, m = {m}, r = {m} (C's columns are disjoint)"
+    assert spans.details == f"rank {full_rank} of target {target} {source}"
+    assert control.details == f"rank {a_rank} < {target} {source}"
     assert control.max_error == a_rank
     assert spans.passed and control.passed
 
@@ -300,32 +309,43 @@ def _coefficient_blocks(draw):
 @settings(max_examples=200, deadline=None)
 @given(c=_coefficient_blocks())
 def test_density_ranks_match_explicit_svd(c):
-    """The ranks formula against a real SVD of {H C} and {i C Y} over real
-    bases of the Hermitian n x n and m x m matrices: it covers r < n and
-    n != m, which no lattice case small enough for the state oracle reaches."""
+    """The ranks formula, with r from C's singular values, against a real
+    SVD of {H C} and {i C Y} over real bases of the Hermitian n x n and
+    m x m matrices: it covers r < n and n != m, which no lattice case small
+    enough for the state oracle reaches."""
     n, m = c.shape
     a_family = [h @ c for h in _hermitian_basis(n)]
     b_family = [1j * c @ y for y in _hermitian_basis(m)]
-    assert density_ranks(c) == (real_rank(a_family + b_family), real_rank(a_family))
+    assert schmidt_density_ranks(c) == (real_rank(a_family + b_family), real_rank(a_family))
 
 
-def test_density_check_refuses_oversized_monomial_families(monkeypatch, capsys):
-    """z2 on 3x7: Omega's 2^20 rows are at the cap, but the cone's 10 fill
-    edges carry 2^20 region monomials, above the cap of 2^16. The CLI exits 2
-    with one line before Omega is built."""
-    from qdlattice import experiments
-    from qdlattice.cli import main
+@st.composite
+def _disjoint_column_blocks(draw):
+    """An n x m block, n, m <= 5, each row holding at most one nonzero entry
+    of modulus at least 0.05: rows may be zero, so columns may be zero
+    (r < m), and n, m are drawn independently."""
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    c = np.zeros((n, m), dtype=np.complex128)
+    for a in range(n):
+        j = draw(st.integers(-1, m - 1))  # -1: a zero row
+        if j >= 0:
+            modulus, turn = draw(st.floats(0.05, 1.0)), draw(st.floats(0.0, 1.0))
+            c[a, j] = modulus * np.exp(2j * np.pi * turn)
+    return c
 
-    def unreachable(*args, **kwargs):
-        raise AssertionError("Omega built before the monomial count")
 
-    monkeypatch.setattr(experiments, "ground_state", unreachable)
-    assert main(["--experiment", "haag-check", "--lattice", "3x7:plane"]) == 2
-    err = capsys.readouterr().err
-    assert err == (
-        "error: haag-check: density check over 2^20 = 1048576 region monomials"
-        " is above the cap of 65536\n"
-    )
+@settings(max_examples=200, deadline=None)
+@given(c=_disjoint_column_blocks(), row=st.integers(0, 4))
+def test_density_ranks_read_r_from_disjoint_columns(c, row):
+    """The ranks with r counted from C's nonzero columns against r from its
+    singular values; a block with a row of two nonzero entries is refused."""
+    n, m = c.shape
+    assert density_ranks(c) == schmidt_density_ranks(c)
+    if m >= 2:
+        bad = c.copy()
+        bad[row % n, :2] = 0.5
+        with pytest.raises(DualityError, match="two nonzero entries"):
+            density_ranks(bad)
 
 
 @pytest.fixture(scope="module")
@@ -474,16 +494,16 @@ def test_haag_check_refuses_z4_and_z2xz2_before_building_omega(monkeypatch):
 
 
 def test_haag_check_refuses_oversized_omega_before_the_density_pool(monkeypatch):
-    """On 12x12 Omega's 2^143 rows are refused first, before the density
-    check's region monomials are counted or built."""
+    """On 12x12 Omega's 2^143 rows are counted from the lattice and refused
+    before Omega is built, so the density check never runs."""
     from qdlattice import experiments
     from qdlattice.groundstate import GroundStateError
     from qdlattice.reports import RunConfig
 
     def unreachable(*args, **kwargs):
-        raise AssertionError("region monomials built before the Omega estimate")
+        raise AssertionError("Omega built before its row count")
 
-    monkeypatch.setattr(experiments, "region_monomials", unreachable)
+    monkeypatch.setattr(experiments, "ground_state", unreachable)
     cfg = RunConfig("haag-check", group="z2", lattice="12x12:plane", seed=0)
     with pytest.raises(GroundStateError, match=r"2\^143 = \d+ rows on 12x12 is above the cap"):
         experiments.run_haag(cfg, parse_group("z2"), Lattice(12, 12, "plane"))
@@ -593,7 +613,7 @@ def test_density_rank_and_negative_control():
     omega = ground_state(lat, Z2)
     cone = cone_make((1, 1), ["N", "E"], lat)
     sub = cone_subspace(cone, lat, Z2, omega)
-    spans, control = self_adjoint_density_check(sub, region_monomials(lat, Z2, cone))
+    spans, control = self_adjoint_density_check(sub)
     assert spans.passed, spans.details
     assert control.passed, control.details
 
