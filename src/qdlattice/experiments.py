@@ -106,12 +106,22 @@ def run_verify(config: RunConfig, group: AbelianGroup, lat: Lattice) -> Report:
     s = lat.site_at(lat.vertex_id(1, 1))
     s2 = lat.site_at(lat.vertex_id(0, 1))
 
+    def site_ops(site):
+        """A^k and B^k at the site for every label k, built once."""
+        return (
+            {k: star_g(lat, group, site, k) for k in elems},
+            {k: plaq_h(lat, group, site, k) for k in elems},
+        )
+
+    stars, plaqs = site_ops(s)
+    stars2, plaqs2 = site_ops(s2)
+
     # star and plaquette generator relations
     errs = []
     for g1, g2 in itertools.product(elems, repeat=2):
-        a1, a2 = star_g(lat, group, s, g1), star_g(lat, group, s, g2)
-        errs.append(ops_equal(a1.compose(a2), star_g(lat, group, s, group.mul(g1, g2)), ne))
-        b1, b2 = plaq_h(lat, group, s, g1), plaq_h(lat, group, s, g2)
+        a1, a2 = stars[g1], stars[g2]
+        errs.append(ops_equal(a1.compose(a2), stars[group.mul(g1, g2)], ne))
+        b1, b2 = plaqs[g1], plaqs[g2]
         prod = OpSum.of(b1.compose(b2))
         want = OpSum.of(b1) if g1 == g2 else OpSum.of(b1).scaled(0.0)
         errs.append(ops_equal(prod, want, ne))
@@ -125,11 +135,7 @@ def run_verify(config: RunConfig, group: AbelianGroup, lat: Lattice) -> Report:
     )
 
     errs = [
-        ops_equal(
-            star_g(lat, group, s, g1).compose(plaq_h(lat, group, s2, g2)),
-            plaq_h(lat, group, s2, g2).compose(star_g(lat, group, s, g1)),
-            ne,
-        )
+        ops_equal(stars[g1].compose(plaqs2[g2]), plaqs2[g2].compose(stars[g1]), ne)
         for g1, g2 in itertools.product(elems, repeat=2)
     ]
     rep.add(
@@ -148,9 +154,7 @@ def run_verify(config: RunConfig, group: AbelianGroup, lat: Lattice) -> Report:
         ops_equal(B.compose(B), B, ne),
         ops_equal(B.adjoint(), B, ne),
     ]
-    total = OpSum.weighted(
-        (1.0, plaq_h(lat, group, s, h)) for h in elems
-    )
+    total = OpSum.weighted((1.0, plaqs[h]) for h in elems)
     errs.append(ops_equal(total, OpSum.of(AffineMap.identity(group, ne)), ne))
     rep.add(
         "stabilizer projectors idempotent and self-adjoint",
@@ -164,14 +168,14 @@ def run_verify(config: RunConfig, group: AbelianGroup, lat: Lattice) -> Report:
         lat.site_at(lat.vertex_id(0, 0)), lat.site_at(lat.vertex_id(2, 1)), lat
     )
     s0, s1 = rho.start, rho.end
+    stars0, plaqs0 = site_ops(s0)
+    stars1, plaqs1 = site_ops(s1)
 
     errs = []
     for k, h, g in itertools.product(elems, repeat=3):
         F = as_opsum(ribbon_F(lat, group, rho, h, g))
-        A0 = as_opsum(star_g(lat, group, s0, k))
-        A1 = as_opsum(star_g(lat, group, s1, k))
-        B0 = as_opsum(plaq_h(lat, group, s0, k))
-        B1 = as_opsum(plaq_h(lat, group, s1, k))
+        A0, A1 = as_opsum(stars0[k]), as_opsum(stars1[k])
+        B0, B1 = as_opsum(plaqs0[k]), as_opsum(plaqs1[k])
         errs.append(
             ops_equal(A0 @ F, as_opsum(ribbon_F(lat, group, rho, h, group.mul(k, g))) @ A0, ne)
         )
@@ -182,14 +186,8 @@ def run_verify(config: RunConfig, group: AbelianGroup, lat: Lattice) -> Report:
                 ne,
             )
         )
-        errs.append(
-            ops_equal(B0 @ F, F @ as_opsum(plaq_h(lat, group, s0, group.mul(k, h))), ne)
-        )
-        errs.append(
-            ops_equal(
-                B1 @ F, F @ as_opsum(plaq_h(lat, group, s1, group.mul(group.inv(h), k))), ne
-            )
-        )
+        errs.append(ops_equal(B0 @ F, F @ as_opsum(plaqs0[group.mul(k, h)]), ne))
+        errs.append(ops_equal(B1 @ F, F @ as_opsum(plaqs1[group.mul(group.inv(h), k)]), ne))
     rep.add(
         "ribbon endpoint relations",
         "A^k_s0 F^{h,g} = F^{h,kg} A^k_s0 and the three companions",
@@ -270,18 +268,10 @@ def run_verify(config: RunConfig, group: AbelianGroup, lat: Lattice) -> Report:
             )
         )
         for k in elems:
-            Ak = as_opsum(star_g(lat, group, s0, k))
-            errs.append(
-                ops_equal(Ak @ F, (F @ Ak).scaled(group.char_eval(chi, k)), ne)
-            )
-            Bk = as_opsum(plaq_h(lat, group, s0, k))
-            errs.append(
-                ops_equal(
-                    Bk @ F,
-                    F @ as_opsum(plaq_h(lat, group, s0, group.mul(k, group.inv(c)))),
-                    ne,
-                )
-            )
+            Ak = as_opsum(stars0[k])
+            errs.append(ops_equal(Ak @ F, (F @ Ak).scaled(group.char_eval(chi, k)), ne))
+            Bk = as_opsum(plaqs0[k])
+            errs.append(ops_equal(Bk @ F, F @ as_opsum(plaqs0[group.mul(k, group.inv(c))]), ne))
     rep.add(
         "charge commutation at the starting site",
         "(F^{chi,c})* = F^{conj,inv}; A^k F = chi(k) F A^k; B^k F = F B^{k cbar}",
@@ -356,18 +346,18 @@ def run_verify(config: RunConfig, group: AbelianGroup, lat: Lattice) -> Report:
     target = lat.site_at(lat.vertex_id(1, 1))
     loop = closed_loop_around(target, 1, lat)
     ok = True
+    generators = [
+        X for v in range(lat.n_vertices) for ops in site_ops(lat.site_at(v)) for X in ops.values()
+    ]
     for h, g in itertools.product(elems, repeat=2):
         F = ribbon_F(lat, group, loop, h, g)
-        for v in range(lat.n_vertices):
-            sv = lat.site_at(v)
-            for k in elems:
-                ok &= same_action(F.compose(star_g(lat, group, sv, k)), star_g(lat, group, sv, k).compose(F))
-                ok &= same_action(F.compose(plaq_h(lat, group, sv, k)), plaq_h(lat, group, sv, k).compose(F))
+        for X in generators:
+            ok &= same_action(F.compose(X), X.compose(F))
     for h, g in itertools.product(elems, repeat=2):
         for base in (alpha_ribbon(lat, s), beta_ribbon(lat, s)):
             F = ribbon_F(lat, group, base, h, g)
             for k in elems:
-                ok &= same_action(F.compose(star_g(lat, group, s2, k)), star_g(lat, group, s2, k).compose(F))
+                ok &= same_action(F.compose(stars2[k]), stars2[k].compose(F))
     rep.add(
         "closed ribbon operators commute with all stabilizer generators",
         "[F_closed, A^k] = 0 = [F_closed, B^k]",
@@ -422,14 +412,15 @@ def run_groundstate(config: RunConfig, group: AbelianGroup, lat: Lattice) -> Rep
         )
         ed_skipped = _skip_note("exact diagonalization", group, lat)
         # the ground vector of holonomy sector (a, b) is T_ab Omega
+        stabilizers = []
+        for v in range(lat.n_vertices):
+            sv = lat.site_at(v)
+            stabilizers += [star_g(lat, group, sv, g) for g in group.elements()]
+            stabilizers.append(plaq_h(lat, group, sv, group.identity()))
         stabilized = []
         for a, b in pairs:
             T = sector_shift(lat, group, a, b)
-            for v in range(lat.n_vertices):
-                sv = lat.site_at(v)
-                stabilizers = [star_g(lat, group, sv, g) for g in group.elements()]
-                stabilizers.append(plaq_h(lat, group, sv, group.identity()))
-                stabilized += [(X.compose(T), T) for X in stabilizers]
+            stabilized += [(X.compose(T), T) for X in stabilizers]
         errs = omega_distances(lat, group, stabilized)
         rep.add(
             "ground vectors stabilized by all stars and plaquettes",

@@ -47,16 +47,18 @@ Every site has at most two positively oriented triangles leaving it (a
 direct step to the next corner counterclockwise around its face, a dual step
 to the next face clockwise around its vertex) and at most two reversed ones
 (the formal inverses of the positive triangles arriving at it). The lattice
-is frozen, so ``Lattice.move_table`` works these out from coordinates once,
-on first use, and maps each site to its (positive, reversed) triangle tuples.
-Each triangle carries its operator sign from there, and ``Ribbon.parts``
-reads a ribbon's signed edges off its triangles once per ribbon.
+is frozen, so the first lookup of a site checks that it is on the lattice
+and stores its (positive, reversed) triangle tuples in ``Lattice.move_table``;
+later lookups are one dict read. Each triangle carries its operator sign
+from there, and ``Ribbon.parts`` reads a ribbon's signed edges off its
+triangles once per ribbon.
 ``positive_moves``, ``reversed_moves`` and ``site_moves`` read the table and
 filter by the allowed edges only when a set is given; every ribbon search
 (``ribbon_between``, deform's path sampler, the duality module's region
 enumeration) goes through them. ``make_triangle`` picks the one move of its
 first site that reaches its second. A site that is not on the lattice
-raises ``LatticeError``.
+raises ``LatticeError``. A site's elementary closed ribbons are stored
+alike, in ``Lattice.closed_walks``.
 """
 
 from __future__ import annotations
@@ -303,9 +305,14 @@ class Lattice:
 
     @cached_property
     def move_table(self) -> dict[Site, tuple[tuple["Triangle", ...], tuple["Triangle", ...]]]:
-        """(positive, reversed) triangles leaving every site, in the order
-        ``positive_moves`` and ``reversed_moves`` give them (computed once)."""
-        return {s: (_build_moves(self, s, +1), _build_moves(self, s, -1)) for s in self.sites()}
+        """(positive, reversed) triangles leaving each site looked up so far,
+        in the order ``positive_moves`` and ``reversed_moves`` give them."""
+        return {}
+
+    @cached_property
+    def closed_walks(self) -> dict[tuple[Site, str], "Ribbon"]:
+        """Elementary closed ribbons built so far, by (site, triangle kind)."""
+        return {}
 
     # -- dual-edge orientation ----------------------------------------------------
 
@@ -500,10 +507,14 @@ def _build_moves(lat: Lattice, s: Site, step: int) -> tuple[Triangle, ...]:
 
 
 def _table_moves(lat: Lattice, s: Site) -> tuple[tuple[Triangle, ...], tuple[Triangle, ...]]:
+    """s's row of ``Lattice.move_table``, built on its first lookup."""
     try:
         return lat.move_table[s]
     except KeyError:
-        raise LatticeError(f"{s} is not a site of the {format_lattice(lat)} lattice") from None
+        if not (0 <= s.face < lat.n_faces and s.vertex in lat.face_corners_ccw(s.face)):
+            raise LatticeError(f"{s} is not a site of the {format_lattice(lat)} lattice") from None
+    row = lat.move_table[s] = (_build_moves(lat, s, +1), _build_moves(lat, s, -1))
+    return row
 
 
 def _restrict(moves: tuple[Triangle, ...], allowed: Optional[frozenset[int]]) -> list[Triangle]:

@@ -422,7 +422,9 @@ def ribbon_F_irrep(
 
 def _closed_walk(lat: Lattice, s: Site, kind: str) -> Ribbon:
     """Four positive moves of the given kind from s: once around its vertex
-    (dual) or its face (direct)."""
+    (dual) or its face (direct), built once per site in ``lat.closed_walks``."""
+    if (s, kind) in lat.closed_walks:
+        return lat.closed_walks[s, kind]
     tris = []
     site = s
     for _ in range(4):
@@ -431,7 +433,8 @@ def _closed_walk(lat: Lattice, s: Site, kind: str) -> Ribbon:
             raise LatticeError(f"vertex {s.vertex} has an incomplete star")
         tris.append(step[0])
         site = step[0].s1
-    return Ribbon.from_triangles(tris)
+    ribbon = lat.closed_walks[s, kind] = Ribbon.from_triangles(tris)
+    return ribbon
 
 
 def alpha_ribbon(lat: Lattice, s: Site) -> Ribbon:

@@ -20,6 +20,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .deform import crossing_number, is_deformation_pair
 from .groups import AbelianGroup, Char, Element
 from .lattice import (
     Lattice,
@@ -198,8 +199,6 @@ def transporter(
     hat = ribbon_between(
         r1.end, r2.end, lat, avoid_edges=r1.edges() | r2.edges(), allow_reversed=True
     )
-    from .deform import is_deformation_pair
-
     if not is_deformation_pair(lat, group, ribbon_concat(r1, hat), r2):
         raise LatticeError("transporter path crosses the target ribbon")
     left = ribbon_F_irrep(lat, group, r2, chi, c)
@@ -304,9 +303,6 @@ def smatrix_geometry(lat: Lattice, reversed_orientation: bool = False) -> SMatri
     every entry (negative control)."""
     if lat.is_torus or lat.width < 7 or lat.height < 7:
         raise LatticeError("double-exchange geometry needs a plane patch of at least 7x7")
-    from .deform import flux_reading, shift_pattern
-    from .groups import group_make
-
     bx = lat.width // 2  # alpha's column
     by = 2  # base row
     n = 2  # beta truncation in steps
@@ -338,10 +334,9 @@ def smatrix_geometry(lat: Lattice, reversed_orientation: bool = False) -> SMatri
     if kappa1.start != rho1.end or kappa1.end != rho1_hat.end:
         raise LatticeError("alpha connector endpoints do not match")
     transport2, transport1 = ribbon_concat(rho2, kappa), ribbon_concat(rho1, kappa1)
-    g2 = group_make([2])
-    if flux_reading(lat, g2, rho1, shift_pattern(lat, g2, transport2, (1,))) == g2.identity():
+    if crossing_number(rho1, transport2) % 2 == 0:
         raise LatticeError("beta connector fails to cross alpha's ribbon")
-    if flux_reading(lat, g2, rho2, shift_pattern(lat, g2, transport1, (1,))) != g2.identity():
+    if crossing_number(rho2, transport1) % 2:
         raise LatticeError("alpha transporter path crosses beta's ribbon")
     return SMatrixGeometry(rho1, rho2, rho2_hat, transport2, rho1_hat, transport1)
 

@@ -47,7 +47,11 @@ something the package computes another way:
   adjoints: n^2 labels make them a Weyl basis, the fact the density check
   takes from the region's edges being bulk;
 - ``cone_shape`` gives the shape of ``cone_subspace``'s block from graph
-  components (``_components``), without Omega.
+  components (``_components``), without Omega;
+- ``deformation_pair_by_shifts`` builds each ribbon's shift pattern per
+  group element (``shift_pattern``), walks the face fluxes and reads each
+  flux expression on the other's pattern and on the torus cocycles
+  (``flux_reading``), for ``is_deformation_pair``'s signed counts.
 """
 
 from __future__ import annotations
@@ -70,6 +74,7 @@ from qdlattice.groundstate import (
     ground_state,
     omega_distances,
     omega_expectations,
+    shift_rows,
     torus_holonomies,
 )
 from qdlattice.groups import AbelianGroup, Char, Element, digit_rows
@@ -94,6 +99,7 @@ from qdlattice.operators import (
     complete_plaquettes,
     complete_stars,
     plaq_h,
+    ribbon_F,
     ribbon_F_irrep,
     star_g,
 )
@@ -610,6 +616,53 @@ def detect_charge(
 ) -> Optional[SectorLabel]:
     """The unique label whose charge projector fixes psi at s, if any."""
     return _label_from_moments(group, charge_moments(lat, group, s, psi))
+
+
+# -- ribbon deformations --------------------------------------------------------------
+
+
+def shift_pattern(lat: Lattice, group: AbelianGroup, ribbon: Ribbon, h: Element) -> np.ndarray:
+    """Configuration row holding the dual-edge shifts of the (h, e) operator."""
+    return shift_rows(lat, [ribbon_F(lat, group, ribbon, h, group.identity())])
+
+
+def flux_reading(lat: Lattice, group: AbelianGroup, ribbon: Ribbon, row: np.ndarray) -> Element:
+    """Value of the ribbon's direct-flux expression on a configuration row."""
+    m = ribbon_F(lat, group, ribbon, group.identity(), group.identity())
+    add, neg, _ = group.index_tables()
+    values = row[0].tolist()
+    acc = 0
+    for coeffs, _ in m.deltas:
+        for e, sign in coeffs:
+            v = values[e]
+            acc = add[acc][v if sign > 0 else neg[v]]
+    return group.element_at(acc)
+
+
+def deformation_pair_by_shifts(lat: Lattice, group: AbelianGroup, r1: Ribbon, r2: Ribbon) -> bool:
+    """``is_deformation_pair`` one group element at a time: for every h ≠ e
+    the face fluxes of the two (h, e) shift patterns agree and neither flux
+    expression reads the other's pattern; on the torus both flux expressions
+    read every holonomy cocycle alike."""
+    if r1.start != r2.start or r1.end != r2.end:
+        return False
+    for h in (g for g in group.elements() if g != group.identity()):
+        s1 = shift_pattern(lat, group, r1, h)
+        s2 = shift_pattern(lat, group, r2, h)
+        fluxes = face_fluxes(lat, group, np.concatenate([s1, s2]))
+        if not np.array_equal(fluxes[0], fluxes[1]):
+            return False
+        if flux_reading(lat, group, r2, s1) != group.identity():
+            return False
+        if flux_reading(lat, group, r1, s2) != group.identity():
+            return False
+    if lat.is_torus:
+        for a in range(1, group.order):
+            for hx, hy in ((a, 0), (0, a)):
+                row = _torus_cocycle(lat, group, hx, hy).astype(np.uint8)[None, :]
+                if flux_reading(lat, group, r1, row) != flux_reading(lat, group, r2, row):
+                    return False
+    return True
 
 
 # -- lattice geometry ----------------------------------------------------------------

@@ -1,19 +1,28 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from qdlattice.deform import (
     PATH_NODE_CAP,
     PATH_SLACK,
     _paths_between,
+    crossing_number,
     is_deformation_pair,
     sample_ribbon_pairs,
 )
 from qdlattice.groups import group_make
 from qdlattice.experiments import run_deform
-from qdlattice.groundstate import ground_state, omega_distances, sector_shift
-from qdlattice.lattice import Lattice, Site, parse_lattice, ribbon_between, ribbon_invert
+from qdlattice.groundstate import _torus_cocycle, ground_state, omega_distances, sector_shift
+from qdlattice.lattice import (
+    Lattice,
+    Site,
+    parse_lattice,
+    ribbon_between,
+    ribbon_invert,
+    straight_ribbon,
+)
 from qdlattice.operators import (
     AffineMap,
     as_opsum,
@@ -25,7 +34,15 @@ from qdlattice.operators import (
 )
 from qdlattice.reports import RunConfig
 from qdlattice.sectors import sector_labels, transporter, truncate
-from oracles import distance, ground_space, inner, omega_distance
+from oracles import (
+    deformation_pair_by_shifts,
+    distance,
+    flux_reading,
+    ground_space,
+    inner,
+    omega_distance,
+    shift_pattern,
+)
 
 Z2 = group_make([2])
 Z3 = group_make([3])
@@ -67,6 +84,66 @@ def test_obstruction_is_syntactic_symmetric():
     for r1, r2 in sample_ribbon_pairs(lat, Z2, rng, 8, deformations=True):
         assert is_deformation_pair(lat, Z2, r1, r2)
         assert is_deformation_pair(lat, Z2, r2, r1)
+
+
+ORACLE_GROUPS = [group_make(orders) for orders in ([2], [3], [4], [2, 2], [6], [2, 4])]
+
+
+@pytest.mark.parametrize(
+    "spec", ["3x4:plane", "4x4:plane", "5x5:plane", "3x3:torus", "3x4:torus", "4x4:torus"]
+)
+def test_deformation_counts_match_per_element_oracle(spec):
+    """On the path sampler's candidates for seeded site pairs, the verdict
+    read from signed counts equals the per-element oracle's (shift patterns,
+    face fluxes, flux readings and torus cocycles) for every group, and a
+    crossing number read in Z_n is the oracle's flux reading of one ribbon
+    on the other's (1, e) shift pattern."""
+    lat = parse_lattice(spec)
+    rng = random.Random(lat.width * 100 + lat.height * 10 + lat.is_torus)
+    sites = list(lat.sites())
+    verdicts = set()
+    for _ in range(8):
+        s0, s1 = rng.sample(sites, 2)
+        base = ribbon_between(s0, s1, lat)
+        paths, _ = _paths_between(lat, s0, s1, len(base) + PATH_SLACK, node_cap=2000)
+        rng.shuffle(paths)
+        for cand in [base] + paths[:10]:
+            got = [is_deformation_pair(lat, grp, base, cand) for grp in ORACLE_GROUPS]
+            assert got == [deformation_pair_by_shifts(lat, grp, base, cand) for grp in ORACLE_GROUPS]
+            verdicts.add(tuple(got))
+            for n in (3, 4):
+                zn = group_make([n])
+                for reader, shifter in ((base, cand), (cand, base)):
+                    reading = flux_reading(lat, zn, reader, shift_pattern(lat, zn, shifter, (1,)))
+                    assert (crossing_number(reader, shifter) % n,) == reading
+    assert (True,) * len(ORACLE_GROUPS) in verdicts
+    assert (False,) * len(ORACLE_GROUPS) in verdicts
+
+
+def test_torus_windings_are_read_mod_the_exponent():
+    """A closed ribbon around the torus's x handle and its inverse wind -1
+    and +1 times. In z4xz2 the holonomy at packed index 1, (0, 1), has order
+    2 and reads the two alike, but holonomy (1, 0) tells them apart: the
+    pair is refused, and some holonomy sector's images differ. In z2 the
+    windings agree mod 2 and every sector's images agree."""
+    lat = Lattice(3, 3, "torus")
+    loop = straight_ribbon(lat, 0, 0, "E", 3)
+    inverse = ribbon_invert(loop)
+    assert loop.is_closed and inverse.start == loop.start
+    z4xz2 = group_make([4, 2])
+    row = _torus_cocycle(lat, z4xz2, 1, 0).astype(np.uint8)[None, :]
+    assert flux_reading(lat, z4xz2, loop, row) == flux_reading(lat, z4xz2, inverse, row)
+    for grp, deformation in ((Z2, True), (z4xz2, False)):
+        assert is_deformation_pair(lat, grp, loop, inverse) == deformation
+        assert deformation_pair_by_shifts(lat, grp, loop, inverse) == deformation
+        pairs = []
+        for a, b in itertools.product(range(grp.order), repeat=2):
+            T = sector_shift(lat, grp, a, b)
+            for k in grp.elements():
+                f1, f2 = (ribbon_F(lat, grp, r, grp.identity(), k) for r in (loop, inverse))
+                pairs.append((f1.compose(T), f2.compose(T)))
+        distances = omega_distances(lat, grp, pairs)
+        assert (max(distances) == 0.0) == deformation
 
 
 def test_inverted_ribbon_same_operator():

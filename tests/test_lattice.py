@@ -429,15 +429,16 @@ def _oracle_moves(lat, s):
 
 @pytest.mark.parametrize("w,h,boundary", MOVE_LATTICES)
 def test_move_table_matches_oracle(w, h, boundary):
-    """Table-backed moves equal the oracle's on every site, unrestricted and
-    restricted to random edge subsets, and make_triangle equals the
-    coordinate triangle for every pair of sites. On the 2x2 torus two edges
-    join some vertex pairs, so only the face's own boundary edge may be used."""
+    """Every site's move-table lookup equals the oracle's moves, and so do
+    the table-backed moves, unrestricted and restricted to random edge
+    subsets; make_triangle equals the coordinate triangle for every pair of
+    sites. On the 2x2 torus two edges join some vertex pairs, so only the
+    face's own boundary edge may be used."""
     lat = Lattice(w, h, boundary)
     rng = random.Random(w * 10 + h + (boundary == "torus"))
-    assert set(lat.move_table) == set(lat.sites())
     for s in lat.sites():
         pos, rev = _oracle_moves(lat, s)
+        assert lattice._table_moves(lat, s) == (tuple(pos), tuple(rev))
         assert positive_moves(lat, s, None) == pos
         assert reversed_moves(lat, s, None) == rev
         assert site_moves(lat, s, None, True) == pos + rev
@@ -452,6 +453,27 @@ def test_move_table_matches_oracle(w, h, boundary):
                     make_triangle(lat, s, t)
             else:
                 assert make_triangle(lat, s, t) == want
+
+
+def test_move_rows_are_built_per_site():
+    """Looking up one site builds and stores that site's move row and no
+    other; a later lookup returns the stored row, and a site that is not on
+    the lattice stores nothing. The elementary closed ribbons are stored
+    the same way, per site and kind."""
+    lat = Lattice(7, 7, "plane")
+    s = lat.site_at(lat.vertex_id(3, 3))
+    assert lat.move_table == {}
+    moves = positive_moves(lat, s, None)
+    assert list(lat.move_table) == [s]
+    assert lattice._table_moves(lat, s) is lat.move_table[s]
+    assert list(lat.move_table[s][0]) == moves
+    with pytest.raises(LatticeError, match="not a site"):
+        positive_moves(lat, Site(s.vertex, lat.face_id(0, 0)), None)
+    assert list(lat.move_table) == [s]
+    alpha = alpha_ribbon(lat, s)
+    assert alpha_ribbon(lat, s) is alpha
+    assert list(lat.closed_walks) == [(s, "dual")]
+    assert set(lat.move_table) == {t.s0 for t in alpha.triangles}
 
 
 def test_moves_off_lattice_site_raise():
@@ -481,7 +503,7 @@ def test_sign_tables_match_coordinate_formulas(w, h, boundary):
     before."""
     lat = Lattice(w, h, boundary)
     for s in lat.sites():
-        pos, rev = lat.move_table[s]
+        pos, rev = lattice._table_moves(lat, s)
         for tri in pos + rev:
             for t in (tri, tri.reversed()):
                 want = _coordinate_sign(lat, t)
