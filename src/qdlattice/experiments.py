@@ -7,12 +7,13 @@ always come from an explicitly seeded generator echoed into the report.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from typing import Callable
 
 import numpy as np
 
-from .deform import PATH_NODE_CAP, sample_ribbon_pairs
+from .deform import sample_ribbon_pairs
 from .duality import (
     boundary_membership_check,
     cone_subspace,
@@ -520,17 +521,35 @@ def run_groundstate(config: RunConfig, group: AbelianGroup, lat: Lattice) -> Rep
 # -- deformation and inversion ------------------------------------------------------------
 
 
+def _control_labels(group: AbelianGroup) -> list[SectorLabel]:
+    """Labels of the crossing control: a nontrivial flux and a shift whose
+    order is the group exponent. A pair crosses when the exponent does not
+    divide one of its crossing counts n, and then n times such a shift is
+    nonzero."""
+
+    def order(g):
+        return math.lcm(*(n // math.gcd(a, n) for a, n in zip(g, group.orders)))
+
+    exponent = group.phase_denominator
+    return [l for l in sector_labels(group) if l.c != group.identity() and order(l.chi) == exponent]
+
+
 def run_deform(config: RunConfig, group: AbelianGroup, lat: Lattice, pairs: int = 200) -> Report:
     if lat.is_torus:
         # on the torus some crossing pairs act alike on the zero-holonomy
         # ground vector, so the negative control does not apply
         raise GroundStateError("torus ground space is degenerate: deform runs on plane patches")
+    sites = list(lat.sites())
+    full_sites = [x for x in sites if lat.has_full_star(x.vertex)]
+    if not full_sites:
+        raise LatticeError(
+            f"{format_lattice(lat)} has no vertex with a complete star for the inversion check's star operator"
+        )
     rep = Report("deform", config.__dict__.copy())
     rng = random.Random(config.seed)
     labels = sector_labels(group)[1:]
     deformed = []
-    searches: list[bool] = []
-    for r1, r2 in sample_ribbon_pairs(lat, group, rng, pairs, deformations=True, searches=searches):
+    for r1, r2 in sample_ribbon_pairs(lat, group, rng, pairs, deformations=True):
         h, g = rng.choice(labels)
         deformed.append((ribbon_F(lat, group, r1, h, g), ribbon_F(lat, group, r2, h, g)))
     errs = omega_distances(lat, group, deformed)
@@ -540,15 +559,15 @@ def run_deform(config: RunConfig, group: AbelianGroup, lat: Lattice, pairs: int 
         "F_rho Omega = F_rho' Omega for same-endpoint deformations",
         count == pairs and _max_err(errs) <= 1e-10,
         _max_err(errs),
-        f"{count} seeded ribbon pairs of {pairs} requested; {sum(searches)} of"
-        f" {len(searches)} path searches hit the {PATH_NODE_CAP}-node cap",
+        f"{count} seeded ribbon pairs of {pairs} requested",
     )
 
     # negative control: crossing pairs are detectably different
     control_pairs = 20
+    control_labels = _control_labels(group)
     crossing = []
     for r1, r2 in sample_ribbon_pairs(lat, group, rng, control_pairs, deformations=False):
-        h, g = rng.choice([l for l in labels if l[0] != group.identity() and l[1] != group.identity()] or labels)
+        h, g = rng.choice(control_labels)
         crossing.append((ribbon_F(lat, group, r1, h, g), ribbon_F(lat, group, r2, h, g)))
     tried = len(crossing)
     bad = sum(d > 0.1 for d in omega_distances(lat, group, crossing))
@@ -563,7 +582,6 @@ def run_deform(config: RunConfig, group: AbelianGroup, lat: Lattice, pairs: int 
     # inversion: the reversed ribbon with inverted labels acts identically
     sandwiches = []
     struct_ok = True
-    sites = list(lat.sites())
     for _ in range(40):
         sa, sb = rng.sample(sites, 2)
         try:
@@ -579,7 +597,6 @@ def run_deform(config: RunConfig, group: AbelianGroup, lat: Lattice, pairs: int 
         # sandwiched expectation form with a local operator in between
         h, g = rng.choice(labels)
         l2, k2 = rng.choice(labels)
-        full_sites = [x for x in sites if lat.has_full_star(x.vertex)]
         mid = rng.choice(full_sites)
         Aop = as_opsum(star_g(lat, group, mid, rng.choice(group.elements())))
         sandwiches.append(
@@ -907,15 +924,14 @@ def _separated_blocks(lat: Lattice) -> tuple[list[int], list[int]]:
 
     b1 = block(0, 0)
     b2 = block(lat.width - 2, lat.height - 2)
-    v1 = {v for e in b1 for v in lat.edge_endpoints(e)}
-    v2 = {v for e in b2 for v in lat.edge_endpoints(e)}
-    assert not (v1 & v2)
-    for f in lat.faces():
-        fe = {e for e, _ in lat.plaq_edges(f)}
-        assert not (fe & set(b1) and fe & set(b2)), "blocks share a plaquette"
-    for v in range(lat.n_vertices):
-        se = set(lat.star_edges_partial(v))
-        assert not (se & set(b1) and se & set(b2)), "blocks share a star"
+    s1, s2 = set(b1), set(b2)
+    plaquettes = ({e for e, _ in lat.plaq_edges(f)} for f in lat.faces())
+    stars = (set(lat.star_edges_partial(v)) for v in range(lat.n_vertices))
+    for kind, supports in (("star", stars), ("plaquette", plaquettes)):
+        if any(sup & s1 and sup & s2 for sup in supports):
+            raise LatticeError(
+                f"the corner edge blocks of {format_lattice(lat)} share a {kind}: the factorization check needs them apart"
+            )
     return b1, b2
 
 

@@ -54,8 +54,8 @@ from there, and ``Ribbon.parts`` reads a ribbon's signed edges off its
 triangles once per ribbon.
 ``positive_moves``, ``reversed_moves`` and ``site_moves`` read the table and
 filter by the allowed edges only when a set is given; every ribbon search
-(``ribbon_between``, deform's path sampler, the duality module's region
-enumeration) goes through them. ``make_triangle`` picks the one move of its
+(``ribbon_between``, which also builds deform's detours, and the duality
+module's region enumeration) goes through them. ``make_triangle`` picks the one move of its
 first site that reaches its second. A site that is not on the lattice
 raises ``LatticeError``. A site's elementary closed ribbons are stored
 alike, in ``Lattice.closed_walks``.

@@ -51,7 +51,9 @@ something the package computes another way:
 - ``deformation_pair_by_shifts`` builds each ribbon's shift pattern per
   group element (``shift_pattern``), walks the face fluxes and reads each
   flux expression on the other's pattern and on the torus cocycles
-  (``flux_reading``), for ``is_deformation_pair``'s signed counts.
+  (``flux_reading``), for ``is_deformation_pair``'s signed counts;
+  ``paths_between`` lists every edge-disjoint ribbon between two sites up
+  to a length, the candidate pairs of that comparison.
 """
 
 from __future__ import annotations
@@ -88,6 +90,7 @@ from qdlattice.lattice import (
     direct_flux_sign,
     dual_shift_sign,
     make_triangle,
+    positive_moves,
 )
 from qdlattice.operators import (
     AffineMap,
@@ -637,6 +640,35 @@ def flux_reading(lat: Lattice, group: AbelianGroup, ribbon: Ribbon, row: np.ndar
             v = values[e]
             acc = add[acc][v if sign > 0 else neg[v]]
     return group.element_at(acc)
+
+
+# a candidate ribbon is at most this many triangles longer than the shortest
+PATH_SLACK = 8
+
+
+def paths_between(lat: Lattice, s0: Site, s1: Site, max_len: int, node_cap: int) -> list[Ribbon]:
+    """Ribbons from s0 to s1 of at most max_len positive triangles using no
+    edge twice, depth first; the list is partial once node_cap moves are
+    tried."""
+    out = []
+    stack = [(s0, (), frozenset())]
+    visited = 0
+    while stack:
+        s, path, used = stack.pop()
+        if len(path) >= max_len:
+            continue
+        for tri in positive_moves(lat, s, None):
+            if tri.edge in used:
+                continue
+            visited += 1
+            if visited > node_cap:
+                return out
+            new = path + (tri,)
+            if tri.s1 == s1:
+                out.append(Ribbon.from_triangles(new))
+            else:
+                stack.append((tri.s1, new, used | {tri.edge}))
+    return out
 
 
 def deformation_pair_by_shifts(lat: Lattice, group: AbelianGroup, r1: Ribbon, r2: Ribbon) -> bool:

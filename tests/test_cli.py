@@ -8,6 +8,7 @@ import jsonschema
 import pytest
 
 from qdlattice.cli import main
+from qdlattice.experiments import EXPERIMENTS
 from qdlattice.reports import Report, RunConfig, report_json
 
 SCHEMA = Path(__file__).resolve().parent.parent / "src" / "qdlattice" / "report_schema.json"
@@ -203,6 +204,24 @@ def test_oversized_inputs_exit_2_with_one_line(capsys, args):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {args[1]}: ") and err.count("\n") == 1
     assert "above the cap" in err or "at most 255" in err
+
+
+@pytest.mark.parametrize("spec", ["2x2:plane", "2x3:plane", "3x2:plane", "2x2:torus", "2x3:torus"])
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+def test_smallest_patches_end_in_a_report_or_one_line(tmp_path, capsys, experiment, spec):
+    """On the smallest patches every experiment either reports (exit 0 or 1,
+    schema-valid) or refuses with exit 2 and one line that names why."""
+    out = tmp_path / "r.json"
+    code = run_cli(["--experiment", experiment, "--lattice", spec, "--out", str(out)])
+    err = capsys.readouterr().err
+    if code == 2:
+        prefix = f"error: {experiment}:"
+        assert err.startswith(prefix) and err.count("\n") == 1
+        assert err[len(prefix) :].strip()
+        assert not out.exists()
+    else:
+        assert code in (0, 1)
+        assert schema_errors(json.loads(out.read_text())) == []
 
 
 @pytest.mark.parametrize("group", ["z2", "z4"])

@@ -4,19 +4,13 @@ import random
 import numpy as np
 import pytest
 
-from qdlattice.deform import (
-    PATH_NODE_CAP,
-    PATH_SLACK,
-    _paths_between,
-    crossing_number,
-    is_deformation_pair,
-    sample_ribbon_pairs,
-)
+from qdlattice.deform import crossing_number, is_deformation_pair, sample_ribbon_pairs
 from qdlattice.groups import group_make
-from qdlattice.experiments import run_deform
+from qdlattice.experiments import _control_labels, run_deform
 from qdlattice.groundstate import _torus_cocycle, ground_state, omega_distances, sector_shift
 from qdlattice.lattice import (
     Lattice,
+    LatticeError,
     Site,
     parse_lattice,
     ribbon_between,
@@ -35,17 +29,20 @@ from qdlattice.operators import (
 from qdlattice.reports import RunConfig
 from qdlattice.sectors import sector_labels, transporter, truncate
 from oracles import (
+    PATH_SLACK,
     deformation_pair_by_shifts,
     distance,
     flux_reading,
     ground_space,
     inner,
     omega_distance,
+    paths_between,
     shift_pattern,
 )
 
 Z2 = group_make([2])
 Z3 = group_make([3])
+Z4 = group_make([4])
 Z2xZ2 = group_make([2, 2])
 
 
@@ -93,7 +90,7 @@ ORACLE_GROUPS = [group_make(orders) for orders in ([2], [3], [4], [2, 2], [6], [
     "spec", ["3x4:plane", "4x4:plane", "5x5:plane", "3x3:torus", "3x4:torus", "4x4:torus"]
 )
 def test_deformation_counts_match_per_element_oracle(spec):
-    """On the path sampler's candidates for seeded site pairs, the verdict
+    """On the path enumerator's candidates for seeded site pairs, the verdict
     read from signed counts equals the per-element oracle's (shift patterns,
     face fluxes, flux readings and torus cocycles) for every group, and a
     crossing number read in Z_n is the oracle's flux reading of one ribbon
@@ -105,7 +102,7 @@ def test_deformation_counts_match_per_element_oracle(spec):
     for _ in range(8):
         s0, s1 = rng.sample(sites, 2)
         base = ribbon_between(s0, s1, lat)
-        paths, _ = _paths_between(lat, s0, s1, len(base) + PATH_SLACK, node_cap=2000)
+        paths = paths_between(lat, s0, s1, len(base) + PATH_SLACK, node_cap=2000)
         rng.shuffle(paths)
         for cand in [base] + paths[:10]:
             got = [is_deformation_pair(lat, grp, base, cand) for grp in ORACLE_GROUPS]
@@ -192,24 +189,64 @@ def test_inversion_expectation_identity():
         assert abs(lhs - rhs) < 1e-12
 
 
-def test_path_search_reports_the_node_cap():
-    lat = Lattice(3, 4, "plane")
-    s0 = Site(lat.vertex_id(0, 0), lat.face_id(0, 0))
-    s1 = Site(lat.vertex_id(2, 2), lat.face_id(1, 1))
-    max_len = len(ribbon_between(s0, s1, lat)) + PATH_SLACK
-    full, capped = _paths_between(lat, s0, s1, max_len)
-    assert not capped and len(full) > 1
-    partial, capped = _paths_between(lat, s0, s1, max_len, node_cap=20)
-    assert capped
-    assert {p.triangles for p in partial} <= {p.triangles for p in full}
+@pytest.mark.parametrize("deformations", [True, False])
+def test_sampled_pairs_are_detours_around_an_interior_edge(deformations):
+    """Each pair shares its endpoints, its two ribbons differ, and the
+    partner avoids the edge of at least one interior triangle of the base."""
+    lat = Lattice(4, 4, "plane")
+    rng = random.Random(6)
+    n = 0
+    for base, partner in sample_ribbon_pairs(lat, Z4, rng, 10, deformations=deformations):
+        assert (base.start, base.end) == (partner.start, partner.end)
+        assert base.triangles != partner.triangles
+        interior = {t.edge for t in base.triangles[1:-1]}
+        assert interior - partner.edges()
+        assert is_deformation_pair(lat, Z4, base, partner) == deformations
+        n += 1
+    assert n == 10
 
 
-def test_deform_report_counts_capped_searches():
+def test_deform_report_counts_sampled_pairs():
     lat = Lattice(3, 3, "plane")
     rep = run_deform(RunConfig("deform", seed=3), Z2, lat, pairs=20)
-    details = rep.checks[0].details
-    assert details.startswith("20 seeded ribbon pairs of 20 requested; 0 of ")
-    assert details.endswith(f" path searches hit the {PATH_NODE_CAP}-node cap")
+    assert rep.checks[0].details == "20 seeded ribbon pairs of 20 requested"
+
+
+@pytest.mark.parametrize("spec", ["2x2:plane", "2x3:plane", "3x2:plane", "2x8:plane"])
+def test_deform_refuses_a_plane_without_a_complete_star(spec):
+    with pytest.raises(LatticeError, match="no vertex with a complete star"):
+        run_deform(RunConfig("deform", seed=0), Z2, parse_lattice(spec))
+
+
+@pytest.mark.parametrize("grp", [Z2, Z3], ids=["z2", "z3"])
+def test_deform_passes_on_the_12x12_plane(grp):
+    rep = run_deform(RunConfig("deform", seed=0), grp, Lattice(12, 12, "plane"))
+    assert rep.all_passed
+    assert rep.checks[0].details == "200 seeded ribbon pairs of 200 requested"
+
+
+def test_crossing_control_labels_separate_an_even_crossing():
+    """A z4 pair whose crossing numbers are ±2: the exponent 4 does not
+    divide them, so the pair crosses, yet the shift (2,) reads 2·(2,) = 0
+    and leaves the two images equal. Every label the crossing control can
+    draw has a shift of order 4 and separates the pair."""
+    lat = Lattice(3, 5, "plane")
+    s0, s1 = lat.site(1, 1, 1, 1), lat.site(1, 3, 1, 3)
+    base = ribbon_between(s0, s1, lat)
+    paths = paths_between(lat, s0, s1, len(base) + PATH_SLACK, node_cap=20000)
+    partner = next(p for p in paths if crossing_number(base, p) == 2)
+    assert crossing_number(partner, base) == -2
+    assert not is_deformation_pair(lat, Z4, base, partner)
+    assert not deformation_pair_by_shifts(lat, Z4, base, partner)
+    assert deformation_pair_by_shifts(lat, Z2, base, partner)
+    labels = _control_labels(Z4)
+    assert {l.chi for l in labels} == {(1,), (3,)}
+    for shift, flux in labels:
+        f1, f2 = (ribbon_F(lat, Z4, r, shift, flux) for r in (base, partner))
+        assert omega_distance(lat, Z4, f1, f2) > 0.1
+    for flux in ((1,), (2,), (3,)):
+        f1, f2 = (ribbon_F(lat, Z4, r, (2,), flux) for r in (base, partner))
+        assert omega_distance(lat, Z4, f1, f2) == 0.0
 
 
 def _site(lat, x, y):

@@ -12,6 +12,9 @@ nowhere.
 
 Only groups.py imports ``fractions``: a phase is a fraction of a turn there
 and an integer numerator everywhere else.
+
+No module uses an ``assert`` statement: a failed check raises the package's
+own error with a message, and ``python -O`` would drop an assert.
 """
 
 import ast
@@ -110,3 +113,13 @@ def test_only_groups_imports_fractions():
             if any(n.split(".")[0] == "fractions" for n in names) and module != "groups.py":
                 importers.append(f"{module}:{node.lineno}")
     assert not importers, f"only groups.py may import fractions: {importers}"
+
+
+def test_no_assert_statements():
+    asserts = [
+        f"{module}:{node.lineno}"
+        for module, tree in _modules(with_init=True).items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assert)
+    ]
+    assert not asserts, f"assert statements in src/qdlattice: {asserts}"
