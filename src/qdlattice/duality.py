@@ -85,9 +85,9 @@ from .lattice import Lattice, LatticeError, Region, Ribbon, Site, Triangle, posi
 from .operators import (
     AffineMap,
     OperatorError,
-    _enumerate_configs,
     as_opsum,
     canonical,
+    enumerate_configs,
     ribbon_F_irrep,
 )
 from .reports import Check
@@ -199,7 +199,7 @@ class ConeSubspace:
         if not opsum.support() <= self.region.edges:
             raise OperatorError("operator touches edges outside the region")
         radix, edges = self.group.order, sorted(self.region.edges)
-        configs = _enumerate_configs(edges, self.lat.n_edges, radix)
+        configs = enumerate_configs(edges, self.lat.n_edges, radix)
         roots = self.group.tables()["roots"]
         out = []
         for coeff, m in opsum.terms:

@@ -53,10 +53,10 @@ from .operators import (
     MATRIX_DIM_CAP,
     AffineMap,
     OpSum,
-    _enumerate_configs,
-    as_opsum,
     alpha_ribbon,
+    as_opsum,
     beta_ribbon,
+    enumerate_configs,
     hamiltonian,
     ops_equal,
     plaq_h,
@@ -369,7 +369,7 @@ def run_verify(config: RunConfig, group: AbelianGroup, lat: Lattice) -> Report:
 
     # crossing phase
     errs = []
-    pair = crossing_pair(lat, lat.width // 2, lat.height // 2)
+    pair = crossing_pair(lat)
     for l1, l2 in itertools.product(sector_labels(group), repeat=2):
         lam = braiding_phase(lat, group, l1, l2, pair)
         pred = group.char_eval(l1.chi, l2.c) * group.char_eval(l2.chi, l1.c)
@@ -464,7 +464,7 @@ def run_groundstate(config: RunConfig, group: AbelianGroup, lat: Lattice) -> Rep
         f"{support} terms" + (f"; {brute_skipped}" if brute_skipped else ""),
     )
     if not brute_skipped:
-        cfgs = _enumerate_configs(lat.edges()[::-1], lat.n_edges, group.order)
+        cfgs = enumerate_configs(lat.edges()[::-1], lat.n_edges, group.order)
         brute = int(np.sum(is_flat(lat, group, cfgs)))
         rep.add(
             "flat enumeration matches brute force",
@@ -493,7 +493,7 @@ def run_groundstate(config: RunConfig, group: AbelianGroup, lat: Lattice) -> Rep
     # connection projector values on a face set
     faces = [0] if lat.n_faces == 1 else [0, 1]
     edges = edges_of_faces(lat, faces)
-    rows = _enumerate_configs(edges, lat.n_edges, group.order)
+    rows = enumerate_configs(edges, lat.n_edges, group.order)
     flats = ~np.any(face_fluxes(lat, group, rows)[:, faces], axis=1)
     n_flat = int(np.sum(flats))
     elems = group.elements()
@@ -625,7 +625,7 @@ def run_deform(config: RunConfig, group: AbelianGroup, lat: Lattice, pairs: int 
 def run_braid(config: RunConfig, group: AbelianGroup, lat: Lattice) -> Report:
     rep = Report("braid", config.__dict__.copy())
     labels = sector_labels(group)
-    pair = crossing_pair(lat, lat.width // 2, lat.height // 2)
+    pair = crossing_pair(lat)
     lams = {(l1, l2): braiding_phase(lat, group, l1, l2, pair) for l1 in labels for l2 in labels}
     errs = []
     sym_errs = []

@@ -18,8 +18,8 @@ Sums with scalar coefficients (projectors, Hamiltonians) are ``OpSum``.
 Operators are applied to sparse states directly, or read row by row from
 ``AffineMap.eval``: on any set of configurations a map is a monomial
 matrix, one target and one phase per row. Operator identities are checked
-exactly by ``ops_equal``, on the configurations of the edges that deltas
-and characters read rather than on matrices over the whole support. Only
+exactly by ``ops_equal``, from normal forms or on the configurations of the
+edges that deltas and characters read; ``commutator_phase`` needs neither. Only
 the torus exact-diagonalization cross-check and the test oracles build
 whole matrices (``support_matrix``, ``to_matrix``), so scipy is imported
 there and not with the package.
@@ -55,6 +55,21 @@ def _fold_shift(shifts: dict[int, int], coeffs: Coeffs, add, neg) -> int:
         s = shifts.get(e, 0)
         acc = add[acc][s if sign > 0 else neg[s]]
     return acc
+
+
+def commutator_phase(a: AffineMap, b: AffineMap) -> int:
+    """Numerator lambda with a b = lambda b a for maps without deltas: a's characters
+    read on b's shifts minus b's on a's (qudit X Z = omega Z X), additive in a and b."""
+    if a.deltas or b.deltas:
+        raise OperatorError("commutator phase needs maps without deltas")
+    g = a.group
+    add, neg, char_num = g.index_tables()
+
+    def picked_up(m: AffineMap, other: AffineMap) -> int:
+        shifts = dict(other.shifts)
+        return sum(char_num[ci][_fold_shift(shifts, coeffs, add, neg)] for ci, coeffs, _ in m.chars)
+
+    return (picked_up(a, b) - picked_up(b, a)) % g.phase_denominator
 
 
 @dataclass(frozen=True)
@@ -296,7 +311,7 @@ def same_action(a: AffineMap, b: AffineMap) -> bool:
 # -- matrix materialization --------------------------------------------------------
 
 
-def _enumerate_configs(edges: Sequence[int], n_edges: int, radix: int) -> np.ndarray:
+def enumerate_configs(edges: Sequence[int], n_edges: int, radix: int) -> np.ndarray:
     """All configurations supported on `edges`, zero elsewhere."""
     k = len(edges)
     n = radix**k
@@ -328,7 +343,7 @@ def support_matrix(op, support: Sequence[int], n_edges: int) -> sp.csr_matrix:
     support = sorted(support)
     if not (opsum.support() <= set(support)):
         raise OperatorError("operator touches edges outside the requested support")
-    configs = _enumerate_configs(support, n_edges, radix)
+    configs = enumerate_configs(support, n_edges, radix)
     n = configs.shape[0]
     cols = np.arange(n, dtype=np.int64)
     roots = group.tables()["roots"]
@@ -360,13 +375,15 @@ def ops_equal(a, b, n_edges: int) -> float:
     expressions); shifted edges move the row but change no entry. The max
     |bucket sum| over the diagonal edges' configurations alone is therefore
     the max entry of support_matrix(a) - support_matrix(b), from |G|^d rows
-    instead of |G|^k."""
+    instead of |G|^k. One nonzero term a side, equal in coefficient and normal form: 0.0."""
     terms = [(0, c, m) for c, m in as_opsum(a).terms] + [(1, c, m) for c, m in as_opsum(b).terms]
-    if not terms:
+    live = [(side, c, canonical(m)) for side, c, m in terms if c != 0]
+    live = [t for t in live if t[2] is not None]
+    if not live or [t[0] for t in live] == [0, 1] and live[0][1:] == live[1][1:]:
         return 0.0
     group = terms[0][2].group
     diagonal = set().union(*(m.diagonal_edges() for _, _, m in terms))
-    configs = _enumerate_configs(sorted(diagonal), n_edges, group.order)
+    configs = enumerate_configs(sorted(diagonal), n_edges, group.order)
     roots = group.tables()["roots"]
     # per shift, a's and b's sums kept apart: their difference rounds as the
     # difference of the two summed matrices does

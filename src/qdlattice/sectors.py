@@ -4,9 +4,10 @@ braiding and the modular S matrix.
 Sector labels are pairs (character, group element). Charged states are
 ribbon operators F applied to the ground state Ω; all sector data can be
 extracted either operationally (detectors in charged states) or as exact
-operator phases (for braiding), since products of the unitary ribbon
-operators reduce to a global phase times the identity whenever the theory
-says they should. No charged state is built: detector readings on F Ω are
+operator phases (braiding and the double exchange): the irrep ribbon
+operators are Weyl maps, so two of them commute up to the phase
+``commutator_phase`` reads off their shifts and characters, without forming
+a product. No charged state is built: detector readings on F Ω are
 ground-state expectations <Ω|F† X F|Ω> / <Ω|F† F|Ω>, computed from the
 flat-connection group by ``omega_expectations``, one batch per table
 (fusion, loop projectors), and the transporter checks compare images of Ω
@@ -34,9 +35,8 @@ from .lattice import (
 )
 from .operators import (
     AffineMap,
-    OperatorError,
     as_opsum,
-    canonical,
+    commutator_phase,
     loop_charge_projector,
     ribbon_F_irrep,
     star_g,
@@ -229,23 +229,21 @@ def fusion_table(
 # -- braiding ----------------------------------------------------------------------------------
 
 
-def crossing_pair(lat: Lattice, x: int, y: int) -> tuple[Ribbon, Ribbon]:
-    """Canonical once-crossing pair at the site region around vertex
-    (x+1, y), each ribbon 3 steps long: the first ribbon heads north, the
-    second east; the first is the one whose operator picks up the phase
-    when commuted to the right."""
-    rho = straight_ribbon(lat, x + 1, y - 1, "N", 3)
-    sigma = straight_ribbon(lat, x - 1, y, "E", 3)
+def crossing_pair(lat: Lattice) -> tuple[Ribbon, Ribbon]:
+    """Once-crossing pair at the centre (x, y): `steps` north from vertex
+    (x+1, y-1), whose operator picks up the phase when commuted right, and east
+    from (x-1, y). On a plane they need faces x-1..x+steps-1 (and the same
+    rows), a side of 2*steps+1; a shorter torus side than `steps` folds them."""
+    steps = 3
+    kind, side = ("torus", steps) if lat.is_torus else ("plane patch", 2 * steps + 1)
+    if min(lat.width, lat.height) < side:
+        raise LatticeError(
+            f"the crossing pair needs a {kind} of at least {side}x{side}, not {lat.width}x{lat.height}"
+        )
+    x, y = lat.width // 2, lat.height // 2
+    rho = straight_ribbon(lat, x + 1, y - 1, "N", steps)
+    sigma = straight_ribbon(lat, x - 1, y, "E", steps)
     return rho, sigma
-
-
-def phase_of_map(m: AffineMap) -> Optional[int]:
-    """The exact phase numerator when the map is a scalar multiple of the
-    identity."""
-    cm = canonical(m)
-    if cm is None or cm.shifts or cm.deltas or cm.chars:
-        return None
-    return cm.phase
 
 
 def braiding_phase(
@@ -257,21 +255,11 @@ def braiding_phase(
 ) -> complex:
     """Scalar lambda with F1 F2 = lambda F2 F1 for the once-crossing ribbon
     `pair` (``crossing_pair``): label1 rides its first, north ribbon and
-    label2 its second, east one."""
+    label2 its second, east one: the ``commutator_phase`` of two Weyl maps."""
     rho, sigma = pair
     f1 = ribbon_F_irrep(lat, group, rho, label1.chi, label1.c)
     f2 = ribbon_F_irrep(lat, group, sigma, label2.chi, label2.c)
-    lhs = f1.compose(f2)
-    rhs = f2.compose(f1)
-    # lhs = lambda * rhs, both unitary basis maps: the quotient is the phase
-    # difference of their canonical forms
-    ca, cb = canonical(lhs), canonical(rhs)
-    if ca is None or cb is None:
-        raise OperatorError("crossing operators unexpectedly annihilate")
-    if (ca.shifts, ca.deltas, ca.chars) != (cb.shifts, cb.deltas, cb.chars):
-        raise OperatorError("crossing products differ by more than a phase")
-    roots = group.tables()["roots"]
-    return complex(roots[(ca.phase - cb.phase) % group.phase_denominator])
+    return complex(group.tables()["roots"][commutator_phase(f1, f2)])
 
 
 # -- S matrix ------------------------------------------------------------------------------------
@@ -350,20 +338,15 @@ def _exchange_phase(
     spectator_label: SectorLabel,
     spectator: Ribbon,
 ) -> int:
-    """Phase numerator of V* alpha(V) where V transports the mover charge
-    along `transport` (its ribbon, then the connector) to the end of
-    `mover_hat`, and alpha conjugates by the spectator's ribbon operator."""
-    V = ribbon_F_irrep(lat, group, mover_hat, mover_label.chi, mover_label.c).compose(
-        ribbon_F_irrep(
-            lat, group, transport, group.char_conj(mover_label.chi), group.inv(mover_label.c)
-        )
+    """Phase numerator of V* Fs V Fs*, the commutator phase of the spectator's Fs and
+    V = hat transport (summed over both), which moves the mover charge along
+    `transport` (its ribbon, then the connector) to the end of `mover_hat`."""
+    hat = ribbon_F_irrep(lat, group, mover_hat, mover_label.chi, mover_label.c)
+    transport_op = ribbon_F_irrep(
+        lat, group, transport, group.char_conj(mover_label.chi), group.inv(mover_label.c)
     )
     Fs = ribbon_F_irrep(lat, group, spectator, spectator_label.chi, spectator_label.c)
-    eps = V.adjoint().compose(Fs).compose(V).compose(Fs.adjoint())
-    phase = phase_of_map(eps)
-    if phase is None:
-        raise OperatorError("exchange operator is not a scalar: bad geometry")
-    return phase
+    return (commutator_phase(Fs, hat) + commutator_phase(Fs, transport_op)) % group.phase_denominator
 
 
 def s_matrix_entry(

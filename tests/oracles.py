@@ -20,6 +20,10 @@ something the package computes another way:
   off a materialized charged state, for ``omega_charge_moments``;
 - ``charge_projector`` and ``conjugate_label`` are the textbook charge
   detector and antiparticle label;
+- ``phase_of_map`` reads the scalar of a map that is a multiple of the
+  identity from its normal form, and ``commutator_by_products`` reads
+  lambda in a b = lambda b a from the product a b a* b* that way, for
+  ``commutator_phase``;
 - ``ground_energy`` counts the stabilizers, for exact diagonalization;
 - ``triangle_T`` and ``triangle_L`` are the one-triangle operators, for
   ``ribbon_F``;
@@ -96,11 +100,11 @@ from qdlattice.operators import (
     AffineMap,
     OperatorError,
     OpSum,
-    _enumerate_configs,
     as_opsum,
     canonical,
     complete_plaquettes,
     complete_stars,
+    enumerate_configs,
     plaq_h,
     ribbon_F,
     ribbon_F_irrep,
@@ -482,7 +486,7 @@ def omega_distance(lat: Lattice, group: AbelianGroup, f1: AffineMap, f2: AffineM
 def all_configs(lat: Lattice, group: AbelianGroup) -> np.ndarray:
     """Every configuration of the patch, one uint8 row each (brute force,
     refused like any enumeration above 2^20 rows)."""
-    return _enumerate_configs(lat.edges(), lat.n_edges, group.order)
+    return enumerate_configs(lat.edges(), lat.n_edges, group.order)
 
 
 def count_flat_on_faces(lat: Lattice, group: AbelianGroup, faces: list[int]) -> int:
@@ -554,6 +558,21 @@ def triangle_L(lat: Lattice, group: AbelianGroup, tri: Triangle, g: Element) -> 
     if not val:
         return AffineMap.identity(group, lat.n_edges)
     return AffineMap(group, lat.n_edges, shifts=((tri.edge, val),))
+
+
+def phase_of_map(m: AffineMap) -> Optional[int]:
+    """The exact phase numerator when the map is a scalar multiple of the
+    identity, read off its normal form."""
+    cm = canonical(m)
+    if cm is None or cm.shifts or cm.deltas or cm.chars:
+        return None
+    return cm.phase
+
+
+def commutator_by_products(a: AffineMap, b: AffineMap) -> Optional[int]:
+    """lambda with a b = lambda b a for unitary maps, from the normal form of
+    the product a b a* b* (None when it is not a scalar)."""
+    return phase_of_map(a.compose(b).compose(a.adjoint()).compose(b.adjoint()))
 
 
 def charge_projector(

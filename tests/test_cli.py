@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -222,6 +223,22 @@ def test_smallest_patches_end_in_a_report_or_one_line(tmp_path, capsys, experime
     else:
         assert code in (0, 1)
         assert schema_errors(json.loads(out.read_text())) == []
+
+
+def test_braid_refuses_a_patch_too_small_for_the_crossing_pair(capsys):
+    """braid z2 on every plane and torus from 2x2 to 8x8: the crossing pair
+    fits on planes of at least 7x7 and tori of at least 3x3, where braid
+    passes, and everywhere else it exits 2 with one line naming the minimum."""
+    for boundary, side in (("plane", 7), ("torus", 3)):
+        kind = "plane patch" if boundary == "plane" else boundary
+        for w, h in itertools.product(range(2, 9), repeat=2):
+            code = run_cli(["--experiment", "braid", "--lattice", f"{w}x{h}:{boundary}"])
+            err = capsys.readouterr().err
+            if min(w, h) >= side:
+                assert code == 0, (w, h, boundary, err)
+            else:
+                assert code == 2
+                assert err == f"error: braid: the crossing pair needs a {kind} of at least {side}x{side}, not {w}x{h}\n"
 
 
 @pytest.mark.parametrize("group", ["z2", "z4"])

@@ -13,6 +13,10 @@ nowhere.
 Only groups.py imports ``fractions``: a phase is a fraction of a turn there
 and an integer numerator everywhere else.
 
+No module imports an underscore name from another package module: a
+private helper is used where it is defined, so code that needs it lives
+beside it.
+
 No module uses an ``assert`` statement: a failed check raises the package's
 own error with a message, and ``python -O`` would drop an assert.
 """
@@ -123,3 +127,13 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not asserts, f"assert statements in src/qdlattice: {asserts}"
+
+
+def test_no_private_names_imported_across_modules():
+    private = [
+        f"{module}: {name} from {source}"
+        for module, tree in _modules(with_init=True).items()
+        for source, name in _scan(tree)[2]
+        if name.startswith("_")
+    ]
+    assert not private, f"underscore names imported from another package module: {private}"

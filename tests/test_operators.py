@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import tracemalloc
 from fractions import Fraction
@@ -9,7 +10,16 @@ import scipy.sparse.linalg as spla
 from hypothesis import assume, given, settings, strategies as st
 
 from qdlattice.groups import group_make
-from qdlattice.lattice import Lattice, LatticeError, Ribbon, Site, make_triangle, ribbon_between
+from qdlattice.lattice import (
+    Lattice,
+    LatticeError,
+    Ribbon,
+    Site,
+    closed_loop_around,
+    make_triangle,
+    ribbon_between,
+    ribbon_invert,
+)
 from qdlattice.operators import (
     CONFIG_BYTES_CAP,
     MATRIX_DIM_CAP,
@@ -20,6 +30,7 @@ from qdlattice.operators import (
     as_opsum,
     beta_ribbon,
     canonical,
+    commutator_phase,
     hamiltonian,
     loop_charge_projector,
     ops_equal,
@@ -40,6 +51,7 @@ from oracles import (
     all_configs,
     basis,
     charge_projector,
+    commutator_by_products,
     distance,
     face_flux,
     ground_energy,
@@ -441,9 +453,31 @@ def test_ops_equal_enumerates_only_diagonal_edges():
     assert len(support - lhs.diagonal_edges()) > 10
     with pytest.raises(OperatorError):
         support_matrix(lhs, sorted(support), lat.n_edges)
-    assert ops_equal(lhs, rhs, lat.n_edges) == 0
+    # two half-weight terms on the right keep the equal pair off the
+    # normal-form shortcut, so the enumeration decides
+    assert ops_equal(lhs, OpSum.weighted([(0.5, rhs), (0.5, rhs)]), lat.n_edges) == 0
     wrong = plaq.compose(stars[2]).compose(stars[1])
     assert ops_equal(lhs, wrong, lat.n_edges) == 1.0
+
+
+def test_ops_equal_takes_equal_normal_forms_without_enumerating():
+    # a z4 irrep operator on a radius-2 loop reads 16 edges: its diagonal
+    # configurations, 4^16, are above MATRIX_DIM_CAP. The inverted loop with
+    # inverted labels is the same operator written differently.
+    lat, grp = Lattice(7, 7, "torus"), group_make([4])
+    ne = lat.n_edges
+    loop = closed_loop_around(Site(lat.vertex_id(3, 3), lat.face_id(3, 3)), 2, lat)
+    F = ribbon_F_irrep(lat, grp, loop, (1,), (1,))
+    G = ribbon_F_irrep(lat, grp, ribbon_invert(loop), (3,), (3,))
+    assert F != G and grp.order ** len(F.diagonal_edges()) > MATRIX_DIM_CAP
+    zero = OpSum.weighted([(0.0, star_g(lat, grp, lat.site_at(0), (1,)))])
+    assert ops_equal(F, G, ne) == 0.0
+    assert ops_equal(OpSum.of(F) + zero, OpSum.of(G).scaled(1.0), ne) == 0.0
+    assert ops_equal(zero, OpSum(()), ne) == 0.0
+    # anything else still goes to the capped enumeration
+    for other in (OpSum.of(G).scaled(-1.0), OpSum.weighted([(0.5, G), (0.5, G)])):
+        with pytest.raises(OperatorError, match="above the cap"):
+            ops_equal(F, other, ne)
 
 
 # -- index arithmetic against the tuple-arithmetic reference ----------------------------
@@ -583,3 +617,23 @@ def test_index_algebra_matches_tuple_reference(pair):
     assert a.adjoint() == _ref_adjoint(a)
     for m in (a, a.compose(b), a.adjoint()):
         assert canonical(m) == _ref_canonical(m)
+
+
+# -- commutator phases against the products ----------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=_map_pairs())
+def test_commutator_phase_matches_products_on_weyl_maps(pair):
+    a, b = (dataclasses.replace(m, deltas=()) for m in pair)
+    assert commutator_phase(a, b) == commutator_by_products(a, b)
+
+
+def test_commutator_phase_refuses_maps_with_deltas():
+    lat = Lattice(3, 3, "torus")
+    rho = ribbon_between(lat.site_at(lat.vertex_id(1, 1)), lat.site_at(lat.vertex_id(2, 2)), lat)
+    F = ribbon_F(lat, Z3, rho, (1,), (0,))
+    W = ribbon_F_irrep(lat, Z3, rho, (1,), (1,))
+    for a, b in ((F, W), (W, F)):
+        with pytest.raises(OperatorError, match="without deltas"):
+            commutator_phase(a, b)

@@ -6,10 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from qdlattice.groups import group_make, phase_to_complex
 from qdlattice.groundstate import ground_state
-from qdlattice.lattice import Lattice, LatticeError, Site, ribbon_between
+from qdlattice.lattice import Lattice, LatticeError, Site, parse_lattice, ribbon_between
 from qdlattice.operators import OpSum, as_opsum, hamiltonian, ribbon_F, ribbon_F_irrep
+from qdlattice.operators import commutator_phase
 from qdlattice.sectors import (
     SectorLabel,
+    _exchange_phase,
     braiding_phase,
     crossing_pair,
     fuse_labels,
@@ -25,6 +27,7 @@ from qdlattice.sectors import (
 from oracles import (
     charge_moments,
     charged_state,
+    commutator_by_products,
     conjugate_label,
     detect_charge,
     distance,
@@ -32,6 +35,7 @@ from oracles import (
     ground_space,
     is_zero,
     norm,
+    phase_of_map,
 )
 
 Z2 = group_make([2])
@@ -131,7 +135,7 @@ def test_transporter_fixes_ground_state_and_moves_charge():
 
 def test_crossing_pair_shares_two_edges_transversally():
     lat = Lattice(7, 7, "plane")
-    rho, sigma = crossing_pair(lat, 3, 3)
+    rho, sigma = crossing_pair(lat)
     shared = rho.edges() & sigma.edges()
     assert len(shared) == 2
     kinds = {}
@@ -145,11 +149,51 @@ def test_crossing_pair_shares_two_edges_transversally():
         assert {k for _, k in ks} == {"direct", "dual"}
 
 
+@pytest.mark.parametrize("spec", ["7x7:plane", "3x3:torus"])
+@pytest.mark.parametrize("orders", [[2], [3], [4], [2, 2]])
+def test_commutator_phase_matches_products_on_the_crossing_pair(orders, spec):
+    """On every label pair of the crossing pair, the commutator phase read
+    off shifts and characters equals the quotient of the two products."""
+    grp = group_make(orders)
+    lat = parse_lattice(spec)
+    rho, sigma = crossing_pair(lat)
+    for l1, l2 in itertools.product(sector_labels(grp), repeat=2):
+        f1 = ribbon_F_irrep(lat, grp, rho, l1.chi, l1.c)
+        f2 = ribbon_F_irrep(lat, grp, sigma, l2.chi, l2.c)
+        assert commutator_phase(f1, f2) == commutator_by_products(f1, f2)
+
+
+@pytest.mark.parametrize("orders", [[2], [3], [4], [2, 2], [2, 4]])
+def test_exchange_phase_matches_the_product_of_four_maps(orders):
+    """On every exchange pair of both orientations, _exchange_phase equals
+    the scalar of V* Fs V Fs* built from the four products. The hat ribbons
+    cross no spectator, so each exchange also runs with its hat and
+    transport swapped, where the hat factor carries the crossing."""
+    grp = group_make(orders)
+    lat = Lattice(7, 7, "plane")
+    labels = sector_labels(grp)
+    for reversed_orientation in (False, True):
+        g = smatrix_geometry(lat, reversed_orientation)
+        exchanges = [(g.rho2_hat, g.transport2, g.rho1), (g.rho1_hat, g.transport1, g.rho2)]
+        exchanges += [(transport, hat, spectator) for hat, transport, spectator in exchanges]
+        for hat, transport, spectator in exchanges:
+            hats = [ribbon_F_irrep(lat, grp, hat, l.chi, l.c) for l in labels]
+            backs = [
+                ribbon_F_irrep(lat, grp, transport, grp.char_conj(l.chi), grp.inv(l.c)) for l in labels
+            ]
+            spectators = [ribbon_F_irrep(lat, grp, spectator, l.chi, l.c) for l in labels]
+            for i, j in itertools.product(range(len(labels)), repeat=2):
+                V, Fs = hats[i].compose(backs[i]), spectators[j]
+                want = phase_of_map(V.adjoint().compose(Fs).compose(V).compose(Fs.adjoint()))
+                got = _exchange_phase(lat, grp, labels[i], hat, transport, labels[j], spectator)
+                assert got == want
+
+
 @pytest.mark.parametrize("orders", [[2], [3], [4], [2, 2]])
 def test_braiding_phase_formula(orders):
     grp = group_make(orders)
     lat = Lattice(7, 7, "plane")
-    pair = crossing_pair(lat, 3, 3)
+    pair = crossing_pair(lat)
     for l1, l2 in itertools.product(sector_labels(grp), repeat=2):
         lam = braiding_phase(lat, grp, l1, l2, pair)
         pred = grp.char_eval(l1.chi, l2.c) * grp.char_eval(l2.chi, l1.c)
@@ -163,7 +207,7 @@ def test_braiding_and_s_matrix_are_exact_turns(orders):
     grp = group_make(orders)
     lat = Lattice(7, 7, "plane")
     geom = smatrix_geometry(lat)
-    pair = crossing_pair(lat, 3, 3)
+    pair = crossing_pair(lat)
     for l1, l2 in itertools.product(sector_labels(grp), repeat=2):
         # chi1(c2) chi2(c1) as an exact fraction of a turn
         turns = (grp.char_phase(l1.chi, l2.c) + grp.char_phase(l2.chi, l1.c)) % 1
@@ -175,7 +219,7 @@ def test_braiding_phase_z2_mutual_statistics():
     lat = Lattice(7, 7, "plane")
     e = SectorLabel((1,), (0,))
     m = SectorLabel((0,), (1,))
-    pair = crossing_pair(lat, 3, 3)
+    pair = crossing_pair(lat)
     assert abs(braiding_phase(lat, Z2, e, m, pair) + 1) < 1e-12
     vac = SectorLabel((0,), (0,))
     for other in sector_labels(Z2):
