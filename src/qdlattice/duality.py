@@ -64,9 +64,12 @@ shift and a character on each of the k edges give the |G|^(2k) monomials
 of a Weyl basis. The tests count their n^2 distinct labels; the check
 enumerates none of them. Exterior ribbon operators need no family of their own:
 P_Lambda (1 tensor Y) Omega = (1 tensor P_W Y P_W) Omega lies in the
-compressed family. The orthogonality check needs no Omega at all:
-H_Lambda is spanned by the M Omega for the region's edge monomials M, so it
-reads <M Omega|F Omega> = omega(M^dagger F) from the flat-connection group.
+compressed family. The orthogonality check builds no Omega and enumerates
+nothing: the M Omega span H_Lambda, and for a Weyl map F (no deltas)
+<M Omega|F Omega> = omega(M^dagger F) is 0 or a root of unity (the
+stabilizer-state rule), nonzero when the shift is flat and every vertex of a
+gradient gets a trivial character. So the maximum over M is 1 when some M
+cancels both F's endpoint flux and charge, and 0 otherwise (``cone_overlaps``).
 
 What still materializes: Omega itself, read for its rows, and the exterior
 ribbon states of the membership check.
@@ -79,11 +82,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groundstate import OMEGA_ROWS_CAP, face_fluxes, omega_expectations, shift_rows
-from .groups import AbelianGroup, codes, digit_rows
+from .groundstate import face_fluxes, shift_rows, vertex_characters
+from .groups import AbelianGroup, codes
 from .lattice import Lattice, LatticeError, Region, Ribbon, Site, Triangle, positive_moves
 from .operators import (
-    AffineMap,
     OperatorError,
     as_opsum,
     canonical,
@@ -369,44 +371,48 @@ def boundary_ribbons(lat: Lattice, region: Region) -> list[Ribbon]:
     return out
 
 
-def _deep_charge_detected(group: AbelianGroup, detectors: dict, ribbon: Ribbon, chi, c) -> bool:
-    """Whether the charge pair (chi, c) at the start and its conjugate at
-    the end trips some deep-exterior star or plaquette detector: the net
-    character per vertex and the net flux label per face must be nontrivial
-    somewhere a detector exists. Opposite endpoint charges at a shared
-    vertex or face cancel."""
+def _detected_labels(group: AbelianGroup, detectors: dict, ribbon: Ribbon, labels) -> list:
+    """The labels whose charge pair, (chi, c) at the start and its conjugate
+    at the end, trips a deep detector: a nontrivial chi when the endpoint
+    vertices differ (else the pair cancels) and an endpoint has a star
+    detector, a nontrivial c likewise with faces and plaquette detectors."""
     e = group.identity()
-    ends = ((ribbon.start, chi, c), (ribbon.end, group.char_conj(chi), group.inv(c)))
-    for s, _, _ in ends:
-        star_ok, plaq_ok = detectors.get(s, (False, False))
-        net_char, net_flux = e, e
-        for t, ch, fl in ends:
-            net_char = group.char_mul(net_char, ch) if t.vertex == s.vertex else net_char
-            net_flux = group.mul(net_flux, fl) if t.face == s.face else net_flux
-        if (star_ok and net_char != e) or (plaq_ok and net_flux != e):
-            return True
-    return False
+    ends = [detectors.get(s, (False, False)) for s in (ribbon.start, ribbon.end)]
+    star = ribbon.start.vertex != ribbon.end.vertex and any(st for st, _ in ends)
+    plaq = ribbon.start.face != ribbon.end.face and any(pl for _, pl in ends)
+    return [(chi, c) for chi, c in labels if (star and chi != e) or (plaq and c != e)]
 
 
-def _max_cone_overlap(lat: Lattice, group: AbelianGroup, region: Region, f: AffineMap) -> float:
+def _absorbed(group: AbelianGroup, charges: np.ndarray, pairs) -> np.ndarray:
+    """Per row of group indices on nodes, whether it is the boundary of a
+    chain on the graph whose edges are `pairs`: whether its sum over each
+    component (a node on no pair is one) is trivial."""
+    add = group.tables()["add"]
+    comp = list(range(charges.shape[1]))
+    for a, b in pairs:
+        comp = [comp[a] if c == comp[b] else c for c in comp]
+    net = np.zeros_like(charges)
+    for x, c in enumerate(comp):
+        net[:, c] = add[net[:, c], charges[:, x]]
+    return ~net.any(axis=1)
+
+
+def cone_overlaps(lat: Lattice, group: AbelianGroup, region: Region, maps) -> list[float]:
     """max |<M Omega|F Omega>| = max |omega(M^dagger F)| over the region's
-    edge monomials M (a shift times a character on every region edge). The
-    M Omega span H_Lambda, so F Omega is orthogonal to it exactly when this
-    is 0, and each term is at most the norm of F Omega's projection. A term vanishes unless M^dagger F's shift s_F - s_M is flat,
-    so all |G|^k shifts are filtered with one face-flux pass first; the
-    surviving terms go to ``omega_expectations`` as one batch."""
-    t, n = group.tables(), group.order
+    edge monomials M, for each map F without deltas on a plane patch: 1.0
+    when some shift on the region makes F's shift flat (its face fluxes are
+    a boundary on the ``dual_faces`` of the region's bulk edges) and some
+    characters on it cancel F's ``vertex_characters``, and 0.0 otherwise."""
+    if any(f.deltas for f in maps):
+        raise OperatorError("cone overlaps need maps without deltas")
+    if lat.is_torus:
+        raise DualityError("cone overlaps are read on plane patches")
     edges = sorted(region.edges)
-    digits = digit_rows(n, len(edges))
-    rows = np.repeat(shift_rows(lat, [f]), len(digits), axis=0)
-    rows[:, edges] = t["add"][rows[:, edges], t["neg"][digits]]
-    all_chis = digits.tolist()
-    ops = []
-    for d in digits[~face_fluxes(lat, group, rows).any(axis=1)]:
-        shifts = list(zip(edges, d.tolist()))
-        for chis in all_chis:
-            ops.append(_monomial(lat, group, shifts, zip(edges, chis)).adjoint().compose(f))
-    return max([0.0] + [abs(v) for v in omega_expectations(lat, group, ops)])
+    fluxes = face_fluxes(lat, group, shift_rows(lat, maps))
+    ok = _absorbed(group, fluxes, [lat.dual_faces(e) for e in edges])
+    charges = vertex_characters(lat, group, maps)
+    ok &= _absorbed(group, charges, [lat.edge_endpoints(e) for e in edges])
+    return [1.0 if x else 0.0 for x in ok]
 
 
 def external_charge_orthogonality_check(
@@ -416,36 +422,24 @@ def external_charge_orthogonality_check(
     rng: random.Random,
     samples: int = 100,
 ) -> Check:
-    """Externally charged vectors must be orthogonal to H_Lambda, checked
-    through ground-state expectations without building Omega. Refused,
-    before anything is enumerated, when the region has more than
-    OMEGA_ROWS_CAP edge monomials."""
-    power = 2 * len(region.edges)
-    if group.order**power > OMEGA_ROWS_CAP:
-        raise DualityError(
-            f"orthogonality sweep over {group.order}^{power} = {group.order**power} region"
-            f" monomials is above the cap of {OMEGA_ROWS_CAP}"
-        )
+    """Externally charged vectors must be orthogonal to H_Lambda: each
+    sampled ribbon, with a seeded label a deep detector sees, must have
+    ``cone_overlaps`` 0, read for all of them in one call."""
     nontrivial = sector_labels(group)[1:]
     detectors = detecting_exterior_sites(lat, region)
-    worst = 0.0
-    n_used = 0
+    maps = []
     for r in sample_exterior_ribbons(lat, region, rng, samples):
-        labels = [
-            (chi, c) for chi, c in nontrivial if _deep_charge_detected(group, detectors, r, chi, c)
-        ]
-        if not labels:
-            continue
-        chi, c = rng.choice(labels)
-        f = ribbon_F_irrep(lat, group, r, chi, c)
-        worst = max(worst, _max_cone_overlap(lat, group, region, f))
-        n_used += 1
+        labels = _detected_labels(group, detectors, r, nontrivial)
+        if labels:
+            chi, c = rng.choice(labels)
+            maps.append(ribbon_F_irrep(lat, group, r, chi, c))
+    worst = max(cone_overlaps(lat, group, region, maps), default=0.0)
     return Check.judged(
         "externally charged vectors orthogonal to the cone subspace",
         "externally charged vectors are orthogonal to the cone subspace",
-        n_used > 0 and worst <= 1e-9,
+        bool(maps) and worst <= 1e-9,
         worst,
-        f"{n_used} ribbons with a detectable deep-exterior charge",
+        f"{len(maps)} ribbons with a detectable deep-exterior charge",
     )
 
 
@@ -540,14 +534,3 @@ def self_adjoint_density_check(subspace: ConeSubspace) -> list[Check]:
         ),
     ]
 
-
-def _monomial(lat: Lattice, group: AbelianGroup, shifts, chars) -> AffineMap:
-    """Shift by each (edge, element index) pair, times each (edge, character
-    index) pair's character of the edge value; identity factors (index 0)
-    are dropped."""
-    return AffineMap(
-        group,
-        lat.n_edges,
-        shifts=tuple((edge, gi) for edge, gi in shifts if gi),
-        chars=tuple((ci, ((edge, 1),), 0) for edge, ci in chars if ci),
-    )

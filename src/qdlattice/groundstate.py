@@ -34,6 +34,9 @@ are enumerated once and each distinct form is evaluated on them once. Terms
 that only test deltas on a shared set of forms, such as the connection
 projectors of one edge set, read their counts off one histogram.
 
+For a map without deltas the mean is 1 or 0: it is a product of one
+character per vertex (``vertex_characters``), and 1 when all are trivial.
+
 Distances need no vector either: for single maps,
 ‖F₁Ω − F₂Ω‖² = ω(F₁†F₁) + ω(F₂†F₂) − 2 Re ω(F₁†F₂) (``omega_distances``, one
 batch for many pairs). The deformation, transporter and torus stabilizer
@@ -217,6 +220,19 @@ def _vertex_form(lat: Lattice, group: AbelianGroup, coeffs) -> tuple[tuple[int, 
         acc[head] = acc.get(head, 0) + sign
         acc[tail] = acc.get(tail, 0) - sign
     return tuple(sorted((v, c % group.order) for v, c in acc.items() if c % group.order))
+
+
+def vertex_characters(lat: Lattice, group: AbelianGroup, maps) -> np.ndarray:
+    """Per map, the character index of each vertex (columns, in vertex
+    order) in its phases read on a gradient dφ: chi(sum c_v φ_v) puts
+    chi^(c_v) on each vertex of the ``_vertex_form``."""
+    add, mult = group.tables()["add"], group.tables()["mult"]
+    out = np.zeros((len(maps), lat.n_vertices), dtype=np.int64)
+    for r, m in enumerate(maps):
+        for ci, coeffs, _ in m.chars:
+            for v, c in _vertex_form(lat, group, coeffs):
+                out[r, v] = add[out[r, v], mult[c, ci]]
+    return out
 
 
 def _gradient_factors(lat: Lattice, group: AbelianGroup, m: AffineMap, forms: dict):

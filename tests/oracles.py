@@ -46,6 +46,10 @@ something the package computes another way:
   and ``label_ops`` serve it and the cone-subspace tests;
   ``schmidt_density_ranks`` is the same closed form with r from an SVD of
   C, for ``density_ranks``'s r from C's disjoint columns;
+- ``max_cone_overlap`` sweeps omega(M^dagger F) over every edge monomial M
+  of a region (``monomial``), for ``cone_overlaps``' closed form, and
+  ``deep_charge_detected`` reads a ribbon's detected charge pair by group
+  arithmetic, for the orthogonality check's labels from endpoint geometry;
 - ``region_monomials`` lists the |G|^(2k) edge monomials of a region and
   ``weyl_label_count`` counts the distinct labels of them and their
   adjoints: n^2 labels make them a Weyl basis, the fact the density check
@@ -400,6 +404,58 @@ def weyl_label_count(monomials: Iterable[AffineMap]) -> int:
         for c in (canonical(m), canonical(m.adjoint())):
             labels.add((c.shifts, c.chars))
     return len(labels)
+
+def monomial(lat: Lattice, group: AbelianGroup, shifts, chars) -> AffineMap:
+    """Shift by each (edge, element index) pair, times each (edge, character
+    index) pair's character of the edge value; identity factors (index 0)
+    are dropped."""
+    return AffineMap(
+        group,
+        lat.n_edges,
+        shifts=tuple((edge, gi) for edge, gi in shifts if gi),
+        chars=tuple((ci, ((edge, 1),), 0) for edge, ci in chars if ci),
+    )
+
+
+def max_cone_overlap(lat: Lattice, group: AbelianGroup, region: Region, f: AffineMap) -> float:
+    """max |<M Omega|F Omega>| = max |omega(M^dagger F)| over the region's
+    edge monomials M (a shift times a character on every region edge), by
+    sweeping them. A term vanishes unless M^dagger F's shift s_F - s_M is
+    flat, so all |G|^k shifts are filtered with one face-flux pass first;
+    the surviving terms, with every one of the |G|^k characters, go to
+    ``omega_expectations`` as one batch."""
+    t, n = group.tables(), group.order
+    edges = sorted(region.edges)
+    digits = digit_rows(n, len(edges))
+    rows = np.repeat(shift_rows(lat, [f]), len(digits), axis=0)
+    rows[:, edges] = t["add"][rows[:, edges], t["neg"][digits]]
+    all_chis = digits.tolist()
+    ops = []
+    for d in digits[~face_fluxes(lat, group, rows).any(axis=1)]:
+        shifts = list(zip(edges, d.tolist()))
+        for chis in all_chis:
+            ops.append(monomial(lat, group, shifts, zip(edges, chis)).adjoint().compose(f))
+    return max([0.0] + [abs(v) for v in omega_expectations(lat, group, ops)])
+
+
+def deep_charge_detected(group: AbelianGroup, detectors: dict, ribbon: Ribbon, chi, c) -> bool:
+    """Whether the charge pair (chi, c) at the start and its conjugate at
+    the end trips some deep-exterior star or plaquette detector, by group
+    arithmetic: the net character per vertex and the net flux label per
+    face must be nontrivial somewhere a detector exists. Opposite endpoint
+    charges at a shared vertex or face cancel."""
+    e = group.identity()
+    ends = ((ribbon.start, chi, c), (ribbon.end, group.char_conj(chi), group.inv(c)))
+    for s, _, _ in ends:
+        star_ok, plaq_ok = detectors.get(s, (False, False))
+        net_char, net_flux = e, e
+        for t, ch, fl in ends:
+            net_char = group.char_mul(net_char, ch) if t.vertex == s.vertex else net_char
+            net_flux = group.mul(net_flux, fl) if t.face == s.face else net_flux
+        if (star_ok and net_char != e) or (plaq_ok and net_flux != e):
+            return True
+    return False
+
 
 def _components(lat: Lattice, edges: Iterable[int]) -> int:
     """Connected components of the graph on all of the lattice's vertices

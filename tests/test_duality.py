@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from qdlattice.lattice import (
     cone_make,
     ribbon_between,
 )
-from qdlattice.operators import as_opsum, ribbon_F_irrep
+from qdlattice.operators import OperatorError, as_opsum, ribbon_F, ribbon_F_irrep
 from qdlattice.sectors import sector_labels
 from qdlattice.states import SparseState
 
@@ -38,11 +39,14 @@ from oracles import (
     cone_coeffs,
     compressed_hermitian_images,
     cone_shape,
+    deep_charge_detected,
     density_ranks_by_svd,
     distance,
     inner,
     keys,
     label_ops,
+    max_cone_overlap,
+    monomial,
     normalized,
     orthonormal_coeffs,
     orthonormalize,
@@ -208,12 +212,12 @@ def test_region_images_match_applied_operators(cone_case):
 
 def _all_edge_monomials(lat, group, cone):
     """Every shift times every character on the cone's edges: the region's
-    whole edge-monomial algebra, the sweep's ``_monomial`` products rather
-    than ``region_monomials``."""
+    whole edge-monomial algebra, the sweep oracle's ``monomial`` products
+    rather than ``region_monomials``."""
     edges = sorted(cone.edges)
     configs = list(itertools.product(range(group.order), repeat=len(edges)))
     return [
-        duality._monomial(lat, group, zip(edges, shift), zip(edges, chis))
+        monomial(lat, group, zip(edges, shift), zip(edges, chis))
         for shift in configs
         for chis in configs
     ]
@@ -411,24 +415,30 @@ def test_external_orthogonality_and_membership(plane_4x4_cone):
     assert all(r.max_error <= 1e-9 for r in recs)
 
 
-def _sweep_against_projection(lat, group, omega, cone, sub):
-    """The monomial sweep and the materialized projection norm of F Omega for
-    every exterior ribbon of up to 4 triangles and every nontrivial label,
-    deep charge or not (each distinct operator once): they agree on
-    orthogonality, and the sweep never exceeds the norm. Returns the number
-    of non-orthogonal cases."""
+def _exterior_maps(lat, group, cone, max_len=4):
+    """Every distinct irrep operator of every exterior ribbon of up to
+    `max_len` triangles with every nontrivial label, deep charge or not."""
     comp = Region(lat, cone.complement_edges())
-    maps = dict.fromkeys(
-        ribbon_F_irrep(lat, group, r, chi, c)
-        for r in ribbons_in_region(lat, comp, 4)
-        for chi, c in sector_labels(group)[1:]
+    return list(
+        dict.fromkeys(
+            ribbon_F_irrep(lat, group, r, chi, c)
+            for r in ribbons_in_region(lat, comp, max_len)
+            for chi, c in sector_labels(group)[1:]
+        )
     )
+
+
+def _sweep_against_projection(lat, group, omega, cone, sub):
+    """cone_overlaps and the materialized projection norm of F Omega for
+    every exterior ribbon of up to 4 triangles and every nontrivial label:
+    they agree on orthogonality, and the overlap never exceeds the norm.
+    Returns the number of non-orthogonal cases."""
+    maps = _exterior_maps(lat, group, cone)
     hits = 0
-    for f in maps:
-        sweep = duality._max_cone_overlap(lat, group, cone, f)
+    for f, overlap in zip(maps, duality.cone_overlaps(lat, group, cone, maps)):
         norm = np.linalg.norm(cone_coeffs(sub, as_opsum(f).apply(omega)))
-        assert (sweep > 1e-9) == (norm > 1e-9), (f, sweep, norm)
-        assert sweep <= norm + 1e-12
+        assert (overlap > 1e-9) == (norm > 1e-9), (f, overlap, norm)
+        assert overlap <= norm + 1e-12
         hits += norm > 1e-9
     return hits
 
@@ -447,6 +457,67 @@ def test_monomial_sweep_matches_projection_z3():
     assert _sweep_against_projection(lat, group, omega, cone, sub) > 0
 
 
+CONES = {"3x3": (3, 3, 1), "3x4": (3, 4, 1), "4x4": (4, 4, 2)}  # width, height, apex
+
+
+@pytest.mark.parametrize(
+    "spec,shape",
+    [
+        (spec, shape)
+        for spec in ["z2", "z3", "z4", "z2xz2", "z6"]
+        for shape in CONES
+        # the 3x4 cone has k = 4 edges: the sweep of 6^8 monomials over each
+        # of the ~500 z6 maps that pass its shift filter takes minutes
+        if (spec, shape) != ("z6", "3x4")
+    ],
+)
+def test_cone_overlaps_match_the_monomial_sweep(spec, shape):
+    """The closed form against the sweep of omega(M^dagger F) over every
+    region edge monomial M, on every exterior ribbon of up to 4 triangles
+    with every nontrivial label. The closed form is exactly 0.0 or 1.0;
+    the sweep sums roots of unity, so a z3 zero comes out near 1e-16."""
+    width, height, apex = CONES[shape]
+    group = parse_group(spec)
+    lat = Lattice(width, height, "plane")
+    cone = cone_make((apex, apex), ["N", "E"], lat)
+    maps = _exterior_maps(lat, group, cone)
+    overlaps = duality.cone_overlaps(lat, group, cone, maps)
+    assert set(overlaps) == {0.0, 1.0}
+    for f, overlap in zip(maps, overlaps):
+        assert abs(overlap - max_cone_overlap(lat, group, cone, f)) < 1e-12, f
+
+
+def test_cone_overlaps_refuse_maps_with_deltas_and_tori():
+    lat = Lattice(3, 3, "plane")
+    cone = cone_make((1, 1), ["N", "E"], lat)
+    r = ribbon_between(lat.site(0, 0, 0, 0), lat.site(0, 2, 0, 1), lat)
+    with pytest.raises(OperatorError, match="without deltas"):
+        duality.cone_overlaps(lat, Z2, cone, [ribbon_F(lat, Z2, r, (1,), (0,))])
+    torus = Lattice(3, 3, "torus")
+    with pytest.raises(DualityError, match="plane patches"):
+        duality.cone_overlaps(torus, Z2, Region(torus, frozenset({0})), [])
+
+
+@pytest.mark.parametrize("spec", ["z2", "z3", "z4", "z2xz2"])
+def test_detected_labels_match_the_charge_arithmetic(spec):
+    """The orthogonality check's labels from endpoint geometry against the
+    net charge per vertex and flux per face, on every exterior ribbon of the
+    4x4 enlargement with every nontrivial label."""
+    group = parse_group(spec)
+    lat = Lattice(4, 4, "plane")
+    cone = cone_make((2, 2), ["N", "E"], lat)
+    detectors = detecting_exterior_sites(lat, cone)
+    labels = sector_labels(group)[1:]
+    comp = Region(lat, cone.complement_edges())
+    ribbons = [r for r in ribbons_in_region(lat, comp, duality.EXTERIOR_RIBBON_LEN) if len(r) >= 2]
+    found = 0
+    for r in ribbons:
+        want = [(chi, c) for chi, c in labels if deep_charge_detected(group, detectors, r, chi, c)]
+        assert duality._detected_labels(group, detectors, r, labels) == want, r
+        found += bool(want)
+    assert 0 < found < len(ribbons)
+
+
 @pytest.mark.parametrize("spec", ["z3", "z4", "z2xz2"])
 def test_orthogonality_check_passes_on_4x4_enlargement(spec):
     from qdlattice.groups import parse_group
@@ -460,16 +531,39 @@ def test_orthogonality_check_passes_on_4x4_enlargement(spec):
     assert int(rec.details.split()[0]) > 0
 
 
-def test_orthogonality_check_refuses_oversized_sweep(monkeypatch):
-    lat = Lattice(5, 5, "plane")
-    cone = cone_make((1, 1), ["N", "E"], lat)
+def test_orthogonality_check_runs_on_a_cone_of_4_to_the_36_monomials():
+    """The 7x7 plane cone at (3,3) has k = 18 edges: a sweep would face
+    4^36 region monomials, and the closed form reads each ribbon's overlap
+    from its face fluxes and vertex characters instead."""
+    lat = Lattice(7, 7, "plane")
+    cone = cone_make((3, 3), ["N", "E"], lat)
+    assert len(cone.edges) == 18
+    for spec in ["z4", "z2xz2"]:
+        start = time.perf_counter()
+        rec = external_charge_orthogonality_check(cone, lat, parse_group(spec), random.Random(0))
+        elapsed = time.perf_counter() - start
+        assert rec.passed and rec.max_error == 0.0, (spec, rec.details)
+        assert int(rec.details.split()[0]) > 0
+        assert elapsed < 1.0, (spec, elapsed)
+
+
+def test_orthogonality_check_neither_sweeps_nor_composes(monkeypatch):
+    """The check reads no ground-state expectation and builds no product of
+    maps, so a monomial sweep cannot come back unnoticed."""
+    from qdlattice import groundstate
+    from qdlattice.operators import AffineMap
 
     def unreachable(*args, **kwargs):
-        raise AssertionError("ribbons sampled before the size estimate")
+        raise AssertionError("the orthogonality check swept or composed")
 
-    monkeypatch.setattr(duality, "sample_exterior_ribbons", unreachable)
-    with pytest.raises(DualityError, match=r"region monomials is above the cap"):
-        external_charge_orthogonality_check(cone, lat, group_make([4]), random.Random(0))
+    monkeypatch.setattr(groundstate, "omega_expectations", unreachable)
+    monkeypatch.setattr(duality, "omega_expectations", unreachable, raising=False)
+    monkeypatch.setattr(AffineMap, "compose", unreachable)
+    lat = Lattice(4, 4, "plane")
+    cone = cone_make((2, 2), ["N", "E"], lat)
+    for spec in ["z2", "z3", "z4", "z2xz2"]:
+        rec = external_charge_orthogonality_check(cone, lat, parse_group(spec), random.Random(0))
+        assert rec.passed, spec
 
 
 def test_haag_check_refuses_z4_and_z2xz2_before_building_omega(monkeypatch):

@@ -527,7 +527,7 @@ def test_groundstate_torus_report_is_reproducible_in_process(grp):
 @pytest.fixture
 def batch_calls(monkeypatch):
     """Counts omega_expectations calls, through every module binding of it."""
-    from qdlattice import duality, experiments, groundstate, sectors
+    from qdlattice import experiments, groundstate, sectors
 
     calls = []
     original = groundstate.omega_expectations
@@ -536,7 +536,7 @@ def batch_calls(monkeypatch):
         calls.append(len(ops))
         return original(lat, group, ops)
 
-    for mod in (groundstate, experiments, sectors, duality):
+    for mod in (groundstate, experiments, sectors):
         monkeypatch.setattr(mod, "omega_expectations", counting)
     return calls
 
