@@ -71,6 +71,11 @@ stabilizer-state rule), nonzero when the shift is flat and every vertex of a
 gradient gets a trivial character. So the maximum over M is 1 when some M
 cancels both F's endpoint flux and charge, and 0 otherwise (``cone_overlaps``).
 
+Both exterior checks draw from the exterior chains of 2 to
+EXTERIOR_RIBBON_LEN triangles, enumerated as triangle tuples, and build a
+``Ribbon`` only for a chain they keep. The caller finds the detecting
+deep-exterior sites once per lattice and passes them to both checks.
+
 What still materializes: Omega itself, read for its rows, and the exterior
 ribbon states of the membership check.
 """
@@ -79,12 +84,21 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .groundstate import face_fluxes, shift_rows, vertex_characters
 from .groups import AbelianGroup, codes
-from .lattice import Lattice, LatticeError, Region, Ribbon, Site, Triangle, positive_moves
+from .lattice import (
+    Lattice,
+    Region,
+    Ribbon,
+    Site,
+    Triangle,
+    joined_sites,
+    positive_moves,
+)
 from .operators import (
     OperatorError,
     as_opsum,
@@ -113,24 +127,29 @@ class DualityError(ValueError):
 # -- ribbon enumeration ------------------------------------------------------------
 
 
-def ribbons_in_region(lat: Lattice, region: Region, max_len: int) -> list[Ribbon]:
-    """All positively-oriented ribbons supported on the region's edges, up
-    to the triangle-count cap."""
-    allowed = frozenset(region.edges)
-    out: list[Ribbon] = []
-    for s0 in sorted(lat.sites()):
+def _region_paths(
+    lat: Lattice, edges: frozenset[int], max_len: int
+) -> Iterator[tuple[Triangle, ...]]:
+    """Every chain of 1 to max_len positively-oriented triangles on `edges`
+    using no edge twice, depth first from each site in sorted order."""
+    moves = {s: positive_moves(lat, s, edges) for s in lat.sites()}
+    for s0 in sorted(moves):
         stack: list[tuple[Site, tuple[Triangle, ...], frozenset[int]]] = [(s0, (), frozenset())]
         while stack:
             s, path, used = stack.pop()
-            if len(path) >= max_len:
-                continue
-            for tri in positive_moves(lat, s, allowed):
+            for tri in moves[s]:
                 if tri.edge in used:
                     continue
                 new = path + (tri,)
-                out.append(Ribbon.from_triangles(new))
-                stack.append((tri.s1, new, used | {tri.edge}))
-    return out
+                yield new
+                if len(new) < max_len:
+                    stack.append((tri.s1, new, used | {tri.edge}))
+
+
+def ribbons_in_region(lat: Lattice, region: Region, max_len: int) -> list[Ribbon]:
+    """All positively-oriented ribbons supported on the region's edges, up
+    to the triangle-count cap."""
+    return [Ribbon.from_triangles(p) for p in _region_paths(lat, region.edges, max_len)]
 
 
 # -- the cone subspace in factorized coordinates -------------------------------------
@@ -330,45 +349,44 @@ def detecting_exterior_sites(lat: Lattice, region: Region) -> dict[Site, tuple[b
     return out
 
 
-def _exterior_ribbons(lat: Lattice, region: Region) -> list[tuple[Ribbon, bool]]:
-    """Every exterior ribbon of 2 to EXTERIOR_RIBBON_LEN triangles, with
-    whether an endpoint sits at a detecting deep-exterior site."""
-    comp = Region(lat, region.complement_edges())
-    detecting = detecting_exterior_sites(lat, region)
-    return [
-        (r, r.start in detecting or r.end in detecting)
-        for r in ribbons_in_region(lat, comp, EXTERIOR_RIBBON_LEN)
-        if len(r) >= 2
-    ]
+def _exterior_paths(lat: Lattice, region: Region, detectors: dict) -> Iterator[tuple[tuple, bool]]:
+    """Every exterior chain of 2 to EXTERIOR_RIBBON_LEN triangles, as a
+    triangle tuple, with whether an endpoint is one of the detecting
+    deep-exterior sites `detectors`. No ribbon is built."""
+    for path in _region_paths(lat, region.complement_edges(), EXTERIOR_RIBBON_LEN):
+        if len(path) >= 2:
+            yield path, path[0].s0 in detectors or path[-1].s1 in detectors
 
 
 def sample_exterior_ribbons(
-    lat: Lattice, region: Region, rng: random.Random, count: int
+    lat: Lattice, region: Region, detectors: dict, rng: random.Random, count: int
 ) -> list[Ribbon]:
     """Seeded exterior ribbons with at least one endpoint at a detecting
-    deep-exterior site."""
-    picked = [r for r, deep in _exterior_ribbons(lat, region) if deep]
+    deep-exterior site: the paths are shuffled, and only the `count` kept
+    become ribbons."""
+    picked = [path for path, deep in _exterior_paths(lat, region, detectors) if deep]
     rng.shuffle(picked)
-    return picked[:count]
+    return [Ribbon.from_triangles(path) for path in picked[:count]]
 
 
-def boundary_ribbons(lat: Lattice, region: Region) -> list[Ribbon]:
+def boundary_ribbons(lat: Lattice, region: Region, detectors: dict) -> list[Ribbon]:
     """All exterior ribbons whose endpoints both touch the region boundary,
     away from any deep detector, and are joinable by a ribbon inside the
     region: the cone-connectedness hypothesis under which
-    boundary-connecting exterior states belong to the cone subspace."""
-    from .lattice import ribbon_between
-
-    out = []
-    for r, deep in _exterior_ribbons(lat, region):
-        if deep or not (region.site_on_boundary(r.start) and region.site_on_boundary(r.end)):
-            continue
-        try:
-            ribbon_between(r.start, r.end, lat, region, allow_reversed=True)
-        except LatticeError:
-            continue
-        out.append(r)
-    return out
+    boundary-connecting exterior states belong to the cone subspace. Each
+    site's boundary membership is tested once, and the joinable ends of
+    each start site come from one search (``joined_sites``)."""
+    boundary = {s for s in lat.sites() if region.site_on_boundary(s)}
+    candidates = [
+        path
+        for path, deep in _exterior_paths(lat, region, detectors)
+        if not deep and path[0].s0 in boundary and path[-1].s1 in boundary
+    ]
+    ends: dict[Site, set[Site]] = {}
+    for path in candidates:
+        ends.setdefault(path[0].s0, set()).add(path[-1].s1)
+    joined = {s0: joined_sites(lat, s0, s1s, region) for s0, s1s in ends.items()}
+    return [Ribbon.from_triangles(path) for path in candidates if path[-1].s1 in joined[path[0].s0]]
 
 
 def _detected_labels(group: AbelianGroup, detectors: dict, ribbon: Ribbon, labels) -> list:
@@ -419,16 +437,17 @@ def external_charge_orthogonality_check(
     region: Region,
     lat: Lattice,
     group: AbelianGroup,
+    detectors: dict,
     rng: random.Random,
     samples: int = 100,
 ) -> Check:
     """Externally charged vectors must be orthogonal to H_Lambda: each
     sampled ribbon, with a seeded label a deep detector sees, must have
-    ``cone_overlaps`` 0, read for all of them in one call."""
+    ``cone_overlaps`` 0, read for all of them in one call. `detectors` is
+    ``detecting_exterior_sites`` of the region."""
     nontrivial = sector_labels(group)[1:]
-    detectors = detecting_exterior_sites(lat, region)
     maps = []
-    for r in sample_exterior_ribbons(lat, region, rng, samples):
+    for r in sample_exterior_ribbons(lat, region, detectors, rng, samples):
         labels = _detected_labels(group, detectors, r, nontrivial)
         if labels:
             chi, c = rng.choice(labels)
@@ -449,13 +468,14 @@ def boundary_membership_check(
     group: AbelianGroup,
     omega: SparseState,
     subspace: ConeSubspace,
+    detectors: dict,
     rng: random.Random,
 ) -> Check:
     """Exterior ribbons connecting two boundary sites must land inside
     H_Lambda: every ``boundary_ribbons`` ribbon, with a seeded nontrivial
-    label."""
+    label. `detectors` is ``detecting_exterior_sites`` of the region."""
     nontrivial = sector_labels(group)[1:]
-    boundary = boundary_ribbons(lat, region)
+    boundary = boundary_ribbons(lat, region, detectors)
     worst = 0.0
     for r in boundary:
         chi, c = rng.choice(nontrivial)

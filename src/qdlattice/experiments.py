@@ -872,19 +872,21 @@ def run_haag(config: RunConfig, group: AbelianGroup, lat: Lattice) -> Report:
     # The orthogonality statement is contentful only when the deep exterior
     # carries a complete detector. On patches too small for that, run this
     # one check on the smallest enlargement that has one.
+    detectors = checks_detectors = detecting_exterior_sites(lat, cone)
     checks_lat, checks_cone = lat, cone
     note = ""
-    if not detecting_exterior_sites(lat, cone):
+    if not detectors:
         checks_lat = Lattice(max(lat.width, 4), max(lat.height, 4), "plane")
         checks_cone = cone_make(
             (checks_lat.width - 2, checks_lat.height - 2), ["N", "E"], checks_lat
         )
+        checks_detectors = detecting_exterior_sites(checks_lat, checks_cone)
         note = f" (run on {checks_lat.width}x{checks_lat.height}: the requested patch has no deep detector)"
-    deep = external_charge_orthogonality_check(checks_cone, checks_lat, group, rng, samples=100)
+    deep = external_charge_orthogonality_check(checks_cone, checks_lat, group, checks_detectors, rng)
     deep.details += note
     rep.checks.append(deep)
     rep.checks.append(
-        boundary_membership_check(cone, lat, group, omega, sub, random.Random(config.seed + 2))
+        boundary_membership_check(cone, lat, group, omega, sub, detectors, random.Random(config.seed + 2))
     )
     rep.checks += self_adjoint_density_check(sub)
     return rep
@@ -896,15 +898,19 @@ def run_haag(config: RunConfig, group: AbelianGroup, lat: Lattice) -> Report:
 def _random_local_op(
     lat: Lattice, group: AbelianGroup, edges: list[int], rng: random.Random
 ) -> OpSum:
+    # each term is one map on 1 or 2 distinct edges: shifts sorted, characters
+    # in sampling order, the map that composing single-edge maps gives
     terms = []
     for _ in range(rng.randrange(1, 4)):
-        m = AffineMap.identity(group, lat.n_edges)
+        shifts, chars = [], []
         for e in rng.sample(edges, min(len(edges), rng.randrange(1, 3))):
             # packed indices: 0 is the identity, characters share the elements'
             gi, ci = rng.randrange(group.order), rng.randrange(group.order)
-            shifts = ((e, gi),) if gi else ()
-            chars = ((ci, ((e, 1),), 0),) if ci else ()
-            m = AffineMap(group, lat.n_edges, shifts=shifts, chars=chars).compose(m)
+            if gi:
+                shifts.append((e, gi))
+            if ci:
+                chars.append((ci, ((e, 1),), 0))
+        m = AffineMap(group, lat.n_edges, shifts=tuple(sorted(shifts)), chars=tuple(chars))
         coeff = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         terms.append((coeff, m))
     return OpSum.weighted(terms)

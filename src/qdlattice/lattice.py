@@ -49,21 +49,24 @@ to the next face clockwise around its vertex) and at most two reversed ones
 (the formal inverses of the positive triangles arriving at it). The lattice
 is frozen, so the first lookup of a site checks that it is on the lattice
 and stores its (positive, reversed) triangle tuples in ``Lattice.move_table``;
-later lookups are one dict read. Each triangle carries its operator sign
-from there, and ``Ribbon.parts`` reads a ribbon's signed edges off its
-triangles once per ribbon.
-``positive_moves``, ``reversed_moves`` and ``site_moves`` read the table and
-filter by the allowed edges only when a set is given; every ribbon search
-(``ribbon_between``, which also builds deform's detours, and the duality
-module's region enumeration) goes through them. ``make_triangle`` picks the one move of its
-first site that reaches its second. A site that is not on the lattice
-raises ``LatticeError``. A site's elementary closed ribbons are stored
-alike, in ``Lattice.closed_walks``.
+later lookups are one dict read. A row is read off positions, with no edge
+search: a site's corner index i in its face gives the direct step (plaquette
+edge i, or i - 1 stepping back), its index j around its vertex the dual step
+(star edge j or j - 1, in E, S, W, N order). Each triangle carries its
+operator sign from there, and ``Ribbon.parts`` reads a ribbon's signed edges
+off its triangles once per ribbon. ``positive_moves`` reads the table,
+filtering by the allowed edges only when a set is given. The shortest-ribbon
+search (``ribbon_between``, which also builds deform's detours) walks the
+rows directly, with a region's edges allowed and ``avoid_edges`` blocked;
+``joined_sites`` reads every end of one start off one such walk.
+``make_triangle`` picks the one move of its first site that reaches its
+second. A site that is not on the lattice raises ``LatticeError``. A site's
+elementary closed ribbons are stored alike, in ``Lattice.closed_walks``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Optional
 
@@ -306,7 +309,7 @@ class Lattice:
     @cached_property
     def move_table(self) -> dict[Site, tuple[tuple["Triangle", ...], tuple["Triangle", ...]]]:
         """(positive, reversed) triangles leaving each site looked up so far,
-        in the order ``positive_moves`` and ``reversed_moves`` give them."""
+        direct before dual in each, the order every ribbon search tries them."""
         return {}
 
     @cached_property
@@ -348,8 +351,10 @@ class Triangle:
     """One ribbon step. kind "direct": sites share the face and the travel
     runs between their vertices along `edge`; kind "dual": sites share the
     vertex and the travel runs between their faces across `edge`. `sign` is
-    ``direct_flux_sign`` or ``dual_shift_sign`` of the step, set by the move
-    table that builds it; reversal negates it."""
+    the operator sign set by the move table that builds it: a direct step's
+    flux sign, +1 when it travels against the edge orientation, or a dual
+    step's shift sign, +1 when it travels along the dual-edge orientation.
+    Reversal negates it."""
 
     kind: str
     s0: Site
@@ -361,16 +366,6 @@ class Triangle:
         return Triangle(self.kind, self.s1, self.s0, self.edge, -self.sign)
 
 
-def _face_edge_between(lat: Lattice, f: int, v0: int, v1: int) -> Optional[int]:
-    """The boundary edge of f joining two of its corners. On small tori a
-    vertex pair can be joined by several edges; only the one on the face's
-    own boundary makes a direct triangle."""
-    for e, _ in lat.plaq_edges(f):
-        if set(lat.edge_endpoints(e)) == {v0, v1}:
-            return e
-    return None
-
-
 def make_triangle(lat: Lattice, s0: Site, s1: Site) -> Triangle:
     """The unique triangle from s0 to s1, when the sites are one step apart:
     one of s0's positive or reversed moves."""
@@ -379,33 +374,6 @@ def make_triangle(lat: Lattice, s0: Site, s1: Site) -> Triangle:
         if tri.s1 == s1:
             return tri
     raise LatticeError(f"no triangle from {s0} to {s1}: the sites are not one step apart")
-
-
-def _edge_between_faces(lat: Lattice, v: int, f0: int, f1: int) -> int:
-    common = {e for e, _ in lat.plaq_edges(f0)} & {e for e, _ in lat.plaq_edges(f1)}
-    shared = [e for e in common if v in lat.edge_endpoints(e)]
-    if len(shared) != 1:
-        raise LatticeError("dual triangle needs faces adjacent across one edge at the vertex")
-    return shared[0]
-
-
-def direct_flux_sign(lat: Lattice, tri: Triangle) -> int:
-    """Sign with which the edge value enters the flux accumulator: +1 when
-    the travel runs against the edge orientation."""
-    if tri.kind != "direct":
-        raise LatticeError("flux sign is defined for direct triangles")
-    return -1 if (tri.s0.vertex, tri.s1.vertex) == lat.endpoint_table[tri.edge] else +1
-
-
-def dual_shift_sign(lat: Lattice, tri: Triangle) -> int:
-    """Sign of the group shift applied to the crossed edge: +1 when the
-    travel runs along the dual-edge orientation."""
-    if tri.kind != "dual":
-        raise LatticeError("shift sign is defined for dual triangles")
-    faces = lat.dual_face_table[tri.edge]
-    if faces is None:
-        raise LatticeError(f"edge {tri.edge} lies on the patch rim")
-    return +1 if (tri.s0.face, tri.s1.face) == faces else -1
 
 
 @dataclass(frozen=True)
@@ -487,22 +455,29 @@ def ribbon_invert(r: Ribbon) -> Ribbon:
 # -- site moves and pathfinding -------------------------------------------------
 
 
+# star edges (kind, dx, dy) in E, S, W, N order: j lies between faces j, j + 1 of faces_at_vertex_cw
+_STAR_ESWN = (("h", 0, 0), ("v", 0, -1), ("h", -1, 0), ("v", 0, 0))
+
+
 def _build_moves(lat: Lattice, s: Site, step: int) -> tuple[Triangle, ...]:
     """Builder of ``Lattice.move_table``: the direct, then the dual triangle
     from s to the next corner and face (step +1, positively oriented) or to
     the previous ones (step -1, formal inverses of positive triangles), each
-    with its sign."""
+    with its sign. A step +1 walks the face counterclockwise, so the direct
+    flux sign is -(walk sign) * step."""
     corners = lat.face_corners_ccw(s.face)
-    other = corners[(corners.index(s.vertex) + step) % 4]
-    e = _face_edge_between(lat, s.face, s.vertex, other)
-    tri = Triangle("direct", s, Site(other, s.face), e, 0)
-    out = [replace(tri, sign=direct_flux_sign(lat, tri))]
+    i = corners.index(s.vertex)
+    e, walk_sign = lat.plaq_edges(s.face)[i if step > 0 else i - 1]
+    out = [Triangle("direct", s, Site(corners[(i + step) % 4], s.face), e, -walk_sign * step)]
     ring = lat.faces_at_vertex_cw(s.vertex)
-    f_other = ring[(ring.index(s.face) + step) % 4]
+    j = ring.index(s.face)
+    f_other = ring[(j + step) % 4]
     if f_other is not None:  # no face beyond a plane patch's rim
-        e = _edge_between_faces(lat, s.vertex, s.face, f_other)
-        tri = Triangle("dual", s, Site(s.vertex, f_other), e, 0)
-        out.append(replace(tri, sign=dual_shift_sign(lat, tri)))
+        kind, dx, dy = _STAR_ESWN[j if step > 0 else j - 1]
+        x, y = lat.vertex_xy(s.vertex)
+        e = lat.edge_id(kind, x + dx, y + dy)
+        sign = +1 if lat.dual_face_table[e] == (s.face, f_other) else -1
+        out.append(Triangle("dual", s, Site(s.vertex, f_other), e, sign))
     return tuple(out)
 
 
@@ -517,32 +492,12 @@ def _table_moves(lat: Lattice, s: Site) -> tuple[tuple[Triangle, ...], tuple[Tri
     return row
 
 
-def _restrict(moves: tuple[Triangle, ...], allowed: Optional[frozenset[int]]) -> list[Triangle]:
-    if allowed is None:
-        return list(moves)
-    return [t for t in moves if t.edge in allowed]
-
-
 def positive_moves(lat: Lattice, s: Site, allowed: Optional[frozenset[int]]) -> list[Triangle]:
     """The (at most two) positively oriented triangles leaving s, direct
     first; restricted to `allowed` edges when given. Deterministic order.
     Both moves cross the site's single outgoing edge, one on each side."""
-    return _restrict(_table_moves(lat, s)[0], allowed)
-
-
-def reversed_moves(lat: Lattice, s: Site, allowed: Optional[frozenset[int]]) -> list[Triangle]:
-    """Formal inverses of the positively oriented triangles arriving at s;
-    they leave s across its incoming edge."""
-    return _restrict(_table_moves(lat, s)[1], allowed)
-
-
-def site_moves(
-    lat: Lattice, s: Site, allowed: Optional[frozenset[int]], include_reversed: bool
-) -> list[Triangle]:
-    out = positive_moves(lat, s, allowed)
-    if include_reversed:
-        out.extend(reversed_moves(lat, s, allowed))
-    return out
+    moves = _table_moves(lat, s)[0]
+    return list(moves) if allowed is None else [t for t in moves if t.edge in allowed]
 
 
 def ribbon_between(
@@ -553,77 +508,92 @@ def ribbon_between(
     avoid_edges: Iterable[int] = (),
     allow_reversed: bool = False,
 ) -> Ribbon:
-    """Shortest ribbon from s0 to s1 staying on the region's edges; ties
-    broken by the fixed move order. Positively oriented triangles only,
-    unless `allow_reversed` admits formal inverses as well. Raises when no
-    edge-disjoint path exists, when the search for one stops at
-    DFS_NODE_CAP moves, or when either endpoint is not a site of the
+    """Shortest ribbon from s0 to s1 staying on the region's edges and off
+    `avoid_edges`; ties broken by the fixed move order. Positively oriented
+    triangles only, unless `allow_reversed` admits formal inverses as well.
+    Raises when no edge-disjoint path exists, when the search for one stops
+    at DFS_NODE_CAP moves, or when either endpoint is not a site of the
     lattice."""
     for s in (s0, s1):
         _table_moves(lat, s)  # raises for a site that is not on the lattice
-    allowed: Optional[frozenset[int]]
-    if region is not None:
-        allowed = frozenset(region.edges) - frozenset(avoid_edges)
-    elif avoid_edges:
-        allowed = frozenset(lat.edges()) - frozenset(avoid_edges)
-    else:
-        allowed = None
     if s0 == s1:
         return Ribbon.trivial(s0)
-    # BFS over sites almost always yields edge-disjoint chains at these
-    # sizes; fall back to a bounded DFS if overlap sneaks in. Without any
-    # site path there is no edge-disjoint one either.
-    path = _site_bfs(lat, s0, s1, allowed, allow_reversed)
-    if path is not None:
-        try:
-            return Ribbon.from_triangles(path)
-        except LatticeError:
-            path = _edge_disjoint_dfs(lat, s0, s1, allowed, allow_reversed, 2 * lat.n_edges)
+    allowed = None if region is None else region.edges
+    blocked = frozenset(avoid_edges)
+    tree = _search_tree(lat, s0, allowed, blocked, allow_reversed, s1)
+    path = _joining_path(lat, tree, s0, s1, allowed, blocked, allow_reversed)
     if path is None:
         raise LatticeError(f"no ribbon from {s0} to {s1} within the region")
     return Ribbon.from_triangles(path)
 
 
-def _site_bfs(lat, s0, s1, allowed, allow_reversed=False) -> Optional[list[Triangle]]:
-    prev: dict[Site, Triangle] = {}
-    seen = {s0}
+def _search_tree(lat, s0, allowed, blocked, allow_reversed, target=None) -> dict:
+    """Breadth-first tree of the sites reachable from s0, each with the
+    triangle that first reached it (None at s0): table rows in order,
+    positive moves before reversed ones, on edges in `allowed` (any edge
+    when None) and not in `blocked`. Stops once `target` is reached."""
+    tree: dict[Site, Optional[Triangle]] = {s0: None}
     frontier = [s0]
     while frontier:
         nxt = []
         for s in frontier:
-            for tri in site_moves(lat, s, allowed, allow_reversed):
-                if tri.s1 in seen:
+            pos, rev = _table_moves(lat, s)
+            for tri in pos + rev if allow_reversed else pos:
+                t, e = tri.s1, tri.edge
+                if t in tree or e in blocked or (allowed is not None and e not in allowed):
                     continue
-                seen.add(tri.s1)
-                prev[tri.s1] = tri
-                if tri.s1 == s1:
-                    out = []
-                    cur = s1
-                    while cur != s0:
-                        out.append(prev[cur])
-                        cur = prev[cur].s0
-                    return out[::-1]
-                nxt.append(tri.s1)
+                tree[t] = tri
+                if t == target:
+                    return tree
+                nxt.append(t)
         frontier = nxt
-    return None
+    return tree
+
+
+def _joining_path(lat, tree, s0, s1, allowed, blocked, allow_reversed) -> Optional[list[Triangle]]:
+    """The shortest edge-disjoint chain from s0 to s1, or None: the site
+    path in s0's ``_search_tree``, which almost always crosses no edge
+    twice at these sizes, else the fallback search's. Without any site path
+    there is no edge-disjoint one either."""
+    if s1 not in tree:
+        return None
+    path, s = [], s1
+    while s != s0:
+        path.append(tree[s])
+        s = tree[s].s0
+    if len({t.edge for t in path}) == len(path):
+        return path[::-1]
+    return _edge_disjoint_dfs(lat, s0, s1, allowed, blocked, allow_reversed, 2 * lat.n_edges)
+
+
+def joined_sites(lat: Lattice, s0: Site, ends: Iterable[Site], region: "Region") -> set[Site]:
+    """The sites of `ends` that ``ribbon_between`` with reversed moves joins
+    to s0 on the region's edges, read off one search tree of s0 rather than
+    one search per site. Raises, as ``ribbon_between`` does, when the
+    fallback search stops at its node cap."""
+    edges = region.edges
+    tree = _search_tree(lat, s0, edges, frozenset(), True)
+    return {s1 for s1 in ends if _joining_path(lat, tree, s0, s1, edges, frozenset(), True) is not None}
 
 
 # moves the edge-disjoint fallback search may try before it gives up
 DFS_NODE_CAP = 500_000
 
 
-def _edge_disjoint_dfs(lat, s0, s1, allowed, allow_reversed, max_len) -> Optional[list[Triangle]]:
+def _edge_disjoint_dfs(lat, s0, s1, allowed, blocked, allow_reversed, max_len) -> Optional[list[Triangle]]:
     # iterative deepening keeps the result shortest and deterministic;
-    # the node cap bounds the blow-up when no path exists
+    # the node cap bounds the blow-up when no path exists. Blocked edges
+    # start out as used ones.
     visited = 0
     for depth in range(1, max_len + 1):
-        stack: list[tuple[Site, list[Triangle], frozenset[int]]] = [(s0, [], frozenset())]
+        stack: list[tuple[Site, list[Triangle], frozenset[int]]] = [(s0, [], blocked)]
         while stack:
             s, path, used = stack.pop()
             if len(path) >= depth:
                 continue
-            for tri in reversed(site_moves(lat, s, allowed, allow_reversed)):
-                if tri.edge in used:
+            pos, rev = _table_moves(lat, s)
+            for tri in reversed(pos + rev if allow_reversed else pos):
+                if tri.edge in used or (allowed is not None and tri.edge not in allowed):
                     continue
                 visited += 1
                 if visited > DFS_NODE_CAP:

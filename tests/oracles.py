@@ -34,6 +34,19 @@ something the package computes another way:
   ``alpha_ribbon`` and ``beta_ribbon``;
   ``boundary_edges`` is the gap between a region and its interior
   complement, for the region tests;
+- ``build_moves`` finds each move-table triangle by searching the face's
+  edges and the two faces' shared edge (``face_edge_between``,
+  ``edge_between_faces``) and signs it from the edge and dual-edge
+  orientations (``direct_flux_sign``, ``dual_shift_sign``), for the
+  move rows read off positions; ``reversed_moves`` and ``site_moves`` list
+  a site's moves from its table row, and ``ribbon_between_by_sites`` is the
+  shortest-ribbon search through them (``site_bfs`` with the
+  ``edge_disjoint_dfs`` fallback) on an allowed-edge set built per call,
+  for ``ribbon_between``;
+- ``exterior_ribbons`` builds every exterior ribbon of the duality checks,
+  and ``sample_exterior_ribbons`` and ``boundary_ribbons`` pick theirs from
+  that list, the latter by catching the search's refusals, for the
+  path-based versions in ``duality``;
 - ``orthonormalize`` is plain Gram-Schmidt, for ``cone_subspace``;
 - ``closure_rank`` grows the ribbon closure from materialized states with a
   pivoted Cholesky on their Gram matrix, for ``ribbon_closure_rank``;
@@ -73,7 +86,14 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from qdlattice.duality import SUBSPACE_TOL, ConeSubspace, ribbons_in_region
+from qdlattice import lattice
+from qdlattice.duality import (
+    EXTERIOR_RIBBON_LEN,
+    SUBSPACE_TOL,
+    ConeSubspace,
+    detecting_exterior_sites,
+    ribbons_in_region,
+)
 from qdlattice.groundstate import (
     FLAT_ROWS_CAP,
     GroundStateError,
@@ -95,10 +115,9 @@ from qdlattice.lattice import (
     Ribbon,
     Site,
     Triangle,
-    direct_flux_sign,
-    dual_shift_sign,
     make_triangle,
     positive_moves,
+    ribbon_between,
 )
 from qdlattice.operators import (
     AffineMap,
@@ -884,3 +903,191 @@ def loop_encloses(loop: Ribbon, target: Site, lat: Lattice) -> bool:
             d += 2 * math.pi
         winding += d
     return abs(winding) > math.pi  # |winding| ~ 2*pi when enclosed
+
+
+# -- move rows and ribbon search by edge search ----------------------------------------
+
+
+def face_edge_between(lat: Lattice, f: int, v0: int, v1: int) -> Optional[int]:
+    """The boundary edge of f joining two of its corners. On small tori a
+    vertex pair can be joined by several edges; only the one on the face's
+    own boundary makes a direct triangle."""
+    for e, _ in lat.plaq_edges(f):
+        if set(lat.edge_endpoints(e)) == {v0, v1}:
+            return e
+    return None
+
+
+def edge_between_faces(lat: Lattice, v: int, f0: int, f1: int) -> int:
+    common = {e for e, _ in lat.plaq_edges(f0)} & {e for e, _ in lat.plaq_edges(f1)}
+    shared = [e for e in common if v in lat.edge_endpoints(e)]
+    if len(shared) != 1:
+        raise LatticeError("dual triangle needs faces adjacent across one edge at the vertex")
+    return shared[0]
+
+
+def direct_flux_sign(lat: Lattice, tri: Triangle) -> int:
+    """Sign with which the edge value enters the flux accumulator: +1 when
+    the travel runs against the edge orientation."""
+    if tri.kind != "direct":
+        raise LatticeError("flux sign is defined for direct triangles")
+    return -1 if (tri.s0.vertex, tri.s1.vertex) == lat.endpoint_table[tri.edge] else +1
+
+
+def dual_shift_sign(lat: Lattice, tri: Triangle) -> int:
+    """Sign of the group shift applied to the crossed edge: +1 when the
+    travel runs along the dual-edge orientation."""
+    if tri.kind != "dual":
+        raise LatticeError("shift sign is defined for dual triangles")
+    faces = lat.dual_face_table[tri.edge]
+    if faces is None:
+        raise LatticeError(f"edge {tri.edge} lies on the patch rim")
+    return +1 if (tri.s0.face, tri.s1.face) == faces else -1
+
+
+def build_moves(lat: Lattice, s: Site, step: int) -> tuple[Triangle, ...]:
+    """The direct, then the dual triangle from s to the next corner and face
+    (step +1) or to the previous ones (step -1), each edge found by search
+    and each sign from the orientations."""
+    corners = lat.face_corners_ccw(s.face)
+    other = corners[(corners.index(s.vertex) + step) % 4]
+    e = face_edge_between(lat, s.face, s.vertex, other)
+    tri = Triangle("direct", s, Site(other, s.face), e, 0)
+    out = [Triangle(tri.kind, tri.s0, tri.s1, tri.edge, direct_flux_sign(lat, tri))]
+    ring = lat.faces_at_vertex_cw(s.vertex)
+    f_other = ring[(ring.index(s.face) + step) % 4]
+    if f_other is not None:  # no face beyond a plane patch's rim
+        e = edge_between_faces(lat, s.vertex, s.face, f_other)
+        tri = Triangle("dual", s, Site(s.vertex, f_other), e, 0)
+        out.append(Triangle(tri.kind, tri.s0, tri.s1, tri.edge, dual_shift_sign(lat, tri)))
+    return tuple(out)
+
+
+def reversed_moves(lat: Lattice, s: Site, allowed: Optional[frozenset[int]]) -> list[Triangle]:
+    """Formal inverses of the positively oriented triangles arriving at s;
+    they leave s across its incoming edge."""
+    moves = lattice._table_moves(lat, s)[1]
+    return list(moves) if allowed is None else [t for t in moves if t.edge in allowed]
+
+
+def site_moves(
+    lat: Lattice, s: Site, allowed: Optional[frozenset[int]], include_reversed: bool
+) -> list[Triangle]:
+    out = positive_moves(lat, s, allowed)
+    if include_reversed:
+        out.extend(reversed_moves(lat, s, allowed))
+    return out
+
+
+def site_bfs(lat, s0, s1, allowed, allow_reversed=False) -> Optional[list[Triangle]]:
+    prev: dict[Site, Triangle] = {}
+    seen = {s0}
+    frontier = [s0]
+    while frontier:
+        nxt = []
+        for s in frontier:
+            for tri in site_moves(lat, s, allowed, allow_reversed):
+                if tri.s1 in seen:
+                    continue
+                seen.add(tri.s1)
+                prev[tri.s1] = tri
+                if tri.s1 == s1:
+                    out = []
+                    cur = s1
+                    while cur != s0:
+                        out.append(prev[cur])
+                        cur = prev[cur].s0
+                    return out[::-1]
+                nxt.append(tri.s1)
+        frontier = nxt
+    return None
+
+
+def edge_disjoint_dfs(lat, s0, s1, allowed, allow_reversed, max_len) -> Optional[list[Triangle]]:
+    visited = 0
+    for depth in range(1, max_len + 1):
+        stack: list[tuple[Site, list[Triangle], frozenset[int]]] = [(s0, [], frozenset())]
+        while stack:
+            s, path, used = stack.pop()
+            if len(path) >= depth:
+                continue
+            for tri in reversed(site_moves(lat, s, allowed, allow_reversed)):
+                if tri.edge in used:
+                    continue
+                visited += 1
+                if visited > lattice.DFS_NODE_CAP:
+                    raise LatticeError(
+                        f"ribbon search from {s0} to {s1} stopped at the"
+                        f" {lattice.DFS_NODE_CAP}-node cap"
+                    )
+                new_path = path + [tri]
+                if tri.s1 == s1:
+                    return new_path
+                stack.append((tri.s1, new_path, used | {tri.edge}))
+    return None
+
+
+def ribbon_between_by_sites(
+    s0: Site,
+    s1: Site,
+    lat: Lattice,
+    region: Optional[Region] = None,
+    avoid_edges: Iterable[int] = (),
+    allow_reversed: bool = False,
+) -> Ribbon:
+    """``ribbon_between`` through ``site_moves``, on the allowed edges
+    (the region's or the lattice's, less `avoid_edges`) built per call."""
+    for s in (s0, s1):
+        lattice._table_moves(lat, s)
+    allowed: Optional[frozenset[int]]
+    if region is not None:
+        allowed = frozenset(region.edges) - frozenset(avoid_edges)
+    elif avoid_edges:
+        allowed = frozenset(lat.edges()) - frozenset(avoid_edges)
+    else:
+        allowed = None
+    if s0 == s1:
+        return Ribbon.trivial(s0)
+    path = site_bfs(lat, s0, s1, allowed, allow_reversed)
+    if path is not None:
+        try:
+            return Ribbon.from_triangles(path)
+        except LatticeError:
+            path = edge_disjoint_dfs(lat, s0, s1, allowed, allow_reversed, 2 * lat.n_edges)
+    if path is None:
+        raise LatticeError(f"no ribbon from {s0} to {s1} within the region")
+    return Ribbon.from_triangles(path)
+
+
+# -- exterior ribbons as one list ------------------------------------------------------
+
+
+def exterior_ribbons(lat: Lattice, region: Region) -> list[tuple[Ribbon, bool]]:
+    """Every exterior ribbon of 2 to EXTERIOR_RIBBON_LEN triangles, with
+    whether an endpoint sits at a detecting deep-exterior site."""
+    comp = Region(lat, region.complement_edges())
+    detecting = detecting_exterior_sites(lat, region)
+    return [
+        (r, r.start in detecting or r.end in detecting)
+        for r in ribbons_in_region(lat, comp, EXTERIOR_RIBBON_LEN)
+        if len(r) >= 2
+    ]
+
+
+def sample_exterior_ribbons(lat: Lattice, region: Region, rng, count: int) -> list[Ribbon]:
+    picked = [r for r, deep in exterior_ribbons(lat, region) if deep]
+    rng.shuffle(picked)
+    return picked[:count]
+
+
+def boundary_ribbons(lat: Lattice, region: Region) -> list[Ribbon]:
+    out = []
+    for r, deep in exterior_ribbons(lat, region):
+        if deep or not (region.site_on_boundary(r.start) and region.site_on_boundary(r.end)):
+            continue
+        try:
+            ribbon_between(r.start, r.end, lat, region, allow_reversed=True)
+        except LatticeError:
+            continue
+        out.append(r)
+    return out

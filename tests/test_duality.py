@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 import time
 
 import numpy as np
@@ -23,6 +24,7 @@ from qdlattice.groups import codes, group_make, parse_group
 from qdlattice.groundstate import ground_state
 from qdlattice.lattice import (
     Lattice,
+    LatticeError,
     Region,
     Site,
     cone_make,
@@ -32,6 +34,7 @@ from qdlattice.operators import OperatorError, as_opsum, ribbon_F, ribbon_F_irre
 from qdlattice.sectors import sector_labels
 from qdlattice.states import SparseState
 
+import oracles
 from oracles import (
     add,
     boundary_edges,
@@ -405,11 +408,12 @@ def plane_4x4_cone():
 
 def test_external_orthogonality_and_membership(plane_4x4_cone):
     lat, omega, cone, sub = plane_4x4_cone
-    assert detecting_exterior_sites(lat, cone)
+    detectors = detecting_exterior_sites(lat, cone)
+    assert detectors
     rng = random.Random(5)
     recs = [
-        external_charge_orthogonality_check(cone, lat, Z2, rng, samples=60),
-        boundary_membership_check(cone, lat, Z2, omega, sub, rng),
+        external_charge_orthogonality_check(cone, lat, Z2, detectors, rng, samples=60),
+        boundary_membership_check(cone, lat, Z2, omega, sub, detectors, rng),
     ]
     assert all(r.passed for r in recs), [(r.name, r.max_error) for r in recs]
     assert all(r.max_error <= 1e-9 for r in recs)
@@ -525,7 +529,7 @@ def test_orthogonality_check_passes_on_4x4_enlargement(spec):
     lat = Lattice(4, 4, "plane")
     cone = cone_make((2, 2), ["N", "E"], lat)
     rec = external_charge_orthogonality_check(
-        cone, lat, parse_group(spec), random.Random(0), samples=100
+        cone, lat, parse_group(spec), detecting_exterior_sites(lat, cone), random.Random(0), samples=100
     )
     assert rec.passed and rec.max_error <= 1e-9
     assert int(rec.details.split()[0]) > 0
@@ -540,7 +544,9 @@ def test_orthogonality_check_runs_on_a_cone_of_4_to_the_36_monomials():
     assert len(cone.edges) == 18
     for spec in ["z4", "z2xz2"]:
         start = time.perf_counter()
-        rec = external_charge_orthogonality_check(cone, lat, parse_group(spec), random.Random(0))
+        rec = external_charge_orthogonality_check(
+            cone, lat, parse_group(spec), detecting_exterior_sites(lat, cone), random.Random(0)
+        )
         elapsed = time.perf_counter() - start
         assert rec.passed and rec.max_error == 0.0, (spec, rec.details)
         assert int(rec.details.split()[0]) > 0
@@ -562,7 +568,9 @@ def test_orthogonality_check_neither_sweeps_nor_composes(monkeypatch):
     lat = Lattice(4, 4, "plane")
     cone = cone_make((2, 2), ["N", "E"], lat)
     for spec in ["z2", "z3", "z4", "z2xz2"]:
-        rec = external_charge_orthogonality_check(cone, lat, parse_group(spec), random.Random(0))
+        rec = external_charge_orthogonality_check(
+            cone, lat, parse_group(spec), detecting_exterior_sites(lat, cone), random.Random(0)
+        )
         assert rec.passed, spec
 
 
@@ -805,3 +813,67 @@ def test_haag_report_states_the_skipped_closure_check():
             dim = int(details.split()[-1])
             assert closure[0].details == f"closure ranks ({dim}, {dim}) vs dimension {dim}"
         assert rep.all_passed
+
+
+# the requested patches' cones, at run_haag's apex, and the 4x4 enlargement
+EXTERIOR_CONES = [(3, 4, 1), (4, 4, 1), (3, 7, 1), (5, 5, 1), (4, 4, 2)]
+
+
+@pytest.mark.parametrize("width,height,apex", EXTERIOR_CONES)
+def test_exterior_ribbons_from_paths_match_the_ribbon_list(width, height, apex):
+    """The exterior checks' ribbons, built only for the paths a check keeps,
+    equal those picked from the list of every exterior ribbon, in the same
+    order, and the sampler leaves the generator in the same state, at seeds
+    0 to 4."""
+    lat = Lattice(width, height, "plane")
+    cone = cone_make((apex, apex), ["N", "E"], lat)
+    detectors = detecting_exterior_sites(lat, cone)
+    for seed in range(5):
+        rng, ref = random.Random(seed), random.Random(seed)
+        got = duality.sample_exterior_ribbons(lat, cone, detectors, rng, 100)
+        assert got == oracles.sample_exterior_ribbons(lat, cone, ref, 100)
+        assert rng.getstate() == ref.getstate()
+        assert bool(got) == bool(detectors)
+    assert duality.boundary_ribbons(lat, cone, detectors) == oracles.boundary_ribbons(lat, cone)
+
+
+def _search_errors(call):
+    """call's result, and each LatticeError that a ribbon search raised
+    while it ran: ``ribbon_between`` and ``joined_sites`` frames, and the
+    duality frames such an error passes through."""
+    searches = ("ribbon_between", "joined_sites")
+    raised = []
+
+    def tracer(frame, event, arg):
+        code = frame.f_code
+        if event == "exception" and issubclass(arg[0], LatticeError):
+            if code.co_name in searches or code.co_filename == duality.__file__:
+                raised.append(code.co_name)
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        out = call()
+    finally:
+        sys.settrace(previous)
+    return out, raised
+
+
+def test_boundary_ribbons_raise_no_lattice_error():
+    """On the default 3x4 cone no ribbon search raises while boundary_ribbons
+    sorts out the endpoint pairs that no ribbon on the cone joins; the
+    ribbon-list version raised in 28 of its 34 searches. Among the pairs is
+    one joined by a site path but by no edge-disjoint ribbon."""
+    lat = Lattice(3, 4, "plane")
+    cone = cone_make((1, 1), ["N", "E"], lat)
+    detectors = detecting_exterior_sites(lat, cone)
+    ribbons, raised = _search_errors(lambda: duality.boundary_ribbons(lat, cone, detectors))
+    assert len(ribbons) == 6 and not raised
+    reference, raised = _search_errors(lambda: oracles.boundary_ribbons(lat, cone))
+    assert reference == ribbons
+    assert raised.count("ribbon_between") == 28
+    s0, s1 = Site(10, 4), Site(4, 2)
+    assert oracles.site_bfs(lat, s0, s1, cone.edges, True) is not None
+    with pytest.raises(LatticeError, match="no ribbon"):
+        ribbon_between(s0, s1, lat, cone, allow_reversed=True)

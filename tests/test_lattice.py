@@ -13,17 +13,13 @@ from qdlattice.lattice import (
     Triangle,
     closed_loop_around,
     cone_make,
-    direct_flux_sign,
-    dual_shift_sign,
     make_triangle,
     parse_lattice,
     format_lattice,
     positive_moves,
-    reversed_moves,
     ribbon_between,
     ribbon_concat,
     ribbon_invert,
-    site_moves,
     straight_ribbon,
 )
 
@@ -31,9 +27,16 @@ from qdlattice.operators import alpha_ribbon, beta_ribbon
 
 from oracles import (
     boundary_edges,
+    build_moves,
     closed_direct_ribbon,
     closed_dual_ribbon,
+    direct_flux_sign,
+    dual_shift_sign,
     loop_encloses,
+    reversed_moves,
+    ribbon_between_by_sites,
+    site_bfs,
+    site_moves,
     triangle_is_positive,
 )
 
@@ -179,7 +182,7 @@ def test_ribbon_between_reports_the_search_cap(monkeypatch):
     s0 = Site(lat.vertex_id(1, 0), lat.face_id(0, 0))
     s1 = Site(lat.vertex_id(1, 1), lat.face_id(1, 0))
     with pytest.raises(LatticeError, match="overlap"):
-        Ribbon.from_triangles(lattice._site_bfs(lat, s0, s1, None, True))
+        Ribbon.from_triangles(site_bfs(lat, s0, s1, None, True))
     assert len(ribbon_between(s0, s1, lat, allow_reversed=True)) == 4
     monkeypatch.setattr(lattice, "DFS_NODE_CAP", 3)
     with pytest.raises(LatticeError) as err:
@@ -571,3 +574,64 @@ def test_closed_site_ribbons_match_oracle(w, h, boundary):
             else:
                 assert walk(lat, s) == want
     assert bool(refused) == (boundary == "plane")
+
+
+def _outcome(call):
+    """A call's value, or its error's type and message."""
+    try:
+        return "value", call()
+    except (LatticeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def test_move_rows_by_position_match_the_search_builder():
+    """Every move row read off corner and ring positions equals the one
+    found by searching the face's edges and the faces' shared edge, with
+    signs from the edge orientations, for both steps of every site on
+    plane and torus patches of 2..7 x 2..7, errors included."""
+    cases = 0
+    for w in range(2, 8):
+        for h in range(2, 8):
+            for boundary in ("plane", "torus"):
+                lat = Lattice(w, h, boundary)
+                for s in lat.sites():
+                    for step in (+1, -1):
+                        want = _outcome(lambda: build_moves(lat, s, step))
+                        assert _outcome(lambda: lattice._build_moves(lat, s, step)) == want
+                        cases += 1
+    assert cases == 9360
+
+
+RIBBON_SEARCH_LATTICES = [(3, 4, "plane"), (5, 5, "plane"), (3, 3, "torus"), (4, 4, "torus")]
+
+
+@pytest.mark.parametrize("w,h,boundary", RIBBON_SEARCH_LATTICES)
+def test_ribbon_between_matches_the_site_search(w, h, boundary, monkeypatch):
+    """ribbon_between on the move-table rows, with avoided edges as a
+    blocked set, returns the same ribbon or the same LatticeError as the
+    search through site_moves on an allowed set built per call, for every
+    ordered site pair. The pairs take turns through the eight combinations
+    of avoided edges, a region and reversed moves, so each is run with and
+    without each of them. Both fallback searches stop at a lowered node
+    cap, which they must reach on the same move: a pair with a site path
+    but no edge-disjoint ribbon otherwise costs each of them up to 0.25 s
+    on the 4x4 torus before it is refused."""
+    monkeypatch.setattr(lattice, "DFS_NODE_CAP", 150)
+    lat = Lattice(w, h, boundary)
+    rng = random.Random(w * 10 + h)
+    sites = sorted(lat.sites())
+    region = Region(lat, frozenset(e for e in lat.edges() if rng.random() < 0.7))
+    combos, outcomes = set(), set()
+    for k, (s0, s1) in enumerate((a, b) for a in sites for b in sites):
+        avoid, in_region, reverse = bool(k & 1), bool(k & 2), bool(k & 4)
+        kwargs = dict(
+            region=region if in_region else None,
+            avoid_edges=frozenset(rng.sample(range(lat.n_edges), 3)) if avoid else (),
+            allow_reversed=reverse,
+        )
+        want = _outcome(lambda: ribbon_between_by_sites(s0, s1, lat, **kwargs))
+        assert _outcome(lambda: ribbon_between(s0, s1, lat, **kwargs)) == want, (s0, s1, kwargs)
+        combos.add((avoid, in_region, reverse))
+        outcomes.add("value" if want[0] == "value" else want[1].split()[-1])
+    assert len(combos) == 8
+    assert outcomes == {"value", "region", "cap"}
