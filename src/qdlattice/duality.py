@@ -12,10 +12,14 @@ the ground state's exterior restrictions. Omega is uniform over the group F
 of flat connections, and its rows with fixed region values form a coset of
 the subgroup vanishing on the region, so those restrictions are equal or
 disjoint cosets: W's orthonormal basis is one indicator per distinct
-exterior coset (``cone_subspace``), with no Gram-Schmidt. The iterative
-ribbon-operator closure is kept as an independent construction, grown in
-the block coordinates below (``ribbon_closure_rank``), and the two are
-checked against each other on cones of at most 3 edges.
+exterior coset, with no Gram-Schmidt. ``cone_subspace`` reads that coset
+structure off F itself: a bucket a is a region value r(d phi) of a gradient,
+and buckets a and b share a coset exactly when a - b is the region value of
+a gradient vanishing on the exterior (``cone_subspace`` gives the gauge
+fixing that labels the cosets). The iterative ribbon-operator closure is
+kept as an independent construction, grown in the block coordinates below
+(``ribbon_closure_rank``), and the two are checked against each other on
+cones of at most 3 edges.
 
 ``ConeSubspace`` works in these tensor coordinates and never lists the
 |G|^k * dim W product vectors. A vector of H_Lambda is a block X[a, j], the
@@ -24,14 +28,10 @@ state sum X[a, j] |a> tensor w_j, where
 * a is the region index: the configuration of the k region edges as one
   mixed-radix integer, first edge most significant, which is the row order
   of ``support_matrix``;
-* w_j is the orthonormal coset basis of W: the value 1/sqrt(|K|) on each
-  of its |K| integer exterior keys (the configuration of every other edge),
-  stored as an index map from key to column.
+* w_j is the orthonormal coset basis of W, columns ordered by their first
+  bucket in region-index order.
 
 The ground state's own block C gives Omega = sum C[a, j] |a> tensor w_j. A
-state's coordinates come from bucketing its rows by region index and
-exterior key and summing each bucket into its column; its distance to
-H_Lambda is summed from its own rows, with no (region index, key) block. A
 region operator M is a sum of basis maps, and each map sends every region
 configuration a to one configuration with one phase, so it acts on the
 block's rows as a monomial matrix S_M (``region_action``): M
@@ -56,28 +56,37 @@ and i C Y for Hermitian X and Y, and once the region operators are all of
 M_n both real ranks follow from the rank r of the n x m block C alone
 (n = |G|^k, m = dim W): n^2 - (n - r)^2 for the region family and that
 plus m^2 - (m - r)^2 for both, against the target 2 n m (``density_ranks``).
-Each bucket of Omega's rows restricts to one coset, so every row of C has
-at most one nonzero entry: C's columns have disjoint supports, C^dagger C
-is diagonal, and r is the number of nonzero columns, with no SVD.
+Each bucket restricts to one coset, so every row of C has at most one
+nonzero entry: C's columns have disjoint supports, C^dagger C is diagonal,
+and r is the number of nonzero columns, with no SVD.
 The region operators are all of M_n because every region edge is bulk: a
 shift and a character on each of the k edges give the |G|^(2k) monomials
 of a Weyl basis. The tests count their n^2 distinct labels; the check
 enumerates none of them. Exterior ribbon operators need no family of their own:
 P_Lambda (1 tensor Y) Omega = (1 tensor P_W Y P_W) Omega lies in the
-compressed family. The orthogonality check builds no Omega and enumerates
-nothing: the M Omega span H_Lambda, and for a Weyl map F (no deltas)
+compressed family. Neither exterior check builds Omega or enumerates
+anything: the M Omega span H_Lambda, and for a Weyl map F (no deltas)
 <M Omega|F Omega> = omega(M^dagger F) is 0 or a root of unity (the
 stabilizer-state rule), nonzero when the shift is flat and every vertex of a
-gradient gets a trivial character. So the maximum over M is 1 when some M
-cancels both F's endpoint flux and charge, and 0 otherwise (``cone_overlaps``).
+gradient gets a trivial character. So the maximum o over M is 1 when some M
+cancels both F's endpoint flux and charge, and 0 otherwise
+(``cone_overlaps``). The orthogonality check wants o = 0; the membership
+check reads F Omega's distance to H_Lambda as sqrt(1 - o^2), exactly 0 or 1
+(``membership_residuals``).
 
 Both exterior checks draw from the exterior chains of 2 to
 EXTERIOR_RIBBON_LEN triangles, enumerated as triangle tuples, and build a
 ``Ribbon`` only for a chain they keep. The caller finds the detecting
 deep-exterior sites once per lattice and passes them to both checks.
 
-What still materializes: Omega itself, read for its rows, and the exterior
-ribbon states of the membership check.
+What still materializes: only ``materialized_cross_check``, on cones of at
+most 3 edges, builds Omega (``ground_state``), reads C and W's exterior keys
+off its rows (``materialized_cone``) and applies the boundary maps to it
+(``OpSum.apply``, ``MaterializedCone.residual``). No check needs Omega.
+The cross-check stays in the package because the benchmark's traced pass
+(perfbench/spans.py) wraps ``SparseState.from_terms`` and ``OpSum.apply``
+by name; it moves to the test oracles once that recorder lives in the
+package (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -88,8 +97,15 @@ from typing import Iterator
 
 import numpy as np
 
-from .groundstate import face_fluxes, shift_rows, vertex_characters
-from .groups import AbelianGroup, codes
+from .groundstate import (
+    OMEGA_ROWS_CAP,
+    GroundStateError,
+    face_fluxes,
+    ground_state,
+    shift_rows,
+    vertex_characters,
+)
+from .groups import AbelianGroup, codes, digit_rows
 from .lattice import (
     Lattice,
     Region,
@@ -100,6 +116,7 @@ from .lattice import (
     positive_moves,
 )
 from .operators import (
+    AffineMap,
     OperatorError,
     as_opsum,
     canonical,
@@ -118,6 +135,9 @@ CLOSURE_ROUNDS = 8
 # exterior ribbons of the orthogonality and membership checks: 2 to this
 # many triangles
 EXTERIOR_RIBBON_LEN = 6
+# entries of the cone block C (n x m, complex): z3 on the 4x4 plane has
+# 6561 x 729, z4 there 65536 x 4096
+CONE_BLOCK_CAP = 1 << 23
 
 
 class DualityError(ValueError):
@@ -158,58 +178,16 @@ def ribbons_in_region(lat: Lattice, region: Region, max_len: int) -> list[Ribbon
 @dataclass
 class ConeSubspace:
     """H_Lambda = C^(|G|^k) tensor W in tensor coordinates: a block X of
-    shape (|G|^k, dim W) stands for sum X[a, j] |a> tensor w_j. Each w_j is
-    1/sqrt(|K|) on its |K| exterior keys, so W is an index map from keys to
-    columns."""
+    shape (|G|^k, dim W) stands for sum X[a, j] |a> tensor w_j."""
 
     region: Region
     lat: Lattice
     group: AbelianGroup
-    ext_edges: list[int]  # every edge off the region: the exterior key
-    ext_keys: np.ndarray  # sorted exterior keys on which some w_j lives
-    key_cols: np.ndarray  # the column j of the w_j living on each key
-    coset_size: int  # |K|: the keys of each w_j
     omega_coeffs: np.ndarray  # C: Omega = sum C[a, j] |a> tensor w_j
 
     @property
     def dim(self) -> int:
         return self.omega_coeffs.size
-
-    def _buckets(self, psi: SparseState) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-        """psi's rows on W's keys as (region index, column, amplitude), in
-        (region index, key) order, and the squared norm of psi's rows off
-        those keys."""
-        radix = self.group.order
-        keys = codes(psi.configs, self.ext_edges, radix)
-        pos = np.minimum(np.searchsorted(self.ext_keys, keys), len(self.ext_keys) - 1)
-        hit = self.ext_keys[pos] == keys
-        fills, pos = codes(psi.configs[hit], sorted(self.region.edges), radix), pos[hit]
-        order = np.lexsort((pos, fills))
-        off = float(np.sum(np.abs(psi.amps[~hit]) ** 2))
-        return fills[order], self.key_cols[pos[order]], psi.amps[hit][order], off
-
-    def _project(self, fills: np.ndarray, cols: np.ndarray, amps: np.ndarray) -> np.ndarray:
-        """<a tensor w_j | psi> from ``_buckets``: each amplitude times w_j's
-        value 1/sqrt(|K|), summed in key order."""
-        x = np.zeros_like(self.omega_coeffs)
-        np.add.at(x, (fills, cols), amps * (1 / np.sqrt(self.coset_size)))
-        return x
-
-    def residual(self, psi: SparseState) -> float:
-        """Distance from psi to H_Lambda, summed from psi's rows minus their
-        projection rather than as a difference of squared norms. The
-        projection is x[a, j] / sqrt(|K|) on each of the |K| keys of w_j at
-        region index a: psi's rows there contribute |amp - x / sqrt(|K|)|^2,
-        and each key psi misses |x / sqrt(|K|)|^2. No (region index, key)
-        block is built."""
-        fills, cols, amps, off = self._buckets(psi)
-        x = self._project(fills, cols, amps)
-        hits = np.zeros(x.shape, dtype=np.int64)
-        np.add.at(hits, (fills, cols), 1)
-        proj = x * (1 / np.sqrt(self.coset_size))
-        on = np.sum(np.abs(amps - proj[fills, cols]) ** 2)
-        missed = np.sum((self.coset_size - hits) * np.abs(proj) ** 2)
-        return float(np.sqrt(off + on + missed))
 
     def region_action(self, op) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """A region operator on the block's rows, one n x n monomial matrix
@@ -239,23 +217,167 @@ class ConeSubspace:
         return out
 
 
-def cone_subspace(
-    region: Region, lat: Lattice, group: AbelianGroup, omega: SparseState
-) -> ConeSubspace:
-    """H_Lambda in factorized coordinates, from the coset structure of the
-    flat group F that Omega is uniform over. Only Omega's rows are read,
-    never its amplitudes. Every region edge must carry a dual triangle, as
-    on a cone from ``cone_make``: region operators then shift every region
-    edge, and the region index is the configuration of all of them.
+def _components(n: int, pairs) -> list[int]:
+    """The component of each of n nodes in the graph whose edges are
+    `pairs`, named by one of its nodes: a union-find with path halving, so
+    a whole patch costs about one pass over its edges."""
+    parent = list(range(n))
 
-    Omega's rows with given region values a (a bucket) form a coset of
-    K = {c in F : c vanishes on the region}. So every bucket holds |K| rows,
-    and the buckets' exterior restrictions are cosets of K restricted to the
-    exterior: any two are equal or disjoint. W's orthonormal basis is one
-    indicator per distinct exterior coset, of value 1/sqrt(|K|), and
-    C[a, j] = sqrt(|K|/N) wherever bucket a restricts to coset j. Columns
-    are ordered by the first bucket, in region-index order, that restricts
-    to them."""
+    def root(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for a, b in pairs:
+        parent[root(b)] = root(a)
+    return [root(v) for v in range(n)]
+
+
+def cone_subspace(region: Region, lat: Lattice, group: AbelianGroup) -> ConeSubspace:
+    """H_Lambda in factorized coordinates, from the flat group F of a plane
+    patch, the gradients d phi: no state is built and no element of F is
+    listed. Every region edge must carry a dual triangle, as on a cone from
+    ``cone_make``: region operators then shift every region edge, and the
+    region index is the configuration of all of them.
+
+    Omega's rows with region values a (a bucket) form a coset of the
+    gradients vanishing on the region, and two buckets restrict to the same
+    exterior coset, one column of C, exactly when they differ by the region
+    value of a gradient vanishing on the exterior: of a potential constant
+    on each component of (V, E minus region). A bucket is a region value of
+    the potentials on the touched vertices U (those on a region edge), listed
+    once each with one vertex per component of (U, region) held at the
+    identity. Its column is its potentials modulo functions constant on the
+    region components plus functions constant on the exterior components. In
+    the graph with a node per component of either kind and a link per
+    touched vertex, joining its two components, those functions are
+    gradients, and a spanning tree fixes their gauge: the class is read off
+    the links outside the tree, |G|^(links outside) = dim W classes. Each of
+    the |r(F)| buckets holds |F| / |r(F)| rows of amplitude 1/sqrt(|F|), so
+    C[a, j] = 1/sqrt(|r(F)|) where bucket a lies in class j. Columns are
+    ordered by their first bucket in region-index order, as on Omega's rows
+    (``materialized_cone``). Refused on a torus, and above CONE_BLOCK_CAP
+    entries of C before anything is enumerated (the potential rows are at
+    most its |G|^k rows)."""
+    if lat.is_torus:
+        raise DualityError("the cone subspace is read from the flat group of a plane patch")
+    radix = group.order
+    ends = [lat.edge_endpoints(e) for e in sorted(region.edges)]
+    touched = sorted({v for pair in ends for v in pair})
+    inner = _components(lat.n_vertices, ends)
+    exterior = (lat.edge_endpoints(e) for e in lat.edges() if e not in region.edges)
+    outer = _components(lat.n_vertices, exterior)
+    links: dict[tuple[str, int], list] = {}
+    for u in touched:
+        a, b = ("in", inner[u]), ("out", outer[u])
+        links.setdefault(a, []).append((u, b))
+        links.setdefault(b, []).append((u, a))
+    tree: list[tuple[int, tuple, tuple]] = []  # (link, known node, new node), in discovery order
+    seen: set[tuple[str, int]] = set()
+    for root in links:
+        if root in seen:
+            continue
+        seen.add(root)
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            for u, y in links[x]:
+                if y not in seen:
+                    seen.add(y)
+                    tree.append((u, x, y))
+                    stack.append(y)
+    on_tree = {u for u, _, _ in tree}
+    cycles = [u for u in touched if u not in on_tree]
+    free = [u for u in touched if inner[u] != u]
+    n, m, rows = radix ** len(ends), radix ** len(cycles), radix ** len(free)
+    if n * m > CONE_BLOCK_CAP:
+        raise DualityError(
+            f"cone block of {radix}^{len(ends)} x {radix}^{len(cycles)} entries ({radix}^{len(free)}"
+            f" potential rows) on {lat.width}x{lat.height} is above the cap of {CONE_BLOCK_CAP}"
+        )
+    t = group.tables()
+    add, neg = t["add_u8"], t["neg_u8"]
+    zero = np.zeros(rows, dtype=np.uint8)
+    pots = dict.fromkeys(touched, zero)
+    pots.update(zip(free, digit_rows(radix, len(free)).T))
+    fill = np.zeros(rows, dtype=np.int64)  # region index, first edge most significant
+    for tail, head in ends:
+        fill = fill * radix + add[pots[head], neg[pots[tail]]]
+    gauge = dict.fromkeys(links, zero)
+    for u, x, y in tree:  # zero on every tree link
+        gauge[y] = neg[add[pots[u], gauge[x]]]
+    label = np.zeros(rows, dtype=np.int64)
+    for u in cycles:
+        label = label * radix + add[add[pots[u], gauge["in", inner[u]]], gauge["out", outer[u]]]
+    first = np.full(m, n, dtype=np.int64)
+    np.minimum.at(first, label, fill)
+    column = np.empty(m, dtype=np.int64)
+    column[np.argsort(first)] = np.arange(m)
+    coeffs = np.zeros((n, m), dtype=np.complex128)
+    coeffs[fill, column[label]] = np.sqrt(1 / rows)
+    return ConeSubspace(region, lat, group, coeffs)
+
+
+@dataclass
+class MaterializedCone(ConeSubspace):
+    """The cone subspace read off the materialized Omega's rows, for
+    ``materialized_cross_check``. Each w_j is 1/sqrt(|K|) on its |K|
+    exterior keys, so W is an index map from keys to columns, and a state's
+    coordinates come from bucketing its rows by region index and exterior
+    key and summing each bucket into its column."""
+
+    ext_edges: list[int]  # every edge off the region: the exterior key
+    ext_keys: np.ndarray  # sorted exterior keys on which some w_j lives
+    key_cols: np.ndarray  # the column j of the w_j living on each key
+    coset_size: int  # |K|: the keys of each w_j
+
+    def _codes(self, psi: SparseState) -> tuple[np.ndarray, np.ndarray]:
+        """Region index and exterior key of each of psi's rows."""
+        radix, edges = self.group.order, sorted(self.region.edges)
+        return codes(psi.configs, edges, radix), codes(psi.configs, self.ext_edges, radix)
+
+    def _cells(self, fills: np.ndarray, keys: np.ndarray) -> np.ndarray:
+        """The block cell a * dim W + j of each row, from its region index a
+        and the column j of its exterior key, or -1 off W's keys."""
+        pos = np.minimum(np.searchsorted(self.ext_keys, keys), len(self.ext_keys) - 1)
+        hit = self.ext_keys[pos] == keys
+        return np.where(hit, fills * self.omega_coeffs.shape[1] + self.key_cols[pos], -1)
+
+    def _project(self, cells: np.ndarray, amps: np.ndarray) -> np.ndarray:
+        """<a tensor w_j | psi>: each amplitude on W's keys times w_j's value
+        1/sqrt(|K|), summed into its cell."""
+        on, size = cells >= 0, self.omega_coeffs.size
+        x = np.bincount(cells[on], amps[on].real, size) + 1j * np.bincount(cells[on], amps[on].imag, size)
+        return (x / np.sqrt(self.coset_size)).reshape(self.omega_coeffs.shape)
+
+    def residual(self, psi: SparseState) -> float:
+        """Distance from psi to H_Lambda (``_residual`` of its rows)."""
+        return self._residual(self._cells(*self._codes(psi)), psi.amps)
+
+    def _residual(self, cells: np.ndarray, amps: np.ndarray) -> float:
+        """Distance to H_Lambda of the state with these rows, given by block
+        cell (``_cells``) and amplitude, summed from the rows minus their
+        projection rather than as a difference of squared norms. The
+        projection is x[a, j] / sqrt(|K|) on each of the |K| keys of w_j at
+        region index a: the rows there contribute |amp - x / sqrt(|K|)|^2,
+        and each key the state misses |x / sqrt(|K|)|^2. No (region index,
+        key) block is built."""
+        on = cells >= 0
+        proj = self._project(cells, amps).ravel() / np.sqrt(self.coset_size)
+        hits = np.bincount(cells[on], minlength=proj.size)
+        rows = np.sum(np.abs(amps[on] - proj[cells[on]]) ** 2) + np.sum(np.abs(amps[~on]) ** 2)
+        missed = np.sum((self.coset_size - hits) * np.abs(proj) ** 2)
+        return float(np.sqrt(rows + missed))
+
+
+def materialized_cone(
+    region: Region, lat: Lattice, group: AbelianGroup, omega: SparseState
+) -> MaterializedCone:
+    """``cone_subspace`` read off Omega's rows (never its amplitudes), with
+    W's exterior keys. The buckets, in region-index order, are each
+    labelled by their coset's smallest exterior key; a column is a distinct
+    label, placed at its first bucket, and C[a, j] = sqrt(|K| / |F|)."""
     radix = group.order
     edges = sorted(region.edges)
     ext_edges = sorted(set(lat.edges()) - region.edges)
@@ -264,8 +386,6 @@ def cone_subspace(
             f"exterior keys of {len(ext_edges)} edges over |G| = {radix} overflow int64"
         )
     ext = codes(omega.configs, ext_edges, radix)
-    # buckets in region-index order, each labelled by its coset's smallest
-    # exterior key; a column is a distinct label, placed at its first bucket
     fills, bucket = np.unique(codes(omega.configs, edges, radix), return_inverse=True)
     label = np.full(len(fills), np.iinfo(np.int64).max)
     np.minimum.at(label, bucket, ext)
@@ -279,15 +399,8 @@ def cone_subspace(
     ext_keys, key_row = np.unique(ext, return_index=True)
     omega_coeffs = np.zeros((radix ** len(edges), len(first)), dtype=np.complex128)
     omega_coeffs[fills, column] = np.sqrt(coset_size / n_rows)
-    return ConeSubspace(
-        region,
-        lat,
-        group,
-        ext_edges,
-        ext_keys,
-        column[bucket[key_row]],
-        coset_size,
-        omega_coeffs,
+    return MaterializedCone(
+        region, lat, group, omega_coeffs, ext_edges, ext_keys, column[bucket[key_row]], coset_size
     )
 
 
@@ -406,11 +519,8 @@ def _absorbed(group: AbelianGroup, charges: np.ndarray, pairs) -> np.ndarray:
     chain on the graph whose edges are `pairs`: whether its sum over each
     component (a node on no pair is one) is trivial."""
     add = group.tables()["add"]
-    comp = list(range(charges.shape[1]))
-    for a, b in pairs:
-        comp = [comp[a] if c == comp[b] else c for c in comp]
     net = np.zeros_like(charges)
-    for x, c in enumerate(comp):
+    for x, c in enumerate(_components(charges.shape[1], pairs)):
         net[:, c] = add[net[:, c], charges[:, x]]
     return ~net.any(axis=1)
 
@@ -462,31 +572,66 @@ def external_charge_orthogonality_check(
     )
 
 
+def boundary_maps(
+    region: Region, lat: Lattice, group: AbelianGroup, detectors: dict, rng: random.Random
+) -> list[AffineMap]:
+    """The irrep operator of every ``boundary_ribbons`` ribbon, each with a
+    seeded nontrivial label. `detectors` is ``detecting_exterior_sites`` of
+    the region."""
+    nontrivial = sector_labels(group)[1:]
+    return [
+        ribbon_F_irrep(lat, group, r, *rng.choice(nontrivial))
+        for r in boundary_ribbons(lat, region, detectors)
+    ]
+
+
+def membership_residuals(lat: Lattice, group: AbelianGroup, region: Region, maps) -> list[float]:
+    """Distance from F Omega to H_Lambda for each map F without deltas,
+    sqrt(max(0, 1 - o^2)) with o from one ``cone_overlaps`` call. The
+    M Omega span H_Lambda, so o = 1 makes F Omega a phase times some
+    M Omega and o = 0 makes it orthogonal to all of them: the residual is
+    exactly 0.0 or 1.0."""
+    return [float(np.sqrt(max(0.0, 1.0 - o * o))) for o in cone_overlaps(lat, group, region, maps)]
+
+
 def boundary_membership_check(
-    region: Region,
-    lat: Lattice,
-    group: AbelianGroup,
-    omega: SparseState,
-    subspace: ConeSubspace,
-    detectors: dict,
-    rng: random.Random,
+    region: Region, lat: Lattice, group: AbelianGroup, maps: list[AffineMap]
 ) -> Check:
     """Exterior ribbons connecting two boundary sites must land inside
-    H_Lambda: every ``boundary_ribbons`` ribbon, with a seeded nontrivial
-    label. `detectors` is ``detecting_exterior_sites`` of the region."""
-    nontrivial = sector_labels(group)[1:]
-    boundary = boundary_ribbons(lat, region, detectors)
-    worst = 0.0
-    for r in boundary:
-        chi, c = rng.choice(nontrivial)
-        psi = as_opsum(ribbon_F_irrep(lat, group, r, chi, c)).apply(omega)
-        worst = max(worst, subspace.residual(psi))
+    H_Lambda: every map of ``boundary_maps`` must have
+    ``membership_residuals`` 0. Neither Omega nor the subspace is built."""
+    worst = max(membership_residuals(lat, group, region, maps), default=0.0)
     return Check.judged(
         "boundary-connecting exterior ribbons stay in the cone subspace",
         "charge-free exterior vectors lie in the cone subspace",
-        bool(boundary) and worst <= 1e-9,
+        bool(maps) and worst <= 1e-9,
         worst,
-        f"all {len(boundary)} boundary-to-boundary ribbons up to {EXTERIOR_RIBBON_LEN} triangles",
+        f"all {len(maps)} boundary-to-boundary ribbons up to {EXTERIOR_RIBBON_LEN} triangles",
+    )
+
+
+def materialized_cross_check(
+    region: Region, lat: Lattice, group: AbelianGroup, subspace: ConeSubspace, maps
+) -> bool:
+    """Whether the materialized Omega agrees with the flat group: the block
+    C read off Omega's rows (``materialized_cone``) equals ``cone_subspace``'s
+    entry for entry, and each map's residual from its applied state
+    (``MaterializedCone.residual``) equals ``membership_residuals`` within
+    SUBSPACE_TOL. Omega's |G|^(V-1) rows are counted from the lattice and
+    refused above OMEGA_ROWS_CAP before it is built."""
+    power = lat.n_vertices - 1
+    if group.order**power > OMEGA_ROWS_CAP:
+        raise GroundStateError(
+            f"ground state of {group.order}^{power} = {group.order**power} rows on"
+            f" {lat.width}x{lat.height} is above the cap of {OMEGA_ROWS_CAP}"
+        )
+    omega = ground_state(lat, group)
+    read = materialized_cone(region, lat, group, omega)
+    if not np.array_equal(read.omega_coeffs, subspace.omega_coeffs):
+        return False
+    closed = membership_residuals(lat, group, region, maps)
+    return all(
+        abs(read.residual(as_opsum(f).apply(omega)) - r) <= SUBSPACE_TOL for f, r in zip(maps, closed)
     )
 
 

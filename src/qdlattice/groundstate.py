@@ -43,10 +43,13 @@ batch for many pairs). The deformation, transporter and torus stabilizer
 checks all measure their distances this way; a torus sector vector is
 reached by composing with T_ab.
 
-``ground_state`` still materializes Ω on a plane patch, for the Haag-duality
-checks: ``cone_subspace`` reads its rows (not its amplitudes) to find the
-cosets of the flat group, and the exterior ribbon images of the membership
-check are applied to it.
+``ground_state`` still materializes Ω on a plane patch, but no check needs
+it: only haag-check's cross-check on cones of at most 3 edges
+(``duality.materialized_cross_check``) reads the cone block off its rows and
+applies the boundary ribbons to it, against the flat-group forms. It stays
+in the package because the benchmark's traced pass (perfbench/spans.py)
+wraps ``SparseState.from_terms`` and ``OpSum.apply`` by name; Ω moves to the
+test oracles once that recorder lives in the package (ROADMAP item 1).
 """
 
 from __future__ import annotations

@@ -6,12 +6,16 @@ an (N, n_edges) uint8 matrix of configurations and the N complex amplitudes,
 kept deduplicated and sorted by the row bytes so that every reduction runs
 in a canonical order.
 
-Only the Haag-duality checks build states: the plane ground state Ω
-(``ground_state``), whose rows give the cone subspace, and exterior ribbon
-images of Ω (``OpSum.apply``), which ``ConeSubspace`` reads into block
-coordinates. Inner products, norms, Gram matrices and Gram-Schmidt over
-states live with the test oracles (tests/oracles.py). The benchmark's traced
-pass (perfbench/spans.py) wraps ``SparseState.from_terms`` by name.
+No check builds a state. Only haag-check's cross-check on cones of at most
+3 edges (``duality.materialized_cross_check``) does: the plane ground state Ω
+(``ground_state``), whose rows give the cone block a second time, and the
+boundary ribbon images of Ω (``OpSum.apply``), whose distance to the cone
+subspace ``MaterializedCone.residual`` reads, both compared with their
+flat-group forms. Inner products, norms, Gram matrices and Gram-Schmidt over
+states live with the test oracles (tests/oracles.py). This module stays in
+the package because the benchmark's traced pass (perfbench/spans.py) wraps
+``SparseState.from_terms`` and ``OpSum.apply`` by name; it moves to the
+oracles once that recorder lives in the package (ROADMAP item 1).
 """
 
 from __future__ import annotations

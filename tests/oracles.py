@@ -47,11 +47,11 @@ something the package computes another way:
   and ``sample_exterior_ribbons`` and ``boundary_ribbons`` pick theirs from
   that list, the latter by catching the search's refusals, for the
   path-based versions in ``duality``;
-- ``orthonormalize`` is plain Gram-Schmidt, for ``cone_subspace``;
+- ``orthonormalize`` is plain Gram-Schmidt, for ``materialized_cone``;
 - ``closure_rank`` grows the ribbon closure from materialized states with a
   pivoted Cholesky on their Gram matrix, for ``ribbon_closure_rank``;
 - ``cone_coeffs`` reads a state's block coordinates with
-  ``ConeSubspace``'s own key lookup, for the coordinate tests;
+  ``MaterializedCone``'s own key lookup, for the coordinate tests;
 - ``density_ranks_by_svd`` takes the density check's ranks from a real SVD
   of both families in block coordinates (``region_images``, whose S_M C
   reads ``ConeSubspace.region_action``, and
@@ -91,6 +91,7 @@ from qdlattice.duality import (
     EXTERIOR_RIBBON_LEN,
     SUBSPACE_TOL,
     ConeSubspace,
+    MaterializedCone,
     detecting_exterior_sites,
     ribbons_in_region,
 )
@@ -330,10 +331,10 @@ def label_ops(lat: Lattice, group: AbelianGroup, ribbons: Iterable[Ribbon]) -> l
     ]
 
 
-def cone_coeffs(subspace: ConeSubspace, psi: SparseState) -> np.ndarray:
+def cone_coeffs(subspace: MaterializedCone, psi: SparseState) -> np.ndarray:
     """<a tensor w_j | psi> as a (|G|^k, dim W) block: the projection
-    step of ``ConeSubspace.residual`` on its own."""
-    return subspace._project(*subspace._buckets(psi)[:3])
+    step of ``MaterializedCone.residual`` on its own."""
+    return subspace._project(subspace._cells(*subspace._codes(psi)), psi.amps)
 
 
 def region_images(subspace: ConeSubspace, op) -> tuple[np.ndarray, np.ndarray]:

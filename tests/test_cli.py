@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -267,6 +268,37 @@ def test_haag_check_z3_passes_at_the_default_lattice(tmp_path):
     )
 
 
+@pytest.mark.parametrize("group", ["z2", "z3", "z4", "z2xz2"])
+def test_haag_check_passes_at_the_default_lattice(tmp_path, group):
+    """Every group of order at most 4 passes all 5 checks on the default 3x4
+    plane, z4 and z2xz2 included, whose Omega of 4^11 rows is never built."""
+    out = tmp_path / "r.json"
+    assert run_cli(["--experiment", "haag-check", "--group", group, "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert schema_errors(data) == []
+    assert data["config"]["lattice"] == "3x4:plane"
+    assert [c["status"] for c in data["checks"]] == ["pass"] * 5
+
+
+def test_haag_check_on_the_4x4_plane_fits_z3_and_refuses_z4_at_once(tmp_path, capsys):
+    """z3's 6561 x 729 cone block fits under the cap and every check passes;
+    z4's 65536 x 4096 block is refused with one line before it is
+    allocated."""
+    out = tmp_path / "r.json"
+    args = ["--experiment", "haag-check", "--lattice", "4x4:plane", "--out", str(out)]
+    assert run_cli(args + ["--group", "z3"]) == 0
+    assert [c["status"] for c in json.loads(out.read_text())["checks"]] == ["pass"] * 5
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert run_cli(["--experiment", "haag-check", "--group", "z4", "--lattice", "4x4:plane"]) == 2
+    assert time.perf_counter() - start < 2.0
+    err = capsys.readouterr().err
+    assert err == (
+        "error: haag-check: cone block of 4^8 x 4^6 entries (4^7 potential rows) on 4x4"
+        " is above the cap of 8388608\n"
+    )
+
+
 def test_haag_check_z2_passes_on_the_4x4_plane(capsys):
     """On the 4x4 plane the cone has 8 edges: the density check enumerates
     none of their 2^16 monomials, and all 5 checks pass."""
@@ -293,3 +325,24 @@ def test_start_up_and_haag_check_leave_scipy_unimported(tmp_path):
     run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     assert json.loads(out.read_text())["passed"] is True
+
+
+def test_haag_check_and_plane_groundstate_leave_numpy_ma_unimported(tmp_path):
+    """A bare ``np.unique`` imports ``numpy.ma``, about 12 ms under numpy
+    2.4: haag-check on the default 3x4 plane and groundstate on the 3x3
+    plane count distinct rows without it. Run in a fresh interpreter, since
+    other tests import numpy.ma here."""
+    out = tmp_path / "r.json"
+    script = (
+        "import sys\n"
+        "from qdlattice import cli\n"
+        "assert 'numpy.ma' not in sys.modules, 'imported with the CLI'\n"
+        "runs = [['--experiment', 'haag-check'], ['--experiment', 'groundstate', '--lattice', '3x3:plane']]\n"
+        "for args in runs:\n"
+        f"    assert cli.main(args + ['--out', {str(out)!r}]) == 0, args\n"
+        "    assert 'numpy.ma' not in sys.modules, args\n"
+    )
+    src = str(SCHEMA.parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr

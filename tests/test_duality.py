@@ -11,11 +11,14 @@ from hypothesis import given, settings, strategies as st
 from qdlattice import duality
 from qdlattice.duality import (
     DualityError,
+    boundary_maps,
     boundary_membership_check,
     cone_subspace,
     density_ranks,
     detecting_exterior_sites,
     external_charge_orthogonality_check,
+    materialized_cone,
+    membership_residuals,
     ribbon_closure_rank,
     ribbons_in_region,
     self_adjoint_density_check,
@@ -159,7 +162,7 @@ def cone_case(request):
     lat = Lattice(w, h, "plane")
     omega = ground_state(lat, group)
     cone = cone_make((1, 1), ["N", "E"], lat)
-    sub = cone_subspace(cone, lat, group, omega)
+    sub = materialized_cone(cone, lat, group, omega)
     oracle = None
     if request.param not in BLOCK_ONLY:
         oracle = MaterializedSubspace(cone, lat, group, omega, SAMPLED.get(request.param))
@@ -360,16 +363,18 @@ def small_cone():
     lat = Lattice(3, 3, "plane")
     omega = ground_state(lat, Z2)
     cone = cone_make((1, 1), ["N", "E"], lat)
-    sub = cone_subspace(cone, lat, Z2, omega)
+    sub = materialized_cone(cone, lat, Z2, omega)
     return lat, omega, cone, sub
 
 
 def test_trivial_region_subspace():
     lat = Lattice(3, 3, "plane")
     omega = ground_state(lat, Z2)
-    sub = cone_subspace(Region(lat, frozenset()), lat, Z2, omega)
+    empty = Region(lat, frozenset())
+    sub = materialized_cone(empty, lat, Z2, omega)
     assert sub.dim == 1
     assert sub.residual(omega) < 1e-12
+    assert np.array_equal(cone_subspace(empty, lat, Z2).omega_coeffs, sub.omega_coeffs)
 
 
 def test_closure_matches_factorized_dimension():
@@ -378,7 +383,7 @@ def test_closure_matches_factorized_dimension():
     lat = Lattice(3, 3, "plane")
     omega = ground_state(lat, Z2)
     cone = cone_make((1, 1), ["N", "E"], lat)
-    sub = cone_subspace(cone, lat, Z2, omega)
+    sub = cone_subspace(cone, lat, Z2)
     ranks = ribbon_closure_rank(sub)
     assert ranks == closure_rank(cone, lat, Z2, omega, duality.CLOSURE_LENGTH_CAP)
     assert ranks == (16, 16) and sub.dim == 16
@@ -403,7 +408,7 @@ def plane_4x4_cone():
     lat = Lattice(4, 4, "plane")
     omega = ground_state(lat, Z2)
     cone = cone_make((2, 2), ["N", "E"], lat)
-    return lat, omega, cone, cone_subspace(cone, lat, Z2, omega)
+    return lat, omega, cone, materialized_cone(cone, lat, Z2, omega)
 
 
 def test_external_orthogonality_and_membership(plane_4x4_cone):
@@ -413,7 +418,7 @@ def test_external_orthogonality_and_membership(plane_4x4_cone):
     rng = random.Random(5)
     recs = [
         external_charge_orthogonality_check(cone, lat, Z2, detectors, rng, samples=60),
-        boundary_membership_check(cone, lat, Z2, omega, sub, detectors, rng),
+        boundary_membership_check(cone, lat, Z2, boundary_maps(cone, lat, Z2, detectors, rng)),
     ]
     assert all(r.passed for r in recs), [(r.name, r.max_error) for r in recs]
     assert all(r.max_error <= 1e-9 for r in recs)
@@ -457,7 +462,7 @@ def test_monomial_sweep_matches_projection_z3():
     lat = Lattice(3, 3, "plane")
     omega = ground_state(lat, group)
     cone = cone_make((1, 1), ["N", "E"], lat)
-    sub = cone_subspace(cone, lat, group, omega)
+    sub = materialized_cone(cone, lat, group, omega)
     assert _sweep_against_projection(lat, group, omega, cone, sub) > 0
 
 
@@ -574,41 +579,143 @@ def test_orthogonality_check_neither_sweeps_nor_composes(monkeypatch):
         assert rec.passed, spec
 
 
-def test_haag_check_refuses_z4_and_z2xz2_before_building_omega(monkeypatch):
-    """At the default 3x4 plane Omega's 4^11 rows are counted from the
-    lattice and refused above OMEGA_ROWS_CAP; Omega is never built."""
-    from qdlattice import experiments
-    from qdlattice.groundstate import GroundStateError
+def _unreachable(*args, **kwargs):
+    raise AssertionError("Omega or the block's rows were built")
+
+
+def test_haag_check_passes_z4_and_z2xz2_without_building_omega(monkeypatch):
+    """At the default 3x4 plane Omega would have 4^11 rows. The block comes
+    from the flat group and membership from ``cone_overlaps``, and the
+    4-edge cone runs no materialized cross-check, so all 5 checks pass and
+    no state is built."""
+    from qdlattice import experiments, groundstate
     from qdlattice.reports import RunConfig
 
-    def unreachable(*args, **kwargs):
-        raise AssertionError("Omega built before its row count")
-
-    monkeypatch.setattr(experiments, "ground_state", unreachable)
+    monkeypatch.setattr(duality, "ground_state", _unreachable)
+    monkeypatch.setattr(groundstate, "ground_state", _unreachable)
+    monkeypatch.setattr(SparseState, "from_terms", _unreachable)
     lat = Lattice(3, 4, "plane")
     for spec in ["z4", "z2xz2"]:
         cfg = RunConfig("haag-check", group=spec, lattice="3x4:plane", seed=0)
-        with pytest.raises(
-            GroundStateError,
-            match=r"^ground state of 4\^11 = 4194304 rows on 3x4 is above the cap of 1048576$",
-        ):
-            experiments.run_haag(cfg, parse_group(spec), lat)
+        rep = experiments.run_haag(cfg, parse_group(spec), lat)
+        assert [c.status for c in rep.checks] == ["pass"] * 5, spec
+        assert rep.checks[0].details.startswith("cone of 4 edges, subspace dimension 65536;")
+        assert rep.checks[3].max_error == 0.0
 
 
-def test_haag_check_refuses_oversized_omega_before_the_density_pool(monkeypatch):
-    """On 12x12 Omega's 2^143 rows are counted from the lattice and refused
-    before Omega is built, so the density check never runs."""
+def test_haag_check_refuses_an_oversized_cone_block_before_enumerating(monkeypatch):
+    """On 12x12 the cone has 200 edges: the block's 2^200 x 2^38 entries are
+    counted from the graph and refused before any potential row, ribbon or
+    state is enumerated."""
     from qdlattice import experiments
-    from qdlattice.groundstate import GroundStateError
     from qdlattice.reports import RunConfig
 
-    def unreachable(*args, **kwargs):
-        raise AssertionError("Omega built before its row count")
-
-    monkeypatch.setattr(experiments, "ground_state", unreachable)
+    monkeypatch.setattr(duality, "ground_state", _unreachable)
+    monkeypatch.setattr(duality, "digit_rows", _unreachable)
+    monkeypatch.setattr(experiments, "detecting_exterior_sites", _unreachable)
     cfg = RunConfig("haag-check", group="z2", lattice="12x12:plane", seed=0)
-    with pytest.raises(GroundStateError, match=r"2\^143 = \d+ rows on 12x12 is above the cap"):
+    with pytest.raises(
+        DualityError,
+        match=r"^cone block of 2\^200 x 2\^38 entries \(2\^\d+ potential rows\) on 12x12"
+        r" is above the cap of 8388608$",
+    ):
         experiments.run_haag(cfg, parse_group("z2"), Lattice(12, 12, "plane"))
+
+
+# (group, width, height): every patch on which Omega fits under
+# OMEGA_ROWS_CAP rows, from the default 3x4 and its neighbours to z2 on 3x7
+OMEGA_CASES = [
+    *[(spec, 3, 3) for spec in ["z2", "z3", "z4", "z2xz2"]],
+    *[(spec, w, h) for spec in ["z2", "z3"] for w, h in [(3, 4), (4, 3)]],
+    *[("z2", w, h) for w, h in [(4, 4), (3, 5), (3, 7)]],
+]
+
+
+def _applied_residuals(read, omega, maps):
+    """``MaterializedCone``'s residual of F Omega for each map F without
+    deltas. F Omega's rows are Omega's rows moved by ``AffineMap.eval``:
+    such a map is a bijection, so no row repeats. Omega's region indices and
+    exterior keys are coded once, and each map's are updated on the edges it
+    shifts."""
+    radix, edges, ext = read.group.order, sorted(read.region.edges), read.ext_edges
+    base = read._codes(omega)
+    place = {e: (0, radix ** (len(edges) - 1 - i)) for i, e in enumerate(edges)}
+    place.update({e: (1, radix ** (len(ext) - 1 - i)) for i, e in enumerate(ext)})
+    roots = read.group.tables()["roots"]
+    out = []
+    for f in maps:
+        alive, pnum, shifted = f.eval(omega.configs)
+        assert alive.all()
+        coded = [base[0].copy(), base[1].copy()]
+        for e, _ in f.shifts:
+            which, weight = place[e]
+            coded[which] += (shifted[:, e].astype(np.int64) - omega.configs[:, e]) * weight
+        out.append(read._residual(read._cells(*coded), omega.amps * roots[pnum]))
+    return out
+
+
+@pytest.mark.parametrize("spec,width,height", OMEGA_CASES, ids=lambda x: str(x))
+def test_flat_group_block_and_membership_match_omega(spec, width, height):
+    """On run_haag's cone: the block from the flat group equals the block read
+    off Omega's rows, entry for entry, and the closed-form membership
+    residual equals the residual of the materialized F Omega for every
+    boundary ribbon with every nontrivial label. On the 3x3 patch the
+    exterior ribbons of up to 3 triangles join in, so that both residuals,
+    0 and 1, occur."""
+    group = parse_group(spec)
+    lat = Lattice(width, height, "plane")
+    cone = cone_make((1, 1), ["N", "E"], lat)
+    omega = ground_state(lat, group)
+    read = materialized_cone(cone, lat, group, omega)
+    assert np.array_equal(cone_subspace(cone, lat, group).omega_coeffs, read.omega_coeffs)
+    ribbons = duality.boundary_ribbons(lat, cone, detecting_exterior_sites(lat, cone))
+    labels = sector_labels(group)[1:]
+    maps = [ribbon_F_irrep(lat, group, r, chi, c) for r in ribbons for chi, c in labels]
+    assert maps
+    small = width * height == 9
+    if small:
+        maps += _exterior_maps(lat, group, cone, max_len=3)
+    closed = membership_residuals(lat, group, cone, maps)
+    assert set(closed) == ({0.0, 1.0} if small else {0.0})
+    np.testing.assert_allclose(_applied_residuals(read, omega, maps), closed, rtol=0, atol=1e-9)
+    # the cross-check's own path, OpSum.apply and MaterializedCone.residual
+    assert abs(read.residual(as_opsum(maps[0]).apply(omega)) - closed[0]) <= 1e-9
+
+
+@pytest.mark.parametrize("spec,width,height", [("z2", 3, 3), ("z3", 3, 3), ("z2", 3, 4), ("z2", 4, 3)])
+def test_flat_group_block_matches_omega_on_random_regions(spec, width, height):
+    """The flat-group block against the block read off Omega's rows on 40
+    seeded random edge sets per patch, from empty to every edge: regions of
+    several components, with vertices that no exterior edge reaches, take
+    every branch of the gauge fixing."""
+    group = parse_group(spec)
+    lat = Lattice(width, height, "plane")
+    omega = ground_state(lat, group)
+    rng = random.Random(width * height)
+    for _ in range(40):
+        edges = rng.sample(range(lat.n_edges), rng.randrange(lat.n_edges + 1))
+        region = Region(lat, frozenset(edges))
+        read = materialized_cone(region, lat, group, omega).omega_coeffs
+        assert np.array_equal(cone_subspace(region, lat, group).omega_coeffs, read), sorted(edges)
+
+
+def test_materialized_cross_check_catches_a_wrong_block_or_residual(monkeypatch):
+    """The cross-check agrees on the 3x3 cone, and fails on a block with its
+    columns reversed and on a map outside H_Lambda whose closed-form
+    residual is made to read 0: it compares the flat-group values with
+    Omega's, it does not assume them."""
+    lat = Lattice(3, 3, "plane")
+    cone = cone_make((1, 1), ["N", "E"], lat)
+    sub = cone_subspace(cone, lat, Z2)
+    maps = boundary_maps(cone, lat, Z2, detecting_exterior_sites(lat, cone), random.Random(0))
+    assert duality.materialized_cross_check(cone, lat, Z2, sub, maps)
+    reversed_columns = duality.ConeSubspace(cone, lat, Z2, sub.omega_coeffs[:, ::-1].copy())
+    assert not duality.materialized_cross_check(cone, lat, Z2, reversed_columns, maps)
+    outside = next(
+        f for f in _exterior_maps(lat, Z2, cone, 3) if membership_residuals(lat, Z2, cone, [f]) == [1.0]
+    )
+    monkeypatch.setattr(duality, "membership_residuals", lambda lat, group, region, maps: [0.0] * len(maps))
+    assert not duality.materialized_cross_check(cone, lat, Z2, sub, [outside])
 
 
 def _all_pairs_subspace(region, lat, group, omega):
@@ -670,7 +777,7 @@ def test_coset_subspace_matches_all_pairs_gram_schmidt(order, height, kind):
         cone = Region(lat, frozenset())
     else:
         cone = cone_make((1, 1), ["N", "E"], lat)
-    sub = cone_subspace(cone, lat, group, omega)
+    sub = materialized_cone(cone, lat, group, omega)
     ext_keys, w_conj, coeffs = _all_pairs_subspace(cone, lat, group, omega)
     assert np.array_equal(sub.ext_keys, ext_keys)
     # every exterior key carries exactly one w_j, of value 1/sqrt(|K|)
@@ -679,6 +786,7 @@ def test_coset_subspace_matches_all_pairs_gram_schmidt(order, height, kind):
     assert np.array_equal(sub.key_cols, w.indices)
     np.testing.assert_allclose(w.data, 1 / np.sqrt(sub.coset_size), rtol=0, atol=1e-15)
     np.testing.assert_allclose(sub.omega_coeffs, coeffs, rtol=0, atol=1e-15)
+    assert np.array_equal(cone_subspace(cone, lat, group).omega_coeffs, sub.omega_coeffs)
 
 
 @pytest.mark.parametrize(
@@ -697,7 +805,7 @@ def test_coset_subspace_matches_all_pairs_gram_schmidt(order, height, kind):
 def test_cone_shape_matches_cone_subspace(spec, width, height, kind):
     """(|G|^k, dim W) with dim H_Lambda = |G|^(k + V + 1 - c(Lambda) -
     c(E minus Lambda)), from the graph alone, against the coset
-    construction on Omega's rows."""
+    construction on the flat group."""
     group = parse_group(spec)
     lat = Lattice(width, height, "plane")
     if kind == "star":
@@ -706,15 +814,14 @@ def test_cone_shape_matches_cone_subspace(spec, width, height, kind):
         cone = _bulk(lat)
     else:
         cone = cone_make((1, 1), ["N", "E"], lat)
-    sub = cone_subspace(cone, lat, group, ground_state(lat, group))
+    sub = cone_subspace(cone, lat, group)
     assert sub.omega_coeffs.shape == cone_shape(lat, group, cone)
 
 
 def test_density_rank_and_negative_control():
     lat = Lattice(3, 4, "plane")
-    omega = ground_state(lat, Z2)
     cone = cone_make((1, 1), ["N", "E"], lat)
-    sub = cone_subspace(cone, lat, Z2, omega)
+    sub = cone_subspace(cone, lat, Z2)
     spans, control = self_adjoint_density_check(sub)
     assert spans.passed, spans.details
     assert control.passed, control.details
@@ -765,7 +872,7 @@ def test_full_patch_subspace_dimension():
     lat = Lattice(3, 4, "plane")
     omega = ground_state(lat, Z2)
     bulk = _bulk(lat)
-    sub = cone_subspace(bulk, lat, Z2, omega)
+    sub = materialized_cone(bulk, lat, Z2, omega)
     flats = flat_connections(lat, Z2)
     rim = [e for e in lat.edges() if lat.is_rim(e)]
     rim_patterns = {tuple(row[rim]) for row in flats}
@@ -783,9 +890,11 @@ def test_cone_region_has_boundary():
 
 
 def test_haag_report_states_the_skipped_closure_check():
-    """The default cone has 4 edges, above the closure cross-check's limit of
-    3: the construction check says so, and every other check appears once.
-    On 3x3 the cone has 2 edges and the closure check runs as well."""
+    """The default cone has 4 edges, above the limit of 3 of the closure and
+    materialized cross-checks: the construction check says so, and every
+    other check appears once. On 3x3 the cone has 2 edges, the closure check
+    runs as well, and the construction check reports the materialized
+    cross-check's agreement."""
     from qdlattice.experiments import run_haag
     from qdlattice.groups import parse_group
     from qdlattice.lattice import parse_lattice
@@ -795,11 +904,21 @@ def test_haag_report_states_the_skipped_closure_check():
         (
             "z2",
             "3x4:plane",
-            "cone of 4 edges, subspace dimension 256; ribbon closure cross-check"
-            " skipped: it runs on cones of at most 3 edges",
+            "cone of 4 edges, subspace dimension 256; ribbon closure and materialized"
+            " Omega cross-checks skipped: they run on cones of at most 3 edges",
         ),
-        ("z2", "3x3:plane", "cone of 2 edges, subspace dimension 16"),
-        ("z3", "3x3:plane", "cone of 2 edges, subspace dimension 81"),
+        (
+            "z2",
+            "3x3:plane",
+            "cone of 2 edges, subspace dimension 16; block and 5 boundary residuals"
+            " match the materialized Omega",
+        ),
+        (
+            "z3",
+            "3x3:plane",
+            "cone of 2 edges, subspace dimension 81; block and 5 boundary residuals"
+            " match the materialized Omega",
+        ),
     ]
     for spec, lattice, details in cases:
         cfg = RunConfig("haag-check", group=spec, lattice=lattice, seed=4300)
@@ -810,7 +929,7 @@ def test_haag_report_states_the_skipped_closure_check():
         assert len(closure) == ("skipped" not in details)
         assert len(names) == len(set(names)) == 5 + len(closure)
         if closure:
-            dim = int(details.split()[-1])
+            dim = int(details.split(";")[0].split()[-1])
             assert closure[0].details == f"closure ranks ({dim}, {dim}) vs dimension {dim}"
         assert rep.all_passed
 
