@@ -19,7 +19,7 @@ a gradient vanishing on the exterior (``cone_subspace`` gives the gauge
 fixing that labels the cosets). The iterative ribbon-operator closure is
 kept as an independent construction, grown in the block coordinates below
 (``ribbon_closure_rank``), and the two are checked against each other on
-cones of at most 3 edges.
+small cones (``small_cone_skip``).
 
 ``ConeSubspace`` works in these tensor coordinates and never lists the
 |G|^k * dim W product vectors. A vector of H_Lambda is a block X[a, j], the
@@ -79,8 +79,8 @@ EXTERIOR_RIBBON_LEN triangles, enumerated as triangle tuples, and build a
 ``Ribbon`` only for a chain they keep. The caller finds the detecting
 deep-exterior sites once per lattice and passes them to both checks.
 
-What still materializes: only ``materialized_cross_check``, on cones of at
-most 3 edges, builds Omega (``ground_state``), reads C and W's exterior keys
+What still materializes: only ``materialized_cross_check``, on the small
+cones of ``small_cone_skip``, builds Omega (``ground_state``), reads C and W's exterior keys
 off its rows (``materialized_cone``) and applies the boundary maps to it
 (``OpSum.apply``, ``MaterializedCone.residual``). No check needs Omega.
 The cross-check stays in the package because the benchmark's traced pass
@@ -98,8 +98,6 @@ from typing import Iterator
 import numpy as np
 
 from .groundstate import (
-    OMEGA_ROWS_CAP,
-    GroundStateError,
     face_fluxes,
     ground_state,
     shift_rows,
@@ -112,6 +110,7 @@ from .lattice import (
     Ribbon,
     Site,
     Triangle,
+    components,
     joined_sites,
     positive_moves,
 )
@@ -135,6 +134,8 @@ CLOSURE_ROUNDS = 8
 # exterior ribbons of the orthogonality and membership checks: 2 to this
 # many triangles
 EXTERIOR_RIBBON_LEN = 6
+# rows of the Omega that the small-cone checks build
+OMEGA_ROWS_CAP = 1 << 20
 # entries of the cone block C (n x m, complex): z3 on the 4x4 plane has
 # 6561 x 729, z4 there 65536 x 4096
 CONE_BLOCK_CAP = 1 << 23
@@ -217,23 +218,6 @@ class ConeSubspace:
         return out
 
 
-def _components(n: int, pairs) -> list[int]:
-    """The component of each of n nodes in the graph whose edges are
-    `pairs`, named by one of its nodes: a union-find with path halving, so
-    a whole patch costs about one pass over its edges."""
-    parent = list(range(n))
-
-    def root(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for a, b in pairs:
-        parent[root(b)] = root(a)
-    return [root(v) for v in range(n)]
-
-
 def cone_subspace(region: Region, lat: Lattice, group: AbelianGroup) -> ConeSubspace:
     """H_Lambda in factorized coordinates, from the flat group F of a plane
     patch, the gradients d phi: no state is built and no element of F is
@@ -265,9 +249,9 @@ def cone_subspace(region: Region, lat: Lattice, group: AbelianGroup) -> ConeSubs
     radix = group.order
     ends = [lat.edge_endpoints(e) for e in sorted(region.edges)]
     touched = sorted({v for pair in ends for v in pair})
-    inner = _components(lat.n_vertices, ends)
+    inner = components(lat.n_vertices, ends)
     exterior = (lat.edge_endpoints(e) for e in lat.edges() if e not in region.edges)
-    outer = _components(lat.n_vertices, exterior)
+    outer = components(lat.n_vertices, exterior)
     links: dict[tuple[str, int], list] = {}
     for u in touched:
         a, b = ("in", inner[u]), ("out", outer[u])
@@ -520,7 +504,7 @@ def _absorbed(group: AbelianGroup, charges: np.ndarray, pairs) -> np.ndarray:
     component (a node on no pair is one) is trivial."""
     add = group.tables()["add"]
     net = np.zeros_like(charges)
-    for x, c in enumerate(_components(charges.shape[1], pairs)):
+    for x, c in enumerate(components(charges.shape[1], pairs)):
         net[:, c] = add[net[:, c], charges[:, x]]
     return ~net.any(axis=1)
 
@@ -610,6 +594,21 @@ def boundary_membership_check(
     )
 
 
+def small_cone_skip(region: Region, lat: Lattice, group: AbelianGroup) -> str:
+    """Why the ribbon closure and ``materialized_cross_check`` do not run
+    on this cone, or "" when they do: on at most 3 edges, and Omega's
+    |G|^(V-1) rows, counted from the lattice, within OMEGA_ROWS_CAP."""
+    if len(region.edges) > 3:
+        return "they run on cones of at most 3 edges"
+    power = lat.n_vertices - 1
+    if group.order**power > OMEGA_ROWS_CAP:
+        return (
+            f"they run where Omega has at most {OMEGA_ROWS_CAP} rows,"
+            f" not {group.order}^{power} = {group.order**power}"
+        )
+    return ""
+
+
 def materialized_cross_check(
     region: Region, lat: Lattice, group: AbelianGroup, subspace: ConeSubspace, maps
 ) -> bool:
@@ -617,14 +616,7 @@ def materialized_cross_check(
     C read off Omega's rows (``materialized_cone``) equals ``cone_subspace``'s
     entry for entry, and each map's residual from its applied state
     (``MaterializedCone.residual``) equals ``membership_residuals`` within
-    SUBSPACE_TOL. Omega's |G|^(V-1) rows are counted from the lattice and
-    refused above OMEGA_ROWS_CAP before it is built."""
-    power = lat.n_vertices - 1
-    if group.order**power > OMEGA_ROWS_CAP:
-        raise GroundStateError(
-            f"ground state of {group.order}^{power} = {group.order**power} rows on"
-            f" {lat.width}x{lat.height} is above the cap of {OMEGA_ROWS_CAP}"
-        )
+    SUBSPACE_TOL. Run only where ``small_cone_skip`` is empty."""
     omega = ground_state(lat, group)
     read = materialized_cone(region, lat, group, omega)
     if not np.array_equal(read.omega_coeffs, subspace.omega_coeffs):

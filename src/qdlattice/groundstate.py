@@ -21,21 +21,20 @@ expectation is computed from that group, not from an amplitude vector. An
 s lies in F when every face flux of s is trivial and, on the torus, both
 ``torus_holonomies`` of s are trivial. M's delta and character expressions
 are sums of edge values; on a gradient each one telescopes to an integer
-combination of vertex potentials (a vertex form), so the mean runs over the
-potentials of the vertices those forms touch, with one of them fixed by the
-gauge freedom.
+combination of vertex potentials (a vertex form). Ω is a stabilizer state,
+so the mean is the solution count of a linear system over G times one root
+of unity (Hostens, Dehaene and De Moor, PRA 71, 042315, 2005), and it is
+solved, not enumerated: the delta forms are the rows of an integer matrix
+A, one diagonal form P·A·Q = D decouples the potentials, and each
+coordinate of each cyclic factor contributes a gcd and a phase
+(``_system_means``). A map without deltas gives 1 or 0: one character per
+vertex (``vertex_characters``), 1 when all are trivial.
 
 ``omega_expectations(lat, group, ops)`` is the one implementation, and it
 takes whole batches (``OpSum`` terms by linearity): every term's shift is
-tested against F in one face-flux pass, every term is checked against a
-capped number of potential rows before anything is enumerated, and the terms
-are grouped by the vertices they touch, so that each vertex set's potentials
-are enumerated once and each distinct form is evaluated on them once. Terms
-that only test deltas on a shared set of forms, such as the connection
-projectors of one edge set, read their counts off one histogram.
-
-For a map without deltas the mean is 1 or 0: it is a product of one
-character per vertex (``vertex_characters``), and 1 when all are trivial.
+tested against F in one face-flux pass, and the terms that test the same
+delta forms, such as the connection projectors of one edge set, share one
+diagonal form and one numpy pass. Nothing is enumerated or capped.
 
 Distances need no vector either: for single maps,
 ‖F₁Ω − F₂Ω‖² = ω(F₁†F₁) + ω(F₂†F₂) − 2 Re ω(F₁†F₂) (``omega_distances``, one
@@ -44,7 +43,7 @@ checks all measure their distances this way; a torus sector vector is
 reached by composing with T_ab.
 
 ``ground_state`` still materializes Ω on a plane patch, but no check needs
-it: only haag-check's cross-check on cones of at most 3 edges
+it: only haag-check's cross-check on small cones
 (``duality.materialized_cross_check``) reads the cone block off its rows and
 applies the boundary ribbons to it, against the flat-group forms. It stays
 in the package because the benchmark's traced pass (perfbench/spans.py)
@@ -54,34 +53,29 @@ test oracles once that recorder lives in the package (ROADMAP item 1).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .groups import AbelianGroup, Element, codes, digit_rows
+from .groups import AbelianGroup, Element, digit_rows
 from .lattice import Lattice
 from .operators import AffineMap, OpSum, as_opsum
 from .states import SparseState
 
 # rows flat_connections may enumerate: |G|^(V-1) gradients
 FLAT_ROWS_CAP = 1 << 22
-# vertex-potential rows one omega_expectations term may enumerate
-OMEGA_ROWS_CAP = 1 << 20
 
 
 class GroundStateError(ValueError):
     pass
 
 
-def _potentials(group: AbelianGroup, n_free: int) -> np.ndarray:
-    """Every assignment of group indices to n_free vertices, one uint8 row
-    each, the first vertex least significant."""
-    return digit_rows(group.order, n_free)[:, ::-1]
-
-
 def _gradient_configs(lat: Lattice, group: AbelianGroup) -> np.ndarray:
     """Edge configurations of all vertex potentials with the root fixed."""
     t = group.tables()
     add, neg = t["add_u8"], t["neg_u8"]
-    free = _potentials(group, lat.n_vertices - 1)
+    # every potential of the free vertices, the first least significant
+    free = digit_rows(group.order, lat.n_vertices - 1)[:, ::-1]
     pots = np.zeros((len(free), lat.n_vertices), dtype=np.uint8)
     pots[:, 1:] = free
     configs = np.zeros((len(free), lat.n_edges), dtype=np.uint8)
@@ -226,23 +220,23 @@ def _vertex_form(lat: Lattice, group: AbelianGroup, coeffs) -> tuple[tuple[int, 
 
 
 def vertex_characters(lat: Lattice, group: AbelianGroup, maps) -> np.ndarray:
-    """Per map, the character index of each vertex (columns, in vertex
-    order) in its phases read on a gradient dφ: chi(sum c_v φ_v) puts
-    chi^(c_v) on each vertex of the ``_vertex_form``."""
-    add, mult = group.tables()["add"], group.tables()["mult"]
+    """Per map without deltas, the character index of each vertex (columns,
+    in vertex order) in its phases read on a gradient dφ, as
+    ``_gradient_factors`` reads them."""
     out = np.zeros((len(maps), lat.n_vertices), dtype=np.int64)
+    forms: dict = {}
     for r, m in enumerate(maps):
-        for ci, coeffs, _ in m.chars:
-            for v, c in _vertex_form(lat, group, coeffs):
-                out[r, v] = add[out[r, v], mult[c, ci]]
+        for v, ci in _gradient_factors(lat, group, m, forms)[2].items():
+            out[r, v] = ci
     return out
 
 
 def _gradient_factors(lat: Lattice, group: AbelianGroup, m: AffineMap, forms: dict):
     """m's deltas and character phases as functions of the vertex
     potentials: (constant phase numerator, {form: delta target},
-    {form: character index}), or None when a constant delta fails. ``forms``
-    memoizes ``_vertex_form`` by coefficient tuple."""
+    {vertex: character index}), or None when a constant delta fails:
+    chi(sum c_v φ_v) puts chi^(c_v) on each vertex of the ``_vertex_form``.
+    ``forms`` memoizes ``_vertex_form`` by coefficient tuple."""
 
     def form_of(coeffs):
         if coeffs not in forms:
@@ -251,6 +245,7 @@ def _gradient_factors(lat: Lattice, group: AbelianGroup, m: AffineMap, forms: di
 
     L = group.phase_denominator
     add, _, char_num = group.index_tables()
+    mult = group.tables()["mult"]
     pnum = m.phase
     deltas: dict[tuple, int] = {}
     for coeffs, target in m.deltas:
@@ -260,118 +255,117 @@ def _gradient_factors(lat: Lattice, group: AbelianGroup, m: AffineMap, forms: di
                 return None
         elif deltas.setdefault(form, target) != target:
             return None
-    chars: dict[tuple, int] = {}
+    chars: dict[int, int] = {}
     for ci, coeffs, offset in m.chars:
         # chi(offset + expr) = chi(offset) chi(expr)
         pnum = (pnum + char_num[ci][offset]) % L
-        form = form_of(coeffs)
-        if form:
-            chars[form] = add[chars.get(form, 0)][ci]
-    chars = {f: ci for f, ci in chars.items() if ci}
+        for v, c in form_of(coeffs):
+            chars[v] = add[chars.get(v, 0)][mult[c, ci]]
     return pnum, deltas, chars
 
 
-def _potential_means(group: AbelianGroup, factors: list, vertices: tuple[int, ...]) -> list[complex]:
-    """Per term, the mean of delta * phase over all potentials of the shared
-    touched vertices. Every form's multiplicities sum to zero, so a common
-    shift of the potentials changes nothing and the first vertex is held at
-    the identity. The potentials are enumerated once and each distinct form
-    is evaluated on them once. Terms that only test deltas, and share their
-    forms with another such term, read their count of surviving potentials
-    off one histogram of the joint form values."""
-    t = group.tables()
-    add, mult, char_num, roots = t["add"], t["mult"], t["char_num"], t["roots"]
+def _diagonal_form(a: list[list[int]], n_cols: int) -> tuple[list[int], list[list[int]], list[list[int]]]:
+    """(d, P, Q) with P·A·Q = diag(d) over the integers, P and Q unimodular,
+    for A with rows `a` and n_cols columns: the Smith normal form without
+    its divisor chain, which the counts do not need. Each pivot is the
+    smallest nonzero entry left, reducing its row and column until clear."""
+    m = len(a)
+    A = [list(row) for row in a]
+    P = [[int(i == j) for j in range(m)] for i in range(m)]
+    Q = [[int(i == j) for j in range(n_cols)] for i in range(n_cols)]
+    for t in range(min(m, n_cols)):
+        while True:
+            rest = [(abs(A[i][j]), i, j) for i in range(t, m) for j in range(t, n_cols) if A[i][j]]
+            if not rest:
+                break
+            _, i, j = min(rest)
+            A[t], A[i], P[t], P[i] = A[i], A[t], P[i], P[t]
+            for row in A + Q:
+                row[t], row[j] = row[j], row[t]
+            p = A[t][t]
+            for i in range(t + 1, m):
+                q = A[i][t] // p
+                A[i] = [x - q * y for x, y in zip(A[i], A[t])]
+                P[i] = [x - q * y for x, y in zip(P[i], P[t])]
+            for j in range(t + 1, n_cols):
+                q = A[t][j] // p
+                for row in A + Q:
+                    row[j] -= q * row[t]
+            if not any(A[i][t] for i in range(t + 1, m)) and not any(A[t][t + 1 :]):
+                break
+    return [A[k][k] for k in range(min(m, n_cols))], P, Q
+
+
+def _system_means(group: AbelianGroup, system: tuple, factors: list) -> list[complex]:
+    """Per term (``_gradient_factors``) of one delta system, the mean of
+    delta * phase over all vertex potentials φ, exactly. The system's forms
+    are the rows of A, A φ = t; with P·A·Q = D and φ = Q ψ it reads D ψ = s
+    for s = P t, and the vertex characters b read c·ψ for c = b·Q. Per
+    cyclic factor Z_n, pivot d_j with g = gcd(d_j, n) gives
+    (g/n) [g | s_j] [g | c_j] e^(2πi c_j ψ0_j / n) for d_j ψ0_j = s_j; a
+    column without a pivot needs c_j = 0, a row without one s_j = 0, and a
+    vertex outside the system a trivial character."""
+    roots = group.tables()["roots"]
     L = group.phase_denominator
-    n = group.order
-    free = _potentials(group, max(len(vertices) - 1, 0))
-    rows = len(free)
-    pots = {v: free[:, k] for k, v in enumerate(vertices[1:])}
-    if vertices:
-        pots[vertices[0]] = np.zeros(rows, dtype=np.uint8)
-    values: dict[tuple, np.ndarray] = {}
-
-    def value(form) -> np.ndarray:
-        if form not in values:
-            acc = np.zeros(rows, dtype=np.int64)
-            for v, c in form:
-                acc = add[acc, mult[c, pots[v]]]
-            values[form] = acc.astype(np.uint8)
-        return values[form]
-
-    by_forms: dict[tuple, list[int]] = {}
-    for j, (_, deltas, chars) in enumerate(factors):
-        if not chars:
-            by_forms.setdefault(tuple(deltas), []).append(j)
-    counts: dict[int, int] = {}
-    for forms, js in by_forms.items():
-        if len(js) < 2:
-            continue
-        joint = np.zeros((rows, len(forms)), dtype=np.uint8)
-        for i, form in enumerate(forms):
-            joint[:, i] = value(form)
-        code = codes(joint, range(len(forms)), n)
-        hist = dict(zip(*(a.tolist() for a in np.unique(code, return_counts=True))))
-        targets = np.array([[factors[j][1][form] for form in forms] for j in js])
-        for j, target in zip(js, codes(targets, range(len(forms)), n).tolist()):
-            counts[j] = hist.get(target, 0)
-
-    # the same summands as below: counts[j] copies of one root
-    sums: dict[tuple[int, int], complex] = {}
-    means = []
-    for j, (pnum, deltas, chars) in enumerate(factors):
-        if j in counts:
-            key = (counts[j], pnum)
-            if key not in sums:
-                sums[key] = complex(np.sum(np.full(counts[j], roots[pnum])))
-            means.append(sums[key] / rows)
-            continue
-        alive = np.ones(rows, dtype=bool)
-        for form, target in deltas.items():
-            alive &= value(form) == target
-        phase = np.full(rows, pnum, dtype=np.int64)
-        for form, ci in chars.items():
-            phase = (phase + char_num[ci, value(form)]) % L
-        means.append(complex(np.sum(roots[phase[alive]])) / rows)
-    return means
+    digits = np.array([group.element_at(i) for i in range(group.order)], dtype=np.int64)
+    vertices = sorted({v for form in system for v, _ in form})
+    col = {v: j for j, v in enumerate(vertices)}
+    d, P, Q = _diagonal_form([[dict(form).get(v, 0) for v in vertices] for form in system], len(vertices))
+    # unimodular over the integers, so invertible mod every factor order
+    P, Q = (np.array([[x % L for x in row] for row in M], dtype=np.int64).reshape(len(M), len(M)) for M in (P, Q))
+    targets = np.array([[ds[f] for f in system] for _, ds, _ in factors], dtype=np.int64)
+    targets = targets.reshape(len(factors), len(system))
+    chars = np.zeros((len(factors), len(vertices)), dtype=np.int64)
+    alive = np.ones(len(factors), dtype=bool)
+    for r, (_, _, term_chars) in enumerate(factors):
+        for v, ci in term_chars.items():
+            if v in col:
+                chars[r, col[v]] = ci
+            elif ci:
+                alive[r] = False
+    pnum = np.array([p for p, _, _ in factors], dtype=np.int64)
+    num = den = 1
+    for i, n in enumerate(group.orders):
+        s = digits[targets, i] @ P.T % n
+        c = digits[chars, i] @ Q % n
+        for j, dj in enumerate(d):
+            g = math.gcd(dj, n)
+            alive &= (s[:, j] % g == 0) & (c[:, j] % g == 0)
+            num, den = num * g, den * n
+            if g < n:
+                psi0 = s[:, j] // g * pow(dj // g, -1, n // g) % (n // g)
+                pnum += L // n * (c[:, j] * psi0 % n)
+        alive &= ~(s[:, len(d) :] % n).any(axis=1) & ~(c[:, len(d) :] % n).any(axis=1)
+    means = roots[pnum % L] * (num / den)
+    return [complex(x) if ok else 0j for x, ok in zip(means.tolist(), alive.tolist())]
 
 
 def omega_expectations(lat: Lattice, group: AbelianGroup, ops) -> list[complex]:
     """<Ω|op|Ω> for each AffineMap or OpSum in ops, computed from the
     flat-connection group (see the module docstring); Ω is the plane ground
     state or the zero-holonomy torus ground vector. All terms of all ops are
-    tested for a shift in F in one face-flux pass, and terms touching the
-    same vertices share one enumeration of their potentials. Raises
-    GroundStateError, before any enumeration, when a term would need more
-    than OMEGA_ROWS_CAP potential rows."""
+    tested for a shift in F in one face-flux pass, and the terms that test
+    the same delta forms are solved together by ``_system_means``."""
     terms = [(i, coeff, m) for i, op in enumerate(ops) for coeff, m in as_opsum(op).terms]
     in_f = _in_flat_group(lat, group, [m for _, _, m in terms])
     forms: dict = {}
     kept = []
+    by_system: dict[tuple, list[int]] = {}
     for (i, coeff, m), ok in zip(terms, in_f):
         if not ok:
             continue
         factors = _gradient_factors(lat, group, m, forms)
         if factors is None:
             continue
-        _, deltas, chars = factors
-        vertices = tuple(sorted({v for form in (*deltas, *chars) for v, _ in form}))
-        k = max(len(vertices) - 1, 0)
-        if group.order**k > OMEGA_ROWS_CAP:
-            raise GroundStateError(
-                f"ground-state expectation needs {group.order}^{k} = {group.order**k}"
-                f" vertex-potential rows, above the cap of {OMEGA_ROWS_CAP}"
-            )
-        kept.append((i, coeff, factors, vertices))
-    by_vertices: dict[tuple, list[int]] = {}
-    for j, (_, _, _, vertices) in enumerate(kept):
-        by_vertices.setdefault(vertices, []).append(j)
+        by_system.setdefault(tuple(sorted(factors[1])), []).append(len(kept))
+        kept.append((i, coeff, factors))
     means: list = [None] * len(kept)
-    for vertices, js in by_vertices.items():
-        for j, mean in zip(js, _potential_means(group, [kept[j][2] for j in js], vertices)):
+    for system, js in by_system.items():
+        for j, mean in zip(js, _system_means(group, system, [kept[j][2] for j in js])):
             means[j] = mean
     # each op sums its terms in order, from 0, as the builtin sum would
     out: list = [0] * len(ops)
-    for (i, coeff, _, _), mean in zip(kept, means):
+    for (i, coeff, _), mean in zip(kept, means):
         out[i] = out[i] + coeff * mean
     return [complex(x) for x in out]
 

@@ -563,7 +563,7 @@ def _joining_path(lat, tree, s0, s1, allowed, blocked, allow_reversed) -> Option
         s = tree[s].s0
     if len({t.edge for t in path}) == len(path):
         return path[::-1]
-    return _edge_disjoint_dfs(lat, s0, s1, allowed, blocked, allow_reversed, 2 * lat.n_edges)
+    return _edge_disjoint_dfs(lat, s0, s1, allowed, blocked, allow_reversed)
 
 
 def joined_sites(lat: Lattice, s0: Site, ends: Iterable[Site], region: "Region") -> set[Site]:
@@ -580,16 +580,19 @@ def joined_sites(lat: Lattice, s0: Site, ends: Iterable[Site], region: "Region")
 DFS_NODE_CAP = 500_000
 
 
-def _edge_disjoint_dfs(lat, s0, s1, allowed, blocked, allow_reversed, max_len) -> Optional[list[Triangle]]:
-    # iterative deepening keeps the result shortest and deterministic;
-    # the node cap bounds the blow-up when no path exists. Blocked edges
-    # start out as used ones.
-    visited = 0
-    for depth in range(1, max_len + 1):
+def _edge_disjoint_dfs(lat, s0, s1, allowed, blocked, allow_reversed) -> Optional[list[Triangle]]:
+    # iterative deepening keeps the result shortest and deterministic; it
+    # ends at a depth that cuts no chain, which saw every edge-disjoint
+    # chain from s0, or at the node cap. Blocked edges start out as used.
+    visited, depth, cut = 0, 0, True
+    while cut:
+        depth += 1
         stack: list[tuple[Site, list[Triangle], frozenset[int]]] = [(s0, [], blocked)]
+        cut = False
         while stack:
             s, path, used = stack.pop()
             if len(path) >= depth:
+                cut = True
                 continue
             pos, rev = _table_moves(lat, s)
             for tri in reversed(pos + rev if allow_reversed else pos):
@@ -606,6 +609,23 @@ def _edge_disjoint_dfs(lat, s0, s1, allowed, blocked, allow_reversed, max_len) -
                     return new_path
                 stack.append((tri.s1, new_path, used | {tri.edge}))
     return None
+
+
+def components(n: int, pairs) -> list[int]:
+    """The component of each of n nodes in the graph whose edges are
+    `pairs`, named by one of its nodes: a union-find with path halving, so
+    a whole patch costs about one pass over its edges."""
+    parent = list(range(n))
+
+    def root(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for a, b in pairs:
+        parent[root(b)] = root(a)
+    return [root(v) for v in range(n)]
 
 
 # -- regions and cones ------------------------------------------------------------

@@ -6,8 +6,8 @@ an (N, n_edges) uint8 matrix of configurations and the N complex amplitudes,
 kept deduplicated and sorted by the row bytes so that every reduction runs
 in a canonical order.
 
-No check builds a state. Only haag-check's cross-check on cones of at most
-3 edges (``duality.materialized_cross_check``) does: the plane ground state Ω
+No check builds a state. Only haag-check's cross-check on small cones
+(``duality.materialized_cross_check``) does: the plane ground state Ω
 (``ground_state``), whose rows give the cone block a second time, and the
 boundary ribbon images of Ω (``OpSum.apply``), whose distance to the cone
 subspace ``MaterializedCone.residual`` reads, both compared with their

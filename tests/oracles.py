@@ -8,7 +8,9 @@ something the package computes another way:
   linear algebra of ``SparseState``, which the package no longer needs;
 - ``ground_space``, ``expectation`` and ``distance`` work on sparse
   amplitude vectors, for ``omega_expectations`` and ``omega_distances``;
-  ``omega_expectation`` and ``omega_distance`` are those batches of one, and
+  ``omega_expectation`` and ``omega_distance`` are those batches of one;
+  ``potential_means`` enumerates the vertex potentials of one delta
+  system, for ``omega_expectations``' exact solver; and
   ``in_flat_group`` and ``face_flux`` are the one-row flatness test and the
   per-face flux walk, for ``face_fluxes``;
   ``torus_flat_connections`` lists every flat torus connection, for the
@@ -549,6 +551,34 @@ def ground_space(lat: Lattice, group: AbelianGroup) -> list[SparseState]:
     return out
 
 
+def potential_means(group: AbelianGroup, factors: list, vertices: Sequence[int]) -> list[complex]:
+    """Per term (phase numerator, {delta form: target}, {vertex: character
+    index}), the mean of delta * phase over every potential of `vertices`,
+    by enumerating them: the reference for ``groundstate._system_means``."""
+    t = group.tables()
+    add, mult, char_num, roots = t["add"], t["mult"], t["char_num"], t["roots"]
+    L = group.phase_denominator
+    pots = dict(zip(vertices, digit_rows(group.order, len(vertices)).T))
+    rows = group.order ** len(vertices)
+
+    def value(form) -> np.ndarray:
+        acc = np.zeros(rows, dtype=np.int64)
+        for v, c in form:
+            acc = add[acc, mult[c, pots[v]]]
+        return acc
+
+    means = []
+    for pnum, deltas, chars in factors:
+        alive = np.ones(rows, dtype=bool)
+        for form, target in deltas.items():
+            alive &= value(form) == target
+        phase = np.full(rows, pnum, dtype=np.int64)
+        for v, ci in chars.items():
+            phase = (phase + char_num[ci, pots[v]]) % L
+        means.append(complex(np.sum(roots[phase[alive]])) / rows)
+    return means
+
+
 def omega_expectation(lat: Lattice, group: AbelianGroup, op) -> complex:
     """<Ω|op|Ω> for one AffineMap or OpSum: a batch of one."""
     return omega_expectations(lat, group, [op])[0]
@@ -1008,9 +1038,11 @@ def edge_disjoint_dfs(lat, s0, s1, allowed, allow_reversed, max_len) -> Optional
     visited = 0
     for depth in range(1, max_len + 1):
         stack: list[tuple[Site, list[Triangle], frozenset[int]]] = [(s0, [], frozenset())]
+        cut = False
         while stack:
             s, path, used = stack.pop()
             if len(path) >= depth:
+                cut = True
                 continue
             for tri in reversed(site_moves(lat, s, allowed, allow_reversed)):
                 if tri.edge in used:
@@ -1025,6 +1057,8 @@ def edge_disjoint_dfs(lat, s0, s1, allowed, allow_reversed, max_len) -> Optional
                 if tri.s1 == s1:
                     return new_path
                 stack.append((tri.s1, new_path, used | {tri.edge}))
+        if not cut:
+            return None
     return None
 
 

@@ -191,7 +191,7 @@ def test_rejected_config_exits_2_with_one_line(tmp_path, capsys, flag, value, me
 @pytest.mark.parametrize(
     "args",
     [
-        ["--experiment", "groundstate", "--lattice", "12x12:plane"],
+        ["--experiment", "groundstate", "--group", "z16", "--lattice", "3x3:plane"],
         ["--experiment", "haag-check", "--lattice", "12x12:plane"],
         ["--experiment", "smatrix", "--group", "z257"],
     ],
@@ -252,6 +252,38 @@ def test_deform_runs_where_omega_would_be_above_the_cap(tmp_path, group):
     data = json.loads(out.read_text())
     assert data["passed"] is True
     assert [c["status"] for c in data["checks"]] == ["pass"] * 3
+
+
+@pytest.mark.parametrize("group,lattice", [("z2", "12x12:plane"), ("z4", "6x6:plane")])
+def test_groundstate_runs_on_planes_whose_flat_group_is_never_listed(tmp_path, group, lattice):
+    """The plane support check counts the gradients, |G|^(V - c), and the
+    expectations solve each delta system: no flat connection or potential
+    row is enumerated, so 2^143 (z2, 12x12) and 4^35 (z4, 6x6) flat
+    connections pass every check within seconds."""
+    out = tmp_path / "r.json"
+    start = time.perf_counter()
+    assert run_cli(["--experiment", "groundstate", "--group", group, "--lattice", lattice, "--out", str(out)]) == 0
+    assert time.perf_counter() - start < 10.0
+    data = json.loads(out.read_text())
+    assert schema_errors(data) == []
+    assert [c["status"] for c in data["checks"]] == ["pass"] * 3
+
+
+@pytest.mark.parametrize("group,power", [("z6", "6^8 = 1679616"), ("z2xz4", "8^8 = 16777216")], ids=["z6", "z2xz4"])
+def test_haag_check_on_3x3_skips_the_small_cone_checks_above_the_omega_bound(tmp_path, group, power):
+    """The 3x3 cone has 2 edges, but Omega would have more than 2^20 rows:
+    the ribbon closure and the materialized cross-check are skipped, the
+    construction check says why, and the other 5 checks pass."""
+    out = tmp_path / "r.json"
+    args = ["--experiment", "haag-check", "--group", group, "--lattice", "3x3:plane", "--out", str(out)]
+    assert run_cli(args) == 0
+    data = json.loads(out.read_text())
+    assert schema_errors(data) == []
+    assert [c["status"] for c in data["checks"]] == ["pass"] * 5
+    assert data["checks"][0]["details"].endswith(
+        "; ribbon closure and materialized Omega cross-checks skipped:"
+        f" they run where Omega has at most 1048576 rows, not {power}"
+    )
 
 
 def test_haag_check_z3_passes_at_the_default_lattice(tmp_path):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qdlattice import groundstate
 from qdlattice.groups import group_make, parse_group
 from qdlattice.groundstate import (
     GroundStateError,
@@ -18,6 +19,7 @@ from qdlattice.groundstate import (
     omega_expectations,
     shift_rows,
     torus_holonomies,
+    vertex_characters,
 )
 from qdlattice.lattice import (
     Lattice,
@@ -50,6 +52,7 @@ from oracles import (
     norm,
     omega_distance,
     omega_expectation,
+    potential_means,
     scaled,
     torus_flat_connections,
 )
@@ -373,6 +376,89 @@ def test_omega_expectation_nonzero_values(spec):
         assert abs(expectation(omega, op) - want) < 1e-12
 
 
+SOLVER_GROUPS = ["z2", "z3", "z4", "z5", "z6", "z2xz2", "z2xz4"]
+
+
+@st.composite
+def _delta_systems(draw):
+    """(group, system, factors, vertices): 1 to 4 delta forms on 2 to 4
+    vertices and 1 to 4 terms that test them, with deltas only, vertex
+    characters only or both. A form's multiplicities sum to zero, as on a
+    gradient; 3 or 4 forms on 2 vertices leave rows without a pivot. Half
+    the terms take their targets from one potential, so that they have
+    solutions, and half their characters from the forms, as the characters
+    of a map on the edges of its own deltas, so that they survive."""
+    grp = parse_group(draw(st.sampled_from(SOLVER_GROUPS)))
+    add, mult = grp.tables()["add"], grp.tables()["mult"]
+    n, L = grp.order, grp.phase_denominator
+    size = draw(st.integers(2, 4))
+    kind = draw(st.sampled_from(["deltas", "chars", "both"]))
+    elements = st.integers(0, n - 1)
+
+    def form():
+        coeffs = draw(st.lists(elements, min_size=size - 1, max_size=size - 1))
+        coeffs.append(-sum(coeffs) % n)
+        return tuple((v, c) for v, c in enumerate(coeffs) if c)
+
+    def value(f, phi):
+        out = 0
+        for v, c in f:
+            out = int(add[out, mult[c, phi[v]]])
+        return out
+
+    def combination(forms, weights):
+        """Per vertex, sum over forms f of weight_f * f, in the group."""
+        out = {}
+        for f, k in zip(forms, weights):
+            for v, c in f:
+                out[v] = int(add[out.get(v, 0), mult[c, k]])
+        return out
+
+    forms = tuple(sorted({form() for _ in range(draw(st.integers(1, 4)))} - {()}))
+    system = () if kind == "chars" else forms
+    factors = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            phi = draw(st.lists(elements, min_size=size, max_size=size))
+            deltas = {f: value(f, phi) for f in system}
+        else:
+            deltas = {f: draw(elements) for f in system}
+        chars = {}
+        if kind != "deltas":
+            if draw(st.booleans()):
+                chars = combination(forms, draw(st.lists(elements, min_size=len(forms), max_size=len(forms))))
+            else:
+                chars = draw(st.dictionaries(st.integers(0, size - 1), elements, min_size=1))
+        factors.append((draw(st.integers(0, L - 1)), deltas, chars))
+    return grp, system, factors, list(range(size))
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_delta_systems())
+def test_system_means_match_the_potential_enumeration(case):
+    """The diagonal-form solver against the enumeration of every potential,
+    term by term; a vanishing term is exactly 0."""
+    grp, system, factors, vertices = case
+    got = groundstate._system_means(grp, system, factors)
+    want = potential_means(grp, factors, vertices)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert abs(g - w) < 1e-12
+        assert g == 0 or abs(w) > 1e-9
+
+
+@pytest.mark.parametrize("targets,want", [((1, 2, 3), 0.2), ((0, 0, 1), 0.0), ((1, 2, 4), 0.0)])
+def test_system_means_need_dependent_targets_to_agree(targets, want):
+    """x = φ0 - φ1 tested as x, 2x and 3x in z5: three forms on two
+    vertices, so the third row of the diagonal form has no pivot. Targets
+    (0, 0, 1) pass both pivots' tests and fail only that row's."""
+    z5 = group_make([5])
+    system = (((0, 1), (1, 4)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
+    factors = [(0, dict(zip(system, targets)), {})]
+    assert potential_means(z5, factors, [0, 1]) == [want]
+    assert groundstate._system_means(z5, system, factors) == [want]
+
+
 @pytest.mark.parametrize("spec", GROUP_SPECS)
 @pytest.mark.parametrize("width", [2, 3])
 def test_non_contractible_ribbon_has_zero_expectation(spec, width):
@@ -390,28 +476,43 @@ def test_non_contractible_ribbon_has_zero_expectation(spec, width):
     assert abs(expectation(omega, m)) < 1e-15
 
 
-def test_omega_expectation_refuses_large_enumerations():
-    """A character on every horizontal edge of a 7x7 patch touches all 49
-    vertices: 2^48 rows are refused before anything is allocated."""
-    lat = Lattice(7, 7, "plane")
+def _every_h_edge(lat, grp):
+    """The nontrivial character on every horizontal edge of the patch."""
     h_edges = [e for e in lat.edges() if lat.edge_kind_xy(e)[0] == "h"]
-    m = AffineMap(Z2, lat.n_edges, chars=tuple((1, ((e, 1),), 0) for e in h_edges))
-    with pytest.raises(GroundStateError, match=r"2\^48 = 281474976710656 .* above the cap of 1048576"):
-        omega_expectation(lat, Z2, m)
-    edge = AffineMap(Z2, lat.n_edges, chars=((1, ((h_edges[0], 1),), 0),))
-    assert abs(omega_expectation(lat, Z2, edge)) < 1e-15
+    return AffineMap(grp, lat.n_edges, chars=tuple((1, ((e, 1),), 0) for e in h_edges))
+
+
+def _vertex_rule(lat, grp, m):
+    """1 when every vertex character of m is trivial, else 0."""
+    return 0j if vertex_characters(lat, grp, [m]).any() else 1 + 0j
+
+
+def test_omega_expectation_of_every_h_edge_character_follows_the_vertex_rule():
+    """A character on every horizontal edge of a 7x7 patch touches all 49
+    vertices (2^48 potential rows) and evaluates exactly to the rule of
+    ``vertex_characters``: 0, since each row telescopes to its two end
+    vertices. Every face boundary together telescopes to nothing: 1."""
+    lat = Lattice(7, 7, "plane")
+    m = _every_h_edge(lat, Z2)
+    assert omega_expectation(lat, Z2, m) == _vertex_rule(lat, Z2, m) == 0
+    loops = AffineMap(
+        Z2, lat.n_edges, chars=tuple((1, ((e, sign),), 0) for f in lat.faces() for e, sign in lat.plaq_edges(f))
+    )
+    assert omega_expectation(lat, Z2, loops) == _vertex_rule(lat, Z2, loops) == 1
+    edge = AffineMap(Z2, lat.n_edges, chars=(m.chars[0],))
+    assert omega_expectation(lat, Z2, edge) == 0
 
 
 @pytest.mark.parametrize("position", [0, 1, 2])
-def test_omega_expectations_refuse_an_over_cap_op_anywhere_in_a_batch(position):
+def test_omega_expectations_evaluate_every_h_edge_character_anywhere_in_a_batch(position):
     lat = Lattice(7, 7, "plane")
-    h_edges = [e for e in lat.edges() if lat.edge_kind_xy(e)[0] == "h"]
-    big = AffineMap(Z2, lat.n_edges, chars=tuple((1, ((e, 1),), 0) for e in h_edges))
-    edge = AffineMap(Z2, lat.n_edges, chars=((1, ((h_edges[0], 1),), 0),))
+    big = _every_h_edge(lat, Z2)
+    edge = AffineMap(Z2, lat.n_edges, chars=(big.chars[0],))
     ops = [edge, OpSum.of(edge, edge)]
     ops.insert(position, big)
-    with pytest.raises(GroundStateError, match=r"2\^48 = 281474976710656 .* above the cap of 1048576"):
-        omega_expectations(lat, Z2, ops)
+    got = omega_expectations(lat, Z2, ops)
+    assert got[position] == _vertex_rule(lat, Z2, big) == 0
+    assert [v for k, v in enumerate(got) if k != position] == [0, 0]
 
 
 def test_omega_expectation_of_lone_z2_character_is_exactly_zero():

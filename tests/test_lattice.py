@@ -190,6 +190,24 @@ def test_ribbon_between_reports_the_search_cap(monkeypatch):
     assert str(err.value) == f"ribbon search from {s0} to {s1} stopped at the 3-node cap"
 
 
+def test_edge_disjoint_search_stops_once_every_chain_is_seen(monkeypatch):
+    """On the 12x12 plane the shortest site path with reversed moves from
+    vertex (5, 5) at face (5, 5) to vertex (6, 5) at face (5, 4) crosses
+    edge h(5, 5) twice, so on that one edge there is a site path but no
+    edge-disjoint ribbon. The fallback search refuses the pair once a depth
+    cuts no chain at its limit, within a 10-node cap, instead of deepening
+    to 2 * 264 edges, about a thousand visits."""
+    lat = Lattice(12, 12, "plane")
+    s0 = Site(lat.vertex_id(5, 5), lat.face_id(5, 5))
+    s1 = Site(lat.vertex_id(6, 5), lat.face_id(5, 4))
+    path = site_bfs(lat, s0, s1, None, True)
+    assert [t.edge for t in path] == [lat.edge_id("h", 5, 5)] * 2
+    monkeypatch.setattr(lattice, "DFS_NODE_CAP", 10)
+    with pytest.raises(LatticeError) as err:
+        ribbon_between(s0, s1, lat, Region(lat, frozenset([path[0].edge])), allow_reversed=True)
+    assert str(err.value) == f"no ribbon from {s0} to {s1} within the region"
+
+
 def test_ribbon_random_walks_stay_valid():
     lat = Lattice(4, 4, "torus")
     rng = random.Random(2)
