@@ -504,7 +504,10 @@ def test_omega_expectation_of_every_h_edge_character_follows_the_vertex_rule():
 
 
 @pytest.mark.parametrize("position", [0, 1, 2])
-def test_omega_expectations_evaluate_every_h_edge_character_anywhere_in_a_batch(position):
+def test_omega_expectations_refuse_an_over_cap_op_anywhere_in_a_batch(position):
+    """The op that enumerating potentials refused, 2^48 rows above its cap of
+    2^20, is refused no longer: at any position of a batch it evaluates
+    exactly, by the vertex rule, and leaves the other terms as they are."""
     lat = Lattice(7, 7, "plane")
     big = _every_h_edge(lat, Z2)
     edge = AffineMap(Z2, lat.n_edges, chars=(big.chars[0],))
