@@ -57,6 +57,7 @@ from .operators import (
     alpha_ribbon,
     as_opsum,
     beta_ribbon,
+    conjugated,
     enumerate_configs,
     hamiltonian,
     ops_equal,
@@ -455,15 +456,19 @@ def run_groundstate(config: RunConfig, group: AbelianGroup, lat: Lattice) -> Rep
 
     # |G|^(V - c) gradients for c components; all |G|^(E - F) flat
     # connections when the face fluxes are independent, as on a plane
-    support = group.order ** (lat.n_vertices - len(set(components(lat.n_vertices, lat.endpoint_table))))
-    flat_count = group.order ** (lat.n_edges - lat.n_faces)
+    power = lat.n_vertices - len(set(components(lat.n_vertices, lat.endpoint_table)))
+    support, flat_count = group.order**power, group.order ** (lat.n_edges - lat.n_faces)
+    try:
+        terms = f"{support} terms"
+    except ValueError:  # more digits than the interpreter converts to text
+        terms = f"{group.order}^{power} terms"
     brute_skipped = _skip_note("brute-force", group, lat)
     rep.add(
         "support equals the flat connections",
         "ground state is the uniform superposition over flat connections",
         support == flat_count,
         abs(support - flat_count),
-        f"{support} terms" + (f"; {brute_skipped}" if brute_skipped else ""),
+        terms + (f"; {brute_skipped}" if brute_skipped else ""),
     )
     if not brute_skipped:
         cfgs = enumerate_configs(lat.edges()[::-1], lat.n_edges, group.order)
@@ -498,11 +503,7 @@ def run_groundstate(config: RunConfig, group: AbelianGroup, lat: Lattice) -> Rep
     rows = enumerate_configs(edges, lat.n_edges, group.order)
     flats = ~np.any(face_fluxes(lat, group, rows)[:, faces], axis=1)
     n_flat = int(np.sum(flats))
-    elems = group.elements()
-    projectors = [
-        connection_projector(lat, group, {e: elems[gi] for e, gi in zip(edges, row)})
-        for row in rows[:, edges].tolist()
-    ]
+    projectors = [connection_projector(lat, group, dict(zip(edges, r))) for r in rows[:, edges].tolist()]
     errs_flat, errs_nonflat = [], []
     for val, flat in zip(omega_expectations(lat, group, projectors), flats):
         val = val.real
@@ -755,18 +756,13 @@ def run_sectors(config: RunConfig, group: AbelianGroup, lat: Lattice) -> Report:
     # in the unenclosed column
     far = Site(lat.vertex_id(0, 0), lat.face_id(lat.width - 1, lat.height - 1))
     labels = sector_labels(group)
-    # one loop-projector expectation table over all charged states
-    table = {
-        l1: {k: abs(v) for k, v in row.items()}
-        for l1, row in loop_projector_table(lat, group, labels, target, far).items()
-    }
-    worst_gap = 1.0
-    found_all = True
-    for i, l1 in enumerate(labels):
-        for l2 in labels[i + 1 :]:
-            gap = max(abs(table[l1][k] - table[l2][k]) for k in labels)
-            found_all &= abs(gap - 1.0) <= config.tol
-            worst_gap = min(worst_gap, gap)
+    # one loop-projector expectation table over all charged states, and the
+    # largest gap of each unordered pair of rows
+    rows = loop_projector_table(lat, group, labels, target, far)
+    table = np.abs([[rows[l1][k] for k in labels] for l1 in labels])
+    gaps = np.concatenate([np.abs(table[i + 1 :] - table[i]).max(axis=1) for i in range(len(labels))])
+    found_all = bool(np.all(np.abs(gaps - 1.0) <= config.tol))
+    worst_gap = min(1.0, float(gaps.min()))
     rep.add(
         "every unequal label pair is separated by a loop projector",
         "expectation gap |1 - 0| between sectors",
@@ -802,8 +798,7 @@ def run_sectors(config: RunConfig, group: AbelianGroup, lat: Lattice) -> Report:
             # the second: V alpha1(A) Omega = alpha2(A) Omega for local A
             F1 = ribbon_F_irrep(plat, group, r1n, label.chi, label.c)
             F2 = ribbon_F_irrep(plat, group, r2n, label.chi, label.c)
-            a1 = F1.compose(local).compose(F1.adjoint())
-            a2 = F2.compose(local).compose(F2.adjoint())
+            a1, a2 = conjugated(F1.adjoint(), local), conjugated(F2.adjoint(), local)
             intertwined.append((V.compose(a1), a2))
         dists = omega_distances(plat, group, fixed + intertwined)
         errs, intertwine_errs = dists[: len(fixed)], dists[len(fixed) :]

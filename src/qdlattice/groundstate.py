@@ -57,7 +57,7 @@ import math
 
 import numpy as np
 
-from .groups import AbelianGroup, Element, digit_rows
+from .groups import AbelianGroup, digit_rows
 from .lattice import Lattice
 from .operators import AffineMap, OpSum, as_opsum
 from .states import SparseState
@@ -163,15 +163,11 @@ def torus_holonomies(
     return hx, hy
 
 
-def connection_projector(
-    lat: Lattice, group: AbelianGroup, assignment: dict[int, Element]
-) -> AffineMap:
-    """Diagonal projector onto a fixed value of every listed edge."""
+def connection_projector(lat: Lattice, group: AbelianGroup, assignment: dict[int, int]) -> AffineMap:
+    """Diagonal projector onto a fixed value, a packed index, of every listed edge."""
     if not assignment:
         raise GroundStateError("empty edge assignment")
-    deltas = tuple(
-        (((e, +1),), group.index_of(val)) for e, val in sorted(assignment.items())
-    )
+    deltas = tuple((((e, +1),), gi) for e, gi in sorted(assignment.items()))
     return AffineMap(group, lat.n_edges, deltas=deltas)
 
 

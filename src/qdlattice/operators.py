@@ -19,7 +19,8 @@ Operators are applied to sparse states directly, or read row by row from
 ``AffineMap.eval``: on any set of configurations a map is a monomial
 matrix, one target and one phase per row. Operator identities are checked
 exactly by ``ops_equal``, from normal forms or on the configurations of the
-edges that deltas and characters read; ``commutator_phase`` needs neither. Only
+edges that deltas and characters read; ``commutator_phase`` needs neither,
+and ``conjugated`` forms f* m f without an adjoint or a product. Only
 the torus exact-diagonalization cross-check and the test oracles build
 whole matrices (``support_matrix``, ``to_matrix``), so scipy is imported
 there and not with the package.
@@ -182,6 +183,23 @@ class AffineMap:
                 acc = add[acc, col if sign > 0 else neg[col]]
             pnum = (pnum + char_num[ci, acc]) % L
         return alive, pnum
+
+
+def conjugated(f: AffineMap, m: AffineMap) -> AffineMap:
+    """f* m f in one pass, for any two maps: m reads the input shifted by f's
+    shift, f's deltas hold at x and at x + m's shift, and each character of f,
+    read at both, leaves the constant -chi(expr(m's shift)); f's shift,
+    offsets and phase cancel."""
+    g = m.group
+    if g != f.group or m.n_edges != f.n_edges:
+        raise OperatorError("maps live on different lattices or groups")
+    add, neg, char_num = g.index_tables()
+    fs, ms = dict(f.shifts), dict(m.shifts)
+    deltas = [(cs, add[t][neg[_fold_shift(fs, cs, add, neg)]]) for cs, t in m.deltas] + list(f.deltas)
+    deltas += [(cs, add[t][neg[_fold_shift(ms, cs, add, neg)]]) for cs, t in f.deltas]
+    chars = tuple((ci, cs, add[off][_fold_shift(fs, cs, add, neg)]) for ci, cs, off in m.chars)
+    phase = m.phase - sum(char_num[ci][_fold_shift(ms, cs, add, neg)] for ci, cs, _ in f.chars)
+    return AffineMap(g, m.n_edges, m.shifts, tuple(deltas), chars, phase % g.phase_denominator)
 
 
 @dataclass(frozen=True)

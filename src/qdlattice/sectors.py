@@ -7,11 +7,13 @@ extracted either operationally (detectors in charged states) or as exact
 operator phases (braiding and the double exchange): the irrep ribbon
 operators are Weyl maps, so two of them commute up to the phase
 ``commutator_phase`` reads off their shifts and characters, without forming
-a product. No charged state is built: detector readings on F Ω are
-ground-state expectations <Ω|F† X F|Ω> / <Ω|F† F|Ω>, computed from the
-flat-connection group by ``omega_expectations``, one batch per table
-(fusion, loop projectors), and the transporter checks compare images of Ω
-with ``omega_distances``.
+a product. No charged state is built: a detector X read on F Ω is the
+ground-state expectation of the charged-state automorphism,
+<Ω|F† X F|Ω> / <Ω|F† F|Ω>, with each F† X F one map from
+``operators.conjugated`` and all of a table's maps in one
+``omega_expectations`` batch (fusion, loop projectors). Fusion reads its
+charges as one array: the star moments of every F Ω against the character
+table. The transporter checks compare images of Ω with ``omega_distances``.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ from .lattice import (
 )
 from .operators import (
     AffineMap,
-    as_opsum,
     commutator_phase,
+    conjugated,
     loop_charge_projector,
     ribbon_F_irrep,
     star_g,
@@ -62,50 +64,20 @@ def fuse_labels(group: AbelianGroup, a: SectorLabel, b: SectorLabel) -> SectorLa
 
 def omega_charge_moments(
     lat: Lattice, group: AbelianGroup, s: Site, Fs: list[AffineMap]
-) -> list[dict[tuple[Element, Element], complex]]:
-    """Charge moments of each state F Ω, without the state, in one
-    ``omega_expectations`` batch: mu(k, d) = <Ω|F† A^k P_d F|Ω> / <Ω|F† F|Ω>,
-    P_d the projector onto face flux d at s. F Ω lies on configurations
+) -> tuple[np.ndarray, np.ndarray]:
+    """Star moments and flux at s of each state F Ω, without the state, in one
+    ``omega_expectations`` batch of ``conjugated`` maps: row i of the
+    (len(Fs) x |G|) moments is <Ω|F† A^k F|Ω> / <Ω|F† F|Ω> over the packed
+    indices k, and fluxes[i] is a face flux index. F Ω lies on configurations
     c + shift(F) with c flat, and every face of the patch is complete, so the
-    flux at s is that of F's shift on all of F Ω: P_d acts as 1 for that d
-    and as 0 for the others."""
-    elements = group.elements()
-    stars = [star_g(lat, group, s, k) for k in elements]
-    ops = []
-    for F in Fs:
-        Fdag = F.adjoint()
-        ops.append(Fdag.compose(F))
-        ops += [Fdag.compose(A.compose(F)) for A in stars]
-    vals = omega_expectations(lat, group, ops)
-    fluxes = face_fluxes(lat, group, shift_rows(lat, Fs))[:, s.face]
-    out = []
-    for i, d_f in enumerate(fluxes.tolist()):
-        norm, *moments = vals[i * (len(elements) + 1) : (i + 1) * (len(elements) + 1)]
-        if norm == 0:
-            raise GroundStateError("the ribbon operator annihilates the ground state")
-        mu: dict[tuple[Element, Element], complex] = {}
-        for k, val in zip(elements, moments):
-            val = val / norm
-            for d_idx in range(group.order):
-                mu[(k, group.element_at(d_idx))] = val if d_idx == d_f else 0j
-        out.append(mu)
-    return out
-
-
-def _label_from_moments(
-    group: AbelianGroup, mu: dict[tuple[Element, Element], complex]
-) -> Optional[SectorLabel]:
-    """The unique label whose charge projector has expectation 1, if any."""
-    t = group.tables()
-    roots, char_num = t["roots"], t["char_num"]
-    elements = group.elements()
-    for xi in group.characters():
-        xi_roots = [roots[char_num[group.index_of(xi), group.index_of(k)]] for k in elements]
-        for d in elements:
-            val = sum(np.conj(r) * mu[(k, d)] for r, k in zip(xi_roots, elements)) / group.order
-            if abs(val - 1.0) < 1e-9:
-                return SectorLabel(xi, d)
-    return None
+    flux at s is that of F's shift on all of F Ω: the charge moment
+    <A^k P_d> is the star moment for d = fluxes[i] and 0 for every other d."""
+    stars = [AffineMap.identity(group, lat.n_edges)] + [star_g(lat, group, s, k) for k in group.elements()]
+    vals = np.array(omega_expectations(lat, group, [conjugated(F, A) for F in Fs for A in stars]))
+    vals = vals.reshape(len(Fs), len(stars))
+    if not vals[:, 0].all():
+        raise GroundStateError("the ribbon operator annihilates the ground state")
+    return vals[:, 1:] / vals[:, :1], face_fluxes(lat, group, shift_rows(lat, Fs))[:, s.face]
 
 
 # -- distinguishability ----------------------------------------------------------------
@@ -133,17 +105,20 @@ def loop_projector_table(
     projectors = {
         k: loop_charge_projector(lat, group, loop, k.chi, k.c) for k in sector_labels(group)
     }
+    # the projectors share |G|^2 ribbon maps, one per (g, c): by linearity
+    # each F† m F is read once and the terms summed with K's coefficients
+    maps = [AffineMap.identity(group, lat.n_edges)]
+    maps += dict.fromkeys(m for K in projectors.values() for _, m in K.terms)
+    col = {m: j for j, m in enumerate(maps)}
     ops = []
     for label in labels:
-        F = as_opsum(ribbon_F_irrep(lat, group, rho, label.chi, label.c))
-        ops.append(F.adjoint() @ F)
-        ops += [F.adjoint() @ K @ F for K in projectors.values()]
-    vals = iter(omega_expectations(lat, group, ops))
-    table = {}
-    for label in labels:
-        norm = next(vals)
-        table[label] = {k: next(vals) / norm for k in projectors}
-    return table
+        F = ribbon_F_irrep(lat, group, rho, label.chi, label.c)
+        ops += [conjugated(F, m) for m in maps]
+    vals = np.array(omega_expectations(lat, group, ops)).reshape(len(labels), len(maps)).tolist()
+    return {
+        label: {k: sum(c * means[col[m]] for c, m in K.terms) / means[0] for k, K in projectors.items()}
+        for label, means in zip(labels, vals)
+    }
 
 
 def sector_distinguish(
@@ -218,12 +193,21 @@ def fusion_table(
 ) -> dict[tuple[SectorLabel, SectorLabel], Optional[SectorLabel]]:
     """Operational fusion table: apply two ribbon operators along the same
     ribbon to the ground state and measure the composite charge at the start
-    site (None where no label is definite)."""
+    site (None where no label is definite). The charge projector of
+    (xi, d) reads the mean of conj(xi(k)) mu(k, d), so one product of the
+    star moments with the character table gives every xi at the one d that
+    is not 0: the label is the first xi whose value is 1."""
     labels = sector_labels(group)
     ops = {l: ribbon_F_irrep(lat, group, rho, l.chi, l.c) for l in labels}
     pairs = [(a, b) for a in labels for b in labels]
-    moments = omega_charge_moments(lat, group, rho.start, [ops[a].compose(ops[b]) for a, b in pairs])
-    return {pair: _label_from_moments(group, mu) for pair, mu in zip(pairs, moments)}
+    moments, fluxes = omega_charge_moments(lat, group, rho.start, [ops[a].compose(ops[b]) for a, b in pairs])
+    t = group.tables()
+    definite = np.abs(moments @ np.conj(t["roots"][t["char_num"]]).T / group.order - 1.0) < 1e-9
+    elements = group.elements()
+    return {
+        pair: SectorLabel(elements[row.argmax()], elements[d]) if row.any() else None
+        for pair, row, d in zip(pairs, definite, fluxes.tolist())
+    }
 
 
 # -- braiding ----------------------------------------------------------------------------------

@@ -20,6 +20,8 @@ something the package computes another way:
   the groundstate experiment's #flat;
 - ``charged_state``, ``charge_moments`` and ``detect_charge`` read charges
   off a materialized charged state, for ``omega_charge_moments``;
+  ``label_from_moments`` reads the label from the (k, d) moment dict one
+  character at a time, for ``fusion_table``'s array readout;
 - ``charge_projector`` and ``conjugate_label`` are the textbook charge
   detector and antiparticle label;
 - ``phase_of_map`` reads the scalar of a map that is a multiple of the
@@ -136,7 +138,7 @@ from qdlattice.operators import (
     ribbon_F_irrep,
     star_g,
 )
-from qdlattice.sectors import SectorLabel, _label_from_moments, sector_labels
+from qdlattice.sectors import SectorLabel, sector_labels
 from qdlattice.states import SparseState
 
 SPAN_TOL = 1e-9
@@ -739,11 +741,27 @@ def charge_moments(
     return mu
 
 
+def label_from_moments(
+    group: AbelianGroup, mu: dict[tuple[Element, Element], complex]
+) -> Optional[SectorLabel]:
+    """The unique label whose charge projector has expectation 1, if any."""
+    t = group.tables()
+    roots, char_num = t["roots"], t["char_num"]
+    elements = group.elements()
+    for xi in group.characters():
+        xi_roots = [roots[char_num[group.index_of(xi), group.index_of(k)]] for k in elements]
+        for d in elements:
+            val = sum(np.conj(r) * mu[(k, d)] for r, k in zip(xi_roots, elements)) / group.order
+            if abs(val - 1.0) < 1e-9:
+                return SectorLabel(xi, d)
+    return None
+
+
 def detect_charge(
     lat: Lattice, group: AbelianGroup, s: Site, psi: SparseState
 ) -> Optional[SectorLabel]:
     """The unique label whose charge projector fixes psi at s, if any."""
-    return _label_from_moments(group, charge_moments(lat, group, s, psi))
+    return label_from_moments(group, charge_moments(lat, group, s, psi))
 
 
 # -- ribbon deformations --------------------------------------------------------------

@@ -269,6 +269,37 @@ def test_groundstate_runs_on_planes_whose_flat_group_is_never_listed(tmp_path, g
     assert [c["status"] for c in data["checks"]] == ["pass"] * 3
 
 
+@pytest.mark.parametrize(
+    "lattice,terms", [("47x47:plane", "2^2208 terms"), ("12x12:plane", f"{2**143} terms")], ids=["47x47", "12x12"]
+)
+def test_groundstate_writes_a_count_above_the_digit_limit_as_a_power(tmp_path, lattice, terms):
+    """Under a 640-digit limit on int-to-text conversion, the 665-digit
+    count 2^2208 of the 47x47 plane is written as a power; 2^143, which
+    converts, is still written in full."""
+    out = tmp_path / "r.json"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code = run_cli(["--experiment", "groundstate", "--group", "z2", "--lattice", lattice, "--out", str(out)])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 0
+    data = json.loads(out.read_text())
+    assert schema_errors(data) == []
+    assert data["checks"][0]["details"].startswith(f"{terms}; brute-force cross-check skipped")
+
+
+def test_fusion_z2xz4_passes_at_the_default_lattice(tmp_path):
+    """All 64^2 ordered pairs of z2xz4 labels fuse by the label group law on
+    the default 3x3 torus, read from one array of star moments."""
+    out = tmp_path / "r.json"
+    assert run_cli(["--experiment", "fusion", "--group", "z2xz4", "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert schema_errors(data) == []
+    assert data["config"]["lattice"] == "3x3:torus"
+    assert [c["status"] for c in data["checks"]] == ["pass"] * 2
+
+
 @pytest.mark.parametrize("group,power", [("z6", "6^8 = 1679616"), ("z2xz4", "8^8 = 16777216")], ids=["z6", "z2xz4"])
 def test_haag_check_on_3x3_skips_the_small_cone_checks_above_the_omega_bound(tmp_path, group, power):
     """The 3x3 cone has 2 edges, but Omega would have more than 2^20 rows:

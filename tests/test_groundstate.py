@@ -154,12 +154,11 @@ def test_connection_projector_values():
     edges = edges_of_faces(lat, faces)
     n_flat = count_flat_on_faces(lat, Z2, faces)
     total = OpSum(())
-    for assignment in itertools.product(Z2.elements(), repeat=len(edges)):
+    for assignment in itertools.product(range(Z2.order), repeat=len(edges)):
         sub = dict(zip(edges, assignment))
         proj = connection_projector(lat, Z2, sub)
         row = np.zeros((1, lat.n_edges), dtype=np.uint8)
-        for e, val in sub.items():
-            row[0, e] = Z2.index_of(val)
+        row[0, edges] = assignment
         flat = all(int(face_flux(lat, Z2, row, f)[0]) == 0 for f in faces)
         val = expectation(omega, OpSum.of(proj)).real
         if flat:

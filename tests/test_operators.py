@@ -9,6 +9,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import assume, given, settings, strategies as st
 
+from qdlattice.groundstate import omega_expectations
 from qdlattice.groups import group_make
 from qdlattice.lattice import (
     Lattice,
@@ -31,6 +32,7 @@ from qdlattice.operators import (
     beta_ribbon,
     canonical,
     commutator_phase,
+    conjugated,
     hamiltonian,
     loop_charge_projector,
     ops_equal,
@@ -627,6 +629,46 @@ def test_index_algebra_matches_tuple_reference(pair):
 def test_commutator_phase_matches_products_on_weyl_maps(pair):
     a, b = (dataclasses.replace(m, deltas=()) for m in pair)
     assert commutator_phase(a, b) == commutator_by_products(a, b)
+
+
+# -- conjugation against the products -------------------------------------------------------
+
+
+@st.composite
+def _conjugation_pairs(draw):
+    """(f, m) from ``_affine_map``, each of them sometimes the identity or
+    the zero map (an empty delta expression with a nonzero target)."""
+    grp = draw(st.sampled_from(ALGEBRA_GROUPS))
+    special = {
+        "identity": AffineMap.identity(grp, ALGEBRA_EDGES),
+        "zero": AffineMap(grp, ALGEBRA_EDGES, deltas=(((), 1),)),
+    }
+    kinds = st.sampled_from(["drawn", "drawn", "drawn", "identity", "zero"])
+    return tuple(special.get(draw(kinds)) or _affine_map(draw, grp) for _ in range(2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=_conjugation_pairs())
+def test_conjugated_matches_the_product(pair):
+    """f* m f in one pass against the adjoint and two products: as
+    operators, under omega on the 3x3 torus, and, for maps without deltas,
+    as m times the commutator phase of m and f."""
+    f, m = pair
+    grp = m.group
+    product = f.adjoint().compose(m.compose(f))
+    assert ops_equal(conjugated(f, m), product, ALGEBRA_EDGES) < 1e-12
+    lat = Lattice(3, 3, "torus")
+    tf, tm = (dataclasses.replace(x, n_edges=lat.n_edges) for x in (f, m))
+    got, want = omega_expectations(lat, grp, [conjugated(tf, tm), tf.adjoint().compose(tm.compose(tf))])
+    assert abs(got - want) < 1e-12
+    f, m = (dataclasses.replace(x, deltas=()) for x in pair)
+    scaled_m = OpSum.weighted([(grp.tables()["roots"][commutator_phase(m, f)], m)])
+    assert ops_equal(conjugated(f, m), scaled_m, ALGEBRA_EDGES) < 1e-12
+
+
+def test_conjugated_refuses_maps_on_different_groups():
+    with pytest.raises(OperatorError, match="different lattices or groups"):
+        conjugated(AffineMap.identity(Z2, 4), AffineMap.identity(Z3, 4))
 
 
 def test_commutator_phase_refuses_maps_with_deltas():

@@ -34,6 +34,7 @@ from oracles import (
     expectation,
     ground_space,
     is_zero,
+    label_from_moments,
     norm,
     phase_of_map,
 )
@@ -272,14 +273,32 @@ def test_fusion_table_small():
     assert orders == {2}
 
 
+@pytest.mark.parametrize("grp", [Z2, Z3, group_make([2, 2])], ids=["z2", "z3", "z2xz2"])
+def test_fusion_table_reads_the_labels_of_the_dict_readout(grp):
+    """The array readout of ``fusion_table`` against the reference readout,
+    one character and flux at a time, of the same moments as (k, d) dicts."""
+    lat = Lattice(3, 3, "torus")
+    rho = ribbon_between(_site(lat, 1, 1), _site(lat, 2, 2), lat)
+    labels = sector_labels(grp)
+    pairs = [(a, b) for a in labels for b in labels]
+    Fs = [ribbon_F_irrep(lat, grp, rho, *a).compose(ribbon_F_irrep(lat, grp, rho, *b)) for a, b in pairs]
+    moments, fluxes = omega_charge_moments(lat, grp, rho.start, Fs)
+    table = fusion_table(lat, grp, rho)
+    elems = grp.elements()
+    for pair, row, d in zip(pairs, moments, fluxes):
+        mu = {(k, e): row[grp.index_of(k)] if grp.index_of(e) == d else 0j for k in elems for e in elems}
+        assert table[pair] == label_from_moments(grp, mu) == fuse_labels(grp, *pair)
+
+
 @pytest.mark.parametrize("grp", [Z2, Z3])
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_omega_charge_moments_match_state_moments(grp, data):
-    """Charge moments of F Omega from the flat-connection group against the
-    same moments read off the materialized state, with F a product of two
-    ribbon operators in either basis (group-basis ones carry flux deltas, so
-    F Omega is not normalized)."""
+    """Charge moments of F Omega from the flat-connection group, star moments
+    and one flux per state, against the (k, d) moments read off the
+    materialized state, with F a product of two ribbon operators in either
+    basis (group-basis ones carry flux deltas, so F Omega is not
+    normalized)."""
     lat = Lattice(3, 3, "torus")
     omega = ground_space(lat, grp)[0]
     rho = ribbon_between(_site(lat, 1, 1), _site(lat, 2, 2), lat)
@@ -297,6 +316,12 @@ def test_omega_charge_moments_match_state_moments(grp, data):
         return
     s = data.draw(st.sampled_from([rho.start, rho.end]), label="site")
     want = charge_moments(lat, grp, s, psi)
-    got = omega_charge_moments(lat, grp, s, [F])[0]
-    assert set(got) == set(want)
+    moments, fluxes = omega_charge_moments(lat, grp, s, [F])
+    assert moments.shape == (1, grp.order) and fluxes.shape == (1,)
+    # every oracle entry, the zeros at the other fluxes included
+    got = {
+        (k, d): moments[0, grp.index_of(k)] if grp.index_of(d) == fluxes[0] else 0.0
+        for k, d in want
+    }
+    assert len(want) == grp.order**2
     assert max(abs(got[key] - want[key]) for key in want) < 1e-12
