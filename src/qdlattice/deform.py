@@ -15,7 +15,7 @@ and an integer n fixed by the geometry, which holds for every h exactly
 when the group exponent (``phase_denominator``) divides n. The counts n are
 the two crossing numbers (``crossing_number``: each flux expression must
 ignore the other's shifts) and, on the torus, the difference of the two
-handle windings (the signed flux edges where ``groundstate._torus_cocycle``
+handle windings (the signed flux edges where ``groundstate.sector_shift``
 puts the holonomies). The face fluxes of the two shift patterns need no
 count of their own: a ribbon's dual triangles chain its start face to its
 end face, so its signed dual edges per face telescope to [end] − [start],

@@ -97,12 +97,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .groundstate import (
-    face_fluxes,
-    ground_state,
-    shift_rows,
-    vertex_characters,
-)
+from .groundstate import ground_state, shift_fluxes, vertex_characters
 from .groups import AbelianGroup, codes, digit_rows
 from .lattice import (
     Lattice,
@@ -498,32 +493,35 @@ def _detected_labels(group: AbelianGroup, detectors: dict, ribbon: Ribbon, label
     return [(chi, c) for chi, c in labels if (star and chi != e) or (plaq and c != e)]
 
 
-def _absorbed(group: AbelianGroup, charges: np.ndarray, pairs) -> np.ndarray:
-    """Per row of group indices on nodes, whether it is the boundary of a
-    chain on the graph whose edges are `pairs`: whether its sum over each
-    component (a node on no pair is one) is trivial."""
-    add = group.tables()["add"]
-    net = np.zeros_like(charges)
-    for x, c in enumerate(components(charges.shape[1], pairs)):
-        net[:, c] = add[net[:, c], charges[:, x]]
-    return ~net.any(axis=1)
+def _absorbed(group: AbelianGroup, n_rows: int, n_nodes: int, entries, pairs) -> np.ndarray:
+    """Per row of group indices on nodes, given as nontrivial (row, node,
+    index) `entries`, whether it is a boundary on the graph with edges
+    `pairs`: whether its sum on each component (a lone node is one) is trivial."""
+    rows, nodes, values = entries
+    component = np.array(components(n_nodes, pairs), dtype=np.int64)
+    ok = np.ones(n_rows, dtype=bool)
+    ok[group.index_sums(rows * n_nodes + component[nodes], values)[0] // n_nodes] = False
+    return ok
 
 
 def cone_overlaps(lat: Lattice, group: AbelianGroup, region: Region, maps) -> list[float]:
     """max |<M Omega|F Omega>| = max |omega(M^dagger F)| over the region's
     edge monomials M, for each map F without deltas on a plane patch: 1.0
-    when some shift on the region makes F's shift flat (its face fluxes are
-    a boundary on the ``dual_faces`` of the region's bulk edges) and some
-    characters on it cancel F's ``vertex_characters``, and 0.0 otherwise."""
+    when some shift on the region makes F's shift flat (its face fluxes, read
+    by incidence over the maps' shifts, are a boundary on the ``dual_faces``
+    of the region's bulk edges) and some characters on it cancel F's
+    ``vertex_characters``, and 0.0 otherwise."""
     if any(f.deltas for f in maps):
         raise OperatorError("cone overlaps need maps without deltas")
     if lat.is_torus:
         raise DualityError("cone overlaps are read on plane patches")
     edges = sorted(region.edges)
-    fluxes = face_fluxes(lat, group, shift_rows(lat, maps))
-    ok = _absorbed(group, fluxes, [lat.dual_faces(e) for e in edges])
+    duals = [lat.dual_faces(e) for e in edges]
+    ok = _absorbed(group, len(maps), lat.n_faces, shift_fluxes(lat, group, maps), duals)
     charges = vertex_characters(lat, group, maps)
-    ok &= _absorbed(group, charges, [lat.edge_endpoints(e) for e in edges])
+    nonzero = np.nonzero(charges)
+    ends = [lat.edge_endpoints(e) for e in edges]
+    ok &= _absorbed(group, len(maps), lat.n_vertices, (*nonzero, charges[nonzero]), ends)
     return [1.0 if x else 0.0 for x in ok]
 
 

@@ -30,12 +30,10 @@ from .groundstate import (
     face_fluxes,
     connection_projector,
     edges_of_faces,
-    is_flat,
     omega_distances,
     omega_expectations,
     sector_shift,
-    shift_rows,
-    torus_holonomies,
+    shift_fluxes,
 )
 from .groups import AbelianGroup, digit_rows, format_group, parse_group
 from .lattice import (
@@ -400,12 +398,15 @@ def _skip_note(check: str, group: AbelianGroup, lat: Lattice) -> str:
 def run_groundstate(config: RunConfig, group: AbelianGroup, lat: Lattice) -> Report:
     rep = Report("groundstate", config.__dict__.copy())
     if lat.is_torus:
-        # gradients carry trivial holonomy, so the flat cocycle rows of the
+        # gradients carry trivial holonomy, so the flat cocycles of the
         # sector shifts T_ab hold every holonomy pair of the flat connections
         pairs = digit_rows(group.order, 2).tolist()
-        rows = shift_rows(lat, [sector_shift(lat, group, a, b) for a, b in pairs])
-        hx, hy = torus_holonomies(lat, group, rows[is_flat(lat, group, rows)])
-        dim = len(set((hx * group.order + hy).tolist()))
+        owner, row, flux = shift_fluxes(lat, group, [sector_shift(lat, group, a, b) for a, b in pairs])
+        at = row >= lat.n_faces
+        holonomies = np.zeros((len(pairs), 2), dtype=np.int64)
+        holonomies[owner[at], row[at] - lat.n_faces] = flux[at]
+        # a T_ab with a nontrivial face flux is not flat
+        dim = len(set(map(tuple, np.delete(holonomies, owner[~at], axis=0).tolist())))
         rep.add(
             "torus ground-space dimension",
             "degeneracy is the number of flat connections up to gauge",
@@ -472,7 +473,7 @@ def run_groundstate(config: RunConfig, group: AbelianGroup, lat: Lattice) -> Rep
     )
     if not brute_skipped:
         cfgs = enumerate_configs(lat.edges()[::-1], lat.n_edges, group.order)
-        brute = int(np.sum(is_flat(lat, group, cfgs)))
+        brute = int(np.sum(~face_fluxes(lat, group, cfgs).any(axis=1)))
         rep.add(
             "flat enumeration matches brute force",
             "plumbing",

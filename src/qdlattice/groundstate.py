@@ -7,8 +7,8 @@ and the uniform superposition over it is the natural ground state. On a
 torus each flat connection is a gradient plus a harmonic piece labelled by
 the two holonomies, giving the |G|^2 ground-space sectors. Ω is the
 zero-holonomy sector, again the uniform superposition over the gradients;
-the sector with holonomies (a, b) is T_ab Ω, T_ab the pure shift by
-``_torus_cocycle(lat, group, a, b)``. Gradients carry trivial holonomy, so
+the sector with holonomies (a, b) is T_ab Ω, T_ab the pure shift
+``sector_shift(lat, group, a, b)``. Gradients carry trivial holonomy, so
 the torus ground-space dimension is the number of distinct holonomy pairs
 among the |G|^2 flat cocycles, and no torus flat connection is enumerated.
 
@@ -18,9 +18,9 @@ expectation is computed from that group, not from an amplitude vector. An
 
     <Ω|M|Ω> = [s in F] * mean over vertex potentials φ of delta(dφ) phase(dφ).
 
-s lies in F when every face flux of s is trivial and, on the torus, both
-``torus_holonomies`` of s are trivial. M's delta and character expressions
-are sums of edge values; on a gradient each one telescopes to an integer
+s lies in F when its face fluxes and, on the torus, both holonomies are
+trivial (``shift_fluxes``). M's delta and character expressions are sums
+of edge values; on a gradient each one telescopes to an integer
 combination of vertex potentials (a vertex form). Ω is a stabilizer state,
 so the mean is the solution count of a linear system over G times one root
 of unity (Hostens, Dehaene and De Moor, PRA 71, 042315, 2005), and it is
@@ -32,9 +32,10 @@ vertex (``vertex_characters``), 1 when all are trivial.
 
 ``omega_expectations(lat, group, ops)`` is the one implementation, and it
 takes whole batches (``OpSum`` terms by linearity): every term's shift is
-tested against F in one face-flux pass, and the terms that test the same
-delta forms, such as the connection projectors of one edge set, share one
-diagonal form and one numpy pass. Nothing is enumerated or capped.
+tested against F by incidence over the maps' shifts, and the terms that
+test the same delta forms, such as the connection projectors of one edge
+set, share one diagonal form and one numpy pass. Nothing is enumerated or
+capped.
 
 Distances need no vector either: for single maps,
 ‖F₁Ω − F₂Ω‖² = ω(F₁†F₁) + ω(F₂†F₂) − 2 Re ω(F₁†F₂) (``omega_distances``, one
@@ -85,29 +86,20 @@ def _gradient_configs(lat: Lattice, group: AbelianGroup) -> np.ndarray:
     return configs
 
 
-def _torus_cocycle(lat: Lattice, group: AbelianGroup, hx: int, hy: int) -> np.ndarray:
-    """Flat configuration with holonomies (hx, hy) and zero potentials:
-    hx on the x=0 column of h edges, hy on the y=0 row of v edges."""
-    row = np.zeros(lat.n_edges, dtype=np.int64)
-    for y in range(lat.height):
-        row[lat.edge_id("h", 0, y)] = hx
-    for x in range(lat.width):
-        row[lat.edge_id("v", x, 0)] = hy
-    return row
-
-
 def sector_shift(lat: Lattice, group: AbelianGroup, a: int, b: int) -> AffineMap:
-    """T_ab, the pure shift by ``_torus_cocycle(lat, group, a, b)``: T_ab Ω is
-    the ground vector of the torus holonomy sector (a, b)."""
-    row = _torus_cocycle(lat, group, a, b)
-    return AffineMap(group, lat.n_edges, shifts=tuple((e, int(gi)) for e, gi in enumerate(row) if gi))
+    """T_ab, the pure shift by the flat configuration with holonomies (a, b)
+    and zero potentials, a on the x=0 column of h edges and b on the y=0 row
+    of v edges: T_ab Ω is the ground vector of the torus holonomy sector."""
+    shifts = [(lat.edge_id("h", 0, y), a) for y in range(lat.height)]
+    shifts += [(lat.edge_id("v", x, 0), b) for x in range(lat.width)]
+    return AffineMap(group, lat.n_edges, shifts=tuple(sorted((e, gi) for e, gi in shifts if gi)))
 
 
 def flat_connections(lat: Lattice, group: AbelianGroup) -> np.ndarray:
     """All flat configurations of a plane patch, one uint8 row per
     connection: the vertex-potential gradients. Refused, before anything is
     allocated, on a torus (whose flat set is the gradients shifted by each
-    of the |G|^2 cocycles of ``_torus_cocycle``) and above FLAT_ROWS_CAP
+    of the |G|^2 cocycles of ``sector_shift``) and above FLAT_ROWS_CAP
     rows."""
     if lat.is_torus:
         raise GroundStateError("flat_connections enumerates plane patches only")
@@ -134,11 +126,6 @@ def face_fluxes(lat: Lattice, group: AbelianGroup, configs: np.ndarray) -> np.nd
     return flux
 
 
-def is_flat(lat: Lattice, group: AbelianGroup, configs: np.ndarray) -> np.ndarray:
-    """Whether every face flux is trivial, per configuration row."""
-    return ~np.any(face_fluxes(lat, group, configs), axis=1)
-
-
 def ground_state(lat: Lattice, group: AbelianGroup) -> SparseState:
     """Uniform superposition over flat connections (plane patches only: the
     torus ground space is degenerate)."""
@@ -147,20 +134,6 @@ def ground_state(lat: Lattice, group: AbelianGroup) -> SparseState:
     configs = flat_connections(lat, group)
     amps = np.full(len(configs), 1.0 / np.sqrt(len(configs)), dtype=np.complex128)
     return SparseState.from_terms(configs, amps, lat.n_edges, group.order)
-
-
-def torus_holonomies(
-    lat: Lattice, group: AbelianGroup, configs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Holonomy indices along the y=0 horizontal and x=0 vertical cycles."""
-    add = group.tables()["add"]
-    hx = np.zeros(configs.shape[0], dtype=np.int64)
-    for x in range(lat.width):
-        hx = add[hx, configs[:, lat.edge_id("h", x, 0)].astype(np.int64)]
-    hy = np.zeros(configs.shape[0], dtype=np.int64)
-    for y in range(lat.height):
-        hy = add[hy, configs[:, lat.edge_id("v", 0, y)].astype(np.int64)]
-    return hx, hy
 
 
 def connection_projector(lat: Lattice, group: AbelianGroup, assignment: dict[int, int]) -> AffineMap:
@@ -178,29 +151,20 @@ def edges_of_faces(lat: Lattice, faces: list[int]) -> list[int]:
     return sorted(out)
 
 
-def shift_rows(lat: Lattice, maps) -> np.ndarray:
-    """The maps' shift patterns as configuration rows, one per map."""
-    rows = np.zeros((len(maps), lat.n_edges), dtype=np.uint8)
-    for r, m in enumerate(maps):
-        for e, gi in m.shifts:
-            rows[r, e] = gi
-    return rows
-
-
-def _in_flat_group(lat: Lattice, group: AbelianGroup, maps) -> np.ndarray:
-    """Per map, whether its shift lies in the group Ω is uniform over: flat,
-    and on the torus also of trivial holonomy. One face-flux pass for all
-    maps that shift at all."""
-    ok = np.ones(len(maps), dtype=bool)
-    moved = [r for r, m in enumerate(maps) if m.shifts]
-    if moved:
-        rows = shift_rows(lat, [maps[r] for r in moved])
-        flat = ~face_fluxes(lat, group, rows).any(axis=1)
-        if lat.is_torus:
-            hx, hy = torus_holonomies(lat, group, rows)
-            flat &= (hx == 0) & (hy == 0)
-        ok[moved] = flat
-    return ok
+def shift_fluxes(lat: Lattice, group: AbelianGroup, maps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nontrivial checks of the maps' shifts as (map, row, flux index)
+    arrays, sorted: the face fluxes and, on the torus, the two holonomies
+    (``lat.edge_checks``). A shift lies in Ω's group F exactly when its map
+    has no row. Each shift entry is scattered, signed, onto its edge's rows
+    (a padding sign 0 adds the identity) and summed per cyclic factor, so
+    the cost follows the shift entries, not maps × faces."""
+    owner = np.repeat(np.arange(len(maps)), [len(m.shifts) for m in maps])
+    entries = np.array([v for m in maps for shift in m.shifts for v in shift], dtype=np.int64).reshape(-1, 2)
+    rows, signs = (table[entries[:, 0]] for table in lat.edge_checks)
+    values = np.where(signs > 0, entries[:, 1:], group.tables()["neg"][entries[:, 1:]] * (signs < 0))
+    n_rows = lat.n_faces + 2 * lat.is_torus
+    keys, fluxes = group.index_sums((owner[:, None] * n_rows + rows).ravel(), values.ravel())
+    return keys // n_rows, keys % n_rows, fluxes
 
 
 def _vertex_form(lat: Lattice, group: AbelianGroup, coeffs) -> tuple[tuple[int, int], ...]:
@@ -301,9 +265,9 @@ def _system_means(group: AbelianGroup, system: tuple, factors: list) -> list[com
     (g/n) [g | s_j] [g | c_j] e^(2πi c_j ψ0_j / n) for d_j ψ0_j = s_j; a
     column without a pivot needs c_j = 0, a row without one s_j = 0, and a
     vertex outside the system a trivial character."""
-    roots = group.tables()["roots"]
+    t = group.tables()
+    roots, digits = t["roots"], t["digits"]
     L = group.phase_denominator
-    digits = np.array([group.element_at(i) for i in range(group.order)], dtype=np.int64)
     vertices = sorted({v for form in system for v, _ in form})
     col = {v: j for j, v in enumerate(vertices)}
     d, P, Q = _diagonal_form([[dict(form).get(v, 0) for v in vertices] for form in system], len(vertices))
@@ -340,10 +304,11 @@ def omega_expectations(lat: Lattice, group: AbelianGroup, ops) -> list[complex]:
     """<Ω|op|Ω> for each AffineMap or OpSum in ops, computed from the
     flat-connection group (see the module docstring); Ω is the plane ground
     state or the zero-holonomy torus ground vector. All terms of all ops are
-    tested for a shift in F in one face-flux pass, and the terms that test
-    the same delta forms are solved together by ``_system_means``."""
+    tested for a shift in F at once (``shift_fluxes``), and the terms that
+    test the same delta forms are solved together by ``_system_means``."""
     terms = [(i, coeff, m) for i, op in enumerate(ops) for coeff, m in as_opsum(op).terms]
-    in_f = _in_flat_group(lat, group, [m for _, _, m in terms])
+    in_f = np.ones(len(terms), dtype=bool)
+    in_f[shift_fluxes(lat, group, [m for _, _, m in terms])[0]] = False
     forms: dict = {}
     kept = []
     by_system: dict[tuple, list[int]] = {}

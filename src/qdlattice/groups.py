@@ -130,7 +130,8 @@ class AbelianGroup:
 
     def tables(self) -> dict[str, np.ndarray]:
         """Cayley/negation tables over packed indices, integer multiples
-        (``mult[c, g]`` is g added to itself c times), plus per-character
+        (``mult[c, g]`` is g added to itself c times), each index's residues
+        (``digits[g]``, one column per cyclic factor), plus per-character
         phase-numerator tables (units of 1/phase_denominator turns)."""
         if self._tables:
             return self._tables
@@ -151,10 +152,23 @@ class AbelianGroup:
             for j, g in enumerate(elems):
                 char_num[i, j] = int(self.char_phase(chi, g) * L) % L
         roots = np.array([phase_to_complex(Fraction(k, L)) for k in range(L)])
-        self._tables.update(add=add, neg=neg, mult=mult, char_num=char_num, roots=roots)
+        digits = np.array(elems, dtype=np.int64).reshape(n, len(self.orders))
+        self._tables.update(add=add, neg=neg, mult=mult, char_num=char_num, roots=roots, digits=digits)
         # uint8 copies for arithmetic on configuration rows (MAX_ORDER fits)
         self._tables.update(add_u8=add.astype(np.uint8), neg_u8=neg.astype(np.uint8))
         return self._tables
+
+    def index_sums(self, keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct keys, sorted, and the packed sum of the packed indices
+        `values` at each, every cyclic factor summed mod its order; keys whose
+        sum is the identity are dropped. It sorts, as ``np.unique`` imports
+        numpy.ma."""
+        order = np.argsort(keys)
+        keys = keys[order]
+        start = np.flatnonzero(keys != np.concatenate(([-1], keys[:-1])))  # where each key's run starts
+        sums = np.add.reduceat(self.tables()["digits"][values[order]], start, axis=0) % self.orders
+        packed = np.ravel_multi_index(tuple(sums.T), self.orders)
+        return keys[start][packed != 0], packed[packed != 0]
 
     def index_tables(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
         """``tables()``'s add, neg and char_num as nested Python tuples, for

@@ -274,6 +274,27 @@ class Lattice:
         edges.flags.writeable = forward.flags.writeable = False
         return edges, forward
 
+    @cached_property
+    def edge_checks(self) -> tuple[np.ndarray, np.ndarray]:
+        """``face_walks`` read per edge, as two (edges, k) arrays: the check
+        rows an edge's value enters, and its sign there (+1 along the walk,
+        -1 against it, 0 for padding). Row f < n_faces is face f; on the
+        torus rows n_faces and n_faces + 1 are the holonomy cycles, the y=0
+        h edges and the x=0 v edges (computed once, read-only)."""
+        checks: list[list] = [[] for _ in self.edges()]
+        for f, (walk, forward) in enumerate(zip(*(a.tolist() for a in self.face_walks))):
+            for e, along in zip(walk, forward):
+                checks[e].append((f, 1 if along else -1))
+        if self.is_torus:
+            for x in range(self.width):
+                checks[self.edge_id("h", x, 0)].append((self.n_faces, 1))
+            for y in range(self.height):
+                checks[self.edge_id("v", 0, y)].append((self.n_faces + 1, 1))
+        k = max(map(len, checks))
+        table = np.array([c + [(0, 0)] * (k - len(c)) for c in checks], dtype=np.int64)
+        table.flags.writeable = False
+        return table[:, :, 0], table[:, :, 1]
+
     # -- sites ------------------------------------------------------------------
 
     def faces_at_vertex_cw(self, v: int) -> list[Optional[int]]:
@@ -319,27 +340,22 @@ class Lattice:
 
     # -- dual-edge orientation ----------------------------------------------------
 
-    def dual_faces(self, e: int) -> tuple[int, int]:
-        """(tail, head) faces of the dual edge crossing e: right face to left
-        face of e. Raises on plane-patch rim edges with a single face."""
-        kind, x, y = self.edge_kind_xy(e)
-        try:
-            if kind == "h":
-                return self.face_id(x, y - 1), self.face_id(x, y)
-            return self.face_id(x, y), self.face_id(x - 1, y)
-        except LatticeError:
-            raise LatticeError(f"edge {e} lies on the patch rim") from None
-
     @cached_property
     def dual_face_table(self) -> tuple[Optional[tuple[int, int]], ...]:
-        """``dual_faces`` of every edge, None on the rim (computed once)."""
+        """(tail, head) faces of the dual edge crossing each edge: the face
+        walked against the edge (on its right), then the one walked along it
+        (``edge_checks``); None on a plane patch's rim (computed once)."""
         out: list[Optional[tuple[int, int]]] = []
-        for e in self.edges():
-            try:
-                out.append(self.dual_faces(e))
-            except LatticeError:
-                out.append(None)
+        for rows, signs in zip(*(a.tolist() for a in self.edge_checks)):
+            faces = {sign: f for f, sign in zip(rows, signs) if sign and f < self.n_faces}
+            out.append((faces[-1], faces[1]) if len(faces) == 2 else None)
         return tuple(out)
+
+    def dual_faces(self, e: int) -> tuple[int, int]:
+        """``dual_face_table`` of e; raises on plane-patch rim edges."""
+        if self.dual_face_table[e] is None:
+            raise LatticeError(f"edge {e} lies on the patch rim")
+        return self.dual_face_table[e]
 
     def is_rim(self, e: int) -> bool:
         """Whether e lies on a plane patch's rim: one face, no dual triangle."""

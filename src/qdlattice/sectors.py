@@ -43,7 +43,7 @@ from .operators import (
     ribbon_F_irrep,
     star_g,
 )
-from .groundstate import GroundStateError, face_fluxes, omega_expectations, shift_rows
+from .groundstate import GroundStateError, omega_expectations, shift_fluxes
 
 
 class SectorLabel(NamedTuple):
@@ -68,16 +68,20 @@ def omega_charge_moments(
     """Star moments and flux at s of each state F Ω, without the state, in one
     ``omega_expectations`` batch of ``conjugated`` maps: row i of the
     (len(Fs) x |G|) moments is <Ω|F† A^k F|Ω> / <Ω|F† F|Ω> over the packed
-    indices k, and fluxes[i] is a face flux index. F Ω lies on configurations
-    c + shift(F) with c flat, and every face of the patch is complete, so the
-    flux at s is that of F's shift on all of F Ω: the charge moment
-    <A^k P_d> is the star moment for d = fluxes[i] and 0 for every other d."""
+    indices k, and fluxes[i] is a face flux index, read by incidence over the
+    maps' shifts. F Ω lies on configurations c + shift(F) with c flat, and
+    every face of the patch is complete, so the flux at s is that of F's
+    shift on all of F Ω: the charge moment <A^k P_d> is the star moment for
+    d = fluxes[i] and 0 for every other d."""
     stars = [AffineMap.identity(group, lat.n_edges)] + [star_g(lat, group, s, k) for k in group.elements()]
     vals = np.array(omega_expectations(lat, group, [conjugated(F, A) for F in Fs for A in stars]))
     vals = vals.reshape(len(Fs), len(stars))
     if not vals[:, 0].all():
         raise GroundStateError("the ribbon operator annihilates the ground state")
-    return vals[:, 1:] / vals[:, :1], face_fluxes(lat, group, shift_rows(lat, Fs))[:, s.face]
+    owner, row, flux = shift_fluxes(lat, group, Fs)
+    fluxes = np.zeros(len(Fs), dtype=np.int64)
+    fluxes[owner[row == s.face]] = flux[row == s.face]
+    return vals[:, 1:] / vals[:, :1], fluxes
 
 
 # -- distinguishability ----------------------------------------------------------------

@@ -12,7 +12,9 @@ something the package computes another way:
   ``potential_means`` enumerates the vertex potentials of one delta
   system, for ``omega_expectations``' exact solver; and
   ``in_flat_group`` and ``face_flux`` are the one-row flatness test and the
-  per-face flux walk, for ``face_fluxes``;
+  per-face flux walk, for ``face_fluxes`` and ``shift_fluxes``, and
+  ``shift_rows``, ``is_flat`` and ``torus_holonomies`` are the dense shift
+  rows, flatness and holonomy walks they read, for ``shift_fluxes``;
   ``torus_flat_connections`` lists every flat torus connection, for the
   holonomy count of the groundstate experiment; ``all_configs`` lists every
   configuration of a patch and ``count_flat_on_faces`` counts the flat
@@ -103,14 +105,12 @@ from qdlattice.groundstate import (
     FLAT_ROWS_CAP,
     GroundStateError,
     _gradient_configs,
-    _torus_cocycle,
     edges_of_faces,
     face_fluxes,
     ground_state,
     omega_distances,
     omega_expectations,
-    shift_rows,
-    torus_holonomies,
+    sector_shift,
 )
 from qdlattice.groups import AbelianGroup, Char, Element, digit_rows
 from qdlattice.lattice import (
@@ -519,7 +519,8 @@ def cone_shape(lat: Lattice, group: AbelianGroup, region: Region) -> tuple[int, 
 
 def torus_flat_connections(lat: Lattice, group: AbelianGroup) -> np.ndarray:
     """Every flat torus configuration: each gradient plus each holonomy
-    cocycle ``_torus_cocycle(lat, group, a, b)``, one uint8 row apiece."""
+    cocycle, the shift of ``sector_shift(lat, group, a, b)``, one uint8 row
+    apiece."""
     power = lat.n_vertices + 1
     if group.order**power > FLAT_ROWS_CAP:
         raise GroundStateError(
@@ -531,8 +532,8 @@ def torus_flat_connections(lat: Lattice, group: AbelianGroup) -> np.ndarray:
     parts = []
     for hx in range(group.order):
         for hy in range(group.order):
-            c0 = _torus_cocycle(lat, group, hx, hy)
-            parts.append(add_table[grads, c0[None, :]].astype(np.uint8))
+            c0 = shift_rows(lat, [sector_shift(lat, group, hx, hy)])
+            parts.append(add_table[grads, c0].astype(np.uint8))
     return np.concatenate(parts)
 
 
@@ -617,6 +618,34 @@ def face_flux(lat: Lattice, group: AbelianGroup, configs: np.ndarray, f: int) ->
         col = configs[:, e].astype(np.int64)
         acc = add[acc, col if sign > 0 else neg[col]]
     return acc
+
+
+def shift_rows(lat: Lattice, maps) -> np.ndarray:
+    """The maps' shift patterns as dense configuration rows, one per map."""
+    rows = np.zeros((len(maps), lat.n_edges), dtype=np.uint8)
+    for r, m in enumerate(maps):
+        for e, gi in m.shifts:
+            rows[r, e] = gi
+    return rows
+
+
+def is_flat(lat: Lattice, group: AbelianGroup, configs: np.ndarray) -> np.ndarray:
+    """Whether every face flux is trivial, per configuration row."""
+    return ~np.any(face_fluxes(lat, group, configs), axis=1)
+
+
+def torus_holonomies(
+    lat: Lattice, group: AbelianGroup, configs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Holonomy indices along the y=0 horizontal and x=0 vertical cycles."""
+    add = group.tables()["add"]
+    hx = np.zeros(configs.shape[0], dtype=np.int64)
+    for x in range(lat.width):
+        hx = add[hx, configs[:, lat.edge_id("h", x, 0)].astype(np.int64)]
+    hy = np.zeros(configs.shape[0], dtype=np.int64)
+    for y in range(lat.height):
+        hy = add[hy, configs[:, lat.edge_id("v", 0, y)].astype(np.int64)]
+    return hx, hy
 
 
 def in_flat_group(lat: Lattice, group: AbelianGroup, row: np.ndarray) -> bool:
@@ -834,7 +863,7 @@ def deformation_pair_by_shifts(lat: Lattice, group: AbelianGroup, r1: Ribbon, r2
     if lat.is_torus:
         for a in range(1, group.order):
             for hx, hy in ((a, 0), (0, a)):
-                row = _torus_cocycle(lat, group, hx, hy).astype(np.uint8)[None, :]
+                row = shift_rows(lat, [sector_shift(lat, group, hx, hy)])
                 if flux_reading(lat, group, r1, row) != flux_reading(lat, group, r2, row):
                     return False
     return True

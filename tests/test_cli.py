@@ -409,3 +409,28 @@ def test_haag_check_and_plane_groundstate_leave_numpy_ma_unimported(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
+
+
+def test_benchmark_cells_leave_scipy_unimported(tmp_path):
+    """Every cell of the benchmark's workloads (BENCHMARK.json names them,
+    perfbench/workloads.json lists their cells) runs in one fresh
+    interpreter, exits 0 and leaves scipy unimported: importing it would add
+    to every cell's start-up time and peak RSS."""
+    root = SCHEMA.parent.parent.parent
+    names = [w["name"] for w in json.loads((root / "BENCHMARK.json").read_text())["workloads"]]
+    workloads = json.loads((root / "perfbench" / "workloads.json").read_text())["workloads"]
+    cells = [(c["experiment"], c["group"], c["lattice"]) for name in names for c in workloads[name]["cells"]]
+    assert cells, names
+    out = tmp_path / "r.json"
+    script = (
+        "import sys\n"
+        "from qdlattice import cli\n"
+        f"for experiment, group, lattice in {cells!r}:\n"
+        "    args = ['--experiment', experiment, '--group', group, '--lattice', lattice]\n"
+        f"    assert cli.main(args + ['--out', {str(out)!r}]) == 0, args\n"
+        "    assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], args\n"
+    )
+    src = str(SCHEMA.parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr

@@ -7,7 +7,7 @@ import pytest
 from qdlattice.deform import crossing_number, is_deformation_pair, sample_ribbon_pairs
 from qdlattice.groups import group_make
 from qdlattice.experiments import _control_labels, run_deform
-from qdlattice.groundstate import _torus_cocycle, ground_state, omega_distances, sector_shift
+from qdlattice.groundstate import ground_state, omega_distances, sector_shift
 from qdlattice.lattice import (
     Lattice,
     LatticeError,
@@ -38,6 +38,7 @@ from oracles import (
     omega_distance,
     paths_between,
     shift_pattern,
+    shift_rows,
 )
 
 Z2 = group_make([2])
@@ -128,7 +129,7 @@ def test_torus_windings_are_read_mod_the_exponent():
     inverse = ribbon_invert(loop)
     assert loop.is_closed and inverse.start == loop.start
     z4xz2 = group_make([4, 2])
-    row = _torus_cocycle(lat, z4xz2, 1, 0).astype(np.uint8)[None, :]
+    row = shift_rows(lat, [sector_shift(lat, z4xz2, 1, 0)])
     assert flux_reading(lat, z4xz2, loop, row) == flux_reading(lat, z4xz2, inverse, row)
     for grp, deformation in ((Z2, True), (z4xz2, False)):
         assert is_deformation_pair(lat, grp, loop, inverse) == deformation

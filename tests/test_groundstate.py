@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -14,11 +15,10 @@ from qdlattice.groundstate import (
     face_fluxes,
     flat_connections,
     ground_state,
-    is_flat,
     omega_distances,
     omega_expectations,
-    shift_rows,
-    torus_holonomies,
+    sector_shift,
+    shift_fluxes,
     vertex_characters,
 )
 from qdlattice.lattice import (
@@ -49,12 +49,15 @@ from oracles import (
     ground_space,
     in_flat_group,
     inner,
+    is_flat,
     norm,
     omega_distance,
     omega_expectation,
     potential_means,
     scaled,
+    shift_rows,
     torus_flat_connections,
+    torus_holonomies,
 )
 
 Z2 = group_make([2])
@@ -564,6 +567,96 @@ def test_face_fluxes_match_per_face_oracle(spec, dims, boundary):
     for f in lat.faces():
         assert np.array_equal(fluxes[:, f], face_flux(lat, grp, rows, f))
     assert np.array_equal(is_flat(lat, grp, rows), ~np.any(fluxes, axis=1))
+
+
+FLUX_GROUPS = ["z2", "z3", "z4", "z2xz2", "z2xz4", "z6"]
+FLUX_LATTICES = [((3, 3), "plane"), ((3, 4), "plane"), ((2, 2), "torus"), ((3, 3), "torus"), ((4, 3), "torus")]
+
+
+@st.composite
+def _shift_batches(draw):
+    """A group, a lattice and a batch of maps, each with what its checks
+    must read (None for a random shift): (0, 0) for the identity and for a
+    product of stars, and the sector's holonomy indices when the product
+    also holds a ``sector_shift``."""
+    grp = parse_group(draw(st.sampled_from(FLUX_GROUPS)))
+    dims, boundary = draw(st.sampled_from(FLUX_LATTICES))
+    lat = Lattice(*dims, boundary)
+    elements = grp.elements()
+    full = [v for v in range(lat.n_vertices) if lat.has_full_star(v)]
+    batch = []
+    for kind in draw(st.lists(st.sampled_from(["identity", "random", "flat"]), max_size=10)):
+        m = AffineMap.identity(grp, lat.n_edges)
+        if kind == "random":
+            values = draw(st.lists(st.integers(0, grp.order - 1), min_size=lat.n_edges, max_size=lat.n_edges))
+            m = AffineMap(grp, lat.n_edges, shifts=tuple((e, gi) for e, gi in enumerate(values) if gi))
+            batch.append((m, None))
+            continue
+        a = b = 0
+        if kind == "flat":
+            for v in draw(st.lists(st.sampled_from(full), max_size=4)):
+                m = m.compose(star_g(lat, grp, lat.site_at(v), draw(st.sampled_from(elements))))
+            if lat.is_torus:
+                a, b = draw(st.integers(0, grp.order - 1)), draw(st.integers(0, grp.order - 1))
+                m = m.compose(sector_shift(lat, grp, a, b))
+        batch.append((m, (a, b)))
+    return lat, grp, batch
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_shift_batches())
+def test_shift_fluxes_match_the_dense_walks(case):
+    """The incidence read of every map's face fluxes and holonomies against
+    the dense ``face_fluxes`` and ``torus_holonomies`` walks of its shift
+    row, value by value; a map has no entry exactly when ``in_flat_group``
+    holds, and products of stars and sector shifts read the sector's
+    holonomies and no face flux."""
+    lat, grp, batch = case
+    maps = [m for m, _ in batch]
+    owner, row, flux = shift_fluxes(lat, grp, maps)
+    assert len(owner) == len(row) == len(flux)
+    assert np.all(flux != 0)
+    keys = owner * (lat.n_faces + 2) + row
+    assert np.all(np.diff(keys) > 0)
+    got = np.zeros((len(maps), lat.n_faces + 2), dtype=np.int64)
+    got[owner, row] = flux
+    rows = shift_rows(lat, maps)
+    assert np.array_equal(got[:, : lat.n_faces], face_fluxes(lat, grp, rows))
+    holonomies = np.stack(torus_holonomies(lat, grp, rows), axis=1) if lat.is_torus else 0
+    assert np.array_equal(got[:, lat.n_faces :], np.broadcast_to(holonomies, (len(maps), 2)))
+    for r, (m, holonomies) in enumerate(batch):
+        assert (r not in owner) == in_flat_group(lat, grp, rows[r : r + 1])
+        if holonomies is not None:
+            assert not got[r, : lat.n_faces].any()
+            assert tuple(got[r, lat.n_faces :]) == holonomies
+
+
+def test_shift_fluxes_of_an_empty_batch():
+    for lat in (Lattice(3, 3, "plane"), Lattice(2, 2, "torus")):
+        assert [len(x) for x in shift_fluxes(lat, Z3, [])] == [0, 0, 0]
+        assert omega_expectations(lat, Z3, []) == []
+
+
+def test_flat_group_test_memory_follows_the_shift_entries():
+    """``omega_expectations`` on the 1444 star shifts of a 40x40 plane:
+    the flatness test reads the shift entries through the incidence table,
+    so no (maps x edges) or (maps x faces) array is made. Dense shift rows
+    and face fluxes peaked at 13 MB here."""
+    lat = Lattice(40, 40, "plane")
+    stars = [
+        AffineMap(Z2, lat.n_edges, shifts=tuple(sorted((e, 1) for e in lat.star_edges(v))))
+        for v in range(lat.n_vertices)
+        if lat.has_full_star(v)
+    ]
+    omega_expectations(lat, Z2, stars[:1])  # the lattice and group tables
+    tracemalloc.start()
+    try:
+        values = omega_expectations(lat, Z2, stars)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values == [1] * len(stars)
+    assert peak < 4 << 20, peak
 
 
 @pytest.mark.parametrize(
