@@ -76,7 +76,7 @@ from .sectors import (
     fuse_labels,
     fusion_table,
     loop_projector_table,
-    s_matrix_entry,
+    s_matrix_entries,
     s_matrix_formula,
     sector_distinguish,
     sector_labels,
@@ -659,7 +659,7 @@ def run_smatrix(config: RunConfig, group: AbelianGroup, lat: Lattice) -> Report:
     labels = sector_labels(group)
 
     pairs = [(a, b) for a in labels for b in labels]
-    sims = [s_matrix_entry(lat, group, a, b, geom) for a, b in pairs]
+    sims = s_matrix_entries(lat, group, pairs, geom)
 
     errs = [abs(sim - s_matrix_formula(group, a, b)) for sim, (a, b) in zip(sims, pairs)]
     rep.add(
@@ -671,9 +671,10 @@ def run_smatrix(config: RunConfig, group: AbelianGroup, lat: Lattice) -> Report:
     )
 
     rev = smatrix_geometry(lat, reversed_orientation=True)
+    rev_pairs = pairs[: 2 * len(labels)]
     rev_errs = [
-        abs(s_matrix_entry(lat, group, a, b, rev) - np.conj(s_matrix_formula(group, a, b)))
-        for a, b in pairs[: min(len(pairs), 2 * len(labels))]
+        abs(sim - np.conj(s_matrix_formula(group, a, b)))
+        for sim, (a, b) in zip(s_matrix_entries(lat, group, rev_pairs, rev), rev_pairs)
     ]
     rep.add(
         "reversed exchange orientation conjugates every entry (negative control)",

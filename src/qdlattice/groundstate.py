@@ -39,9 +39,11 @@ capped.
 
 Distances need no vector either: for single maps,
 ‖F₁Ω − F₂Ω‖² = ω(F₁†F₁) + ω(F₂†F₂) − 2 Re ω(F₁†F₂) (``omega_distances``, one
-batch for many pairs). The deformation, transporter and torus stabilizer
-checks all measure their distances this way; a torus sector vector is
-reached by composing with T_ab.
+batch for many pairs), three maps per pair: ω(F₂†F₁) is the conjugate of
+ω(F₁†F₂), and each ω(F†F) is read off ``operators.conjugated``. The
+deformation, transporter and torus stabilizer checks all measure their
+distances this way; a torus sector vector is reached by composing with
+T_ab.
 
 ``ground_state`` still materializes Ω on a plane patch, but no check needs
 it: only haag-check's cross-check on small cones
@@ -60,7 +62,7 @@ import numpy as np
 
 from .groups import AbelianGroup, digit_rows
 from .lattice import Lattice
-from .operators import AffineMap, OpSum, as_opsum
+from .operators import AffineMap, as_opsum, conjugated
 from .states import SparseState
 
 # rows flat_connections may enumerate: |G|^(V-1) gradients
@@ -204,7 +206,7 @@ def _gradient_factors(lat: Lattice, group: AbelianGroup, m: AffineMap, forms: di
         return forms[coeffs]
 
     L = group.phase_denominator
-    add, _, char_num = group.index_tables()
+    add, _, char_num = group.index_tables
     mult = group.tables()["mult"]
     pnum = m.phase
     deltas: dict[tuple, int] = {}
@@ -333,16 +335,16 @@ def omega_expectations(lat: Lattice, group: AbelianGroup, ops) -> list[complex]:
 
 def omega_distances(lat: Lattice, group: AbelianGroup, pairs) -> list[float]:
     """‖F₁Ω − F₂Ω‖ without Ω for each pair (F₁, F₂) of maps:
-    ω(F₁†F₁) + ω(F₂†F₂) − ω(F₁†F₂) − ω(F₂†F₁), all in one
-    ``omega_expectations`` batch. For ribbon operators each term is a count
-    of vertex potentials over their number, so two maps with the same image
-    of Ω give exactly 0."""
-    grams = []
+    ω(F₁*F₁) + ω(F₂*F₂) − 2 Re ω(F₁*F₂), all in one ``omega_expectations``
+    batch of three maps per pair. ω(F*F) is read off ``conjugated(F, 1)``,
+    and ω(F₂*F₁) is the conjugate of ω(F₁*F₂), so a pair costs one adjoint
+    and one product. For ribbon operators each term is a count of vertex
+    potentials over their number, so two maps with the same image of Ω give
+    exactly 0."""
+    maps = []
     for f1, f2 in pairs:
-        a1, a2 = f1.adjoint(), f2.adjoint()
-        grams.append(
-            OpSum.weighted(
-                [(1, a1.compose(f1)), (1, a2.compose(f2)), (-1, a1.compose(f2)), (-1, a2.compose(f1))]
-            )
-        )
-    return [float(np.sqrt(max(v.real, 0.0))) for v in omega_expectations(lat, group, grams)]
+        one = AffineMap.identity(group, f1.n_edges)
+        maps += [conjugated(f1, one), conjugated(f2, one), f1.adjoint().compose(f2)]
+    w = omega_expectations(lat, group, maps)
+    norms = [w[i].real + w[i + 1].real - 2 * w[i + 2].real for i in range(0, len(w), 3)]
+    return [float(np.sqrt(max(v, 0.0))) for v in norms]

@@ -170,18 +170,18 @@ class AbelianGroup:
         packed = np.ravel_multi_index(tuple(sums.T), self.orders)
         return keys[start][packed != 0], packed[packed != 0]
 
+    @cached_property
     def index_tables(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
         """``tables()``'s add, neg and char_num as nested Python tuples, for
         scalar arithmetic on packed indices (``add[i][j]``, ``neg[i]``,
-        ``char_num[chi][g]``). The identity is index 0."""
+        ``char_num[chi][g]``). The identity is index 0. An attribute, built
+        on first use, so the scalar kernels pay one lookup per call."""
         t = self.tables()
-        if "index" not in t:
-            t["index"] = (
-                tuple(map(tuple, t["add"].tolist())),
-                tuple(t["neg"].tolist()),
-                tuple(map(tuple, t["char_num"].tolist())),
-            )
-        return t["index"]
+        return (
+            tuple(map(tuple, t["add"].tolist())),
+            tuple(t["neg"].tolist()),
+            tuple(map(tuple, t["char_num"].tolist())),
+        )
 
 
 def digit_rows(radix: int, k: int) -> np.ndarray:

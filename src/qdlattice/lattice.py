@@ -57,7 +57,9 @@ operator sign from there, and ``Ribbon.parts`` reads a ribbon's signed edges
 off its triangles once per ribbon. ``positive_moves`` reads the table,
 filtering by the allowed edges only when a set is given. The shortest-ribbon
 search (``ribbon_between``, which also builds deform's detours) walks the
-rows directly, with a region's edges allowed and ``avoid_edges`` blocked;
+rows directly, with a region's edges allowed and ``avoid_edges`` blocked,
+and keeps each ribbon or refusal read off its walk in ``Lattice.ribbons``
+(not the walk itself, nor the edge-disjoint fallback's outcomes);
 ``joined_sites`` reads every end of one start off one such walk.
 ``make_triangle`` picks the one move of its first site that reaches its
 second. A site that is not on the lattice raises ``LatticeError``. A site's
@@ -201,10 +203,17 @@ class Lattice:
         return self._f_cols * self._f_rows
 
     def face_id(self, x: int, y: int) -> int:
+        f = self._face_at(x, y)
+        if f is None:
+            raise LatticeError(f"no face at ({x},{y})")
+        return f
+
+    def _face_at(self, x: int, y: int) -> Optional[int]:
+        """The face with lower-left corner (x, y), or None off a plane patch."""
         if self.is_torus:
             x, y = x % self.width, y % self.height
-        if not (0 <= x < self._f_cols and 0 <= y < self._f_rows):
-            raise LatticeError(f"no face at ({x},{y})")
+        elif not (0 <= x < self._f_cols and 0 <= y < self._f_rows):
+            return None
         return y * self._f_cols + x
 
     def face_xy(self, f: int) -> tuple[int, int]:
@@ -300,13 +309,7 @@ class Lattice:
     def faces_at_vertex_cw(self, v: int) -> list[Optional[int]]:
         """Faces around v clockwise from the north-east one; None if absent."""
         x, y = self.vertex_xy(v)
-        out: list[Optional[int]] = []
-        for fx, fy in ((x, y), (x, y - 1), (x - 1, y - 1), (x - 1, y)):
-            try:
-                out.append(self.face_id(fx, fy))
-            except LatticeError:
-                out.append(None)
-        return out
+        return [self._face_at(fx, fy) for fx, fy in ((x, y), (x, y - 1), (x - 1, y - 1), (x - 1, y))]
 
     def site_at(self, v: int) -> Site:
         """v with the first face clockwise from the north-east one."""
@@ -336,6 +339,15 @@ class Lattice:
     @cached_property
     def closed_walks(self) -> dict[tuple[Site, str], "Ribbon"]:
         """Elementary closed ribbons built so far, by (site, triangle kind)."""
+        return {}
+
+    @cached_property
+    def ribbons(self) -> dict[tuple, Optional["Ribbon"]]:
+        """``ribbon_between`` outcomes found so far, by (s0, s1, the region's
+        edges or None, blocked edges, allow_reversed): the ribbon read off the
+        search tree, or None where no site path joins the sites. Outcomes of
+        the edge-disjoint fallback search are not kept (it reads the node
+        cap), nor are the search trees."""
         return {}
 
     # -- dual-edge orientation ----------------------------------------------------
@@ -530,17 +542,24 @@ def ribbon_between(
     Raises when no edge-disjoint path exists, when the search for one stops
     at DFS_NODE_CAP moves, or when either endpoint is not a site of the
     lattice."""
-    for s in (s0, s1):
-        _table_moves(lat, s)  # raises for a site that is not on the lattice
-    if s0 == s1:
-        return Ribbon.trivial(s0)
     allowed = None if region is None else region.edges
     blocked = frozenset(avoid_edges)
-    tree = _search_tree(lat, s0, allowed, blocked, allow_reversed, s1)
-    path = _joining_path(lat, tree, s0, s1, allowed, blocked, allow_reversed)
-    if path is None:
+    key = (s0, s1, allowed, blocked, allow_reversed)
+    if key in lat.ribbons:
+        ribbon = lat.ribbons[key]
+    else:
+        for s in (s0, s1):
+            _table_moves(lat, s)  # raises for a site that is not on the lattice
+        if s0 == s1:
+            return Ribbon.trivial(s0)
+        tree = _search_tree(lat, s0, allowed, blocked, allow_reversed, s1)
+        path, from_tree = _joining_path(lat, tree, s0, s1, allowed, blocked, allow_reversed)
+        ribbon = None if path is None else Ribbon.from_triangles(path)
+        if from_tree:
+            lat.ribbons[key] = ribbon
+    if ribbon is None:
         raise LatticeError(f"no ribbon from {s0} to {s1} within the region")
-    return Ribbon.from_triangles(path)
+    return ribbon
 
 
 def _search_tree(lat, s0, allowed, blocked, allow_reversed, target=None) -> dict:
@@ -566,20 +585,21 @@ def _search_tree(lat, s0, allowed, blocked, allow_reversed, target=None) -> dict
     return tree
 
 
-def _joining_path(lat, tree, s0, s1, allowed, blocked, allow_reversed) -> Optional[list[Triangle]]:
-    """The shortest edge-disjoint chain from s0 to s1, or None: the site
-    path in s0's ``_search_tree``, which almost always crosses no edge
-    twice at these sizes, else the fallback search's. Without any site path
-    there is no edge-disjoint one either."""
+def _joining_path(lat, tree, s0, s1, allowed, blocked, allow_reversed) -> tuple[Optional[list[Triangle]], bool]:
+    """The shortest edge-disjoint chain from s0 to s1, or None, and whether
+    the tree alone decided it: the site path in s0's ``_search_tree``,
+    which almost always crosses no edge twice at these sizes, else the
+    fallback search's. Without any site path there is no edge-disjoint one
+    either."""
     if s1 not in tree:
-        return None
+        return None, True
     path, s = [], s1
     while s != s0:
         path.append(tree[s])
         s = tree[s].s0
     if len({t.edge for t in path}) == len(path):
-        return path[::-1]
-    return _edge_disjoint_dfs(lat, s0, s1, allowed, blocked, allow_reversed)
+        return path[::-1], True
+    return _edge_disjoint_dfs(lat, s0, s1, allowed, blocked, allow_reversed), False
 
 
 def joined_sites(lat: Lattice, s0: Site, ends: Iterable[Site], region: "Region") -> set[Site]:
@@ -589,7 +609,7 @@ def joined_sites(lat: Lattice, s0: Site, ends: Iterable[Site], region: "Region")
     fallback search stops at its node cap."""
     edges = region.edges
     tree = _search_tree(lat, s0, edges, frozenset(), True)
-    return {s1 for s1 in ends if _joining_path(lat, tree, s0, s1, edges, frozenset(), True) is not None}
+    return {s1 for s1 in ends if _joining_path(lat, tree, s0, s1, edges, frozenset(), True)[0] is not None}
 
 
 # moves the edge-disjoint fallback search may try before it gives up

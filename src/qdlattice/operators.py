@@ -64,7 +64,7 @@ def commutator_phase(a: AffineMap, b: AffineMap) -> int:
     if a.deltas or b.deltas:
         raise OperatorError("commutator phase needs maps without deltas")
     g = a.group
-    add, neg, char_num = g.index_tables()
+    add, neg, char_num = g.index_tables
 
     def picked_up(m: AffineMap, other: AffineMap) -> int:
         shifts = dict(other.shifts)
@@ -112,7 +112,7 @@ class AffineMap:
         g = self.group
         if g != first.group or self.n_edges != first.n_edges:
             raise OperatorError("maps live on different lattices or groups")
-        add, neg, _ = g.index_tables()
+        add, neg, _ = g.index_tables
         shifts = dict(first.shifts)
         # self's constraints read the input already shifted by `first`
         new_deltas = list(first.deltas)
@@ -135,7 +135,7 @@ class AffineMap:
 
     def adjoint(self) -> "AffineMap":
         g = self.group
-        add, neg, _ = g.index_tables()
+        add, neg, _ = g.index_tables
         inv_shifts = tuple(sorted((e, neg[gi]) for e, gi in self.shifts))
         undo = dict(inv_shifts)
         new_deltas = tuple(
@@ -193,7 +193,7 @@ def conjugated(f: AffineMap, m: AffineMap) -> AffineMap:
     g = m.group
     if g != f.group or m.n_edges != f.n_edges:
         raise OperatorError("maps live on different lattices or groups")
-    add, neg, char_num = g.index_tables()
+    add, neg, char_num = g.index_tables
     fs, ms = dict(f.shifts), dict(m.shifts)
     deltas = [(cs, add[t][neg[_fold_shift(fs, cs, add, neg)]]) for cs, t in m.deltas] + list(f.deltas)
     deltas += [(cs, add[t][neg[_fold_shift(ms, cs, add, neg)]]) for cs, t in f.deltas]
@@ -282,7 +282,7 @@ def canonical(m: AffineMap) -> Optional[AffineMap]:
     Two maps with equal normal forms are equal as operators; maps built from
     the same ribbon expressions compare completely."""
     g = m.group
-    add, neg, char_num = g.index_tables()
+    add, neg, char_num = g.index_tables
 
     def norm_expr(coeffs: Coeffs):
         cs = tuple(sorted(coeffs))
@@ -419,7 +419,7 @@ def _dual_shifts(group: AbelianGroup, duals: Coeffs, gi: int) -> tuple[tuple[int
     its inverse against it; none when gi is the identity."""
     if not gi:
         return ()
-    neg = group.index_tables()[1]
+    neg = group.index_tables[1]
     return tuple(sorted((e, gi if sign > 0 else neg[gi]) for e, sign in duals))
 
 
@@ -445,7 +445,7 @@ def ribbon_F_irrep(
     if ribbon.is_trivial:
         raise OperatorError("irrep ribbon operators need a nonempty ribbon")
     flux, duals = ribbon.parts
-    neg = group.index_tables()[1]
+    neg = group.index_tables[1]
     shifts = _dual_shifts(group, duals, neg[group.index_of(c)])
     ci = group.index_of(chi)
     chars = ((neg[ci], flux, 0),) if ci else ()

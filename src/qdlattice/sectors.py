@@ -317,40 +317,46 @@ def smatrix_geometry(lat: Lattice, reversed_orientation: bool = False) -> SMatri
     return SMatrixGeometry(rho1, rho2, rho2_hat, transport2, rho1_hat, transport1)
 
 
-def _exchange_phase(
+def s_matrix_entries(
     lat: Lattice,
     group: AbelianGroup,
-    mover_label: SectorLabel,
-    mover_hat: Ribbon,
-    transport: Ribbon,
-    spectator_label: SectorLabel,
-    spectator: Ribbon,
-) -> int:
-    """Phase numerator of V* Fs V Fs*, the commutator phase of the spectator's Fs and
-    V = hat transport (summed over both), which moves the mover charge along
-    `transport` (its ribbon, then the connector) to the end of `mover_hat`."""
-    hat = ribbon_F_irrep(lat, group, mover_hat, mover_label.chi, mover_label.c)
-    transport_op = ribbon_F_irrep(
-        lat, group, transport, group.char_conj(mover_label.chi), group.inv(mover_label.c)
-    )
-    Fs = ribbon_F_irrep(lat, group, spectator, spectator_label.chi, spectator_label.c)
-    return (commutator_phase(Fs, hat) + commutator_phase(Fs, transport_op)) % group.phase_denominator
-
-
-def s_matrix_entry(
-    lat: Lattice,
-    group: AbelianGroup,
-    label1: SectorLabel,
-    label2: SectorLabel,
+    pairs: list[tuple[SectorLabel, SectorLabel]],
     geom: SMatrixGeometry,
-) -> complex:
-    """Double-exchange (monodromy) scalar of the two sectors, simulated with
-    finite transporters on the layout `geom` (``smatrix_geometry``); label1
-    rides the north ribbon."""
-    eps_ab = _exchange_phase(lat, group, label2, geom.rho2_hat, geom.transport2, label1, geom.rho1)
-    eps_ba = _exchange_phase(lat, group, label1, geom.rho1_hat, geom.transport1, label2, geom.rho2)
+) -> list[complex]:
+    """Double-exchange (monodromy) scalar of each pair of sectors, simulated
+    with finite transporters on the layout `geom` (``smatrix_geometry``);
+    the first label rides the north ribbon. Each exchange moves one charge
+    with V = hat transport, the irrep maps of the mover's label on its hat
+    ribbon and of the conjugate label on its transport path, and reads the
+    phase of V* Fs V Fs*, Fs the spectator's map: the commutator phases of
+    Fs with both factors of V. A label's six ribbon maps are built once for
+    all pairs."""
+
+    def irrep(ribbon: Ribbon, label: SectorLabel) -> AffineMap:
+        return ribbon_F_irrep(lat, group, ribbon, label.chi, label.c)
+
+    maps: dict[SectorLabel, tuple[AffineMap, ...]] = {}
+    for label in dict.fromkeys(l for pair in pairs for l in pair):
+        back = SectorLabel(group.char_conj(label.chi), group.inv(label.c))
+        # spectator on rho1 and on rho2, then the mover's hat and conjugate
+        # transport of the exchange along transport2 and along transport1
+        maps[label] = (
+            irrep(geom.rho1, label),
+            irrep(geom.rho2, label),
+            irrep(geom.rho2_hat, label),
+            irrep(geom.transport2, back),
+            irrep(geom.rho1_hat, label),
+            irrep(geom.transport1, back),
+        )
     roots = group.tables()["roots"]
-    return complex(roots[(eps_ab + eps_ba) % group.phase_denominator])
+    out = []
+    for label1, label2 in pairs:
+        north, _, _, _, hat1, back1 = maps[label1]
+        _, east, hat2, back2, _, _ = maps[label2]
+        phase = commutator_phase(north, hat2) + commutator_phase(north, back2)
+        phase += commutator_phase(east, hat1) + commutator_phase(east, back1)
+        out.append(complex(roots[phase % group.phase_denominator]))
+    return out
 
 
 def s_matrix_formula(group: AbelianGroup, label1: SectorLabel, label2: SectorLabel) -> complex:

@@ -691,7 +691,7 @@ def triangle_L(lat: Lattice, group: AbelianGroup, tri: Triangle, g: Element) -> 
     if tri.kind != "dual":
         raise OperatorError("triangle_L needs a dual triangle")
     gi = group.index_of(g)
-    val = gi if dual_shift_sign(lat, tri) > 0 else group.index_tables()[1][gi]
+    val = gi if dual_shift_sign(lat, tri) > 0 else group.index_tables[1][gi]
     if not val:
         return AffineMap.identity(group, lat.n_edges)
     return AffineMap(group, lat.n_edges, shifts=((tri.edge, val),))
@@ -804,7 +804,7 @@ def shift_pattern(lat: Lattice, group: AbelianGroup, ribbon: Ribbon, h: Element)
 def flux_reading(lat: Lattice, group: AbelianGroup, ribbon: Ribbon, row: np.ndarray) -> Element:
     """Value of the ribbon's direct-flux expression on a configuration row."""
     m = ribbon_F(lat, group, ribbon, group.identity(), group.identity())
-    add, neg, _ = group.index_tables()
+    add, neg, _ = group.index_tables
     values = row[0].tolist()
     acc = 0
     for coeffs, _ in m.deltas:

@@ -23,7 +23,7 @@ from qdlattice.lattice import Lattice
 from qdlattice.reports import Report, RunConfig
 from qdlattice.sectors import (
     SectorLabel,
-    s_matrix_entry,
+    s_matrix_entries,
     smatrix_geometry,
 )
 
@@ -114,10 +114,8 @@ def test_criterion_4_braiding_and_smatrix():
     e, m = SectorLabel((1,), (0,)), SectorLabel((0,), (1,))
     eps = SectorLabel((1,), (1,))
     vac = SectorLabel((0,), (0,))
-    table = {
-        (a, b): s_matrix_entry(lat, z2, a, b, geom)
-        for a, b in itertools.product([vac, e, m, eps], repeat=2)
-    }
+    pairs = list(itertools.product([vac, e, m, eps], repeat=2))
+    table = dict(zip(pairs, s_matrix_entries(lat, z2, pairs, geom)))
     pattern_ok = (
         abs(table[(e, m)] + 1) < 1e-9
         and abs(table[(m, e)] + 1) < 1e-9

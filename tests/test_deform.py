@@ -327,6 +327,27 @@ def _sectors_cases(lat, grp):
     return cases
 
 
+def _charge_phase_cases(lat, grp):
+    """Charged states whose cross term ω(F₁*F₂) has a non-real phase: F Ω
+    against A F Ω, A the star operator of a generator at the ribbon's start
+    site, which multiplies F Ω by its charge's value there; and F Ω against
+    G Ω and A G Ω, G the same ribbon's operator with the next label."""
+    omega = ground_state(lat, grp)
+    rho = ribbon_between(_site(lat, 1, 1), _site(lat, 2, 0), lat)
+    A = star_g(lat, grp, rho.start, grp.elements()[1])
+    labels = sector_labels(grp)[1:]
+    ops = [ribbon_F_irrep(lat, grp, rho, l.chi, l.c) for l in labels]
+    states = [_apply(F, omega) for F in ops]
+    cases = []
+    for i, (F, u) in enumerate(zip(ops, states)):
+        G, v = ops[(i + 1) % len(ops)], states[(i + 1) % len(ops)]
+        cases.append((F, A.compose(F), u, _apply(A, u), None))
+        cases.append((F, G, u, v, None))
+        cases.append((F, A.compose(G), u, _apply(A, v), None))
+    assert any(abs(inner(u, v).imag) > 0.5 for _, _, u, v, _ in cases)
+    return cases
+
+
 ORACLE_CASES = [
     pytest.param(_deform_cases, Z2, "3x4:plane", id="z2"),
     pytest.param(_deform_cases, Z3, "3x4:plane", id="z3"),
@@ -337,6 +358,8 @@ ORACLE_CASES = [
     ),
     pytest.param(_sectors_cases, Z2, "3x3:plane", id="sectors-z2"),
     pytest.param(_sectors_cases, Z3, "3x3:plane", id="sectors-z3"),
+    pytest.param(_charge_phase_cases, Z3, "3x3:plane", id="charge-phase-z3"),
+    pytest.param(_charge_phase_cases, Z4, "3x3:plane", id="charge-phase-z4"),
 ]
 
 

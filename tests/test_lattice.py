@@ -653,3 +653,47 @@ def test_ribbon_between_matches_the_site_search(w, h, boundary, monkeypatch):
         outcomes.add("value" if want[0] == "value" else want[1].split()[-1])
     assert len(combos) == 8
     assert outcomes == {"value", "region", "cap"}
+
+
+def _memo_queries(lat, rng):
+    """(s0, s1, region, avoided edges, allow_reversed) for every ordered
+    site pair: on 3x3:plane with a random 70% region or none, reversed
+    moves or not, and one random avoided edge or none; elsewhere with every
+    single avoided edge."""
+    sites = sorted(lat.sites())
+    pairs = [(a, b) for a in sites for b in sites]
+    if (lat.width, lat.height, lat.boundary) != (3, 3, "plane"):
+        return [(a, b, None, frozenset([e]), False) for a, b in pairs for e in lat.edges()]
+    region = Region(lat, frozenset(e for e in lat.edges() if rng.random() < 0.7))
+    return [
+        (a, b, r, avoid, reverse)
+        for a, b in pairs
+        for r in (None, region)
+        for reverse in (False, True)
+        for avoid in (frozenset(), frozenset([rng.randrange(lat.n_edges)]))
+    ]
+
+
+@pytest.mark.parametrize("w,h,boundary", [(3, 4, "plane"), (3, 3, "torus"), (3, 3, "plane")])
+def test_ribbon_memo_matches_fresh_searches(w, h, boundary):
+    """Every query, asked twice in a shuffled order on one lattice, gives
+    the ribbon or the refusal message of the same search on a lattice that
+    has kept no outcome; a query the memo holds returns the same ribbon
+    object each time. The memo holds only ribbons and refusals."""
+    lat, fresh = Lattice(w, h, boundary), Lattice(w, h, boundary)
+    rng = random.Random(w * 10 + h)
+    queries = _memo_queries(lat, rng) * 2
+    rng.shuffle(queries)
+    seen: dict = {}
+    for s0, s1, region, avoid, reverse in queries:
+        kwargs = dict(region=region, avoid_edges=avoid, allow_reversed=reverse)
+        got = _outcome(lambda: ribbon_between(s0, s1, lat, **kwargs))
+        fresh.ribbons.clear()
+        assert got == _outcome(lambda: ribbon_between(s0, s1, fresh, **kwargs)), (s0, s1, kwargs)
+        key = (s0, s1, region and region.edges, avoid, reverse)
+        if got[0] == "value" and key in lat.ribbons and key in seen:
+            assert got[1] is seen[key]
+        seen.setdefault(key, got[1])
+    values = list(lat.ribbons.values())
+    assert all(v is None or isinstance(v, Ribbon) for v in values)
+    assert None in values and any(v is not None for v in values)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -11,13 +12,12 @@ from qdlattice.operators import OpSum, as_opsum, hamiltonian, ribbon_F, ribbon_F
 from qdlattice.operators import commutator_phase
 from qdlattice.sectors import (
     SectorLabel,
-    _exchange_phase,
     braiding_phase,
     crossing_pair,
     fuse_labels,
     fusion_table,
     omega_charge_moments,
-    s_matrix_entry,
+    s_matrix_entries,
     sector_distinguish,
     sector_labels,
     smatrix_geometry,
@@ -166,28 +166,34 @@ def test_commutator_phase_matches_products_on_the_crossing_pair(orders, spec):
 
 @pytest.mark.parametrize("orders", [[2], [3], [4], [2, 2], [2, 4]])
 def test_exchange_phase_matches_the_product_of_four_maps(orders):
-    """On every exchange pair of both orientations, _exchange_phase equals
-    the scalar of V* Fs V Fs* built from the four products. The hat ribbons
-    cross no spectator, so each exchange also runs with its hat and
-    transport swapped, where the hat factor carries the crossing."""
+    """Every entry of s_matrix_entries, for every label pair in both
+    orientations, is the root of unity of its two exchange scalars
+    V* Fs V Fs*, each built from four products. The hat ribbons cross no
+    spectator, so each layout also runs with its hats and transport paths
+    swapped, where the hat factor carries the crossing."""
     grp = group_make(orders)
     lat = Lattice(7, 7, "plane")
     labels = sector_labels(grp)
+    pairs = list(itertools.product(labels, repeat=2))
+    roots = grp.tables()["roots"]
+
+    def exchange(mover, hat, transport, spectator_label, spectator):
+        V = ribbon_F_irrep(lat, grp, hat, mover.chi, mover.c).compose(
+            ribbon_F_irrep(lat, grp, transport, grp.char_conj(mover.chi), grp.inv(mover.c))
+        )
+        Fs = ribbon_F_irrep(lat, grp, spectator, spectator_label.chi, spectator_label.c)
+        return phase_of_map(V.adjoint().compose(Fs).compose(V).compose(Fs.adjoint()))
+
     for reversed_orientation in (False, True):
         g = smatrix_geometry(lat, reversed_orientation)
-        exchanges = [(g.rho2_hat, g.transport2, g.rho1), (g.rho1_hat, g.transport1, g.rho2)]
-        exchanges += [(transport, hat, spectator) for hat, transport, spectator in exchanges]
-        for hat, transport, spectator in exchanges:
-            hats = [ribbon_F_irrep(lat, grp, hat, l.chi, l.c) for l in labels]
-            backs = [
-                ribbon_F_irrep(lat, grp, transport, grp.char_conj(l.chi), grp.inv(l.c)) for l in labels
-            ]
-            spectators = [ribbon_F_irrep(lat, grp, spectator, l.chi, l.c) for l in labels]
-            for i, j in itertools.product(range(len(labels)), repeat=2):
-                V, Fs = hats[i].compose(backs[i]), spectators[j]
-                want = phase_of_map(V.adjoint().compose(Fs).compose(V).compose(Fs.adjoint()))
-                got = _exchange_phase(lat, grp, labels[i], hat, transport, labels[j], spectator)
-                assert got == want
+        swapped = dataclasses.replace(
+            g, rho2_hat=g.transport2, transport2=g.rho2_hat, rho1_hat=g.transport1, transport1=g.rho1_hat
+        )
+        for geom in (g, swapped):
+            for (a, b), entry in zip(pairs, s_matrix_entries(lat, grp, pairs, geom)):
+                want = exchange(b, geom.rho2_hat, geom.transport2, a, geom.rho1)
+                want += exchange(a, geom.rho1_hat, geom.transport1, b, geom.rho2)
+                assert entry == complex(roots[want % grp.phase_denominator])
 
 
 @pytest.mark.parametrize("orders", [[2], [3], [4], [2, 2]])
@@ -209,11 +215,12 @@ def test_braiding_and_s_matrix_are_exact_turns(orders):
     lat = Lattice(7, 7, "plane")
     geom = smatrix_geometry(lat)
     pair = crossing_pair(lat)
-    for l1, l2 in itertools.product(sector_labels(grp), repeat=2):
+    pairs = list(itertools.product(sector_labels(grp), repeat=2))
+    for (l1, l2), entry in zip(pairs, s_matrix_entries(lat, grp, pairs, geom)):
         # chi1(c2) chi2(c1) as an exact fraction of a turn
         turns = (grp.char_phase(l1.chi, l2.c) + grp.char_phase(l2.chi, l1.c)) % 1
         assert braiding_phase(lat, grp, l1, l2, pair) == phase_to_complex(turns)
-        assert s_matrix_entry(lat, grp, l1, l2, geom) == phase_to_complex(-turns)
+        assert entry == phase_to_complex(-turns)
 
 
 def test_braiding_phase_z2_mutual_statistics():
@@ -232,15 +239,14 @@ def test_smatrix_entries_and_normalization():
     geom = smatrix_geometry(lat)
     labels = sector_labels(Z2)
     vac = labels[0]
-    for x in labels:
-        assert abs(s_matrix_entry(lat, Z2, vac, x, geom) - 1) < 1e-12
+    for entry in s_matrix_entries(lat, Z2, [(vac, x) for x in labels], geom):
+        assert abs(entry - 1) < 1e-12
     # toric-code pattern: electric vs magnetic gives -1
     e = SectorLabel((1,), (0,))
     m = SectorLabel((0,), (1,))
-    assert abs(s_matrix_entry(lat, Z2, e, m, geom) + 1) < 1e-12
-    mat = np.array(
-        [[s_matrix_entry(lat, Z2, a, b, geom) / Z2.order for b in labels] for a in labels]
-    )
+    assert abs(s_matrix_entries(lat, Z2, [(e, m)], geom)[0] + 1) < 1e-12
+    entries = s_matrix_entries(lat, Z2, list(itertools.product(labels, repeat=2)), geom)
+    mat = np.array(entries).reshape(len(labels), len(labels)) / Z2.order
     # the normalized table is unitary (it is the modular matrix)
     assert np.allclose(mat @ mat.conj().T, np.eye(len(labels)), atol=1e-10)
     assert np.allclose(mat, mat.T, atol=1e-12)
@@ -250,8 +256,8 @@ def test_double_exchange_self_statistics():
     lat = Lattice(7, 7, "plane")
     geom = smatrix_geometry(lat)
     grp = group_make([4])
-    for label in sector_labels(grp):
-        sim = s_matrix_entry(lat, grp, label, label, geom)
+    labels = sector_labels(grp)
+    for label, sim in zip(labels, s_matrix_entries(lat, grp, [(l, l) for l in labels], geom)):
         pred = np.conj(grp.char_eval(label.chi, label.c)) ** 2
         assert abs(sim - pred) < 1e-10
 
