@@ -33,8 +33,7 @@ from .operators import (
     star_g,
     star_proj,
 )
-from .groundstate import flat_connections, ground_state, omega_distances, omega_expectations
-from .states import SparseState
+from .groundstate import omega_distances, omega_expectations
 from .sectors import (
     SectorLabel,
     braiding_phase,
@@ -70,11 +69,8 @@ __all__ = [
     "ribbon_F_irrep",
     "star_g",
     "star_proj",
-    "flat_connections",
-    "ground_state",
     "omega_distances",
     "omega_expectations",
-    "SparseState",
     "SectorLabel",
     "braiding_phase",
     "fusion_table",

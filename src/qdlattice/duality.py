@@ -79,14 +79,8 @@ EXTERIOR_RIBBON_LEN triangles, enumerated as triangle tuples, and build a
 ``Ribbon`` only for a chain they keep. The caller finds the detecting
 deep-exterior sites once per lattice and passes them to both checks.
 
-What still materializes: only ``materialized_cross_check``, on the small
-cones of ``small_cone_skip``, builds Omega (``ground_state``), reads C and W's exterior keys
-off its rows (``materialized_cone``) and applies the boundary maps to it
-(``OpSum.apply``, ``MaterializedCone.residual``). No check needs Omega.
-The cross-check stays in the package because the benchmark's traced pass
-(perfbench/spans.py) wraps ``SparseState.from_terms`` and ``OpSum.apply``
-by name; it moves to the test oracles once that recorder lives in the
-package (ROADMAP item 1).
+Nothing here builds Omega: the materialized Omega and the cone block read
+off its rows (``MaterializedCone``) are test oracles (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -97,7 +91,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .groundstate import ground_state, shift_fluxes, vertex_characters
+from .groundstate import shift_fluxes, vertex_characters
 from .groups import AbelianGroup, codes, digit_rows
 from .lattice import (
     Lattice,
@@ -119,7 +113,6 @@ from .operators import (
 )
 from .reports import Check
 from .sectors import sector_labels
-from .states import SparseState
 
 SUBSPACE_TOL = 1e-9
 # the ribbon closure runs with ribbons of up to this many triangles and one
@@ -129,7 +122,7 @@ CLOSURE_ROUNDS = 8
 # exterior ribbons of the orthogonality and membership checks: 2 to this
 # many triangles
 EXTERIOR_RIBBON_LEN = 6
-# rows of the Omega that the small-cone checks build
+# the ribbon closure runs where Omega would have at most this many rows
 OMEGA_ROWS_CAP = 1 << 20
 # entries of the cone block C (n x m, complex): z3 on the 4x4 plane has
 # 6561 x 729, z4 there 65536 x 4096
@@ -236,9 +229,9 @@ def cone_subspace(region: Region, lat: Lattice, group: AbelianGroup) -> ConeSubs
     the |r(F)| buckets holds |F| / |r(F)| rows of amplitude 1/sqrt(|F|), so
     C[a, j] = 1/sqrt(|r(F)|) where bucket a lies in class j. Columns are
     ordered by their first bucket in region-index order, as on Omega's rows
-    (``materialized_cone``). Refused on a torus, and above CONE_BLOCK_CAP
-    entries of C before anything is enumerated (the potential rows are at
-    most its |G|^k rows)."""
+    (``materialized_cone`` in the test oracles). Refused on a torus, and
+    above CONE_BLOCK_CAP entries of C before anything is enumerated (the
+    potential rows are at most its |G|^k rows)."""
     if lat.is_torus:
         raise DualityError("the cone subspace is read from the flat group of a plane patch")
     radix = group.order
@@ -296,91 +289,6 @@ def cone_subspace(region: Region, lat: Lattice, group: AbelianGroup) -> ConeSubs
     coeffs = np.zeros((n, m), dtype=np.complex128)
     coeffs[fill, column[label]] = np.sqrt(1 / rows)
     return ConeSubspace(region, lat, group, coeffs)
-
-
-@dataclass
-class MaterializedCone(ConeSubspace):
-    """The cone subspace read off the materialized Omega's rows, for
-    ``materialized_cross_check``. Each w_j is 1/sqrt(|K|) on its |K|
-    exterior keys, so W is an index map from keys to columns, and a state's
-    coordinates come from bucketing its rows by region index and exterior
-    key and summing each bucket into its column."""
-
-    ext_edges: list[int]  # every edge off the region: the exterior key
-    ext_keys: np.ndarray  # sorted exterior keys on which some w_j lives
-    key_cols: np.ndarray  # the column j of the w_j living on each key
-    coset_size: int  # |K|: the keys of each w_j
-
-    def _codes(self, psi: SparseState) -> tuple[np.ndarray, np.ndarray]:
-        """Region index and exterior key of each of psi's rows."""
-        radix, edges = self.group.order, sorted(self.region.edges)
-        return codes(psi.configs, edges, radix), codes(psi.configs, self.ext_edges, radix)
-
-    def _cells(self, fills: np.ndarray, keys: np.ndarray) -> np.ndarray:
-        """The block cell a * dim W + j of each row, from its region index a
-        and the column j of its exterior key, or -1 off W's keys."""
-        pos = np.minimum(np.searchsorted(self.ext_keys, keys), len(self.ext_keys) - 1)
-        hit = self.ext_keys[pos] == keys
-        return np.where(hit, fills * self.omega_coeffs.shape[1] + self.key_cols[pos], -1)
-
-    def _project(self, cells: np.ndarray, amps: np.ndarray) -> np.ndarray:
-        """<a tensor w_j | psi>: each amplitude on W's keys times w_j's value
-        1/sqrt(|K|), summed into its cell."""
-        on, size = cells >= 0, self.omega_coeffs.size
-        x = np.bincount(cells[on], amps[on].real, size) + 1j * np.bincount(cells[on], amps[on].imag, size)
-        return (x / np.sqrt(self.coset_size)).reshape(self.omega_coeffs.shape)
-
-    def residual(self, psi: SparseState) -> float:
-        """Distance from psi to H_Lambda (``_residual`` of its rows)."""
-        return self._residual(self._cells(*self._codes(psi)), psi.amps)
-
-    def _residual(self, cells: np.ndarray, amps: np.ndarray) -> float:
-        """Distance to H_Lambda of the state with these rows, given by block
-        cell (``_cells``) and amplitude, summed from the rows minus their
-        projection rather than as a difference of squared norms. The
-        projection is x[a, j] / sqrt(|K|) on each of the |K| keys of w_j at
-        region index a: the rows there contribute |amp - x / sqrt(|K|)|^2,
-        and each key the state misses |x / sqrt(|K|)|^2. No (region index,
-        key) block is built."""
-        on = cells >= 0
-        proj = self._project(cells, amps).ravel() / np.sqrt(self.coset_size)
-        hits = np.bincount(cells[on], minlength=proj.size)
-        rows = np.sum(np.abs(amps[on] - proj[cells[on]]) ** 2) + np.sum(np.abs(amps[~on]) ** 2)
-        missed = np.sum((self.coset_size - hits) * np.abs(proj) ** 2)
-        return float(np.sqrt(rows + missed))
-
-
-def materialized_cone(
-    region: Region, lat: Lattice, group: AbelianGroup, omega: SparseState
-) -> MaterializedCone:
-    """``cone_subspace`` read off Omega's rows (never its amplitudes), with
-    W's exterior keys. The buckets, in region-index order, are each
-    labelled by their coset's smallest exterior key; a column is a distinct
-    label, placed at its first bucket, and C[a, j] = sqrt(|K| / |F|)."""
-    radix = group.order
-    edges = sorted(region.edges)
-    ext_edges = sorted(set(lat.edges()) - region.edges)
-    if radix ** len(ext_edges) > np.iinfo(np.int64).max:
-        raise DualityError(
-            f"exterior keys of {len(ext_edges)} edges over |G| = {radix} overflow int64"
-        )
-    ext = codes(omega.configs, ext_edges, radix)
-    fills, bucket = np.unique(codes(omega.configs, edges, radix), return_inverse=True)
-    label = np.full(len(fills), np.iinfo(np.int64).max)
-    np.minimum.at(label, bucket, ext)
-    _, first, coset = np.unique(label, return_index=True, return_inverse=True)
-    column = np.empty(len(first), dtype=np.int64)
-    column[np.argsort(first)] = np.arange(len(first))
-    column = column[coset]  # of each bucket
-
-    n_rows = omega.n_terms
-    coset_size = n_rows // len(fills)  # |K|
-    ext_keys, key_row = np.unique(ext, return_index=True)
-    omega_coeffs = np.zeros((radix ** len(edges), len(first)), dtype=np.complex128)
-    omega_coeffs[fills, column] = np.sqrt(coset_size / n_rows)
-    return MaterializedCone(
-        region, lat, group, omega_coeffs, ext_edges, ext_keys, column[bucket[key_row]], coset_size
-    )
 
 
 def ribbon_closure_rank(subspace: ConeSubspace) -> tuple[int, int]:
@@ -593,36 +501,18 @@ def boundary_membership_check(
 
 
 def small_cone_skip(region: Region, lat: Lattice, group: AbelianGroup) -> str:
-    """Why the ribbon closure and ``materialized_cross_check`` do not run
-    on this cone, or "" when they do: on at most 3 edges, and Omega's
-    |G|^(V-1) rows, counted from the lattice, within OMEGA_ROWS_CAP."""
+    """Why the ribbon closure does not run on this cone, or "" when it
+    does: on at most 3 edges, and Omega's |G|^(V-1) rows, counted from the
+    lattice, within OMEGA_ROWS_CAP."""
     if len(region.edges) > 3:
-        return "they run on cones of at most 3 edges"
+        return "it runs on cones of at most 3 edges"
     power = lat.n_vertices - 1
     if group.order**power > OMEGA_ROWS_CAP:
         return (
-            f"they run where Omega has at most {OMEGA_ROWS_CAP} rows,"
+            f"it runs where Omega has at most {OMEGA_ROWS_CAP} rows,"
             f" not {group.order}^{power} = {group.order**power}"
         )
     return ""
-
-
-def materialized_cross_check(
-    region: Region, lat: Lattice, group: AbelianGroup, subspace: ConeSubspace, maps
-) -> bool:
-    """Whether the materialized Omega agrees with the flat group: the block
-    C read off Omega's rows (``materialized_cone``) equals ``cone_subspace``'s
-    entry for entry, and each map's residual from its applied state
-    (``MaterializedCone.residual``) equals ``membership_residuals`` within
-    SUBSPACE_TOL. Run only where ``small_cone_skip`` is empty."""
-    omega = ground_state(lat, group)
-    read = materialized_cone(region, lat, group, omega)
-    if not np.array_equal(read.omega_coeffs, subspace.omega_coeffs):
-        return False
-    closed = membership_residuals(lat, group, region, maps)
-    return all(
-        abs(read.residual(as_opsum(f).apply(omega)) - r) <= SUBSPACE_TOL for f, r in zip(maps, closed)
-    )
 
 
 # -- the real-linear density check ---------------------------------------------------

@@ -20,7 +20,6 @@ from .duality import (
     cone_subspace,
     detecting_exterior_sites,
     external_charge_orthogonality_check,
-    materialized_cross_check,
     ribbon_closure_rank,
     self_adjoint_density_check,
     small_cone_skip,
@@ -837,24 +836,17 @@ def run_haag(config: RunConfig, group: AbelianGroup, lat: Lattice) -> Report:
     apex = (1, 1)
     cone = cone_make(apex, ["N", "E"], lat)
     # the block comes from the flat group, refused above its cap before
-    # anything is enumerated; Omega is built only for the small-cone
-    # cross-check, next to the ribbon closure
+    # anything is enumerated
     sub = cone_subspace(cone, lat, group)
     detectors = detecting_exterior_sites(lat, cone)
-    boundary = boundary_maps(cone, lat, group, detectors, random.Random(config.seed + 2))
     skip = small_cone_skip(cone, lat, group)
-    agree = True
-    cross = f"; ribbon closure and materialized Omega cross-checks skipped: {skip}"
-    if not skip:
-        agree = materialized_cross_check(cone, lat, group, sub, boundary)
-        verdict = "match" if agree else "differ from"
-        cross = f"; block and {len(boundary)} boundary residuals {verdict} the materialized Omega"
     rep.add(
         "cone subspace construction",
         "plumbing",
-        sub.dim > 1 and agree,
+        sub.dim > 1,
         0.0,
-        f"cone of {len(cone.edges)} edges, subspace dimension {sub.dim}{cross}",
+        f"cone of {len(cone.edges)} edges, subspace dimension {sub.dim}"
+        + (f"; ribbon closure check skipped: {skip}" if skip else ""),
     )
 
     if not skip:
@@ -883,6 +875,7 @@ def run_haag(config: RunConfig, group: AbelianGroup, lat: Lattice) -> Report:
     deep = external_charge_orthogonality_check(checks_cone, checks_lat, group, checks_detectors, rng)
     deep.details += note
     rep.checks.append(deep)
+    boundary = boundary_maps(cone, lat, group, detectors, random.Random(config.seed + 2))
     rep.checks.append(boundary_membership_check(cone, lat, group, boundary))
     rep.checks += self_adjoint_density_check(sub)
     return rep

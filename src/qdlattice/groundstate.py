@@ -1,4 +1,4 @@
-"""Flat-connection enumeration, exact ground states, expectations.
+"""Exact ground-state expectations and distances from the flat-connection group.
 
 A configuration is flat when the oriented product of edge values around
 every complete face is trivial. On a plane patch every flat connection is a
@@ -45,13 +45,8 @@ deformation, transporter and torus stabilizer checks all measure their
 distances this way; a torus sector vector is reached by composing with
 T_ab.
 
-``ground_state`` still materializes Ω on a plane patch, but no check needs
-it: only haag-check's cross-check on small cones
-(``duality.materialized_cross_check``) reads the cone block off its rows and
-applies the boundary ribbons to it, against the flat-group forms. It stays
-in the package because the benchmark's traced pass (perfbench/spans.py)
-wraps ``SparseState.from_terms`` and ``OpSum.apply`` by name; Ω moves to the
-test oracles once that recorder lives in the package (ROADMAP item 1).
+Nothing here builds Ω or lists a flat connection: the materialized Ω and
+the flat-connection enumeration are test oracles (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -60,32 +55,13 @@ import math
 
 import numpy as np
 
-from .groups import AbelianGroup, digit_rows
+from .groups import AbelianGroup
 from .lattice import Lattice
 from .operators import AffineMap, as_opsum, conjugated
-from .states import SparseState
-
-# rows flat_connections may enumerate: |G|^(V-1) gradients
-FLAT_ROWS_CAP = 1 << 22
 
 
 class GroundStateError(ValueError):
     pass
-
-
-def _gradient_configs(lat: Lattice, group: AbelianGroup) -> np.ndarray:
-    """Edge configurations of all vertex potentials with the root fixed."""
-    t = group.tables()
-    add, neg = t["add_u8"], t["neg_u8"]
-    # every potential of the free vertices, the first least significant
-    free = digit_rows(group.order, lat.n_vertices - 1)[:, ::-1]
-    pots = np.zeros((len(free), lat.n_vertices), dtype=np.uint8)
-    pots[:, 1:] = free
-    configs = np.zeros((len(free), lat.n_edges), dtype=np.uint8)
-    for e in lat.edges():
-        tail, head = lat.edge_endpoints(e)
-        configs[:, e] = add[pots[:, head], neg[pots[:, tail]]]
-    return configs
 
 
 def sector_shift(lat: Lattice, group: AbelianGroup, a: int, b: int) -> AffineMap:
@@ -95,23 +71,6 @@ def sector_shift(lat: Lattice, group: AbelianGroup, a: int, b: int) -> AffineMap
     shifts = [(lat.edge_id("h", 0, y), a) for y in range(lat.height)]
     shifts += [(lat.edge_id("v", x, 0), b) for x in range(lat.width)]
     return AffineMap(group, lat.n_edges, shifts=tuple(sorted((e, gi) for e, gi in shifts if gi)))
-
-
-def flat_connections(lat: Lattice, group: AbelianGroup) -> np.ndarray:
-    """All flat configurations of a plane patch, one uint8 row per
-    connection: the vertex-potential gradients. Refused, before anything is
-    allocated, on a torus (whose flat set is the gradients shifted by each
-    of the |G|^2 cocycles of ``sector_shift``) and above FLAT_ROWS_CAP
-    rows."""
-    if lat.is_torus:
-        raise GroundStateError("flat_connections enumerates plane patches only")
-    power = lat.n_vertices - 1
-    if group.order**power > FLAT_ROWS_CAP:
-        raise GroundStateError(
-            f"flat-connection enumeration of {group.order}^{power} = {group.order**power}"
-            f" rows on {lat.width}x{lat.height} is above the cap of {FLAT_ROWS_CAP}"
-        )
-    return _gradient_configs(lat, group)
 
 
 def face_fluxes(lat: Lattice, group: AbelianGroup, configs: np.ndarray) -> np.ndarray:
@@ -126,16 +85,6 @@ def face_fluxes(lat: Lattice, group: AbelianGroup, configs: np.ndarray) -> np.nd
         col = configs[:, edges[:, j]]
         flux = add[flux, np.where(forward[:, j], col, neg[col])]
     return flux
-
-
-def ground_state(lat: Lattice, group: AbelianGroup) -> SparseState:
-    """Uniform superposition over flat connections (plane patches only: the
-    torus ground space is degenerate)."""
-    if lat.is_torus:
-        raise GroundStateError("torus ground space is degenerate: ground_state builds plane patches")
-    configs = flat_connections(lat, group)
-    amps = np.full(len(configs), 1.0 / np.sqrt(len(configs)), dtype=np.complex128)
-    return SparseState.from_terms(configs, amps, lat.n_edges, group.order)
 
 
 def connection_projector(lat: Lattice, group: AbelianGroup, assignment: dict[int, int]) -> AffineMap:

@@ -15,9 +15,9 @@ numerators mod the group's ``phase_denominator`` L, read through the
 group's ``char_num`` and ``roots`` tables.
 
 Sums with scalar coefficients (projectors, Hamiltonians) are ``OpSum``.
-Operators are applied to sparse states directly, or read row by row from
-``AffineMap.eval``: on any set of configurations a map is a monomial
-matrix, one target and one phase per row. Operator identities are checked
+Operators are read row by row from ``AffineMap.eval``: on any set of
+configurations a map is a monomial matrix, one target and one phase per
+row. Operator identities are checked
 exactly by ``ops_equal``, from normal forms or on the configurations of the
 edges that deltas and characters read; ``commutator_phase`` needs neither,
 and ``conjugated`` forms f* m f without an adjoint or a product. Only
@@ -249,6 +249,8 @@ class OpSum:
     # -- action -----------------------------------------------------------------
 
     def apply(self, psi):
+        """The sum applied to a ``SparseState``; no check calls it, but the
+        benchmark's traced pass (perfbench/spans.py) wraps it by name."""
         from .states import SparseState
 
         if not self.terms:

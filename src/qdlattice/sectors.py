@@ -258,14 +258,11 @@ class SMatrixGeometry:
     """Ribbon layout for the double-exchange simulation: alpha's ribbon runs
     north from the base row; beta's ribbon and its transported copy share a
     start to alpha's right, heading east and (under the base) west; the
-    connectors arc over the top, crossing alpha's ribbon exactly once."""
+    connector arcs over the top, crossing alpha's ribbon exactly once."""
 
     rho1: Ribbon  # alpha, north
-    rho2: Ribbon  # beta, east
     rho2_hat: Ribbon  # beta transported to the west
-    transport2: Ribbon  # rho2, then its connector to the end of rho2_hat, crossing rho1 once
-    rho1_hat: Ribbon  # alpha transported west, below the arc
-    transport1: Ribbon  # rho1, then its connector to the end of rho1_hat, crossing nothing
+    transport2: Ribbon  # beta's ribbon, then its connector to the end of rho2_hat, crossing rho1 once
 
 
 def smatrix_geometry(lat: Lattice, reversed_orientation: bool = False) -> SMatrixGeometry:
@@ -286,35 +283,19 @@ def smatrix_geometry(lat: Lattice, reversed_orientation: bool = False) -> SMatri
 
     if reversed_orientation:
         rho1 = straight_ribbon(lat, bx, by, "N", top - by, drop_last_dual=True)
-        rho1_hat = straight_ribbon(lat, bx - 1, by, "N", top - by, drop_last_dual=True)
-        kappa1 = straight_ribbon(lat, bx, top, "W", 1)
     else:
         rho1 = straight_ribbon(lat, bx, top, "S", top - by, drop_last_dual=True)
-        rho1_hat = straight_ribbon(lat, bx - 1, top, "S", top - by, drop_last_dual=True)
-        kappa1 = None  # built below once the other ribbons exist
     rho2 = straight_ribbon(lat, bx + 2, by, "N", n, drop_last_dual=True)
     rho2_hat = straight_ribbon(lat, bx - 2, by, "N", n, drop_last_dual=True)
     kappa = straight_ribbon(lat, bx + 2, by + n, "W", 4)
-    if kappa1 is None:
-        kappa1 = ribbon_between(
-            rho1.end,
-            rho1_hat.end,
-            lat,
-            avoid_edges=rho1.edges() | rho2.edges(),
-            allow_reversed=True,
-        )
-    # wiring checks: connectors chain exactly onto the ribbon ends, beta's
-    # path crosses alpha's ribbon exactly once, alpha's path avoids beta
+    # wiring checks: the connector chains exactly onto the ribbon ends, and
+    # beta's path crosses alpha's ribbon exactly once
     if kappa.start != rho2.end or kappa.end != rho2_hat.end:
         raise LatticeError("beta connector endpoints do not match")
-    if kappa1.start != rho1.end or kappa1.end != rho1_hat.end:
-        raise LatticeError("alpha connector endpoints do not match")
-    transport2, transport1 = ribbon_concat(rho2, kappa), ribbon_concat(rho1, kappa1)
+    transport2 = ribbon_concat(rho2, kappa)
     if crossing_number(rho1, transport2) % 2 == 0:
         raise LatticeError("beta connector fails to cross alpha's ribbon")
-    if crossing_number(rho2, transport1) % 2:
-        raise LatticeError("alpha transporter path crosses beta's ribbon")
-    return SMatrixGeometry(rho1, rho2, rho2_hat, transport2, rho1_hat, transport1)
+    return SMatrixGeometry(rho1, rho2_hat, transport2)
 
 
 def s_matrix_entries(
@@ -325,12 +306,14 @@ def s_matrix_entries(
 ) -> list[complex]:
     """Double-exchange (monodromy) scalar of each pair of sectors, simulated
     with finite transporters on the layout `geom` (``smatrix_geometry``);
-    the first label rides the north ribbon. Each exchange moves one charge
-    with V = hat transport, the irrep maps of the mover's label on its hat
-    ribbon and of the conjugate label on its transport path, and reads the
-    phase of V* Fs V Fs*, Fs the spectator's map: the commutator phases of
-    Fs with both factors of V. A label's six ribbon maps are built once for
-    all pairs."""
+    the first label rides the north ribbon as the spectator. The exchange
+    moves the second label's charge with V = hat transport, the irrep maps
+    of its label on the hat ribbon and of the conjugate label on the
+    transport path, and reads the phase of V* Fs V Fs*, Fs the spectator's
+    map: the commutator phases of Fs with both factors of V. Moving the
+    first charge instead, past the second's ribbon, would add nothing: no
+    path of it shares an edge with that ribbon. A label's three ribbon maps
+    are built once for all pairs."""
 
     def irrep(ribbon: Ribbon, label: SectorLabel) -> AffineMap:
         return ribbon_F_irrep(lat, group, ribbon, label.chi, label.c)
@@ -338,23 +321,18 @@ def s_matrix_entries(
     maps: dict[SectorLabel, tuple[AffineMap, ...]] = {}
     for label in dict.fromkeys(l for pair in pairs for l in pair):
         back = SectorLabel(group.char_conj(label.chi), group.inv(label.c))
-        # spectator on rho1 and on rho2, then the mover's hat and conjugate
-        # transport of the exchange along transport2 and along transport1
+        # spectator on rho1, then the mover's hat and conjugate transport
         maps[label] = (
             irrep(geom.rho1, label),
-            irrep(geom.rho2, label),
             irrep(geom.rho2_hat, label),
             irrep(geom.transport2, back),
-            irrep(geom.rho1_hat, label),
-            irrep(geom.transport1, back),
         )
     roots = group.tables()["roots"]
     out = []
     for label1, label2 in pairs:
-        north, _, _, _, hat1, back1 = maps[label1]
-        _, east, hat2, back2, _, _ = maps[label2]
-        phase = commutator_phase(north, hat2) + commutator_phase(north, back2)
-        phase += commutator_phase(east, hat1) + commutator_phase(east, back1)
+        north = maps[label1][0]
+        _, hat, back = maps[label2]
+        phase = commutator_phase(north, hat) + commutator_phase(north, back)
         out.append(complex(roots[phase % group.phase_denominator]))
     return out
 

@@ -6,16 +6,10 @@ an (N, n_edges) uint8 matrix of configurations and the N complex amplitudes,
 kept deduplicated and sorted by the row bytes so that every reduction runs
 in a canonical order.
 
-No check builds a state. Only haag-check's cross-check on small cones
-(``duality.materialized_cross_check``) does: the plane ground state Ω
-(``ground_state``), whose rows give the cone block a second time, and the
-boundary ribbon images of Ω (``OpSum.apply``), whose distance to the cone
-subspace ``MaterializedCone.residual`` reads, both compared with their
-flat-group forms. Inner products, norms, Gram matrices and Gram-Schmidt over
-states live with the test oracles (tests/oracles.py). This module stays in
-the package because the benchmark's traced pass (perfbench/spans.py) wraps
-``SparseState.from_terms`` and ``OpSum.apply`` by name; it moves to the
-oracles once that recorder lives in the package (ROADMAP item 1).
+No check builds a state: Ω, the states built on it and their linear
+algebra are test oracles (tests/oracles.py). This module stays in the
+package only because the benchmark's traced pass (perfbench/spans.py) wraps
+``SparseState.from_terms`` and ``OpSum.apply`` by name.
 """
 
 from __future__ import annotations

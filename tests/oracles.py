@@ -6,6 +6,9 @@ something the package computes another way:
 - ``inner``, ``norm``, ``add`` and the other vector operations, with
   ``gram_matrix`` and Gram-Schmidt (``orthonormal_coeffs``), are the
   linear algebra of ``SparseState``, which the package no longer needs;
+- ``ground_state`` is the materialized plane Ω, uniform over the
+  ``flat_connections`` that ``_gradient_configs`` lists up to
+  ``FLAT_ROWS_CAP`` rows, the vector every ground-state oracle reads;
 - ``ground_space``, ``expectation`` and ``distance`` work on sparse
   amplitude vectors, for ``omega_expectations`` and ``omega_distances``;
   ``omega_expectation`` and ``omega_distance`` are those batches of one;
@@ -53,6 +56,10 @@ something the package computes another way:
   and ``sample_exterior_ribbons`` and ``boundary_ribbons`` pick theirs from
   that list, the latter by catching the search's refusals, for the
   path-based versions in ``duality``;
+- ``materialized_cone`` reads the cone block and W's exterior keys off
+  Ω's rows, as a ``MaterializedCone`` whose ``residual`` is a state's
+  distance to H_Lambda, for ``cone_subspace`` and ``membership_residuals``;
+  it refuses exterior keys that overflow int64;
 - ``orthonormalize`` is plain Gram-Schmidt, for ``materialized_cone``;
 - ``closure_rank`` grows the ribbon closure from materialized states with a
   pivoted Cholesky on their Gram matrix, for ``ribbon_closure_rank``;
@@ -87,6 +94,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -97,22 +105,19 @@ from qdlattice.duality import (
     EXTERIOR_RIBBON_LEN,
     SUBSPACE_TOL,
     ConeSubspace,
-    MaterializedCone,
+    DualityError,
     detecting_exterior_sites,
     ribbons_in_region,
 )
 from qdlattice.groundstate import (
-    FLAT_ROWS_CAP,
     GroundStateError,
-    _gradient_configs,
     edges_of_faces,
     face_fluxes,
-    ground_state,
     omega_distances,
     omega_expectations,
     sector_shift,
 )
-from qdlattice.groups import AbelianGroup, Char, Element, digit_rows
+from qdlattice.groups import AbelianGroup, Char, Element, codes, digit_rows
 from qdlattice.lattice import (
     Lattice,
     LatticeError,
@@ -142,6 +147,8 @@ from qdlattice.sectors import SectorLabel, sector_labels
 from qdlattice.states import SparseState
 
 SPAN_TOL = 1e-9
+# rows flat_connections may enumerate: |G|^(V-1) gradients
+FLAT_ROWS_CAP = 1 << 22
 
 
 # -- states ---------------------------------------------------------------------------
@@ -322,6 +329,94 @@ def closure_rank(
             spanning = [(spanning + new)[i] for i in keep]
         ranks.append(len(_pivoted_independent(spanning, tol)))
     return ranks[0], ranks[1]
+
+
+# -- the cone block read off Omega's rows ------------------------------------------
+
+
+@dataclass
+class MaterializedCone(ConeSubspace):
+    """The cone subspace read off the materialized Omega's rows, for
+    ``cone_subspace`` and ``membership_residuals``. Each w_j is 1/sqrt(|K|) on its |K|
+    exterior keys, so W is an index map from keys to columns, and a state's
+    coordinates come from bucketing its rows by region index and exterior
+    key and summing each bucket into its column."""
+
+    ext_edges: list[int]  # every edge off the region: the exterior key
+    ext_keys: np.ndarray  # sorted exterior keys on which some w_j lives
+    key_cols: np.ndarray  # the column j of the w_j living on each key
+    coset_size: int  # |K|: the keys of each w_j
+
+    def _codes(self, psi: SparseState) -> tuple[np.ndarray, np.ndarray]:
+        """Region index and exterior key of each of psi's rows."""
+        radix, edges = self.group.order, sorted(self.region.edges)
+        return codes(psi.configs, edges, radix), codes(psi.configs, self.ext_edges, radix)
+
+    def _cells(self, fills: np.ndarray, keys: np.ndarray) -> np.ndarray:
+        """The block cell a * dim W + j of each row, from its region index a
+        and the column j of its exterior key, or -1 off W's keys."""
+        pos = np.minimum(np.searchsorted(self.ext_keys, keys), len(self.ext_keys) - 1)
+        hit = self.ext_keys[pos] == keys
+        return np.where(hit, fills * self.omega_coeffs.shape[1] + self.key_cols[pos], -1)
+
+    def _project(self, cells: np.ndarray, amps: np.ndarray) -> np.ndarray:
+        """<a tensor w_j | psi>: each amplitude on W's keys times w_j's value
+        1/sqrt(|K|), summed into its cell."""
+        on, size = cells >= 0, self.omega_coeffs.size
+        x = np.bincount(cells[on], amps[on].real, size) + 1j * np.bincount(cells[on], amps[on].imag, size)
+        return (x / np.sqrt(self.coset_size)).reshape(self.omega_coeffs.shape)
+
+    def residual(self, psi: SparseState) -> float:
+        """Distance from psi to H_Lambda (``_residual`` of its rows)."""
+        return self._residual(self._cells(*self._codes(psi)), psi.amps)
+
+    def _residual(self, cells: np.ndarray, amps: np.ndarray) -> float:
+        """Distance to H_Lambda of the state with these rows, given by block
+        cell (``_cells``) and amplitude, summed from the rows minus their
+        projection rather than as a difference of squared norms. The
+        projection is x[a, j] / sqrt(|K|) on each of the |K| keys of w_j at
+        region index a: the rows there contribute |amp - x / sqrt(|K|)|^2,
+        and each key the state misses |x / sqrt(|K|)|^2. No (region index,
+        key) block is built."""
+        on = cells >= 0
+        proj = self._project(cells, amps).ravel() / np.sqrt(self.coset_size)
+        hits = np.bincount(cells[on], minlength=proj.size)
+        rows = np.sum(np.abs(amps[on] - proj[cells[on]]) ** 2) + np.sum(np.abs(amps[~on]) ** 2)
+        missed = np.sum((self.coset_size - hits) * np.abs(proj) ** 2)
+        return float(np.sqrt(rows + missed))
+
+
+def materialized_cone(
+    region: Region, lat: Lattice, group: AbelianGroup, omega: SparseState
+) -> MaterializedCone:
+    """``cone_subspace`` read off Omega's rows (never its amplitudes), with
+    W's exterior keys. The buckets, in region-index order, are each
+    labelled by their coset's smallest exterior key; a column is a distinct
+    label, placed at its first bucket, and C[a, j] = sqrt(|K| / |F|)."""
+    radix = group.order
+    edges = sorted(region.edges)
+    ext_edges = sorted(set(lat.edges()) - region.edges)
+    if radix ** len(ext_edges) > np.iinfo(np.int64).max:
+        raise DualityError(
+            f"exterior keys of {len(ext_edges)} edges over |G| = {radix} overflow int64"
+        )
+    ext = codes(omega.configs, ext_edges, radix)
+    fills, bucket = np.unique(codes(omega.configs, edges, radix), return_inverse=True)
+    label = np.full(len(fills), np.iinfo(np.int64).max)
+    np.minimum.at(label, bucket, ext)
+    _, first, coset = np.unique(label, return_index=True, return_inverse=True)
+    column = np.empty(len(first), dtype=np.int64)
+    column[np.argsort(first)] = np.arange(len(first))
+    column = column[coset]  # of each bucket
+
+    n_rows = omega.n_terms
+    coset_size = n_rows // len(fills)  # |K|
+    ext_keys, key_row = np.unique(ext, return_index=True)
+    omega_coeffs = np.zeros((radix ** len(edges), len(first)), dtype=np.complex128)
+    omega_coeffs[fills, column] = np.sqrt(coset_size / n_rows)
+    return MaterializedCone(
+        region, lat, group, omega_coeffs, ext_edges, ext_keys, column[bucket[key_row]], coset_size
+    )
 
 
 # -- the density check's families, materialized ---------------------------------------
@@ -515,6 +610,48 @@ def cone_shape(lat: Lattice, group: AbelianGroup, region: Region) -> tuple[int, 
 
 
 # -- ground states -----------------------------------------------------------------
+
+
+def _gradient_configs(lat: Lattice, group: AbelianGroup) -> np.ndarray:
+    """Edge configurations of all vertex potentials with the root fixed."""
+    t = group.tables()
+    add, neg = t["add_u8"], t["neg_u8"]
+    # every potential of the free vertices, the first least significant
+    free = digit_rows(group.order, lat.n_vertices - 1)[:, ::-1]
+    pots = np.zeros((len(free), lat.n_vertices), dtype=np.uint8)
+    pots[:, 1:] = free
+    configs = np.zeros((len(free), lat.n_edges), dtype=np.uint8)
+    for e in lat.edges():
+        tail, head = lat.edge_endpoints(e)
+        configs[:, e] = add[pots[:, head], neg[pots[:, tail]]]
+    return configs
+
+
+def flat_connections(lat: Lattice, group: AbelianGroup) -> np.ndarray:
+    """All flat configurations of a plane patch, one uint8 row per
+    connection: the vertex-potential gradients. Refused, before anything is
+    allocated, on a torus (whose flat set is the gradients shifted by each
+    of the |G|^2 cocycles of ``sector_shift``) and above FLAT_ROWS_CAP
+    rows."""
+    if lat.is_torus:
+        raise GroundStateError("flat_connections enumerates plane patches only")
+    power = lat.n_vertices - 1
+    if group.order**power > FLAT_ROWS_CAP:
+        raise GroundStateError(
+            f"flat-connection enumeration of {group.order}^{power} = {group.order**power}"
+            f" rows on {lat.width}x{lat.height} is above the cap of {FLAT_ROWS_CAP}"
+        )
+    return _gradient_configs(lat, group)
+
+
+def ground_state(lat: Lattice, group: AbelianGroup) -> SparseState:
+    """Uniform superposition over flat connections (plane patches only: the
+    torus ground space is degenerate)."""
+    if lat.is_torus:
+        raise GroundStateError("torus ground space is degenerate: ground_state builds plane patches")
+    configs = flat_connections(lat, group)
+    amps = np.full(len(configs), 1.0 / np.sqrt(len(configs)), dtype=np.complex128)
+    return SparseState.from_terms(configs, amps, lat.n_edges, group.order)
 
 
 def torus_flat_connections(lat: Lattice, group: AbelianGroup) -> np.ndarray:

@@ -303,8 +303,8 @@ def test_fusion_z2xz4_passes_at_the_default_lattice(tmp_path):
 @pytest.mark.parametrize("group,power", [("z6", "6^8 = 1679616"), ("z2xz4", "8^8 = 16777216")], ids=["z6", "z2xz4"])
 def test_haag_check_on_3x3_skips_the_small_cone_checks_above_the_omega_bound(tmp_path, group, power):
     """The 3x3 cone has 2 edges, but Omega would have more than 2^20 rows:
-    the ribbon closure and the materialized cross-check are skipped, the
-    construction check says why, and the other 5 checks pass."""
+    the ribbon closure is skipped, the construction check says why, and the
+    other 5 checks pass."""
     out = tmp_path / "r.json"
     args = ["--experiment", "haag-check", "--group", group, "--lattice", "3x3:plane", "--out", str(out)]
     assert run_cli(args) == 0
@@ -312,8 +312,8 @@ def test_haag_check_on_3x3_skips_the_small_cone_checks_above_the_omega_bound(tmp
     assert schema_errors(data) == []
     assert [c["status"] for c in data["checks"]] == ["pass"] * 5
     assert data["checks"][0]["details"].endswith(
-        "; ribbon closure and materialized Omega cross-checks skipped:"
-        f" they run where Omega has at most 1048576 rows, not {power}"
+        "; ribbon closure check skipped:"
+        f" it runs where Omega has at most 1048576 rows, not {power}"
     )
 
 
@@ -434,3 +434,48 @@ def test_benchmark_cells_leave_scipy_unimported(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
+
+
+def test_haag_check_on_3x3_leaves_states_and_scipy_unimported(tmp_path):
+    """haag-check z2 and z3 on the 3x3 plane run the small-cone checks, and
+    neither builds a state: ``qdlattice.states`` and scipy stay unimported.
+    Run in a fresh interpreter, since other tests import both here."""
+    out = tmp_path / "r.json"
+    script = (
+        "import sys\n"
+        "from qdlattice import cli\n"
+        "for group in ['z2', 'z3']:\n"
+        "    args = ['--experiment', 'haag-check', '--group', group, '--lattice', '3x3:plane']\n"
+        f"    assert cli.main(args + ['--out', {str(out)!r}]) == 0, args\n"
+        "    assert 'qdlattice.states' not in sys.modules, args\n"
+        "    assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], args\n"
+    )
+    src = str(SCHEMA.parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(out.read_text())["passed"] is True
+
+
+def test_benchmark_recorder_installs_and_records_haag_check(tmp_path):
+    """The benchmark's traced pass wraps the package's layers by name
+    (perfbench/spans.py): its recorder must still install on the package as
+    it is, and record spans of a haag-check run (z2, 3x3 plane). Run in a
+    fresh interpreter, since the recorder rebinds the package's functions."""
+    root = SCHEMA.parent.parent.parent
+    out = tmp_path / "r.json"
+    script = (
+        "from spans import Recorder\n"
+        "rec = Recorder('t')\n"
+        "rec.install()\n"
+        "from qdlattice import cli\n"
+        "args = ['--experiment', 'haag-check', '--group', 'z2', '--lattice', '3x3:plane']\n"
+        f"assert cli.main(args + ['--out', {str(out)!r}]) == 0\n"
+        "names = {span[0] for span in rec.spans}\n"
+        "assert {'duality.cone_subspace', 'experiments.run_haag'} <= names, sorted(names)\n"
+    )
+    paths = [str(root / "src"), str(root / "perfbench"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(out.read_text())["passed"] is True

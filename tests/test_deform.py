@@ -7,7 +7,7 @@ import pytest
 from qdlattice.deform import crossing_number, is_deformation_pair, sample_ribbon_pairs
 from qdlattice.groups import group_make
 from qdlattice.experiments import _control_labels, run_deform
-from qdlattice.groundstate import ground_state, omega_distances, sector_shift
+from qdlattice.groundstate import omega_distances, sector_shift
 from qdlattice.lattice import (
     Lattice,
     LatticeError,
@@ -34,6 +34,7 @@ from oracles import (
     distance,
     flux_reading,
     ground_space,
+    ground_state,
     inner,
     omega_distance,
     paths_between,

@@ -17,14 +17,12 @@ from qdlattice.duality import (
     density_ranks,
     detecting_exterior_sites,
     external_charge_orthogonality_check,
-    materialized_cone,
     membership_residuals,
     ribbon_closure_rank,
     ribbons_in_region,
     self_adjoint_density_check,
 )
 from qdlattice.groups import codes, group_make, parse_group
-from qdlattice.groundstate import ground_state
 from qdlattice.lattice import (
     Lattice,
     LatticeError,
@@ -48,9 +46,11 @@ from oracles import (
     deep_charge_detected,
     density_ranks_by_svd,
     distance,
+    ground_state,
     inner,
     keys,
     label_ops,
+    materialized_cone,
     max_cone_overlap,
     monomial,
     normalized,
@@ -585,14 +585,13 @@ def _unreachable(*args, **kwargs):
 
 def test_haag_check_passes_z4_and_z2xz2_without_building_omega(monkeypatch):
     """At the default 3x4 plane Omega would have 4^11 rows. The block comes
-    from the flat group and membership from ``cone_overlaps``, and the
-    4-edge cone runs no materialized cross-check, so all 5 checks pass and
-    no state is built."""
-    from qdlattice import experiments, groundstate
+    from the flat group and membership from ``cone_overlaps``, so all 5
+    checks pass and no state is built or acted on."""
+    from qdlattice import experiments
+    from qdlattice.operators import OpSum
     from qdlattice.reports import RunConfig
 
-    monkeypatch.setattr(duality, "ground_state", _unreachable)
-    monkeypatch.setattr(groundstate, "ground_state", _unreachable)
+    monkeypatch.setattr(OpSum, "apply", _unreachable)
     monkeypatch.setattr(SparseState, "from_terms", _unreachable)
     lat = Lattice(3, 4, "plane")
     for spec in ["z4", "z2xz2"]:
@@ -608,9 +607,10 @@ def test_haag_check_refuses_an_oversized_cone_block_before_enumerating(monkeypat
     counted from the graph and refused before any potential row, ribbon or
     state is enumerated."""
     from qdlattice import experiments
+    from qdlattice.operators import OpSum
     from qdlattice.reports import RunConfig
 
-    monkeypatch.setattr(duality, "ground_state", _unreachable)
+    monkeypatch.setattr(OpSum, "apply", _unreachable)
     monkeypatch.setattr(duality, "digit_rows", _unreachable)
     monkeypatch.setattr(experiments, "detecting_exterior_sites", _unreachable)
     cfg = RunConfig("haag-check", group="z2", lattice="12x12:plane", seed=0)
@@ -678,7 +678,7 @@ def test_flat_group_block_and_membership_match_omega(spec, width, height):
     closed = membership_residuals(lat, group, cone, maps)
     assert set(closed) == ({0.0, 1.0} if small else {0.0})
     np.testing.assert_allclose(_applied_residuals(read, omega, maps), closed, rtol=0, atol=1e-9)
-    # the cross-check's own path, OpSum.apply and MaterializedCone.residual
+    # the applied state itself, through OpSum.apply and MaterializedCone.residual
     assert abs(read.residual(as_opsum(maps[0]).apply(omega)) - closed[0]) <= 1e-9
 
 
@@ -697,25 +697,6 @@ def test_flat_group_block_matches_omega_on_random_regions(spec, width, height):
         region = Region(lat, frozenset(edges))
         read = materialized_cone(region, lat, group, omega).omega_coeffs
         assert np.array_equal(cone_subspace(region, lat, group).omega_coeffs, read), sorted(edges)
-
-
-def test_materialized_cross_check_catches_a_wrong_block_or_residual(monkeypatch):
-    """The cross-check agrees on the 3x3 cone, and fails on a block with its
-    columns reversed and on a map outside H_Lambda whose closed-form
-    residual is made to read 0: it compares the flat-group values with
-    Omega's, it does not assume them."""
-    lat = Lattice(3, 3, "plane")
-    cone = cone_make((1, 1), ["N", "E"], lat)
-    sub = cone_subspace(cone, lat, Z2)
-    maps = boundary_maps(cone, lat, Z2, detecting_exterior_sites(lat, cone), random.Random(0))
-    assert duality.materialized_cross_check(cone, lat, Z2, sub, maps)
-    reversed_columns = duality.ConeSubspace(cone, lat, Z2, sub.omega_coeffs[:, ::-1].copy())
-    assert not duality.materialized_cross_check(cone, lat, Z2, reversed_columns, maps)
-    outside = next(
-        f for f in _exterior_maps(lat, Z2, cone, 3) if membership_residuals(lat, Z2, cone, [f]) == [1.0]
-    )
-    monkeypatch.setattr(duality, "membership_residuals", lambda lat, group, region, maps: [0.0] * len(maps))
-    assert not duality.materialized_cross_check(cone, lat, Z2, sub, [outside])
 
 
 def _all_pairs_subspace(region, lat, group, omega):
@@ -867,7 +848,7 @@ def test_full_patch_subspace_dimension():
     # x (exterior cosets), one coset per |K| distinct flat-connection
     # restrictions to the rim, with K the flat connections vanishing on the
     # bulk; computed here independently from the flats
-    from qdlattice.groundstate import flat_connections
+    from oracles import flat_connections
 
     lat = Lattice(3, 4, "plane")
     omega = ground_state(lat, Z2)
@@ -890,11 +871,9 @@ def test_cone_region_has_boundary():
 
 
 def test_haag_report_states_the_skipped_closure_check():
-    """The default cone has 4 edges, above the limit of 3 of the closure and
-    materialized cross-checks: the construction check says so, and every
-    other check appears once. On 3x3 the cone has 2 edges, the closure check
-    runs as well, and the construction check reports the materialized
-    cross-check's agreement."""
+    """The default cone has 4 edges, above the closure check's limit of 3:
+    the construction check says so, and every other check appears once. On
+    3x3 the cone has 2 edges and the closure check runs as well."""
     from qdlattice.experiments import run_haag
     from qdlattice.groups import parse_group
     from qdlattice.lattice import parse_lattice
@@ -904,20 +883,18 @@ def test_haag_report_states_the_skipped_closure_check():
         (
             "z2",
             "3x4:plane",
-            "cone of 4 edges, subspace dimension 256; ribbon closure and materialized"
-            " Omega cross-checks skipped: they run on cones of at most 3 edges",
+            "cone of 4 edges, subspace dimension 256; ribbon closure check skipped:"
+            " it runs on cones of at most 3 edges",
         ),
         (
             "z2",
             "3x3:plane",
-            "cone of 2 edges, subspace dimension 16; block and 5 boundary residuals"
-            " match the materialized Omega",
+            "cone of 2 edges, subspace dimension 16",
         ),
         (
             "z3",
             "3x3:plane",
-            "cone of 2 edges, subspace dimension 81; block and 5 boundary residuals"
-            " match the materialized Omega",
+            "cone of 2 edges, subspace dimension 81",
         ),
     ]
     for spec, lattice, details in cases:

@@ -13,8 +13,6 @@ from qdlattice.groundstate import (
     connection_projector,
     edges_of_faces,
     face_fluxes,
-    flat_connections,
-    ground_state,
     omega_distances,
     omega_expectations,
     sector_shift,
@@ -46,7 +44,9 @@ from oracles import (
     distance,
     expectation,
     face_flux,
+    flat_connections,
     ground_space,
+    ground_state,
     in_flat_group,
     inner,
     is_flat,
