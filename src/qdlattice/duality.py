@@ -7,44 +7,41 @@ edge-operator span applied to the ground state, which factorizes:
 
     H_Lambda = C^(|G|^k) tensor W,
 
-anything on the k region edges, tensored with W, the span of
-the ground state's exterior restrictions. Omega is uniform over the group F
-of flat connections, and its rows with fixed region values form a coset of
-the subgroup vanishing on the region, so those restrictions are equal or
-disjoint cosets: W's orthonormal basis is one indicator per distinct
-exterior coset, with no Gram-Schmidt. ``cone_subspace`` reads that coset
-structure off F itself: a bucket a is a region value r(d phi) of a gradient,
-and buckets a and b share a coset exactly when a - b is the region value of
-a gradient vanishing on the exterior (``cone_subspace`` gives the gauge
-fixing that labels the cosets). The iterative ribbon-operator closure is
-kept as an independent construction, grown in the block coordinates below
-(``ribbon_closure_rank``), and the two are checked against each other on
-small cones (``small_cone_skip``).
+anything on the k region edges, tensored with W, the span of the ground
+state's exterior restrictions. Omega is uniform over the group F of flat
+connections, and its rows with fixed region values form a coset of the
+subgroup vanishing on the region, so those restrictions are equal or
+disjoint cosets: W's orthonormal basis w_j is one indicator per distinct
+exterior coset. Omega = sum C[a, j] |a> tensor w_j, with a the
+configuration of the region edges, and each region configuration restricts
+to one coset, so every row of the block C holds at most one nonzero entry.
 
-``ConeSubspace`` works in these tensor coordinates and never lists the
-|G|^k * dim W product vectors. A vector of H_Lambda is a block X[a, j], the
-state sum X[a, j] |a> tensor w_j, where
-
-* a is the region index: the configuration of the k region edges as one
-  mixed-radix integer, first edge most significant, which is the row order
-  of ``support_matrix``;
-* w_j is the orthonormal coset basis of W, columns ordered by their first
-  bucket in region-index order.
-
-The ground state's own block C gives Omega = sum C[a, j] |a> tensor w_j. A
-region operator M is a sum of basis maps, and each map sends every region
-configuration a to one configuration with one phase, so it acts on the
-block's rows as a monomial matrix S_M (``region_action``): M
-Omega has coordinates S_M C without applying M to Omega. The compressed
-exterior operator E_jk = 1 tensor |w_j><w_k| maps Omega to the block whose
-column j is C[:, k].
+Every check below reads three integers of C, never its entries: its shape
+(n, m) = (|G|^k, dim W) and its rank r, the number of its nonzero columns.
+``cone_subspace`` counts them from F itself. A bucket a is a region value
+r(d phi) of a gradient, and buckets a and b share a coset exactly when
+a - b is the region value of a gradient vanishing on the exterior. A
+spanning tree fixes the gauge of those gradients and labels each coset by
+integer rows B over the free potentials, so m = |G|^(rows of B) and r is
+the order of the subgroup the rows generate (``subgroup_order``). The
+shape of H_Lambda follows from the graph alone: with c(S) the number of
+components of the graph (vertices, S),
+dim H_Lambda = |G|^(k + V + 1 - c(Lambda) - c(E minus Lambda)).
 
 The region is a truncated cone as ``cone_make`` builds it: every region
 edge is bulk, with a dual triangle on each side, as every edge of a cone
 drawn on the infinite lattice is. The region index a is then the
-configuration of all region edges. The shape of H_Lambda follows from the
-graph alone: with c(S) the number of components of the graph (vertices, S),
-dim H_Lambda = |G|^(k + V + 1 - c(Lambda) - c(E minus Lambda)).
+configuration of all region edges.
+
+The iterative ribbon-operator closure is kept as an independent count,
+checked against dim H_Lambda on small cones (``ribbon_closure_rank``,
+``small_cone_skip``). Ribbon operators are Weyl maps, and W Omega and
+W' Omega are equal up to a phase or orthogonal (the stabilizer-state
+rule): equal exactly when W^dagger W' has a flat shift and trivial vertex
+characters. So the closure of Omega under the group H the ribbon
+operators generate has dimension |Phi(H)|, with Phi the homomorphism to
+face fluxes and vertex characters, and Phi(H) is generated by the ribbon
+operators' images.
 
 On top of the subspace sit the exterior-charge orthogonality check, the
 boundary membership check and the real-linear density check mirroring the
@@ -52,17 +49,16 @@ commutant argument: self-adjoint region ribbon operators applied to the
 ground state, plus i times self-adjoint exterior operators compressed to
 H_Lambda, must span H_Lambda over the reals; dropping the compressed family
 must leave a strict deficit. In block coordinates the families are X C
-and i C Y for Hermitian X and Y, and once the region operators are all of
-M_n both real ranks follow from the rank r of the n x m block C alone
-(n = |G|^k, m = dim W): n^2 - (n - r)^2 for the region family and that
-plus m^2 - (m - r)^2 for both, against the target 2 n m (``density_ranks``).
-Each bucket restricts to one coset, so every row of C has at most one
-nonzero entry: C's columns have disjoint supports, C^dagger C is diagonal,
-and r is the number of nonzero columns, with no SVD.
-The region operators are all of M_n because every region edge is bulk: a
-shift and a character on each of the k edges give the |G|^(2k) monomials
-of a Weyl basis. The tests count their n^2 distinct labels; the check
-enumerates none of them. Exterior ribbon operators need no family of their own:
+and i C Y for Hermitian X and Y (the compressed exterior operator
+E_jk = 1 tensor |w_j><w_k| maps Omega to the block whose column j is
+C[:, k]), and once the region operators are all of M_n both real ranks
+follow from n, m and r alone: n^2 - (n - r)^2 for the region family and
+that plus m^2 - (m - r)^2 for both, against the target 2 n m
+(``density_ranks``). The region operators are all of M_n because every
+region edge is bulk: a shift and a character on each of the k edges give
+the |G|^(2k) monomials of a Weyl basis. The tests count their n^2
+distinct labels; the check enumerates none of them. Exterior ribbon
+operators need no family of their own:
 P_Lambda (1 tensor Y) Omega = (1 tensor P_W Y P_W) Omega lies in the
 compressed family. Neither exterior check builds Omega or enumerates
 anything: the M Omega span H_Lambda, and for a Weyl map F (no deltas)
@@ -79,8 +75,9 @@ EXTERIOR_RIBBON_LEN triangles, enumerated as triangle tuples, and build a
 ``Ribbon`` only for a chain they keep. The caller finds the detecting
 deep-exterior sites once per lattice and passes them to both checks.
 
-Nothing here builds Omega: the materialized Omega and the cone block read
-off its rows (``MaterializedCone``) are test oracles (tests/oracles.py).
+Nothing here builds Omega or C: the materialized Omega, the block read off
+its rows (``MaterializedCone``), region operators acting on that block and
+the Gram-Schmidt closure grown from it are test oracles (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -91,8 +88,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .groundstate import shift_fluxes, vertex_characters
-from .groups import AbelianGroup, codes, digit_rows
+from .groundstate import shift_fluxes, subgroup_order, vertex_characters
+from .groups import AbelianGroup
 from .lattice import (
     Lattice,
     Region,
@@ -103,34 +100,20 @@ from .lattice import (
     joined_sites,
     positive_moves,
 )
-from .operators import (
-    AffineMap,
-    OperatorError,
-    as_opsum,
-    canonical,
-    enumerate_configs,
-    ribbon_F_irrep,
-)
+from .operators import AffineMap, OperatorError, canonical, ribbon_F_irrep
 from .reports import Check
 from .sectors import sector_labels
 
-SUBSPACE_TOL = 1e-9
 # the ribbon closure runs with ribbons of up to this many triangles and one
-# fewer; equal ranks certify that longer ribbons add nothing
+# fewer; equal counts certify that longer ribbons add nothing
 CLOSURE_LENGTH_CAP = 6
-CLOSURE_ROUNDS = 8
 # exterior ribbons of the orthogonality and membership checks: 2 to this
 # many triangles
 EXTERIOR_RIBBON_LEN = 6
-# the ribbon closure runs where Omega would have at most this many rows
-OMEGA_ROWS_CAP = 1 << 20
-# entries of the cone block C (n x m, complex): z3 on the 4x4 plane has
-# 6561 x 729, z4 there 65536 x 4096
-CONE_BLOCK_CAP = 1 << 23
 
 
 class DualityError(ValueError):
-    """A cone-subspace computation would exceed its size cap."""
+    """A cone computation asked of a lattice it is not read on."""
 
 
 # -- ribbon enumeration ------------------------------------------------------------
@@ -166,50 +149,25 @@ def ribbons_in_region(lat: Lattice, region: Region, max_len: int) -> list[Ribbon
 
 @dataclass
 class ConeSubspace:
-    """H_Lambda = C^(|G|^k) tensor W in tensor coordinates: a block X of
-    shape (|G|^k, dim W) stands for sum X[a, j] |a> tensor w_j."""
+    """H_Lambda = C^n tensor W by the counts of Omega's block C: its shape
+    (n, m) = (|G|^k, dim W) and its rank r."""
 
     region: Region
     lat: Lattice
     group: AbelianGroup
-    omega_coeffs: np.ndarray  # C: Omega = sum C[a, j] |a> tensor w_j
+    n: int
+    m: int
+    r: int
 
     @property
     def dim(self) -> int:
-        return self.omega_coeffs.size
-
-    def region_action(self, op) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """A region operator on the block's rows, one n x n monomial matrix
-        per term (n = |G|^k): (source, target, coefficient) over region
-        indices. A map sends region configuration a to one configuration
-        with one phase (``AffineMap.eval``), whatever the column."""
-        opsum = as_opsum(op)
-        if not opsum.support() <= self.region.edges:
-            raise OperatorError("operator touches edges outside the region")
-        radix, edges = self.group.order, sorted(self.region.edges)
-        configs = enumerate_configs(edges, self.lat.n_edges, radix)
-        roots = self.group.tables()["roots"]
-        out = []
-        for coeff, m in opsum.terms:
-            alive, pnum, shifted = m.eval(configs)
-            target = codes(shifted[alive], edges, radix)
-            out.append((np.flatnonzero(alive), target, coeff * roots[pnum[alive]]))
-        return out
-
-    def region_apply(self, action, blocks: np.ndarray) -> np.ndarray:
-        """The operator of ``region_action`` on each block of `blocks`, shape
-        (n, |G|^k, dim W): a scatter of whole rows by target and phase. A
-        map is injective, so no term hits one target twice."""
-        out = np.zeros_like(blocks)
-        for src, dst, coeff in action:
-            out[:, dst] += blocks[:, src] * coeff[:, None]
-        return out
+        return self.n * self.m
 
 
 def cone_subspace(region: Region, lat: Lattice, group: AbelianGroup) -> ConeSubspace:
-    """H_Lambda in factorized coordinates, from the flat group F of a plane
-    patch, the gradients d phi: no state is built and no element of F is
-    listed. Every region edge must carry a dual triangle, as on a cone from
+    """H_Lambda's counts n, m and r, from the flat group F of a plane patch,
+    the gradients d phi: no state, block or element of F is built. Every
+    region edge must carry a dual triangle, as on a cone from
     ``cone_make``: region operators then shift every region edge, and the
     region index is the configuration of all of them.
 
@@ -218,23 +176,20 @@ def cone_subspace(region: Region, lat: Lattice, group: AbelianGroup) -> ConeSubs
     exterior coset, one column of C, exactly when they differ by the region
     value of a gradient vanishing on the exterior: of a potential constant
     on each component of (V, E minus region). A bucket is a region value of
-    the potentials on the touched vertices U (those on a region edge), listed
-    once each with one vertex per component of (U, region) held at the
-    identity. Its column is its potentials modulo functions constant on the
-    region components plus functions constant on the exterior components. In
-    the graph with a node per component of either kind and a link per
-    touched vertex, joining its two components, those functions are
-    gradients, and a spanning tree fixes their gauge: the class is read off
-    the links outside the tree, |G|^(links outside) = dim W classes. Each of
-    the |r(F)| buckets holds |F| / |r(F)| rows of amplitude 1/sqrt(|F|), so
-    C[a, j] = 1/sqrt(|r(F)|) where bucket a lies in class j. Columns are
-    ordered by their first bucket in region-index order, as on Omega's rows
-    (``materialized_cone`` in the test oracles). Refused on a torus, and
-    above CONE_BLOCK_CAP entries of C before anything is enumerated (the
-    potential rows are at most its |G|^k rows)."""
+    the potentials on the touched vertices U (those on a region edge), with
+    one vertex per component of (U, region) held at the identity: that fill
+    map is injective on the remaining free potentials, so each bucket is one
+    potential and each row of C has one nonzero entry. Its column is its
+    potentials modulo functions constant on the region components plus
+    functions constant on the exterior components. In the graph with a node
+    per component of either kind and a link per touched vertex, joining its
+    two components, those functions are gradients, and a spanning tree fixes
+    their gauge: the class is read off the links outside the tree, one
+    integer row of B over the free potentials each, so m = |G|^(links
+    outside) and r is the order of the image of B (``subgroup_order``).
+    Refused on a torus."""
     if lat.is_torus:
         raise DualityError("the cone subspace is read from the flat group of a plane patch")
-    radix = group.order
     ends = [lat.edge_endpoints(e) for e in sorted(region.edges)]
     touched = sorted({v for pair in ends for v in pair})
     inner = components(lat.n_vertices, ends)
@@ -262,46 +217,49 @@ def cone_subspace(region: Region, lat: Lattice, group: AbelianGroup) -> ConeSubs
     on_tree = {u for u, _, _ in tree}
     cycles = [u for u in touched if u not in on_tree]
     free = [u for u in touched if inner[u] != u]
-    n, m, rows = radix ** len(ends), radix ** len(cycles), radix ** len(free)
-    if n * m > CONE_BLOCK_CAP:
-        raise DualityError(
-            f"cone block of {radix}^{len(ends)} x {radix}^{len(cycles)} entries ({radix}^{len(free)}"
-            f" potential rows) on {lat.width}x{lat.height} is above the cap of {CONE_BLOCK_CAP}"
-        )
-    t = group.tables()
-    add, neg = t["add_u8"], t["neg_u8"]
-    zero = np.zeros(rows, dtype=np.uint8)
+    # each potential as an integer row over the free potentials
+    zero = np.zeros(len(free), dtype=np.int64)
     pots = dict.fromkeys(touched, zero)
-    pots.update(zip(free, digit_rows(radix, len(free)).T))
-    fill = np.zeros(rows, dtype=np.int64)  # region index, first edge most significant
-    for tail, head in ends:
-        fill = fill * radix + add[pots[head], neg[pots[tail]]]
+    pots.update(zip(free, np.eye(len(free), dtype=np.int64)))
     gauge = dict.fromkeys(links, zero)
     for u, x, y in tree:  # zero on every tree link
-        gauge[y] = neg[add[pots[u], gauge[x]]]
-    label = np.zeros(rows, dtype=np.int64)
-    for u in cycles:
-        label = label * radix + add[add[pots[u], gauge["in", inner[u]]], gauge["out", outer[u]]]
-    first = np.full(m, n, dtype=np.int64)
-    np.minimum.at(first, label, fill)
-    column = np.empty(m, dtype=np.int64)
-    column[np.argsort(first)] = np.arange(m)
-    coeffs = np.zeros((n, m), dtype=np.complex128)
-    coeffs[fill, column[label]] = np.sqrt(1 / rows)
-    return ConeSubspace(region, lat, group, coeffs)
+        gauge[y] = -(pots[u] + gauge[x])
+    labels = [(pots[u] + gauge["in", inner[u]] + gauge["out", outer[u]]).tolist() for u in cycles]
+    radix = group.order
+    r = subgroup_order(labels, len(free), group.orders)
+    return ConeSubspace(region, lat, group, radix ** len(ends), radix ** len(cycles), r)
+
+
+def _closure_count(lat: Lattice, group: AbelianGroup, maps: list[AffineMap]) -> int:
+    """|Phi(H)| for the group H that the Weyl maps `maps` generate on a
+    plane patch: the order of the group generated by their face fluxes and
+    vertex characters (``shift_fluxes``, ``vertex_characters``), counted
+    per cyclic factor on their digits. The per-factor product is Phi(H)
+    when H holds each map's part in each cyclic factor, as it does when the
+    maps carry every label of a set closed under taking those parts, such as
+    all nontrivial labels or all characters."""
+    phi = np.zeros((len(maps), lat.n_faces + lat.n_vertices), dtype=np.int64)
+    owner, face, flux = shift_fluxes(lat, group, maps)
+    phi[owner, face] = flux
+    phi[:, lat.n_faces :] = vertex_characters(lat, group, maps)
+    phi = phi[:, phi.any(axis=0)]
+    digits = group.tables()["digits"]
+    count = 1
+    for i, n in enumerate(group.orders):
+        rows = {row for row in map(tuple, digits[phi, i].tolist()) if any(row)}
+        count *= subgroup_order(sorted(rows), phi.shape[1], (n,))
+    return count
 
 
 def ribbon_closure_rank(subspace: ConeSubspace) -> tuple[int, int]:
-    """Independent construction of H_Lambda: grow an orthonormal basis from
-    Omega's block C by the region's ribbon operators, one operator at a
-    time, and report its rank for ribbons of up to CLOSURE_LENGTH_CAP - 1
-    and up to CLOSURE_LENGTH_CAP triangles. Equal ranks certify cap
-    stability; the rank must match the factorized dimension. Each distinct
-    operator acts on the blocks as a monomial matrix
-    (``ConeSubspace.region_action``), so no state is built."""
+    """Independent count of H_Lambda: the dimension of the span of W Omega
+    over the group H that the region's ribbon operators generate,
+    |Phi(H)| (``_closure_count``), for ribbons of up to
+    CLOSURE_LENGTH_CAP - 1 and up to CLOSURE_LENGTH_CAP triangles with
+    every nontrivial label. Equal counts certify cap stability; the count
+    must match the factorized dimension. No state is built."""
     lat, group, region = subspace.lat, subspace.group, subspace.region
     labels = sector_labels(group)[1:]
-    block = subspace.omega_coeffs
     ranks = []
     for cap in (CLOSURE_LENGTH_CAP - 1, CLOSURE_LENGTH_CAP):
         maps = dict.fromkeys(
@@ -309,25 +267,7 @@ def ribbon_closure_rank(subspace: ConeSubspace) -> tuple[int, int]:
             for r in ribbons_in_region(lat, region, cap)
             for chi, c in labels
         )
-        actions = [subspace.region_action(m) for m in maps if m is not None]
-        basis = (block / np.linalg.norm(block)).reshape(1, -1)  # orthonormal rows
-        frontier = basis
-        for _ in range(CLOSURE_ROUNDS):
-            grown = []
-            for action in actions:
-                new = subspace.region_apply(action, frontier.reshape(-1, *block.shape))
-                new = new.reshape(len(frontier), -1)
-                for _ in range(2):  # the second pass restores orthogonality to working precision
-                    new = new - (new @ basis.conj().T) @ basis
-                if np.linalg.norm(new) <= SUBSPACE_TOL:
-                    continue
-                _, sv, vh = np.linalg.svd(new, full_matrices=False)
-                grown.append(vh[sv > SUBSPACE_TOL])
-                basis = np.vstack([basis, grown[-1]])
-            if not grown:
-                break
-            frontier = np.vstack(grown)
-        ranks.append(len(basis))
+        ranks.append(_closure_count(lat, group, [m for m in maps if m is not None]))
     return ranks[0], ranks[1]
 
 
@@ -500,38 +440,18 @@ def boundary_membership_check(
     )
 
 
-def small_cone_skip(region: Region, lat: Lattice, group: AbelianGroup) -> str:
+def small_cone_skip(region: Region) -> str:
     """Why the ribbon closure does not run on this cone, or "" when it
-    does: on at most 3 edges, and Omega's |G|^(V-1) rows, counted from the
-    lattice, within OMEGA_ROWS_CAP."""
-    if len(region.edges) > 3:
-        return "it runs on cones of at most 3 edges"
-    power = lat.n_vertices - 1
-    if group.order**power > OMEGA_ROWS_CAP:
-        return (
-            f"it runs where Omega has at most {OMEGA_ROWS_CAP} rows,"
-            f" not {group.order}^{power} = {group.order**power}"
-        )
-    return ""
+    does: on at most 3 edges."""
+    return "" if len(region.edges) <= 3 else "it runs on cones of at most 3 edges"
 
 
 # -- the real-linear density check ---------------------------------------------------
 
 
-def _disjoint_column_rank(coeffs: np.ndarray) -> int:
-    """Rank of an Omega block C whose rows each hold at most one nonzero
-    entry: its columns then have disjoint supports, C^dagger C is diagonal,
-    and the rank is the number of nonzero columns. A row with two nonzero
-    entries is refused."""
-    nonzero = coeffs != 0
-    if (nonzero.sum(axis=1) > 1).any():
-        raise DualityError("a row of Omega's block has two nonzero entries")
-    return int(nonzero.any(axis=0).sum())
-
-
-def density_ranks(coeffs: np.ndarray) -> tuple[int, int]:
-    """(real rank of both families, real rank of the region family) with
-    Omega block C = `coeffs` (n x m) of rank r, when the region family is
+def density_ranks(n: int, m: int, r: int) -> tuple[int, int]:
+    """(real rank of both families, real rank of the region family) for
+    Omega's block C of shape (n, m) and rank r, when the region family is
     every Hermitian n x n matrix X. The families are {X C} and {i C Y} for
     Hermitian m x m matrices Y. With C = U S V^dagger, U^dagger X C V = X' S
     where X' = U^dagger X U runs over every Hermitian matrix: the first r
@@ -540,10 +460,7 @@ def density_ranks(coeffs: np.ndarray) -> tuple[int, int]:
     two meet only on the r x r block, where H S = i S K for Hermitian H and
     K reads H_ab = i K_ab s_a / s_b, and Hermiticity then gives
     K_ba (s_a / s_b + s_b / s_a) = 0: they meet in 0 and the ranks add,
-    whatever the spectrum. r is read from C's disjoint columns
-    (``_disjoint_column_rank``)."""
-    n, m = coeffs.shape
-    r = _disjoint_column_rank(coeffs)
+    whatever the spectrum."""
     a_rank = n * n - (n - r) ** 2
     return a_rank + m * m - (m - r) ** 2, a_rank
 
@@ -552,13 +469,11 @@ def self_adjoint_density_check(subspace: ConeSubspace) -> list[Check]:
     """Real-linear span of {X Omega : X self-adjoint region operator} and
     {i Y Omega : Y self-adjoint compressed exterior operator} must reach
     2 dim(H_Lambda); the first family alone must not. Both ranks follow from
-    the rank r of Omega's block (``density_ranks``), since the region
+    the shape and rank of Omega's block (``density_ranks``), since the region
     operators are all of M_n on the n = |G|^k region configurations: every
     region edge is bulk, so its shifts and characters give a Weyl basis."""
-    coeffs = subspace.omega_coeffs
-    n, m = coeffs.shape
-    r = _disjoint_column_rank(coeffs)
-    full_rank, a_rank = density_ranks(coeffs)
+    n, m, r = subspace.n, subspace.m, subspace.r
+    full_rank, a_rank = density_ranks(n, m, r)
     target = 2 * subspace.dim
     law = "self-adjoint parts plus i times compressed exterior parts span"
     source = f"from n = {n}, m = {m}, r = {r} (C's columns are disjoint)"

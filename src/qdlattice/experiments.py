@@ -835,11 +835,10 @@ def run_haag(config: RunConfig, group: AbelianGroup, lat: Lattice) -> Report:
     rng = random.Random(config.seed)
     apex = (1, 1)
     cone = cone_make(apex, ["N", "E"], lat)
-    # the block comes from the flat group, refused above its cap before
-    # anything is enumerated
+    # the block's counts come from the flat group: nothing is enumerated
     sub = cone_subspace(cone, lat, group)
     detectors = detecting_exterior_sites(lat, cone)
-    skip = small_cone_skip(cone, lat, group)
+    skip = small_cone_skip(cone)
     rep.add(
         "cone subspace construction",
         "plumbing",

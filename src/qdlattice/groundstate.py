@@ -207,6 +207,15 @@ def _diagonal_form(a: list[list[int]], n_cols: int) -> tuple[list[int], list[lis
     return [A[k][k] for k in range(min(m, n_cols))], P, Q
 
 
+def subgroup_order(rows: list, n_cols: int, orders) -> int:
+    """Order of the subgroup of ⊕_i Z_{n_i}^n_cols generated by the integer
+    `rows` read in every cyclic factor Z_{n_i} (n_i in `orders`): with
+    P·A·Q = diag(d) (``_diagonal_form``), Π_i Π_j n_i / gcd(d_j, n_i), the
+    image of the diagonal map, since P and Q are invertible mod every n_i."""
+    d = _diagonal_form(rows, n_cols)[0]
+    return math.prod(n // math.gcd(dj, n) for n in orders for dj in d)
+
+
 def _system_means(group: AbelianGroup, system: tuple, factors: list) -> list[complex]:
     """Per term (``_gradient_factors``) of one delta system, the mean of
     delta * phase over all vertex potentials φ, exactly. The system's forms

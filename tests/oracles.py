@@ -56,22 +56,24 @@ something the package computes another way:
   and ``sample_exterior_ribbons`` and ``boundary_ribbons`` pick theirs from
   that list, the latter by catching the search's refusals, for the
   path-based versions in ``duality``;
-- ``materialized_cone`` reads the cone block and W's exterior keys off
-  Ω's rows, as a ``MaterializedCone`` whose ``residual`` is a state's
-  distance to H_Lambda, for ``cone_subspace`` and ``membership_residuals``;
-  it refuses exterior keys that overflow int64;
+- ``materialized_cone`` reads the dense cone block C and W's exterior keys
+  off Ω's rows, as a ``MaterializedCone`` whose ``residual`` is a state's
+  distance to H_Lambda, for ``cone_subspace``'s counts and
+  ``membership_residuals``; it refuses exterior keys that overflow int64;
 - ``orthonormalize`` is plain Gram-Schmidt, for ``materialized_cone``;
 - ``closure_rank`` grows the ribbon closure from materialized states with a
-  pivoted Cholesky on their Gram matrix, for ``ribbon_closure_rank``;
+  pivoted Cholesky on their Gram matrix, and ``block_closure_rank`` grows
+  it on the block C with a dense Gram-Schmidt, the region operators acting
+  on C's rows as monomial matrices (``region_action``, ``region_apply``),
+  for ``ribbon_closure_rank``'s count;
 - ``cone_coeffs`` reads a state's block coordinates with
   ``MaterializedCone``'s own key lookup, for the coordinate tests;
 - ``density_ranks_by_svd`` takes the density check's ranks from a real SVD
-  of both families in block coordinates (``region_images``, whose S_M C
-  reads ``ConeSubspace.region_action``, and
+  of both families in block coordinates (``region_images`` and
   ``compressed_hermitian_images``), for ``density_ranks``; ``real_rank``
   and ``label_ops`` serve it and the cone-subspace tests;
   ``schmidt_density_ranks`` is the same closed form with r from an SVD of
-  C, for ``density_ranks``'s r from C's disjoint columns;
+  C, for ``density_ranks``' r counted from C's nonzero columns;
 - ``max_cone_overlap`` sweeps omega(M^dagger F) over every edge monomial M
   of a region (``monomial``), for ``cone_overlaps``' closed form, and
   ``deep_charge_detected`` reads a ribbon's detected charge pair by group
@@ -80,8 +82,8 @@ something the package computes another way:
   ``weyl_label_count`` counts the distinct labels of them and their
   adjoints: n^2 labels make them a Weyl basis, the fact the density check
   takes from the region's edges being bulk;
-- ``cone_shape`` gives the shape of ``cone_subspace``'s block from graph
-  components (``_components``), without Omega;
+- ``cone_shape`` gives the shape (n, m) of ``cone_subspace``'s block from
+  graph components (``_components``), without Omega;
 - ``deformation_pair_by_shifts`` builds each ribbon's shift pattern per
   group element (``shift_pattern``), walks the face fluxes and reads each
   flux expression on the other's pattern and on the torus cocycles
@@ -102,8 +104,8 @@ import scipy.sparse as sp
 
 from qdlattice import lattice
 from qdlattice.duality import (
+    CLOSURE_LENGTH_CAP,
     EXTERIOR_RIBBON_LEN,
-    SUBSPACE_TOL,
     ConeSubspace,
     DualityError,
     detecting_exterior_sites,
@@ -340,8 +342,10 @@ class MaterializedCone(ConeSubspace):
     ``cone_subspace`` and ``membership_residuals``. Each w_j is 1/sqrt(|K|) on its |K|
     exterior keys, so W is an index map from keys to columns, and a state's
     coordinates come from bucketing its rows by region index and exterior
-    key and summing each bucket into its column."""
+    key and summing each bucket into its column. Its block C is built:
+    n x m complex entries, one nonzero per nonempty bucket."""
 
+    omega_coeffs: np.ndarray  # C: Omega = sum C[a, j] |a> tensor w_j
     ext_edges: list[int]  # every edge off the region: the exterior key
     ext_keys: np.ndarray  # sorted exterior keys on which some w_j lives
     key_cols: np.ndarray  # the column j of the w_j living on each key
@@ -412,11 +416,88 @@ def materialized_cone(
     n_rows = omega.n_terms
     coset_size = n_rows // len(fills)  # |K|
     ext_keys, key_row = np.unique(ext, return_index=True)
-    omega_coeffs = np.zeros((radix ** len(edges), len(first)), dtype=np.complex128)
+    n, m = radix ** len(edges), len(first)
+    omega_coeffs = np.zeros((n, m), dtype=np.complex128)
     omega_coeffs[fills, column] = np.sqrt(coset_size / n_rows)
     return MaterializedCone(
-        region, lat, group, omega_coeffs, ext_edges, ext_keys, column[bucket[key_row]], coset_size
+        region, lat, group, n, m, m, omega_coeffs, ext_edges, ext_keys, column[bucket[key_row]], coset_size
     )
+
+
+def region_action(subspace: MaterializedCone, op) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """A region operator on the block's rows, one n x n monomial matrix per
+    term (n = |G|^k): (source, target, coefficient) over region indices. A
+    map sends region configuration a to one configuration with one phase
+    (``AffineMap.eval``), whatever the column."""
+    opsum = as_opsum(op)
+    if not opsum.support() <= subspace.region.edges:
+        raise OperatorError("operator touches edges outside the region")
+    radix, edges = subspace.group.order, sorted(subspace.region.edges)
+    configs = enumerate_configs(edges, subspace.lat.n_edges, radix)
+    roots = subspace.group.tables()["roots"]
+    out = []
+    for coeff, m in opsum.terms:
+        alive, pnum, shifted = m.eval(configs)
+        target = codes(shifted[alive], edges, radix)
+        out.append((np.flatnonzero(alive), target, coeff * roots[pnum[alive]]))
+    return out
+
+
+def region_apply(action, blocks: np.ndarray) -> np.ndarray:
+    """The operator of ``region_action`` on each block of `blocks`, shape
+    (n, |G|^k, dim W): a scatter of whole rows by target and phase. A map
+    is injective, so no term hits one target twice."""
+    out = np.zeros_like(blocks)
+    for src, dst, coeff in action:
+        out[:, dst] += blocks[:, src] * coeff[:, None]
+    return out
+
+
+def block_closure_rank(subspace: MaterializedCone, rounds: int = 8) -> tuple[int, int]:
+    """The ribbon closure grown in block coordinates: an orthonormal basis
+    from Omega's block C, grown by the region's ribbon operators one
+    operator at a time (``region_action``) with a dense Gram-Schmidt, for
+    ribbons of up to CLOSURE_LENGTH_CAP - 1 and CLOSURE_LENGTH_CAP
+    triangles, for ``ribbon_closure_rank``'s count. A cap that adds no
+    operator repeats the rank, and a basis of the whole block space ends
+    the growth."""
+    lat, group, region = subspace.lat, subspace.group, subspace.region
+    labels = sector_labels(group)[1:]
+    block = subspace.omega_coeffs
+    ranks: dict = {}
+    for cap in (CLOSURE_LENGTH_CAP - 1, CLOSURE_LENGTH_CAP):
+        maps = tuple(
+            dict.fromkeys(
+                canonical(ribbon_F_irrep(lat, group, r, chi, c))
+                for r in ribbons_in_region(lat, region, cap)
+                for chi, c in labels
+            )
+        )
+        if maps in ranks:
+            ranks[cap] = ranks[maps]
+            continue
+        actions = [region_action(subspace, m) for m in maps if m is not None]
+        basis = (block / np.linalg.norm(block)).reshape(1, -1)  # orthonormal rows
+        frontier = basis
+        for _ in range(rounds):
+            grown = []
+            for action in actions:
+                if len(basis) == block.size:
+                    break
+                new = region_apply(action, frontier.reshape(-1, *block.shape))
+                new = new.reshape(len(frontier), -1)
+                for _ in range(2):  # the second pass restores orthogonality to working precision
+                    new = new - (new @ basis.conj().T) @ basis
+                if np.linalg.norm(new) <= SPAN_TOL:
+                    continue
+                _, sv, vh = np.linalg.svd(new, full_matrices=False)
+                grown.append(vh[sv > SPAN_TOL])
+                basis = np.vstack([basis, grown[-1]])
+            if not grown:
+                break
+            frontier = np.vstack(grown)
+        ranks[cap] = ranks[maps] = len(basis)
+    return ranks[CLOSURE_LENGTH_CAP - 1], ranks[CLOSURE_LENGTH_CAP]
 
 
 # -- the density check's families, materialized ---------------------------------------
@@ -436,15 +517,15 @@ def cone_coeffs(subspace: MaterializedCone, psi: SparseState) -> np.ndarray:
     return subspace._project(subspace._cells(*subspace._codes(psi)), psi.amps)
 
 
-def region_images(subspace: ConeSubspace, op) -> tuple[np.ndarray, np.ndarray]:
+def region_images(subspace: MaterializedCone, op) -> tuple[np.ndarray, np.ndarray]:
     """Coordinates S_M C and S_M^dagger C of op Omega and op^dagger Omega,
     for an operator on the region's edges."""
     c = subspace.omega_coeffs[None]
-    image = subspace.region_apply(subspace.region_action(op), c)[0]
-    return image, subspace.region_apply(subspace.region_action(as_opsum(op).adjoint()), c)[0]
+    image = region_apply(region_action(subspace, op), c)[0]
+    return image, region_apply(region_action(subspace, as_opsum(op).adjoint()), c)[0]
 
 
-def compressed_hermitian_images(subspace: ConeSubspace) -> list[np.ndarray]:
+def compressed_hermitian_images(subspace: MaterializedCone) -> list[np.ndarray]:
     """i Y Omega for a real basis of self-adjoint compressed exterior
     operators, as coordinate blocks. An exterior operator preserves the
     region factors, so its compression is a matrix on W, and every
@@ -480,7 +561,7 @@ def real_rank(blocks: Sequence[np.ndarray], tol: float = 1e-7) -> int:
     return int(np.sum(s > tol))
 
 
-def density_ranks_by_svd(subspace: ConeSubspace, operators: Iterable) -> tuple[int, int]:
+def density_ranks_by_svd(subspace: MaterializedCone, operators: Iterable) -> tuple[int, int]:
     """(full rank, region-family rank) of the density check by a real SVD
     of both families in block coordinates: (X + X^dagger) C and
     i (X - X^dagger) C for each region operator X, and the compressed
@@ -499,7 +580,7 @@ def schmidt_density_ranks(coeffs: np.ndarray) -> tuple[int, int]:
     family and that plus m^2 - (m - r)^2 for both."""
     n, m = coeffs.shape
     s = np.linalg.svd(coeffs, compute_uv=False)
-    r = int(np.sum(s > SUBSPACE_TOL * s.max(initial=0.0)))
+    r = int(np.sum(s > SPAN_TOL * s.max(initial=0.0)))
     a_rank = n * n - (n - r) ** 2
     return a_rank + m * m - (m - r) ** 2, a_rank
 

@@ -205,7 +205,11 @@ def test_oversized_inputs_exit_2_with_one_line(capsys, args):
     assert run_cli(args) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {args[1]}: ") and err.count("\n") == 1
-    assert "above the cap" in err or "at most 255" in err
+    if args[1] == "haag-check":
+        # the cone's counts take no cap; the boundary ribbons' search stops at its node cap
+        assert err.endswith("-node cap\n"), err
+    else:
+        assert "above the cap" in err or "at most 255" in err
 
 
 @pytest.mark.parametrize("spec", ["2x2:plane", "2x3:plane", "3x2:plane", "2x2:torus", "2x3:torus"])
@@ -300,21 +304,19 @@ def test_fusion_z2xz4_passes_at_the_default_lattice(tmp_path):
     assert [c["status"] for c in data["checks"]] == ["pass"] * 2
 
 
-@pytest.mark.parametrize("group,power", [("z6", "6^8 = 1679616"), ("z2xz4", "8^8 = 16777216")], ids=["z6", "z2xz4"])
-def test_haag_check_on_3x3_skips_the_small_cone_checks_above_the_omega_bound(tmp_path, group, power):
-    """The 3x3 cone has 2 edges, but Omega would have more than 2^20 rows:
-    the ribbon closure is skipped, the construction check says why, and the
-    other 5 checks pass."""
+@pytest.mark.parametrize("group,dim", [("z6", 1296), ("z2xz4", 4096)], ids=["z6", "z2xz4"])
+def test_haag_check_on_3x3_runs_the_closure_whatever_the_size_of_omega(tmp_path, group, dim):
+    """The 3x3 cone has 2 edges, so the ribbon closure runs, although Omega
+    would have 6^8 or 8^8 rows: it is counted from fluxes and characters,
+    and all 6 checks pass."""
     out = tmp_path / "r.json"
     args = ["--experiment", "haag-check", "--group", group, "--lattice", "3x3:plane", "--out", str(out)]
     assert run_cli(args) == 0
     data = json.loads(out.read_text())
     assert schema_errors(data) == []
-    assert [c["status"] for c in data["checks"]] == ["pass"] * 5
-    assert data["checks"][0]["details"].endswith(
-        "; ribbon closure check skipped:"
-        f" it runs where Omega has at most 1048576 rows, not {power}"
-    )
+    assert [c["status"] for c in data["checks"]] == ["pass"] * 6
+    assert data["checks"][0]["details"] == f"cone of 2 edges, subspace dimension {dim}"
+    assert data["checks"][1]["details"] == f"closure ranks ({dim}, {dim}) vs dimension {dim}"
 
 
 def test_haag_check_z3_passes_at_the_default_lattice(tmp_path):
@@ -343,23 +345,18 @@ def test_haag_check_passes_at_the_default_lattice(tmp_path, group):
     assert [c["status"] for c in data["checks"]] == ["pass"] * 5
 
 
-def test_haag_check_on_the_4x4_plane_fits_z3_and_refuses_z4_at_once(tmp_path, capsys):
-    """z3's 6561 x 729 cone block fits under the cap and every check passes;
-    z4's 65536 x 4096 block is refused with one line before it is
-    allocated."""
+def test_haag_check_on_the_4x4_plane_passes_z3_and_z4(tmp_path):
+    """The cone block is never built, only counted: z3's 6561 x 729 and
+    z4's 65536 x 4096 blocks both give every check, at once."""
     out = tmp_path / "r.json"
     args = ["--experiment", "haag-check", "--lattice", "4x4:plane", "--out", str(out)]
-    assert run_cli(args + ["--group", "z3"]) == 0
-    assert [c["status"] for c in json.loads(out.read_text())["checks"]] == ["pass"] * 5
-    capsys.readouterr()
-    start = time.perf_counter()
-    assert run_cli(["--experiment", "haag-check", "--group", "z4", "--lattice", "4x4:plane"]) == 2
-    assert time.perf_counter() - start < 2.0
-    err = capsys.readouterr().err
-    assert err == (
-        "error: haag-check: cone block of 4^8 x 4^6 entries (4^7 potential rows) on 4x4"
-        " is above the cap of 8388608\n"
-    )
+    for group, n, m in [("z3", 6561, 729), ("z4", 65536, 4096)]:
+        start = time.perf_counter()
+        assert run_cli(args + ["--group", group]) == 0
+        assert time.perf_counter() - start < 2.0
+        checks = json.loads(out.read_text())["checks"]
+        assert [c["status"] for c in checks] == ["pass"] * 5
+        assert checks[3]["details"].endswith(f" from n = {n}, m = {m}, r = {m} (C's columns are disjoint)")
 
 
 def test_haag_check_z2_passes_on_the_4x4_plane(capsys):
@@ -437,15 +434,18 @@ def test_benchmark_cells_leave_scipy_unimported(tmp_path):
 
 
 def test_haag_check_on_3x3_leaves_states_and_scipy_unimported(tmp_path):
-    """haag-check z2 and z3 on the 3x3 plane run the small-cone checks, and
-    neither builds a state: ``qdlattice.states`` and scipy stay unimported.
-    Run in a fresh interpreter, since other tests import both here."""
+    """haag-check z2, z3, z5 and z6 on the 3x3 plane run the small-cone
+    checks, and z4 and z2xz2 on the 6x6 plane the others; none builds a
+    state: ``qdlattice.states`` and scipy stay unimported. Run in a fresh
+    interpreter, since other tests import both here."""
     out = tmp_path / "r.json"
+    cases = [(group, "3x3:plane") for group in ["z2", "z3", "z5", "z6"]]
+    cases += [(group, "6x6:plane") for group in ["z4", "z2xz2"]]
     script = (
         "import sys\n"
         "from qdlattice import cli\n"
-        "for group in ['z2', 'z3']:\n"
-        "    args = ['--experiment', 'haag-check', '--group', group, '--lattice', '3x3:plane']\n"
+        f"for group, lattice in {cases!r}:\n"
+        "    args = ['--experiment', 'haag-check', '--group', group, '--lattice', lattice]\n"
         f"    assert cli.main(args + ['--out', {str(out)!r}]) == 0, args\n"
         "    assert 'qdlattice.states' not in sys.modules, args\n"
         "    assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], args\n"
