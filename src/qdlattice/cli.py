@@ -42,7 +42,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(argv=None) -> RunConfig:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     fields = {
         "experiment": args.experiment,
         "group": args.group,
@@ -58,7 +59,7 @@ def config_from_args(argv=None) -> RunConfig:
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
         for k, v in file_fields.items():
-            if fields[k] in (None,) or k not in ("experiment",) and fields[k] == build_parser().get_default(k):
+            if fields[k] in (None,) or k not in ("experiment",) and fields[k] == parser.get_default(k):
                 fields[k] = v
     if not fields["experiment"]:
         raise ValueError("an experiment is required (flag --experiment or config file)")

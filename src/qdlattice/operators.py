@@ -19,8 +19,10 @@ Operators are read row by row from ``AffineMap.eval``: on any set of
 configurations a map is a monomial matrix, one target and one phase per
 row. Operator identities are checked
 exactly by ``ops_equal``, from normal forms or on the configurations of the
-edges that deltas and characters read; ``commutator_phase`` needs neither,
-and ``conjugated`` forms f* m f without an adjoint or a product. Only
+edges that deltas and characters read. ``commutator_phase`` reads the phase
+relating a b and b a, or its absence, off the two delta systems and the
+characters without forming either product, and ``conjugated`` forms f* m f
+without an adjoint or a product. Only
 the torus exact-diagonalization cross-check and the test oracles build
 whole matrices (``support_matrix``, ``to_matrix``), so scipy is imported
 there and not with the package.
@@ -58,19 +60,60 @@ def _fold_shift(shifts: dict[int, int], coeffs: Coeffs, add, neg) -> int:
     return acc
 
 
-def commutator_phase(a: AffineMap, b: AffineMap) -> int:
-    """Numerator lambda with a b = lambda b a for maps without deltas: a's characters
-    read on b's shifts minus b's on a's (qudit X Z = omega Z X), additive in a and b."""
-    if a.deltas or b.deltas:
-        raise OperatorError("commutator phase needs maps without deltas")
-    g = a.group
-    add, neg, char_num = g.index_tables
+def _moved_deltas(m: AffineMap, shifts: dict[int, int]) -> list[tuple[Coeffs, int]]:
+    """m's deltas read on an input moved by `shifts`: expr(x + s) = t is expr(x) = t - expr(s)."""
+    add, neg, _ = m.group.index_tables
+    return [(cs, add[t][neg[_fold_shift(shifts, cs, add, neg)]]) for cs, t in m.deltas]
 
-    def picked_up(m: AffineMap, other: AffineMap) -> int:
-        shifts = dict(other.shifts)
-        return sum(char_num[ci][_fold_shift(shifts, coeffs, add, neg)] for ci, coeffs, _ in m.chars)
 
-    return (picked_up(a, b) - picked_up(b, a)) % g.phase_denominator
+def _picked_up(m: AffineMap, shifts: dict[int, int]) -> int:
+    """Phase numerator m's characters pick up on `shifts`: the sum of chi(expr(s))."""
+    add, neg, char_num = m.group.index_tables
+    return sum(char_num[ci][_fold_shift(shifts, cs, add, neg)] for ci, cs, _ in m.chars)
+
+
+def _norm_expr(coeffs: Coeffs) -> tuple[Coeffs, bool]:
+    """The expression sorted with a positive leading sign, and whether it was negated."""
+    cs = tuple(sorted(coeffs))
+    if cs and cs[0][1] < 0:
+        return tuple((e, -s) for e, s in cs), True
+    return cs, False
+
+
+def _normal_deltas(deltas: Iterable[tuple[Coeffs, int]], neg) -> Optional[dict[Coeffs, int]]:
+    """A delta system as {normalized expression: target}, or None when it
+    annihilates everything (a conflict, or an empty expression with a
+    nonidentity target)."""
+    out: dict[Coeffs, int] = {}
+    for coeffs, target in deltas:
+        cs, flipped = _norm_expr(coeffs)
+        if flipped:
+            target = neg[target]
+        if not cs:
+            if target:
+                return None
+            continue
+        if out.setdefault(cs, target) != target:
+            return None
+    return out
+
+
+def commutator_phase(a: AffineMap, b: AffineMap) -> Optional[int]:
+    """Numerator lambda with a b = omega^lambda b a as normal forms, or None
+    when no phase relates the two products; 0 when both are zero.
+
+    a b keeps b's deltas and a's read on b's shift, b a the mirror system;
+    their characters and shifts agree. When the two delta systems agree the
+    products differ only by a's characters read on b's shifts minus b's on
+    a's (qudit X Z = omega Z X), additive in a and b."""
+    neg = a.group.index_tables[1]
+    sa, sb = dict(a.shifts), dict(b.shifts)
+    ab = _normal_deltas(list(b.deltas) + _moved_deltas(a, sb), neg)
+    if ab != _normal_deltas(list(a.deltas) + _moved_deltas(b, sa), neg):
+        return None
+    if ab is None:
+        return 0
+    return (_picked_up(a, sb) - _picked_up(b, sa)) % a.group.phase_denominator
 
 
 @dataclass(frozen=True)
@@ -115,9 +158,7 @@ class AffineMap:
         add, neg, _ = g.index_tables
         shifts = dict(first.shifts)
         # self's constraints read the input already shifted by `first`
-        new_deltas = list(first.deltas)
-        for coeffs, target in self.deltas:
-            new_deltas.append((coeffs, add[target][neg[_fold_shift(shifts, coeffs, add, neg)]]))
+        new_deltas = list(first.deltas) + _moved_deltas(self, shifts)
         new_chars = list(first.chars)
         for ci, coeffs, offset in self.chars:
             new_chars.append((ci, coeffs, add[offset][_fold_shift(shifts, coeffs, add, neg)]))
@@ -138,10 +179,7 @@ class AffineMap:
         add, neg, _ = g.index_tables
         inv_shifts = tuple(sorted((e, neg[gi]) for e, gi in self.shifts))
         undo = dict(inv_shifts)
-        new_deltas = tuple(
-            (coeffs, add[target][neg[_fold_shift(undo, coeffs, add, neg)]])
-            for coeffs, target in self.deltas
-        )
+        new_deltas = tuple(_moved_deltas(self, undo))
         new_chars = tuple(
             (neg[ci], coeffs, add[offset][_fold_shift(undo, coeffs, add, neg)])
             for ci, coeffs, offset in self.chars
@@ -193,12 +231,11 @@ def conjugated(f: AffineMap, m: AffineMap) -> AffineMap:
     g = m.group
     if g != f.group or m.n_edges != f.n_edges:
         raise OperatorError("maps live on different lattices or groups")
-    add, neg, char_num = g.index_tables
+    add, neg, _ = g.index_tables
     fs, ms = dict(f.shifts), dict(m.shifts)
-    deltas = [(cs, add[t][neg[_fold_shift(fs, cs, add, neg)]]) for cs, t in m.deltas] + list(f.deltas)
-    deltas += [(cs, add[t][neg[_fold_shift(ms, cs, add, neg)]]) for cs, t in f.deltas]
+    deltas = _moved_deltas(m, fs) + list(f.deltas) + _moved_deltas(f, ms)
     chars = tuple((ci, cs, add[off][_fold_shift(fs, cs, add, neg)]) for ci, cs, off in m.chars)
-    phase = m.phase - sum(char_num[ci][_fold_shift(ms, cs, add, neg)] for ci, cs, _ in f.chars)
+    phase = m.phase - _picked_up(f, ms)
     return AffineMap(g, m.n_edges, m.shifts, tuple(deltas), chars, phase % g.phase_denominator)
 
 
@@ -286,22 +323,9 @@ def canonical(m: AffineMap) -> Optional[AffineMap]:
     g = m.group
     add, neg, char_num = g.index_tables
 
-    def norm_expr(coeffs: Coeffs):
-        cs = tuple(sorted(coeffs))
-        if cs and cs[0][1] < 0:
-            return tuple((e, -s) for e, s in cs), True
-        return cs, False
-
-    delta_map: dict[Coeffs, int] = {}
-    for coeffs, target in m.deltas:
-        cs, flipped = norm_expr(coeffs)
-        t = neg[target] if flipped else target
-        if not cs and t:
-            return None  # empty expression can only hit the identity
-        if not cs:
-            continue
-        if delta_map.setdefault(cs, t) != t:
-            return None  # conflicting constraints annihilate everything
+    delta_map = _normal_deltas(m.deltas, neg)
+    if delta_map is None:
+        return None
 
     # each character's constant part goes into the global phase, leaving chi
     # evaluated at the bare expression
@@ -309,7 +333,7 @@ def canonical(m: AffineMap) -> Optional[AffineMap]:
     char_map: dict[Coeffs, int] = {}
     for ci, coeffs, offset in m.chars:
         pnum += char_num[ci][offset]
-        cs, flipped = norm_expr(coeffs)
+        cs, flipped = _norm_expr(coeffs)
         if cs:
             char_map[cs] = add[char_map.get(cs, 0)][neg[ci] if flipped else ci]
     chars = tuple(sorted((ci, cs, 0) for cs, ci in char_map.items() if ci))

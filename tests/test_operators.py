@@ -9,6 +9,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import assume, given, settings, strategies as st
 
+from qdlattice.experiments import commutation_error
 from qdlattice.groundstate import omega_expectations
 from qdlattice.groups import group_make
 from qdlattice.lattice import (
@@ -671,11 +672,74 @@ def test_conjugated_refuses_maps_on_different_groups():
         conjugated(AffineMap.identity(Z2, 4), AffineMap.identity(Z3, 4))
 
 
-def test_commutator_phase_refuses_maps_with_deltas():
+def _raised(form, lam):
+    """A normal form with its phase raised by lam; the zero map stays None."""
+    if form is None:
+        return None
+    return dataclasses.replace(form, phase=(form.phase + lam) % form.group.phase_denominator)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=st.one_of(_map_pairs(), _conjugation_pairs()))
+def test_commutator_phase_matches_the_normal_forms_of_both_products(pair):
+    """Maps with deltas and characters, the identity and the zero map: lambda
+    relates the normal forms of a b and b a, None means no phase does, and
+    two zero products give 0."""
+    a, b = pair
+    lam = commutator_phase(a, b)
+    ab, ba = canonical(a.compose(b)), canonical(b.compose(a))
+    if lam is None:
+        assert all(ab != _raised(ba, k) for k in range(a.group.phase_denominator))
+    else:
+        assert ab == _raised(ba, lam)
+    if ab is None and ba is None:
+        assert lam == 0
+
+
+def test_commutator_phase_reads_maps_with_deltas():
+    """A ribbon projector (a delta) against an irrep map (a character) on the
+    same ribbon: the phase relates the normal forms and the operators."""
     lat = Lattice(3, 3, "torus")
     rho = ribbon_between(lat.site_at(lat.vertex_id(1, 1)), lat.site_at(lat.vertex_id(2, 2)), lat)
     F = ribbon_F(lat, Z3, rho, (1,), (0,))
     W = ribbon_F_irrep(lat, Z3, rho, (1,), (1,))
     for a, b in ((F, W), (W, F)):
-        with pytest.raises(OperatorError, match="without deltas"):
-            commutator_phase(a, b)
+        lam = commutator_phase(a, b)
+        assert lam is not None
+        ba = b.compose(a)
+        raised = dataclasses.replace(ba, phase=(ba.phase + lam) % Z3.phase_denominator)
+        assert canonical(a.compose(b)) == canonical(raised)
+        assert ops_equal(a.compose(b), raised, lat.n_edges) < 1e-12
+    assert commutator_phase(F, W) == -commutator_phase(W, F) % Z3.phase_denominator
+
+
+def test_commutation_error_reports_ops_equal_when_a_law_fails():
+    """verify's commutation helper on z3 3x3:torus: 0.0 for a law that holds,
+    and exactly ``ops_equal``'s deviation of the two products for one that
+    does not."""
+    lat = Lattice(3, 3, "torus")
+    ne = lat.n_edges
+    rho = ribbon_between(lat.site_at(lat.vertex_id(0, 0)), lat.site_at(lat.vertex_id(2, 1)), lat)
+    s0 = rho.start
+    L = Z3.phase_denominator
+
+    def deviation(a, b, lam):
+        ba = b.compose(a)
+        return ops_equal(a.compose(b), dataclasses.replace(ba, phase=(ba.phase + lam) % L), ne)
+
+    # the plaquette projector against a ribbon that moves flux: no phase at all
+    B = plaq_h(lat, Z3, s0, Z3.identity())
+    F = ribbon_F_irrep(lat, Z3, rho, (0,), (1,))
+    assert commutator_phase(B, F) is None
+    err = commutation_error(B, F, 0, ne)
+    assert err == deviation(B, F, 0) and err > 0.1
+
+    # A^k F = chi(k) F A^k with chi(k) != 1, asked for the wrong phases
+    A = star_g(lat, Z3, s0, (1,))
+    F = ribbon_F_irrep(lat, Z3, rho, (1,), (0,))
+    lam = Z3.index_tables[2][Z3.index_of((1,))][Z3.index_of((1,))]
+    assert lam != 0 and commutator_phase(A, F) == lam
+    assert commutation_error(A, F, lam, ne) == 0.0
+    for wrong in (0, lam + 1):
+        err = commutation_error(A, F, wrong, ne)
+        assert err == deviation(A, F, wrong) and err > 0.1
