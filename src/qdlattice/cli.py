@@ -1,15 +1,17 @@
 """Command-line front end: pick an experiment, run it, emit a JSON report.
 
 Exit code 0 when every check passes, 1 when a check fails, and 2 with a
-one-line message on stderr when the configuration is rejected or the
-experiment cannot run. The JSON file is byte-reproducible for a fixed
-configuration and seed; wall time goes to stderr only.
+one-line message on stderr when the configuration is rejected, the
+experiment cannot run or its report cannot be written. The JSON file is
+byte-reproducible for a fixed configuration and seed; wall time goes to
+stderr only.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -55,6 +57,8 @@ def config_from_args(argv=None) -> RunConfig:
     if args.config:
         with open(args.config) as fh:
             file_fields = json.load(fh)
+        if not isinstance(file_fields, dict):
+            raise ValueError(f"config file {args.config} must hold a JSON object")
         unknown = set(file_fields) - set(fields)
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
@@ -64,7 +68,13 @@ def config_from_args(argv=None) -> RunConfig:
     if not fields["experiment"]:
         raise ValueError("an experiment is required (flag --experiment or config file)")
     fields["lattice"] = fields["lattice"] or ""
-    return RunConfig(**fields)
+    config = RunConfig(**fields)
+    # refused before the run, not after it
+    if config.out and os.path.isdir(config.out):
+        raise ValueError(f"report path {config.out} is a directory")
+    if config.out and not os.path.isdir(os.path.dirname(config.out) or "."):
+        raise ValueError(f"report path {config.out}: no directory {os.path.dirname(config.out)}")
+    return config
 
 
 def main(argv=None) -> int:
@@ -81,7 +91,11 @@ def main(argv=None) -> int:
         return 2
     elapsed = time.time() - t0
     if config.out:
-        write_report(report, config.out)
+        try:
+            write_report(report, config.out)
+        except OSError as exc:
+            print(f"error: cannot write the report: {exc}", file=sys.stderr)
+            return 2
         print(f"report written to {config.out}", file=sys.stderr)
     else:
         sys.stdout.write(report_json(report))

@@ -40,8 +40,8 @@ W' Omega are equal up to a phase or orthogonal (the stabilizer-state
 rule): equal exactly when W^dagger W' has a flat shift and trivial vertex
 characters. So the closure of Omega under the group H the ribbon
 operators generate has dimension |Phi(H)|, with Phi the homomorphism to
-face fluxes and vertex characters, and Phi(H) is generated by the ribbon
-operators' images.
+face fluxes and vertex characters (``shift_fluxes``, ``vertex_charges``),
+and Phi(H) is generated by the ribbon operators' images.
 
 On top of the subspace sit the exterior-charge orthogonality check, the
 boundary membership check and the real-linear density check mirroring the
@@ -88,7 +88,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .groundstate import shift_fluxes, subgroup_order, vertex_characters
+from .groundstate import shift_fluxes, subgroup_order, vertex_charges
 from .groups import AbelianGroup
 from .lattice import (
     Lattice,
@@ -233,7 +233,7 @@ def cone_subspace(region: Region, lat: Lattice, group: AbelianGroup) -> ConeSubs
 def _closure_count(lat: Lattice, group: AbelianGroup, maps: list[AffineMap]) -> int:
     """|Phi(H)| for the group H that the Weyl maps `maps` generate on a
     plane patch: the order of the group generated by their face fluxes and
-    vertex characters (``shift_fluxes``, ``vertex_characters``), counted
+    vertex characters (``shift_fluxes``, ``vertex_charges``), counted
     per cyclic factor on their digits. The per-factor product is Phi(H)
     when H holds each map's part in each cyclic factor, as it does when the
     maps carry every label of a set closed under taking those parts, such as
@@ -241,7 +241,8 @@ def _closure_count(lat: Lattice, group: AbelianGroup, maps: list[AffineMap]) -> 
     phi = np.zeros((len(maps), lat.n_faces + lat.n_vertices), dtype=np.int64)
     owner, face, flux = shift_fluxes(lat, group, maps)
     phi[owner, face] = flux
-    phi[:, lat.n_faces :] = vertex_characters(lat, group, maps)
+    owner, vertex, charge = vertex_charges(lat, group, maps)
+    phi[owner, lat.n_faces + vertex] = charge
     phi = phi[:, phi.any(axis=0)]
     digits = group.tables()["digits"]
     count = 1
@@ -358,7 +359,7 @@ def cone_overlaps(lat: Lattice, group: AbelianGroup, region: Region, maps) -> li
     when some shift on the region makes F's shift flat (its face fluxes, read
     by incidence over the maps' shifts, are a boundary on the ``dual_faces``
     of the region's bulk edges) and some characters on it cancel F's
-    ``vertex_characters``, and 0.0 otherwise."""
+    ``vertex_charges``, and 0.0 otherwise."""
     if any(f.deltas for f in maps):
         raise OperatorError("cone overlaps need maps without deltas")
     if lat.is_torus:
@@ -366,10 +367,8 @@ def cone_overlaps(lat: Lattice, group: AbelianGroup, region: Region, maps) -> li
     edges = sorted(region.edges)
     duals = [lat.dual_faces(e) for e in edges]
     ok = _absorbed(group, len(maps), lat.n_faces, shift_fluxes(lat, group, maps), duals)
-    charges = vertex_characters(lat, group, maps)
-    nonzero = np.nonzero(charges)
     ends = [lat.edge_endpoints(e) for e in edges]
-    ok &= _absorbed(group, len(maps), lat.n_vertices, (*nonzero, charges[nonzero]), ends)
+    ok &= _absorbed(group, len(maps), lat.n_vertices, vertex_charges(lat, group, maps), ends)
     return [1.0 if x else 0.0 for x in ok]
 
 

@@ -39,6 +39,7 @@ from .groups import AbelianGroup, digit_rows, format_group, parse_group
 from .lattice import (
     Lattice,
     LatticeError,
+    Ribbon,
     Site,
     closed_loop_around,
     components,
@@ -248,8 +249,6 @@ def run_verify(config: RunConfig, group: AbelianGroup, lat: Lattice) -> Report:
         errs.append(
             ops_equal(OpSum.of(F.compose(F.adjoint())), OpSum.of(AffineMap.identity(group, ne)), ne)
         )
-    from .lattice import Ribbon
-
     k = max(1, len(rho) // 2)
     r1 = truncate(rho, k)
     r2 = Ribbon(rho.triangles[k:], rho.triangles[k].s0)
@@ -898,8 +897,8 @@ def run_haag(config: RunConfig, group: AbelianGroup, lat: Lattice) -> Report:
 def _random_local_op(
     lat: Lattice, group: AbelianGroup, edges: list[int], rng: random.Random
 ) -> OpSum:
-    # each term is one map on 1 or 2 distinct edges: shifts sorted, characters
-    # in sampling order, the map that composing single-edge maps gives
+    # each term is one map on 1 or 2 distinct edges, shifts and characters
+    # sorted by edge: the map that composing single-edge maps gives
     terms = []
     for _ in range(rng.randrange(1, 4)):
         shifts, chars = [], []
@@ -909,8 +908,8 @@ def _random_local_op(
             if gi:
                 shifts.append((e, gi))
             if ci:
-                chars.append((ci, ((e, 1),), 0))
-        m = AffineMap(group, lat.n_edges, shifts=tuple(sorted(shifts)), chars=tuple(chars))
+                chars.append((e, ci))
+        m = AffineMap(group, lat.n_edges, shifts=tuple(sorted(shifts)), chars=tuple(sorted(chars)))
         coeff = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         terms.append((coeff, m))
     return OpSum.weighted(terms)

@@ -19,16 +19,18 @@ expectation is computed from that group, not from an amplitude vector. An
     <Ω|M|Ω> = [s in F] * mean over vertex potentials φ of delta(dφ) phase(dφ).
 
 s lies in F when its face fluxes and, on the torus, both holonomies are
-trivial (``shift_fluxes``). M's delta and character expressions are sums
-of edge values; on a gradient each one telescopes to an integer
-combination of vertex potentials (a vertex form). Ω is a stabilizer state,
+trivial (``shift_fluxes``). M's delta expressions are sums of edge
+values; on a gradient each one telescopes to an integer combination of
+vertex potentials (a vertex form). M's character on an edge puts itself
+on the edge's head and its inverse on its tail, one character per vertex
+(``vertex_charges``). Ω is a stabilizer state,
 so the mean is the solution count of a linear system over G times one root
 of unity (Hostens, Dehaene and De Moor, PRA 71, 042315, 2005), and it is
 solved, not enumerated: the delta forms are the rows of an integer matrix
 A, one diagonal form P·A·Q = D decouples the potentials, and each
 coordinate of each cyclic factor contributes a gcd and a phase
-(``_system_means``). A map without deltas gives 1 or 0: one character per
-vertex (``vertex_characters``), 1 when all are trivial.
+(``_system_means``). A map without deltas gives 1 or 0: 1 when every
+vertex character is trivial.
 
 ``omega_expectations(lat, group, ops)`` is the one implementation, and it
 takes whole batches (``OpSum`` terms by linearity): every term's shift is
@@ -118,61 +120,42 @@ def shift_fluxes(lat: Lattice, group: AbelianGroup, maps) -> tuple[np.ndarray, n
     return keys // n_rows, keys % n_rows, fluxes
 
 
-def _vertex_form(lat: Lattice, group: AbelianGroup, coeffs) -> tuple[tuple[int, int], ...]:
-    """An edge expression sum(sign * value(e)) evaluated on a gradient dφ, as
-    sorted (vertex, multiplicity mod |G|) pairs with the zeros dropped."""
-    acc: dict[int, int] = {}
+def vertex_charges(lat: Lattice, group: AbelianGroup, maps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The maps' characters read on a gradient dφ as (map, vertex, character
+    index) arrays, sorted, nontrivial entries only: chi_e(φ_head - φ_tail)
+    puts chi_e on the edge's head and its inverse on its tail, summed per
+    vertex (d0ᵀ z, as ``shift_fluxes`` is d1 x). A map without deltas has
+    <Ω|M|Ω> ≠ 0 only when it has no row here and its shift lies in F."""
+    owner = np.repeat(np.arange(len(maps)), [len(m.chars) for m in maps])
+    entries = np.array([v for m in maps for char in m.chars for v in char], dtype=np.int64).reshape(-1, 2)
+    ends = np.array(lat.endpoint_table, dtype=np.int64).reshape(-1, 2)[entries[:, 0]]
+    values = np.stack([group.tables()["neg"][entries[:, 1]], entries[:, 1]], axis=1)
+    keys, charges = group.index_sums((owner[:, None] * lat.n_vertices + ends).ravel(), values.ravel())
+    return keys // lat.n_vertices, keys % lat.n_vertices, charges
+
+
+def _delta_forms(lat: Lattice, group: AbelianGroup, m: AffineMap, forms: dict):
+    """m's deltas as functions of the vertex potentials, {form: target}, or
+    None when a constant delta fails: on a gradient an expression
+    sum(sign * value(e)) telescopes to the sorted (vertex, multiplicity mod
+    |G|) pairs of its form. ``forms`` memoizes the forms by expression."""
+    out: dict[tuple, int] = {}
     ends = lat.endpoint_table
-    for e, sign in coeffs:
-        tail, head = ends[e]
-        acc[head] = acc.get(head, 0) + sign
-        acc[tail] = acc.get(tail, 0) - sign
-    return tuple(sorted((v, c % group.order) for v, c in acc.items() if c % group.order))
-
-
-def vertex_characters(lat: Lattice, group: AbelianGroup, maps) -> np.ndarray:
-    """Per map without deltas, the character index of each vertex (columns,
-    in vertex order) in its phases read on a gradient dφ, as
-    ``_gradient_factors`` reads them."""
-    out = np.zeros((len(maps), lat.n_vertices), dtype=np.int64)
-    forms: dict = {}
-    for r, m in enumerate(maps):
-        for v, ci in _gradient_factors(lat, group, m, forms)[2].items():
-            out[r, v] = ci
-    return out
-
-
-def _gradient_factors(lat: Lattice, group: AbelianGroup, m: AffineMap, forms: dict):
-    """m's deltas and character phases as functions of the vertex
-    potentials: (constant phase numerator, {form: delta target},
-    {vertex: character index}), or None when a constant delta fails:
-    chi(sum c_v φ_v) puts chi^(c_v) on each vertex of the ``_vertex_form``.
-    ``forms`` memoizes ``_vertex_form`` by coefficient tuple."""
-
-    def form_of(coeffs):
-        if coeffs not in forms:
-            forms[coeffs] = _vertex_form(lat, group, coeffs)
-        return forms[coeffs]
-
-    L = group.phase_denominator
-    add, _, char_num = group.index_tables
-    mult = group.tables()["mult"]
-    pnum = m.phase
-    deltas: dict[tuple, int] = {}
     for coeffs, target in m.deltas:
-        form = form_of(coeffs)
+        if coeffs not in forms:
+            acc: dict[int, int] = {}
+            for e, sign in coeffs:
+                tail, head = ends[e]
+                acc[head] = acc.get(head, 0) + sign
+                acc[tail] = acc.get(tail, 0) - sign
+            forms[coeffs] = tuple(sorted((v, c % group.order) for v, c in acc.items() if c % group.order))
+        form = forms[coeffs]
         if not form:
             if target:
                 return None
-        elif deltas.setdefault(form, target) != target:
+        elif out.setdefault(form, target) != target:
             return None
-    chars: dict[int, int] = {}
-    for ci, coeffs, offset in m.chars:
-        # chi(offset + expr) = chi(offset) chi(expr)
-        pnum = (pnum + char_num[ci][offset]) % L
-        for v, c in form_of(coeffs):
-            chars[v] = add[chars.get(v, 0)][mult[c, ci]]
-    return pnum, deltas, chars
+    return out
 
 
 def _diagonal_form(a: list[list[int]], n_cols: int) -> tuple[list[int], list[list[int]], list[list[int]]]:
@@ -217,10 +200,12 @@ def subgroup_order(rows: list, n_cols: int, orders) -> int:
 
 
 def _system_means(group: AbelianGroup, system: tuple, factors: list) -> list[complex]:
-    """Per term (``_gradient_factors``) of one delta system, the mean of
-    delta * phase over all vertex potentials φ, exactly. The system's forms
-    are the rows of A, A φ = t; with P·A·Q = D and φ = Q ψ it reads D ψ = s
-    for s = P t, and the vertex characters b read c·ψ for c = b·Q. Per
+    """Per term (phase numerator, {form: target} of ``_delta_forms``,
+    {vertex: character index} of ``vertex_charges``) of one delta system,
+    the mean of delta * phase over all vertex potentials φ, exactly. The
+    system's forms are the rows of A, A φ = t; with P·A·Q = D and φ = Q ψ it
+    reads D ψ = s for s = P t, and the vertex characters b read c·ψ for
+    c = b·Q. Per
     cyclic factor Z_n, pivot d_j with g = gcd(d_j, n) gives
     (g/n) [g | s_j] [g | c_j] e^(2πi c_j ψ0_j / n) for d_j ψ0_j = s_j; a
     column without a pivot needs c_j = 0, a row without one s_j = 0, and a
@@ -273,20 +258,21 @@ def omega_expectations(lat: Lattice, group: AbelianGroup, ops) -> list[complex]:
     kept = []
     by_system: dict[tuple, list[int]] = {}
     for (i, coeff, m), ok in zip(terms, in_f):
-        if not ok:
-            continue
-        factors = _gradient_factors(lat, group, m, forms)
-        if factors is None:
-            continue
-        by_system.setdefault(tuple(sorted(factors[1])), []).append(len(kept))
-        kept.append((i, coeff, factors))
+        deltas = _delta_forms(lat, group, m, forms) if ok else None
+        if deltas is not None:
+            by_system.setdefault(tuple(sorted(deltas)), []).append(len(kept))
+            kept.append((i, coeff, m, deltas))
+    charges: list[dict] = [{} for _ in kept]
+    for j, v, ci in zip(*(a.tolist() for a in vertex_charges(lat, group, [k[2] for k in kept]))):
+        charges[j][v] = ci
     means: list = [None] * len(kept)
     for system, js in by_system.items():
-        for j, mean in zip(js, _system_means(group, system, [kept[j][2] for j in js])):
+        factors = [(kept[j][2].phase, kept[j][3], charges[j]) for j in js]
+        for j, mean in zip(js, _system_means(group, system, factors)):
             means[j] = mean
     # each op sums its terms in order, from 0, as the builtin sum would
     out: list = [0] * len(ops)
-    for (i, coeff, _), mean in zip(kept, means):
+    for (i, coeff, _, _), mean in zip(kept, means):
         out[i] = out[i] + coeff * mean
     return [complex(x) for x in out]
 

@@ -129,8 +129,7 @@ class AbelianGroup:
     # -- dense tables for the vectorized state/operator layer ----------------
 
     def tables(self) -> dict[str, np.ndarray]:
-        """Cayley/negation tables over packed indices, integer multiples
-        (``mult[c, g]`` is g added to itself c times), each index's residues
+        """Cayley/negation tables over packed indices, each index's residues
         (``digits[g]``, one column per cyclic factor), plus per-character
         phase-numerator tables (units of 1/phase_denominator turns)."""
         if self._tables:
@@ -143,9 +142,6 @@ class AbelianGroup:
             neg[i] = self.index_of(self.inv(g))
             for j, h in enumerate(elems):
                 add[i, j] = self.index_of(self.mul(g, h))
-        mult = np.zeros((n, n), dtype=np.int64)
-        for c in range(1, n):
-            mult[c] = add[mult[c - 1], np.arange(n)]
         L = self.phase_denominator
         char_num = np.empty((n, n), dtype=np.int64)
         for i, chi in enumerate(elems):
@@ -153,7 +149,7 @@ class AbelianGroup:
                 char_num[i, j] = int(self.char_phase(chi, g) * L) % L
         roots = np.array([phase_to_complex(Fraction(k, L)) for k in range(L)])
         digits = np.array(elems, dtype=np.int64).reshape(n, len(self.orders))
-        self._tables.update(add=add, neg=neg, mult=mult, char_num=char_num, roots=roots, digits=digits)
+        self._tables.update(add=add, neg=neg, char_num=char_num, roots=roots, digits=digits)
         # uint8 copies for arithmetic on configuration rows (MAX_ORDER fits)
         self._tables.update(add_u8=add.astype(np.uint8), neg_u8=neg.astype(np.uint8))
         return self._tables

@@ -6,20 +6,24 @@ composition and adjoints, so they get one exact normal form, ``AffineMap``:
 
 * a group shift per touched edge (the dual-triangle action),
 * affine delta constraints (the direct-triangle flux projections),
-* character phases evaluated on affine flux expressions,
+* a character per read edge: chi evaluated on sum_e s_e x_e + o is
+  chi(o) prod_e chi^(s_e)(x_e), so any character phase is one character
+  index per edge and a constant in the global phase,
 * one global phase.
 
 Every field is a packed index or an integer: characters are packed indices
 like elements (the dual group shares the presentation), and phases are
 numerators mod the group's ``phase_denominator`` L, read through the
-group's ``char_num`` and ``roots`` tables.
+group's ``char_num`` and ``roots`` tables. Shifts and characters are
+sorted by edge, one entry per edge, none the identity.
 
 Sums with scalar coefficients (projectors, Hamiltonians) are ``OpSum``.
 Operators are read row by row from ``AffineMap.eval``: on any set of
 configurations a map is a monomial matrix, one target and one phase per
 row. Operator identities are checked
 exactly by ``ops_equal``, from normal forms or on the configurations of the
-edges that deltas and characters read. ``commutator_phase`` reads the phase
+edges that deltas and characters read; without deltas the normal form is
+complete. ``commutator_phase`` reads the phase
 relating a b and b a, or its absence, off the two delta systems and the
 characters without forming either product, and ``conjugated`` forms f* m f
 without an adjoint or a product. Only
@@ -51,44 +55,34 @@ class OperatorError(ValueError):
     """Operator construction or materialization is not admissible."""
 
 
-def _fold_shift(shifts: dict[int, int], coeffs: Coeffs, add, neg) -> int:
-    """Packed index of the sum of sign*shifts[edge] over the expression."""
-    acc = 0
-    for e, sign in coeffs:
-        s = shifts.get(e, 0)
-        acc = add[acc][s if sign > 0 else neg[s]]
-    return acc
-
-
 def _moved_deltas(m: AffineMap, shifts: dict[int, int]) -> list[tuple[Coeffs, int]]:
     """m's deltas read on an input moved by `shifts`: expr(x + s) = t is expr(x) = t - expr(s)."""
     add, neg, _ = m.group.index_tables
-    return [(cs, add[t][neg[_fold_shift(shifts, cs, add, neg)]]) for cs, t in m.deltas]
+    out = []
+    for cs, t in m.deltas:
+        for e, sign in cs:
+            s = shifts.get(e, 0)
+            t = add[t][neg[s] if sign > 0 else s]
+        out.append((cs, t))
+    return out
 
 
 def _picked_up(m: AffineMap, shifts: dict[int, int]) -> int:
-    """Phase numerator m's characters pick up on `shifts`: the sum of chi(expr(s))."""
-    add, neg, char_num = m.group.index_tables
-    return sum(char_num[ci][_fold_shift(shifts, cs, add, neg)] for ci, cs, _ in m.chars)
-
-
-def _norm_expr(coeffs: Coeffs) -> tuple[Coeffs, bool]:
-    """The expression sorted with a positive leading sign, and whether it was negated."""
-    cs = tuple(sorted(coeffs))
-    if cs and cs[0][1] < 0:
-        return tuple((e, -s) for e, s in cs), True
-    return cs, False
+    """Phase numerator m's characters pick up on `shifts`: the sum of chi_e(s_e)."""
+    char_num = m.group.index_tables[2]
+    return sum(char_num[ci][shifts.get(e, 0)] for e, ci in m.chars)
 
 
 def _normal_deltas(deltas: Iterable[tuple[Coeffs, int]], neg) -> Optional[dict[Coeffs, int]]:
     """A delta system as {normalized expression: target}, or None when it
     annihilates everything (a conflict, or an empty expression with a
-    nonidentity target)."""
+    nonidentity target). An expression is normalized sorted, with a
+    positive leading sign."""
     out: dict[Coeffs, int] = {}
     for coeffs, target in deltas:
-        cs, flipped = _norm_expr(coeffs)
-        if flipped:
-            target = neg[target]
+        cs = tuple(sorted(coeffs))
+        if cs and cs[0][1] < 0:
+            cs, target = tuple((e, -s) for e, s in cs), neg[target]
         if not cs:
             if target:
                 return None
@@ -124,7 +118,7 @@ class AffineMap:
     n_edges: int
     shifts: tuple[tuple[int, int], ...] = ()  # (edge, group index), sorted by edge
     deltas: tuple[tuple[Coeffs, int], ...] = ()  # (affine flux expression, target index)
-    chars: tuple[tuple[int, Coeffs, int], ...] = ()  # (character index, flux expr, offset index)
+    chars: tuple[tuple[int, int], ...] = ()  # (edge, character index), sorted by edge
     phase: int = 0  # global phase numerator mod group.phase_denominator
 
     # -- constructors ---------------------------------------------------------
@@ -139,13 +133,12 @@ class AffineMap:
         return self.diagonal_edges() | {e for e, _ in self.shifts}
 
     def diagonal_edges(self) -> frozenset[int]:
-        """Edges read by the delta and character expressions: the only edges
+        """Edges read by the delta expressions and the characters: the only edges
         the coefficient phase(m) * delta(m) depends on."""
         out: set[int] = set()
         for coeffs, _ in self.deltas:
             out.update(e for e, _ in coeffs)
-        for _, coeffs, _ in self.chars:
-            out.update(e for e, _ in coeffs)
+        out.update(e for e, _ in self.chars)
         return frozenset(out)
 
     # -- algebra ----------------------------------------------------------------
@@ -155,38 +148,32 @@ class AffineMap:
         g = self.group
         if g != first.group or self.n_edges != first.n_edges:
             raise OperatorError("maps live on different lattices or groups")
-        add, neg, _ = g.index_tables
+        add = g.index_tables[0]
         shifts = dict(first.shifts)
-        # self's constraints read the input already shifted by `first`
+        # self's deltas and characters read the input already shifted by
+        # `first`: chi_e(x_e + s_e) leaves the constant chi_e(s_e)
         new_deltas = list(first.deltas) + _moved_deltas(self, shifts)
-        new_chars = list(first.chars)
-        for ci, coeffs, offset in self.chars:
-            new_chars.append((ci, coeffs, add[offset][_fold_shift(shifts, coeffs, add, neg)]))
+        phase = self.phase + first.phase + _picked_up(self, shifts)
+        chars = first.chars or self.chars
+        if first.chars and self.chars:
+            merged = dict(first.chars)
+            for e, ci in self.chars:
+                merged[e] = add[merged.get(e, 0)][ci]
+            chars = tuple(sorted((e, ci) for e, ci in merged.items() if ci))
         for e, gi in self.shifts:
             shifts[e] = add[shifts.get(e, 0)][gi]
         new_shifts = tuple(sorted((e, v) for e, v in shifts.items() if v))
-        return AffineMap(
-            g,
-            self.n_edges,
-            new_shifts,
-            tuple(new_deltas),
-            tuple(new_chars),
-            (self.phase + first.phase) % g.phase_denominator,
-        )
+        return AffineMap(g, self.n_edges, new_shifts, tuple(new_deltas), chars, phase % g.phase_denominator)
 
     def adjoint(self) -> "AffineMap":
         g = self.group
-        add, neg, _ = g.index_tables
+        neg = g.index_tables[1]
         inv_shifts = tuple(sorted((e, neg[gi]) for e, gi in self.shifts))
-        undo = dict(inv_shifts)
-        new_deltas = tuple(_moved_deltas(self, undo))
-        new_chars = tuple(
-            (neg[ci], coeffs, add[offset][_fold_shift(undo, coeffs, add, neg)])
-            for ci, coeffs, offset in self.chars
-        )
-        return AffineMap(
-            g, self.n_edges, inv_shifts, new_deltas, new_chars, -self.phase % g.phase_denominator
-        )
+        new_deltas = tuple(_moved_deltas(self, dict(inv_shifts)))
+        # conj(chi_e)(y_e - s_e) is chi_e^-1(y_e) times the constant chi_e(s_e)
+        new_chars = tuple((e, neg[ci]) for e, ci in self.chars)
+        phase = _picked_up(self, dict(self.shifts)) - self.phase
+        return AffineMap(g, self.n_edges, inv_shifts, new_deltas, new_chars, phase % g.phase_denominator)
 
     # -- evaluation ----------------------------------------------------------------
 
@@ -212,31 +199,24 @@ class AffineMap:
                 col = configs[:, e].astype(np.int64)
                 acc = add[acc, col if sign > 0 else neg[col]]
             alive &= acc == target
-        L = self.group.phase_denominator
         pnum = np.full(n, self.phase, dtype=np.int64)
-        for ci, coeffs, offset in self.chars:
-            acc = np.full(n, offset, dtype=np.int64)
-            for e, sign in coeffs:
-                col = configs[:, e].astype(np.int64)
-                acc = add[acc, col if sign > 0 else neg[col]]
-            pnum = (pnum + char_num[ci, acc]) % L
-        return alive, pnum
+        for e, ci in self.chars:
+            pnum += char_num[ci, configs[:, e]]
+        return alive, pnum % self.group.phase_denominator
 
 
 def conjugated(f: AffineMap, m: AffineMap) -> AffineMap:
     """f* m f in one pass, for any two maps: m reads the input shifted by f's
-    shift, f's deltas hold at x and at x + m's shift, and each character of f,
-    read at both, leaves the constant -chi(expr(m's shift)); f's shift,
-    offsets and phase cancel."""
+    shift, so each of its characters picks up chi_e(f's shift at e); f's
+    deltas hold at x and at x + m's shift, and each character of f, read at
+    both, leaves chi_e(m's shift at e)^-1. f's shift and phase cancel."""
     g = m.group
     if g != f.group or m.n_edges != f.n_edges:
         raise OperatorError("maps live on different lattices or groups")
-    add, neg, _ = g.index_tables
     fs, ms = dict(f.shifts), dict(m.shifts)
     deltas = _moved_deltas(m, fs) + list(f.deltas) + _moved_deltas(f, ms)
-    chars = tuple((ci, cs, add[off][_fold_shift(fs, cs, add, neg)]) for ci, cs, off in m.chars)
-    phase = m.phase - _picked_up(f, ms)
-    return AffineMap(g, m.n_edges, m.shifts, tuple(deltas), chars, phase % g.phase_denominator)
+    phase = m.phase + _picked_up(m, fs) - _picked_up(f, ms)
+    return AffineMap(g, m.n_edges, m.shifts, tuple(deltas), m.chars, phase % g.phase_denominator)
 
 
 @dataclass(frozen=True)
@@ -317,33 +297,21 @@ def as_opsum(op) -> OpSum:
 
 
 def canonical(m: AffineMap) -> Optional[AffineMap]:
-    """Unique normal form of an AffineMap, or None for the zero operator.
-    Two maps with equal normal forms are equal as operators; maps built from
-    the same ribbon expressions compare completely."""
+    """Unique normal form of an AffineMap, or None for the zero operator:
+    deltas normalized, shifts and characters sorted without identity
+    entries. Two maps with equal normal forms are equal as operators; for
+    maps without deltas the converse holds too."""
     g = m.group
-    add, neg, char_num = g.index_tables
-
-    delta_map = _normal_deltas(m.deltas, neg)
+    delta_map = _normal_deltas(m.deltas, g.index_tables[1])
     if delta_map is None:
         return None
-
-    # each character's constant part goes into the global phase, leaving chi
-    # evaluated at the bare expression
-    pnum = m.phase
-    char_map: dict[Coeffs, int] = {}
-    for ci, coeffs, offset in m.chars:
-        pnum += char_num[ci][offset]
-        cs, flipped = _norm_expr(coeffs)
-        if cs:
-            char_map[cs] = add[char_map.get(cs, 0)][neg[ci] if flipped else ci]
-    chars = tuple(sorted((ci, cs, 0) for cs, ci in char_map.items() if ci))
     return AffineMap(
         g,
         m.n_edges,
-        tuple(sorted(m.shifts)),
+        tuple(sorted(s for s in m.shifts if s[1])),
         tuple(sorted(delta_map.items())),
-        chars,
-        pnum % g.phase_denominator,
+        tuple(sorted(c for c in m.chars if c[1])),
+        m.phase % g.phase_denominator,
     )
 
 
@@ -415,8 +383,8 @@ def ops_equal(a, b, n_edges: int) -> float:
     A map sends |m> to c phase(m) delta(m) |m + s>, so in column m terms
     with different shifts s land on different rows, and the entry at
     (m + s, m) of a - b is the sum over the terms with shift s. That sum
-    reads m only on the diagonal edges (those of delta and character
-    expressions); shifted edges move the row but change no entry. The max
+    reads m only on the diagonal edges (those of the delta expressions and
+    the characters); shifted edges move the row but change no entry. The max
     |bucket sum| over the diagonal edges' configurations alone is therefore
     the max entry of support_matrix(a) - support_matrix(b), from |G|^d rows
     instead of |G|^k. One nonzero term a side, equal in coefficient and normal form: 0.0."""
@@ -474,7 +442,9 @@ def ribbon_F_irrep(
     neg = group.index_tables[1]
     shifts = _dual_shifts(group, duals, neg[group.index_of(c)])
     ci = group.index_of(chi)
-    chars = ((neg[ci], flux, 0),) if ci else ()
+    # conj(chi)(sum sign x_e) puts conj(chi)^sign on each flux edge (a
+    # ribbon's edges are distinct)
+    chars = tuple(sorted((e, neg[ci] if sign > 0 else ci) for e, sign in flux)) if ci else ()
     return AffineMap(group, lat.n_edges, shifts, (), chars)
 
 

@@ -34,6 +34,10 @@ class RunConfig:
             raise ValueError(f"tolerance must be positive and finite, got {self.tol!r}")
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        for name in ("experiment", "group", "lattice", "out"):
+            value = getattr(self, name)
+            if not isinstance(value, str) and not (name == "out" and value is None):
+                raise ValueError(f"{name} must be a string, got {value!r}")
 
 
 @dataclass
@@ -97,8 +101,8 @@ def report_json(report: Report) -> str:
 
 
 def write_report(report: Report, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(report_json(report))
+    """The row tables as CSV files next to `path`, then the JSON report at
+    `path`: a write that fails leaves no report."""
     base, _ = os.path.splitext(path)
     for name, table in report.tables.items():
         if isinstance(table, dict) and "rows" in table and "columns" in table:
@@ -106,3 +110,5 @@ def write_report(report: Report, path: str) -> None:
                 fh.write(",".join(str(c) for c in table["columns"]) + "\n")
                 for row in table["rows"]:
                     fh.write(",".join(str(_round_floats(v)) for v in row) + "\n")
+    with open(path, "w") as fh:
+        fh.write(report_json(report))

@@ -592,7 +592,7 @@ def region_monomials(lat: Lattice, group: AbelianGroup, region: Region) -> list[
     # packed index 0 is the identity, and characters share the elements' indices
     indices = digit_rows(group.order, len(edges)).tolist()
     shifts = [tuple((e, gi) for e, gi in zip(edges, idx) if gi) for idx in indices]
-    phases = [tuple((ci, ((e, 1),), 0) for e, ci in zip(edges, idx) if ci) for idx in indices]
+    phases = [tuple((e, ci) for e, ci in zip(edges, idx) if ci) for idx in indices]
     return [AffineMap(group, lat.n_edges, s, chars=p) for s in shifts for p in phases]
 
 
@@ -613,7 +613,7 @@ def monomial(lat: Lattice, group: AbelianGroup, shifts, chars) -> AffineMap:
         group,
         lat.n_edges,
         shifts=tuple((edge, gi) for edge, gi in shifts if gi),
-        chars=tuple((ci, ((edge, 1),), 0) for edge, ci in chars if ci),
+        chars=tuple(sorted((edge, ci) for edge, ci in chars if ci)),
     )
 
 
@@ -772,12 +772,23 @@ def ground_space(lat: Lattice, group: AbelianGroup) -> list[SparseState]:
     return out
 
 
+def multiples(group: AbelianGroup) -> np.ndarray:
+    """Integer multiples over packed indices: ``mult[c, g]`` is g added to
+    itself c times."""
+    add = group.tables()["add"]
+    mult = np.zeros((group.order, group.order), dtype=np.int64)
+    for c in range(1, group.order):
+        mult[c] = add[mult[c - 1], np.arange(group.order)]
+    return mult
+
+
 def potential_means(group: AbelianGroup, factors: list, vertices: Sequence[int]) -> list[complex]:
     """Per term (phase numerator, {delta form: target}, {vertex: character
     index}), the mean of delta * phase over every potential of `vertices`,
     by enumerating them: the reference for ``groundstate._system_means``."""
     t = group.tables()
-    add, mult, char_num, roots = t["add"], t["mult"], t["char_num"], t["roots"]
+    add, char_num, roots = t["add"], t["char_num"], t["roots"]
+    mult = multiples(group)
     L = group.phase_denominator
     pots = dict(zip(vertices, digit_rows(group.order, len(vertices)).T))
     rows = group.order ** len(vertices)

@@ -142,6 +142,21 @@ def test_config_file(tmp_path, capsys):
     cfg.write_text(json.dumps({"experiment": "groundstate", "cap": 6}))
     assert run_cli(["--config", str(cfg)]) == 2
     assert "unknown config fields: ['cap']" in capsys.readouterr().err
+    # a file that is no JSON object, and non-string fields: refused before
+    # the run, and the integer `out` is not taken as a file descriptor
+    for content, message in [
+        ("5", "must hold a JSON object"),
+        ("null", "must hold a JSON object"),
+        ('{"experiment": "braid", "out": 7}', "out must be a string, got 7"),
+        ('{"experiment": ["braid"]}', "experiment must be a string"),
+        ('{"experiment": "braid", "group": 2}', "group must be a string, got 2"),
+        ('{"experiment": "braid", "lattice": ["3x3"]}', "lattice must be a string"),
+    ]:
+        cfg.write_text(content)
+        assert run_cli(["--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 def test_malformed_specs_error(capsys):
@@ -177,15 +192,33 @@ def test_published_schema_validates_reports(tmp_path):
         assert schema_errors(json.loads(out.read_text())) == []
 
 
-@pytest.mark.parametrize("flag,value,message", [("--tol", "-1", "tolerance must be positive")])
+@pytest.mark.parametrize(
+    "flag,value,message",
+    [
+        ("--tol", "-1", "tolerance must be positive"),
+        ("--out", "{tmp}/missing/r.json", "no directory"),
+        ("--out", "{tmp}", "is a directory"),
+    ],
+)
 def test_rejected_config_exits_2_with_one_line(tmp_path, capsys, flag, value, message):
-    out = tmp_path / "r.json"
-    code = run_cli(["--experiment", "braid", flag, value, "--out", str(out)])
-    assert code == 2
+    args = ["--experiment", "braid", flag, value.format(tmp=tmp_path)]
+    if flag != "--out":
+        args += ["--out", str(tmp_path / "r.json")]
+    assert run_cli(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert err.count("\n") == 1
-    assert not out.exists()
+    assert not any(tmp_path.iterdir())
+
+
+def test_unwritable_table_exits_2_without_a_report(tmp_path, capsys):
+    """A report whose CSV table cannot be written: exit 2 with one line, and
+    the JSON report, written last, is not written."""
+    (tmp_path / "r.fusion.csv").mkdir()
+    assert run_cli(["--experiment", "fusion", "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write the report: ") and err.count("\n") == 1
+    assert not (tmp_path / "r.json").exists()
 
 
 @pytest.mark.parametrize(

@@ -17,7 +17,7 @@ from qdlattice.groundstate import (
     omega_expectations,
     sector_shift,
     shift_fluxes,
-    vertex_characters,
+    vertex_charges,
 )
 from qdlattice.lattice import (
     Lattice,
@@ -50,6 +50,7 @@ from oracles import (
     in_flat_group,
     inner,
     is_flat,
+    multiples,
     norm,
     omega_distance,
     omega_expectation,
@@ -210,7 +211,7 @@ def _oracle(spec, width, height, boundary):
 def _gauge_shift(lat, grp, v, gi):
     """The gradient of the potential g at vertex v alone: a flat shift of
     trivial holonomy, the action of a (possibly incomplete) star."""
-    mult = grp.tables()["mult"]
+    mult = multiples(grp)
     shifts = []
     for e in lat.edges():
         tail, head = lat.edge_endpoints(e)
@@ -258,9 +259,12 @@ def _flat_piece(draw, lat, grp):
     e = draw(st.integers(0, min(3, lat.n_edges - 1)))
     if kind == "delta":
         return AffineMap(grp, lat.n_edges, deltas=((((e, 1),), grp.index_of(g)),))
-    chi = draw(st.sampled_from(chars))
+    # chi(sign * x_e + g): chi^sign on the edge and the constant chi(g)
+    ci = grp.index_of(draw(st.sampled_from(chars)))
     sign = draw(st.sampled_from([1, -1]))
-    return AffineMap(grp, lat.n_edges, chars=((grp.index_of(chi), ((e, sign),), grp.index_of(g)),))
+    _, neg, char_num = grp.index_tables
+    edge_chars = ((e, ci if sign > 0 else neg[ci]),) if ci else ()
+    return AffineMap(grp, lat.n_edges, chars=edge_chars, phase=char_num[ci][grp.index_of(g)])
 
 
 def _any_piece(draw, lat, grp):
@@ -365,7 +369,7 @@ def test_omega_expectation_nonzero_values(spec):
     s = Site(lat.vertex_id(1, 1), lat.face_id(1, 1))
     delta = AffineMap(grp, lat.n_edges, deltas=((((e, 1),), grp.index_of(g)),))
     chi = grp.characters()[1]
-    chars = ((grp.index_of(chi), ((e, 1),), 0),)
+    chars = ((e, grp.index_of(chi)),)
     both = AffineMap(grp, lat.n_edges, deltas=delta.deltas, chars=chars)
     cases = [
         (star_g(lat, grp, s, g), 1.0),
@@ -391,7 +395,7 @@ def _delta_systems(draw):
     solutions, and half their characters from the forms, as the characters
     of a map on the edges of its own deltas, so that they survive."""
     grp = parse_group(draw(st.sampled_from(SOLVER_GROUPS)))
-    add, mult = grp.tables()["add"], grp.tables()["mult"]
+    add, mult = grp.tables()["add"], multiples(grp)
     n, L = grp.order, grp.phase_denominator
     size = draw(st.integers(2, 4))
     kind = draw(st.sampled_from(["deltas", "chars", "both"]))
@@ -481,25 +485,27 @@ def test_non_contractible_ribbon_has_zero_expectation(spec, width):
 def _every_h_edge(lat, grp):
     """The nontrivial character on every horizontal edge of the patch."""
     h_edges = [e for e in lat.edges() if lat.edge_kind_xy(e)[0] == "h"]
-    return AffineMap(grp, lat.n_edges, chars=tuple((1, ((e, 1),), 0) for e in h_edges))
+    return AffineMap(grp, lat.n_edges, chars=tuple((e, 1) for e in h_edges))
 
 
 def _vertex_rule(lat, grp, m):
     """1 when every vertex character of m is trivial, else 0."""
-    return 0j if vertex_characters(lat, grp, [m]).any() else 1 + 0j
+    return 0j if len(vertex_charges(lat, grp, [m])[0]) else 1 + 0j
 
 
 def test_omega_expectation_of_every_h_edge_character_follows_the_vertex_rule():
     """A character on every horizontal edge of a 7x7 patch touches all 49
     vertices (2^48 potential rows) and evaluates exactly to the rule of
-    ``vertex_characters``: 0, since each row telescopes to its two end
-    vertices. Every face boundary together telescopes to nothing: 1."""
+    ``vertex_charges``: 0, since each row telescopes to its two end
+    vertices. Every face boundary together, the product of one character
+    per face edge, telescopes to nothing: 1."""
     lat = Lattice(7, 7, "plane")
     m = _every_h_edge(lat, Z2)
     assert omega_expectation(lat, Z2, m) == _vertex_rule(lat, Z2, m) == 0
-    loops = AffineMap(
-        Z2, lat.n_edges, chars=tuple((1, ((e, sign),), 0) for f in lat.faces() for e, sign in lat.plaq_edges(f))
-    )
+    loops = AffineMap.identity(Z2, lat.n_edges)
+    for f in lat.faces():
+        for e, _ in lat.plaq_edges(f):
+            loops = AffineMap(Z2, lat.n_edges, chars=((e, 1),)).compose(loops)
     assert omega_expectation(lat, Z2, loops) == _vertex_rule(lat, Z2, loops) == 1
     edge = AffineMap(Z2, lat.n_edges, chars=(m.chars[0],))
     assert omega_expectation(lat, Z2, edge) == 0
@@ -523,7 +529,7 @@ def test_omega_expectations_refuse_an_over_cap_op_anywhere_in_a_batch(position):
 def test_omega_expectation_of_lone_z2_character_is_exactly_zero():
     lat = Lattice(3, 3, "plane")
     for e in lat.edges():
-        m = AffineMap(Z2, lat.n_edges, chars=((1, ((e, 1),), 0),))
+        m = AffineMap(Z2, lat.n_edges, chars=((e, 1),))
         assert omega_expectation(lat, Z2, m) == 0
 
 
@@ -635,6 +641,47 @@ def test_shift_fluxes_of_an_empty_batch():
     for lat in (Lattice(3, 3, "plane"), Lattice(2, 2, "torus")):
         assert [len(x) for x in shift_fluxes(lat, Z3, [])] == [0, 0, 0]
         assert omega_expectations(lat, Z3, []) == []
+
+
+@st.composite
+def _char_batches(draw):
+    """(lat, grp, batch): up to 6 (map, closed) pairs, each map a random
+    character on every edge or a product of plaquette irrep maps (closed)."""
+    grp = parse_group(draw(st.sampled_from(GROUP_SPECS)))
+    lat = Lattice(draw(st.integers(2, 4)), draw(st.integers(2, 4)), draw(st.sampled_from(["plane", "torus"])))
+    batch = []
+    for closed in draw(st.lists(st.booleans(), max_size=6)):
+        m = AffineMap.identity(grp, lat.n_edges)
+        if not closed:
+            values = draw(st.lists(st.integers(0, grp.order - 1), min_size=lat.n_edges, max_size=lat.n_edges))
+            m = AffineMap(grp, lat.n_edges, chars=tuple((e, ci) for e, ci in enumerate(values) if ci))
+        for f in draw(st.lists(st.integers(0, lat.n_faces - 1), max_size=4)) if closed else ():
+            loop = beta_ribbon(lat, Site(lat.face_corners_ccw(f)[0], f))
+            m = m.compose(ribbon_F_irrep(lat, grp, loop, draw(st.sampled_from(grp.characters())), grp.identity()))
+        batch.append((m, closed))
+    return lat, grp, batch
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_char_batches(), data=st.data())
+def test_vertex_charges_read_the_characters_on_gradients(case, data):
+    """Each map's phase on the gradient dφ of drawn potentials φ is its
+    global phase plus its vertex charges read on φ. The entries are sorted
+    and nontrivial, and products of face loops have none."""
+    lat, grp, batch = case
+    maps = [m for m, _ in batch]
+    owner, vertex, charge = vertex_charges(lat, grp, maps)
+    assert np.all(charge != 0) and np.all(np.diff(owner * lat.n_vertices + vertex) > 0)
+    potentials = st.lists(st.integers(0, grp.order - 1), min_size=lat.n_vertices, max_size=lat.n_vertices)
+    phi = np.array(data.draw(st.lists(potentials, min_size=1, max_size=8)))
+    t = grp.tables()
+    tail, head = np.array(lat.endpoint_table).T
+    gradient = t["add"][phi[:, head], t["neg"][phi[:, tail]]].astype(np.uint8)
+    for r, (m, closed) in enumerate(batch):
+        mine = owner == r
+        assert not (closed and mine.any())
+        want = m.phase + t["char_num"][charge[mine], phi[:, vertex[mine]]].sum(axis=1)
+        assert np.array_equal(m.diagonal(gradient)[1], want % grp.phase_denominator)
 
 
 def test_flat_group_test_memory_follows_the_shift_entries():

@@ -47,6 +47,7 @@ from qdlattice.operators import (
     support_matrix,
     to_matrix,
 )
+from qdlattice.sectors import truncate
 from qdlattice.states import SparseState
 
 from oracles import (
@@ -466,12 +467,14 @@ def test_ops_equal_enumerates_only_diagonal_edges():
 def test_ops_equal_takes_equal_normal_forms_without_enumerating():
     # a z4 irrep operator on a radius-2 loop reads 16 edges: its diagonal
     # configurations, 4^16, are above MATRIX_DIM_CAP. The inverted loop with
-    # inverted labels is the same operator written differently.
+    # inverted labels builds the same map; with an identity shift entry
+    # added, G is the same operator written differently.
     lat, grp = Lattice(7, 7, "torus"), group_make([4])
     ne = lat.n_edges
     loop = closed_loop_around(Site(lat.vertex_id(3, 3), lat.face_id(3, 3)), 2, lat)
     F = ribbon_F_irrep(lat, grp, loop, (1,), (1,))
-    G = ribbon_F_irrep(lat, grp, ribbon_invert(loop), (3,), (3,))
+    assert F == ribbon_F_irrep(lat, grp, ribbon_invert(loop), (3,), (3,))
+    G = _with_identity_entry(F, min(F.diagonal_edges()))
     assert F != G and grp.order ** len(F.diagonal_edges()) > MATRIX_DIM_CAP
     zero = OpSum.weighted([(0.0, star_g(lat, grp, lat.site_at(0), (1,)))])
     assert ops_equal(F, G, ne) == 0.0
@@ -490,19 +493,20 @@ ALGEBRA_EDGES = 6
 
 
 def _ref_parts(m):
-    """m's characters as element tuples and its phase as a Fraction of a
-    turn: the reference's format, converted from AffineMap's only here."""
+    """m's characters as (edge, element tuple) pairs and its phase as a
+    Fraction of a turn: the reference's format, converted from AffineMap's
+    only here."""
     g = m.group
-    chars = [(g.element_at(ci), coeffs, offset) for ci, coeffs, offset in m.chars]
+    chars = [(e, g.element_at(ci)) for e, ci in m.chars]
     return chars, Fraction(m.phase, g.phase_denominator)
 
 
 def _ref_map(g, n_edges, shifts, deltas, chars, phase):
-    """An AffineMap from the reference's format: character tuples and a
-    phase in turns, which must be a whole number of 1/L turns."""
+    """An AffineMap from the reference's format: per-edge character tuples
+    and a phase in turns, which must be a whole number of 1/L turns."""
     L = g.phase_denominator
     assert (phase * L).denominator == 1
-    packed = tuple((g.index_of(chi), coeffs, offset) for chi, coeffs, offset in chars)
+    packed = tuple((e, g.index_of(chi)) for e, chi in chars)
     return AffineMap(g, n_edges, shifts, deltas, packed, int(phase * L) % L)
 
 
@@ -517,6 +521,14 @@ def _ref_fold_shift(m, coeffs):
     return acc
 
 
+def _ref_picked_up(m, shifts):
+    """The phase, in turns, of m's characters read on `shifts` alone:
+    the sum over edges of chi_e(shift at e)."""
+    g = m.group
+    chars, _ = _ref_parts(m)
+    return sum((g.char_phase(chi, g.element_at(shifts.get(e, 0))) for e, chi in chars), start=Fraction(0))
+
+
 def _ref_compose(a, first):
     g = a.group
     shifts = {e: g.element_at(gi) for e, gi in first.shifts}
@@ -529,13 +541,13 @@ def _ref_compose(a, first):
         new_deltas.append((coeffs, g.index_of(g.mul(g.element_at(target), g.inv(adj)))))
     a_chars, a_phase = _ref_parts(a)
     first_chars, first_phase = _ref_parts(first)
-    new_chars = list(first_chars)
-    for chi, coeffs, offset in a_chars:
-        adj = _ref_fold_shift(first, coeffs)
-        new_chars.append((chi, coeffs, g.index_of(g.mul(g.element_at(offset), adj))))
-    return _ref_map(
-        g, a.n_edges, new_shifts, tuple(new_deltas), new_chars, (a_phase + first_phase) % 1
-    )
+    # a's characters read the input already shifted by `first`
+    phase = a_phase + first_phase + _ref_picked_up(a, dict(first.shifts))
+    chars = dict(first_chars)
+    for e, chi in a_chars:
+        chars[e] = g.char_mul(chars.get(e, g.identity()), chi)
+    new_chars = sorted((e, chi) for e, chi in chars.items() if chi != g.identity())
+    return _ref_map(g, a.n_edges, new_shifts, tuple(new_deltas), new_chars, phase % 1)
 
 
 def _ref_adjoint(m):
@@ -547,11 +559,10 @@ def _ref_adjoint(m):
         for coeffs, target in m.deltas
     )
     chars, phase = _ref_parts(m)
-    new_chars = [
-        (g.char_conj(chi), coeffs, g.index_of(g.mul(g.element_at(offset), _ref_fold_shift(undo, coeffs))))
-        for chi, coeffs, offset in chars
-    ]
-    return _ref_map(g, m.n_edges, inv_shifts, new_deltas, new_chars, (-phase) % 1)
+    # conj(chi_e(y_e - s_e)) = conj(chi_e)(y_e) chi_e(s_e)
+    new_chars = [(e, g.char_conj(chi)) for e, chi in chars]
+    phase = _ref_picked_up(m, dict(m.shifts)) - phase
+    return _ref_map(g, m.n_edges, inv_shifts, new_deltas, new_chars, phase % 1)
 
 
 def _ref_canonical(m):
@@ -576,18 +587,9 @@ def _ref_canonical(m):
             return None
         delta_map[cs] = t
     chars, phase = _ref_parts(m)
-    char_map = {}
-    for chi, coeffs, offset in chars:
-        phase = (phase + g.char_phase(chi, g.element_at(offset))) % 1
-        cs, flipped = norm_expr(coeffs)
-        ch = g.char_conj(chi) if flipped else chi
-        if not cs:
-            continue
-        char_map[cs] = g.char_mul(char_map.get(cs, g.identity()), ch)
-    chars = sorted((ch, cs, e_idx) for cs, ch in char_map.items() if ch != g.identity())
-    return _ref_map(
-        g, m.n_edges, tuple(sorted(m.shifts)), tuple(sorted(delta_map.items())), chars, phase
-    )
+    shifts = tuple(sorted((e, gi) for e, gi in m.shifts if gi != e_idx))
+    chars = sorted((e, chi) for e, chi in chars if chi != g.identity())
+    return _ref_map(g, m.n_edges, shifts, tuple(sorted(delta_map.items())), chars, phase)
 
 
 def _expr(draw):
@@ -600,8 +602,10 @@ def _affine_map(draw, grp):
     edges = draw(st.lists(st.integers(0, ALGEBRA_EDGES - 1), unique=True, max_size=4))
     shifts = tuple(sorted((e, draw(index)) for e in edges))
     deltas = tuple((_expr(draw), draw(index)) for _ in range(draw(st.integers(0, 3))))
-    # characters are packed indices like elements; the phase is a numerator mod L
-    chars = tuple((draw(index), _expr(draw), draw(index)) for _ in range(draw(st.integers(0, 3))))
+    # characters are packed indices like elements, one nontrivial one per
+    # edge, sorted by edge; the phase is a numerator mod L
+    char_edges = draw(st.lists(st.integers(0, ALGEBRA_EDGES - 1), unique=True, max_size=4))
+    chars = tuple(sorted((e, draw(st.integers(1, grp.order - 1))) for e in char_edges))
     phase = draw(st.integers(0, grp.phase_denominator - 1))
     return AffineMap(grp, ALGEBRA_EDGES, shifts, deltas, chars, phase)
 
@@ -620,6 +624,107 @@ def test_index_algebra_matches_tuple_reference(pair):
     assert a.adjoint() == _ref_adjoint(a)
     for m in (a, a.compose(b), a.adjoint()):
         assert canonical(m) == _ref_canonical(m)
+
+
+# -- one sorted, nontrivial entry per edge: invariant and completeness ---------------------
+
+
+def _in_format(m):
+    """Shifts and characters sorted by edge, one entry per edge, none the identity."""
+    return all(
+        [e for e, _ in entries] == sorted({e for e, _ in entries}) and all(i for _, i in entries)
+        for entries in (m.shifts, m.chars)
+    )
+
+
+@st.composite
+def _lattice_map_pairs(draw):
+    grp = DIFF_GROUPS[draw(st.sampled_from(sorted(DIFF_GROUPS)))]
+    w, boundary = draw(st.sampled_from(DIFF_LATTICES))
+    lat = Lattice(w, w, boundary)
+    return _term(draw, lat, grp), _term(draw, lat, grp)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=_lattice_map_pairs())
+def test_built_maps_keep_one_sorted_nontrivial_entry_per_edge(pair):
+    """Ribbon, irrep, star and plaquette maps and their products, adjoints,
+    conjugates and normal forms; a a* cancels every entry of a."""
+    a, b = pair
+    built = [a, b, a.compose(b), b.compose(a), a.adjoint(), a.compose(a.adjoint())]
+    built += [conjugated(a, b), conjugated(b, a)]
+    built += [c for c in map(canonical, built) if c is not None]
+    assert all(_in_format(m) for m in built)
+
+
+FACTOR_EDGES = 5
+
+
+def _product(factors, split):
+    """The operator product of `factors` in order, grouped as the first
+    `split` of them times the rest."""
+    left = right = AffineMap.identity(factors[0].group, FACTOR_EDGES)
+    for f in factors[:split]:
+        left = left.compose(f)
+    for f in factors[split:]:
+        right = right.compose(f)
+    return left.compose(right)
+
+
+@st.composite
+def _rewritten_products(draw):
+    """(a, b, n_edges): a product of single-edge shifts, characters and
+    phases, and the same factors regrouped, permuted, or with one more."""
+    grp = DIFF_GROUPS[draw(st.sampled_from(sorted(DIFF_GROUPS)))]
+    index, edge = st.integers(1, grp.order - 1), st.integers(0, FACTOR_EDGES - 1)
+
+    def factor():
+        kind = draw(st.sampled_from(["shift", "char", "phase"]))
+        if kind == "shift":
+            return AffineMap(grp, FACTOR_EDGES, shifts=((draw(edge), draw(index)),))
+        if kind == "char":
+            return AffineMap(grp, FACTOR_EDGES, chars=((draw(edge), draw(index)),))
+        return AffineMap(grp, FACTOR_EDGES, phase=draw(st.integers(1, grp.phase_denominator - 1)))
+
+    factors = [factor() for _ in range(draw(st.integers(1, 6)))]
+    splits = st.integers(0, len(factors))
+    a = _product(factors, draw(splits))
+    kind = draw(st.sampled_from(["regrouped", "permuted", "perturbed"]))
+    if kind == "permuted":
+        factors = draw(st.permutations(factors))
+    elif kind == "perturbed":
+        factors.insert(draw(splits), factor())
+    return a, _product(factors, draw(st.integers(0, len(factors)))), FACTOR_EDGES
+
+
+@st.composite
+def _split_ribbons(draw):
+    """(a, b, n_edges): F_rho against F_rho1 F_rho2 or F_rho2 F_rho1 for
+    rho split in two on the 3x3 torus, the second half with rho's labels or
+    with labels drawn again."""
+    grp = DIFF_GROUPS[draw(st.sampled_from(sorted(DIFF_GROUPS)))]
+    lat = Lattice(3, 3, "torus")
+    sites = _local_sites(lat)
+    rho = ribbon_between(draw(st.sampled_from(sites)), draw(st.sampled_from(sites)), lat)
+    assume(len(rho) >= 2)
+    k = draw(st.integers(1, len(rho) - 1))
+    r1, r2 = truncate(rho, k), Ribbon(rho.triangles[k:], rho.triangles[k].s0)
+    chars, elems = st.sampled_from(grp.characters()), st.sampled_from(grp.elements())
+    chi, c = draw(chars), draw(elems)
+    f1 = ribbon_F_irrep(lat, grp, r1, chi, c)
+    f2 = ribbon_F_irrep(lat, grp, r2, *((chi, c) if draw(st.booleans()) else (draw(chars), draw(elems))))
+    split = f1.compose(f2) if draw(st.booleans()) else f2.compose(f1)
+    return ribbon_F_irrep(lat, grp, rho, chi, c), split, lat.n_edges
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.one_of(_rewritten_products(), _split_ribbons()))
+def test_maps_without_deltas_have_equal_normal_forms_exactly_when_equal(case):
+    """The normal form is complete without deltas: two maps written
+    differently compare equal exactly when their matrices agree."""
+    a, b, ne = case
+    assume(a.group.order ** len(a.support() | b.support()) <= ORACLE_ROWS)
+    assert (canonical(a) == canonical(b)) == (_oracle_deviation(a, b, ne) < 1e-9)
 
 
 # -- commutator phases against the products ----------------------------------------------

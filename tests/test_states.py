@@ -34,7 +34,7 @@ def test_apply_keeps_rows_whose_terms_nearly_cancel():
 
     group, lat = group_make([4]), Lattice(3, 3, "plane")
     omega = ground_state(lat, group)
-    chi = AffineMap(group, lat.n_edges, chars=((1, ((0, 1),), 0),))
+    chi = AffineMap(group, lat.n_edges, chars=((0, 1),))
     op = OpSum.weighted([(0.5, chi), (1e-10 + 0.5j, AffineMap.identity(group, lat.n_edges))])
     psi = op.apply(omega)
     assert psi.n_terms == omega.n_terms
