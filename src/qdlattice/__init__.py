@@ -36,7 +36,6 @@ from .operators import (
 from .groundstate import omega_distances, omega_expectations
 from .sectors import (
     SectorLabel,
-    braiding_phase,
     fusion_table,
     sector_labels,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "omega_distances",
     "omega_expectations",
     "SectorLabel",
-    "braiding_phase",
     "fusion_table",
     "sector_labels",
     "Report",

@@ -73,13 +73,13 @@ from .operators import (
 from .reports import Report, RunConfig
 from .sectors import (
     SectorLabel,
-    braiding_phase,
+    braiding_phases,
+    character_products,
     crossing_pair,
     fuse_labels,
     fusion_table,
     loop_projector_table,
     s_matrix_entries,
-    s_matrix_formula,
     sector_distinguish,
     sector_labels,
     smatrix_geometry,
@@ -378,12 +378,7 @@ def run_verify(config: RunConfig, group: AbelianGroup, lat: Lattice) -> Report:
     )
 
     # crossing phase
-    errs = []
-    pair = crossing_pair(lat)
-    for l1, l2 in itertools.product(sector_labels(group), repeat=2):
-        lam = braiding_phase(lat, group, l1, l2, pair)
-        pred = group.char_eval(l1.chi, l2.c) * group.char_eval(l2.chi, l1.c)
-        errs.append(abs(lam - pred))
+    _, errs = _crossing_errors(group, lat)
     rep.add(
         "once-crossing commutation phase",
         "F_rho^{chi,c} F_sigma^{xi,d} = chi(d) xi(c) F_sigma F_rho",
@@ -636,23 +631,25 @@ def run_deform(config: RunConfig, group: AbelianGroup, lat: Lattice, pairs: int 
 # -- braiding and the S matrix ------------------------------------------------------------
 
 
+def _crossing_errors(group: AbelianGroup, lat: Lattice) -> tuple[np.ndarray, list[float]]:
+    """The braid table of every label pair on the crossing pair, and each
+    entry's distance to its closed form chi1(c2) chi2(c1)."""
+    labels = sector_labels(group)
+    lams = braiding_phases(lat, group, labels, crossing_pair(lat))
+    preds = character_products(group, list(itertools.product(labels, repeat=2)))
+    return lams, [abs(lam - pred) for lam, pred in zip(lams.ravel().tolist(), preds)]
+
+
 def run_braid(config: RunConfig, group: AbelianGroup, lat: Lattice) -> Report:
     rep = Report("braid", config.__dict__.copy())
-    labels = sector_labels(group)
-    pair = crossing_pair(lat)
-    lams = {(l1, l2): braiding_phase(lat, group, l1, l2, pair) for l1 in labels for l2 in labels}
-    errs = []
-    sym_errs = []
-    for (l1, l2), lam in lams.items():
-        pred = group.char_eval(l1.chi, l2.c) * group.char_eval(l2.chi, l1.c)
-        errs.append(abs(lam - pred))
-        sym_errs.append(abs(lam - lams[l2, l1]))
+    lams, errs = _crossing_errors(group, lat)
+    sym_errs = [abs(lam - mu) for lam, mu in zip(lams.ravel().tolist(), lams.T.ravel().tolist())]
     rep.add(
         "one-crossing phase matches the character formula",
         "lambda = chi(d) xi(c)",
         _max_err(errs) <= config.tol,
         _max_err(errs),
-        f"all {len(labels)**2} label pairs",
+        f"all {lams.size} label pairs",
     )
     rep.add(
         "crossing phase is symmetric in the two labels",
@@ -670,8 +667,8 @@ def run_smatrix(config: RunConfig, group: AbelianGroup, lat: Lattice) -> Report:
 
     pairs = [(a, b) for a in labels for b in labels]
     sims = s_matrix_entries(lat, group, pairs, geom)
-
-    errs = [abs(sim - s_matrix_formula(group, a, b)) for sim, (a, b) in zip(sims, pairs)]
+    formula = character_products(group, pairs, conj=True)
+    errs = [abs(sim - s) for sim, s in zip(sims, formula)]
     rep.add(
         "double-exchange table matches the closed formula",
         "S = conj(chi1)(d) conj(chi2)(c)",
@@ -682,10 +679,7 @@ def run_smatrix(config: RunConfig, group: AbelianGroup, lat: Lattice) -> Report:
 
     rev = smatrix_geometry(lat, reversed_orientation=True)
     rev_pairs = pairs[: 2 * len(labels)]
-    rev_errs = [
-        abs(sim - np.conj(s_matrix_formula(group, a, b)))
-        for sim, (a, b) in zip(s_matrix_entries(lat, group, rev_pairs, rev), rev_pairs)
-    ]
+    rev_errs = [abs(sim - s.conjugate()) for sim, s in zip(s_matrix_entries(lat, group, rev_pairs, rev), formula)]
     rep.add(
         "reversed exchange orientation conjugates every entry (negative control)",
         "plumbing",
@@ -693,14 +687,8 @@ def run_smatrix(config: RunConfig, group: AbelianGroup, lat: Lattice) -> Report:
         _max_err(rev_errs),
     )
 
-    def lab(l: SectorLabel) -> str:
-        return f"chi{group.index_of(l.chi)}c{group.index_of(l.c)}"
-
-    rows = []
-    for a in labels:
-        for b in labels:
-            v = s_matrix_formula(group, a, b)
-            rows.append([lab(a), lab(b), float(v.real), float(v.imag)])
+    lab = {l: f"chi{group.index_of(l.chi)}c{group.index_of(l.c)}" for l in labels}
+    rows = [[lab[a], lab[b], v.real, v.imag] for (a, b), v in zip(pairs, formula)]
     rep.tables["smatrix"] = {
         "columns": ["row", "col", "re", "im"],
         "rows": rows,

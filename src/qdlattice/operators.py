@@ -25,7 +25,11 @@ exactly by ``ops_equal``, from normal forms or on the configurations of the
 edges that deltas and characters read; without deltas the normal form is
 complete. ``commutator_phase`` reads the phase
 relating a b and b a, or its absence, off the two delta systems and the
-characters without forming either product, and ``conjugated`` forms f* m f
+characters without forming either product. Without deltas a map is a
+Weyl operator, an integer row (x | z) of shift and character residues
+(``weyl_rows``), and the phase of two rows is their symplectic form, so
+``commutator_table`` reads a whole family of pairs as one integer product.
+``conjugated`` forms f* m f
 without an adjoint or a product. Only
 the torus exact-diagonalization cross-check and the test oracles build
 whole matrices (``support_matrix``, ``to_matrix``), so scipy is imported
@@ -108,6 +112,36 @@ def commutator_phase(a: AffineMap, b: AffineMap) -> Optional[int]:
     if ab is None:
         return 0
     return (_picked_up(a, sb) - _picked_up(b, sa)) % a.group.phase_denominator
+
+
+def weyl_rows(maps: Sequence[AffineMap]) -> tuple[np.ndarray, np.ndarray]:
+    """(x, z) of delta-free maps: the residues of each map's shifts and of its
+    characters per edge, two (maps x edges x factors) integer arrays, zero
+    off the map's edges. A map with deltas has no such row."""
+    packed = np.zeros((2, len(maps), maps[0].n_edges), dtype=np.int64)
+    for i, m in enumerate(maps):
+        if m.deltas:
+            raise OperatorError("a map with deltas has no Weyl row")
+        for side, entries in enumerate((m.shifts, m.chars)):
+            for e, v in entries:
+                packed[side, i, e] = v
+    x, z = maps[0].group.tables()["digits"][packed]
+    return x, z
+
+
+def commutator_table(
+    group: AbelianGroup, rows_a: tuple[np.ndarray, np.ndarray], rows_b: tuple[np.ndarray, np.ndarray]
+) -> np.ndarray:
+    """``commutator_phase`` of every pair of two delta-free families, from
+    their ``weyl_rows``: the symplectic form sum_i (L/n_i)(z_a x_b - x_a z_b)
+    mod L over the cyclic factors, one integer product for the whole table."""
+    L = group.phase_denominator
+    weight = np.array([L // n for n in group.orders])
+    (xa, za), (xb, zb) = rows_a, rows_b
+    a = (np.concatenate((za, xa), axis=1) * weight).reshape(len(za), -1)
+    b = np.concatenate((xb, -zb), axis=1).reshape(len(xb), -1)
+    both = a.any(axis=0) & b.any(axis=0)  # the product needs only columns both families touch
+    return a[:, both] @ b[:, both].T % L
 
 
 @dataclass(frozen=True)

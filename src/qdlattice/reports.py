@@ -102,13 +102,22 @@ def report_json(report: Report) -> str:
 
 def write_report(report: Report, path: str) -> None:
     """The row tables as CSV files next to `path`, then the JSON report at
-    `path`: a write that fails leaves no report."""
+    `path`: a write that fails removes every file this call wrote, so it
+    leaves no report and no table."""
     base, _ = os.path.splitext(path)
-    for name, table in report.tables.items():
-        if isinstance(table, dict) and "rows" in table and "columns" in table:
-            with open(f"{base}.{name}.csv", "w") as fh:
-                fh.write(",".join(str(c) for c in table["columns"]) + "\n")
-                for row in table["rows"]:
-                    fh.write(",".join(str(_round_floats(v)) for v in row) + "\n")
-    with open(path, "w") as fh:
-        fh.write(report_json(report))
+    written = []
+    try:
+        for name, table in report.tables.items():
+            if isinstance(table, dict) and "rows" in table and "columns" in table:
+                with open(f"{base}.{name}.csv", "w") as fh:
+                    written.append(fh.name)
+                    fh.write(",".join(str(c) for c in table["columns"]) + "\n")
+                    for row in table["rows"]:
+                        fh.write(",".join(str(_round_floats(v)) for v in row) + "\n")
+        with open(path, "w") as fh:
+            written.append(path)
+            fh.write(report_json(report))
+    except OSError:
+        for name in written:
+            os.remove(name)
+        raise

@@ -5,11 +5,13 @@ Sector labels are pairs (character, group element). Charged states are
 ribbon operators F applied to the ground state Ω; all sector data can be
 extracted either operationally (detectors in charged states) or as exact
 operator phases (braiding and the double exchange): the irrep ribbon
-operators are Weyl maps, so two of them commute up to the phase
-``commutator_phase`` reads off their shifts and characters, without forming
-a product. No charged state is built: a detector X read on F Ω is the
-ground-state expectation of the charged-state automorphism,
-<Ω|F† X F|Ω> / <Ω|F† F|Ω>, with each F† X F one map from
+operators are Weyl maps, so two of them commute up to the phase of their
+shifts and characters, without forming a product. A label sweep builds each
+label's map once per ribbon and reads every pair's phase from one
+``commutator_table`` of their ``weyl_rows``; the closed forms it is checked
+against are ``character_products``. No charged state is built: a detector
+X read on F Ω is the ground-state expectation of the charged-state
+automorphism, <Ω|F† X F|Ω> / <Ω|F† F|Ω>, with each F† X F one map from
 ``operators.conjugated`` and all of a table's maps in one
 ``omega_expectations`` batch (fusion, loop projectors). Fusion reads its
 charges as one array: the star moments of every F Ω against the character
@@ -18,6 +20,7 @@ table. The transporter checks compare images of Ω with ``omega_distances``.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -37,11 +40,12 @@ from .lattice import (
 )
 from .operators import (
     AffineMap,
-    commutator_phase,
+    commutator_table,
     conjugated,
     loop_charge_projector,
     ribbon_F_irrep,
     star_g,
+    weyl_rows,
 )
 from .groundstate import GroundStateError, omega_expectations, shift_fluxes
 
@@ -234,20 +238,31 @@ def crossing_pair(lat: Lattice) -> tuple[Ribbon, Ribbon]:
     return rho, sigma
 
 
-def braiding_phase(
-    lat: Lattice,
-    group: AbelianGroup,
-    label1: SectorLabel,
-    label2: SectorLabel,
-    pair: tuple[Ribbon, Ribbon],
-) -> complex:
-    """Scalar lambda with F1 F2 = lambda F2 F1 for the once-crossing ribbon
-    `pair` (``crossing_pair``): label1 rides its first, north ribbon and
-    label2 its second, east one: the ``commutator_phase`` of two Weyl maps."""
-    rho, sigma = pair
-    f1 = ribbon_F_irrep(lat, group, rho, label1.chi, label1.c)
-    f2 = ribbon_F_irrep(lat, group, sigma, label2.chi, label2.c)
-    return complex(group.tables()["roots"][commutator_phase(f1, f2)])
+def braiding_phases(
+    lat: Lattice, group: AbelianGroup, labels: list[SectorLabel], pair: tuple[Ribbon, Ribbon]
+) -> np.ndarray:
+    """Scalars lambda[i, j] with F_i F_j = lambda F_j F_i for the once-crossing
+    ribbon `pair` (``crossing_pair``): labels[i] rides the first, north
+    ribbon and labels[j] the second, east one. Each label's irrep map is
+    built once per ribbon, and the table is one ``commutator_table``."""
+    rows = [weyl_rows([ribbon_F_irrep(lat, group, r, l.chi, l.c) for l in labels]) for r in pair]
+    return group.tables()["roots"][commutator_table(group, *rows)]
+
+
+def character_products(
+    group: AbelianGroup, pairs: list[tuple[SectorLabel, SectorLabel]], conj: bool = False
+) -> list[complex]:
+    """Closed form chi1(c2) chi2(c1) of each label pair in the list `pairs`,
+    or with both characters conjugated (the double-exchange entry): one
+    product of Python complexes from the character table per pair, to the
+    bit the product of two ``char_eval`` values (numpy's vectorized complex
+    product rounds some pairs of roots differently)."""
+    t = group.tables()
+    table = t["roots"][t["char_num"]].tolist()
+    if conj:
+        table = [[v.conjugate() for v in row] for row in table]
+    ix = {l: (group.index_of(l.chi), group.index_of(l.c)) for l in set(itertools.chain.from_iterable(pairs))}
+    return [table[ix[a][0]][ix[b][1]] * table[ix[b][0]][ix[a][1]] for a, b in pairs]
 
 
 # -- S matrix ------------------------------------------------------------------------------------
@@ -312,34 +327,20 @@ def s_matrix_entries(
     transport path, and reads the phase of V* Fs V Fs*, Fs the spectator's
     map: the commutator phases of Fs with both factors of V. Moving the
     first charge instead, past the second's ribbon, would add nothing: no
-    path of it shares an edge with that ribbon. A label's three ribbon maps
-    are built once for all pairs."""
+    path of it shares an edge with that ribbon. The irrep map of each label
+    on each ribbon is built once, and the phases are two
+    ``commutator_table``s: the spectators against the hats and against the
+    transports."""
+    firsts = list(dict.fromkeys(a for a, _ in pairs))
+    seconds = list(dict.fromkeys(b for _, b in pairs))
 
-    def irrep(ribbon: Ribbon, label: SectorLabel) -> AffineMap:
-        return ribbon_F_irrep(lat, group, ribbon, label.chi, label.c)
+    def rows(ribbon: Ribbon, labels: list[SectorLabel]):
+        return weyl_rows([ribbon_F_irrep(lat, group, ribbon, l.chi, l.c) for l in labels])
 
-    maps: dict[SectorLabel, tuple[AffineMap, ...]] = {}
-    for label in dict.fromkeys(l for pair in pairs for l in pair):
-        back = SectorLabel(group.char_conj(label.chi), group.inv(label.c))
-        # spectator on rho1, then the mover's hat and conjugate transport
-        maps[label] = (
-            irrep(geom.rho1, label),
-            irrep(geom.rho2_hat, label),
-            irrep(geom.transport2, back),
-        )
-    roots = group.tables()["roots"]
-    out = []
-    for label1, label2 in pairs:
-        north = maps[label1][0]
-        _, hat, back = maps[label2]
-        phase = commutator_phase(north, hat) + commutator_phase(north, back)
-        out.append(complex(roots[phase % group.phase_denominator]))
-    return out
-
-
-def s_matrix_formula(group: AbelianGroup, label1: SectorLabel, label2: SectorLabel) -> complex:
-    """Closed form: conj(chi1)(d) * conj(chi2)(c)."""
-    return complex(
-        np.conj(group.char_eval(label1.chi, label2.c))
-        * np.conj(group.char_eval(label2.chi, label1.c))
-    )
+    north = rows(geom.rho1, firsts)
+    back = [SectorLabel(group.char_conj(l.chi), group.inv(l.c)) for l in seconds]
+    phases = commutator_table(group, north, rows(geom.rho2_hat, seconds))
+    phases += commutator_table(group, north, rows(geom.transport2, back))
+    table = group.tables()["roots"][phases % group.phase_denominator].tolist()
+    row, col = {l: i for i, l in enumerate(firsts)}, {l: j for j, l in enumerate(seconds)}
+    return [table[row[a]][col[b]] for a, b in pairs]

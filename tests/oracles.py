@@ -33,6 +33,11 @@ something the package computes another way:
   identity from its normal form, and ``commutator_by_products`` reads
   lambda in a b = lambda b a from the product a b a* b* that way, for
   ``commutator_phase``;
+- ``braiding_phase`` and ``s_matrix_entry`` are one pair's crossing and
+  double-exchange scalars from its irrep maps and ``commutator_phase``, for
+  ``braiding_phases`` and ``s_matrix_entries``, and ``s_matrix_formula`` is
+  one pair's closed-form entry from ``char_eval``, for
+  ``character_products``;
 - ``ground_energy`` counts the stabilizers, for exact diagonalization;
 - ``triangle_T`` and ``triangle_L`` are the one-triangle operators, for
   ``ribbon_F``;
@@ -137,6 +142,7 @@ from qdlattice.operators import (
     OpSum,
     as_opsum,
     canonical,
+    commutator_phase,
     complete_plaquettes,
     complete_stars,
     enumerate_configs,
@@ -939,6 +945,41 @@ def commutator_by_products(a: AffineMap, b: AffineMap) -> Optional[int]:
     """lambda with a b = lambda b a for unitary maps, from the normal form of
     the product a b a* b* (None when it is not a scalar)."""
     return phase_of_map(a.compose(b).compose(a.adjoint()).compose(b.adjoint()))
+
+
+def braiding_phase(
+    lat: Lattice,
+    group: AbelianGroup,
+    label1: SectorLabel,
+    label2: SectorLabel,
+    pair: tuple[Ribbon, Ribbon],
+) -> complex:
+    """Scalar lambda with F1 F2 = lambda F2 F1 for the once-crossing ribbon
+    `pair`: label1 rides its first, north ribbon and label2 its second, east
+    one: the ``commutator_phase`` of two Weyl maps."""
+    rho, sigma = pair
+    f1 = ribbon_F_irrep(lat, group, rho, label1.chi, label1.c)
+    f2 = ribbon_F_irrep(lat, group, sigma, label2.chi, label2.c)
+    return complex(group.tables()["roots"][commutator_phase(f1, f2)])
+
+
+def s_matrix_entry(lat: Lattice, group: AbelianGroup, label1: SectorLabel, label2: SectorLabel, geom) -> complex:
+    """One pair's double-exchange scalar on the layout `geom`: label1's map on
+    the spectator ribbon against label2's on the hat and the conjugate
+    label's on the transport path, two ``commutator_phase``s."""
+    north = ribbon_F_irrep(lat, group, geom.rho1, label1.chi, label1.c)
+    hat = ribbon_F_irrep(lat, group, geom.rho2_hat, label2.chi, label2.c)
+    back = ribbon_F_irrep(lat, group, geom.transport2, group.char_conj(label2.chi), group.inv(label2.c))
+    phase = commutator_phase(north, hat) + commutator_phase(north, back)
+    return complex(group.tables()["roots"][phase % group.phase_denominator])
+
+
+def s_matrix_formula(group: AbelianGroup, label1: SectorLabel, label2: SectorLabel) -> complex:
+    """Closed form: conj(chi1)(d) * conj(chi2)(c)."""
+    return complex(
+        np.conj(group.char_eval(label1.chi, label2.c))
+        * np.conj(group.char_eval(label2.chi, label1.c))
+    )
 
 
 def charge_projector(

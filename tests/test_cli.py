@@ -212,13 +212,17 @@ def test_rejected_config_exits_2_with_one_line(tmp_path, capsys, flag, value, me
 
 
 def test_unwritable_table_exits_2_without_a_report(tmp_path, capsys):
-    """A report whose CSV table cannot be written: exit 2 with one line, and
-    the JSON report, written last, is not written."""
-    (tmp_path / "r.fusion.csv").mkdir()
-    assert run_cli(["--experiment", "fusion", "--out", str(tmp_path / "r.json")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: cannot write the report: ") and err.count("\n") == 1
-    assert not (tmp_path / "r.json").exists()
+    """A report whose CSV table cannot be written: exit 2 with one line, the
+    JSON report, written last, is not written, and no table written before
+    the failing one remains (smatrix writes its raw table first)."""
+    for experiment, blocked in [("fusion", "fusion"), ("smatrix", "smatrix_normalized")]:
+        out = tmp_path / experiment
+        (out / f"r.{blocked}.csv").mkdir(parents=True)
+        assert run_cli(["--experiment", experiment, "--out", str(out / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write the report: ") and err.count("\n") == 1
+        assert sorted(p.name for p in out.iterdir()) == [f"r.{blocked}.csv"]
+        assert (out / f"r.{blocked}.csv").is_dir()
 
 
 @pytest.mark.parametrize(

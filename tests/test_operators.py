@@ -33,6 +33,7 @@ from qdlattice.operators import (
     beta_ribbon,
     canonical,
     commutator_phase,
+    commutator_table,
     conjugated,
     hamiltonian,
     loop_charge_projector,
@@ -46,6 +47,7 @@ from qdlattice.operators import (
     star_proj,
     support_matrix,
     to_matrix,
+    weyl_rows,
 )
 from qdlattice.sectors import truncate
 from qdlattice.states import SparseState
@@ -735,6 +737,38 @@ def test_maps_without_deltas_have_equal_normal_forms_exactly_when_equal(case):
 def test_commutator_phase_matches_products_on_weyl_maps(pair):
     a, b = (dataclasses.replace(m, deltas=()) for m in pair)
     assert commutator_phase(a, b) == commutator_by_products(a, b)
+
+
+TABLE_GROUPS = [group_make(dims) for dims in ([2], [3], [4], [2, 2], [6], [2, 4])]
+
+
+@st.composite
+def _weyl_families(draw):
+    """A group and two families of one to four delta-free maps over it."""
+    grp = draw(st.sampled_from(TABLE_GROUPS))
+    families = [
+        [dataclasses.replace(_affine_map(draw, grp), deltas=()) for _ in range(draw(st.integers(1, 4)))]
+        for _ in range(2)
+    ]
+    return grp, *families
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_weyl_families())
+def test_commutator_table_matches_commutator_phase_on_every_pair(case):
+    grp, fa, fb = case
+    table = commutator_table(grp, weyl_rows(fa), weyl_rows(fb))
+    assert table.tolist() == [[commutator_phase(a, b) for b in fb] for a in fa]
+
+
+def test_weyl_rows_refuses_a_map_with_deltas():
+    plain = AffineMap(Z3, 4, shifts=((0, 1),), chars=((2, 2),))
+    x, z = weyl_rows([plain])
+    assert x.shape == z.shape == (1, 4, 1)
+    assert x[0, :, 0].tolist() == [1, 0, 0, 0] and z[0, :, 0].tolist() == [0, 0, 2, 0]
+    flux = AffineMap(Z3, 4, shifts=((0, 1),), deltas=((((1, 1),), 2),))
+    with pytest.raises(OperatorError, match="deltas"):
+        weyl_rows([plain, flux])
 
 
 # -- conjugation against the products -------------------------------------------------------

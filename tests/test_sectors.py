@@ -5,13 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qdlattice.groups import group_make, phase_to_complex
+from qdlattice.experiments import run_experiment
+from qdlattice.groups import group_make, parse_group, phase_to_complex
 from qdlattice.lattice import Lattice, LatticeError, Site, parse_lattice, ribbon_between
 from qdlattice.operators import OpSum, as_opsum, hamiltonian, ribbon_F, ribbon_F_irrep
 from qdlattice.operators import commutator_phase
+from qdlattice.reports import RunConfig
 from qdlattice.sectors import (
     SectorLabel,
-    braiding_phase,
+    braiding_phases,
+    character_products,
     crossing_pair,
     fuse_labels,
     fusion_table,
@@ -24,6 +27,7 @@ from qdlattice.sectors import (
 )
 
 from oracles import (
+    braiding_phase,
     charge_moments,
     charged_state,
     commutator_by_products,
@@ -37,6 +41,8 @@ from oracles import (
     label_from_moments,
     norm,
     phase_of_map,
+    s_matrix_entry,
+    s_matrix_formula,
 )
 
 Z2 = group_make([2])
@@ -191,6 +197,90 @@ def test_exchange_phase_matches_the_product_of_four_maps(orders):
             for (a, b), entry in zip(pairs, s_matrix_entries(lat, grp, pairs, geom)):
                 want = exchange(b, geom.rho2_hat, geom.transport2, a, geom.rho1)
                 assert entry == complex(roots[want % grp.phase_denominator])
+
+
+@pytest.mark.parametrize("spec", ["7x7:plane", "3x3:torus"])
+@pytest.mark.parametrize("orders", [[2], [3], [4], [2, 2], [2, 4]])
+def test_braiding_phases_equal_the_per_pair_oracle(orders, spec):
+    """Every entry of the braid table, read by one commutator table, is the
+    scalar of its own pair's two irrep maps."""
+    grp = group_make(orders)
+    lat = parse_lattice(spec)
+    pair = crossing_pair(lat)
+    labels = sector_labels(grp)
+    table = braiding_phases(lat, grp, labels, pair)
+    assert table.shape == (len(labels), len(labels))
+    for (i, l1), (j, l2) in itertools.product(enumerate(labels), repeat=2):
+        assert table[i, j] == braiding_phase(lat, grp, l1, l2, pair)
+
+
+@pytest.mark.parametrize("orders", [[2], [3], [4], [2, 2], [2, 4]])
+def test_s_matrix_entries_equal_the_per_pair_oracle(orders):
+    """Both orientations, on every label pair and on a list of pairs with
+    repeats in either position: each entry is its own pair's scalar."""
+    grp = group_make(orders)
+    lat = Lattice(7, 7, "plane")
+    labels = sector_labels(grp)
+    pairs = list(itertools.product(labels, repeat=2))
+    uneven = [(labels[-1], labels[0]), (labels[0], labels[-1]), (labels[-1], labels[0])]
+    for reversed_orientation in (False, True):
+        geom = smatrix_geometry(lat, reversed_orientation)
+        for batch in (pairs, uneven):
+            want = [s_matrix_entry(lat, grp, a, b, geom) for a, b in batch]
+            assert s_matrix_entries(lat, grp, batch, geom) == want
+
+
+@pytest.mark.parametrize("orders", [[2], [3], [4], [2, 2], [6], [2, 4]])
+def test_character_products_equal_the_scalar_formulas(orders):
+    """The closed forms read off the table, to the bit and to the sign of a
+    zero: chi1(c2) chi2(c1) as a product of ``char_eval`` values, and the
+    conjugated one as ``s_matrix_formula``."""
+    grp = group_make(orders)
+    pairs = list(itertools.product(sector_labels(grp), repeat=2))
+
+    def bits(z):
+        return repr(z.real), repr(z.imag)
+
+    plain = [grp.char_eval(a.chi, b.c) * grp.char_eval(b.chi, a.c) for a, b in pairs]
+    assert list(map(bits, character_products(grp, pairs))) == list(map(bits, plain))
+    conj = [s_matrix_formula(grp, a, b) for a, b in pairs]
+    assert list(map(bits, character_products(grp, pairs, conj=True))) == list(map(bits, conj))
+
+
+@pytest.mark.parametrize("spec", ["z2", "z3", "z4", "z2xz2"])
+def test_report_errors_equal_the_per_pair_oracles(spec):
+    """The max_error of braid, smatrix and verify's crossing check at the
+    default lattices, as floats, against the same errors recomputed pair by
+    pair from the oracles with the scalar arithmetic of the per-pair code."""
+    grp = parse_group(spec)
+    pairs = list(itertools.product(sector_labels(grp), repeat=2))
+
+    def crossing(lat):
+        pair = crossing_pair(lat)
+        lams = {(a, b): braiding_phase(lat, grp, a, b, pair) for a, b in pairs}
+        errs = [abs(lams[a, b] - grp.char_eval(a.chi, b.c) * grp.char_eval(b.chi, a.c)) for a, b in pairs]
+        return float(max(errs)), float(max(abs(lams[a, b] - lams[b, a]) for a, b in pairs))
+
+    lat = Lattice(7, 7, "plane")
+    geom, rev = smatrix_geometry(lat), smatrix_geometry(lat, reversed_orientation=True)
+    smatrix = [abs(s_matrix_entry(lat, grp, a, b, geom) - s_matrix_formula(grp, a, b)) for a, b in pairs]
+    reversed_ = [
+        abs(s_matrix_entry(lat, grp, a, b, rev) - np.conj(s_matrix_formula(grp, a, b)))
+        for a, b in pairs[: 2 * grp.order**2]
+    ]
+    want = {
+        "braid": list(crossing(lat)),
+        "smatrix": [float(max(smatrix)), float(max(reversed_))],
+        "verify": [crossing(Lattice(3, 3, "torus"))[0]],
+    }
+    for experiment, errors in want.items():
+        checks = run_experiment(RunConfig(experiment, group=spec)).checks
+        if experiment == "verify":
+            checks = [c for c in checks if c.name == "once-crossing commutation phase"]
+        assert [c.max_error for c in checks] == errors
+    if spec == "z3":
+        pinned = {"braid": ["8.00593208497e-16", "0"], "smatrix": ["1.54237111854e-15", "0"], "verify": ["8.00593208497e-16"]}
+        assert {k: [f"{e:.12g}" for e in v] for k, v in want.items()} == pinned
 
 
 @pytest.mark.parametrize("orders", [[2], [3], [4], [2, 2]])
