@@ -1,9 +1,10 @@
 """Compare the reports of two checkouts of this repository, byte for byte.
 
-    python3 scripts/diff_reports.py OLD NEW [--experiments E ...] [--groups G ...] [--seeds S ...]
+    python3 scripts/diff_reports.py OLD NEW [--experiments E ...] [--groups G ...] [--seeds S ...] [--lattice SPEC]
 
 OLD and NEW are checkout roots. Every cell (experiment x group x seed, at the
-experiment's default lattice) runs once per checkout as
+experiment's default lattice, or at SPEC for every cell with `--lattice`)
+runs once per checkout as
 `python -m qdlattice ... --out DIR/r.json` with that checkout's `src` on
 PYTHONPATH, in a fresh directory. The script prints each cell whose exit
 code, `error:` line, JSON report or CSV tables differ, then one summary
@@ -24,11 +25,14 @@ TIMEOUT_S = 600  # per run; a run that takes longer is reported as "timeout"
 EXPERIMENTS = ("verify", "groundstate", "deform", "braid", "smatrix", "fusion", "sectors", "haag-check", "split-check")
 
 
-def run_cell(root: str, experiment: str, group: str, seed: int) -> dict[str, object]:
-    """Exit code, error line and written files of one `qdl` run from `root`."""
+def run_cell(root: str, experiment: str, group: str, seed: int, lattice: str | None = None) -> dict[str, object]:
+    """Exit code, error line and written files of one `qdl` run from `root`,
+    at `lattice` when given, else at the experiment's default."""
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(root), "src"), OPENBLAS_NUM_THREADS="1")
     with tempfile.TemporaryDirectory() as out:
         argv = ["--experiment", experiment, "--group", group, "--seed", str(seed), "--out", os.path.join(out, "r.json")]
+        if lattice:
+            argv += ["--lattice", lattice]
         try:
             proc = subprocess.run(
                 [sys.executable, "-m", "qdlattice", *argv], cwd=out, env=env, capture_output=True, text=True, timeout=TIMEOUT_S
@@ -51,11 +55,12 @@ def main(argv=None) -> int:
     p.add_argument("--experiments", nargs="+", default=list(EXPERIMENTS))
     p.add_argument("--groups", nargs="+", default=["z2", "z3", "z4", "z2xz2"])
     p.add_argument("--seeds", nargs="+", type=int, default=[0, 1])
+    p.add_argument("--lattice", metavar="SPEC", help="run every cell on this lattice, e.g. 12x12:plane")
     args = p.parse_args(argv)
     cells = list(itertools.product(args.experiments, args.groups, args.seeds))
     differing = 0
     for experiment, group, seed in cells:
-        old, new = (run_cell(root, experiment, group, seed) for root in (args.old, args.new))
+        old, new = (run_cell(root, experiment, group, seed, args.lattice) for root in (args.old, args.new))
         keys = [k for k in dict.fromkeys([*old, *new]) if old.get(k) != new.get(k)]
         for key in keys:
             print(f"{experiment} {group} seed {seed}: {key} differs: {old.get(key, 'missing')!r:.200} -> {new.get(key, 'missing')!r:.200}")

@@ -34,10 +34,10 @@ vertex character is trivial.
 
 ``omega_expectations(lat, group, ops)`` is the one implementation, and it
 takes whole batches (``OpSum`` terms by linearity): every term's shift is
-tested against F by incidence over the maps' shifts, and the terms that
-test the same delta forms, such as the connection projectors of one edge
-set, share one diagonal form and one numpy pass. Nothing is enumerated or
-capped.
+tested against F by incidence over the maps' shifts, and the terms whose
+delta systems have one integer matrix A in sorted-vertex column order, on
+whatever vertices, such as deform's one-row pairs, share one diagonal form
+and one numpy pass. Nothing is enumerated or capped.
 
 Distances need no vector either: for single maps,
 ‖F₁Ω − F₂Ω‖² = ω(F₁†F₁) + ω(F₂†F₂) − 2 Re ω(F₁†F₂) (``omega_distances``, one
@@ -158,15 +158,15 @@ def _delta_forms(lat: Lattice, group: AbelianGroup, m: AffineMap, forms: dict):
     return out
 
 
-def _diagonal_form(a: list[list[int]], n_cols: int) -> tuple[list[int], list[list[int]], list[list[int]]]:
-    """(d, P, Q) with P·A·Q = diag(d) over the integers, P and Q unimodular,
-    for A with rows `a` and n_cols columns: the Smith normal form without
-    its divisor chain, which the counts do not need. Each pivot is the
-    smallest nonzero entry left, reducing its row and column until clear."""
+def _diagonal_form(a: list, n_cols: int, transforms: bool = True) -> tuple[list[int], list[list[int]], list[list[int]]]:
+    """(d, P, Q) with P·A·Q = diag(d) over the integers, P and Q unimodular
+    (left empty without `transforms`), for A with rows `a` and n_cols
+    columns: the Smith normal form without its divisor chain. Each pivot is
+    the smallest nonzero entry left, reducing its row and column until clear."""
     m = len(a)
     A = [list(row) for row in a]
-    P = [[int(i == j) for j in range(m)] for i in range(m)]
-    Q = [[int(i == j) for j in range(n_cols)] for i in range(n_cols)]
+    P = [[int(i == j) for j in range(m * transforms)] for i in range(m)]
+    Q = [[int(i == j) for j in range(n_cols)] for i in range(n_cols * transforms)]
     for t in range(min(m, n_cols)):
         while True:
             rest = [(abs(A[i][j]), i, j) for i in range(t, m) for j in range(t, n_cols) if A[i][j]]
@@ -179,12 +179,14 @@ def _diagonal_form(a: list[list[int]], n_cols: int) -> tuple[list[int], list[lis
             p = A[t][t]
             for i in range(t + 1, m):
                 q = A[i][t] // p
-                A[i] = [x - q * y for x, y in zip(A[i], A[t])]
-                P[i] = [x - q * y for x, y in zip(P[i], P[t])]
+                if q:
+                    A[i] = [x - q * y for x, y in zip(A[i], A[t])]
+                    P[i] = [x - q * y for x, y in zip(P[i], P[t])]
             for j in range(t + 1, n_cols):
                 q = A[t][j] // p
-                for row in A + Q:
-                    row[j] -= q * row[t]
+                if q:
+                    for row in A + Q:
+                        row[j] -= q * row[t]
             if not any(A[i][t] for i in range(t + 1, m)) and not any(A[t][t + 1 :]):
                 break
     return [A[k][k] for k in range(min(m, n_cols))], P, Q
@@ -195,31 +197,19 @@ def subgroup_order(rows: list, n_cols: int, orders) -> int:
     `rows` read in every cyclic factor Z_{n_i} (n_i in `orders`): with
     P·A·Q = diag(d) (``_diagonal_form``), Π_i Π_j n_i / gcd(d_j, n_i), the
     image of the diagonal map, since P and Q are invertible mod every n_i."""
-    d = _diagonal_form(rows, n_cols)[0]
+    d = _diagonal_form(rows, n_cols, transforms=False)[0]
     return math.prod(n // math.gcd(dj, n) for n in orders for dj in d)
 
 
-def _system_means(group: AbelianGroup, system: tuple, factors: list) -> list[complex]:
-    """Per term (phase numerator, {form: target} of ``_delta_forms``,
-    {vertex: character index} of ``vertex_charges``) of one delta system,
-    the mean of delta * phase over all vertex potentials φ, exactly. The
-    system's forms are the rows of A, A φ = t; with P·A·Q = D and φ = Q ψ it
-    reads D ψ = s for s = P t, and the vertex characters b read c·ψ for
-    c = b·Q. Per
-    cyclic factor Z_n, pivot d_j with g = gcd(d_j, n) gives
-    (g/n) [g | s_j] [g | c_j] e^(2πi c_j ψ0_j / n) for d_j ψ0_j = s_j; a
-    column without a pivot needs c_j = 0, a row without one s_j = 0, and a
-    vertex outside the system a trivial character."""
-    t = group.tables()
-    roots, digits = t["roots"], t["digits"]
-    L = group.phase_denominator
+def _column_system(system: tuple, factors: list) -> tuple[tuple, tuple]:
+    """A delta system's integer matrix A in sorted-vertex column order, one row
+    per form, and its terms' (phase, {form: target}, {vertex: character}) as
+    arrays in that order: phase numerators, targets, column characters, and
+    alive, False where a nontrivial character sits off the system's vertices."""
     vertices = sorted({v for form in system for v, _ in form})
     col = {v: j for j, v in enumerate(vertices)}
-    d, P, Q = _diagonal_form([[dict(form).get(v, 0) for v in vertices] for form in system], len(vertices))
-    # unimodular over the integers, so invertible mod every factor order
-    P, Q = (np.array([[x % L for x in row] for row in M], dtype=np.int64).reshape(len(M), len(M)) for M in (P, Q))
+    rows = tuple(tuple(dict(form).get(v, 0) for v in vertices) for form in system)
     targets = np.array([[ds[f] for f in system] for _, ds, _ in factors], dtype=np.int64)
-    targets = targets.reshape(len(factors), len(system))
     chars = np.zeros((len(factors), len(vertices)), dtype=np.int64)
     alive = np.ones(len(factors), dtype=bool)
     for r, (_, _, term_chars) in enumerate(factors):
@@ -229,6 +219,25 @@ def _system_means(group: AbelianGroup, system: tuple, factors: list) -> list[com
             elif ci:
                 alive[r] = False
     pnum = np.array([p for p, _, _ in factors], dtype=np.int64)
+    return rows, (pnum, targets.reshape(len(factors), len(system)), chars, alive)
+
+
+def _system_means(group: AbelianGroup, rows: tuple, factors: tuple) -> list[complex]:
+    """Per term of the arrays (phase numerators, targets, column characters,
+    alive) of ``_column_system``, the mean of delta * phase over all vertex
+    potentials φ, exactly. The system is A φ = t for A with integer `rows`;
+    with P·A·Q = D and φ = Q ψ it reads D ψ = s for s = P t, and the column
+    characters b read c·ψ for c = b·Q. Per cyclic factor Z_n, pivot d_j
+    with g = gcd(d_j, n) gives (g/n) [g | s_j] [g | c_j] e^(2πi c_j ψ0_j / n)
+    for d_j ψ0_j = s_j; a column without a pivot needs c_j = 0, a row
+    without one s_j = 0."""
+    t = group.tables()
+    roots, digits = t["roots"], t["digits"]
+    L = group.phase_denominator
+    pnum, targets, chars, alive = (a.copy() for a in factors)
+    d, P, Q = _diagonal_form(rows, chars.shape[1])
+    # unimodular over the integers, so invertible mod every factor order
+    P, Q = (np.array([[x % L for x in row] for row in M], dtype=np.int64).reshape(len(M), len(M)) for M in (P, Q))
     num = den = 1
     for i, n in enumerate(group.orders):
         s = digits[targets, i] @ P.T % n
@@ -249,8 +258,8 @@ def omega_expectations(lat: Lattice, group: AbelianGroup, ops) -> list[complex]:
     """<Ω|op|Ω> for each AffineMap or OpSum in ops, computed from the
     flat-connection group (see the module docstring); Ω is the plane ground
     state or the zero-holonomy torus ground vector. All terms of all ops are
-    tested for a shift in F at once (``shift_fluxes``), and the terms that
-    test the same delta forms are solved together by ``_system_means``."""
+    tested for a shift in F at once (``shift_fluxes``), and the terms whose
+    systems share a matrix (``_column_system``) are solved by one ``_system_means``."""
     terms = [(i, coeff, m) for i, op in enumerate(ops) for coeff, m in as_opsum(op).terms]
     in_f = np.ones(len(terms), dtype=bool)
     in_f[shift_fluxes(lat, group, [m for _, _, m in terms])[0]] = False
@@ -265,15 +274,18 @@ def omega_expectations(lat: Lattice, group: AbelianGroup, ops) -> list[complex]:
     charges: list[dict] = [{} for _ in kept]
     for j, v, ci in zip(*(a.tolist() for a in vertex_charges(lat, group, [k[2] for k in kept]))):
         charges[j][v] = ci
-    means: list = [None] * len(kept)
+    by_matrix: dict[tuple, list] = {}
     for system, js in by_system.items():
-        factors = [(kept[j][2].phase, kept[j][3], charges[j]) for j in js]
-        for j, mean in zip(js, _system_means(group, system, factors)):
-            means[j] = mean
+        rows, factors = _column_system(system, [(kept[j][2].phase, kept[j][3], charges[j]) for j in js])
+        by_matrix.setdefault(rows, []).append((js, factors))
+    means: dict[int, complex] = {}
+    for rows, solved in by_matrix.items():
+        factors = tuple(np.concatenate(a) for a in zip(*(f for _, f in solved)))
+        means.update(zip((j for js, _ in solved for j in js), _system_means(group, rows, factors)))
     # each op sums its terms in order, from 0, as the builtin sum would
     out: list = [0] * len(ops)
-    for (i, coeff, _, _), mean in zip(kept, means):
-        out[i] = out[i] + coeff * mean
+    for j, (i, coeff, _, _) in enumerate(kept):
+        out[i] = out[i] + coeff * means[j]
     return [complex(x) for x in out]
 
 

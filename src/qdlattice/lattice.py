@@ -57,10 +57,10 @@ operator sign from there, and ``Ribbon.parts`` reads a ribbon's signed edges
 off its triangles once per ribbon. ``positive_moves`` reads the table,
 filtering by the allowed edges only when a set is given. The shortest-ribbon
 search (``ribbon_between``, which also builds deform's detours) walks the
-rows directly, with a region's edges allowed and ``avoid_edges`` blocked,
-and keeps each ribbon or refusal read off its walk in ``Lattice.ribbons``
-(not the walk itself, nor the edge-disjoint fallback's outcomes);
-``joined_sites`` reads every end of one start off one such walk.
+rows breadth first, with a region's edges allowed and ``avoid_edges``
+blocked, resuming the walk kept in ``Lattice.search_trees``, which
+``joined_sites`` reads too, and keeps each ribbon or refusal read off a
+walk in ``Lattice.ribbons`` (not the edge-disjoint fallback's outcomes).
 ``make_triangle`` picks the one move of its first site that reaches its
 second. A site that is not on the lattice raises ``LatticeError``. A site's
 elementary closed ribbons are stored alike, in ``Lattice.closed_walks``.
@@ -342,12 +342,17 @@ class Lattice:
         return {}
 
     @cached_property
+    def search_trees(self) -> dict[tuple, tuple[dict, list]]:
+        """``_search_tree`` walks by (s0, region edges or None, blocked, allow_reversed): tree, frontier."""
+        return {}
+
+    @cached_property
     def ribbons(self) -> dict[tuple, Optional["Ribbon"]]:
         """``ribbon_between`` outcomes found so far, by (s0, s1, the region's
         edges or None, blocked edges, allow_reversed): the ribbon read off the
         search tree, or None where no site path joins the sites. Outcomes of
         the edge-disjoint fallback search are not kept (it reads the node
-        cap), nor are the search trees."""
+        cap)."""
         return {}
 
     # -- dual-edge orientation ----------------------------------------------------
@@ -562,27 +567,29 @@ def ribbon_between(
     return ribbon
 
 
-def _search_tree(lat, s0, allowed, blocked, allow_reversed, target=None) -> dict:
+def _search_tree(lat, s0, allowed, blocked, allow_reversed, target) -> dict:
     """Breadth-first tree of the sites reachable from s0, each with the
     triangle that first reached it (None at s0): table rows in order,
     positive moves before reversed ones, on edges in `allowed` (any edge
-    when None) and not in `blocked`. Stops once `target` is reached."""
-    tree: dict[Site, Optional[Triangle]] = {s0: None}
-    frontier = [s0]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            pos, rev = _table_moves(lat, s)
-            for tri in pos + rev if allow_reversed else pos:
-                t, e = tri.s1, tri.edge
-                if t in tree or e in blocked or (allowed is not None and e not in allowed):
-                    continue
-                tree[t] = tri
-                if t == target:
-                    return tree
-                nxt.append(t)
-        frontier = nxt
+    when None) and not in `blocked`: the kept walk, resumed a level at a time
+    until it holds `target` or its frontier runs out, which changes no first triangle."""
+    tree, frontier = lat.search_trees.setdefault((s0, allowed, blocked, allow_reversed), ({s0: None}, [s0]))
+    while frontier and target not in tree:
+        frontier[:] = _next_level(lat, tree, frontier, allowed, blocked, allow_reversed)
     return tree
+
+
+def _next_level(lat, tree, frontier, allowed, blocked, allow_reversed) -> list[Site]:
+    """Adds the sites one move beyond `frontier` to `tree` and returns them."""
+    nxt = []
+    for s in frontier:
+        pos, rev = _table_moves(lat, s)
+        for tri in pos + rev if allow_reversed else pos:
+            t, e = tri.s1, tri.edge
+            if not (t in tree or e in blocked or (allowed is not None and e not in allowed)):
+                tree[t] = tri
+                nxt.append(t)
+    return nxt
 
 
 def _joining_path(lat, tree, s0, s1, allowed, blocked, allow_reversed) -> tuple[Optional[list[Triangle]], bool]:
@@ -604,12 +611,11 @@ def _joining_path(lat, tree, s0, s1, allowed, blocked, allow_reversed) -> tuple[
 
 def joined_sites(lat: Lattice, s0: Site, ends: Iterable[Site], region: "Region") -> set[Site]:
     """The sites of `ends` that ``ribbon_between`` with reversed moves joins
-    to s0 on the region's edges, read off one search tree of s0 rather than
-    one search per site. Raises, as ``ribbon_between`` does, when the
-    fallback search stops at its node cap."""
-    edges = region.edges
-    tree = _search_tree(lat, s0, edges, frozenset(), True)
-    return {s1 for s1 in ends if _joining_path(lat, tree, s0, s1, edges, frozenset(), True)[0] is not None}
+    to s0 on the region's edges, read off the one search tree of s0 that
+    ``ribbon_between`` keeps too. Raises, as ``ribbon_between`` does, when
+    the fallback search stops at its node cap."""
+    args = (region.edges, frozenset(), True)
+    return {s1 for s1 in ends if _joining_path(lat, _search_tree(lat, s0, *args, s1), s0, s1, *args)[0] is not None}
 
 
 # moves the edge-disjoint fallback search may try before it gives up

@@ -96,27 +96,29 @@ def _round_floats(obj):
     return obj
 
 
-def report_json(report: Report) -> str:
-    return json.dumps(_round_floats(report.to_dict()), sort_keys=True, indent=1) + "\n"
+def report_json(report: Report, rounded: Optional[dict] = None) -> str:
+    """The canonical JSON of `report`, from its rounded ``to_dict()`` when given."""
+    return json.dumps(rounded or _round_floats(report.to_dict()), sort_keys=True, indent=1) + "\n"
 
 
 def write_report(report: Report, path: str) -> None:
     """The row tables as CSV files next to `path`, then the JSON report at
-    `path`: a write that fails removes every file this call wrote, so it
-    leaves no report and no table."""
+    `path`, from one rounding: a write that fails removes every file this
+    call wrote, so it leaves no report and no table."""
     base, _ = os.path.splitext(path)
+    rounded = _round_floats(report.to_dict())
     written = []
     try:
-        for name, table in report.tables.items():
+        for name, table in rounded["tables"].items():
             if isinstance(table, dict) and "rows" in table and "columns" in table:
                 with open(f"{base}.{name}.csv", "w") as fh:
                     written.append(fh.name)
                     fh.write(",".join(str(c) for c in table["columns"]) + "\n")
                     for row in table["rows"]:
-                        fh.write(",".join(str(_round_floats(v)) for v in row) + "\n")
+                        fh.write(",".join(str(v) for v in row) + "\n")
         with open(path, "w") as fh:
             written.append(path)
-            fh.write(report_json(report))
+            fh.write(report_json(report, rounded))
     except OSError:
         for name in written:
             os.remove(name)

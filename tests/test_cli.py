@@ -112,9 +112,9 @@ def test_out_file_matches_stdout_and_report_is_serialized_once(tmp_path, capsys,
 
     calls = []
 
-    def counted(report):
+    def counted(report, *rounded):
         calls.append(report)
-        return report_json(report)
+        return report_json(report, *rounded)
 
     monkeypatch.setattr(cli, "report_json", counted)
     monkeypatch.setattr(reports, "report_json", counted)

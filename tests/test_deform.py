@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from qdlattice import groundstate, lattice
 from qdlattice.deform import crossing_number, is_deformation_pair, sample_ribbon_pairs
 from qdlattice.groups import group_make
 from qdlattice.experiments import _control_labels, run_deform
@@ -212,6 +213,32 @@ def test_deform_report_counts_sampled_pairs():
     lat = Lattice(3, 3, "plane")
     rep = run_deform(RunConfig("deform", seed=3), Z2, lat, pairs=20)
     assert rep.checks[0].details == "20 seeded ribbon pairs of 20 requested"
+
+
+def test_deform_expands_each_walk_level_once_and_solves_each_matrix_once(monkeypatch):
+    """deform z2 on 3x4 at seed 0 asks about a thousand ribbon searches of
+    a few hundred walks: each walk expands each of its levels at most once,
+    however many queries resume it. Its 200 deformation pairs, 20 crossing
+    pairs and inversion sandwiches give delta systems on many vertex pairs
+    but at most 4 integer matrices, each solved once."""
+    expanded, solved = [], []
+    next_level, system_means = lattice._next_level, groundstate._system_means
+
+    def counted_level(lat, tree, frontier, *args):
+        expanded.append((id(tree), tuple(frontier)))
+        return next_level(lat, tree, frontier, *args)
+
+    def counted_means(group, rows, factors):
+        solved.append(rows)
+        return system_means(group, rows, factors)
+
+    monkeypatch.setattr(lattice, "_next_level", counted_level)
+    monkeypatch.setattr(groundstate, "_system_means", counted_means)
+    lat = Lattice(3, 4, "plane")
+    assert run_deform(RunConfig("deform", seed=0), Z2, lat).all_passed
+    assert len(expanded) == len(set(expanded))
+    assert len({key for key, _ in expanded}) == len(lat.search_trees)
+    assert 0 < len(solved) <= 4
 
 
 @pytest.mark.parametrize("spec", ["2x2:plane", "2x3:plane", "3x2:plane", "2x8:plane"])

@@ -1,5 +1,7 @@
 import itertools
+import random
 import tracemalloc
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -445,7 +447,7 @@ def test_system_means_match_the_potential_enumeration(case):
     """The diagonal-form solver against the enumeration of every potential,
     term by term; a vanishing term is exactly 0."""
     grp, system, factors, vertices = case
-    got = groundstate._system_means(grp, system, factors)
+    got = groundstate._system_means(grp, *groundstate._column_system(system, factors))
     want = potential_means(grp, factors, vertices)
     assert len(got) == len(want)
     for g, w in zip(got, want):
@@ -462,7 +464,121 @@ def test_system_means_need_dependent_targets_to_agree(targets, want):
     system = (((0, 1), (1, 4)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
     factors = [(0, dict(zip(system, targets)), {})]
     assert potential_means(z5, factors, [0, 1]) == [want]
-    assert groundstate._system_means(z5, system, factors) == [want]
+    assert groundstate._system_means(z5, *groundstate._column_system(system, factors)) == [want]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    a=st.integers(1, 6).flatmap(
+        lambda cols: st.lists(st.lists(st.integers(-9, 9), min_size=cols, max_size=cols), min_size=0, max_size=6)
+    ),
+)
+def test_pivots_only_diagonal_form_keeps_the_pivots(a):
+    """The elimination without P and Q gives the pivots d of the full form,
+    and P·A·Q = diag(d) there with P and Q unimodular."""
+    n_cols = len(a[0]) if a else 3
+    d, P, Q = groundstate._diagonal_form(a, n_cols)
+    pivots, no_p, no_q = groundstate._diagonal_form(a, n_cols, transforms=False)
+    assert pivots == d and no_q == [] and all(row == [] for row in no_p)
+    if a:
+        diag = np.zeros((len(a), n_cols), dtype=object)
+        diag[range(len(d)), range(len(d))] = d
+        exact = [np.array(M, dtype=object) for M in (P, a, Q)]
+        assert np.array_equal(exact[0] @ exact[1] @ exact[2], diag)
+        assert abs(_exact_det(P)) == 1 and abs(_exact_det(Q)) == 1
+
+
+def _exact_det(m: list) -> Fraction:
+    """The determinant of a square integer matrix by exact elimination."""
+    m = [[Fraction(x) for x in row] for row in m]
+    det = Fraction(1)
+    for t in range(len(m)):
+        pivot = next((i for i in range(t, len(m)) if m[i][t]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != t:
+            m[t], m[pivot], det = m[pivot], m[t], -det
+        det *= m[t][t]
+        for i in range(t + 1, len(m)):
+            q = m[i][t] / m[t][t]
+            m[i] = [x - q * y for x, y in zip(m[i], m[t])]
+    return det
+
+
+def _relabelled(case, vertices):
+    """The case's system and terms moved onto the sorted `vertices`, one
+    per vertex of the case, in order."""
+    _, system, factors, old = case
+    to = dict(zip(old, vertices))
+    moved = tuple(tuple((to[v], c) for v, c in form) for form in system)
+    forms = dict(zip(system, moved))
+    terms = [(p, {forms[f]: t for f, t in ds.items()}, {to[v]: c for v, c in chars.items()}) for p, ds, chars in factors]
+    return moved, terms
+
+
+def _solved_apart_and_together(grp, cases):
+    """Each (system, terms) of `cases`, which share one matrix, solved alone
+    and all in one ``_system_means`` call."""
+    columns = [groundstate._column_system(system, terms) for system, terms in cases]
+    assert len({rows for rows, _ in columns}) == 1
+    apart = [groundstate._system_means(grp, rows, factors) for rows, factors in columns]
+    together = groundstate._system_means(grp, columns[0][0], tuple(map(np.concatenate, zip(*(f for _, f in columns)))))
+    return apart, together
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_delta_systems(), data=st.data())
+def test_equal_matrices_on_other_vertices_share_one_solve(case, data):
+    """A system moved onto other vertices, in the same order, has the same
+    matrix; solving both sets of terms in one call gives each term exactly
+    the mean it gets alone, and the potential enumeration's on its own
+    vertices. A character on a vertex outside the moved system kills its
+    term."""
+    grp = case[0]
+    size = len(case[3])
+    moved = sorted(data.draw(st.lists(st.integers(0, 20), min_size=size, max_size=size, unique=True)))
+    cases = [_relabelled(case, case[3]), _relabelled(case, moved)]
+    apart, together = _solved_apart_and_together(grp, cases)
+    assert together == apart[0] + apart[1]
+    for (_, terms), vertices, means in zip(cases, (case[3], moved), apart):
+        want = potential_means(grp, terms, vertices)
+        assert all(abs(g - w) < 1e-12 for g, w in zip(means, want))
+    outside = [(p, ds, {**chars, 21: 1}) for p, ds, chars in cases[1][1]]
+    assert groundstate._system_means(grp, *groundstate._column_system(cases[1][0], outside)) == [0j] * len(outside)
+
+
+@pytest.mark.parametrize("spec", ["z2", "z3", "z4", "z2xz2", "z6", "z2xz4"])
+def test_one_solve_serves_every_vertex_pair(spec):
+    """The one-row systems c·(φ_v - φ_w) = t of every multiplicity c,
+    including those whose pivot c has gcd(c, n) < n, on vertex pairs (0, 1),
+    (3, 7) and (5, 6): each term, solved with the other pairs' terms, gets
+    the value it gets alone and the potential enumeration's. Half the terms
+    read their target off a potential and their characters off the form,
+    so that they survive; the rest are drawn at random."""
+    grp = parse_group(spec)
+    add, mult = grp.tables()["add"], multiples(grp)
+    n, L = grp.order, grp.phase_denominator
+    rng = random.Random(n)
+    pairs = ((0, 1), (3, 7), (5, 6))
+    for c in range(1, n):
+        cases = []
+        for v, w in pairs:
+            form = ((v, c), (w, n - c))
+            terms = []
+            for k in range(6):
+                a, b, x = (rng.randrange(n) for _ in range(3))
+                if k % 2:
+                    target, chars = int(add[mult[c, a], mult[n - c, b]]), {v: int(mult[c, x]), w: int(mult[n - c, x])}
+                else:
+                    target, chars = a, {v: b, w: x}
+                terms.append((rng.randrange(L), {form: target}, chars))
+            cases.append(((form,), terms))
+        apart, together = _solved_apart_and_together(grp, cases)
+        assert together == [m for means in apart for m in means]
+        for (_, terms), vertices, means in zip(cases, pairs, apart):
+            want = potential_means(grp, terms, list(vertices))
+            assert all(abs(g - x) < 1e-12 for g, x in zip(means, want))
+            assert all(m != 0 for m in means[1::2])
 
 
 @pytest.mark.parametrize("spec", GROUP_SPECS)

@@ -689,6 +689,7 @@ def test_ribbon_memo_matches_fresh_searches(w, h, boundary):
         kwargs = dict(region=region, avoid_edges=avoid, allow_reversed=reverse)
         got = _outcome(lambda: ribbon_between(s0, s1, lat, **kwargs))
         fresh.ribbons.clear()
+        fresh.search_trees.clear()
         assert got == _outcome(lambda: ribbon_between(s0, s1, fresh, **kwargs)), (s0, s1, kwargs)
         key = (s0, s1, region and region.edges, avoid, reverse)
         if got[0] == "value" and key in lat.ribbons and key in seen:
@@ -697,3 +698,31 @@ def test_ribbon_memo_matches_fresh_searches(w, h, boundary):
     values = list(lat.ribbons.values())
     assert all(v is None or isinstance(v, Ribbon) for v in values)
     assert None in values and any(v is not None for v in values)
+
+
+@pytest.mark.parametrize("w,h,boundary", [(3, 3, "torus"), (3, 4, "plane"), (4, 4, "plane")])
+def test_resumed_search_trees_match_fresh_searches(w, h, boundary):
+    """Every ordered site pair, with a random region or none, random
+    blocked edges or none and reversed moves or not, asked in a random
+    order with ``joined_sites`` calls in between: each ribbon or refusal
+    from the lattice's shared walks equals the one from a lattice that has
+    kept nothing, and so does each set of joined sites. Some walks stop
+    short of complete, so later queries resume them."""
+    lat = Lattice(w, h, boundary)
+    rng = random.Random(w * 100 + h)
+    sites = sorted(lat.sites())
+    regions = [None] + [Region(lat, frozenset(e for e in lat.edges() if rng.random() < 0.8)) for _ in range(2)]
+    blocks = [frozenset(), frozenset(rng.sample(range(lat.n_edges), 2))]
+    queries = [(a, b, rng.choice(regions), rng.choice(blocks), rng.random() < 0.5) for a in sites for b in sites]
+    rng.shuffle(queries)
+    partial = False
+    for k, (s0, s1, region, avoid, reverse) in enumerate(queries):
+        kwargs = dict(region=region, avoid_edges=avoid, allow_reversed=reverse)
+        got = _outcome(lambda: ribbon_between(s0, s1, lat, **kwargs))
+        assert got == _outcome(lambda: ribbon_between(s0, s1, Lattice(w, h, boundary), **kwargs)), (s0, s1, kwargs)
+        partial |= any(frontier for _, frontier in lat.search_trees.values())
+        if region is not None and k % 4 == 0:
+            ends = rng.sample(sites, 5)
+            want = _outcome(lambda: lattice.joined_sites(Lattice(w, h, boundary), s0, ends, region))
+            assert _outcome(lambda: lattice.joined_sites(lat, s0, ends, region)) == want
+    assert partial
