@@ -88,8 +88,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .groundstate import shift_fluxes, subgroup_order, vertex_charges
-from .groups import AbelianGroup
+from .groundstate import shift_fluxes, vertex_charges
+from .groups import AbelianGroup, subgroup_order
 from .lattice import (
     Lattice,
     Region,

@@ -56,7 +56,7 @@ from .operators import (
     alpha_ribbon,
     as_opsum,
     beta_ribbon,
-    commutator_phase,
+    commutator_table,
     conjugated,
     enumerate_configs,
     hamiltonian,
@@ -93,14 +93,17 @@ def _max_err(errors) -> float:
     return float(max(errors)) if errors else 0.0
 
 
-def commutation_error(a: AffineMap, b: AffineMap, lam: int, n_edges: int) -> float:
-    """0.0 when a b = omega^lam b a by ``commutator_phase``, otherwise
+def commutation_errors(fa: list[AffineMap], fb: list[AffineMap], lam, n_edges: int) -> np.ndarray:
+    """Per pair (a, b) of the two families, 0.0 when a b = omega^lam b a by
+    ``commutator_table`` (lam one numerator, or one per pair), otherwise
     ``ops_equal``'s deviation between a b and omega^lam b a."""
-    L = a.group.phase_denominator
-    if commutator_phase(a, b) == lam % L:
-        return 0.0
-    ba = b.compose(a)
-    return ops_equal(a.compose(b), replace(ba, phase=(ba.phase + lam) % L), n_edges)
+    L = fa[0].group.phase_denominator
+    errs = np.zeros((len(fa), len(fb)))
+    lam = np.asarray(lam) % L + np.zeros(errs.shape, dtype=np.int64)
+    for i, j in zip(*np.nonzero(commutator_table(fa, fb) != lam)):
+        ba = fb[j].compose(fa[i])
+        errs[i, j] = ops_equal(fa[i].compose(fb[j]), replace(ba, phase=(ba.phase + int(lam[i, j])) % L), n_edges)
+    return errs
 
 
 # -- operator identity suite ---------------------------------------------------------
@@ -138,7 +141,7 @@ def run_verify(config: RunConfig, group: AbelianGroup, lat: Lattice) -> Report:
         prod = OpSum.of(b1.compose(b2))
         want = OpSum.of(b1) if g1 == g2 else OpSum.of(b1).scaled(0.0)
         errs.append(ops_equal(prod, want, ne))
-        errs.append(commutation_error(a1, b2, 0, ne))
+    errs += commutation_errors([*stars.values()], [*plaqs.values()], 0, ne).ravel().tolist()
     rep.add(
         "star and plaquette generator relations",
         "A^g A^g' = A^{gg'}, B^h B^h' = delta B^h, A^g B^h = B^h A^g",
@@ -147,10 +150,7 @@ def run_verify(config: RunConfig, group: AbelianGroup, lat: Lattice) -> Report:
         "all group labels at one site",
     )
 
-    errs = [
-        commutation_error(stars[g1], plaqs2[g2], 0, ne)
-        for g1, g2 in itertools.product(elems, repeat=2)
-    ]
+    errs = commutation_errors([*stars.values()], [*plaqs2.values()], 0, ne).ravel()
     rep.add(
         "stars and plaquettes commute across sites",
         "[A_s, B_s'] = 0",
@@ -183,24 +183,17 @@ def run_verify(config: RunConfig, group: AbelianGroup, lat: Lattice) -> Report:
     s0, s1 = rho.start, rho.end
     stars0, plaqs0 = site_ops(s0)
     stars1, plaqs1 = site_ops(s1)
+    # every label's map on rho in either basis, built once
+    ribbons = {gh: ribbon_F(lat, group, rho, *gh) for gh in itertools.product(elems, repeat=2)}
+    irreps = {label: ribbon_F_irrep(lat, group, rho, *label) for label in itertools.product(chars, elems)}
 
     errs = []
     for k, h, g in itertools.product(elems, repeat=3):
-        F = as_opsum(ribbon_F(lat, group, rho, h, g))
-        A0, A1 = as_opsum(stars0[k]), as_opsum(stars1[k])
-        B0, B1 = as_opsum(plaqs0[k]), as_opsum(plaqs1[k])
-        errs.append(
-            ops_equal(A0 @ F, as_opsum(ribbon_F(lat, group, rho, h, group.mul(k, g))) @ A0, ne)
-        )
-        errs.append(
-            ops_equal(
-                A1 @ F,
-                as_opsum(ribbon_F(lat, group, rho, h, group.mul(g, group.inv(k)))) @ A1,
-                ne,
-            )
-        )
-        errs.append(ops_equal(B0 @ F, F @ as_opsum(plaqs0[group.mul(k, h)]), ne))
-        errs.append(ops_equal(B1 @ F, F @ as_opsum(plaqs1[group.mul(group.inv(h), k)]), ne))
+        F, A0, A1, B0, B1 = ribbons[h, g], stars0[k], stars1[k], plaqs0[k], plaqs1[k]
+        errs.append(ops_equal(A0.compose(F), ribbons[h, group.mul(k, g)].compose(A0), ne))
+        errs.append(ops_equal(A1.compose(F), ribbons[h, group.mul(g, group.inv(k))].compose(A1), ne))
+        errs.append(ops_equal(B0.compose(F), F.compose(plaqs0[group.mul(k, h)]), ne))
+        errs.append(ops_equal(B1.compose(F), F.compose(plaqs1[group.mul(group.inv(h), k)]), ne))
     rep.add(
         "ribbon endpoint relations",
         "A^k_s0 F^{h,g} = F^{h,kg} A^k_s0 and the three companions",
@@ -212,21 +205,12 @@ def run_verify(config: RunConfig, group: AbelianGroup, lat: Lattice) -> Report:
     # product and adjoint rules in the group-element basis
     errs = []
     for g1, h1, g2, h2 in itertools.product(elems, repeat=4):
-        lhs = as_opsum(ribbon_F(lat, group, rho, g1, h1)) @ as_opsum(
-            ribbon_F(lat, group, rho, g2, h2)
-        )
-        want = as_opsum(ribbon_F(lat, group, rho, group.mul(g1, g2), h2))
+        want = ribbons[group.mul(g1, g2), h2]
         if h1 != h2:
-            want = want.scaled(0.0)
-        errs.append(ops_equal(lhs, want, ne))
-    for g1, h1 in itertools.product(elems, repeat=2):
-        errs.append(
-            ops_equal(
-                OpSum.of(ribbon_F(lat, group, rho, g1, h1).adjoint()),
-                OpSum.of(ribbon_F(lat, group, rho, group.inv(g1), h1)),
-                ne,
-            )
-        )
+            want = OpSum.of(want).scaled(0.0)
+        errs.append(ops_equal(ribbons[g1, h1].compose(ribbons[g2, h2]), want, ne))
+    for (g1, h1), F in ribbons.items():
+        errs.append(ops_equal(OpSum.of(F.adjoint()), OpSum.of(ribbons[group.inv(g1), h1]), ne))
     rep.add(
         "ribbon product and adjoint rules",
         "F^{g,h} F^{k,l} = delta_{h,l} F^{gk,l}; (F^{h,g})* = F^{hbar,g}",
@@ -237,27 +221,18 @@ def run_verify(config: RunConfig, group: AbelianGroup, lat: Lattice) -> Report:
     # irreducible-representation basis: product rule, unitarity, decomposition
     errs = []
     for chi1, c1, chi2, c2 in itertools.product(chars, elems, chars, elems):
-        lhs = as_opsum(ribbon_F_irrep(lat, group, rho, chi1, c1)) @ as_opsum(
-            ribbon_F_irrep(lat, group, rho, chi2, c2)
-        )
-        rhs = as_opsum(
-            ribbon_F_irrep(lat, group, rho, group.char_mul(chi1, chi2), group.mul(c1, c2))
-        )
-        errs.append(ops_equal(lhs, rhs, ne))
-    for chi, c in itertools.product(chars, elems):
-        F = ribbon_F_irrep(lat, group, rho, chi, c)
+        rhs = irreps[group.char_mul(chi1, chi2), group.mul(c1, c2)]
+        errs.append(ops_equal(irreps[chi1, c1].compose(irreps[chi2, c2]), rhs, ne))
+    for F in irreps.values():
         errs.append(
             ops_equal(OpSum.of(F.compose(F.adjoint())), OpSum.of(AffineMap.identity(group, ne)), ne)
         )
     k = max(1, len(rho) // 2)
     r1 = truncate(rho, k)
     r2 = Ribbon(rho.triangles[k:], rho.triangles[k].s0)
-    for chi, c in itertools.product(chars, elems):
-        lhs = as_opsum(ribbon_F_irrep(lat, group, rho, chi, c))
-        rhs = as_opsum(ribbon_F_irrep(lat, group, r1, chi, c)) @ as_opsum(
-            ribbon_F_irrep(lat, group, r2, chi, c)
-        )
-        errs.append(ops_equal(lhs, rhs, ne))
+    for (chi, c), F in irreps.items():
+        rhs = ribbon_F_irrep(lat, group, r1, chi, c).compose(ribbon_F_irrep(lat, group, r2, chi, c))
+        errs.append(ops_equal(F, rhs, ne))
     rep.add(
         "irreducible-label ribbon rules",
         "F^{chi1,c} F^{chi2,d} = F^{chi1 chi2,cd}; unitarity; split ribbons factorize",
@@ -267,21 +242,11 @@ def run_verify(config: RunConfig, group: AbelianGroup, lat: Lattice) -> Report:
 
     # starting-site commutation in the irreducible basis
     char_num = group.index_tables[2]
-    errs = []
-    for chi, c in itertools.product(chars, elems):
-        F = ribbon_F_irrep(lat, group, rho, chi, c)
-        errs.append(
-            ops_equal(
-                OpSum.of(F.adjoint()),
-                OpSum.of(
-                    ribbon_F_irrep(lat, group, rho, group.char_conj(chi), group.inv(c))
-                ),
-                ne,
-            )
-        )
+    chi_k = [[char_num[group.index_of(chi)][group.index_of(k)] for chi, _ in irreps] for k in elems]
+    errs = commutation_errors([*stars0.values()], [*irreps.values()], chi_k, ne).ravel().tolist()
+    for (chi, c), F in irreps.items():
+        errs.append(ops_equal(OpSum.of(F.adjoint()), OpSum.of(irreps[group.char_conj(chi), group.inv(c)]), ne))
         for k in elems:
-            chi_k = char_num[group.index_of(chi)][group.index_of(k)]
-            errs.append(commutation_error(stars0[k], F, chi_k, ne))
             Bk_moved = plaqs0[group.mul(k, group.inv(c))]
             errs.append(ops_equal(plaqs0[k].compose(F), F.compose(Bk_moved), ne))
     rep.add(
@@ -295,10 +260,9 @@ def run_verify(config: RunConfig, group: AbelianGroup, lat: Lattice) -> Report:
     ok = True
     worst = 0.0
     A = star_proj(lat, group, s0)
-    for chi, c in itertools.product(chars, elems):
-        F = ribbon_F_irrep(lat, group, rho, chi, c)
+    comm_bs = commutation_errors([plaqs0[ident]], [*irreps.values()], 0, ne)[0].tolist()
+    for ((chi, c), F), comm_b in zip(irreps.items(), comm_bs):
         comm_a = ops_equal(A @ as_opsum(F), as_opsum(F) @ A, ne)
-        comm_b = commutation_error(plaqs0[ident], F, 0, ne)
         if chi == ident:
             ok &= comm_a <= config.tol
             worst = max(worst, comm_a)
@@ -321,15 +285,12 @@ def run_verify(config: RunConfig, group: AbelianGroup, lat: Lattice) -> Report:
     ok = True
     head = rho.triangles[0]
     tail = Ribbon(rho.triangles[1:], rho.triangles[1].s0)
-    for chi, c in itertools.product(chars, elems):
+    for (chi, c), F in irreps.items():
         allowed = (head.kind == "direct" and chi == ident) or (
             head.kind == "dual" and c == ident
         )
         if allowed:
-            ok &= same_action(
-                ribbon_F_irrep(lat, group, rho, chi, c),
-                ribbon_F_irrep(lat, group, tail, chi, c),
-            )
+            ok &= same_action(F, ribbon_F_irrep(lat, group, tail, chi, c))
     rep.add(
         "ribbons extend by triangles when the matching charge is trivial",
         "commuting charge implies F_rho = F_{tau rho}",
@@ -341,11 +302,8 @@ def run_verify(config: RunConfig, group: AbelianGroup, lat: Lattice) -> Report:
     rho_b = ribbon_between(
         lat.site_at(lat.vertex_id(0, 2)), lat.site_at(lat.vertex_id(2, 2)), lat, avoid_edges=rho.edges()
     )
-    errs = []
-    for g1, h1, g2, h2 in itertools.product(elems, repeat=4):
-        Fa = ribbon_F(lat, group, rho, g1, h1)
-        Fb = ribbon_F(lat, group, rho_b, g2, h2)
-        errs.append(commutation_error(Fa, Fb, 0, ne))
+    disjoint = [ribbon_F(lat, group, rho_b, g, h) for g, h in itertools.product(elems, repeat=2)]
+    errs = commutation_errors([*ribbons.values()], disjoint, 0, ne).ravel()
     rep.add(
         "disjoint ribbon operators commute",
         "[F_rho, F_sigma] = 0 for disjoint ribbons",
@@ -356,19 +314,14 @@ def run_verify(config: RunConfig, group: AbelianGroup, lat: Lattice) -> Report:
     # closed ribbons commute with every star and plaquette
     target = lat.site_at(lat.vertex_id(1, 1))
     loop = closed_loop_around(target, 1, lat)
-    ok = True
     generators = [
         X for v in range(lat.n_vertices) for ops in site_ops(lat.site_at(v)) for X in ops.values()
     ]
-    for h, g in itertools.product(elems, repeat=2):
-        F = ribbon_F(lat, group, loop, h, g)
-        for X in generators:
-            ok &= commutator_phase(F, X) == 0
-    for h, g in itertools.product(elems, repeat=2):
-        for base in (alpha_ribbon(lat, s), beta_ribbon(lat, s)):
-            F = ribbon_F(lat, group, base, h, g)
-            for k in elems:
-                ok &= commutator_phase(F, stars2[k]) == 0
+    pairs = list(itertools.product(elems, repeat=2))
+    loops = [ribbon_F(lat, group, loop, h, g) for h, g in pairs]
+    elementary = (alpha_ribbon(lat, s), beta_ribbon(lat, s))
+    bases = [ribbon_F(lat, group, base, h, g) for h, g in pairs for base in elementary]
+    ok = not (commutator_table(loops, generators).any() or commutator_table(bases, [*stars2.values()]).any())
     rep.add(
         "closed ribbon operators commute with all stabilizer generators",
         "[F_closed, A^k] = 0 = [F_closed, B^k]",

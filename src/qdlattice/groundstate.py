@@ -57,7 +57,7 @@ import math
 
 import numpy as np
 
-from .groups import AbelianGroup
+from .groups import AbelianGroup, diagonal_form
 from .lattice import Lattice
 from .operators import AffineMap, as_opsum, conjugated
 
@@ -158,49 +158,6 @@ def _delta_forms(lat: Lattice, group: AbelianGroup, m: AffineMap, forms: dict):
     return out
 
 
-def _diagonal_form(a: list, n_cols: int, transforms: bool = True) -> tuple[list[int], list[list[int]], list[list[int]]]:
-    """(d, P, Q) with P·A·Q = diag(d) over the integers, P and Q unimodular
-    (left empty without `transforms`), for A with rows `a` and n_cols
-    columns: the Smith normal form without its divisor chain. Each pivot is
-    the smallest nonzero entry left, reducing its row and column until clear."""
-    m = len(a)
-    A = [list(row) for row in a]
-    P = [[int(i == j) for j in range(m * transforms)] for i in range(m)]
-    Q = [[int(i == j) for j in range(n_cols)] for i in range(n_cols * transforms)]
-    for t in range(min(m, n_cols)):
-        while True:
-            rest = [(abs(A[i][j]), i, j) for i in range(t, m) for j in range(t, n_cols) if A[i][j]]
-            if not rest:
-                break
-            _, i, j = min(rest)
-            A[t], A[i], P[t], P[i] = A[i], A[t], P[i], P[t]
-            for row in A + Q:
-                row[t], row[j] = row[j], row[t]
-            p = A[t][t]
-            for i in range(t + 1, m):
-                q = A[i][t] // p
-                if q:
-                    A[i] = [x - q * y for x, y in zip(A[i], A[t])]
-                    P[i] = [x - q * y for x, y in zip(P[i], P[t])]
-            for j in range(t + 1, n_cols):
-                q = A[t][j] // p
-                if q:
-                    for row in A + Q:
-                        row[j] -= q * row[t]
-            if not any(A[i][t] for i in range(t + 1, m)) and not any(A[t][t + 1 :]):
-                break
-    return [A[k][k] for k in range(min(m, n_cols))], P, Q
-
-
-def subgroup_order(rows: list, n_cols: int, orders) -> int:
-    """Order of the subgroup of ⊕_i Z_{n_i}^n_cols generated by the integer
-    `rows` read in every cyclic factor Z_{n_i} (n_i in `orders`): with
-    P·A·Q = diag(d) (``_diagonal_form``), Π_i Π_j n_i / gcd(d_j, n_i), the
-    image of the diagonal map, since P and Q are invertible mod every n_i."""
-    d = _diagonal_form(rows, n_cols, transforms=False)[0]
-    return math.prod(n // math.gcd(dj, n) for n in orders for dj in d)
-
-
 def _column_system(system: tuple, factors: list) -> tuple[tuple, tuple]:
     """A delta system's integer matrix A in sorted-vertex column order, one row
     per form, and its terms' (phase, {form: target}, {vertex: character}) as
@@ -235,7 +192,7 @@ def _system_means(group: AbelianGroup, rows: tuple, factors: tuple) -> list[comp
     roots, digits = t["roots"], t["digits"]
     L = group.phase_denominator
     pnum, targets, chars, alive = (a.copy() for a in factors)
-    d, P, Q = _diagonal_form(rows, chars.shape[1])
+    d, P, Q = diagonal_form(rows, chars.shape[1])
     # unimodular over the integers, so invertible mod every factor order
     P, Q = (np.array([[x % L for x in row] for row in M], dtype=np.int64).reshape(len(M), len(M)) for M in (P, Q))
     num = den = 1

@@ -7,6 +7,7 @@ comparisons are bit-reproducible, and converted to a complex double only on
 demand. This is the only module that sees a phase as a fraction: the rest of
 the package works on packed indices (elements and characters alike) and on
 integer phase numerators mod ``phase_denominator``, through ``tables()``.
+Integer systems over ⊕_i Z_{n_i} have one solver, ``diagonal_form``.
 """
 
 from __future__ import annotations
@@ -178,6 +179,65 @@ class AbelianGroup:
             tuple(t["neg"].tolist()),
             tuple(map(tuple, t["char_num"].tolist())),
         )
+
+
+def _pivot(A: list, t: int, n_cols: int):
+    """(i, j) of the smallest nonzero |A[i][j]| with i, j >= t, the first
+    in row order (the min of (|A[i][j]|, i, j)), or None. The scan ends at
+    the first unit, so a 0/±1 matrix is searched a row at a time."""
+    best = None
+    for i in range(t, len(A)):
+        for j in range(t, n_cols):
+            v = abs(A[i][j])
+            if v and (best is None or v < best[0]):
+                best = v, i, j
+                if v == 1:
+                    return i, j
+    return best and best[1:]
+
+
+def diagonal_form(a: list, n_cols: int, transforms: bool = True) -> tuple[list[int], list[list[int]], list[list[int]]]:
+    """(d, P, Q) with P·A·Q = diag(d) over the integers, P and Q unimodular
+    (left empty without `transforms`), for A with rows `a` and n_cols
+    columns: the Smith normal form without its divisor chain, the one
+    solver over ⊕_i Z_{n_i}. Each pivot is the smallest nonzero entry left
+    (``_pivot``), reducing its row and column until clear."""
+    m = len(a)
+    A = [list(row) for row in a]
+    P = [[int(i == j) for j in range(m * transforms)] for i in range(m)]
+    Q = [[int(i == j) for j in range(n_cols)] for i in range(n_cols * transforms)]
+    for t in range(min(m, n_cols)):
+        while True:
+            pivot = _pivot(A, t, n_cols)
+            if not pivot:
+                break
+            i, j = pivot
+            A[t], A[i], P[t], P[i] = A[i], A[t], P[i], P[t]
+            for row in A + Q:
+                row[t], row[j] = row[j], row[t]
+            p = A[t][t]
+            for i in range(t + 1, m):
+                q = A[i][t] // p
+                if q:
+                    A[i] = [x - q * y for x, y in zip(A[i], A[t])]
+                    P[i] = [x - q * y for x, y in zip(P[i], P[t])]
+            for j in range(t + 1, n_cols):
+                q = A[t][j] // p
+                if q:
+                    for row in A + Q:
+                        row[j] -= q * row[t]
+            if not any(A[i][t] for i in range(t + 1, m)) and not any(A[t][t + 1 :]):
+                break
+    return [A[k][k] for k in range(min(m, n_cols))], P, Q
+
+
+def subgroup_order(rows: list, n_cols: int, orders) -> int:
+    """Order of the subgroup of ⊕_i Z_{n_i}^n_cols generated by the integer
+    `rows` read in every cyclic factor Z_{n_i} (n_i in `orders`): with
+    P·A·Q = diag(d) (``diagonal_form``), Π_i Π_j n_i / gcd(d_j, n_i), the
+    image of the diagonal map, since P and Q are invertible mod every n_i."""
+    d = diagonal_form(rows, n_cols, transforms=False)[0]
+    return math.prod(n // math.gcd(dj, n) for n in orders for dj in d)
 
 
 def digit_rows(radix: int, k: int) -> np.ndarray:

@@ -20,17 +20,18 @@ sorted by edge, one entry per edge, none the identity.
 Sums with scalar coefficients (projectors, Hamiltonians) are ``OpSum``.
 Operators are read row by row from ``AffineMap.eval``: on any set of
 configurations a map is a monomial matrix, one target and one phase per
-row. Operator identities are checked
-exactly by ``ops_equal``, from normal forms or on the configurations of the
-edges that deltas and characters read; without deltas the normal form is
-complete. ``commutator_phase`` reads the phase
-relating a b and b a, or its absence, off the two delta systems and the
-characters without forming either product. Without deltas a map is a
-Weyl operator, an integer row (x | z) of shift and character residues
-(``weyl_rows``), and the phase of two rows is their symplectic form, so
+row. Operator identities are checked exactly by ``ops_equal``: from
+normal forms (complete without deltas), for one map a side from the
+coefficient values the two attain (the image of their delta and character
+rows, through ``groups.diagonal_form``), and otherwise on the
+configurations of the edges that deltas and characters read.
+``commutator_phase`` reads the phase relating a b and b a, or its absence,
+off the two delta systems and the characters without forming either
+product. A map's shifts and characters are an integer row (x | z) of
+residues (``weyl_rows``), and where neither map's deltas read the other's
+shift the phase of two maps is the symplectic form of their rows, so
 ``commutator_table`` reads a whole family of pairs as one integer product.
-``conjugated`` forms f* m f
-without an adjoint or a product. Only
+``conjugated`` forms f* m f without an adjoint or a product. Only
 the torus exact-diagonalization cross-check and the test oracles build
 whole matrices (``support_matrix``, ``to_matrix``), so scipy is imported
 there and not with the package.
@@ -38,12 +39,13 @@ there and not with the package.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .groups import AbelianGroup, Char, Element, codes, digit_rows
+from .groups import AbelianGroup, Char, Element, codes, diagonal_form, digit_rows
 from .lattice import Lattice, LatticeError, Region, Ribbon, Site, positive_moves
 
 if TYPE_CHECKING:
@@ -51,6 +53,7 @@ if TYPE_CHECKING:
 
 MATRIX_DIM_CAP = 1 << 20
 CONFIG_BYTES_CAP = 1 << 26  # uint8 configuration rows x edges, checked before allocating
+NO_PHASE = -1  # commutator_table's entry where no phase relates the two products
 
 Coeffs = tuple[tuple[int, int], ...]  # ((edge, sign), ...), sign in {+1, -1}
 
@@ -115,13 +118,11 @@ def commutator_phase(a: AffineMap, b: AffineMap) -> Optional[int]:
 
 
 def weyl_rows(maps: Sequence[AffineMap]) -> tuple[np.ndarray, np.ndarray]:
-    """(x, z) of delta-free maps: the residues of each map's shifts and of its
+    """(x, z) of the maps: the residues of each map's shifts and of its
     characters per edge, two (maps x edges x factors) integer arrays, zero
-    off the map's edges. A map with deltas has no such row."""
+    off the map's edges. Deltas are not packed."""
     packed = np.zeros((2, len(maps), maps[0].n_edges), dtype=np.int64)
     for i, m in enumerate(maps):
-        if m.deltas:
-            raise OperatorError("a map with deltas has no Weyl row")
         for side, entries in enumerate((m.shifts, m.chars)):
             for e, v in entries:
                 packed[side, i, e] = v
@@ -129,19 +130,48 @@ def weyl_rows(maps: Sequence[AffineMap]) -> tuple[np.ndarray, np.ndarray]:
     return x, z
 
 
-def commutator_table(
-    group: AbelianGroup, rows_a: tuple[np.ndarray, np.ndarray], rows_b: tuple[np.ndarray, np.ndarray]
-) -> np.ndarray:
-    """``commutator_phase`` of every pair of two delta-free families, from
-    their ``weyl_rows``: the symplectic form sum_i (L/n_i)(z_a x_b - x_a z_b)
-    mod L over the cyclic factors, one integer product for the whole table."""
-    L = group.phase_denominator
+def _reads_shift(maps: Sequence[AffineMap], x: np.ndarray) -> np.ndarray:
+    """(maps x shifts) True where a delta expression of maps[i] reads a
+    nonzero value on the shift with x row x[j]: the signed coefficient rows
+    times the x rows, per cyclic factor."""
+    owner = np.array([i for i, m in enumerate(maps) for _ in m.deltas], dtype=np.int64)
+    signs = np.zeros((len(owner), x.shape[1]), dtype=np.int64)
+    for r, (cs, _) in enumerate(d for m in maps for d in m.deltas):
+        for e, sign in cs:
+            signs[r, e] += sign
+    reads = (signs @ x % maps[0].group.orders).any(axis=2)  # (shifts x rows)
+    return (owner == np.arange(len(maps))[:, None]) @ reads.T
+
+
+def commutator_table(maps_a: Sequence[AffineMap], maps_b: Sequence[AffineMap]) -> np.ndarray:
+    """``commutator_phase`` of every pair of two families, NO_PHASE for
+    None. Where each map's delta expressions read zero on the other's shift
+    (``_reads_shift``), both products keep both delta systems unmoved: the
+    entry is the symplectic form sum_i (L/n_i)(z_a x_b - x_a z_b) mod L of
+    their ``weyl_rows``, one integer product for the whole table, or 0 when
+    a normalized expression carries two targets, in one map or across the
+    pair (both products are zero). The other pairs go to
+    ``commutator_phase``."""
+    group = maps_a[0].group
+    L, neg = group.phase_denominator, group.index_tables[1]
     weight = np.array([L // n for n in group.orders])
-    (xa, za), (xb, zb) = rows_a, rows_b
+    (xa, za), (xb, zb) = weyl_rows(maps_a), weyl_rows(maps_b)
     a = (np.concatenate((za, xa), axis=1) * weight).reshape(len(za), -1)
     b = np.concatenate((xb, -zb), axis=1).reshape(len(xb), -1)
     both = a.any(axis=0) & b.any(axis=0)  # the product needs only columns both families touch
-    return a[:, both] @ b[:, both].T % L
+    table = a[:, both] @ b[:, both].T % L
+    if not any(m.deltas for m in (*maps_a, *maps_b)):
+        return table
+    systems = [[_normal_deltas(m.deltas, neg) for m in maps] for maps in (maps_a, maps_b)]
+    zero = np.logical_or.outer(*([s is None for s in family] for family in systems))
+    for cs in set.intersection(*({cs for s in family if s for cs in s} for family in systems)):
+        ta, tb = (np.array([(s or {}).get(cs, -1) for s in family]) for family in systems)
+        zero |= np.not_equal.outer(ta, tb) & np.logical_and.outer(ta >= 0, tb >= 0)
+    table[zero] = 0
+    for i, j in zip(*np.nonzero(_reads_shift(maps_a, xb) | _reads_shift(maps_b, xa).T)):
+        lam = commutator_phase(maps_a[i], maps_b[j])
+        table[i, j] = NO_PHASE if lam is None else lam
+    return table
 
 
 @dataclass(frozen=True)
@@ -410,6 +440,44 @@ def to_matrix(op, lat: Lattice) -> sp.csr_matrix:
     return support_matrix(op, list(lat.edges()), lat.n_edges)
 
 
+def _attained(group: AbelianGroup, maps: list[AffineMap]) -> tuple[np.ndarray, np.ndarray]:
+    """(alive, phase numerators), two (maps x states) arrays: every distinct
+    joint value of the maps' coefficients over all configurations, without
+    enumerating them. Per cyclic factor Z_n, with R the rows of the delta
+    expressions and of each map's characters on the diagonal edges and
+    P·R·Q = diag(d) (``diagonal_form``), the columns of R·Q, column j of
+    order n / gcd(d_j, n), generate the image of x -> R x as a direct sum,
+    so each point is listed once; the factors' states then combine."""
+    L, digits = group.phase_denominator, group.tables()["digits"]
+    exprs = {cs: r for r, cs in enumerate(sorted({cs for m in maps for cs, _ in m.deltas}))}
+    edges = {e: j for j, e in enumerate(sorted(set().union(*(m.diagonal_edges() for m in maps))))}
+    E, K, D = len(exprs), len(maps), len(edges)
+    R = np.zeros((E + K, D), dtype=np.int64)
+    chars, want = np.zeros((K, D), dtype=np.int64), np.full((K, E), -1)
+    for cs, r in exprs.items():
+        for e, sign in cs:
+            R[r, edges[e]] += sign
+    for k, m in enumerate(maps):
+        want[k, [exprs[cs] for cs, _ in m.deltas]] = [t for _, t in m.deltas]
+        chars[k, [edges[e] for e, _ in m.chars]] = [ci for _, ci in m.chars]
+    states = np.array([[1] * K + [m.phase for m in maps]])
+    for i, n in enumerate(group.orders):
+        R[E:] = digits[chars, i]
+        d, _, Q = diagonal_form(R.tolist(), D)
+        sizes = [n // math.gcd(dj, n) for dj in d]
+        if math.prod(sizes) * len(states) > MATRIX_DIM_CAP:
+            raise OperatorError(f"{math.prod(sizes)} x {len(states)} coefficient values are above the cap of {MATRIX_DIM_CAP}")
+        gens = R @ np.array(Q, dtype=np.int64).reshape(D, D)
+        points = np.zeros((1, E + K), dtype=np.int64)
+        for j, size in enumerate(sizes):
+            points = (points[:, None] + np.arange(size)[:, None] * gens[:, j]).reshape(-1, E + K) % n
+        alive = ((points[:, None, :E] == digits[want, i]) | (want < 0)).all(axis=2)
+        old, new = states[:, None], np.concatenate((alive, points[:, E:] * (L // n)), axis=1)
+        joint = np.concatenate((old[..., :K] & new[..., :K], (old[..., K:] + new[..., K:]) % L), axis=2)
+        states = np.array(sorted(set(map(tuple, joint.reshape(-1, 2 * K).tolist()))))
+    return states[:, :K].T.astype(bool), states[:, K:].T
+
+
 def ops_equal(a, b, n_edges: int) -> float:
     """Max entrywise deviation between two operators on their joint support
     subspace (an operator identity holds iff this is ~0).
@@ -421,21 +489,29 @@ def ops_equal(a, b, n_edges: int) -> float:
     the characters); shifted edges move the row but change no entry. The max
     |bucket sum| over the diagonal edges' configurations alone is therefore
     the max entry of support_matrix(a) - support_matrix(b), from |G|^d rows
-    instead of |G|^k. One nonzero term a side, equal in coefficient and normal form: 0.0."""
+    instead of |G|^k. One nonzero term a side, equal in coefficient and
+    normal form: 0.0. At most one a side otherwise: the same values, each
+    distinct one once, from the coefficients the maps attain together
+    (``_attained``), so nothing is enumerated."""
     terms = [(0, c, m) for c, m in as_opsum(a).terms] + [(1, c, m) for c, m in as_opsum(b).terms]
     live = [(side, c, canonical(m)) for side, c, m in terms if c != 0]
     live = [t for t in live if t[2] is not None]
-    if not live or [t[0] for t in live] == [0, 1] and live[0][1:] == live[1][1:]:
+    sides = [t[0] for t in live]
+    if not live or sides == [0, 1] and live[0][1:] == live[1][1:]:
         return 0.0
     group = terms[0][2].group
-    diagonal = set().union(*(m.diagonal_edges() for _, _, m in terms))
-    configs = enumerate_configs(sorted(diagonal), n_edges, group.order)
+    if sides in ([0], [1], [0, 1]):
+        terms = live
+        coefficients = zip(*_attained(group, [m for _, _, m in live]))
+    else:
+        diagonal = set().union(*(m.diagonal_edges() for _, _, m in terms))
+        configs = enumerate_configs(sorted(diagonal), n_edges, group.order)
+        coefficients = (m.diagonal(configs) for _, _, m in terms)
     roots = group.tables()["roots"]
     # per shift, a's and b's sums kept apart: their difference rounds as the
     # difference of the two summed matrices does
     buckets: dict[tuple, list] = {}
-    for side, coeff, m in terms:
-        alive, pnum = m.diagonal(configs)
+    for (side, coeff, m), (alive, pnum) in zip(terms, coefficients):
         shift = tuple(sorted((e, gi) for e, gi in m.shifts if gi))
         sums = buckets.setdefault(shift, [0.0, 0.0])
         sums[side] = sums[side] + np.where(alive, roots[pnum] * coeff, 0.0)

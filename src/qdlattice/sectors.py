@@ -45,7 +45,6 @@ from .operators import (
     loop_charge_projector,
     ribbon_F_irrep,
     star_g,
-    weyl_rows,
 )
 from .groundstate import GroundStateError, omega_expectations, shift_fluxes
 
@@ -245,8 +244,8 @@ def braiding_phases(
     ribbon `pair` (``crossing_pair``): labels[i] rides the first, north
     ribbon and labels[j] the second, east one. Each label's irrep map is
     built once per ribbon, and the table is one ``commutator_table``."""
-    rows = [weyl_rows([ribbon_F_irrep(lat, group, r, l.chi, l.c) for l in labels]) for r in pair]
-    return group.tables()["roots"][commutator_table(group, *rows)]
+    maps = [[ribbon_F_irrep(lat, group, r, l.chi, l.c) for l in labels] for r in pair]
+    return group.tables()["roots"][commutator_table(*maps)]
 
 
 def character_products(
@@ -328,19 +327,18 @@ def s_matrix_entries(
     map: the commutator phases of Fs with both factors of V. Moving the
     first charge instead, past the second's ribbon, would add nothing: no
     path of it shares an edge with that ribbon. The irrep map of each label
-    on each ribbon is built once, and the phases are two
-    ``commutator_table``s: the spectators against the hats and against the
-    transports."""
+    on each ribbon is built once, and the phases are one
+    ``commutator_table``: the spectators against the hats and the
+    transports side by side, whose halves add."""
     firsts = list(dict.fromkeys(a for a, _ in pairs))
     seconds = list(dict.fromkeys(b for _, b in pairs))
 
-    def rows(ribbon: Ribbon, labels: list[SectorLabel]):
-        return weyl_rows([ribbon_F_irrep(lat, group, ribbon, l.chi, l.c) for l in labels])
+    def maps(ribbon: Ribbon, labels: list[SectorLabel]) -> list[AffineMap]:
+        return [ribbon_F_irrep(lat, group, ribbon, l.chi, l.c) for l in labels]
 
-    north = rows(geom.rho1, firsts)
     back = [SectorLabel(group.char_conj(l.chi), group.inv(l.c)) for l in seconds]
-    phases = commutator_table(group, north, rows(geom.rho2_hat, seconds))
-    phases += commutator_table(group, north, rows(geom.transport2, back))
+    both = commutator_table(maps(geom.rho1, firsts), maps(geom.rho2_hat, seconds) + maps(geom.transport2, back))
+    phases = both[:, : len(seconds)] + both[:, len(seconds) :]
     table = group.tables()["roots"][phases % group.phase_denominator].tolist()
     row, col = {l: i for i, l in enumerate(firsts)}, {l: j for j, l in enumerate(seconds)}
     return [table[row[a]][col[b]] for a, b in pairs]

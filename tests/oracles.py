@@ -29,6 +29,9 @@ something the package computes another way:
   character at a time, for ``fusion_table``'s array readout;
 - ``charge_projector`` and ``conjugate_label`` are the textbook charge
   detector and antiparticle label;
+- ``enumerated_deviation`` is ``ops_equal``'s sum over the diagonal
+  edges' configurations, bucket by shift, for its single-map path, which
+  reads the same values off the coefficients the maps attain;
 - ``phase_of_map`` reads the scalar of a map that is a multiple of the
   identity from its normal form, and ``commutator_by_products`` reads
   lambda in a b = lambda b a from the product a b a* b* that way, for
@@ -930,6 +933,23 @@ def triangle_L(lat: Lattice, group: AbelianGroup, tri: Triangle, g: Element) -> 
     if not val:
         return AffineMap.identity(group, lat.n_edges)
     return AffineMap(group, lat.n_edges, shifts=((tri.edge, val),))
+
+
+def enumerated_deviation(a, b, n_edges: int) -> float:
+    """Max |a - b| entry, with a's and b's terms summed per shift over every
+    configuration of the diagonal edges, as ``ops_equal`` sums sums of
+    several terms."""
+    terms = [(0, c, m) for c, m in as_opsum(a).terms] + [(1, c, m) for c, m in as_opsum(b).terms]
+    group = terms[0][2].group
+    diagonal = set().union(*(m.diagonal_edges() for _, _, m in terms))
+    configs = enumerate_configs(sorted(diagonal), n_edges, group.order)
+    roots = group.tables()["roots"]
+    buckets: dict[tuple, list] = {}
+    for side, coeff, m in terms:
+        alive, pnum = m.diagonal(configs)
+        sums = buckets.setdefault(tuple(sorted((e, gi) for e, gi in m.shifts if gi)), [0.0, 0.0])
+        sums[side] = sums[side] + np.where(alive, roots[pnum] * coeff, 0.0)
+    return max(float(np.max(np.abs(np.subtract(*sums)))) for sums in buckets.values())
 
 
 def phase_of_map(m: AffineMap) -> Optional[int]:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qdlattice import groundstate
-from qdlattice.groups import group_make, parse_group
+from qdlattice.groups import diagonal_form, group_make, parse_group
 from qdlattice.groundstate import (
     GroundStateError,
     connection_projector,
@@ -477,8 +477,8 @@ def test_pivots_only_diagonal_form_keeps_the_pivots(a):
     """The elimination without P and Q gives the pivots d of the full form,
     and P·A·Q = diag(d) there with P and Q unimodular."""
     n_cols = len(a[0]) if a else 3
-    d, P, Q = groundstate._diagonal_form(a, n_cols)
-    pivots, no_p, no_q = groundstate._diagonal_form(a, n_cols, transforms=False)
+    d, P, Q = diagonal_form(a, n_cols)
+    pivots, no_p, no_q = diagonal_form(a, n_cols, transforms=False)
     assert pivots == d and no_q == [] and all(row == [] for row in no_p)
     if a:
         diag = np.zeros((len(a), n_cols), dtype=object)

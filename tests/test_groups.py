@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from qdlattice import groups
 from qdlattice.groups import (
     GroupError,
     codes,
@@ -155,3 +156,18 @@ def test_digit_rows_match_itertools_product_and_codes_invert_them(radix, k):
     want = list(itertools.product(range(radix), repeat=k))
     assert [tuple(r) for r in rows.tolist()] == want
     assert np.array_equal(codes(rows, range(k), radix), np.arange(radix**k))
+
+
+@given(
+    st.integers(1, 6).flatmap(
+        lambda cols: st.lists(st.lists(st.integers(-4, 4), min_size=cols, max_size=cols), min_size=1, max_size=6)
+    ),
+    st.integers(0, 5),
+)
+def test_pivot_is_the_smallest_entry_first_in_row_order(a, t):
+    """The pivot search stops early on units but picks what the min of
+    (|A[i][j]|, i, j) over the rest of the matrix picks, so every
+    elimination, and every diagonal form, is the one the full scan gives."""
+    n_cols = len(a[0])
+    rest = [(abs(a[i][j]), i, j) for i in range(t, len(a)) for j in range(t, n_cols) if a[i][j]]
+    assert groups._pivot(a, t, n_cols) == (min(rest)[1:] if rest else None)

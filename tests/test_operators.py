@@ -9,9 +9,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import assume, given, settings, strategies as st
 
-from qdlattice.experiments import commutation_error
+from qdlattice import experiments, operators
+from qdlattice.experiments import commutation_errors, run_verify
 from qdlattice.groundstate import omega_expectations
-from qdlattice.groups import group_make
+from qdlattice.groups import group_make, parse_group
 from qdlattice.lattice import (
     Lattice,
     LatticeError,
@@ -25,6 +26,7 @@ from qdlattice.lattice import (
 from qdlattice.operators import (
     CONFIG_BYTES_CAP,
     MATRIX_DIM_CAP,
+    NO_PHASE,
     AffineMap,
     OperatorError,
     OpSum,
@@ -49,6 +51,7 @@ from qdlattice.operators import (
     to_matrix,
     weyl_rows,
 )
+from qdlattice.reports import RunConfig
 from qdlattice.sectors import truncate
 from qdlattice.states import SparseState
 
@@ -59,6 +62,7 @@ from oracles import (
     charge_projector,
     commutator_by_products,
     distance,
+    enumerated_deviation,
     face_flux,
     ground_energy,
     ground_space,
@@ -482,11 +486,21 @@ def test_ops_equal_takes_equal_normal_forms_without_enumerating():
     assert ops_equal(F, G, ne) == 0.0
     assert ops_equal(OpSum.of(F) + zero, OpSum.of(G).scaled(1.0), ne) == 0.0
     assert ops_equal(zero, OpSum(()), ne) == 0.0
-    # anything else still goes to the capped enumeration
-    for other in (OpSum.of(G).scaled(-1.0), OpSum.weighted([(0.5, G), (0.5, G)])):
-        with pytest.raises(OperatorError, match="above the cap"):
-            ops_equal(F, other, ne)
+    # one map a side is read off the coefficients the pair attains, with
+    # no cap; a sum of two terms still goes to the capped enumeration
+    assert ops_equal(F, OpSum.of(G).scaled(-1.0), ne) == 2.0
+    with pytest.raises(OperatorError, match="above the cap"):
+        ops_equal(F, OpSum.weighted([(0.5, G), (0.5, G)]), ne)
 
+
+
+def test_single_map_ops_equal_refuses_above_the_cap():
+    """21 independent one-edge deltas take 2^21 values together, above
+    MATRIX_DIM_CAP: the single-map path refuses before listing them."""
+    pins = tuple((((e, 1),), 1) for e in range(21))
+    a, b = AffineMap(Z2, 30, deltas=pins), AffineMap(Z2, 30, shifts=((29, 1),), deltas=pins)
+    with pytest.raises(OperatorError, match="above the cap"):
+        ops_equal(a, b, 30)
 
 # -- index arithmetic against the tuple-arithmetic reference ----------------------------
 
@@ -753,22 +767,89 @@ def _weyl_families(draw):
     return grp, *families
 
 
+@st.composite
+def _table_families(draw):
+    """A group and two families of one to four maps over it with shifts,
+    characters and deltas. The deltas come from a pool of expressions both
+    families share, the empty one among them, so targets agree or conflict
+    across a pair and within one map; some maps shift no edge the pool
+    reads, so their pairs are read off the arrays."""
+    grp = draw(st.sampled_from(TABLE_GROUPS))
+    pool = [()] + [_expr(draw) for _ in range(3)]
+    read = {e for cs in pool for e, _ in cs}
+    target = st.one_of(st.just(0), st.integers(0, grp.order - 1))
+
+    def drawn():
+        m = _affine_map(draw, grp)
+        deltas = tuple((draw(st.sampled_from(pool)), draw(target)) for _ in range(draw(st.integers(0, 2))))
+        shifts = m.shifts if draw(st.booleans()) else tuple(s for s in m.shifts if s[0] not in read)
+        return dataclasses.replace(m, shifts=shifts, deltas=deltas)
+
+    return grp, *([drawn() for _ in range(draw(st.integers(1, 4)))] for _ in range(2))
+
+
 @settings(max_examples=300, deadline=None)
-@given(case=_weyl_families())
+@given(case=st.one_of(_table_families(), _weyl_families()))
 def test_commutator_table_matches_commutator_phase_on_every_pair(case):
     grp, fa, fb = case
-    table = commutator_table(grp, weyl_rows(fa), weyl_rows(fb))
-    assert table.tolist() == [[commutator_phase(a, b) for b in fb] for a in fa]
+    want = [[commutator_phase(a, b) for b in fb] for a in fa]
+    assert commutator_table(fa, fb).tolist() == [[NO_PHASE if lam is None else lam for lam in row] for row in want]
 
 
-def test_weyl_rows_refuses_a_map_with_deltas():
+def test_weyl_rows_packs_shifts_and_characters_of_maps_with_deltas():
     plain = AffineMap(Z3, 4, shifts=((0, 1),), chars=((2, 2),))
     x, z = weyl_rows([plain])
     assert x.shape == z.shape == (1, 4, 1)
     assert x[0, :, 0].tolist() == [1, 0, 0, 0] and z[0, :, 0].tolist() == [0, 0, 2, 0]
-    flux = AffineMap(Z3, 4, shifts=((0, 1),), deltas=((((1, 1),), 2),))
-    with pytest.raises(OperatorError, match="deltas"):
-        weyl_rows([plain, flux])
+    flux = dataclasses.replace(plain, deltas=((((1, 1),), 2),))
+    fx, fz = weyl_rows([plain, flux])
+    assert np.array_equal(fx, np.concatenate([x, x])) and np.array_equal(fz, np.concatenate([z, z]))
+
+
+# -- single-map ops_equal against the enumeration ---------------------------------------------
+
+SINGLE_GROUPS = [group_make(dims) for dims in ([2], [3], [4], [2, 2], [6], [2, 3])]
+
+
+def _implied_delta(draw, m):
+    """m with one more delta, the sum of two of its deltas: at their summed
+    target the solutions stay and the normal form changes; at any other
+    target the system has no solution, though ``canonical`` keeps it."""
+    if len(m.deltas) < 2 or not draw(st.booleans()):
+        return m
+    (c1, t1), (c2, t2) = draw(st.permutations(m.deltas))[:2]
+    add = m.group.index_tables[0]
+    target = add[add[t1][t2]][draw(st.sampled_from([0, 0, 1 % m.group.order]))]
+    return dataclasses.replace(m, deltas=m.deltas + ((c1 + c2, target),))
+
+
+@st.composite
+def _single_map_pairs(draw):
+    """One map a side, each with a coefficient: independent maps, maps with
+    one shift, one map with other characters on its character edges, or one
+    map twice."""
+    grp = draw(st.sampled_from(SINGLE_GROUPS))
+    a, other = _affine_map(draw, grp), _affine_map(draw, grp)
+    kind = draw(st.sampled_from(["independent", "same shift", "same edges", "same map"]))
+    if kind == "same shift":
+        other = dataclasses.replace(other, shifts=a.shifts)
+    if kind == "same edges":
+        chars = tuple((e, draw(st.integers(1, grp.order - 1))) for e, _ in a.chars)
+        other = dataclasses.replace(a, chars=chars, phase=other.phase)
+    b = a if kind == "same map" else other
+    coeff = st.sampled_from([1.0, -1.0, 1j, 0.5 - 0.25j, 0.3 + 0.9j])
+    return tuple(OpSum.weighted([(draw(coeff), _implied_delta(draw, m))]) for m in (a, b))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=_single_map_pairs())
+def test_single_map_ops_equal_returns_the_enumerated_deviation(pair):
+    """The float the enumeration returns, exactly, and the support-matrix
+    deviation."""
+    a, b = pair
+    got = ops_equal(a, b, ALGEBRA_EDGES)
+    assert got == enumerated_deviation(a, b, ALGEBRA_EDGES)
+    assert abs(got - _oracle_deviation(a, b, ALGEBRA_EDGES)) < 1e-12
 
 
 # -- conjugation against the products -------------------------------------------------------
@@ -870,7 +951,7 @@ def test_commutation_error_reports_ops_equal_when_a_law_fails():
     B = plaq_h(lat, Z3, s0, Z3.identity())
     F = ribbon_F_irrep(lat, Z3, rho, (0,), (1,))
     assert commutator_phase(B, F) is None
-    err = commutation_error(B, F, 0, ne)
+    err = commutation_errors([B], [F], 0, ne)[0, 0]
     assert err == deviation(B, F, 0) and err > 0.1
 
     # A^k F = chi(k) F A^k with chi(k) != 1, asked for the wrong phases
@@ -878,7 +959,42 @@ def test_commutation_error_reports_ops_equal_when_a_law_fails():
     F = ribbon_F_irrep(lat, Z3, rho, (1,), (0,))
     lam = Z3.index_tables[2][Z3.index_of((1,))][Z3.index_of((1,))]
     assert lam != 0 and commutator_phase(A, F) == lam
-    assert commutation_error(A, F, lam, ne) == 0.0
+    assert commutation_errors([A], [F], lam, ne)[0, 0] == 0.0
     for wrong in (0, lam + 1):
-        err = commutation_error(A, F, wrong, ne)
+        err = commutation_errors([A], [F], wrong, ne)[0, 0]
         assert err == deviation(A, F, wrong) and err > 0.1
+
+
+def test_verify_reads_its_laws_from_tables(monkeypatch):
+    """verify z3 on 3x3:torus sends at most 20 pairs to the pairwise
+    ``commutator_phase`` (it sent all 675 before the tables), and no
+    ``ops_equal`` call with at most one live map a side reaches
+    ``enumerate_configs``."""
+    counts = {"pairwise commutator_phase calls": 0, "single-map ops_equal calls": 0, "single-map enumerations": 0}
+    single = [False]
+    phase, equal, enumerate_configs = operators.commutator_phase, experiments.ops_equal, operators.enumerate_configs
+
+    def counted_phase(a, b):
+        counts["pairwise commutator_phase calls"] += 1
+        return phase(a, b)
+
+    def traced_equal(a, b, n_edges):
+        live = [sum(c != 0 and canonical(m) is not None for c, m in as_opsum(op).terms) for op in (a, b)]
+        single[0] = max(live) <= 1
+        counts["single-map ops_equal calls"] += single[0]
+        try:
+            return equal(a, b, n_edges)
+        finally:
+            single[0] = False
+
+    def counted_configs(*args):
+        counts["single-map enumerations"] += single[0]
+        return enumerate_configs(*args)
+
+    monkeypatch.setattr(operators, "commutator_phase", counted_phase)
+    monkeypatch.setattr(operators, "enumerate_configs", counted_configs)
+    monkeypatch.setattr(experiments, "ops_equal", traced_equal)
+    cfg = RunConfig("verify", group="z3", lattice="3x3:torus", tol=1e-10)
+    assert run_verify(cfg, parse_group("z3"), Lattice(3, 3, "torus")).all_passed
+    assert counts["pairwise commutator_phase calls"] <= 20, counts
+    assert counts["single-map ops_equal calls"] > 0 and counts["single-map enumerations"] == 0, counts
